@@ -5,7 +5,8 @@
 Driver-side, pyarrow-only (no Ray session required): query evaluation
 reads a handful of term posting lists via bucket-pruned parquet scans.
 The distributed scoring path (``query/distributed.py``) reads the same
-layout through ``ray.data.read_parquet`` instead.
+layout from Ray tasks, one salt per task, through a per-worker
+hive-partitioned dataset handle.
 """
 
 from __future__ import annotations
@@ -382,10 +383,14 @@ class IndexReader:
     def postings(self, term: str, field: str, positions: bool = True) -> Posting | None:
         return self.postings_many([term], field, positions).get(term)
 
-    def _bucket_paths(self, terms: list[str]) -> list[str]:
+    def _bucket_paths(self, terms: list[str] | None = None) -> list[str]:
+        """Postings files of the buckets ``terms`` hash to (every bucket
+        when None), in bucket order."""
         base = os.path.join(self.index_dir, POSTINGS_DIR)
         paths: list[str] = []
-        for b in sorted({term_bucket(t, self.num_buckets) for t in terms}):
+        buckets = (range(self.num_buckets) if terms is None else
+                   sorted({term_bucket(t, self.num_buckets) for t in terms}))
+        for b in buckets:
             d = os.path.join(base, f"bucket={b}")
             if os.path.isdir(d):
                 paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))

@@ -1,4 +1,5 @@
-"""Distributed batch query evaluation over the Parquet index with Ray Data.
+"""Distributed batch query evaluation over the Parquet index with plain
+Ray tasks.
 
 The driver-side ``QueryEngine`` fetches a handful of posting lists per
 query — right for interactive use. This module is the *batch* path: score
@@ -13,21 +14,33 @@ a whole query set against a huge index as one ZERO-SHUFFLE Ray job:
     → driver merge of the tiny candidate tables: attach external ids,
       exact (score desc, external_id asc) top-k per qid.
 
-Scale notes: the postings read prunes to the buckets the query terms
-hash to; doclens are docid-range-sharded (``_ShardedDoclens``): workers
-load only the pid ranges their posting runs touch, cached per process —
-no O(n_docs) broadcast anywhere. External ids are fetched for the final
+Execution: each entry point plans on the driver, then ``_run_salt_tasks``
+submits one task per salt of a module-level ``@ray.remote`` kernel
+``(spec, salt) -> pa.Table`` and gathers the partial tables. ``spec`` is
+plain data (index dir, build token, docid-range layout, model
+parameters, k) plus ObjectRefs to the batch-sized maps, so Ray exports
+each kernel once per session and a batch ships no code. The kernels
+share one body: ``_scan`` (bucket-, term-, field- and salt-pruned read
+plus varbyte decode), a leaf formula, ``_route`` to the queries and
+``_cut`` (dense group-sum, exact per-salt top-k, packed keys).
+
+Scale notes: doclens are docid-range-sharded (``_doclens``): workers load
+only the pid ranges their posting runs touch — no O(n_docs) broadcast
+anywhere. Worker state (doclen shards, the postings dataset handle, an
+index reader) sits in ``util``'s process cache behind a real import,
+keyed by the build token, so it outlives a task and a rebuilt index
+never serves stale entries. External ids are fetched for the final
 candidate set via a filtered forward scan. The packed key leaves 44 bits
 for docids and 19 for queries per batch.
 
-Entry points: ``bm25_batch_search`` (bag-of-words #SUM),
+Entry points: ``bm25_batch_search`` (bag-of-words #SUM; BM25 or classic
+TF-IDF), ``bm25_msm_batch_search``, ``bm25_grid_search``,
+``bm25_champion_search``, ``bm25f_batch_search``,
 ``bm25_structured_batch_search`` (#SUM over term + positional leaves,
 multi-field — each field scores with its own df/doclen/avglen),
 ``indri_batch_search`` (bag-of-words #AND in log space) and
 ``indri_structured_batch_search`` (#WSUM spines over #AND/#WAND trees —
 log-linear subtrees mixed arithmetically in the final stage).
-All scoring stages are STATELESS tasks with process-global caches —
-no fixed actor-pool width to cap throughput at cluster scale.
 """
 
 from __future__ import annotations
@@ -36,11 +49,12 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
 import ray
-import ray.data
 
-from ..analysis.tokenizer import Analyzer, analyzer_for_mode
+from ..analysis.tokenizer import analyzer_for_mode
 from ..index.build import POSTINGS_DIR, term_bucket
 from ..index.reader import IndexReader
 from ..index.varbyte import decode_postings
@@ -50,54 +64,97 @@ from .models import BM25Model
 _DOC_BITS = 44
 _DOC_MASK = (1 << _DOC_BITS) - 1
 
-# process-global doclen shard cache: Ray reuses worker processes, so
-# shards loaded for one batch serve every later batch scheduled on the
-# same worker. Key = (index_dir, field, pid); capped FIFO so a worker
-# never holds more than _MAX_SHARDS pid ranges resident.
-_SHARD_CACHE: dict = {}
+# per-worker cache bounds: doclen shards (pid ranges) held resident, and
+# index builds (reader + postings handle) a long-lived worker keeps open
 _MAX_SHARDS = 128
+_MAX_INDEXES = 8
+
+
+# ------------------------------------------------------- worker state
+
+def _index_reader(index_dir: str, token: float) -> IndexReader:
+    """The process's reader for one index build; its forward-table
+    handle serves every doclen shard load."""
+    from ..util import proc_cached
+    return proc_cached(("index_reader", index_dir, token),
+                       lambda: IndexReader(index_dir), cap=_MAX_INDEXES)
+
+
+def _postings_dataset(index_dir: str, token: float):
+    """One hive-partitioned handle on every postings file per index build
+    and process; scans prune buckets with a ``bucket`` partition filter,
+    so every bucket set shares it. Files are listed in bucket order, the
+    order the per-bucket reads used, so row order (and float summation
+    order) is unchanged."""
+    from ..util import proc_cached
+    return proc_cached(
+        ("postings_dset", index_dir, token),
+        lambda: pads.dataset(
+            _index_reader(index_dir, token)._bucket_paths(),
+            format="parquet", partitioning="hive",
+            partition_base_dir=os.path.join(index_dir, POSTINGS_DIR)),
+        cap=_MAX_INDEXES)
 
 
 def _doclen_shard(index_dir: str, field: str, pid: int,
                   token: float) -> np.ndarray:
-    # token = build identity (stats.json mtime): a rebuilt index at the
-    # same path must not serve a surviving worker's stale shards
-    key = (index_dir, field, pid, token)
-    arr = _SHARD_CACHE.get(key)
-    if arr is None:
-        arr = IndexReader(index_dir).doclen_shard(field, pid)
-        if len(_SHARD_CACHE) >= _MAX_SHARDS:
-            _SHARD_CACHE.pop(next(iter(_SHARD_CACHE)))
-        _SHARD_CACHE[key] = arr
-    return arr
+    """Dense lengths of one pid's docid range, cached per process: Ray
+    reuses worker processes, so a shard loaded for one batch serves every
+    later batch on that worker. ``token`` = build identity (stats.json
+    mtime): a rebuilt index at the same path misses instead of serving a
+    surviving worker's stale shard."""
+    from ..util import proc_cached
+    return proc_cached(
+        ("doclen_shard", index_dir, field, pid, token),
+        lambda: _index_reader(index_dir, token).doclen_shard(field, pid),
+        cap=_MAX_SHARDS)
 
 
-class _ShardedDoclens:
-    """Docid-range-sharded doclen lookup: a posting run's docids map to a
-    handful of contiguous pid ranges (the build's salt layout keeps runs
-    docid-range-local), so each scoring worker touches few shards and the
-    process cache amortizes them across batches. Replaces the dense
-    ``ray.put(doclens)`` broadcast, which is O(n_docs) memory per node —
-    4 TB at the 10^12-doc design point."""
-
-    def __init__(self, index_dir: str, field: str, pid_offsets: np.ndarray,
-                 token: float = 0.0):
-        self.index_dir = index_dir
-        self.field = field
-        self.offsets = pid_offsets
-        self.token = token
-
-    def get(self, docids: np.ndarray) -> np.ndarray:
-        out = np.empty(docids.size, dtype=np.int32)
-        pids = np.searchsorted(self.offsets, docids, side="right") - 1
-        for p in np.unique(pids):
-            m = pids == p
-            shard = _doclen_shard(self.index_dir, self.field, int(p),
-                                  self.token)
-            out[m] = shard[docids[m] - self.offsets[p]]
-        return out
+def _doclens(spec: dict, field: str, docids: np.ndarray) -> np.ndarray:
+    """Lengths of ``docids`` from docid-range shards: a posting run's
+    docids map to a handful of contiguous pid ranges (the build's salt
+    layout keeps runs docid-range-local), so each worker touches few
+    shards. Replaces a dense ``ray.put(doclens)`` broadcast, which is
+    O(n_docs) memory per node — 4 TB at the 10^12-doc design point."""
+    off = spec["pid_offsets"]
+    out = np.empty(docids.size, dtype=np.int32)
+    pids = np.searchsorted(off, docids, side="right") - 1
+    for p in np.unique(pids):
+        m = pids == p
+        shard = _doclen_shard(spec["index_dir"], field, int(p), spec["token"])
+        out[m] = shard[docids[m] - off[p]]
+    return out
 
 
+def _rows(num_buckets: int, terms: list[str], fields: list[str]):
+    """Postings filter for ``terms`` × ``fields``; the partition term
+    skips every bucket the terms do not hash to before any read."""
+    buckets = sorted({term_bucket(t, num_buckets) for t in terms})
+    return (pc.field("bucket").isin(buckets) & pc.field("term").isin(terms)
+            & pc.field("field").isin(fields))
+
+
+def _scan(spec: dict, salt: int, terms: list[str], fields: list[str],
+          positions: bool = False):
+    """Decoded ``(term, field, docids, tfs, positions)`` runs of ``terms``
+    × ``fields`` inside one salt, in file order (term/field/salt filters
+    hit parquet row-group stats). ``positions`` is None unless asked for."""
+    cols = ["term", "field", "docid_blob", "tf_blob"]
+    if positions:
+        cols.append("pos_blob")
+    t = _postings_dataset(spec["index_dir"], spec["token"]).to_table(
+        columns=cols,
+        filter=(_rows(spec["num_buckets"], terms, fields)
+                & (pc.field("salt") == salt)))
+    pos = t["pos_blob"].to_pylist() if positions else [None] * t.num_rows
+    for term, fld, db, tb, pb in zip(t["term"].to_pylist(),
+                                     t["field"].to_pylist(),
+                                     t["docid_blob"].to_pylist(),
+                                     t["tf_blob"].to_pylist(), pos):
+        yield (term, fld) + decode_postings(db, tb, pb)
+
+
+# ------------------------------------------------------ salt kernels
 
 # dense-accumulate cap for _group_sum_entries: nq_present × docid-span
 # cells per salt task; two float64 arrays at the cap ≈ 512 MB, inside a
@@ -176,6 +233,392 @@ def _topk_cut_sorted(qc: np.ndarray, sums: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
+def _route(entries: list, targets, docids: np.ndarray, vals: np.ndarray,
+           offset: int = 0) -> None:
+    """Add one scored run to every ``(qcode, multiplicity)`` target."""
+    for qc, mult in targets:
+        entries.append((offset + qc, docids,
+                        vals if mult == 1 else vals * mult))
+
+
+def _cut(entries: list, k: int, need_zero_candidates: bool = False,
+         finish=None) -> pa.Table:
+    """Group-sum one salt's entries, apply ``finish(qc, docid, sums)``
+    (score transforms, filters), cut each query to its exact top k and
+    pack the keys."""
+    qc, docid, sums = _group_sum_entries(entries, need_zero_candidates)
+    if qc.size and finish is not None:
+        qc, docid, sums = finish(qc, docid, sums)
+    if not qc.size:
+        return _partial_empty()
+    keep = _topk_cut_sorted(qc, sums, k)
+    return pa.table({"gkey": pa.array((qc[keep] << _DOC_BITS) | docid[keep]),
+                     "score": pa.array(sums[keep])})
+
+
+def _bm25_idf(N: int, df) -> float:
+    return max(0.0, float(np.log((N - df + 0.5) / (df + 0.5))))
+
+
+def _bm25(idf: float, tf: np.ndarray, dl: np.ndarray, k1: float, b: float,
+          avglen: float) -> np.ndarray:
+    return idf * (tf / (tf + k1 * ((1.0 - b) + b * dl / avglen)))
+
+
+def _dirichlet(tf, dl, mle, mu: float, lam: float):
+    """Indri's smoothed term probability (QrySopScore.java:140-161)."""
+    return (1.0 - lam) * (tf + mu * mle) / (dl + mu) + lam * mle
+
+
+@ray.remote
+def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
+    """Bag-of-words #SUM over one salt — the kernel of
+    ``bm25_batch_search``, ``bm25_grid_search``, ``bm25_msm_batch_search``
+    and ``bm25_champion_search``'s phase B. BM25 per ``(k1, b)`` in
+    ``grid`` (grid point g scores query slot ``g·nq + qcode``), Lucene
+    classic TF-IDF when ``classic``. Batch maps: ``tq`` (term →
+    [(qcode, mult)]), ``df``, optional ``allowed`` (sorted candidate
+    docids the postings are masked to) and ``nreq`` (per-qcode clause
+    minimum: a second group-sum of clause indicators over the same keys
+    filters before the cut; docs live in one salt, so local counts are
+    complete)."""
+    bt = ray.get(spec["batch"])
+    tq, dfs = bt["tq"], bt["df"]
+    allowed, nreq = bt.get("allowed"), bt.get("nreq")
+    field, N, avglen = spec["field"], spec["N"], spec["avglen"]
+    entries, counts = [], []
+    need_zero = nreq is not None
+    for term, _, docids, tfs, _ in _scan(spec, salt, spec["terms"], [field]):
+        if allowed is not None:
+            pos = np.minimum(np.searchsorted(allowed, docids),
+                             allowed.size - 1)
+            keep = allowed[pos] == docids
+            docids, tfs = docids[keep], tfs[keep]
+            if docids.size == 0:
+                continue
+        df = dfs[term]
+        dl = _doclens(spec, field, docids).astype(np.float64)
+        tf = tfs.astype(np.float64)
+        if spec["classic"]:
+            idf = 1.0 + np.log(N / (df + 1.0))
+            scores = [np.sqrt(tf) * (idf * idf)
+                      / np.sqrt(np.maximum(dl, 1.0))]
+        else:
+            idf = _bm25_idf(N, df)
+            need_zero |= idf == 0.0
+            scores = [_bm25(idf, tf, dl, k1, b, avglen)
+                      for k1, b in spec["grid"]]
+        for g, sc in enumerate(scores):
+            _route(entries, tq[term], docids, sc, g * spec["nq"])
+        if nreq is not None:
+            _route(counts, tq[term], docids, np.ones(docids.size, np.float64))
+
+    def min_match(qc, docid, sums):
+        cnts = _group_sum_entries(counts, need_zero_candidates=True)[2]
+        ok = cnts >= nreq[qc]
+        return qc[ok], docid[ok], sums[ok]
+
+    return _cut(entries, spec["k"], need_zero,
+                min_match if nreq is not None else None)
+
+
+@ray.remote
+def champions_salt(spec: dict, salt: int) -> pa.Table:
+    """Champion-list phase A: each term's local top-``m`` postings in one
+    salt by (tf desc, docid asc) → (term, docid, tf) rows."""
+    m = spec["m"]
+    terms_o, docs_o, tfs_o = [], [], []
+    for term, _, docids, tfs, _ in _scan(spec, salt, spec["terms"],
+                                         [spec["field"]]):
+        if docids.size > m:
+            sel = np.lexsort((docids, -tfs))[:m]
+            docids, tfs = docids[sel], tfs[sel]
+        terms_o.extend([term] * docids.size)
+        docs_o.append(docids)
+        tfs_o.append(tfs.astype(np.int64))
+    return pa.table({
+        "term": pa.array(terms_o, pa.string()),
+        "docid": pa.array(np.concatenate(docs_o) if docs_o
+                          else np.empty(0, np.int64)),
+        "tf": pa.array(np.concatenate(tfs_o) if tfs_o
+                       else np.empty(0, np.int64))})
+
+
+@ray.remote
+def union_df_salt(spec: dict, salt: int) -> pa.Table:
+    """BM25F phase A: ``|∪_f docids(t, f, salt)|`` per term — salt ranges
+    are disjoint, so the global union df is the plain sum over salts."""
+    per_term: dict[str, list[np.ndarray]] = {}
+    for term, _, docids, _, _ in _scan(spec, salt, spec["terms"],
+                                       spec["fields"]):
+        per_term.setdefault(term, []).append(docids)
+    ts = sorted(per_term)
+    return pa.table({
+        "term": pa.array(ts, pa.string()),
+        "cnt": pa.array([int(np.unique(np.concatenate(per_term[t])).size)
+                         if len(per_term[t]) > 1 else per_term[t][0].size
+                         for t in ts], pa.int64())})
+
+
+@ray.remote
+def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
+    """BM25F phase B: pool ``w_f·tf/B_f`` across fields per doc, then
+    saturate once with the union-df idf."""
+    bt = ray.get(spec["batch"])
+    tq, gdf = bt["tq"], bt["df"]
+    contribs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for term, fld, docids, tfs, _ in _scan(spec, salt, spec["terms"],
+                                           spec["fields"]):
+        dl = _doclens(spec, fld, docids).astype(np.float64)
+        bf = spec["b"][fld]
+        B = (1.0 - bf) + bf * dl / spec["avglen"][fld]
+        contribs.setdefault(term, []).append(
+            (docids, spec["w"][fld] * tfs.astype(np.float64) / B))
+    entries, need_zero = [], False
+    for term, parts in contribs.items():
+        if len(parts) == 1:
+            docids, tft = parts[0]
+        else:   # pool w_f·tf/B_f across fields per doc
+            dc = np.concatenate([p[0] for p in parts])
+            cc = np.concatenate([p[1] for p in parts])
+            order = np.argsort(dc, kind="stable")
+            dc, cc = dc[order], cc[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], dc[1:] != dc[:-1])))
+            docids = dc[starts]
+            tft = np.add.reduceat(cc, starts)
+        idf = _bm25_idf(spec["N"], gdf[term])
+        need_zero |= idf == 0.0
+        _route(entries, tq[term], docids, idf * tft / (spec["k1"] + tft))
+    return _cut(entries, spec["k"], need_zero)
+
+
+@ray.remote
+def score_salt_indri(spec: dict, salt: int) -> pa.Table:
+    """Bag-of-words Indri #AND in log space: matched partials
+    ``m_t·(log s_t(tf,dl) − log s_t(0,dl))`` group-summed, then the
+    per-candidate all-terms default correction and the geometric mean.
+    Matched partials are strictly > 0 (s is monotone in tf), so the dense
+    group-sum's nonzero set IS the match-min candidate set."""
+    bt = ray.get(spec["batch"])
+    tq, mle, qinfo = bt["tq"], bt["mle"], bt["qinfo"]
+    field, mu, lam = spec["field"], spec["mu"], spec["lam"]
+    entries = []
+    with np.errstate(divide="ignore"):
+        for term, _, docids, tfs, _ in _scan(spec, salt, spec["terms"],
+                                             [field]):
+            dl = _doclens(spec, field, docids).astype(np.float64)
+            m = mle[term]
+            part = (np.log(_dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
+                    - np.log(_dirichlet(0.0, dl, m, mu, lam)))
+            _route(entries, tq[term], docids, part)
+
+    def geometric_mean(qc, docid, agg):
+        dl = _doclens(spec, field, docid).astype(np.float64)
+        final = np.empty(qc.size, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            for lo, hi in _query_slices(qc):
+                mles, mults, kq = qinfo[int(qc[lo])]
+                corr = np.zeros(hi - lo, dtype=np.float64)
+                for mlv, mv in zip(mles, mults):
+                    corr += mv * np.log(_dirichlet(0.0, dl[lo:hi], mlv,
+                                                   mu, lam))
+                final[lo:hi] = np.exp((agg[lo:hi] + corr) / kq)
+        return qc, docid, final
+
+    return _cut(entries, spec["k"], finish=geometric_mean)
+
+
+def _derived_rows(spec: dict, salt: int):
+    """``(leaf, field, docids, tfs)`` of the salt's derived positional
+    lists (phase A output, fetched whole from the object store)."""
+    if not spec["derived"]:
+        return
+    t = ray.get(spec["derived"][salt])
+    for lf, fld, db, tb in zip(t["leaf"].to_pylist(), t["field"].to_pylist(),
+                               t["docid_blob"].to_pylist(),
+                               t["tf_blob"].to_pylist()):
+        d, tf, _ = decode_postings(db, tb, None)
+        yield lf, fld, d, tf
+
+
+@ray.remote
+def score_salt_structured(spec: dict, salt: int) -> pa.Table:
+    """Structured BM25 #SUM over one salt: the salt's derived positional
+    runs plus its plain-term postings per field, each scored with its
+    field's own df/doclen/avglen."""
+    bt = ray.get(spec["batch"])
+    il, ddf, tl, ts = bt["il"], bt["ddf"], bt["tl"], bt["ts"]
+    N, k1, b = spec["N"], spec["k1"], spec["b"]
+
+    def leaf(fld, df, docids, tfs):
+        dl = _doclens(spec, fld, docids).astype(np.float64)
+        return _bm25(_bm25_idf(N, df), tfs.astype(np.float64), dl, k1, b,
+                     spec["avglen"][fld])
+
+    entries = []
+    for lf, fld, d, tf in _derived_rows(spec, salt):
+        _route(entries, il[lf], d, leaf(fld, ddf[lf], d, tf))
+    for fld, plain in sorted(spec["plain"].items()):
+        for trm, _, d, tf, _ in _scan(spec, salt, plain, [fld]):
+            _route(entries, tl[f"t:{fld}:{trm}"], d,
+                   leaf(fld, ts[fld].get(trm, 0), d, tf))
+    return _cut(entries, spec["k"], spec["any_zero_idf"])
+
+
+@ray.remote
+def score_salt_indri_structured(spec: dict, salt: int) -> pa.Table:
+    """Structured Indri over one salt: matched log-partials of derived
+    and plain leaves group-summed per (query, #WSUM subtree), then the
+    per-candidate default correction and the #WSUM arithmetic mix."""
+    bt = ray.get(spec["batch"])
+    lt, mles, qinfo = bt["lt"], bt["mle"], bt["qinfo"]
+    field, mu, lam, n_sub = spec["field"], spec["mu"], spec["lam"], \
+        spec["n_sub"]
+    entries = []
+
+    def add(lf, docids, tfs):
+        if docids.size == 0:
+            return
+        dl = _doclens(spec, field, docids).astype(np.float64)
+        m = mles[lf]
+        part = (np.log(_dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
+                - np.log(_dirichlet(0.0, dl, m, mu, lam)))
+        _route(entries, lt[lf], docids, part)
+
+    def default_corr(dlq, mlv_arr, coefs):
+        corr = np.zeros(dlq.size, dtype=np.float64)
+        for mlv, cv in zip(mlv_arr, coefs):
+            corr += cv * np.log(_dirichlet(0.0, dlq, mlv, mu, lam))
+        return corr
+
+    def wsum_mix(gq_a, docid, agg):
+        qc_a = gq_a // n_sub
+        j_a = gq_a % n_sub
+        out_q, out_d, out_s = [], [], []
+        for lo, hi in _query_slices(qc_a):
+            subs = qinfo[int(qc_a[lo])]
+            if len(subs) == 1 and subs[0][0] == 1.0:
+                # pure log-linear tree: rows are already unique per
+                # candidate — final = exp(S + corr)
+                cand = docid[lo:hi]
+                dlq = _doclens(spec, field, cand).astype(np.float64)
+                final = np.exp(agg[lo:hi] + default_corr(dlq, *subs[0][1:]))
+            else:
+                # #WSUM spine: candidates = docs with ≥1 subtree row;
+                # start from the all-defaults baseline Σ_j W_j·exp(corr_j),
+                # then swap in exp(S_j + corr_j) for each matched row
+                cand, cidx = np.unique(docid[lo:hi], return_inverse=True)
+                dlq = _doclens(spec, field, cand).astype(np.float64)
+                final = np.zeros(cand.size, dtype=np.float64)
+                aggq, jq = agg[lo:hi], j_a[lo:hi]
+                for j, (w, mlv_arr, coefs) in enumerate(subs):
+                    corr = default_corr(dlq, mlv_arr, coefs)
+                    base = w * np.exp(corr)
+                    final += base
+                    rmsk = jq == j
+                    ridx = cidx[rmsk]
+                    final[ridx] += (w * np.exp(aggq[rmsk] + corr[ridx])
+                                    - base[ridx])
+            out_q.append(np.full(cand.size, qc_a[lo], np.int64))
+            out_d.append(cand)
+            out_s.append(final)
+        return (np.concatenate(out_q), np.concatenate(out_d),
+                np.concatenate(out_s))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lf, _, d, tf in _derived_rows(spec, salt):
+            add(lf, d, tf)
+        if spec["terms"]:
+            for trm, _, d, tf, _ in _scan(spec, salt, spec["terms"], [field]):
+                add("t:" + trm, d, tf)
+        return _cut(entries, spec["k"], finish=wsum_mix)
+
+
+def _plan_data(node, terms: set) -> tuple:
+    """An Iop subtree as nested plain tuples — ``(term, field)`` leaves,
+    ``(op, dist, args)`` operators — collecting its terms."""
+    from .plan import TermNode
+    if isinstance(node, TermNode):
+        terms.add(node.term)
+        return (node.term, node.field)
+    return (node.op, node.dist, tuple(_plan_data(a, terms) for a in node.args))
+
+
+def _plan_node(data: tuple):
+    """Inverse of ``_plan_data``, built from this process's own import of
+    ``query.plan`` — the classes ``eval_iop_tree`` checks against."""
+    from .plan import IopNode, TermNode
+    if len(data) == 2:
+        return TermNode(*data)
+    op, dist, args = data
+    return IopNode(op, [_plan_node(a) for a in args], dist)
+
+
+@ray.remote(num_returns=2)
+def derive_salt(spec: dict, salt: int):
+    """→ (stats_table, derived_table) for ONE salt: the tiny (leaf, df,
+    ctf) side the driver sums for global stats, and the blob side (leaf,
+    field, docid_blob, tf_blob) that stays in the object store until the
+    matching phase-B salt task fetches it."""
+    from ..index.varbyte import encode_postings
+    from .eval import InvList, eval_iop_tree
+    rows = {c: [] for c in ("leaf", "field", "df", "ctf",
+                            "docid_blob", "tf_blob")}
+    for fld, items in spec["plans"]:
+        cache = {}
+        for trm, _, d, tf, p in _scan(spec, salt, spec["terms"][fld], [fld],
+                                      positions=True):
+            cache[(trm, fld)] = InvList(
+                d, tf, p if p is not None else np.empty(0, np.int32),
+                int(d.size), int(tf.sum()), fld)
+        for key, data in items:
+            inv = eval_iop_tree(_plan_node(data), cache)
+            if inv.df == 0:
+                continue
+            db2, tb2, _ = encode_postings(
+                inv.docids, inv.tfs, np.empty(0, np.int64))
+            rows["leaf"].append(key)
+            rows["field"].append(fld)
+            rows["df"].append(int(inv.df))
+            rows["ctf"].append(int(inv.ctf))
+            rows["docid_blob"].append(db2)
+            rows["tf_blob"].append(tb2)
+    stats_tbl = pa.table({
+        "leaf": pa.array(rows["leaf"], pa.string()),
+        "df": pa.array(rows["df"], pa.int64()),
+        "ctf": pa.array(rows["ctf"], pa.int64())})
+    derived_tbl = pa.table({
+        "leaf": pa.array(rows["leaf"], pa.string()),
+        "field": pa.array(rows["field"], pa.string()),
+        "docid_blob": pa.array(rows["docid_blob"], pa.binary()),
+        "tf_blob": pa.array(rows["tf_blob"], pa.binary())})
+    return stats_tbl, derived_tbl
+
+
+# -------------------------------------------------------------- driver
+
+def _n_salts(reader: IndexReader) -> int:
+    return int(reader.stats.get("merge_salts", 4))
+
+
+def _spec(reader: IndexReader, k: int, **kw) -> dict:
+    """Plain-data task spec every kernel reads: where the index is, which
+    build (``token`` keys the worker caches), its docid-range layout."""
+    return dict(index_dir=reader.index_dir, token=reader.stats_token,
+                num_buckets=reader.num_buckets,
+                pid_offsets=reader.pid_offsets, N=reader.n_docs, k=k, **kw)
+
+
+def _run_salt_tasks(kernel, spec: dict, reader: IndexReader) -> pa.Table:
+    """One stateless task per salt (docid range); the tiny partial tables
+    (≤ salts × queries × k rows for the scoring kernels) concat on the
+    driver."""
+    tables = ray.get([kernel.remote(spec, s) for s in range(_n_salts(reader))])
+    full = [t for t in tables if t.num_rows]
+    return pa.concat_tables(full) if full else tables[0]
+
+
 def _emit_ranked(cands: pa.Table, qids: list[str], k: int,
                  reader: IndexReader) -> pa.Table:
     """Unpack packed keys, attach external ids (filtered forward scan),
@@ -205,150 +648,32 @@ def _emit_ranked(cands: pa.Table, qids: list[str], k: int,
     })
 
 
-def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
-                      model=None, k: int = 100,
-                      field: str = "body") -> pa.Table:
-    """Score a bag-of-words query batch — BM25 by default, or Lucene
-    ClassicSimilarity when ``model`` is a ``TFIDFModel`` (same per-salt
-    zero-shuffle plumbing, different per-term kernel; classic idf is
-    strictly positive so the zero-idf candidate path never triggers);
-    → (qid, external_id, rank, score), reference ordering per qid."""
-    from .models import TFIDFModel
-    model = model or BM25Model()
-    classic = isinstance(model, TFIDFModel)
-    reader = IndexReader(index_dir)
+def _term_queries(reader: IndexReader, queries: list[tuple]):
+    """Analyze a bag-of-words batch ``[(qid, text, ...)]`` →
+    ``(qids, term → [(qcode, multiplicity)], analyzed terms per qcode)``.
+    A repeated query term scores per occurrence, as #SUM over duplicate
+    args does."""
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-
     qids = _check_unique_qids(queries)
-    qcode = {qid: i for i, qid in enumerate(qids)}
-    # term -> [(qcode, multiplicity)]: a repeated query term scores per
-    # occurrence, as #SUM over duplicate args does
     term_queries: dict[str, list[tuple[int, int]]] = {}
-    for qid, q in queries:
-        terms: list[str] = []
-        for tok in q.split():
-            terms.extend(an.analyze_query_token(tok))
+    q_terms: list[list[str]] = []
+    for qc, q in enumerate(queries):
+        terms = [t for tok in q[1].split() for t in an.analyze_query_token(tok)]
+        q_terms.append(terms)
         for t in set(terms):
-            term_queries.setdefault(t, []).append((qcode[qid], terms.count(t)))
-    if not term_queries:
-        return _empty()
-
-    buckets = sorted({term_bucket(t, reader.num_buckets) for t in term_queries})
-    base = os.path.join(index_dir, POSTINGS_DIR)
-    paths: list[str] = []
-    for b in buckets:
-        d = os.path.join(base, f"bucket={b}")
-        if os.path.isdir(d):
-            paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
-        return _empty()
-
-    # broadcast small sides once (ray.put), read per task — never per
-    # batch; doclens are NOT broadcast: workers load docid-range shards
-    # on demand (see _ShardedDoclens)
-    tq_ref = ray.put(term_queries)
-    df_ref = ray.put(_global_dfs(index_dir, reader, list(term_queries), field))
-    N = reader.n_docs
-    avglen = reader.avg_len(field)
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    k1, b = (0.0, 0.0) if classic else (model.k1, model.b)
-    terms_list = sorted(term_queries)
-
-    # ---- per-salt scoring, ZERO shuffle (r2→r3 redesign): salt is the
-    # SAME contiguous docid range for every term (build.py salt_of_pid),
-    # so one task per salt holds the complete postings of every query
-    # term for its range — (query, doc) scores are FINAL inside the
-    # task, the per-query top-k cut is exact (disjoint ranges), and the
-    # packed-key groupby that used to move the decoded posting rows
-    # (~90 MB per 20-query batch at 200k docs) is gone. Each task runs
-    # its own column- and row-group-pruned pyarrow scan (term/field/salt
-    # filters hit parquet row-group stats; the dataset metadata handle
-    # is process-cached). Parallelism = merge_salts, which steps with
-    # corpus size (thousands at the 10^12-doc design point).
-    def score_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        tq = ray.get(tq_ref)
-        global_df = ray.get(df_ref)
-        dlens = _ShardedDoclens(index_dir, field, pid_offsets, dl_token)
-        dset = proc_cached(("postings_dset", index_dir, dl_token,
-                            tuple(paths)),
-                           lambda: pads.dataset(paths, format="parquet"))
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            t = dset.to_table(
-                columns=["term", "docid_blob", "tf_blob"],
-                filter=(pc.field("term").isin(terms_list)
-                        & (pc.field("field") == field)
-                        & (pc.field("salt") == s)))
-            entries, any_zero_idf = [], False
-            for term, db, tb in zip(t["term"].to_pylist(),
-                                    t["docid_blob"].to_pylist(),
-                                    t["tf_blob"].to_pylist()):
-                docids, tfs, _ = decode_postings(db, tb, None)
-                df = global_df[term]
-                dl = dlens.get(docids).astype(np.float64)
-                tf = tfs.astype(np.float64)
-                if classic:
-                    idf = 1.0 + np.log(N / (df + 1.0))
-                    sc = (np.sqrt(tf) * (idf * idf)
-                          / np.sqrt(np.maximum(dl, 1.0)))
-                else:
-                    idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                    any_zero_idf |= idf == 0.0
-                    sc = idf * (tf / (tf + k1 * ((1.0 - b)
-                                                 + b * dl / avglen)))
-                for qc, mult in tq[term]:
-                    entries.append((qc, docids,
-                                    sc if mult == 1 else sc * mult))
-            qc_a, docid, sums = _group_sum_entries(
-                entries, need_zero_candidates=any_zero_idf)
-            if qc_a.size:
-                keep = _topk_cut_sorted(qc_a, sums, k)
-                out.append(pa.table({
-                    "gkey": pa.array((qc_a[keep] << _DOC_BITS)
-                                     | docid[keep]),
-                    "score": pa.array(sums[keep])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    cands = _run_salt_tasks(score_salt, reader)
-    return _emit_ranked(cands, qids, k, reader)
+            term_queries.setdefault(t, []).append((qc, terms.count(t)))
+    return qids, term_queries, q_terms
 
 
-def _run_salt_tasks(score_salt, reader: IndexReader) -> pa.Table:
-    """One stateless task per salt (docid range); the tiny candidate
-    tables (≤ salts × queries × k rows) concat on the driver."""
-    n_salts = int(reader.stats.get("merge_salts", 4))
-    desc = ray.data.from_items([{"salt": s} for s in range(n_salts)],
-                               override_num_blocks=n_salts)
-    batches = list(
-        desc.map_batches(score_salt, batch_format="pyarrow", batch_size=1)
-        .iter_batches(batch_size=None, batch_format="pyarrow"))
-    batches = [b for b in batches if b.num_rows]
-    return pa.concat_tables(batches) if batches else _partial_empty()
-
-
-def _global_term_stats(index_dir: str, reader: IndexReader, terms: list[str],
+def _global_term_stats(reader: IndexReader, terms: list[str],
                        field: str) -> dict[str, tuple[int, int]]:
     """Global (df, ctf) per term = sums over salt runs — a metadata-only
     parquet scan (no blob decode)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    base = os.path.join(index_dir, POSTINGS_DIR)
-    paths = []
-    for b in sorted({term_bucket(t, reader.num_buckets) for t in terms}):
-        d = os.path.join(base, f"bucket={b}")
-        if os.path.isdir(d):
-            paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
+    if not terms or not reader._bucket_paths(terms):
         return {}
-    t = pads.dataset(paths, format="parquet").to_table(
+    t = _postings_dataset(reader.index_dir, reader.stats_token).to_table(
         columns=["term", "df", "ctf"],
-        filter=(pc.field("term").isin(terms) & (pc.field("field") == field)))
+        filter=_rows(reader.num_buckets, list(terms), [field]))
     out: dict[str, tuple[int, int]] = {}
     for term, df, ctf in zip(t["term"].to_pylist(), t["df"].to_pylist(),
                              t["ctf"].to_pylist()):
@@ -357,10 +682,49 @@ def _global_term_stats(index_dir: str, reader: IndexReader, terms: list[str],
     return out
 
 
-def _global_dfs(index_dir: str, reader: IndexReader, terms: list[str],
+def _global_dfs(reader: IndexReader, terms: list[str],
                 field: str) -> dict[str, int]:
     return {t: df for t, (df, _) in
-            _global_term_stats(index_dir, reader, terms, field).items()}
+            _global_term_stats(reader, terms, field).items()}
+
+
+def _bm25_spec(reader: IndexReader, term_queries: dict, field: str, k: int,
+               nq: int, grid, classic: bool = False, **batch) -> dict:
+    terms = sorted(term_queries)
+    return _spec(reader, k, field=field, terms=terms,
+                 avglen=reader.avg_len(field), grid=list(grid),
+                 classic=classic, nq=nq,
+                 batch=ray.put(dict(tq=term_queries,
+                                    df=_global_dfs(reader, terms, field),
+                                    **batch)))
+
+
+def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
+                      model=None, k: int = 100,
+                      field: str = "body") -> pa.Table:
+    """Score a bag-of-words query batch — BM25 by default, or Lucene
+    ClassicSimilarity when ``model`` is a ``TFIDFModel`` (same per-salt
+    zero-shuffle plumbing, different per-term kernel; classic idf is
+    strictly positive so the zero-idf candidate path never triggers);
+    → (qid, external_id, rank, score), reference ordering per qid.
+
+    Salt is the SAME contiguous docid range for every term (build.py
+    salt_of_pid), so one task per salt holds the complete postings of
+    every query term for its range — (query, doc) scores are FINAL
+    inside the task and the per-query top-k cut is exact. Parallelism =
+    merge_salts, which steps with corpus size."""
+    from .models import TFIDFModel
+    model = model or BM25Model()
+    classic = isinstance(model, TFIDFModel)
+    reader = IndexReader(index_dir)
+    qids, term_queries, _ = _term_queries(reader, queries)
+    if not term_queries or not reader._bucket_paths(list(term_queries)):
+        return _empty()
+    spec = _bm25_spec(reader, term_queries, field, k, len(qids),
+                      [(0.0, 0.0) if classic else (model.k1, model.b)],
+                      classic)
+    return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
+                        qids, k, reader)
 
 
 def bm25_msm_batch_search(index_dir: str,
@@ -380,84 +744,14 @@ def bm25_msm_batch_search(index_dir: str,
     exchange."""
     model = model or BM25Model()
     reader = IndexReader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-
-    qids = _check_unique_qids([(q[0], q[1]) for q in queries])
-    qcode = {qid: i for i, qid in enumerate(qids)}
-    n_req = np.ones(len(qids), np.int64)
-    term_queries: dict[str, list[tuple[int, int]]] = {}
-    for qid, q, n in queries:
-        terms: list[str] = []
-        for tok in q.split():
-            terms.extend(an.analyze_query_token(tok))
-        n_req[qcode[qid]] = max(1, min(int(n), len(terms))) if terms else 1
-        for t in set(terms):
-            term_queries.setdefault(t, []).append((qcode[qid], terms.count(t)))
-    if not term_queries:
+    qids, term_queries, q_terms = _term_queries(reader, queries)
+    n_req = np.asarray([max(1, min(int(q[2]), len(ts))) if ts else 1
+                        for q, ts in zip(queries, q_terms)], np.int64)
+    if not term_queries or not reader._bucket_paths(list(term_queries)):
         return _empty()
-    terms_list = sorted(term_queries)
-    paths = tuple(reader._bucket_paths(terms_list))
-    if not paths:
-        return _empty()
-
-    tq_ref = ray.put(term_queries)
-    df_ref = ray.put(_global_dfs(index_dir, reader, terms_list, field))
-    N = reader.n_docs
-    avglen = reader.avg_len(field)
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    k1, b = model.k1, model.b
-    nreq_ref = ray.put(n_req)
-
-    def score_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        tq = ray.get(tq_ref)
-        global_df = ray.get(df_ref)
-        nreq = ray.get(nreq_ref)
-        dlens = _ShardedDoclens(index_dir, field, pid_offsets, dl_token)
-        dset = proc_cached(("postings_dset", index_dir, dl_token,
-                            tuple(paths)),
-                           lambda: pads.dataset(paths, format="parquet"))
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            t = dset.to_table(
-                columns=["term", "docid_blob", "tf_blob"],
-                filter=(pc.field("term").isin(terms_list)
-                        & (pc.field("field") == field)
-                        & (pc.field("salt") == s)))
-            sc_entries, cnt_entries = [], []
-            for term, db, tb in zip(t["term"].to_pylist(),
-                                    t["docid_blob"].to_pylist(),
-                                    t["tf_blob"].to_pylist()):
-                docids, tfs, _ = decode_postings(db, tb, None)
-                df = global_df[term]
-                idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                dl = dlens.get(docids).astype(np.float64)
-                tf = tfs.astype(np.float64)
-                sc = idf * (tf / (tf + k1 * ((1.0 - b) + b * dl / avglen)))
-                ones = np.ones(docids.size, np.float64)
-                for qc, mult in tq[term]:
-                    sc_entries.append((qc, docids,
-                                       sc if mult == 1 else sc * mult))
-                    cnt_entries.append((qc, docids,
-                                        ones if mult == 1 else ones * mult))
-            qc_a, docid, sums = _group_sum_entries(
-                sc_entries, need_zero_candidates=True)
-            _qc2, _d2, cnts = _group_sum_entries(
-                cnt_entries, need_zero_candidates=True)
-            ok = cnts >= nreq[qc_a]
-            qc_a, docid, sums = qc_a[ok], docid[ok], sums[ok]
-            if qc_a.size:
-                keep = _topk_cut_sorted(qc_a, sums, k)
-                out.append(pa.table({
-                    "gkey": pa.array((qc_a[keep] << _DOC_BITS)
-                                     | docid[keep]),
-                    "score": pa.array(sums[keep])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    return _emit_ranked(_run_salt_tasks(score_salt, reader),
+    spec = _bm25_spec(reader, term_queries, field, k, len(qids),
+                      [(model.k1, model.b)], nreq=n_req)
+    return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                         qids, k, reader)
 
 
@@ -479,123 +773,24 @@ def bm25f_batch_search(index_dir: str, queries: list[tuple[str, str]],
     score. Only (term, count) rows and the final per-salt top-k
     candidates ever reach the driver."""
     reader = IndexReader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     fields = sorted(weights)
     if not isinstance(field_b, dict):
         field_b = {f: float(field_b) for f in fields}
-
-    qids = _check_unique_qids(queries)
-    qcode = {qid: i for i, qid in enumerate(qids)}
-    term_queries: dict[str, list[tuple[int, int]]] = {}
-    for qid, q in queries:
-        terms: list[str] = []
-        for tok in q.split():
-            terms.extend(an.analyze_query_token(tok))
-        for t in set(terms):
-            term_queries.setdefault(t, []).append((qcode[qid], terms.count(t)))
-    if not term_queries:
+    qids, term_queries, _ = _term_queries(reader, queries)
+    terms = sorted(term_queries)
+    if not terms or not reader._bucket_paths(terms):
         return _empty()
-    terms_list = sorted(term_queries)
+    spec = _spec(reader, k, terms=terms, fields=fields, k1=k1,
+                 avglen={f: reader.avg_len(f) for f in fields},
+                 b={f: field_b[f] for f in fields},
+                 w={f: float(weights[f]) for f in fields})
 
-    paths = tuple(reader._bucket_paths(terms_list))
-    if not paths:
-        return _empty()
-    N = reader.n_docs
-    avglen = {f: reader.avg_len(f) for f in fields}
-    bvals = {f: field_b[f] for f in fields}
-    wvals = {f: float(weights[f]) for f in fields}
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-
-    def scan_salt(dset, s: int):
-        """per-(term, field) decoded postings of one salt, both fields."""
-        import pyarrow.compute as pc
-        t = dset.to_table(
-            columns=["term", "field", "docid_blob", "tf_blob"],
-            filter=(pc.field("term").isin(terms_list)
-                    & pc.field("field").isin(fields)
-                    & (pc.field("salt") == int(s))))
-        for term, fld, db, tb in zip(t["term"].to_pylist(),
-                                     t["field"].to_pylist(),
-                                     t["docid_blob"].to_pylist(),
-                                     t["tf_blob"].to_pylist()):
-            docids, tfs, _ = decode_postings(db, tb, None)
-            yield term, fld, docids, tfs
-
-    def _dset():
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        return proc_cached(("postings_dset", index_dir, dl_token, paths),
-                           lambda: pads.dataset(list(paths),
-                                                format="parquet"))
-
-    # ---- phase A: per-salt union-df partials (tiny rows up) ----
-    @ray.remote
-    def union_count_salt(s: int) -> pa.Table:
-        per_term: dict[str, list[np.ndarray]] = {}
-        for term, _, docids, _tfs in scan_salt(_dset(), s):
-            per_term.setdefault(term, []).append(docids)
-        ts = sorted(per_term)
-        return pa.table({
-            "term": pa.array(ts, pa.string()),
-            "cnt": pa.array([int(np.unique(np.concatenate(per_term[t])).size)
-                             if len(per_term[t]) > 1 else per_term[t][0].size
-                             for t in ts], pa.int64())})
-
-    n_salts = int(reader.stats.get("merge_salts", 4))
     union_df: dict[str, int] = {}
-    for st in ray.get([union_count_salt.remote(s) for s in range(n_salts)]):
-        for t, c in zip(st["term"].to_pylist(), st["cnt"].to_pylist()):
-            union_df[t] = union_df.get(t, 0) + int(c)
-    df_ref = ray.put(union_df)
-    tq_ref = ray.put(term_queries)
-
-    # ---- phase B: pooled-tf scoring per salt ----
-    def score_salt(batch: pa.Table) -> pa.Table:
-        tq = ray.get(tq_ref)
-        gdf = ray.get(df_ref)
-        dlens = {f: _ShardedDoclens(index_dir, f, pid_offsets, dl_token)
-                 for f in fields}
-        dset = _dset()
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            contribs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-            for term, fld, docids, tfs in scan_salt(dset, s):
-                dl = dlens[fld].get(docids).astype(np.float64)
-                B = (1.0 - bvals[fld]) + bvals[fld] * dl / avglen[fld]
-                contribs.setdefault(term, []).append(
-                    (docids, wvals[fld] * tfs.astype(np.float64) / B))
-            entries, any_zero_idf = [], False
-            for term, parts in contribs.items():
-                if len(parts) == 1:
-                    docids, tft = parts[0]
-                else:   # pool w_f·tf/B_f across fields per doc
-                    dc = np.concatenate([p[0] for p in parts])
-                    cc = np.concatenate([p[1] for p in parts])
-                    order = np.argsort(dc, kind="stable")
-                    dc, cc = dc[order], cc[order]
-                    starts = np.flatnonzero(
-                        np.concatenate(([True], dc[1:] != dc[:-1])))
-                    docids = dc[starts]
-                    tft = np.add.reduceat(cc, starts)
-                df = gdf[term]
-                idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                any_zero_idf |= idf == 0.0
-                sc = idf * tft / (k1 + tft)
-                for qc, mult in tq[term]:
-                    entries.append((qc, docids,
-                                    sc if mult == 1 else sc * mult))
-            qc_a, docid, sums = _group_sum_entries(
-                entries, need_zero_candidates=any_zero_idf)
-            if qc_a.size:
-                keep = _topk_cut_sorted(qc_a, sums, k)
-                out.append(pa.table({
-                    "gkey": pa.array((qc_a[keep] << _DOC_BITS)
-                                     | docid[keep]),
-                    "score": pa.array(sums[keep])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    return _emit_ranked(_run_salt_tasks(score_salt, reader),
+    st = _run_salt_tasks(union_df_salt, spec, reader)
+    for t, c in zip(st["term"].to_pylist(), st["cnt"].to_pylist()):
+        union_df[t] = union_df.get(t, 0) + int(c)
+    spec["batch"] = ray.put(dict(tq=term_queries, df=union_df))
+    return _emit_ranked(_run_salt_tasks(score_salt_bm25f, spec, reader),
                         qids, k, reader)
 
 
@@ -612,92 +807,21 @@ def bm25_grid_search(index_dir: str, queries: list[tuple[str, str]],
     (disjoint salt docid ranges). → (k1, b, qid, external_id, rank,
     score), reference ordering per (grid point, qid)."""
     reader = IndexReader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-
-    qids = _check_unique_qids(queries)
-    qcode = {qid: i for i, qid in enumerate(qids)}
-    nq = len(qids)
-    term_queries: dict[str, list[tuple[int, int]]] = {}
-    for qid, q in queries:
-        terms: list[str] = []
-        for tok in q.split():
-            terms.extend(an.analyze_query_token(tok))
-        for t in set(terms):
-            term_queries.setdefault(t, []).append((qcode[qid], terms.count(t)))
+    qids, term_queries, _ = _term_queries(reader, queries)
     empty = pa.table({"k1": pa.array([], pa.float64()),
                       "b": pa.array([], pa.float64()),
                       "qid": pa.array([], pa.string()),
                       "external_id": pa.array([], pa.string()),
                       "rank": pa.array([], pa.int32()),
                       "score": pa.array([], pa.float64())})
-    if not term_queries or not grid:
+    if (not term_queries or not grid
+            or not reader._bucket_paths(list(term_queries))):
         return empty
-
-    buckets = sorted({term_bucket(t, reader.num_buckets) for t in term_queries})
-    base = os.path.join(index_dir, POSTINGS_DIR)
-    paths: list[str] = []
-    for bkt in buckets:
-        d = os.path.join(base, f"bucket={bkt}")
-        if os.path.isdir(d):
-            paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
-        return empty
-
-    tq_ref = ray.put(term_queries)
-    df_ref = ray.put(_global_dfs(index_dir, reader, list(term_queries), field))
-    N = reader.n_docs
-    avglen = reader.avg_len(field)
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    terms_list = sorted(term_queries)
-    grid_t = tuple((float(g[0]), float(g[1])) for g in grid)
-
-    def score_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        tq = ray.get(tq_ref)
-        global_df = ray.get(df_ref)
-        dlens = _ShardedDoclens(index_dir, field, pid_offsets, dl_token)
-        dset = proc_cached(("postings_dset", index_dir, dl_token,
-                            tuple(paths)),
-                           lambda: pads.dataset(paths, format="parquet"))
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            t = dset.to_table(
-                columns=["term", "docid_blob", "tf_blob"],
-                filter=(pc.field("term").isin(terms_list)
-                        & (pc.field("field") == field)
-                        & (pc.field("salt") == s)))
-            entries, any_zero_idf = [], False
-            for term, db, tb in zip(t["term"].to_pylist(),
-                                    t["docid_blob"].to_pylist(),
-                                    t["tf_blob"].to_pylist()):
-                docids, tfs, _ = decode_postings(db, tb, None)
-                df = global_df[term]
-                idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                any_zero_idf |= idf == 0.0
-                dl = dlens.get(docids).astype(np.float64)
-                tf = tfs.astype(np.float64)
-                for g, (k1, b) in enumerate(grid_t):
-                    sc = idf * (tf / (tf + k1 * ((1.0 - b) + b * dl / avglen)))
-                    for qc, mult in tq[term]:
-                        entries.append((g * nq + qc, docids,
-                                        sc if mult == 1 else sc * mult))
-            qc_a, docid, sums = _group_sum_entries(
-                entries, need_zero_candidates=any_zero_idf)
-            if qc_a.size:
-                keep = _topk_cut_sorted(qc_a, sums, k)
-                out.append(pa.table({
-                    "gkey": pa.array((qc_a[keep] << _DOC_BITS)
-                                     | docid[keep]),
-                    "score": pa.array(sums[keep])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
+    grid_t = [(float(g[0]), float(g[1])) for g in grid]
+    spec = _bm25_spec(reader, term_queries, field, k, len(qids), grid_t)
     slot_labels = [f"{g}\x00{qid}" for g in range(len(grid_t))
                    for qid in qids]
-    ranked = _emit_ranked(_run_salt_tasks(score_salt, reader),
+    ranked = _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                           slot_labels, k, reader)
     gi = [int(lbl.split("\x00", 1)[0]) for lbl in ranked["qid"].to_pylist()]
     return pa.table({
@@ -722,92 +846,27 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
     returns each salt's local top-m (term, docid, tf) triples — the
     global top-m per term is a subset of the locals' union, so the
     driver merge is exact over ≤ salts × terms × m tiny rows; phase B
-    re-scans with the merged candidate set in the task closure and
-    masks each term's decoded postings to it. At the 10^12-doc design
-    point phase A's output is the CHAMPION SUBLIST you would persist
-    next to the index (it never changes between queries for fixed m) —
-    the second scan then prices like ``bm25_batch_search`` over lists
-    shrunk to ≤ m entries. → (qid, external_id, rank, score)."""
+    re-scans with the merged candidate set and masks each term's
+    decoded postings to it. At the 10^12-doc design point phase A's
+    output is the CHAMPION SUBLIST you would persist next to the index
+    (it never changes between queries for fixed m) — the second scan
+    then prices like ``bm25_batch_search`` over lists shrunk to ≤ m
+    entries. → (qid, external_id, rank, score)."""
     model = BM25Model()
     reader = IndexReader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-
-    qids = _check_unique_qids(queries)
-    qcode = {qid: i for i, qid in enumerate(qids)}
-    term_queries: dict[str, list[tuple[int, int]]] = {}
-    for qid, q in queries:
-        terms: list[str] = []
-        for tok in q.split():
-            terms.extend(an.analyze_query_token(tok))
-        for t in set(terms):
-            term_queries.setdefault(t, []).append((qcode[qid], terms.count(t)))
-    if not term_queries:
-        return _empty()
-
-    buckets = sorted({term_bucket(t, reader.num_buckets) for t in term_queries})
-    base = os.path.join(index_dir, POSTINGS_DIR)
-    paths: list[str] = []
-    for bkt in buckets:
-        d = os.path.join(base, f"bucket={bkt}")
-        if os.path.isdir(d):
-            paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
-    if not paths:
-        return _empty()
-
+    qids, term_queries, _ = _term_queries(reader, queries)
     terms_list = sorted(term_queries)
-    N = reader.n_docs
-    avglen = reader.avg_len(field)
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    k1, b = model.k1, model.b
-
-    def _scan_salt(s: int, dset):
-        import pyarrow.compute as pc
-        return dset.to_table(
-            columns=["term", "docid_blob", "tf_blob"],
-            filter=(pc.field("term").isin(terms_list)
-                    & (pc.field("field") == field)
-                    & (pc.field("salt") == s)))
-
-    def _dset():
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        return proc_cached(("postings_dset", index_dir, dl_token,
-                            tuple(paths)),
-                           lambda: pads.dataset(paths, format="parquet"))
+    if not terms_list or not reader._bucket_paths(terms_list):
+        return _empty()
 
     # ---- phase A: per-salt local champions (tf desc, docid asc) ----
-    def local_champs(batch: pa.Table) -> pa.Table:
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            t = _scan_salt(s, _dset())
-            terms_o, docs_o, tfs_o = [], [], []
-            for term, db, tb in zip(t["term"].to_pylist(),
-                                    t["docid_blob"].to_pylist(),
-                                    t["tf_blob"].to_pylist()):
-                docids, tfs, _ = decode_postings(db, tb, None)
-                if docids.size > m:
-                    sel = np.lexsort((docids, -tfs))[:m]
-                    docids, tfs = docids[sel], tfs[sel]
-                terms_o.extend([term] * docids.size)
-                docs_o.append(docids)
-                tfs_o.append(tfs.astype(np.int64))
-            if terms_o:
-                out.append(pa.table({
-                    "term": pa.array(terms_o, pa.string()),
-                    "docid": pa.array(np.concatenate(docs_o)),
-                    "tf": pa.array(np.concatenate(tfs_o))}))
-        return (pa.concat_tables(out) if out else
-                pa.table({"term": pa.array([], pa.string()),
-                          "docid": pa.array([], pa.int64()),
-                          "tf": pa.array([], pa.int64())}))
-
-    locs = _run_salt_tasks_table(local_champs, reader)
+    locs = _run_salt_tasks(
+        champions_salt, _spec(reader, k, field=field, terms=terms_list, m=m),
+        reader)
     cands: list[np.ndarray] = []
     lt = locs["term"].to_pylist()
-    ld = locs["docid"].to_numpy() if locs.num_rows else np.empty(0, np.int64)
-    lf = locs["tf"].to_numpy() if locs.num_rows else np.empty(0, np.int64)
+    ld = locs["docid"].to_numpy()
+    lf = locs["tf"].to_numpy()
     for term in terms_list:
         mask = np.asarray([x == term for x in lt], bool)
         d, f = ld[mask], lf[mask]
@@ -815,70 +874,15 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
             sel = np.lexsort((d, -f))[:m]
             d = d[sel]
         cands.append(d)
-    cand_set = np.unique(np.concatenate(cands)) if cands else \
-        np.empty(0, np.int64)
+    cand_set = np.unique(np.concatenate(cands))
+    if cand_set.size == 0:
+        return _empty()
 
     # ---- phase B: exact scoring of the candidate set ----
-    df_ref = ray.put(_global_dfs(index_dir, reader, terms_list, field))
-    tq_ref = ray.put(term_queries)
-    cand_ref = ray.put(cand_set)
-
-    def score_salt(batch: pa.Table) -> pa.Table:
-        tq = ray.get(tq_ref)
-        global_df = ray.get(df_ref)
-        allowed = ray.get(cand_ref)
-        if allowed.size == 0:
-            return _partial_empty()
-        dlens = _ShardedDoclens(index_dir, field, pid_offsets, dl_token)
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            t = _scan_salt(s, _dset())
-            entries, any_zero_idf = [], False
-            for term, db, tb in zip(t["term"].to_pylist(),
-                                    t["docid_blob"].to_pylist(),
-                                    t["tf_blob"].to_pylist()):
-                docids, tfs, _ = decode_postings(db, tb, None)
-                pos = np.searchsorted(allowed, docids)
-                pos = np.minimum(pos, allowed.size - 1)
-                keep = allowed[pos] == docids
-                docids, tfs = docids[keep], tfs[keep]
-                if docids.size == 0:
-                    continue
-                df = global_df[term]
-                idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                any_zero_idf |= idf == 0.0
-                dl = dlens.get(docids).astype(np.float64)
-                tf = tfs.astype(np.float64)
-                sc = idf * (tf / (tf + k1 * ((1.0 - b) + b * dl / avglen)))
-                for qc, mult in tq[term]:
-                    entries.append((qc, docids,
-                                    sc if mult == 1 else sc * mult))
-            qc_a, docid, sums = _group_sum_entries(
-                entries, need_zero_candidates=any_zero_idf)
-            if qc_a.size:
-                keep2 = _topk_cut_sorted(qc_a, sums, k)
-                out.append(pa.table({
-                    "gkey": pa.array((qc_a[keep2] << _DOC_BITS)
-                                     | docid[keep2]),
-                    "score": pa.array(sums[keep2])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    return _emit_ranked(_run_salt_tasks(score_salt, reader), qids, k, reader)
-
-
-def _run_salt_tasks_table(fn, reader: IndexReader) -> pa.Table:
-    """Like ``_run_salt_tasks`` but for arbitrary (non-gkey) schemas."""
-    n_salts = int(reader.stats.get("merge_salts", 4))
-    desc = ray.data.from_items([{"salt": s} for s in range(n_salts)],
-                               override_num_blocks=n_salts)
-    batches = [bt for bt in
-               desc.map_batches(fn, batch_format="pyarrow", batch_size=1)
-               .iter_batches(batch_size=None, batch_format="pyarrow")
-               if bt.num_rows]
-    return (pa.concat_tables(batches) if batches else
-            pa.table({"term": pa.array([], pa.string()),
-                      "docid": pa.array([], pa.int64()),
-                      "tf": pa.array([], pa.int64())}))
+    spec = _bm25_spec(reader, term_queries, field, k, len(qids),
+                      [(model.k1, model.b)], allowed=cand_set)
+    return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
+                        qids, k, reader)
 
 
 def indri_batch_search(index_dir: str, queries: list[tuple[str, str]],
@@ -894,124 +898,41 @@ def indri_batch_search(index_dir: str, queries: list[tuple[str, str]],
         log score(d) = (1/k_q) · [ Σ_matched m_t·(log s_t(tf,dl) − log s_t(0,dl))
                                    + Σ_all-terms m_t·log s_t(0,dl) ]
 
-    The first sum is a per-posting partial (same packed-key shuffle as
-    the BM25 path); the second depends only on (query, doclen), so the
-    final aggregation stage computes it per candidate from the sharded
-    doclens. Candidates are exactly the match-min set (docs with ≥1
-    matched term), as in the reference's DAAT loop."""
+    The first sum is a per-posting partial summed by the per-salt dense
+    group-sum; the second depends only on (query, doclen), so the same
+    salt task computes it per candidate from the sharded doclens before
+    the exact per-query cut. Candidates are exactly the match-min set
+    (docs with ≥1 matched term), as in the reference's DAAT loop."""
     from .models import IndriModel
     model = model or IndriModel()
     reader = IndexReader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-
-    qids = _check_unique_qids(queries)
-    qcode = {qid: i for i, qid in enumerate(qids)}
-    term_queries: dict[str, list[tuple[int, int]]] = {}
-    q_terms: list[list[tuple[str, int]]] = [[] for _ in qids]  # per qcode
-    for qid, q in queries:
-        toks: list[str] = []
-        for tok in q.split():
-            toks.extend(an.analyze_query_token(tok))
-        for t in sorted(set(toks)):
-            term_queries.setdefault(t, []).append((qcode[qid], toks.count(t)))
-            q_terms[qcode[qid]].append((t, toks.count(t)))
-    if not term_queries:
+    qids, term_queries, q_terms = _term_queries(reader, queries)
+    if not term_queries or not reader._bucket_paths(list(term_queries)):
         return _empty()
 
-    paths = reader._bucket_paths(list(term_queries))
-    if not paths:
-        return _empty()
-
-    stats = _global_term_stats(index_dir, reader, list(term_queries), field)
+    terms = sorted(term_queries)
+    stats = _global_term_stats(reader, terms, field)
     clen = max(reader.sum_field_lengths(field), 1)
     mle = {t: stats.get(t, (0, 0))[1] / clen for t in term_queries}
-    mu, lam = model.mu, model.lambda_
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    tq_ref = ray.put(term_queries)
-    mle_ref = ray.put(mle)
     # per qcode: (mle array, mult array, k_q = total arg count)
-    q_info = [(np.array([mle[t] for t, _ in ts], dtype=np.float64),
-               np.array([m for _, m in ts], dtype=np.float64),
-               float(sum(m for _, m in ts)))
-              for ts in q_terms]
-    qinfo_ref = ray.put(q_info)
-    terms_list = sorted(term_queries)
-
-    def _s(tf, dl, m):
-        return (1.0 - lam) * (tf + mu * m) / (dl + mu) + lam * m
-
-    # per-salt scoring, zero shuffle (see bm25_batch_search): the match
-    # set and every matched log-partial for a docid range are complete
-    # inside one salt task, so the default-score correction and the
-    # exact per-query cut both run there — the packed-key groupby and
-    # the separate final-aggregate stage are gone.
-    def score_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        dlens = _ShardedDoclens(index_dir, field, pid_offsets, dl_token)
-        tq = ray.get(tq_ref)
-        mle_m = ray.get(mle_ref)
-        qi = ray.get(qinfo_ref)
-        dset = proc_cached(("postings_dset", index_dir, dl_token,
-                            tuple(paths)),
-                           lambda: pads.dataset(paths, format="parquet"))
-        out: list[pa.Table] = []
-        for s_salt in batch["salt"].to_pylist():
-            t = dset.to_table(
-                columns=["term", "docid_blob", "tf_blob"],
-                filter=(pc.field("term").isin(terms_list)
-                        & (pc.field("field") == field)
-                        & (pc.field("salt") == s_salt)))
-            entries = []
-            with np.errstate(divide="ignore"):
-                for term, db, tb in zip(t["term"].to_pylist(),
-                                        t["docid_blob"].to_pylist(),
-                                        t["tf_blob"].to_pylist()):
-                    docids, tfs, _ = decode_postings(db, tb, None)
-                    dl = dlens.get(docids).astype(np.float64)
-                    m = mle_m[term]
-                    # matched partials are strictly > 0 (s is monotone
-                    # in tf), so the dense group-sum's nonzero set IS
-                    # the match-min candidate set
-                    part = (np.log(_s(tfs.astype(np.float64), dl, m))
-                            - np.log(_s(0.0, dl, m)))
-                    for qc, mult in tq[term]:
-                        entries.append((qc, docids,
-                                        part if mult == 1 else part * mult))
-            qc_a, docid, agg = _group_sum_entries(entries)
-            if not qc_a.size:
-                continue
-            dl = dlens.get(docid).astype(np.float64)
-            final = np.empty(qc_a.size, dtype=np.float64)
-            keep = np.ones(qc_a.size, dtype=bool)
-            with np.errstate(divide="ignore"):
-                for lo, hi in _query_slices(qc_a):
-                    mles, mults, kq = qi[int(qc_a[lo])]
-                    corr = np.zeros(hi - lo, dtype=np.float64)
-                    dlq = dl[lo:hi]
-                    for mlv, mv in zip(mles, mults):
-                        corr += mv * np.log(_s(0.0, dlq, mlv))
-                    final[lo:hi] = np.exp((agg[lo:hi] + corr) / kq)
-                    sq = final[lo:hi]
-                    if sq.size > k:
-                        kth = np.partition(sq, -k)[-k]
-                        keep[lo:hi] = sq >= kth
-            out.append(pa.table({
-                "gkey": pa.array((qc_a[keep] << _DOC_BITS) | docid[keep]),
-                "score": pa.array(final[keep])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    return _emit_ranked(_run_salt_tasks(score_salt, reader),
+    q_info = []
+    for ts in q_terms:
+        uniq = sorted(set(ts))
+        q_info.append((np.array([mle[t] for t in uniq], dtype=np.float64),
+                       np.array([ts.count(t) for t in uniq], dtype=np.float64),
+                       float(len(ts))))
+    spec = _spec(reader, k, field=field, terms=terms, mu=model.mu,
+                 lam=model.lambda_,
+                 batch=ray.put(dict(tq=term_queries, mle=mle, qinfo=q_info)))
+    return _emit_ranked(_run_salt_tasks(score_salt_indri, spec, reader),
                         qids, k, reader)
 
 
-def _check_unique_qids(queries: list[tuple[str, str]]) -> list[str]:
+def _check_unique_qids(queries: list[tuple]) -> list[str]:
     """Batch qids key the packed qcode space — a repeated qid would
     silently merge two queries' term sets under one code (ADVICE r1)."""
     from collections import Counter
-    qids = [qid for qid, _ in queries]
+    qids = [q[0] for q in queries]
     dups = sorted(q for q, c in Counter(qids).items() if c > 1)
     if dups:
         raise ValueError(f"duplicate qids in query batch: {dups}")
@@ -1034,131 +955,48 @@ def _empty() -> pa.Table:
 
 def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
     """Phase A of the distributed structured paths: evaluate every Iop
-    subtree (#NEAR/#WINDOW/#SYN) per salt and return
-    ``({salt: ObjectRef[pa.Table]}, {leaf: (df, ctf)})``.
+    subtree (#NEAR/#WINDOW/#SYN/#FIRST) per salt and return
+    ``([ObjectRef[pa.Table] per salt], {leaf: (df, ctf)})``.
 
     Partitioning contract: salt = contiguous docid range, one postings
-    row per (term, salt), so ONE TASK PER SALT holds ALL argument
-    terms' postings for its docid range — each task runs its own
-    column/row-group-pruned local pyarrow scan (term/field/salt filters
-    hit parquet row-group stats) and the driver's positional kernels
-    (``eval_iop_tree``: two-pointer #NEAR, min/max-head #WINDOW, #SYN
-    union) unchanged. ZERO shuffle. A derived list's GLOBAL df/ctf
-    (what the reference scores with, ``QryIop.java:139-151``) is the
-    sum over its salt runs — the small driver-side aggregate returned
-    alongside; only that (leaf, df, ctf) side ever reaches the driver.
+    row per (term, salt), so ONE ``derive_salt`` TASK PER SALT holds ALL
+    argument terms' postings for its docid range and runs the driver's
+    positional kernels (``eval_iop_tree``: two-pointer #NEAR, min/max-head
+    #WINDOW, #SYN union) unchanged. ZERO shuffle. A derived list's GLOBAL
+    df/ctf (what the reference scores with, ``QryIop.java:139-151``) is
+    the sum over its salt runs — the small (leaf, df, ctf) side is the
+    only part that reaches the driver. Each salt's derived rows stay in
+    the object store as ONE table (``num_returns=2``) that the phase-B
+    task for that salt fetches whole, so every salt is scored exactly
+    once.
 
-    r3→r4 (ADVICE r3, medium): phase B used to ``map_batches`` over a
-    materialized derived *dataset* assuming one block per salt — Ray
-    Data's dynamic block splitting can split a large salt's output, so
-    two tasks would both score that salt's plain terms and each would
-    hold only part of its Iop rows (duplicated candidates with partial
-    sums; ``_emit_ranked`` never re-aggregates). Derived rows now
-    travel as ONE object-store table per salt (raw task,
-    ``num_returns=2``) and phase B is driven by salt descriptors
-    (``_run_salt_tasks``) fetching ``derived_refs[s]`` — exactly-once
-    per salt by construction. Raw tasks, not Dataset: the Dataset API
-    cannot hand a downstream stage per-key block refs across the
-    global-stats barrier.
-
-    The task is a CLOSURE (re-exported per call), not a module-level
-    remote fn: this package pickles by value (``__init__.py``), so a
-    plan instance shipped in a separate ``ray.put`` payload would carry
-    its own copy of the node classes and fail ``eval_iop_tree``'s
-    ``isinstance`` against the kernels' copy — one closure payload
-    keeps plans and kernels class-consistent."""
-    from .eval import InvList, eval_iop_tree
-    from .plan import TermNode
-
-    index_dir = reader.index_dir
-    dl_token = reader.stats_token
-    if not any(plans for plans in iop_plans_by_field.values()):
-        return {}, {}
+    Plans travel as plain nested tuples (``_plan_data``) and are rebuilt
+    inside the task (``_plan_node``) from the worker's own import of
+    ``query.plan``: this package pickles by value, so a plan object
+    shipped as an argument would carry its own copy of the node classes
+    and fail ``eval_iop_tree``'s ``isinstance`` checks."""
     terms_by_field: dict[str, list[str]] = {}
-    for fld, plans in iop_plans_by_field.items():
+    plans = []
+    for fld, by_key in sorted(iop_plans_by_field.items()):
+        if not by_key:
+            continue
         acc: set[str] = set()
-        for plan in plans.values():
-            stack = [plan]
-            while stack:
-                n = stack.pop()
-                if isinstance(n, TermNode):
-                    acc.add(n.term)
-                else:
-                    stack.extend(n.args)
+        plans.append((fld, [(key, _plan_data(p, acc))
+                            for key, p in sorted(by_key.items())]))
         terms_by_field[fld] = sorted(acc)
     all_terms = sorted({t for ts in terms_by_field.values() for t in ts})
-    paths = tuple(reader._bucket_paths(all_terms)) if all_terms else ()
-    field_items = sorted((fld, sorted(plans.items()))
-                         for fld, plans in iop_plans_by_field.items())
-    n_salts = int(reader.stats.get("merge_salts", 4))
-
-    @ray.remote(num_returns=2)
-    def derive_salt(s: int):
-        """→ (stats_table, derived_table) for ONE salt: the tiny
-        (leaf, df, ctf) side the driver sums for global stats, and the
-        blob side (leaf, field, docid_blob, tf_blob) that stays in the
-        object store until the matching phase-B salt task fetches it."""
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-
-        from ..index.varbyte import encode_postings
-        from ..util import proc_cached
-        dset = proc_cached(("postings_dset", index_dir, dl_token, paths),
-                           lambda: pads.dataset(list(paths),
-                                                format="parquet")) \
-            if paths else None
-        rows = {c: [] for c in ("leaf", "field", "df", "ctf",
-                                "docid_blob", "tf_blob")}
-        for fld, items in field_items:
-            if dset is None:
-                continue
-            t = dset.to_table(
-                columns=["term", "docid_blob", "tf_blob", "pos_blob"],
-                filter=(pc.field("term").isin(terms_by_field[fld])
-                        & (pc.field("field") == fld)
-                        & (pc.field("salt") == int(s))))
-            cache = {}
-            for trm, db, tb, pb in zip(t["term"].to_pylist(),
-                                       t["docid_blob"].to_pylist(),
-                                       t["tf_blob"].to_pylist(),
-                                       t["pos_blob"].to_pylist()):
-                d, tf, p = decode_postings(db, tb, pb)
-                cache[(trm, fld)] = InvList(
-                    d, tf, p if p is not None else np.empty(0, np.int32),
-                    int(d.size), int(tf.sum()), fld)
-            for key, plan in items:
-                inv = eval_iop_tree(plan, cache)
-                if inv.df == 0:
-                    continue
-                db2, tb2, _ = encode_postings(
-                    inv.docids, inv.tfs, np.empty(0, np.int64))
-                rows["leaf"].append(key)
-                rows["field"].append(fld)
-                rows["df"].append(int(inv.df))
-                rows["ctf"].append(int(inv.ctf))
-                rows["docid_blob"].append(db2)
-                rows["tf_blob"].append(tb2)
-        stats_tbl = pa.table({
-            "leaf": pa.array(rows["leaf"], pa.string()),
-            "df": pa.array(rows["df"], pa.int64()),
-            "ctf": pa.array(rows["ctf"], pa.int64())})
-        derived_tbl = pa.table({
-            "leaf": pa.array(rows["leaf"], pa.string()),
-            "field": pa.array(rows["field"], pa.string()),
-            "docid_blob": pa.array(rows["docid_blob"], pa.binary()),
-            "tf_blob": pa.array(rows["tf_blob"], pa.binary())})
-        return stats_tbl, derived_tbl
-
-    pairs = {s: derive_salt.remote(s) for s in range(n_salts)}
+    if not all_terms or not reader._bucket_paths(all_terms):
+        return [], {}
+    spec = _spec(reader, 0, plans=plans, terms=terms_by_field)
+    pairs = [derive_salt.remote(spec, s) for s in range(_n_salts(reader))]
     stats: dict[str, tuple[int, int]] = {}
-    for s in range(n_salts):
-        st = ray.get(pairs[s][0])
+    for st in ray.get([p[0] for p in pairs]):
         for lf, dfv, ctfv in zip(st["leaf"].to_pylist(),
                                  st["df"].to_pylist(),
                                  st["ctf"].to_pylist()):
             d0, c0 = stats.get(lf, (0, 0))
             stats[lf] = (d0 + dfv, c0 + ctfv)
-    return {s: pairs[s][1] for s in range(n_salts)}, stats
+    return [p[1] for p in pairs], stats
 
 
 def bm25_structured_batch_search(index_dir: str,
@@ -1168,35 +1006,33 @@ def bm25_structured_batch_search(index_dir: str,
                                  field: str = "body") -> pa.Table:
     """Distributed structured BM25: ``#SUM`` over TERM and positional
     (``#NEAR/n`` / ``#WINDOW/n`` / ``#SYN``) leaves — the reference's
-    BoW + SDM-shaped query set (``queries2.txt``), batch-scored as one
-    Ray Data pipeline.
+    BoW + SDM-shaped query set (``queries2.txt``), batch-scored in two
+    rounds of one task per salt.
 
     Partitioning contract: a positional operator is docid-local, and the
     index stores each term's postings as ONE row per salt where salt =
     contiguous docid range (build.py step 5). ONE TASK PER SALT
     (phase A, ``_derive_lists``) therefore holds, for its docid range,
     ALL argument terms' postings — it runs the driver's own Iop kernels
-    (``eval_iop_tree``: two-pointer #NEAR, min/max-head #WINDOW, #SYN
-    union) unchanged, emitting derived posting runs into the object
-    store keyed by salt. Phase parallelism equals ``merge_salts``,
-    which auto-sizes with the corpus (build.py ``docs_per_salt``; at
-    cluster scale salts number in the thousands). A derived list's
-    df/ctf (what the reference scores with, ``QryIop.java:139-151``)
-    is the SUM over its salt runs — a tiny driver-side aggregation
-    between the phases.
+    (``eval_iop_tree``) unchanged, emitting one derived-postings table
+    per salt into the object store. Phase parallelism equals
+    ``merge_salts``, which auto-sizes with the corpus (build.py
+    ``docs_per_salt``; at cluster scale salts number in the thousands).
+    A derived list's df/ctf (what the reference scores with,
+    ``QryIop.java:139-151``) is the SUM over its salt runs — a tiny
+    driver-side aggregation between the phases.
 
     Phase B is one task per salt again (``_run_salt_tasks``): it
-    fetches the salt's derived rows whole, reads the salt's plain-term
+    fetches the salt's derived table whole, reads the salt's plain-term
     postings locally (column/row-group-pruned scan), and finishes the
     (query, doc) #SUM with an exact per-salt top-k cut — zero shuffle
     end to end. Rank- and score-identical to ``QueryEngine.search``
     per query (tests/test_query_engine.py).
     """
-    from .models import BM25Model as _BM25
     from .parser import QueryParser
     from .plan import IopNode, ScoreNode, SopNode, TermNode
 
-    model = model or _BM25()
+    model = model or BM25Model()
     reader = IndexReader(index_dir)
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     parser = QueryParser(an, default_field=field)
@@ -1253,121 +1089,35 @@ def bm25_structured_batch_search(index_dir: str,
     if not term_leaves and not iop_leaves:
         return _empty()
 
-    N = reader.n_docs
-    avglens = {f: reader.avg_len(f)
-               for f in set(terms_by_field) | set(iop_plans_by_field)}
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    k1, b = model.k1, model.b
-
     # ---- phase A: derived lists, one task per salt, zero shuffle ----
     derived_refs, dstats = _derive_lists(reader, iop_plans_by_field)
     ddf = {lf: d for lf, (d, _) in dstats.items()}
 
     # global plain-term stats (metadata-only scan) + per-field read sets
     tstats_by_field: dict[str, dict[str, int]] = {}
-    paths_by_field: dict[str, tuple[list[str], tuple[str, ...]]] = {}
+    plain_by_field: dict[str, list[str]] = {}
     for tfld, tlist in sorted(terms_by_field.items()):
         plain = sorted(set(tlist))
-        paths_f = reader._bucket_paths(plain)
-        if not paths_f:
+        if not reader._bucket_paths(plain):
             continue
-        paths_by_field[tfld] = (plain, tuple(paths_f))
-        tstats_by_field[tfld] = {
-            t: d for t, (d, _) in _global_term_stats(
-                index_dir, reader, plain, tfld).items()}
-
-    def _idf(df: int) -> float:
-        return max(0.0, float(np.log((N - df + 0.5) / (df + 0.5))))
+        plain_by_field[tfld] = plain
+        tstats_by_field[tfld] = _global_dfs(reader, plain, tfld)
 
     # idf-clamped leaves score 0 but still create candidates — only then
     # does the dense group-sum need its zero-candidate bincount
     any_zero_idf = any(
-        _idf(d) == 0.0
+        _bm25_idf(reader.n_docs, d) == 0.0
         for dmap in ([ddf] + list(tstats_by_field.values()))
         for d in dmap.values() if d > 0)
 
-    il_ref = ray.put(iop_leaves)
-    ddf_ref = ray.put(ddf)
-    tl_ref = ray.put(term_leaves)
-    ts_ref = ray.put(tstats_by_field)
-    pb_ref = ray.put(paths_by_field)
-
-    # ---- phase B: one task per salt descriptor (_run_salt_tasks) —
-    # the salt's derived rows are fetched whole from the object store
-    # (derived_refs[s]) and plain-term postings for that docid range
-    # are read LOCALLY, so the (query, doc) sums are final inside the
-    # task — exact per-salt top-k cut, no packed-key groupby (see
-    # bm25_batch_search). Descriptor-driven, so each salt is scored
-    # exactly once regardless of block splitting (ADVICE r3). ----
-    def score_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        il = ray.get(il_ref)
-        ddf_l = ray.get(ddf_ref)
-        tl = ray.get(tl_ref)
-        ts = ray.get(ts_ref)
-        pb = ray.get(pb_ref)
-        dlens_by: dict[str, _ShardedDoclens] = {}
-
-        def dlens(fld: str) -> _ShardedDoclens:
-            dl = dlens_by.get(fld)
-            if dl is None:
-                dl = dlens_by[fld] = _ShardedDoclens(
-                    index_dir, fld, pid_offsets, dl_token)
-            return dl
-
-        def bm25_leaf(fld, df, docids, tfs):
-            idf = max(0.0, float(np.log((N - df + 0.5) / (df + 0.5))))
-            dl = dlens(fld).get(docids).astype(np.float64)
-            tf = tfs.astype(np.float64)
-            return idf * (tf / (tf + k1 * ((1.0 - b)
-                                           + b * dl / avglens[fld])))
-
-        out: list[pa.Table] = []
-        for s in batch["salt"].to_pylist():
-            entries = []
-            bt = ray.get(derived_refs[s]) if s in derived_refs else None
-            if bt is not None and bt.num_rows:
-                for lf, fldv, db, tb in zip(bt["leaf"].to_pylist(),
-                                            bt["field"].to_pylist(),
-                                            bt["docid_blob"].to_pylist(),
-                                            bt["tf_blob"].to_pylist()):
-                    d, tf, _ = decode_postings(db, tb, None)
-                    sc = bm25_leaf(fldv, ddf_l[lf], d, tf)
-                    for qc, mult in il[lf]:
-                        entries.append((qc, d,
-                                        sc if mult == 1 else sc * mult))
-            for fld, (plain, paths_f) in sorted(pb.items()):
-                dset = proc_cached(
-                    ("postings_dset", index_dir, dl_token, paths_f),
-                    lambda p=paths_f: pads.dataset(list(p),
-                                                   format="parquet"))
-                t = dset.to_table(
-                    columns=["term", "docid_blob", "tf_blob"],
-                    filter=(pc.field("term").isin(plain)
-                            & (pc.field("field") == fld)
-                            & (pc.field("salt") == int(s))))
-                for trm, db2, tb2 in zip(t["term"].to_pylist(),
-                                         t["docid_blob"].to_pylist(),
-                                         t["tf_blob"].to_pylist()):
-                    d, tf, _ = decode_postings(db2, tb2, None)
-                    sc = bm25_leaf(fld, ts[fld].get(trm, 0), d, tf)
-                    for qc, mult in tl[f"t:{fld}:{trm}"]:
-                        entries.append((qc, d,
-                                        sc if mult == 1 else sc * mult))
-            qc_a, docid, sums = _group_sum_entries(
-                entries, need_zero_candidates=any_zero_idf)
-            if qc_a.size:
-                keep = _topk_cut_sorted(qc_a, sums, k)
-                out.append(pa.table({
-                    "gkey": pa.array((qc_a[keep] << _DOC_BITS)
-                                     | docid[keep]),
-                    "score": pa.array(sums[keep])}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    return _emit_ranked(_run_salt_tasks(score_salt, reader),
+    spec = _spec(reader, k, k1=model.k1, b=model.b,
+                 avglen={f: reader.avg_len(f) for f in
+                         set(terms_by_field) | set(iop_plans_by_field)},
+                 plain=plain_by_field, derived=derived_refs,
+                 any_zero_idf=any_zero_idf,
+                 batch=ray.put(dict(il=iop_leaves, ddf=ddf, tl=term_leaves,
+                                    ts=tstats_by_field)))
+    return _emit_ranked(_run_salt_tasks(score_salt_structured, spec, reader),
                         qids, k, reader)
 
 
@@ -1418,7 +1168,6 @@ def indri_structured_batch_search(index_dir: str,
     reader = IndexReader(index_dir)
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     parser = QueryParser(an, default_field=field)
-    mu, lam = model.mu, model.lambda_
 
     qids = _check_unique_qids(queries)
     iop_plans: dict = {}
@@ -1502,8 +1251,7 @@ def indri_structured_batch_search(index_dir: str,
         reader, {field: iop_plans} if iop_plans else {})
 
     clen = max(reader.sum_field_lengths(field), 1)
-    tstats = _global_term_stats(index_dir, reader, plain_terms, field) \
-        if plain_terms else {}
+    tstats = _global_term_stats(reader, plain_terms, field)
     mle_of = {("t:" + t): tstats.get(t, (0, 0))[1] / clen
               for t in plain_terms}
     mle_of.update({lf: c / clen for lf, (_, c) in dstats.items()})
@@ -1511,10 +1259,6 @@ def indri_structured_batch_search(index_dir: str,
     for lf in all_leaves:
         mle_of.setdefault(lf, 0.0)
 
-    pid_offsets = reader.pid_offsets
-    dl_token = reader.stats_token
-    lt_ref = ray.put(leaf_targets)
-    mle_ref = ray.put(mle_of)
     # per qcode: [(W_j, mle array, coef array)] over each subtree's
     # leaves (the default-score correction inputs)
     q_info = [[(w,
@@ -1522,120 +1266,18 @@ def indri_structured_batch_search(index_dir: str,
                 np.array([acc[lf] for lf in sorted(acc)], dtype=np.float64))
                for w, acc in subs]
               for subs in q_subtrees]
-    qinfo_ref = ray.put(q_info)
 
-    def _s(tf, dl, m):
-        return (1.0 - lam) * (tf + mu * m) / (dl + mu) + lam * m
-
-    tpaths = tuple(reader._bucket_paths(plain_terms)) if plain_terms else ()
-    plain_sorted = sorted(plain_terms)
-
-    # ---- phase B: one task per salt descriptor (_run_salt_tasks;
-    # exactly-once per salt — ADVICE r3): the salt's derived rows come
-    # whole from the object store (derived_refs[s]), plain-term
-    # postings for its docid range are read LOCALLY, the matched
-    # log-partials are summed by the dense group-sum, and the #WSUM
-    # default-score mix + exact per-query cut run inside the task —
-    # the packed-key groupby and the (qcode,docid) partition gymnastics
-    # of the r2 design are gone.
-    def score_salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
-        from ..util import proc_cached
-        dlens = _ShardedDoclens(index_dir, field, pid_offsets, dl_token)
-        lt = ray.get(lt_ref)
-        mles_m = ray.get(mle_ref)
-        qi = ray.get(qinfo_ref)
-        dset = proc_cached(
-            ("postings_dset", index_dir, dl_token, tpaths),
-            lambda: pads.dataset(list(tpaths), format="parquet")) \
-            if tpaths else None
-        out: list[pa.Table] = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for s in batch["salt"].to_pylist():
-                entries = []
-
-                def add(lf, docids, tfs):
-                    if docids.size == 0:
-                        return
-                    dl = dlens.get(docids).astype(np.float64)
-                    m = mles_m[lf]
-                    part = (np.log(_s(tfs.astype(np.float64), dl, m))
-                            - np.log(_s(0.0, dl, m)))
-                    for gq, coef in lt[lf]:
-                        entries.append((gq, docids, part * coef))
-
-                bt = ray.get(derived_refs[s]) \
-                    if s in derived_refs else None
-                if bt is not None and bt.num_rows:
-                    for lf, db, tb in zip(bt["leaf"].to_pylist(),
-                                          bt["docid_blob"].to_pylist(),
-                                          bt["tf_blob"].to_pylist()):
-                        d, tf, _ = decode_postings(db, tb, None)
-                        add(lf, d, tf)
-                if dset is not None:
-                    t = dset.to_table(
-                        columns=["term", "docid_blob", "tf_blob"],
-                        filter=(pc.field("term").isin(plain_sorted)
-                                & (pc.field("field") == field)
-                                & (pc.field("salt") == int(s))))
-                    for trm, db2, tb2 in zip(t["term"].to_pylist(),
-                                             t["docid_blob"].to_pylist(),
-                                             t["tf_blob"].to_pylist()):
-                        d, tf, _ = decode_postings(db2, tb2, None)
-                        add("t:" + trm, d, tf)
-                gq_a, docid, agg = _group_sum_entries(entries)
-                if not gq_a.size:
-                    continue
-                qc_a = gq_a // n_sub
-                j_a = gq_a % n_sub
-                out_keys: list[np.ndarray] = []
-                out_scores: list[np.ndarray] = []
-                for lo, hi in _query_slices(qc_a):
-                    q = int(qc_a[lo])
-                    subs = qi[q]
-                    if len(subs) == 1 and subs[0][0] == 1.0:
-                        # pure log-linear tree: rows are already unique
-                        # per candidate — final = exp(S + corr)
-                        _, mlv_arr, coefs = subs[0]
-                        cand = docid[lo:hi]
-                        dlq = dlens.get(cand).astype(np.float64)
-                        corr = np.zeros(dlq.size, dtype=np.float64)
-                        for mlv, cv in zip(mlv_arr, coefs):
-                            corr += cv * np.log(_s(0.0, dlq, mlv))
-                        final = np.exp(agg[lo:hi] + corr)
-                    else:
-                        # #WSUM spine: candidates = docs with ≥1 subtree
-                        # row; start from the all-defaults baseline
-                        # Σ_j W_j·exp(corr_j(dl)), then swap in
-                        # exp(S_j + corr_j) for each matched row
-                        cand, cidx = np.unique(docid[lo:hi],
-                                               return_inverse=True)
-                        dlq = dlens.get(cand).astype(np.float64)
-                        final = np.zeros(cand.size, dtype=np.float64)
-                        aggq, jq = agg[lo:hi], j_a[lo:hi]
-                        for j, (w, mlv_arr, coefs) in enumerate(subs):
-                            corr = np.zeros(cand.size, dtype=np.float64)
-                            for mlv, cv in zip(mlv_arr, coefs):
-                                corr += cv * np.log(_s(0.0, dlq, mlv))
-                            base = w * np.exp(corr)
-                            final += base
-                            rmsk = jq == j
-                            ridx = cidx[rmsk]
-                            final[ridx] += (w * np.exp(aggq[rmsk]
-                                                       + corr[ridx])
-                                            - base[ridx])
-                    if cand.size > k:
-                        kth = np.partition(final, -k)[-k]
-                        keepq = final >= kth
-                        cand, final = cand[keepq], final[keepq]
-                    out_keys.append((np.int64(q) << _DOC_BITS) | cand)
-                    out_scores.append(final)
-                if out_keys:
-                    out.append(pa.table({
-                        "gkey": pa.array(np.concatenate(out_keys)),
-                        "score": pa.array(np.concatenate(out_scores))}))
-        return pa.concat_tables(out) if out else _partial_empty()
-
-    return _emit_ranked(_run_salt_tasks(score_salt, reader),
-                        qids, k, reader)
+    # ---- phase B: one task per salt (_run_salt_tasks): the salt's
+    # derived rows come whole from the object store, plain-term postings
+    # for its docid range are read LOCALLY, the matched log-partials are
+    # summed by the dense group-sum, and the #WSUM default-score mix +
+    # exact per-query cut run inside the task.
+    spec = _spec(reader, k, field=field, mu=model.mu, lam=model.lambda_,
+                 n_sub=n_sub, derived=derived_refs,
+                 terms=plain_terms if reader._bucket_paths(plain_terms)
+                 else [],
+                 batch=ray.put(dict(lt=leaf_targets, mle=mle_of,
+                                    qinfo=q_info)))
+    return _emit_ranked(
+        _run_salt_tasks(score_salt_indri_structured, spec, reader),
+        qids, k, reader)

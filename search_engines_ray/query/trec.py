@@ -81,8 +81,3 @@ def format_trec(results: pa.Table, run_id: str = "run-1",
     if not lines:
         lines.append(f"{default_qid}\tQ0\tdummyDocid\t1\t0\t{run_id}")
     return "\n".join(lines) + "\n"
-
-
-def write_trec(results: pa.Table, path: str, run_id: str = "run-1") -> None:
-    with open(path, "w") as f:
-        f.write(format_trec(results, run_id))

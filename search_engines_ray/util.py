@@ -7,7 +7,13 @@ the upstream read; a fixed ``concurrency=2`` caps throughput at scale):
 - **stateless tasks + process-global cache**: Ray reuses worker
   processes across tasks, so a module-level cache gives actor-style
   setup amortization while tasks schedule elastically on every CPU
-  (``index/build.py`` ``_get_analyzer`` established this).
+  (``index/build.py`` ``_get_analyzer`` established this). The cache
+  must sit behind a real import: this package pickles its code by value
+  (``__init__.py``), and a by-value function carries its own copy of
+  every module global it reads, so a cache dict referenced as a global
+  is fresh and empty in each task payload. Task code reaches the one
+  per-process cache with ``from ..util import proc_cached`` inside the
+  function body, which resolves to the worker's imported module.
 - **autoscaling actor pools** sized from ``ray.cluster_resources()``
   for stages that genuinely need per-actor state (model weights,
   media decoders): ``concurrency=(floor, pool_size())`` lets Ray grow
@@ -23,15 +29,22 @@ import ray
 # hashable tuples; Ray worker processes persist across tasks, so a
 # populated entry serves every later batch on the same worker.
 _PROC_CACHE: dict = {}
+# capped namespaces (key[0] → its entries, oldest first)
+_BOUNDED: dict[str, dict] = {}
 
 
-def proc_cached(key, factory):
+def proc_cached(key, factory, cap: int | None = None):
     """Return the process-global value for ``key``, building it once
-    per worker process with ``factory()``."""
-    val = _PROC_CACHE.get(key)
+    per worker process with ``factory()``. With ``cap``, the entries
+    sharing ``key[0]`` are capped FIFO at ``cap``, for state keyed by
+    open-ended values (index builds, docid shards)."""
+    store = _PROC_CACHE if cap is None else _BOUNDED.setdefault(key[0], {})
+    val = store.get(key)
     if val is None:
         val = factory()
-        _PROC_CACHE[key] = val
+        if cap is not None and len(store) >= cap:
+            store.pop(next(iter(store)))
+        store[key] = val
     return val
 
 
