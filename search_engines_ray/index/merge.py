@@ -381,12 +381,16 @@ DELETES_FILE = "deletes.json"
 def delete_docs(index_dir: str, external_ids) -> int:
     """Tombstone documents by external id (Lucene-style deletes-as-
     mask): appends to ``deletes.json`` in the index dir; idempotent
-    union. Search paths mask tombstoned docids out AFTER scoring —
-    corpus statistics stay as-built until the next ``compact_index``
-    (which physically purges them and refreshes every statistic), the
-    same freshness contract as Lucene's deletes-until-merge. Returns
-    the total tombstone count. Unknown external ids are ignored (the
-    usual delete-by-key semantics)."""
+    union. Every search path masks tombstoned docids out after scoring
+    and before its top-k cut with ``query.trec.drop_deleted``: the
+    driver engine (and so each federated segment), BM25F, MaxScore
+    (before its threshold θ) and the distributed batch paths, inside
+    each salt task's ``_cut``. Corpus statistics stay as-built until
+    the next ``compact_index`` (which physically purges them and
+    refreshes every statistic), the same freshness contract as
+    Lucene's deletes-until-merge. Returns the total tombstone count.
+    Unknown external ids are ignored (the usual delete-by-key
+    semantics)."""
     from .reader import IndexReader
 
     reader = IndexReader(index_dir)

@@ -11,8 +11,8 @@ own length prior FIRST and saturates the pooled pseudo-frequency ONCE:
     score(d) = Σ_t  idf(t) · tf~ / (k1 + tf~)
 
 idf uses the UNION document frequency (docs where t occurs in ANY
-scored field) with the engine's floored form
-max(0, ln((N − df + 0.5)/(df + 0.5))) (QrySopScore.java:90-120 parity).
+scored field) with the engine's floored BM25 idf (``kernels.bm25_idf``,
+QrySopScore.java:90-120 parity).
 
 Driver-side like QueryEngine: postings are bucket-pruned batched reads
 per field, doclens come from the candidate-union pruned scan
@@ -28,7 +28,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..index.reader import IndexReader
-from .trec import rank_results_candidates
+from .kernels import bm25_idf
+from .trec import drop_deleted, empty_results, rank_results_candidates
 
 
 def bm25f_search(reader: IndexReader, terms: list[str],
@@ -47,9 +48,7 @@ def bm25f_search(reader: IndexReader, terms: list[str],
     ids_list = [p.docids for per in got.values()
                 for p in per.values() if p is not None]
     if not ids_list:
-        return rank_results_candidates(np.empty(0, np.int64),
-                                       np.empty(0, np.float64),
-                                       reader.external_ids_for, k)
+        return empty_results()
     all_ids = np.unique(np.concatenate(ids_list))
     dlens = reader.doclens_for(all_ids, fields)
     B = {f: (1.0 - field_b[f])
@@ -71,14 +70,7 @@ def bm25f_search(reader: IndexReader, terms: list[str],
         df = float(seen.sum())
         if df == 0.0:
             continue
-        idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-        score += idf * tft / (k1 + tft)
-    dels = reader.deleted_docids()
-    docids = all_ids
-    if dels.size:
-        idx = np.searchsorted(dels, docids)
-        idx[idx == dels.size] = 0
-        keep = dels[idx] != docids
-        docids, score = docids[keep], score[keep]
+        score += bm25_idf(N, df) * tft / (k1 + tft)
+    docids, score = drop_deleted(reader.deleted_docids(), all_ids, score)
     return rank_results_candidates(docids, score,
                                    reader.external_ids_for, k)

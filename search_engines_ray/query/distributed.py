@@ -22,7 +22,15 @@ parameters, k) plus ObjectRefs to the batch-sized maps, so Ray exports
 each kernel once per session and a batch ships no code. The kernels
 share one body: ``_scan`` (bucket-, term-, field- and salt-pruned read
 plus varbyte decode), a leaf formula, ``_route`` to the queries and
-``_cut`` (dense group-sum, exact per-salt top-k, packed keys).
+``_cut`` (dense group-sum, exact per-salt top-k, packed keys). Leaf
+formulas come from ``kernels``, the same functions the driver engine
+scores with.
+
+Tombstones (``merge.delete_docs``) ride in the spec as a sorted docid
+array (``dels``, absent when there are none); ``_cut`` drops them after
+the group-sum and before the per-salt top-k, so a deleted document
+never takes a top-k slot. Corpus statistics (df, doclens, avglen) stay
+as-built until compaction, as on every other search path.
 
 Scale notes: doclens are docid-range-sharded (``_doclens``): workers load
 only the pid ranges their posting runs touch — no O(n_docs) broadcast
@@ -59,7 +67,9 @@ from ..index.build import POSTINGS_DIR, term_bucket
 from ..index.reader import IndexReader
 from ..index.varbyte import decode_postings
 from .eval import expand_wildcards
+from .kernels import bm25, bm25_idf, dirichlet, tfidf
 from .models import BM25Model
+from .trec import drop_deleted
 
 _DOC_BITS = 44
 _DOC_MASK = (1 << _DOC_BITS) - 1
@@ -241,33 +251,20 @@ def _route(entries: list, targets, docids: np.ndarray, vals: np.ndarray,
                         vals if mult == 1 else vals * mult))
 
 
-def _cut(entries: list, k: int, need_zero_candidates: bool = False,
+def _cut(spec: dict, entries: list, need_zero_candidates: bool = False,
          finish=None) -> pa.Table:
     """Group-sum one salt's entries, apply ``finish(qc, docid, sums)``
-    (score transforms, filters), cut each query to its exact top k and
-    pack the keys."""
+    (score transforms, filters), drop the spec's tombstoned docids, cut
+    each query to its exact top ``spec["k"]`` and pack the keys."""
     qc, docid, sums = _group_sum_entries(entries, need_zero_candidates)
     if qc.size and finish is not None:
         qc, docid, sums = finish(qc, docid, sums)
+    docid, qc, sums = drop_deleted(spec.get("dels"), docid, qc, sums)
     if not qc.size:
         return _partial_empty()
-    keep = _topk_cut_sorted(qc, sums, k)
+    keep = _topk_cut_sorted(qc, sums, spec["k"])
     return pa.table({"gkey": pa.array((qc[keep] << _DOC_BITS) | docid[keep]),
                      "score": pa.array(sums[keep])})
-
-
-def _bm25_idf(N: int, df) -> float:
-    return max(0.0, float(np.log((N - df + 0.5) / (df + 0.5))))
-
-
-def _bm25(idf: float, tf: np.ndarray, dl: np.ndarray, k1: float, b: float,
-          avglen: float) -> np.ndarray:
-    return idf * (tf / (tf + k1 * ((1.0 - b) + b * dl / avglen)))
-
-
-def _dirichlet(tf, dl, mle, mu: float, lam: float):
-    """Indri's smoothed term probability (QrySopScore.java:140-161)."""
-    return (1.0 - lam) * (tf + mu * mle) / (dl + mu) + lam * mle
 
 
 @ray.remote
@@ -300,13 +297,11 @@ def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
         dl = _doclens(spec, field, docids).astype(np.float64)
         tf = tfs.astype(np.float64)
         if spec["classic"]:
-            idf = 1.0 + np.log(N / (df + 1.0))
-            scores = [np.sqrt(tf) * (idf * idf)
-                      / np.sqrt(np.maximum(dl, 1.0))]
+            scores = [tfidf(N, df, tf, dl)]
         else:
-            idf = _bm25_idf(N, df)
+            idf = bm25_idf(N, df)
             need_zero |= idf == 0.0
-            scores = [_bm25(idf, tf, dl, k1, b, avglen)
+            scores = [bm25(idf, tf, dl, k1, b, avglen)
                       for k1, b in spec["grid"]]
         for g, sc in enumerate(scores):
             _route(entries, tq[term], docids, sc, g * spec["nq"])
@@ -318,7 +313,7 @@ def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
         ok = cnts >= nreq[qc]
         return qc[ok], docid[ok], sums[ok]
 
-    return _cut(entries, spec["k"], need_zero,
+    return _cut(spec, entries, need_zero,
                 min_match if nreq is not None else None)
 
 
@@ -387,10 +382,10 @@ def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
                 np.concatenate(([True], dc[1:] != dc[:-1])))
             docids = dc[starts]
             tft = np.add.reduceat(cc, starts)
-        idf = _bm25_idf(spec["N"], gdf[term])
+        idf = bm25_idf(spec["N"], gdf[term])
         need_zero |= idf == 0.0
         _route(entries, tq[term], docids, idf * tft / (spec["k1"] + tft))
-    return _cut(entries, spec["k"], need_zero)
+    return _cut(spec, entries, need_zero)
 
 
 @ray.remote
@@ -409,8 +404,8 @@ def score_salt_indri(spec: dict, salt: int) -> pa.Table:
                                              [field]):
             dl = _doclens(spec, field, docids).astype(np.float64)
             m = mle[term]
-            part = (np.log(_dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
-                    - np.log(_dirichlet(0.0, dl, m, mu, lam)))
+            part = (np.log(dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
+                    - np.log(dirichlet(0.0, dl, m, mu, lam)))
             _route(entries, tq[term], docids, part)
 
     def geometric_mean(qc, docid, agg):
@@ -421,12 +416,12 @@ def score_salt_indri(spec: dict, salt: int) -> pa.Table:
                 mles, mults, kq = qinfo[int(qc[lo])]
                 corr = np.zeros(hi - lo, dtype=np.float64)
                 for mlv, mv in zip(mles, mults):
-                    corr += mv * np.log(_dirichlet(0.0, dl[lo:hi], mlv,
-                                                   mu, lam))
+                    corr += mv * np.log(dirichlet(0.0, dl[lo:hi], mlv,
+                                                  mu, lam))
                 final[lo:hi] = np.exp((agg[lo:hi] + corr) / kq)
         return qc, docid, final
 
-    return _cut(entries, spec["k"], finish=geometric_mean)
+    return _cut(spec, entries, finish=geometric_mean)
 
 
 def _derived_rows(spec: dict, salt: int):
@@ -453,8 +448,8 @@ def score_salt_structured(spec: dict, salt: int) -> pa.Table:
 
     def leaf(fld, df, docids, tfs):
         dl = _doclens(spec, fld, docids).astype(np.float64)
-        return _bm25(_bm25_idf(N, df), tfs.astype(np.float64), dl, k1, b,
-                     spec["avglen"][fld])
+        return bm25(bm25_idf(N, df), tfs.astype(np.float64), dl, k1, b,
+                    spec["avglen"][fld])
 
     entries = []
     for lf, fld, d, tf in _derived_rows(spec, salt):
@@ -463,7 +458,7 @@ def score_salt_structured(spec: dict, salt: int) -> pa.Table:
         for trm, _, d, tf, _ in _scan(spec, salt, plain, [fld]):
             _route(entries, tl[f"t:{fld}:{trm}"], d,
                    leaf(fld, ts[fld].get(trm, 0), d, tf))
-    return _cut(entries, spec["k"], spec["any_zero_idf"])
+    return _cut(spec, entries, spec["any_zero_idf"])
 
 
 @ray.remote
@@ -482,14 +477,14 @@ def score_salt_indri_structured(spec: dict, salt: int) -> pa.Table:
             return
         dl = _doclens(spec, field, docids).astype(np.float64)
         m = mles[lf]
-        part = (np.log(_dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
-                - np.log(_dirichlet(0.0, dl, m, mu, lam)))
+        part = (np.log(dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
+                - np.log(dirichlet(0.0, dl, m, mu, lam)))
         _route(entries, lt[lf], docids, part)
 
     def default_corr(dlq, mlv_arr, coefs):
         corr = np.zeros(dlq.size, dtype=np.float64)
         for mlv, cv in zip(mlv_arr, coefs):
-            corr += cv * np.log(_dirichlet(0.0, dlq, mlv, mu, lam))
+            corr += cv * np.log(dirichlet(0.0, dlq, mlv, mu, lam))
         return corr
 
     def wsum_mix(gq_a, docid, agg):
@@ -532,7 +527,7 @@ def score_salt_indri_structured(spec: dict, salt: int) -> pa.Table:
         if spec["terms"]:
             for trm, _, d, tf, _ in _scan(spec, salt, spec["terms"], [field]):
                 add("t:" + trm, d, tf)
-        return _cut(entries, spec["k"], finish=wsum_mix)
+        return _cut(spec, entries, finish=wsum_mix)
 
 
 def _plan_data(node, terms: set) -> tuple:
@@ -604,10 +599,15 @@ def _n_salts(reader: IndexReader) -> int:
 
 def _spec(reader: IndexReader, k: int, **kw) -> dict:
     """Plain-data task spec every kernel reads: where the index is, which
-    build (``token`` keys the worker caches), its docid-range layout."""
-    return dict(index_dir=reader.index_dir, token=reader.stats_token,
+    build (``token`` keys the worker caches), its docid-range layout and
+    its sorted tombstones (``dels``, absent when there are none)."""
+    spec = dict(index_dir=reader.index_dir, token=reader.stats_token,
                 num_buckets=reader.num_buckets,
                 pid_offsets=reader.pid_offsets, N=reader.n_docs, k=k, **kw)
+    dels = reader.deleted_docids()
+    if dels.size:
+        spec["dels"] = dels
+    return spec
 
 
 def _run_salt_tasks(kernel, spec: dict, reader: IndexReader) -> pa.Table:
@@ -1106,7 +1106,7 @@ def bm25_structured_batch_search(index_dir: str,
     # idf-clamped leaves score 0 but still create candidates — only then
     # does the dense group-sum need its zero-candidate bincount
     any_zero_idf = any(
-        _bm25_idf(reader.n_docs, d) == 0.0
+        bm25_idf(reader.n_docs, d) == 0.0
         for dmap in ([ddf] + list(tstats_by_field.values()))
         for d in dmap.values() if d > 0)
 

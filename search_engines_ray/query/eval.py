@@ -25,13 +25,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..index.reader import IndexReader, Posting
+from .kernels import bm25, bm25_idf, bm25_tfw, dirichlet, tfidf
 from .models import (
     BM25Model, IndriModel, RankedBooleanModel, RetrievalModel,
     TFIDFModel, UnrankedBooleanModel,
 )
 from .parser import QueryParser
 from .plan import IopNode, PlanNode, ScoreNode, SopNode, TermNode, is_iop
-from .trec import rank_results_candidates
+from .trec import drop_deleted, empty_results, rank_results_candidates
 
 
 @dataclass
@@ -296,17 +297,12 @@ class QueryEngine:
         # override — (field, repr(node)) → (df, ctf) — lets a
         # multi-segment caller patch a derived list's df/ctf with the
         # CROSS-SEGMENT sums (QryIop.getDf/getCtf over the merged
-        # index) while evaluation stays segment-local; the inv cache
-        # makes the federated two-phase evaluate each Iop subtree once
-        # per segment (phase A derives + caches, phase B scores).
-        # Both are index properties, valid across queries. The inv
-        # cache only fills when a federated caller opts in
-        # (cache_iop_lists) — a long-lived single-index engine
-        # evaluates each subtree once per search anyway, and caching
-        # candidate-sized derived lists per distinct query shape would
-        # grow memory without bound (review r5).
+        # index) while evaluation stays segment-local (an index
+        # property, valid across queries). The inv cache holds derived
+        # lists the federated phase A put there for phase B of the SAME
+        # search; FederatedEngine.search empties it before returning,
+        # so it never outlives one call.
         self.iop_stats_override: dict = {}
-        self.cache_iop_lists: bool = False
         self._iop_inv_cache: dict = {}
 
     # ---- plan-wide postings fetch ----
@@ -370,8 +366,6 @@ class QueryEngine:
             inv = self._iop_inv_cache.get(key)
             if inv is None:
                 inv = eval_iop_tree(node, cache)
-                if self.cache_iop_lists:
-                    self._iop_inv_cache[key] = inv
             g = self.iop_stats_override.get(key)
             if g is not None:
                 # same clone-with-global-stats move _GlobalStatsView
@@ -391,40 +385,27 @@ class QueryEngine:
             return _Scored(inv.docids, np.ones(inv.docids.size))
         if isinstance(m, RankedBooleanModel):
             return _Scored(inv.docids, inv.tfs.astype(np.float64))
+        tf = inv.tfs.astype(np.float64)
         if isinstance(m, BM25Model):
-            # QrySopScore.java:90-120: idf floored at 0; k3 term == 1
-            N = r.n_docs
-            idf = max(0.0, np.log((N - inv.df + 0.5) / (inv.df + 0.5)))
-            doclen = self._dl(inv.field, inv.docids)
-            avglen = r.avg_len(inv.field)
-            tf = inv.tfs.astype(np.float64)
-            k1, b = m.k1, m.b
-            tfw = tf / (tf + k1 * ((1.0 - b) + b * doclen / avglen))
-            return _Scored(inv.docids, idf * tfw)
+            return _Scored(inv.docids, bm25(
+                bm25_idf(r.n_docs, inv.df), tf,
+                self._dl(inv.field, inv.docids), m.k1, m.b,
+                r.avg_len(inv.field)))
         if isinstance(m, IndriModel):
-            # QrySopScore.java:140-161 (+ default, :123-138)
             mle = inv.ctf / max(r.sum_field_lengths(inv.field), 1)
-            mu, lam = m.mu, m.lambda_
             field = inv.field
 
             def score(docids, tf):
-                dl = self._dl(field, docids)
-                return (1.0 - lam) * (tf + mu * mle) / (dl + mu) + lam * mle
+                return dirichlet(tf, self._dl(field, docids), mle, m.mu,
+                                 m.lambda_)
 
             def default_fn(docids):
                 return score(docids, 0.0)
 
-            return _Scored(inv.docids, score(inv.docids, inv.tfs.astype(np.float64)),
-                           default_fn)
+            return _Scored(inv.docids, score(inv.docids, tf), default_fn)
         if isinstance(m, TFIDFModel):
-            # Lucene ClassicSimilarity (TFIDFSimilarity.java public
-            # docs): tf = sqrt(freq), idf = 1 + ln(N/(df+1)),
-            # norm = 1/sqrt(dl); queryNorm/coord omitted (models.py)
-            idf = 1.0 + np.log(self.reader.n_docs / (inv.df + 1.0))
-            dl = self._dl(inv.field, inv.docids)
-            tf = np.sqrt(inv.tfs.astype(np.float64))
-            return _Scored(inv.docids,
-                           tf * (idf * idf) / np.sqrt(np.maximum(dl, 1.0)))
+            return _Scored(inv.docids, tfidf(r.n_docs, inv.df, tf,
+                                             self._dl(inv.field, inv.docids)))
         raise TypeError(f"unsupported model {type(m).__name__}")
 
     def _eval_sop(self, node: PlanNode, cache) -> _Scored:
@@ -562,8 +543,38 @@ class QueryEngine:
 
         raise ValueError(f"unknown Sop #{op}")
 
-    def _expand_prefixes(self, node: PlanNode) -> PlanNode:
-        return expand_wildcards(node, self.reader)
+    # ---- shared prologue of every search path ----
+    def _parse(self, query: str, synonyms: dict | None = None):
+        """Parse → synonym expansion → wildcard rewrite
+        (``expand_wildcards``); None when nothing survives analysis."""
+        plan = self.parser.parse(query, self.model.default_op)
+        if plan is not None and synonyms:
+            from .parser import expand_synonyms
+            plan = expand_synonyms(plan, synonyms, self.parser.analyzer)
+        return expand_wildcards(plan, self.reader)
+
+    def _load(self, plan: PlanNode) -> dict:
+        """Fetch the plan's postings and build the candidate doclen
+        lookup → the (term, field) → InvList cache."""
+        cache = self._fetch(plan)
+        self._build_dlut(cache)
+        return cache
+
+    def _evaluate(self, plan: PlanNode):
+        """Score a plan and drop tombstoned docs (corpus statistics
+        stay as-built until compaction purges them) → (docids, scores)."""
+        scored = self._eval_sop(plan, self._load(plan))
+        return drop_deleted(self.reader.deleted_docids(), scored.docids,
+                            scored.scores)
+
+    def _docids_with(self, tokens) -> np.ndarray:
+        """Docids holding any analyzed token in the default field."""
+        terms = [t for tok in tokens
+                 for t in self.parser.analyzer.analyze_query_token(tok)]
+        got = self.reader.postings_many(terms, self.parser.default_field,
+                                        positions=False) if terms else {}
+        return _union([InvList.from_posting(p).docids
+                       for p in got.values() if p is not None])
 
     # ---- public API ----
     def search(self, query: str, k: int = 100,
@@ -587,14 +598,7 @@ class QueryEngine:
         (BooleanQuery semantics). Corpus stats stay corpus-wide."""
         from .parser import split_negations
         query, neg_tokens = split_negations(query)
-        plan = self.parser.parse(query, self.model.default_op) \
-            if query.strip() else None
-        if plan is None:
-            return _empty_results()
-        if synonyms:
-            from .parser import expand_synonyms
-            plan = expand_synonyms(plan, synonyms, self.parser.analyzer)
-        plan = self._expand_prefixes(plan)
+        plan = self._parse(query, synonyms) if query.strip() else None
         return self.search_plan(plan, k=k, neg_tokens=neg_tokens,
                                 allowed=allowed)
 
@@ -607,30 +611,13 @@ class QueryEngine:
         stats overrides apply to an identical tree in every segment.
         Same result contract as :meth:`search`."""
         if plan is None:
-            return _empty_results()
-        cache = self._fetch(plan)
-        self._build_dlut(cache)
-        scored = self._eval_sop(plan, cache)
-        docids, scores = scored.docids, scored.scores
+            return empty_results()
+        docids, scores = self._evaluate(plan)
         if neg_tokens:
-            field = self.parser.default_field
-            terms = [t for tok in neg_tokens
-                     for t in self.parser.analyzer.analyze_query_token(tok)]
-            got = self.reader.postings_many(terms, field, positions=False) \
-                if terms else {}
-            banned = _union([InvList.from_posting(p).docids
-                             for p in got.values() if p is not None])
+            banned = self._docids_with(neg_tokens)
             if banned.size:
                 keep = ~np.isin(docids, banned)
                 docids, scores = docids[keep], scores[keep]
-        dels = self.reader.deleted_docids()
-        if dels.size:
-            # tombstone mask (merge.delete_docs): sorted-probe, never
-            # O(n_docs); stats stay as-built until compaction purges
-            idx = np.searchsorted(dels, docids)
-            idx[idx == dels.size] = 0
-            keep = dels[idx] != docids
-            docids, scores = docids[keep], scores[keep]
         if allowed is not None:
             keep = np.isin(docids, allowed)
             docids, scores = docids[keep], scores[keep]
@@ -650,31 +637,15 @@ class QueryEngine:
         MUST_NOT); its postings only mask the positive candidate set —
         no extra scoring pass, no corpus pass. Demotion happens BEFORE
         the top-k cut (a demoted head doc can drop out of the page)."""
-        plan = self.parser.parse(positive, self.model.default_op)
+        plan = self._parse(positive)
         if plan is None:
-            return _empty_results()
-        plan = self._expand_prefixes(plan)
-        cache = self._fetch(plan)
-        self._build_dlut(cache)
-        scored = self._eval_sop(plan, cache)
-        docids, scores = scored.docids, scored.scores.astype(np.float64,
-                                                             copy=True)
-        field = self.parser.default_field
-        terms = [t for tok in negative.split()
-                 for t in self.parser.analyzer.analyze_query_token(tok)]
-        got = self.reader.postings_many(terms, field, positions=False) \
-            if terms else {}
-        neg = _union([InvList.from_posting(p).docids
-                      for p in got.values() if p is not None])
+            return empty_results()
+        docids, scores = self._evaluate(plan)
+        scores = scores.astype(np.float64, copy=True)
+        neg = self._docids_with(negative.split())
         if neg.size:
             hit = np.isin(docids, neg)
             scores[hit] *= float(negative_boost)
-        dels = self.reader.deleted_docids()
-        if dels.size:
-            idx = np.searchsorted(dels, docids)
-            idx[idx == dels.size] = 0
-            keep = dels[idx] != docids
-            docids, scores = docids[keep], scores[keep]
         return rank_results_candidates(docids, scores,
                                        self.reader.external_ids_for, k)
 
@@ -689,23 +660,10 @@ class QueryEngine:
         as page 1 instead of k·N; external ids are fetched only for
         the cursor-score tie group."""
         s_after, e_after = float(after[0]), str(after[1])
-        plan = self.parser.parse(query, self.model.default_op)
+        plan = self._parse(query, synonyms)
         if plan is None:
-            return _empty_results()
-        if synonyms:
-            from .parser import expand_synonyms
-            plan = expand_synonyms(plan, synonyms, self.parser.analyzer)
-        plan = self._expand_prefixes(plan)
-        cache = self._fetch(plan)
-        self._build_dlut(cache)
-        scored = self._eval_sop(plan, cache)
-        docids, scores = scored.docids, scored.scores
-        dels = self.reader.deleted_docids()
-        if dels.size:
-            idx = np.searchsorted(dels, docids)
-            idx[idx == dels.size] = 0
-            keep = dels[idx] != docids
-            docids, scores = docids[keep], scores[keep]
+            return empty_results()
+        docids, scores = self._evaluate(plan)
         if allowed is not None:
             keep = np.isin(docids, allowed)
             docids, scores = docids[keep], scores[keep]
@@ -726,20 +684,12 @@ class QueryEngine:
         values come from the index's doc-values plane
         (``reader.attributes_for``), fetched for the candidate set
         only. → Arrow (external_id, <attr>, rank)."""
-        plan = self.parser.parse(query, self.model.default_op)
+        plan = self._parse(query)
         if plan is None:
             return pa.table({"external_id": pa.array([], pa.string()),
                              attr: pa.array([]),
                              "rank": pa.array([], pa.int32())})
-        plan = self._expand_prefixes(plan)
-        cache = self._fetch(plan)
-        self._build_dlut(cache)
-        docids = self._eval_sop(plan, cache).docids
-        dels = self.reader.deleted_docids()
-        if dels.size:
-            idx = np.searchsorted(dels, docids)
-            idx[idx == dels.size] = 0
-            docids = docids[dels[idx] != docids]
+        docids = self._evaluate(plan)[0]
         vals = self.reader.attributes_for(docids, [attr])[attr]
         exts = self.reader.external_ids_for(docids)
         t = pa.table({"external_id": pa.array(exts),
@@ -772,24 +722,20 @@ class QueryEngine:
                 "term_score": []}
         if ext:
             ids = self.reader.internal_docids_for(ext)
-            plan = self._expand_prefixes(
-                self.parser.parse(query, m.default_op))
-            cache = self._fetch(plan)
-            self._build_dlut(cache)
+            cache = self._load(self._parse(query))
             N = self.reader.n_docs
             for (term, field), inv in sorted(cache.items()):
                 if inv.docids.size == 0:
                     continue
-                idf = max(0.0, np.log((N - inv.df + 0.5) / (inv.df + 0.5)))
+                idf = bm25_idf(N, inv.df)
                 pos = np.searchsorted(inv.docids, ids)
                 pc_ = np.minimum(pos, inv.docids.size - 1)
                 hit = inv.docids[pc_] == ids
                 if not hit.any():
                     continue
                 tf = inv.tfs[pc_[hit]].astype(np.float64)
-                dl = self._dl(field, ids[hit])
-                tfw = tf / (tf + m.k1 * ((1.0 - m.b)
-                                         + m.b * dl / self.reader.avg_len(field)))
+                tfw = bm25_tfw(tf, self._dl(field, ids[hit]), m.k1, m.b,
+                               self.reader.avg_len(field))
                 for j, e in zip(np.flatnonzero(hit), range(hit.sum())):
                     cols["external_id"].append(ext[j])
                     cols["term"].append(term)
@@ -799,22 +745,7 @@ class QueryEngine:
                     cols["idf"].append(idf)
                     cols["tf_weight"].append(float(tfw[e]))
                     cols["term_score"].append(idf * float(tfw[e]))
-        order = sorted(range(len(cols["term"])),
-                       key=lambda i: (cols["external_id"][i],
-                                      cols["term"][i], cols["field"][i]))
-        return pa.table({
-            "external_id": pa.array([cols["external_id"][i] for i in order],
-                                    pa.string()),
-            "term": pa.array([cols["term"][i] for i in order], pa.string()),
-            "field": pa.array([cols["field"][i] for i in order], pa.string()),
-            "tf": pa.array([cols["tf"][i] for i in order], pa.int64()),
-            "df": pa.array([cols["df"][i] for i in order], pa.int64()),
-            "idf": pa.array([cols["idf"][i] for i in order], pa.float64()),
-            "tf_weight": pa.array([cols["tf_weight"][i] for i in order],
-                                  pa.float64()),
-            "term_score": pa.array([cols["term_score"][i] for i in order],
-                                   pa.float64()),
-        })
+        return _explain_table(cols)
 
     def _explain_indri(self, query: str, k: int) -> pa.Table:
         """Indri #AND explain: one row per (top-k doc, query term)
@@ -833,12 +764,8 @@ class QueryEngine:
             toks: list[str] = []
             for tok in query.split():
                 toks.extend(self.parser.analyzer.analyze_query_token(tok))
-            plan = self._expand_prefixes(
-                self.parser.parse(query, m.default_op))
-            cache = self._fetch(plan)
-            self._build_dlut(cache)
+            cache = self._load(self._parse(query))
             n_args = len(toks) if toks else len(cache)
-            mu, lam = m.mu, m.lambda_
             for (term, field), inv in sorted(cache.items()):
                 mle = inv.ctf / max(
                     self.reader.sum_field_lengths(field), 1)
@@ -851,7 +778,7 @@ class QueryEngine:
                     np.zeros(ids.size, bool)
                 tf = np.where(hit, inv.tfs[pc_] if inv.tfs.size else 0,
                               0).astype(np.float64)
-                p = (1.0 - lam) * (tf + mu * mle) / (dl + mu) + lam * mle
+                p = dirichlet(tf, dl, mle, m.mu, m.lambda_)
                 mult = toks.count(term) if toks else 1
                 for j in range(len(ext)):
                     cols["external_id"].append(ext[j])
@@ -861,21 +788,7 @@ class QueryEngine:
                     cols["ctf"].append(int(inv.ctf))
                     cols["p"].append(float(p[j]))
                     cols["weight"].append(mult / n_args)
-        order = sorted(range(len(cols["term"])),
-                       key=lambda i: (cols["external_id"][i],
-                                      cols["term"][i], cols["field"][i]))
-        return pa.table({
-            "external_id": pa.array([cols["external_id"][i] for i in order],
-                                    pa.string()),
-            "term": pa.array([cols["term"][i] for i in order], pa.string()),
-            "field": pa.array([cols["field"][i] for i in order],
-                              pa.string()),
-            "tf": pa.array([cols["tf"][i] for i in order], pa.int64()),
-            "ctf": pa.array([cols["ctf"][i] for i in order], pa.int64()),
-            "p": pa.array([cols["p"][i] for i in order], pa.float64()),
-            "weight": pa.array([cols["weight"][i] for i in order],
-                               pa.float64()),
-        })
+        return _explain_table(cols)
 
     def run_queries(self, queries: list[tuple[str, str]], k: int = 100) -> pa.Table:
         tables = []
@@ -883,20 +796,27 @@ class QueryEngine:
             t = self.search(q, k)
             t = t.append_column("qid", pa.array([qid] * t.num_rows, pa.string()))
             tables.append(t)
-        return pa.concat_tables(tables) if tables else _empty_results(with_qid=True)
+        return pa.concat_tables(tables) if tables else empty_results(with_qid=True)
 
 
 def _union(arrs: list[np.ndarray]) -> np.ndarray:
     return np.unique(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
 
 
-def _empty_results(with_qid: bool = False) -> pa.Table:
-    cols = {"external_id": pa.array([], pa.string()),
-            "score": pa.array([], pa.float64()),
-            "rank": pa.array([], pa.int32())}
-    if with_qid:
-        cols["qid"] = pa.array([], pa.string())
-    return pa.table(cols)
+_EXPLAIN_TYPES = {"external_id": pa.string(), "term": pa.string(),
+                  "field": pa.string(), "tf": pa.int64(), "df": pa.int64(),
+                  "ctf": pa.int64()}
+
+
+def _explain_table(cols: dict) -> pa.Table:
+    """Explain rows ordered by (external_id, term, field); the columns
+    not typed in ``_EXPLAIN_TYPES`` are float64."""
+    order = sorted(range(len(cols["term"])),
+                   key=lambda i: (cols["external_id"][i], cols["term"][i],
+                                  cols["field"][i]))
+    return pa.table({c: pa.array([v[i] for i in order],
+                                 _EXPLAIN_TYPES.get(c, pa.float64()))
+                     for c, v in cols.items()})
 
 
 def expand_wildcards(node, reader):
@@ -907,7 +827,7 @@ def expand_wildcards(node, reader):
     Zero matches keeps the marked term, which fetches as an empty
     posting list; one match collapses to the plain term. Expansion hits
     the vocabulary metadata only. Shared by the interactive engine
-    (``QueryEngine._expand_prefixes``) and the distributed structured
+    (``QueryEngine._parse``) and the distributed structured
     batch paths, so a wildcard means the same thing on every path."""
     if node is None:
         return None

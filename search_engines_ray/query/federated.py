@@ -24,9 +24,10 @@ GLOBAL df/ctf (what the reference scores with,
 ``QryIop.java:139-151``) is the sum of the per-segment derived
 df/ctf — and phase B scores each segment with those sums patched onto
 the locally-derived lists (``QueryEngine.iop_stats_override``; the
-per-segment derived InvLists are cached so each subtree evaluates
-once). Wildcard / fuzzy / regexp markers rewrite over the UNION
-vocabulary (``_UnionVocab`` — Lucene MultiReader rewrite semantics:
+derived InvLists phase A evaluates per segment are handed to phase B of
+the same search, so each subtree evaluates once, and are dropped when
+the search returns). Wildcard / fuzzy / regexp markers rewrite over the
+UNION vocabulary (``_UnionVocab`` — Lucene MultiReader rewrite semantics:
 same ordering, same ``max_terms`` budget as the merged dictionary),
 then every segment evaluates the identical expanded plan
 (``QueryEngine.search_plan``).
@@ -41,10 +42,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..index.reader import IndexReader, Posting
-from .eval import QueryEngine
-from .models import RetrievalModel
-from .parser import QueryParser
+from .eval import InvList, QueryEngine, eval_iop_tree, expand_wildcards
+from .kernels import bm25_idf, bm25_tfw
+from .models import BM25Model, IndriModel, RetrievalModel
+from .parser import QueryParser, split_negations
 from .plan import IopNode, PlanNode, ScoreNode, SopNode, TermNode
+from .trec import empty_results
 
 
 class _GlobalStatsView:
@@ -213,9 +216,6 @@ class FederatedEngine:
                                     self._df_ctf)
             eng = QueryEngine(view, self.model, self.parser)
             eng.iop_stats_override = self._iop_global
-            # phase A derives + caches, phase B reuses — the one caller
-            # that needs derived lists to survive across _eval_iop calls
-            eng.cache_iop_lists = True
             self._engines.append(eng)
 
     def _global_df_ctf(self, acc: dict) -> tuple[dict, dict]:
@@ -261,16 +261,20 @@ class FederatedEngine:
         each segment scores with global stats, cuts its own exact
         top-k, and the driver merges N·k rows. ``-term`` MUST_NOT
         clauses apply per segment (docid filters need no global
-        stats); routing collects only the positive terms."""
-        from .eval import expand_wildcards
-        from .parser import split_negations
+        stats); routing collects only the positive terms. Derived
+        lists phase A hands to phase B live only for this call."""
+        try:
+            return self._search(query, k, early_stop)
+        finally:
+            for eng in self._engines:
+                eng._iop_inv_cache.clear()
+
+    def _search(self, query: str, k: int, early_stop: bool) -> pa.Table:
         positive, negs = split_negations(query)
         plan = self.parser.parse(positive, self.model.default_op) \
             if positive.strip() else None
         if plan is None:
-            return pa.table({"external_id": pa.array([], pa.string()),
-                             "score": pa.array([], pa.float64()),
-                             "rank": pa.array([], pa.int32())})
+            return empty_results()
         # wildcard/fuzzy/regexp rewrite ONCE over the union vocabulary
         # (MultiReader semantics) — segments then evaluate the identical
         # expanded plan via search_plan, never re-expanding locally
@@ -293,12 +297,11 @@ class FederatedEngine:
         # segment and sum (df, ctf) across segments — segments
         # partition docids, so the sums ARE the merged index's derived
         # stats (QryIop.getDf/getCtf). Each per-segment derived InvList
-        # is cached inside its engine (_iop_inv_cache), so phase B
-        # re-uses the evaluation instead of re-running the kernels.
-        # Only segments holding at least one argument term can derive a
-        # non-empty list; the rest contribute (0, 0) without a fetch.
-        if iops:
-            from .eval import InvList
+        # goes into its engine's _iop_inv_cache, so phase B re-uses the
+        # evaluation instead of re-running the kernels; search() empties
+        # the caches when it returns. Only segments holding at least one
+        # argument term can derive a non-empty list; the rest contribute
+        # (0, 0) without a fetch.
         for ikey, node in iops.items():
             if ikey in self._iop_global:
                 continue
@@ -311,10 +314,10 @@ class FederatedEngine:
                            for kk in arg_keys):
                     # no argument postings here: derived list is empty
                     # by construction — pin the cache without a fetch
-                    eng._iop_inv_cache.setdefault(
-                        ikey, InvList.empty(ikey[0]))
+                    eng._iop_inv_cache[ikey] = InvList.empty(ikey[0])
                     continue
-                inv = eng._eval_iop(node, eng._fetch(node))
+                inv = eval_iop_tree(node, eng._fetch(node))
+                eng._iop_inv_cache[ikey] = inv
                 gdf += int(inv.df)
                 gctf += int(inv.ctf)
             self._iop_global[ikey] = (gdf, gctf)
@@ -326,13 +329,11 @@ class FederatedEngine:
         # every segment's docs rankable.
         keys = [(t, f) for f, ts in acc.items() for t in ts]
         live = list(range(len(self._engines)))
-        from .models import IndriModel
         if not isinstance(self.model, IndriModel):
             live = [i for i in live
                     if any(i in self._presence.get(key, ()) for key in keys)]
         self.last_skipped = len(self._engines) - len(live)
         self.last_early_stopped = 0
-        from .models import BM25Model
         # UB early termination needs block-max (max_tf) metadata, which
         # derived lists don't have — structured plans take the full
         # best-bound-free scan (still exact, still routed)
@@ -360,8 +361,9 @@ class FederatedEngine:
                     if mt <= 0:
                         continue
                     df = self._df_ctf.get((t, f), (0, 0))[0]
-                    idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                    tot += m * idf * (mt / (mt + k1 * (1.0 - b)))
+                    # dl = 0: the smallest length prior, B = 1 − b
+                    tot += m * bm25_idf(N, df) * bm25_tfw(mt, 0.0, k1, b,
+                                                          1.0)
                 ub[i] = tot
             order_live = sorted(live, key=lambda i: (-ub[i], i))
             parts = []
@@ -373,25 +375,21 @@ class FederatedEngine:
                 parts.append(self._engines[i].search_plan(
                     plan, k=k, neg_tokens=negs))
                 if sum(p.num_rows for p in parts) >= k:
-                    m0 = pa.concat_tables(parts)
-                    o0 = pc.sort_indices(m0, sort_keys=[
-                        ("score", "descending"),
-                        ("external_id", "ascending")])
-                    kth = m0.take(o0[k - 1:k])["score"][0].as_py()
+                    kth = _merge_ranked(parts, k)["score"][k - 1].as_py()
         else:
             parts = [self._engines[i].search_plan(plan, k=k,
                                                   neg_tokens=negs)
                      for i in live]
-        if not parts:
-            return pa.table({"external_id": pa.array([], pa.string()),
-                             "score": pa.array([], pa.float64()),
-                             "rank": pa.array([], pa.int32())})
-        merged = pa.concat_tables(parts)
-        order = pc.sort_indices(merged, sort_keys=[
-            ("score", "descending"), ("external_id", "ascending")])
-        top = merged.take(order[:k])
-        return pa.table({
-            "external_id": top["external_id"],
-            "score": top["score"],
-            "rank": pa.array(np.arange(1, top.num_rows + 1, dtype=np.int32)),
-        })
+        return _merge_ranked(parts, k)
+
+
+def _merge_ranked(parts: list[pa.Table], k: int) -> pa.Table:
+    """Global top-k of per-segment (external_id, score, rank) tables in
+    reference order (score desc, externalId asc), re-ranked."""
+    if not parts:
+        return empty_results()
+    merged = pa.concat_tables(parts)
+    top = merged.take(pc.sort_indices(merged, sort_keys=[
+        ("score", "descending"), ("external_id", "ascending")])[:k])
+    return top.set_column(2, "rank", pa.array(
+        np.arange(1, top.num_rows + 1, dtype=np.int32)))

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..analysis.tokenizer import Analyzer
 from ..index.reader import IndexReader
+from .kernels import bm25, bm25_idf, dirichlet
 from .models import BM25Model, IndriModel
 
 N_FEATURES = 18
@@ -86,13 +87,10 @@ class FeatureExtractor:
             if t_tf > 0:
                 matched += 1
                 any_match = True
-                idf = max(0.0, np.log((N - df + 0.5) / (df + 0.5)))
-                tfw = t_tf / (t_tf + self.bm25.k1 * (
-                    (1 - self.bm25.b) + self.bm25.b * flen / avglen))
-                bm25_s += idf * tfw
-            mle = ctf / sum_len
-            s = ((1 - self.indri.lambda_) * (t_tf + self.indri.mu * mle)
-                 / (flen + self.indri.mu) + self.indri.lambda_ * mle)
+                bm25_s += bm25(bm25_idf(N, df), t_tf, flen, self.bm25.k1,
+                               self.bm25.b, avglen)
+            s = dirichlet(t_tf, flen, ctf / sum_len, self.indri.mu,
+                          self.indri.lambda_)
             indri_s *= s ** (1.0 / k)
         if not any_match:
             indri_s = 0.0

@@ -34,17 +34,20 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..analysis.tokenizer import Analyzer, analyzer_for_mode
+from ..analysis.tokenizer import analyzer_for_mode
 from ..index.reader import IndexReader
+from .kernels import bm25, bm25_idf, bm25_tfw
 from .models import BM25Model
+from .trec import drop_deleted, empty_results, rank_results_candidates
 
 
 def _tfw_ub(max_tf: float, k1: float, b: float, avglen: float) -> float:
-    """max over (tf ≤ max_tf, dl ≥ tf) of tf/(tf + k1((1−b) + b·dl/avg))."""
+    """max over (tf ≤ max_tf, dl ≥ tf) of tf/(tf + k1((1−b) + b·dl/avg)):
+    the tf-weight at tf = dl = max_tf."""
     m = float(max_tf)
     if m <= 0:
         return 0.0
-    return m / (m + k1 * ((1.0 - b) + b * m / max(avglen, 1e-9)))
+    return bm25_tfw(m, m, k1, b, max(avglen, 1e-9))
 
 
 def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
@@ -54,7 +57,9 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
     rank-identical to ``QueryEngine.search`` under ``BM25Model``.
 
     ``stats_out``, when given, receives pruning counters
-    (runs_total/runs_decoded/terms_probed)."""
+    (runs_total/runs_decoded/terms_probed). Tombstoned docs
+    (``merge.delete_docs``) never become candidates, so they take no
+    top-k slot and never raise θ; corpus statistics stay as-built."""
     model = model or BM25Model()
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     toks: list[str] = []
@@ -62,11 +67,11 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
         toks.extend(an.analyze_query_token(tok))
     mult = {t: toks.count(t) for t in set(toks)}
     if not mult:
-        return _empty()
+        return empty_results()
 
     meta = reader.postings_meta(list(mult), field)
     if meta is None or meta.num_rows == 0:
-        return _empty()
+        return empty_results()
     m_term = np.asarray(meta["term"].to_pylist(), dtype=object)
     m_salt = meta["salt"].to_numpy()
     m_df = meta["df"].to_numpy()
@@ -76,6 +81,7 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
     N = reader.n_docs
     avglen = reader.avg_len(field)
     k1, b = model.k1, model.b
+    dels = reader.deleted_docids()
 
     # per-term global df → idf (floored, QrySopScore.java:98), term ub
     terms: list[str] = []
@@ -85,8 +91,7 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
     for i in range(m_term.size):
         runs_of.setdefault(m_term[i], []).append(i)
     for t, rows in runs_of.items():
-        df = int(m_df[rows].sum())
-        idf = max(0.0, float(np.log((N - df + 0.5) / (df + 0.5))))
+        idf = bm25_idf(N, int(m_df[rows].sum()))
         idf_of[t] = idf
         ub_of[t] = mult[t] * idf * _tfw_ub(m_maxtf[rows].max(), k1, b, avglen)
         terms.append(t)
@@ -111,9 +116,8 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
         # candidate-set lookup (one pruned scan per decoded term), not
         # the dense O(n_docs) doclens array — VERDICT r2 item 1
         dl = reader.doclens_for(docids, [field])[field].astype(np.float64)
-        tf = tfs.astype(np.float64)
-        tfw = tf / (tf + k1 * ((1.0 - b) + b * dl / avglen))
-        return idf_of[t] * tfw * mult[t]
+        return bm25(idf_of[t], tfs.astype(np.float64), dl, k1, b,
+                    avglen) * mult[t]
 
     i = 0
     # ---- union phase: new docs can still qualify ----
@@ -128,8 +132,9 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
         i += 1
         if post is None:
             continue
-        sc = leaf_scores(post.tfs, post.docids, t)
-        all_doc = np.concatenate((cand_doc, post.docids))
+        docids, tfs = drop_deleted(dels, post.docids, post.tfs)
+        sc = leaf_scores(tfs, docids, t)
+        all_doc = np.concatenate((cand_doc, docids))
         all_sc = np.concatenate((cand_sc, sc))
         cand_doc, inv = np.unique(all_doc, return_inverse=True)
         cand_sc = np.zeros(cand_doc.size, dtype=np.float64)
@@ -164,32 +169,10 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
             sc = leaf_scores(post.tfs[pos_c[hit]], cand_doc[hit], t)
             cand_sc[hit] += sc
 
-    # final exact cut (drops below-θ stragglers kept conservatively)
     if stats_out is not None:
         stats_out.update(runs_total=runs_total, runs_decoded=runs_decoded,
                          terms_probed=terms_probed, candidates=cand_doc.size)
-    if cand_doc.size == 0:
-        return _empty()
-    # tie-safe cut: keep EVERY candidate at or above the kth score, so
-    # the (score desc, external_id asc) tie-break sees all contenders
-    if cand_sc.size > k:
-        kth = np.partition(cand_sc, -k)[-k]
-        sel = cand_sc >= kth
-        docs = cand_doc[sel]
-        scores = cand_sc[sel]
-    else:
-        docs = cand_doc
-        scores = cand_sc
-    eids = reader.external_ids_for(docs)
-    order = np.lexsort((eids, -scores))[:k]
-    return pa.table({
-        "external_id": pa.array(eids[order].tolist(), pa.string()),
-        "score": pa.array(scores[order], pa.float64()),
-        "rank": pa.array(np.arange(1, order.size + 1, dtype=np.int32)),
-    })
-
-
-def _empty() -> pa.Table:
-    return pa.table({"external_id": pa.array([], pa.string()),
-                     "score": pa.array([], pa.float64()),
-                     "rank": pa.array([], pa.int32())})
+    # final exact cut (drops below-θ stragglers kept conservatively);
+    # BM25 scores are >= 0, so its score filter removes nothing
+    return rank_results_candidates(cand_doc, cand_sc,
+                                   reader.external_ids_for, k)

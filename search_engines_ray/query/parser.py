@@ -171,7 +171,7 @@ class QueryParser:
         through the analyzer's char normalization, and the star is
         re-attached to the last produced term — the engine expands it
         against the indexed vocabulary at plan time
-        (``QueryEngine._expand_prefixes``). Lucene's analogue is the
+        (``QueryEngine._parse``). Lucene's analogue is the
         ``PrefixQuery`` rewrite to a term disjunction.
 
         A trailing ``~`` / ``~1`` / ``~2`` marks a FUZZY term (Lucene
@@ -189,7 +189,7 @@ class QueryParser:
             # pattern bypasses the analyzer entirely (Lucene does not
             # analyze regexp terms either) and the engine expands it
             # against the indexed vocabulary at plan time
-            # (QueryEngine._expand_prefixes → terms_matching_regex).
+            # (QueryEngine._parse → terms_matching_regex).
             return [TermNode(term=tok, field=field)]
         marker = ""
         lead = ""

@@ -1,12 +1,38 @@
 """Result ordering + trec_eval output — the reference's ``ScoreList``
 sort/truncate contract (``/root/reference/QryEval/ScoreList.java:87-126``)
-and ``printResults`` writer (``QryEval.java:781-801``).
+and ``printResults`` writer (``QryEval.java:781-801``). Search paths
+finish here: ``drop_deleted`` (the tombstone mask, also applied inside
+each distributed salt task) before the top-k cut,
+``rank_results_candidates``, and ``empty_results`` when nothing parses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+
+def drop_deleted(dels: np.ndarray | None, docids: np.ndarray, *cols):
+    """Tombstone mask (``merge.delete_docs``), the one every search path
+    applies after scoring and before its top-k cut: → ``(docids, *cols)``
+    without the docids in the sorted ``dels``. A sorted probe, never
+    O(n_docs)."""
+    if dels is None or dels.size == 0:
+        return (docids, *cols)
+    idx = np.searchsorted(dels, docids)
+    idx[idx == dels.size] = 0
+    keep = dels[idx] != docids
+    return (docids[keep], *(c[keep] for c in cols))
+
+
+def empty_results(with_qid: bool = False) -> pa.Table:
+    """The empty (external_id, score, rank[, qid]) result table."""
+    cols = {"external_id": pa.array([], pa.string()),
+            "score": pa.array([], pa.float64()),
+            "rank": pa.array([], pa.int32())}
+    if with_qid:
+        cols["qid"] = pa.array([], pa.string())
+    return pa.table(cols)
 
 
 def rank_results(docids: np.ndarray, scores: np.ndarray,

@@ -361,6 +361,26 @@ def test_federated_matches_full(merged_and_full):
         assert got["score"].to_pylist() == want["score"].to_pylist(), q
 
 
+def test_federated_derived_lists_live_one_search(merged_and_full):
+    """Derived lists phase A hands to phase B are dropped when the
+    search returns, for routed-away segments too: 200 distinct #NEAR
+    shapes leave every engine's derived-list cache empty."""
+    from search_engines_ray.query.federated import FederatedEngine
+    from search_engines_ray.query.models import BM25Model
+
+    fed = FederatedEngine([merged_and_full["a"], merged_and_full["b"]],
+                          BM25Model())
+    for n in range(1, 201):
+        # odd n: both segments derive the list; even n: only segment a
+        # holds 'quick' and 'lazy', so phase A pins an empty list in b
+        # and routing then skips b
+        q = f"#sum(#near/{n}(quick fox) lazy)" if n % 2 else \
+            f"#sum(#near/{n}(quick lazy))"
+        fed.search(q, k=10)
+        assert fed.last_skipped == 1 - n % 2, q
+        assert all(not eng._iop_inv_cache for eng in fed._engines), q
+
+
 def test_federated_segment_routing(merged_and_full):
     """Shard selection: a segment with zero local postings for every
     query term is skipped for BM25/boolean (exact — candidates are
