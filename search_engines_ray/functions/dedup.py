@@ -758,12 +758,11 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         order = np.argsort(rid, kind="stable")
         rid, rb = rid[order], rb[order]
         req_ref = ray.put((rid, rb))
-        cache_key = ("lsh_req_bcast", req_ref.hex())
 
         def attach_bcast(b: pa.Table) -> pa.Table:
-            from ..util import proc_cached
-            rid_s, rb_s = proc_cached(cache_key,
-                                      lambda: ray.get(req_ref))
+            # zero-copy plasma views, released with the task: a
+            # process cache would pin every run's requests for good
+            rid_s, rb_s = ray.get(req_ref)
             ids = np.asarray(b[id_col].to_pandas().to_numpy())
             lo = np.searchsorted(rid_s, ids, side="left")
             hi = np.searchsorted(rid_s, ids, side="right")

@@ -64,6 +64,20 @@ def _id_hash64(ids: list, auditable: bool = False) -> np.ndarray:
                                categorize=False)
 
 
+def _tie_ids(b: pa.Table, id_col: str):
+    """``(ids, arrow type)`` of a batch's id column for the tie-break
+    sort: int64 for integer ids, the native strings (an object array,
+    which lexsort orders) for string ids; any other type raises."""
+    typ = b.schema.field(id_col).type
+    ids = b[id_col].to_pylist()
+    if pa.types.is_integer(typ):
+        return np.asarray(ids, dtype=np.int64), pa.int64()
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        return np.asarray(ids, dtype=object), typ
+    raise ValueError(f"id column {id_col!r} must hold integer or string "
+                     f"ids, not {typ}")
+
+
 def hash_sample(ds, k: int = 100, id_col: str = "doc_id",
                 auditable: bool = False):
     """→ Dataset (``id_col``, sample_rank 0..k−1) of the k rows with
@@ -74,11 +88,10 @@ def hash_sample(ds, k: int = 100, id_col: str = "doc_id",
     arithmetic — identical on every run and every cluster."""
 
     def partial(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_pylist()
-        h = _id_hash64(ids, auditable)
-        ids_np = np.asarray(ids, dtype=np.int64)
+        ids_np, typ = _tie_ids(b, id_col)
+        h = _id_hash64(ids_np, auditable)
         order = np.lexsort((ids_np, h))[:k]
-        return pa.table({id_col: pa.array(ids_np[order]),
+        return pa.table({id_col: pa.array(ids_np[order], typ),
                          "h": pa.array(h[order])})
 
     def final(b: pa.Table) -> pa.Table:
@@ -86,7 +99,7 @@ def hash_sample(ds, k: int = 100, id_col: str = "doc_id",
         h = b["h"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, h))[:k]
         return pa.table({
-            id_col: pa.array(ids[order]),
+            id_col: pa.array(ids[order], b.schema.field(id_col).type),
             "sample_rank": pa.array(np.arange(len(order), dtype=np.int64))})
 
     # candidates are ≤ k per input block — one tiny block merges exactly
@@ -176,13 +189,12 @@ def stratified_sample(ds, strata_col: str, id_col: str = "doc_id",
         return order[keep], rank[keep]
 
     def partial(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_pylist()
+        ids_np, typ = _tie_ids(b, id_col)
         strata = np.asarray(b[strata_col].to_pylist(), dtype=object)
-        h = _id_hash64(ids, auditable)
-        ids_np = np.asarray(ids, dtype=np.int64)
+        h = _id_hash64(ids_np, auditable)
         keep, _ = _cut(strata, ids_np, h, k)
         return pa.table({strata_col: pa.array(strata[keep].tolist()),
-                         id_col: pa.array(ids_np[keep]),
+                         id_col: pa.array(ids_np[keep], typ),
                          "h": pa.array(h[keep])})
 
     def final(b: pa.Table) -> pa.Table:
@@ -192,7 +204,7 @@ def stratified_sample(ds, strata_col: str, id_col: str = "doc_id",
         keep, rank = _cut(strata, ids, h, k)
         return pa.table({
             strata_col: pa.array(strata[keep].tolist()),
-            id_col: pa.array(ids[keep]),
+            id_col: pa.array(ids[keep], b.schema.field(id_col).type),
             "sample_rank": pa.array((rank + 1).astype(np.int64))})
 
     return ds.map_batches(partial, batch_format="pyarrow") \
@@ -215,17 +227,14 @@ def weighted_sample(ds, weight_col: str, k: int = 100,
     The canonical use: quality-weighted corpus subsampling, where w is
     a quality score and the audit trail matters."""
 
-    def keys(b: pa.Table):
-        ids = b[id_col].to_pylist()
-        h = _id_hash64(ids, auditable)
+    def partial(b: pa.Table) -> pa.Table:
+        ids_np, typ = _tie_ids(b, id_col)
+        h = _id_hash64(ids_np, auditable)
         u = (h.astype(np.float64) + 1.0) / 18446744073709551616.0
         w = b[weight_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        return np.asarray(ids, dtype=np.int64), np.log(u) / w
-
-    def partial(b: pa.Table) -> pa.Table:
-        ids_np, key = keys(b)
+        key = np.log(u) / w
         order = np.lexsort((ids_np, -key))[:k]
-        return pa.table({id_col: pa.array(ids_np[order]),
+        return pa.table({id_col: pa.array(ids_np[order], typ),
                          "key": pa.array(key[order])})
 
     def final(b: pa.Table) -> pa.Table:
@@ -233,7 +242,7 @@ def weighted_sample(ds, weight_col: str, k: int = 100,
         key = b["key"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, -key))[:k]
         return pa.table({
-            id_col: pa.array(ids[order]),
+            id_col: pa.array(ids[order], b.schema.field(id_col).type),
             "sample_rank": pa.array(np.arange(len(order), dtype=np.int64))})
 
     return ds.map_batches(partial, batch_format="pyarrow") \

@@ -341,6 +341,22 @@ def value_histogram(ds, value_col: str, group_col: str,
         .groupby("part").map_groups(merge_sum, batch_format="pandas")
 
 
+# rows per int64 Σc² chunk: 32768 · 16777215² < 2⁶³, so a chunk's dot
+# is exact for |cents| ≤ _SS_MAX_CENTS (|values| ≤ ~167k on the 2-dp grid)
+_SS_CHUNK = 32768
+_SS_MAX_CENTS = math.isqrt((2 ** 63 - 1) // _SS_CHUNK)
+
+
+def _sum_squares(c: np.ndarray) -> int:
+    """Exact Σc² of int64 cents: int64 dots over chunks that cannot
+    overflow, summed as Python ints; cents beyond the chunk bound sum
+    as Python ints throughout."""
+    if c.size and max(int(c.max()), -int(c.min())) > _SS_MAX_CENTS:
+        return sum(x * x for x in c.tolist())
+    return sum(int(np.dot(ch, ch))
+               for ch in np.array_split(c, c.size // _SS_CHUNK + 1))
+
+
 def value_stats(ds, value_col: str, group_col: str,
                 num_parts: int | None = None):
     """ES ``extended_stats`` aggregation, BIT-EXACT under any
@@ -370,13 +386,8 @@ def value_stats(ds, value_col: str, group_col: str,
         out = pd.DataFrame({
             "n": g.size().astype(np.int64),
             "s": g.sum().astype(object),          # exact int partials
-            # chunked exact Σc²: each 64k-row chunk's int64 dot stays
-            # exact for |values| ≤ ~120k on the 2-dp grid; chunks sum
-            # as Python ints (no overflow at any corpus size)
-            "ss": g.apply(lambda v: sum(
-                int(np.dot(ch, ch)) for ch in np.array_split(
-                    v.to_numpy(), max(1, v.size // 65536 + 1)))
-            ).astype(object),
+            "ss": g.apply(lambda v: _sum_squares(v.to_numpy())
+                          ).astype(object),
             "mn": g.min().astype(np.int64),
             "mx": g.max().astype(np.int64),
         }).reset_index()

@@ -6,13 +6,22 @@ Driver-side, pyarrow-only (no Ray session required): query evaluation
 reads a handful of term posting lists via bucket-pruned parquet scans.
 The distributed scoring path (``query/distributed.py``) reads the same
 layout from Ray tasks, one salt per task, through a per-worker
-hive-partitioned dataset handle.
+hive-partitioned dataset handle and a per-worker reader.
+
+Doc lengths, external ids and attributes come from one byte-budgeted
+LRU of forward shards. A shard is one column of one fixed block of
+``FORWARD_BLOCK`` docids inside a pid's range, so its size does not grow
+with the corpus. A lookup splits its docids into blocks, loads the
+missing blocks in one forward scan that keeps only their rows, and
+gathers from memory: a warm reader answers a query without touching
+parquet, and never holds more than ``FORWARD_CACHE_BYTES`` of shards.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +30,15 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from ..util import ByteLRU
 from .build import DOCMETA_DIR, FORWARD_DIR, POSTINGS_DIR, STATS_FILE, term_bucket
 from .varbyte import decode_postings
+
+# resident bytes of one reader's forward-shard cache
+FORWARD_CACHE_BYTES = 64 << 20
+# docids per forward shard (one block of a pid's docid_local range)
+FORWARD_BLOCK = 1024
+_STR_HEADER = sys.getsizeof("")
 
 
 @dataclass
@@ -59,6 +75,11 @@ class IndexReader:
         self._doclens: dict[str, np.ndarray] = {}
         self._external_ids: np.ndarray | None = None
         self._fwd_dset = None
+        self._pid_offsets = None
+        # (block key, forward column) → dense shard; see _shards
+        self.forward_cache = ByteLRU(FORWARD_CACHE_BYTES)
+        self._block = FORWARD_BLOCK
+        self._stride = None
 
     def _forward_dataset(self):
         """Cached pyarrow dataset handle for the forward table — the
@@ -146,37 +167,17 @@ class IndexReader:
 
     def internal_docid(self, external_id: str) -> int:
         """Reference ``Idx.getInternalDocid`` (Idx.java:100-116): −1 when
-        absent. A filtered forward scan — never materializes the dense
-        id array (unless a caller already warmed it, which then answers
-        ~100× faster)."""
-        if self._external_ids is not None:
-            hits = np.flatnonzero(self._external_ids == external_id)
-            return int(hits[0]) if hits.size else -1
-        t = self._forward_dataset().to_table(
-            columns=["pid", "docid_local"],
-            filter=pc.field("external_id") == external_id)
-        if t.num_rows == 0:
-            return -1
-        docids = (self.pid_offsets[t["pid"].to_numpy()]
-                  + t["docid_local"].to_numpy())
-        return int(docids.min())
+        absent."""
+        return int(self.internal_docids_for([external_id])[0])
 
     def internal_docids_for(self, external_ids: list[str]) -> np.ndarray:
         """Batched ``internal_docid``: ONE filtered forward scan for a
         candidate set of external ids (initial-ranking readers, LeToR) —
-        −1 where absent, aligned with the input order."""
+        −1 where absent, aligned with the input order. A duplicated
+        external id resolves to its SMALLEST docid (ADVICE r3)."""
         ext = list(external_ids)
         if not ext:
             return np.empty(0, np.int64)
-        if self._external_ids is not None:
-            # first occurrence wins (setdefault): a duplicated external
-            # id must resolve to the SMALLEST docid on every path —
-            # internal_docid and the scan path below both take the min
-            # (ADVICE r3)
-            lut: dict = {}
-            for i, e in enumerate(self._external_ids):
-                lut.setdefault(e, i)
-            return np.asarray([lut.get(e, -1) for e in ext], dtype=np.int64)
         t = self._forward_dataset().to_table(
             columns=["pid", "docid_local", "external_id"],
             filter=pc.field("external_id").isin(ext))
@@ -189,29 +190,15 @@ class IndexReader:
         return np.asarray([lut.get(e, -1) for e in ext], dtype=np.int64)
 
     # ---- sharded lookups (scale path: never materialize a dense
-    # n_docs-sized array; shard = one pid's contiguous docid range) ----
+    # n_docs-sized array; shard = one FORWARD_BLOCK of a pid's range) ----
     @property
     def pid_offsets(self) -> np.ndarray:
         """Docid-range boundaries per pid (len P+1): pid p owns docids
         [off[p], off[p+1]). Written by the build's stats pass."""
-        return np.asarray(self.stats["pid_offsets"], dtype=np.int64)
-
-    def doclen_shard(self, field: str, pid: int) -> np.ndarray:
-        """Dense int32 lengths for ONE pid's docid range, index shifted by
-        ``pid_offsets[pid]`` — a column-pruned, row-group-stat-pruned scan
-        of the forward table (each forward block holds one pid, so
-        parquet min/max stats on ``pid`` skip unrelated files/row
-        groups)."""
-        off = self.pid_offsets
-        lo, hi = int(off[pid]), int(off[pid + 1])
-        arr = np.zeros(hi - lo, dtype=np.int32)
-        if hi == lo:
-            return arr
-        t = self._forward_dataset().to_table(
-            columns=["docid_local", f"len_{field}"],
-                          filter=pc.field("pid") == pid)
-        arr[t["docid_local"].to_numpy()] = t[f"len_{field}"].to_numpy()
-        return arr
+        if self._pid_offsets is None:
+            self._pid_offsets = np.asarray(self.stats["pid_offsets"],
+                                           dtype=np.int64)
+        return self._pid_offsets
 
     def _split_docids(self, docids: np.ndarray):
         """global docid → (pid, docid_local) via the pid_offsets map."""
@@ -219,29 +206,105 @@ class IndexReader:
         pids = np.searchsorted(off, docids, side="right") - 1
         return pids, docids - off[pids]
 
+    def _block_keys(self, docids: np.ndarray):
+        """global docid → (block key, offset inside the block). Block key
+        = pid · ``_stride`` + docid_local // block, ascending with the
+        docid."""
+        pids, locals_ = self._split_docids(docids)
+        if self._stride is None:
+            widest = int(np.diff(self.pid_offsets).max(initial=0))
+            self._stride = widest // self._block + 1
+        blk, rel = np.divmod(locals_, self._block)
+        return pids * self._stride + blk, rel
+
+    def _shards(self, keys: list[int], cols: list[str]) -> dict:
+        """``{(key, col): dense shard}`` for every block key and column,
+        from the cache; the missing blocks load in ONE forward scan whose
+        filter keeps only their rows (the ``pid`` conjunct lets parquet
+        stats skip unrelated files and row groups)."""
+        got, miss = {}, set()
+        for k in keys:
+            for c in cols:
+                v = self.forward_cache.get((k, c))
+                if v is None:
+                    miss.add(k)
+                else:
+                    got[k, c] = v
+        if not miss:
+            return got
+        want = sorted(miss)
+        B, S = self._block, self._stride       # set by _block_keys
+        key = pc.field("pid").cast(pa.int64()) * S + pc.field("docid_local") / B
+        t = self._forward_dataset().to_table(
+            columns=["pid", "docid_local"] + cols,
+            filter=(pc.field("pid").isin(sorted({k // S for k in want}))
+                    & key.isin(want)))
+        off = self.pid_offsets
+        pid, local = t["pid"].to_numpy(), t["docid_local"].to_numpy()
+        # stable sort by global docid: linear when the scan is in order
+        order = np.argsort(off[pid] + local, kind="stable")
+        tk = (pid.astype(np.int64) * S + local // B)[order]
+        lo = np.searchsorted(tk, want, side="left")
+        hi = np.searchsorted(tk, want, side="right")
+        for k, a, b in zip(want, lo, hi):
+            p, blk = divmod(k, S)
+            n = min(B, int(off[p + 1] - off[p]) - blk * B)
+            if b - a != n:
+                raise ValueError(f"forward table holds {b - a} rows of pid {p} "
+                                 f"block {blk}, pid_offsets say {n}")
+        for c in cols:
+            vals = t[c].to_numpy(zero_copy_only=False)
+            # bytes per row: the slot, plus the Python object it points
+            # to (a str is header + UTF-8 bytes, exact for ASCII)
+            row = np.full(t.num_rows, vals.itemsize, np.int64)
+            if pa.types.is_string(t[c].type):
+                row += _STR_HEADER + pc.binary_length(t[c]).fill_null(
+                    0).to_numpy()
+            elif vals.dtype == object:
+                row += np.fromiter(map(sys.getsizeof, vals), np.int64,
+                                   vals.size)
+            for k, a, b in zip(want, lo, hi):
+                if (k, c) not in got:
+                    got[k, c] = vals[order[a:b]]
+                    self.forward_cache.put((k, c), got[k, c],
+                                           int(row[order[a:b]].sum()))
+        return got
+
+    def _gather(self, docids: np.ndarray, cols: list[str]) -> dict:
+        """Forward columns aligned with ``docids``: split into blocks,
+        gather from each block's dense shard. Loads only the blocks the
+        docids fall in."""
+        docids = np.asarray(docids, dtype=np.int64)
+        if docids.size == 0:
+            return {c: np.empty(0, object) for c in cols}
+        keys, rel = self._block_keys(docids)
+        # sorted docids (posting unions, top-k tie groups) need no sort
+        order = (None if (keys[1:] >= keys[:-1]).all()
+                 else np.argsort(keys, kind="stable"))
+        sk = keys if order is None else keys[order]
+        bounds = np.flatnonzero(sk[1:] != sk[:-1]) + 1
+        segs = list(zip(sk[np.concatenate(([0], bounds))].tolist(),
+                        [0] + bounds.tolist(), bounds.tolist() + [sk.size]))
+        shards = self._shards([k for k, _, _ in segs], cols)
+        out = {}
+        for c in cols:
+            res = np.empty(docids.size, np.result_type(
+                *[shards[k, c] for k, _, _ in segs]))
+            for k, a, b in segs:
+                idx = slice(a, b) if order is None else order[a:b]
+                res[idx] = shards[k, c][rel[idx]]
+            out[c] = res
+        return out
+
     def doclens_for(self, docids: np.ndarray,
                     fields: list[str]) -> dict[str, np.ndarray]:
         """Per-field int32 lengths aligned with ``docids`` — the
-        candidate-set replacement for ``doclens(field)[docids]``: one
-        pruned forward scan serves every requested field, sized by the
-        query's posting union, never O(n_docs). Docids must exist (they
-        come from postings). Dense arrays already warmed by a caller
-        (small-corpus bench mode) answer directly."""
-        docids = np.asarray(docids, dtype=np.int64)
-        if all(f in self._doclens for f in fields):
-            return {f: self._doclens[f][docids] for f in fields}
-        if docids.size == 0:
-            return {f: np.empty(0, np.int32) for f in fields}
-        pids, locals_ = self._split_docids(docids)
-        t = self._forward_dataset().to_table(
-            columns=["pid", "docid_local"] + [f"len_{f}" for f in fields],
-            filter=pc.field("pid").isin(np.unique(pids).tolist())
-                   & pc.field("docid_local").isin(np.unique(locals_).tolist()))
-        lut_ids = (self.pid_offsets[t["pid"].to_numpy()]
-                   + t["docid_local"].to_numpy())
-        order = np.argsort(lut_ids)
-        pos = np.searchsorted(lut_ids[order], docids)
-        return {f: t[f"len_{f}"].to_numpy()[order][pos].astype(np.int32)
+        candidate-set replacement for ``doclens(field)[docids]``, served
+        from the forward-shard cache (the cold blocks of a lookup load
+        in one scan for every requested field). Docids must exist (they
+        come from postings)."""
+        got = self._gather(docids, [f"len_{f}" for f in fields])
+        return {f: got[f"len_{f}"].astype(np.int32, copy=False)
                 for f in fields}
 
     # ---- doc values (build-time attribute columns; Lucene DocValues) ----
@@ -251,28 +314,15 @@ class IndexReader:
 
     def attributes_for(self, docids: np.ndarray,
                        names: list[str]) -> dict[str, np.ndarray]:
-        """Attribute values aligned with ``docids`` — candidate-set
-        pruned forward scan, same shape as ``doclens_for``; the sort-by
-        -field / post-filter primitive. Never O(n_docs)."""
-        docids = np.asarray(docids, dtype=np.int64)
-        cols = [f"attr_{n}" for n in names]
+        """Attribute values aligned with ``docids`` from the forward-shard
+        cache, same shape as ``doclens_for``; the sort-by-field /
+        post-filter primitive."""
         missing = [n for n in names if n not in self.attributes]
         if missing:
             raise KeyError(f"attributes not in index: {missing} "
                            f"(have {self.attributes})")
-        if docids.size == 0:
-            return {n: np.empty(0, object) for n in names}
-        pids, locals_ = self._split_docids(docids)
-        t = self._forward_dataset().to_table(
-            columns=["pid", "docid_local"] + cols,
-            filter=pc.field("pid").isin(np.unique(pids).tolist())
-                   & pc.field("docid_local").isin(np.unique(locals_).tolist()))
-        lut_ids = (self.pid_offsets[t["pid"].to_numpy()]
-                   + t["docid_local"].to_numpy())
-        order = np.argsort(lut_ids)
-        pos = np.searchsorted(lut_ids[order], docids)
-        return {n: t[f"attr_{n}"].to_numpy(zero_copy_only=False)[order][pos]
-                for n in names}
+        got = self._gather(docids, [f"attr_{n}" for n in names])
+        return {n: got[f"attr_{n}"] for n in names}
 
     def docids_where(self, name: str, value=None, lo=None, hi=None
                      ) -> np.ndarray:
@@ -303,28 +353,10 @@ class IndexReader:
         return np.sort(ids)
 
     def external_ids_for(self, docids: np.ndarray) -> np.ndarray:
-        """External ids aligned with ``docids`` via a filtered forward
-        scan — candidate sets only (top-k × queries), never the corpus.
-        The (pid isin, local isin) parquet filter is a superset (cross
-        product); exact match happens on the fetched rows.
-
-        If a caller already materialized the dense id array (small
-        corpus — e.g. the interactive bench warms it), answer from that
-        instead of scanning: same result, ~100× faster per query."""
-        docids = np.asarray(docids, dtype=np.int64)
-        if self._external_ids is not None:
-            return self._external_ids[docids]
-        pids, locals_ = self._split_docids(docids)
-        t = self._forward_dataset().to_table(
-            columns=["pid", "docid_local", "external_id"],
-            filter=pc.field("pid").isin(np.unique(pids).tolist())
-                   & pc.field("docid_local").isin(np.unique(locals_).tolist()))
-        lut_ids = (self.pid_offsets[t["pid"].to_numpy()]
-                   + t["docid_local"].to_numpy())
-        lut_ext = t["external_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(lut_ids)
-        pos = np.searchsorted(lut_ids[order], docids)
-        return lut_ext[order][pos]
+        """External ids aligned with ``docids`` from the forward-shard
+        cache — candidate sets only (top-k × queries), never the
+        corpus."""
+        return self._gather(docids, ["external_id"])["external_id"]
 
     # ---- postings ----
     def postings_many(self, terms: list[str], field: str,

@@ -15,7 +15,7 @@ scored field) with the engine's floored BM25 idf (``kernels.bm25_idf``,
 QrySopScore.java:90-120 parity).
 
 Driver-side like QueryEngine: postings are bucket-pruned batched reads
-per field, doclens come from the candidate-union pruned scan
+per field, doclens come from the reader's forward-shard cache
 (``reader.doclens_for``) — no O(n_docs) driver allocation. At cluster
 scale the same factorization runs per salt exactly like
 ``distributed.bm25_batch_search``; the per-doc math is embarrassingly

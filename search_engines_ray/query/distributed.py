@@ -17,9 +17,9 @@ a whole query set against a huge index as one ZERO-SHUFFLE Ray job:
 Execution: each entry point plans on the driver, then ``_run_salt_tasks``
 submits one task per salt of a module-level ``@ray.remote`` kernel
 ``(spec, salt) -> pa.Table`` and gathers the partial tables. ``spec`` is
-plain data (index dir, build token, docid-range layout, model
-parameters, k) plus ObjectRefs to the batch-sized maps, so Ray exports
-each kernel once per session and a batch ships no code. The kernels
+plain data (index dir, build token, model parameters, k) plus ObjectRefs
+to the batch-sized maps, so Ray exports each kernel once per session and
+a batch ships no code. The kernels
 share one body: ``_scan`` (bucket-, term-, field- and salt-pruned read
 plus varbyte decode), a leaf formula, ``_route`` to the queries and
 ``_cut`` (dense group-sum, exact per-salt top-k, packed keys). Leaf
@@ -32,14 +32,15 @@ the group-sum and before the per-salt top-k, so a deleted document
 never takes a top-k slot. Corpus statistics (df, doclens, avglen) stay
 as-built until compaction, as on every other search path.
 
-Scale notes: doclens are docid-range-sharded (``_doclens``): workers load
-only the pid ranges their posting runs touch — no O(n_docs) broadcast
-anywhere. Worker state (doclen shards, the postings dataset handle, an
-index reader) sits in ``util``'s process cache behind a real import,
-keyed by the build token, so it outlives a task and a rebuilt index
-never serves stale entries. External ids are fetched for the final
-candidate set via a filtered forward scan. The packed key leaves 44 bits
-for docids and 19 for queries per batch.
+Scale notes: doclens come from the worker's reader (``_doclens``), whose
+byte-budgeted forward-shard cache loads only the docid blocks the
+posting runs touch — no O(n_docs) broadcast anywhere. Per-process state (the
+reader with its shard cache, the postings dataset handle) sits in
+``util``'s process cache behind a real import, keyed by the build token,
+so it outlives a task and a rebuilt index never serves stale entries.
+The driver takes its reader from the same cache, so the external ids of
+the final candidate set come from shards warmed by earlier batches. The
+packed key leaves 44 bits for docids and 19 for queries per batch.
 
 Entry points: ``bm25_batch_search`` (bag-of-words #SUM; BM25 or classic
 TF-IDF), ``bm25_msm_batch_search``, ``bm25_grid_search``,
@@ -63,7 +64,7 @@ import pyarrow.dataset as pads
 import ray
 
 from ..analysis.tokenizer import analyzer_for_mode
-from ..index.build import POSTINGS_DIR, term_bucket
+from ..index.build import POSTINGS_DIR, STATS_FILE, term_bucket
 from ..index.reader import IndexReader
 from ..index.varbyte import decode_postings
 from .eval import expand_wildcards
@@ -74,18 +75,19 @@ from .trec import drop_deleted
 _DOC_BITS = 44
 _DOC_MASK = (1 << _DOC_BITS) - 1
 
-# per-worker cache bounds: doclen shards (pid ranges) held resident, and
-# index builds (reader + postings handle) a long-lived worker keeps open
-_MAX_SHARDS = 128
+# index builds (reader + postings handle) a long-lived process keeps open
 _MAX_INDEXES = 8
 
 
 # ------------------------------------------------------- worker state
 
-def _index_reader(index_dir: str, token: float) -> IndexReader:
-    """The process's reader for one index build; its forward-table
-    handle serves every doclen shard load."""
+def _index_reader(index_dir: str, token: float | None = None) -> IndexReader:
+    """The process's reader for one index build (``token`` = stats.json
+    mtime; None reads the current one): its forward-shard cache and
+    dataset handles serve every later task or batch on this process."""
     from ..util import proc_cached
+    if token is None:
+        token = os.path.getmtime(os.path.join(index_dir, STATS_FILE))
     return proc_cached(("index_reader", index_dir, token),
                        lambda: IndexReader(index_dir), cap=_MAX_INDEXES)
 
@@ -106,34 +108,15 @@ def _postings_dataset(index_dir: str, token: float):
         cap=_MAX_INDEXES)
 
 
-def _doclen_shard(index_dir: str, field: str, pid: int,
-                  token: float) -> np.ndarray:
-    """Dense lengths of one pid's docid range, cached per process: Ray
-    reuses worker processes, so a shard loaded for one batch serves every
-    later batch on that worker. ``token`` = build identity (stats.json
-    mtime): a rebuilt index at the same path misses instead of serving a
-    surviving worker's stale shard."""
-    from ..util import proc_cached
-    return proc_cached(
-        ("doclen_shard", index_dir, field, pid, token),
-        lambda: _index_reader(index_dir, token).doclen_shard(field, pid),
-        cap=_MAX_SHARDS)
-
-
 def _doclens(spec: dict, field: str, docids: np.ndarray) -> np.ndarray:
-    """Lengths of ``docids`` from docid-range shards: a posting run's
+    """Lengths of ``docids`` from this worker's reader: a posting run's
     docids map to a handful of contiguous pid ranges (the build's salt
-    layout keeps runs docid-range-local), so each worker touches few
-    shards. Replaces a dense ``ray.put(doclens)`` broadcast, which is
-    O(n_docs) memory per node — 4 TB at the 10^12-doc design point."""
-    off = spec["pid_offsets"]
-    out = np.empty(docids.size, dtype=np.int32)
-    pids = np.searchsorted(off, docids, side="right") - 1
-    for p in np.unique(pids):
-        m = pids == p
-        shard = _doclen_shard(spec["index_dir"], field, int(p), spec["token"])
-        out[m] = shard[docids[m] - off[p]]
-    return out
+    layout keeps runs docid-range-local), so each worker loads and keeps
+    few forward shards. Replaces a dense ``ray.put(doclens)`` broadcast,
+    which is O(n_docs) memory per node — 4 TB at the 10^12-doc design
+    point."""
+    return _index_reader(spec["index_dir"], spec["token"]).doclens_for(
+        docids, [field])[field]
 
 
 def _rows(num_buckets: int, terms: list[str], fields: list[str]):
@@ -599,11 +582,10 @@ def _n_salts(reader: IndexReader) -> int:
 
 def _spec(reader: IndexReader, k: int, **kw) -> dict:
     """Plain-data task spec every kernel reads: where the index is, which
-    build (``token`` keys the worker caches), its docid-range layout and
-    its sorted tombstones (``dels``, absent when there are none)."""
+    build (``token`` keys the worker caches), its size and its sorted
+    tombstones (``dels``, absent when there are none)."""
     spec = dict(index_dir=reader.index_dir, token=reader.stats_token,
-                num_buckets=reader.num_buckets,
-                pid_offsets=reader.pid_offsets, N=reader.n_docs, k=k, **kw)
+                num_buckets=reader.num_buckets, N=reader.n_docs, k=k, **kw)
     dels = reader.deleted_docids()
     if dels.size:
         spec["dels"] = dels
@@ -621,7 +603,7 @@ def _run_salt_tasks(kernel, spec: dict, reader: IndexReader) -> pa.Table:
 
 def _emit_ranked(cands: pa.Table, qids: list[str], k: int,
                  reader: IndexReader) -> pa.Table:
-    """Unpack packed keys, attach external ids (filtered forward scan),
+    """Unpack packed keys, attach external ids (forward-shard cache),
     apply the reference ordering (score desc, externalId asc) per qid."""
     if cands.num_rows == 0:
         return _empty()
@@ -716,7 +698,7 @@ def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
     from .models import TFIDFModel
     model = model or BM25Model()
     classic = isinstance(model, TFIDFModel)
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     qids, term_queries, _ = _term_queries(reader, queries)
     if not term_queries or not reader._bucket_paths(list(term_queries)):
         return _empty()
@@ -743,7 +725,7 @@ def bm25_msm_batch_search(index_dir: str,
     clause counts are complete — the filter is exact with no extra
     exchange."""
     model = model or BM25Model()
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     qids, term_queries, q_terms = _term_queries(reader, queries)
     n_req = np.asarray([max(1, min(int(q[2]), len(ts))) if ts else 1
                         for q, ts in zip(queries, q_terms)], np.int64)
@@ -772,7 +754,7 @@ def bm25f_batch_search(index_dir: str, queries: list[tuple[str, str]],
     warm from A) to pool ``w_f·tf/B_f`` across fields per doc and
     score. Only (term, count) rows and the final per-salt top-k
     candidates ever reach the driver."""
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     fields = sorted(weights)
     if not isinstance(field_b, dict):
         field_b = {f: float(field_b) for f in fields}
@@ -806,7 +788,7 @@ def bm25_grid_search(index_dir: str, queries: list[tuple[str, str]],
     ``gkey = slot<<44 | docid`` keys; the per-slot top-k cut stays exact
     (disjoint salt docid ranges). → (k1, b, qid, external_id, rank,
     score), reference ordering per (grid point, qid)."""
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     qids, term_queries, _ = _term_queries(reader, queries)
     empty = pa.table({"k1": pa.array([], pa.float64()),
                       "b": pa.array([], pa.float64()),
@@ -853,7 +835,7 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
     then prices like ``bm25_batch_search`` over lists shrunk to ≤ m
     entries. → (qid, external_id, rank, score)."""
     model = BM25Model()
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     qids, term_queries, _ = _term_queries(reader, queries)
     terms_list = sorted(term_queries)
     if not terms_list or not reader._bucket_paths(terms_list):
@@ -905,7 +887,7 @@ def indri_batch_search(index_dir: str, queries: list[tuple[str, str]],
     (docs with ≥1 matched term), as in the reference's DAAT loop."""
     from .models import IndriModel
     model = model or IndriModel()
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     qids, term_queries, q_terms = _term_queries(reader, queries)
     if not term_queries or not reader._bucket_paths(list(term_queries)):
         return _empty()
@@ -1033,7 +1015,7 @@ def bm25_structured_batch_search(index_dir: str,
     from .plan import IopNode, ScoreNode, SopNode, TermNode
 
     model = model or BM25Model()
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     parser = QueryParser(an, default_field=field)
 
@@ -1165,7 +1147,7 @@ def indri_structured_batch_search(index_dir: str,
     from .plan import IopNode, ScoreNode, SopNode, TermNode
 
     model = model or IndriModel()
-    reader = IndexReader(index_dir)
+    reader = _index_reader(index_dir)
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     parser = QueryParser(an, default_field=field)
 

@@ -343,8 +343,9 @@ class QueryEngine:
         """Doclen LUT over the UNION of the query's posting docids — the
         superset of every docid any scorer or Indri default closure can
         be asked about (all combinator outputs are subsets of leaf
-        unions). One pruned forward scan per search replaces the dense
-        O(n_docs) ``reader.doclens(field)`` array (VERDICT r2 item 1)."""
+        unions). The reader's forward-shard cache answers it (a cold pid
+        costs one pruned forward scan) instead of the dense O(n_docs)
+        ``reader.doclens(field)`` array (VERDICT r2 item 1)."""
         if not isinstance(self.model, (BM25Model, IndriModel, TFIDFModel)):
             self._dlut = None
             return

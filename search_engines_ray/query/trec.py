@@ -48,7 +48,8 @@ def rank_results_candidates(docids: np.ndarray, scores: np.ndarray,
                             fetch_ids, k: int = 100) -> pa.Table:
     """``rank_results`` without the dense O(n_docs) id array: cut to the
     exact top-k candidate set first, then resolve external ids for those
-    docids only via ``fetch_ids`` (a filtered forward scan).
+    docids only via ``fetch_ids`` (``IndexReader.external_ids_for``, a
+    gather from the reader's forward-shard cache).
 
     The tie group AT the kth score can dwarf k (quantized BM25/RB
     scores over near-identical docs), so it is resolved by Arrow's

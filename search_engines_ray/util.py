@@ -18,9 +18,14 @@ the upstream read; a fixed ``concurrency=2`` caps throughput at scale):
   for stages that genuinely need per-actor state (model weights,
   media decoders): ``concurrency=(floor, pool_size())`` lets Ray grow
   the pool with demand without reserving the whole cluster up front.
+
+State keyed by open-ended data (an index reader's forward shards) is
+bounded by bytes instead, with ``ByteLRU``.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import ray
 
@@ -37,7 +42,7 @@ def proc_cached(key, factory, cap: int | None = None):
     """Return the process-global value for ``key``, building it once
     per worker process with ``factory()``. With ``cap``, the entries
     sharing ``key[0]`` are capped FIFO at ``cap``, for state keyed by
-    open-ended values (index builds, docid shards)."""
+    open-ended values (index builds)."""
     store = _PROC_CACHE if cap is None else _BOUNDED.setdefault(key[0], {})
     val = store.get(key)
     if val is None:
@@ -46,6 +51,42 @@ def proc_cached(key, factory, cap: int | None = None):
             store.pop(next(iter(store)))
         store[key] = val
     return val
+
+
+class ByteLRU:
+    """Least-recently-used map of Arrow or numpy arrays bounded by their
+    resident bytes, with hit / miss / eviction counters. A value's size
+    is its ``nbytes`` unless the caller passes the bytes it really holds
+    (an object array's Python objects). A value larger than the whole
+    budget is not kept, so resident bytes never exceed the budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._d: OrderedDict = OrderedDict()   # key → (value, bytes)
+        self.hits = self.misses = self.evictions = self.bytes = 0
+
+    def get(self, key):
+        hit = self._d.get(key)
+        if hit is None:
+            self.misses += 1
+            return None
+        self._d.move_to_end(key)
+        self.hits += 1
+        return hit[0]
+
+    def put(self, key, value, size: int | None = None) -> None:
+        size = int(value.nbytes if size is None else size)
+        old = self._d.pop(key, None)
+        if old is not None:
+            self.bytes -= old[1]
+        if size > self.budget:
+            return
+        while self.bytes + size > self.budget:
+            _, (_, b) = self._d.popitem(last=False)
+            self.bytes -= b
+            self.evictions += 1
+        self._d[key] = (value, size)
+        self.bytes += size
 
 
 def pool_size(frac: float = 1.0, floor: int = 2, cap: int | None = None) -> int:

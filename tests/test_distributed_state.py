@@ -13,16 +13,22 @@ from search_engines_ray.query import distributed as D
 
 def test_doclen_shard_cache_survives_pickle_round_trips(toy_index):
     """Each Ray task payload is a by-value cloudpickle round trip of the
-    kernel's code. Two round trips of the shard lookup must hit ONE
-    process cache: a module-global cache dict would travel with each
-    payload as a fresh empty copy and never hit."""
-    a = cloudpickle.loads(cloudpickle.dumps(D._doclen_shard))
-    b = cloudpickle.loads(cloudpickle.dumps(D._doclen_shard))
-    assert a is not D._doclen_shard     # really pickled by value
-    args = (toy_index.index_dir, "body", 0, toy_index.stats_token)
-    shard = a(*args)
-    assert b(*args) is shard
-    assert list(shard) == list(toy_index.doclen_shard("body", 0))
+    kernel's code. Two round trips of the worker's doclen lookup must
+    hit ONE process cache (the process's reader and its forward-shard
+    cache): a module-global cache would travel with each payload as a
+    fresh empty copy and never hit."""
+    a = cloudpickle.loads(cloudpickle.dumps(D._doclens))
+    b = cloudpickle.loads(cloudpickle.dumps(D._doclens))
+    assert a is not D._doclens          # really pickled by value
+    spec = dict(index_dir=toy_index.index_dir, token=toy_index.stats_token)
+    docids = np.arange(toy_index.n_docs, dtype=np.int64)
+    got = a(spec, "body", docids)
+    cache = D._index_reader(toy_index.index_dir,
+                            toy_index.stats_token).forward_cache
+    misses, hits = cache.misses, cache.hits
+    assert list(b(spec, "body", docids)) == list(got)
+    assert cache.misses == misses and cache.hits > hits
+    assert list(got) == list(toy_index.doclens("body"))
 
 
 def test_postings_dataset_one_handle_per_build(toy_index):

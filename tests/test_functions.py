@@ -1015,8 +1015,85 @@ def test_samplers_fast_path_string_ids(ray_session):
     assert len(sp) == 300 and set(sp["split"]) <= {"train", "val", "test"}
     sh = shuffle_to_shards(ds, num_shards=4).to_pandas()
     assert len(sh) == 300 and sh["shard"].between(0, 3).all()
-    # hash_sample coerces ids to int64 internally, so string ids stay
-    # the md5/auditable path's job — not asserted here
     hs = hash_sample(rd.from_items([{"doc_id": i} for i in range(300)]),
                      k=10).to_pandas()
     assert len(hs) == 10
+
+
+def test_lsh_broadcast_leaves_no_worker_cache_entry(ray_session):
+    """ADVICE item 1: the broadcast attach route must not pin a run's
+    request arrays in the worker process cache. The key was unique per
+    run, so every run added an entry of up to 256 MiB per worker."""
+    import os
+    import time
+
+    import ray
+    import ray.data as rd
+
+    from search_engines_ray.functions import minhash_lsh_dedup
+
+    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 3
+    rows = [{"doc_id": i, "text": f"unique doc {i} filler w{i:05d} pad"}
+            for i in range(20)]
+    rows += [{"doc_id": 100, "text": base},
+             {"doc_id": 101, "text": base.replace("kappa", "lambda")}]
+    for _ in range(2):
+        out = minhash_lsh_dedup(rd.from_items(rows), jaccard_threshold=0.5,
+                                attach_route="broadcast").to_pandas()
+        assert dict(zip(out["doc_id"], out["canonical_id"]))[101] == 100
+
+    @ray.remote
+    def probe():
+        from search_engines_ray import util
+        time.sleep(0.05)
+        return os.getpid(), [k for k in util._PROC_CACHE
+                             if isinstance(k, tuple) and k
+                             and k[0] == "lsh_req_bcast"]
+
+    seen = {}
+    for _ in range(4):
+        seen.update(ray.get([probe.remote() for _ in range(16)]))
+    assert not any(seen.values()), seen
+
+
+@pytest.mark.parametrize("sampler", ["hash", "stratified", "weighted"])
+def test_samplers_string_ids(ray_session, sampler):
+    """ADVICE item 4: the three samplers accept string ids (they coerced
+    ids to int64 and crashed) with the same contract as integer ids —
+    keyed-hash order, ties by id, independent of partitioning — and
+    name the supported id types for any other id column."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from search_engines_ray.functions.sample import (
+        _id_hash64, hash_sample, stratified_sample, weighted_sample,
+    )
+    ids = [f"http://e.com/{i}" for i in range(200)]
+    t = pa.table({"doc_id": ids, "s": [i % 3 for i in range(200)],
+                  "w": [1.0 + i % 5 for i in range(200)]})
+    h = _id_hash64(ids)
+    if sampler == "hash":
+        run = lambda ds: hash_sample(ds, k=10)
+        want = [ids[i] for i in np.lexsort((np.asarray(ids, object), h))[:10]]
+    elif sampler == "stratified":
+        run = lambda ds: stratified_sample(ds, "s", k=4)
+        want = [ids[i] for s in range(3)
+                for i in sorted((i for i in range(200) if i % 3 == s),
+                                key=lambda i: (h[i], ids[i]))[:4]]
+    else:
+        run = lambda ds: weighted_sample(ds, "w", k=10)
+        key = (np.log((h.astype(np.float64) + 1.0) / 18446744073709551616.0)
+               / t["w"].to_numpy())
+        want = [ids[i] for i in
+                np.lexsort((np.asarray(ids, object), -key))[:10]]
+    one = run(rd.from_arrow(t)).to_pandas()
+    many = run(rd.from_arrow(t).repartition(5)).to_pandas()
+    if sampler == "stratified":
+        one = one.sort_values(["s", "sample_rank"], ignore_index=True)
+        many = many.sort_values(["s", "sample_rank"], ignore_index=True)
+    assert list(one["doc_id"]) == want
+    pd.testing.assert_frame_equal(one, many)
+    floats = rd.from_arrow(t.set_column(0, "doc_id",
+                                        pa.array(np.arange(200) + 0.5)))
+    with pytest.raises(Exception, match="integer or string"):
+        run(floats).to_pandas()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from search_engines_ray.analysis import analyze
 
@@ -77,7 +78,8 @@ def test_term_vectors(toy_index):
 
 def test_pid_offsets_and_doclen_shards(toy_index):
     """pid_offsets partition [0, n_docs) into contiguous ranges; the
-    per-pid doclen shards tile the dense doclens array exactly."""
+    doc lengths of each pid's range tile the dense doclens array
+    exactly."""
     import numpy as np
 
     off = toy_index.pid_offsets
@@ -85,7 +87,8 @@ def test_pid_offsets_and_doclen_shards(toy_index):
     assert (np.diff(off) >= 0).all()
     dense = toy_index.doclens("body")
     for p in range(off.size - 1):
-        shard = toy_index.doclen_shard("body", p)
+        shard = toy_index.doclens_for(np.arange(off[p], off[p + 1]),
+                                      ["body"])["body"]
         assert shard.size == off[p + 1] - off[p]
         assert (shard == dense[off[p]:off[p + 1]]).all()
 
@@ -386,3 +389,195 @@ def test_index_time_synonyms(tmp_path, ray_session):
     got = set(eng.search("#near/1(rapid brown)",
                          k=10)["external_id"].to_pylist())
     assert got == {"http://s.example.com/1", "http://s.example.com/2"}
+
+
+@pytest.fixture(scope="module")
+def sparse_pid_index(tmp_path_factory, ray_session):
+    """Nine docs over 16 pids (so several pid ranges are empty), with
+    body/title fields and two doc-value attributes."""
+    import ray.data as rd
+
+    from search_engines_ray.index import IndexBuildConfig, build_index
+    rows = [{"url": f"http://s.example.com/{i:03d}",
+             "text": " ".join(["alpha"] * (i + 1)) + " beta",
+             "title": "gamma " * (i % 3), "stars": i * 10,
+             "lang": "en" if i < 6 else "fr"}
+            for i in range(9)]
+    d = str(tmp_path_factory.mktemp("sparse") / "idx")
+    build_index(rd.from_items(rows), d,
+                IndexBuildConfig(fields={"body": "text", "title": "title"},
+                                 num_buckets=4, docid_partitions=16,
+                                 analyzer="simple",
+                                 attributes={"stars": "stars",
+                                             "lang": "lang"}),
+                input_token="sparse", resume=False)
+    return d
+
+
+def _dense_forward(index_dir):
+    """Dense reference arrays, materialized on their own reader."""
+    from search_engines_ray.index import IndexReader
+    r = IndexReader(index_dir)
+    ext = r.external_ids()
+    return (ext, {f: r.doclens(f) for f in r.fields},
+            np.asarray([int(u[-3:]) * 10 for u in ext]),
+            np.asarray(["en" if int(u[-3:]) < 6 else "fr" for u in ext]))
+
+
+def _check_lookups(r, docids, dense):
+    ext, lens, stars, lang = dense
+    assert list(r.external_ids_for(docids)) == list(ext[docids])
+    got = r.doclens_for(docids, r.fields)
+    for f in r.fields:
+        assert got[f].dtype == np.int32
+        assert list(got[f]) == list(lens[f][docids]), f
+    attrs = r.attributes_for(docids, ["stars", "lang"])
+    assert [int(v) for v in attrs["stars"]] == list(stars[docids])
+    assert list(attrs["lang"]) == list(lang[docids])
+
+
+def test_forward_shard_lookups_match_dense(sparse_pid_index):
+    """doclens_for / external_ids_for / attributes_for gather from
+    forward shards: equal to the dense arrays on a cold and on a warm
+    reader, across empty pid ranges, and a warm reader loads nothing
+    more."""
+    from search_engines_ray.index import IndexReader
+    dense = _dense_forward(sparse_pid_index)
+    r = IndexReader(sparse_pid_index)
+    off, n = r.pid_offsets, r.n_docs
+    assert (np.diff(off) == 0).any() and (np.diff(off) > 0).sum() > 1
+    docids = np.r_[np.arange(n)[::-1], 0, n - 1, 3].astype(np.int64)
+    _check_lookups(r, docids, dense)                    # cold
+    misses = r.forward_cache.misses
+    assert misses > 0
+    _check_lookups(r, docids, dense)                    # warm
+    _check_lookups(r, docids[:2], dense)
+    assert r.forward_cache.misses == misses
+    for p in range(off.size - 1):
+        assert (list(r.doclens_for(np.arange(off[p], off[p + 1]),
+                                   ["body"])["body"])
+                == list(dense[1]["body"][off[p]:off[p + 1]]))
+    empty = np.empty(0, np.int64)
+    assert r.external_ids_for(empty).size == 0
+    assert r.doclens_for(empty, ["body"])["body"].size == 0
+    assert r._doclens == {} and r._external_ids is None
+
+
+def test_forward_cache_budget_evicts(sparse_pid_index, monkeypatch):
+    """A budget below the working set forces evictions; lookups stay
+    exact and resident shard bytes never exceed the budget."""
+    from search_engines_ray.index import IndexReader
+    from search_engines_ray.util import ByteLRU
+
+    dense = _dense_forward(sparse_pid_index)
+    full = IndexReader(sparse_pid_index)
+    everything = np.arange(full.n_docs, dtype=np.int64)
+    _check_lookups(full, everything, dense)
+    budget = full.forward_cache.bytes // 3
+    # patch the module constant in the namespace the constructor reads:
+    # a by-value cloudpickle round trip of the worker lookups in this
+    # process rebinds the class's methods to a copy of that namespace
+    monkeypatch.setitem(IndexReader.__init__.__globals__,
+                        "FORWARD_CACHE_BYTES", budget)
+    r = IndexReader(sparse_pid_index)
+    assert r.forward_cache.budget == budget
+    off = r.pid_offsets
+    for _ in range(2):
+        for p in range(off.size - 1):
+            _check_lookups(r, np.arange(off[p], off[p + 1]), dense)
+            assert r.forward_cache.bytes <= budget
+        _check_lookups(r, everything[::-1].copy(), dense)
+        assert r.forward_cache.bytes <= budget
+    assert r.forward_cache.evictions > 0
+    # a value larger than the whole budget is served, never kept
+    lru = ByteLRU(16)
+    lru.put("big", np.zeros(8, np.int64))
+    assert lru.get("big") is None and lru.bytes == 0
+
+
+def test_forward_shards_stay_block_sized(docs_index, monkeypatch):
+    """A shard is one block of a pid's docid range, not the whole range:
+    with a budget below one pid's external-id column, a lookup stays
+    exact, loads only the blocks its docids fall in, and a lookup of a
+    whole pid evicts instead of overflowing the budget."""
+    import sys
+
+    from search_engines_ray.index import IndexReader
+
+    d = docs_index.index_dir
+    ref = IndexReader(d)
+    dense = ref.external_ids()
+    off = ref.pid_offsets
+    whole = np.arange(off[0], off[1], dtype=np.int64)
+    assert whole.size > 32
+    full = IndexReader(d)
+    full.external_ids_for(whole)                    # one block per pid
+    pid_bytes = full.forward_cache.bytes
+    g = IndexReader.__init__.__globals__
+    monkeypatch.setitem(g, "FORWARD_BLOCK", 8)
+    monkeypatch.setitem(g, "FORWARD_CACHE_BYTES", pid_bytes // 2)
+    r = IndexReader(d)
+    docids = np.array([off[0] + 1, off[0] + 3, off[0] + 17, off[1]],
+                      dtype=np.int64)
+    assert list(r.external_ids_for(docids)) == list(dense[docids])
+    assert len(r.forward_cache._d) == 3 and r.forward_cache.misses == 3
+    for v, size in r.forward_cache._d.values():
+        # resident bytes count the str objects, not just the slots
+        assert len(v) <= 8
+        assert size == v.nbytes + sum(sys.getsizeof(x) for x in v)
+    assert r.forward_cache.bytes < pid_bytes // 2
+    assert list(r.external_ids_for(whole)) == list(dense[whole])
+    assert r.forward_cache.bytes <= pid_bytes // 2
+    assert r.forward_cache.evictions > 0
+    got = r.doclens_for(docids, ["body"])["body"]
+    assert list(got) == list(ref.doclens("body")[docids])
+
+
+def test_warm_engine_search_records_no_misses(toy_index):
+    """A repeated search on a warm engine serves doclens and external
+    ids from memory: no new forward-shard misses, same result."""
+    from search_engines_ray.index import IndexReader
+    from search_engines_ray.query import BM25Model, IndriModel, QueryEngine
+    r = IndexReader(toy_index.index_dir)
+    for model, q in ((BM25Model(), "quick fox lazy"),
+                     (IndriModel(), "#and( brown #near/1(lazy dog) )")):
+        eng = QueryEngine(r, model)
+        first = eng.search(q, k=5)
+        assert first.num_rows > 0
+        misses, hits = r.forward_cache.misses, r.forward_cache.hits
+        assert eng.search(q, k=5).equals(first)
+        assert r.forward_cache.misses == misses
+        assert r.forward_cache.hits > hits
+
+
+def test_duplicated_external_id_resolves_to_smallest_docid(tmp_path,
+                                                          ray_session):
+    """With dedup off, one external id can own several docids; every
+    reverse lookup returns the smallest, on a fresh reader and on one
+    whose dense arrays are warmed."""
+    import pandas as pd
+    import ray.data as rd
+
+    from search_engines_ray.index import (
+        IndexBuildConfig, IndexReader, build_index,
+    )
+    urls = [f"http://d.example.com/{i % 4}" for i in range(10)]
+    pages = pd.DataFrame({"url": urls, "text": [f"word{i} common"
+                                                 for i in range(10)]})
+    d = str(tmp_path / "dups")
+    build_index(rd.from_pandas(pages), d,
+                IndexBuildConfig(num_buckets=4, docid_partitions=4,
+                                 dedup=False),
+                input_token="dups", resume=False)
+    ext = IndexReader(d).external_ids()
+    want = {u: int(np.flatnonzero(ext == u).min()) for u in set(urls)}
+    assert any((ext == u).sum() > 1 for u in want)
+    asked = sorted(want) + ["http://nope/"]
+    fresh, warm = IndexReader(d), IndexReader(d)
+    warm.external_ids(), warm.doclens("body")
+    for r in (fresh, warm):
+        got = r.internal_docids_for(asked)
+        assert list(got) == [want[u] for u in sorted(want)] + [-1]
+        assert [r.internal_docid(u) for u in sorted(want)] == \
+            [want[u] for u in sorted(want)]
+    assert fresh._external_ids is None

@@ -329,3 +329,24 @@ def test_value_stats_bit_exact_across_partitioning(rd):
         assert r["max_value"] == sub.max() / 100.0
         assert abs(r["mean"] - sub.mean() / 100.0) < 1e-6
         assert abs(r["variance"] - sub.var() / 10000.0) < 1e-5
+
+
+def test_value_stats_sum_squares_does_not_wrap(rd):
+    """ADVICE item 3: Σc² of a full chunk of |value| = 120,000 (65,535
+    rows of 1.2e7 cents, 9.44e18 > int64 max) wrapped silently; the
+    statistics must stay exact for both signs."""
+    from search_engines_ray.functions.sketch import value_stats
+    n = 65535
+    df = pd.DataFrame({"g": ["pos"] * n + ["neg"] * n,
+                       "value": [120000.0] * n + [-120000.0] * n})
+    out = value_stats(rd.from_pandas(df), "value", "g").to_pandas() \
+        .set_index("g")
+    for g, v in (("pos", 120000.0), ("neg", -120000.0)):
+        assert out.loc[g, "n"] == n
+        assert out.loc[g, "mean"] == v
+        assert out.loc[g, "variance"] == 0.0
+    # beyond the int64 chunk bound the sum falls back to Python ints
+    big = pd.DataFrame({"g": ["x"] * 3, "value": [1e9, -1e9, 1e9]})
+    row = value_stats(rd.from_pandas(big), "value", "g").to_pandas().iloc[0]
+    assert row["variance"] == pytest.approx(np.var([1e9, -1e9, 1e9]),
+                                            rel=1e-12)
