@@ -22,11 +22,10 @@ import subprocess
 import sys
 import time
 
-# Shuffle backend: with the current fragment-based postings pipeline the
-# DEFAULT (sort) shuffle beats push-based 2× at 32 cpus (measured at 8M
-# docs: postings 25.5 s vs 53.8 s); push-based had helped an earlier,
-# larger-payload pipeline. Leave Ray's default unless the env overrides.
-os.environ.setdefault("RAY_DATA_PUSH_BASED_SHUFFLE", "0")
+# Shuffle backend: Ray's default (pull-based sort shuffle) unless the
+# caller's environment picks another. Set no shuffle variable here: Ray
+# reads RAY_DATA_PUSH_BASED_SHUFFLE as a bool, so even "0" turns
+# push-based on.
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))

@@ -32,8 +32,6 @@ import os
 import shutil
 import time
 
-os.environ.setdefault("RAY_DATA_PUSH_BASED_SHUFFLE", "0")
-
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 EXPAND = int(os.environ.get("GRAFT_REHEARSAL_EXPAND", "1600"))

@@ -31,6 +31,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .partitioning import estimate_rows, resolve_exchange_parts
+
 _MERSENNE = (1 << 61) - 1
 _P61 = np.uint64(_MERSENNE)
 
@@ -87,23 +89,44 @@ def _shingle_hashes(tokens: list[str], n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- exact
 
-# exact-dedup shuffle fan-in floor: digests hash into ≥ this many int32
-# groupby keys (same pattern as _LSH_PARTS); per-partition work is a
-# vectorized pandas groupby, so the knob only bounds per-task group
-# size. The DEFAULT now auto-sizes with the corpus (metadata-only, one
-# part per ~2M input rows past this floor — the docstring's
-# num_parts ≈ n_docs / 2M guidance, applied automatically); an explicit
-# num_parts always wins. Results are parts-invariant.
-_EXACT_PARTS = 256
+# One exchange plan for the hash-partitioned dedup exchanges: rows key
+# by ``hash % parts``, one part per ``rows_per_part`` input rows from the
+# Parquet footers, and the keyed table is coalesced to ``blocks`` ≤ parts
+# blocks, so one map_groups call reduces about one block. Each site's
+# constant is 2^18 of the rows it exchanges, divided by that site's rows
+# per doc as measured on sf0.1 ``documents`` (5,000 rows, 54.1 words per
+# doc, no newlines; perfbench/gen.py models the same table):
+#   digests  1 per doc (exact_dedup);
+#   lines    7.2 per doc in q_line_dedup's 8-token line view, the only
+#            dedup_lines input the repo builds (the raw text is 1 line);
+#   shingles 47.1 distinct 8-token shingles per doc (dup_span_stats,
+#            remove_dup_spans at q_dup_span_stats' w=8).
+# An explicit num_parts wins. An input without footers (from_pandas,
+# read_json chains) gets 256 parts: its size is unknown, so its
+# exchange stays wide. The sort moves blocks × blocks pieces, so blocks are capped at
+# max(16, wide // 8), wide = num_parts, else one part per 2M input rows
+# clamped to [256, 16384]: the block count the exchanges used before
+# they were sized from the input, never exceeded at any size.
+# Results are parts-invariant: every reduce keys on the digest, line or
+# shingle, never on the part.
+_DEFAULT_PARTS = 256
+_MAX_PARTS = 16384
+_DIGEST_DOCS_PER_PART = 1 << 18             # 1 digest per doc
+_LINE_DOCS_PER_PART = (1 << 18) // 8        # 7.2 lines per doc
+_SHINGLE_DOCS_PER_PART = (1 << 18) // 48    # 47.1 shingles per doc
 
 
-def _exact_parts(ds, num_parts: int | None) -> int:
-    from .partitioning import resolve_exchange_parts
-    if num_parts:
-        return int(num_parts)
-    return resolve_exchange_parts(ds, rows_per_part=2_000_000,
-                                  min_parts=_EXACT_PARTS,
-                                  max_parts=16384, default=_EXACT_PARTS)
+def _exchange_plan(n_rows: int | None, num_parts: int | None,
+                   rows_per_part: int) -> tuple[int, int]:
+    """→ (parts, blocks) for an input of ``n_rows`` rows (None when its
+    size is unknown)."""
+    parts = int(num_parts or resolve_exchange_parts(
+        n_rows=n_rows, rows_per_part=rows_per_part, min_parts=1,
+        max_parts=_MAX_PARTS, default=_DEFAULT_PARTS))
+    wide = int(num_parts or resolve_exchange_parts(
+        n_rows=n_rows, rows_per_part=2_000_000, min_parts=256,
+        max_parts=_MAX_PARTS, default=256))
+    return parts, min(parts, max(16, wide // 8))
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -116,14 +139,16 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     exchange, keyed by an int32 partition of its top-64 bits — a sorted
     shuffle on a tiny int key + one vectorized groupby per partition,
     instead of a whole-dataset sort aggregate on 32-char hex strings.
-    The digest table (~70 B/row vs the KB-scale payloads) is coalesced
-    to parts/8 blocks before the exchange: the sort's transfer matrix is
-    blocks × partitions, and inheriting the payload read's block count
-    for a 200× smaller table pays pure scheduling overhead (measured
-    4.8 → 2.0 s at sf0.1 with 256 read blocks). Hex materializes once
-    per distinct group at emit time."""
-    parts = np.uint64(_exact_parts(ds, num_parts))
-    shuffle_blocks = max(16, int(parts) // 8)
+    The exchange follows ``_exchange_plan``: one part per ~2^18 docs by
+    default, and the digest table (~70 B/row vs the KB-scale payloads)
+    is coalesced to at most that many blocks, whatever block count the
+    payload read had — a 1,000-doc input is one part and one block, so
+    the sort runs one map and one reduce task. Pass ``num_parts`` only
+    to widen the exchange past the default. Hex materializes once per
+    distinct group at emit time."""
+    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
+                                   _DIGEST_DOCS_PER_PART)
+    parts = np.uint64(parts)
 
     def add_hash(b: pa.Table) -> pa.Table:
         # digest straight off the Arrow UTF-8 data buffer via the
@@ -173,7 +198,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             "n_dups": counts.astype(np.int64)})
 
     return ds.map_batches(add_hash, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+        .repartition(blocks) \
         .groupby("part").map_groups(dedup_part, batch_format="pyarrow")
 
 
@@ -196,14 +221,17 @@ def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
     rewrites each doc map-side: the document text itself never enters
     an exchange. A drop list over the guard raises with the bound — at
     that duplication level, dedup the lines as a table (``exact_dedup``
-    on the exploded view) instead of rewriting in place."""
+    on the exploded view) instead of rewriting in place. The exchange
+    follows ``_exchange_plan``, sized for ~8 lines per doc; pass
+    ``num_parts`` ≈ line rows / 2^18 when docs carry many more lines."""
     import ray
 
     from ..util import proc_cached
     from .join import _gather_small
 
-    parts = np.uint64(_exact_parts(ds, num_parts))
-    shuffle_blocks = max(16, int(parts) // 8)
+    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
+                                   _LINE_DOCS_PER_PART)
+    parts = np.uint64(parts)
 
     def explode(b: pa.Table) -> pa.Table:
         ids = b[id_col].to_pylist()
@@ -238,7 +266,7 @@ def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
                              "line_no": lns[drop].astype(np.int32)})
 
     drops = ds.map_batches(explode, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+        .repartition(blocks) \
         .groupby("part").map_groups(drops_part, batch_format="pyarrow")
     dt = _gather_small(drops, [id_col, "line_no"], max_broadcast_bytes,
                        what="line-dedup drop list")
@@ -766,27 +794,17 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             ids = np.asarray(b[id_col].to_pandas().to_numpy())
             lo = np.searchsorted(rid_s, ids, side="left")
             hi = np.searchsorted(rid_s, ids, side="right")
-            hit = np.flatnonzero(hi > lo)
-            if hit.size == 0:
-                return pa.table({
-                    "part": pa.array([], pa.int32()),
-                    "bucket": pa.array([], pa.uint64()),
-                    id_col: b[id_col].slice(0, 0),
-                    "minhash": pa.array([], pa.binary())})
-            sigs = b["minhash"].to_pylist()
-            out_b, out_i, out_s = [], [], []
-            for r in hit:                  # candidate rows only
-                for k in range(lo[r], hi[r]):
-                    out_b.append(rb_s[k])
-                    out_i.append(ids[r])
-                    out_s.append(sigs[r])
-            ob = np.asarray(out_b, dtype=np.uint64)
+            # candidate rows only: row r repeats once per request
+            # rid_s[lo[r]:hi[r]], k walks those ranges back to back
+            n = hi - lo
+            rows = np.repeat(np.arange(len(ids)), n)
+            k = np.arange(rows.size) - np.repeat(np.cumsum(n) - n - lo, n)
+            ob = np.asarray(rb_s[k], dtype=np.uint64)
             return pa.table({
                 "part": pa.array((ob % np.uint64(parts)).astype(np.int32)),
                 "bucket": pa.array(ob),
-                id_col: pa.array(out_i,
-                                 b.schema.field(id_col).type),
-                "minhash": pa.array(out_s, pa.binary())})
+                id_col: b[id_col].take(rows),
+                "minhash": b["minhash"].take(rows).cast(pa.binary())})
 
         banded = reps.map_batches(attach_bcast, batch_format="pyarrow")
         rep_pairs = banded.groupby("part").map_groups(
@@ -1499,11 +1517,11 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     one hash-partitioned exchange groups by shingle to mark dup rows
     (group total ≥ 2); a second doc-keyed exchange folds per-doc sums.
     Both exchanges carry (uint64, int64, int64) rows — never text — and
-    per-partition work is vectorized segment arithmetic. At cluster
-    scale pass num_parts ≈ distinct-shingle count / 50M so a
-    partition's rows fit a worker's heap."""
-    parts = _exact_parts(ds, num_parts)
-    shuffle_blocks = max(16, parts // 8)
+    per-partition work is vectorized segment arithmetic. Both follow
+    ``_exchange_plan``, sized for ~48 shingles per doc; pass
+    ``num_parts`` ≈ shingle rows / 2^18 when docs run much longer."""
+    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
+                                   _SHINGLE_DOCS_PER_PART)
 
     def shingles(b: pa.Table) -> pa.Table:
         from ..analysis.tokenizer import simple_tokenize
@@ -1561,7 +1579,7 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
                                     / df["sh"].to_numpy(np.float64))})
 
     marked = ds.map_batches(shingles, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+        .repartition(blocks) \
         .groupby("part").map_groups(mark_dups, batch_format="pyarrow")
 
     def repart(b: pa.Table) -> pa.Table:
@@ -1683,7 +1701,8 @@ def remove_dup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
     from ..analysis.tokenizer import simple_tokenize
     from ..util import proc_cached
 
-    parts = _exact_parts(ds, num_parts)
+    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
+                                   _SHINGLE_DOCS_PER_PART)
 
     def partial(b: pa.Table) -> pa.Table:
         hs, cs = [], []
@@ -1718,6 +1737,7 @@ def remove_dup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
 
     gathered, nbytes = [], 0
     for b in ds.map_batches(partial, batch_format="pyarrow") \
+            .repartition(blocks) \
             .groupby("part").map_groups(dup_only, batch_format="pyarrow") \
             .iter_batches(batch_size=None, batch_format="pyarrow"):
         arr = b["h"].to_numpy(zero_copy_only=False)

@@ -135,7 +135,7 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
     # bound the per-round shuffle fan-out: block count stays ≈ parts
     # through the rounds because each map_groups emits one block per
     # partition, but the INPUT edge set can arrive in hundreds of tiny
-    # blocks (same lesson as exact_dedup's coalesce)
+    # blocks, and the sort moves blocks × parts pieces
     cur = cur.repartition(parts)
     prev_sig = None
     for _ in range(max_rounds):

@@ -645,6 +645,61 @@ def test_dedup_lines(ray_session):
     assert again["n_removed"].sum() == 0
 
 
+
+def test_dedup_exchanges_invariant_to_parts_and_blocks(ray_session,
+                                                       tmp_path):
+    """exact_dedup, dedup_lines and dup_span_stats size their exchange
+    from the input (Parquet row estimate, or a fixed default without
+    one): the rows they return must not depend on the part count or on
+    how many blocks the input arrives in. A null text hashes as b"";
+    ids are strings except for dup_span_stats, which takes int ids."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from search_engines_ray.functions.dedup import (
+        dedup_lines, dup_span_stats, exact_dedup,
+    )
+
+    rng = np.random.default_rng(5)
+    pool = ["shared header line of the site with enough tokens here",
+            "shared footer line of the site with enough tokens here"] + \
+        [f"line {i} " + " ".join(f"w{x}" for x in rng.integers(0, 50, 9))
+         for i in range(60)]
+    texts = ["\n".join(rng.choice(pool, rng.integers(1, 6)))
+             for _ in range(120)]
+    texts[7] = texts[3]                  # verbatim copy
+    texts[11] = None                     # hashes as b""
+    texts[12] = ""
+    t = pa.table({"doc_id": pa.array([f"u{i:04d}" for i in range(120)]),
+                  "n": pa.array(np.arange(120, dtype=np.int64) * 3 - 40),
+                  "text": pa.array(texts, pa.string())})
+    f = tmp_path / "docs.parquet"
+    pq.write_table(t, f, row_group_size=8)
+    assert rd.read_parquet(str(f), override_num_blocks=64) \
+        .materialize().num_blocks() > 8
+
+    def variants():
+        for parts in (None, 1, 3):
+            yield rd.read_parquet(str(f)), parts
+        for blocks in (1, 64):
+            yield rd.read_parquet(str(f), override_num_blocks=blocks), None
+        yield rd.from_arrow(t), None     # no footers: the default plan
+
+    def canon(out):
+        df = out.to_pandas()
+        return df.sort_values(list(df.columns), ignore_index=True)
+
+    for fn, kw in ((exact_dedup, {}), (dedup_lines, {}),
+                   (dup_span_stats, {"id_col": "n"})):
+        outs = [canon(fn(ds, num_parts=parts, **kw))
+                for ds, parts in variants()]
+        assert len(outs[0]) > 0
+        for o in outs[1:]:
+            pd.testing.assert_frame_equal(outs[0], o)
+    exact = canon(exact_dedup(rd.read_parquet(str(f))))
+    assert exact["n_dups"].sum() == 120 and exact["n_dups"].max() >= 2
+
 def test_best_passage(ray_session):
     """Window covering the most distinct query terms wins; ties break to
     the smallest start; starts align to hit positions (1-based)."""

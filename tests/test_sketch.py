@@ -230,7 +230,7 @@ def test_resolve_exchange_parts_scales_with_corpus(rd, tmp_path):
     explicit argument always wins."""
     import pyarrow.parquet as pq
 
-    from search_engines_ray.functions.dedup import _exact_parts
+    from search_engines_ray.functions import dedup
     from search_engines_ray.functions.partitioning import (
         estimate_rows, resolve_exchange_parts,
     )
@@ -247,9 +247,34 @@ def test_resolve_exchange_parts_scales_with_corpus(rd, tmp_path):
     assert resolve_exchange_parts(ds) == 16
     # metadata-less input → operator default, never an execution
     assert estimate_rows(rd.from_items([{"x": 1}])) is None
-    # dedup floor holds at small scale; a web-scale corpus grows it
-    assert _exact_parts(ds, None) == 256
-    assert _exact_parts(ds, 17) == 17
+    # dedup exchange plan (parts, blocks): a small corpus is one part in
+    # one block, a web-scale corpus grows the parts up to the cap, an
+    # explicit num_parts wins, a metadata-less input keeps the 256 parts
+    # and 32 blocks of the fixed plan this replaced
+    per = dedup._DIGEST_DOCS_PER_PART
+    assert dedup._exchange_plan(estimate_rows(ds), None, per) == (1, 1)
+    assert dedup._exchange_plan(10**8, None, per) == (382, 32)
+    assert dedup._exchange_plan(10**12, None, per) == (16384, 2048)
+    assert dedup._exchange_plan(estimate_rows(ds), 17, per) == (17, 16)
+    assert dedup._exchange_plan(estimate_rows(ds), 3, per) == (3, 3)
+    assert dedup._exchange_plan(
+        estimate_rows(rd.from_items([{"x": 1}])), None, per) == (256, 32)
+    # never more blocks than the fixed plan, and never more exchanged
+    # rows per reduce call than that plan or ~2^18, for each site's
+    # measured rows per doc (digests 1, lines 7.2, shingles 47.1)
+    for per, rows_per_doc in ((dedup._DIGEST_DOCS_PER_PART, 1.0),
+                              (dedup._LINE_DOCS_PER_PART, 7.2),
+                              (dedup._SHINGLE_DOCS_PER_PART, 47.1)):
+        for n in (10**3, 10**6, 10**8, 10**10, 10**12):
+            for num_parts in (None, 3, 64, 5000):
+                old_parts = num_parts or \
+                    min(16384, max(256, -(-n // 2_000_000)))
+                parts, blocks = dedup._exchange_plan(n, num_parts, per)
+                assert blocks <= max(16, old_parts // 8)
+                if num_parts is None:
+                    per_call = n * rows_per_doc / parts
+                    assert per_call <= max(
+                        1 << 18, n * rows_per_doc / old_parts)
     from search_engines_ray.functions import partitioning as pt
     assert pt.resolve_exchange_parts(
         n_rows=10**12, rows_per_part=2_000_000, min_parts=256,
