@@ -1,7 +1,8 @@
 """Index inspection utility — the reference's ``InspectIndex``
 (``/root/reference/QryEval/InspectIndex.java:46-441``): stats, posting
-lists, term vectors, docid lookups, all as pyarrow scans of the Parquet
-index (no Ray session needed).
+lists, term vectors, docid lookups, through the reader's lexicon and
+pyarrow scans of the Parquet index (no Ray session needed, except for
+``verify``).
 
 CLI:  python -m search_engines_ray.index.inspect <index_dir> <cmd> [...]
   stats
@@ -18,9 +19,6 @@ import json
 import os
 import sys
 
-import pyarrow.dataset as pads
-
-from .build import POSTINGS_DIR
 from .reader import IndexReader
 
 
@@ -66,11 +64,11 @@ def cmd_doc(reader: IndexReader, external_id: str) -> dict:
 
 
 def cmd_vocab(reader: IndexReader, field: str = "body", limit: int = 20) -> dict:
-    base = os.path.join(reader.index_dir, POSTINGS_DIR)
-    dset = pads.dataset(base, format="parquet", partitioning="hive")
-    t = dset.to_table(columns=["term", "field", "df", "ctf"])
+    import numpy as np
     import pandas as pd
-    df = t.to_pandas()
+    runs = [reader._bucket(b).runs for b in range(reader.num_buckets)]
+    df = pd.DataFrame({c: np.concatenate([getattr(r, c) for r in runs])
+                       for c in ("term", "field", "df", "ctf")})
     df = df[df["field"] == field].groupby("term", as_index=False).sum(
         numeric_only=True)
     n_terms = int(df["term"].nunique())
@@ -102,24 +100,25 @@ def cmd_verify(reader: IndexReader) -> dict:
     - stats vs docmeta: n_docs == forward row count; per-field sum_len
       / doc_count re-aggregate to stats.json; pid_offsets are monotone
       and end at n_docs.
-    - postings self-consistency (distributed map over the postings
-      files): per run, df == decoded docid count, ctf == Σtf, docids
-      strictly ascending inside [pid-range of the salt], min_docid /
-      max_tf metadata match the blobs, bucket == term_bucket(term).
+    - postings self-consistency (distributed map over the term
+      buckets): every run of the reader's lexicon against the blobs its
+      (file, row group, row) points at — df == decoded docid count,
+      ctf == Σtf, docids strictly ascending, min_docid == first docid,
+      max_tf == max tf, bucket == term_bucket(term). ``first_bad``
+      names up to ten failing runs.
     - cross-plane: per-field Σctf over postings == the forward plane's
       indexed-token count (Σ len(terms_<field>) — NOT sum_len, which is
       stopword-inclusive under the lucene analyzer).
 
     → dict of check name → {"ok": bool, ...detail}; "ok" overall key.
-    Runs as ONE Ray Data pass over the postings parquet (per-batch
-    partial violation counts) + the stats pass the reader already has.
+    Runs as ONE Ray Data pass over the buckets (per-batch failing runs
+    and ctf partials) + the stats pass the reader already has.
     """
     import numpy as np
     import pyarrow as pa
     import ray.data
 
     from .build import term_bucket
-    from .varbyte import decode_postings
     checks: dict = {}
     st = reader.stats
     off = reader.pid_offsets
@@ -139,52 +138,51 @@ def cmd_verify(reader: IndexReader) -> dict:
     checks["docmeta"] = {"ok": bool(n_fwd == st["n_docs"]
                                     and all(ok_fields.values())),
                          "n_forward": int(n_fwd), "fields": ok_fields}
-    # postings plane: distributed per-batch audit
-    import os as _os
-    pdir = _os.path.join(reader.index_dir, "postings")
-    files = []
-    for d in sorted(_os.listdir(pdir)) if _os.path.isdir(pdir) else []:
-        full = _os.path.join(pdir, d)
-        if d.startswith("bucket=") and _os.path.isdir(full):
-            files.extend(_os.path.join(full, x) for x in sorted(_os.listdir(full))
-                         if x.endswith(".parquet"))
+    # postings plane: the lexicon of each bucket against its decoded
+    # blobs, one file at a time, in a distributed map over the buckets
+    index_dir = reader.index_dir
     num_buckets = int(st["num_buckets"])
 
-    def audit(b: pa.Table) -> pa.Table:
-        bad = 0
+    def audit(batch: pa.Table) -> pa.Table:
+        r = IndexReader(index_dir)
+        bad: list[str] = []
         ctf_by_field: dict = {}
-        for i in range(b.num_rows):
-            term = b["term"][i].as_py()
-            fld = b["field"][i].as_py()
-            d, tf, _p = decode_postings(b["docid_blob"][i].as_py(),
-                                        b["tf_blob"][i].as_py(), None)
-            row_ok = (
-                int(b["df"][i].as_py()) == d.size
-                and int(b["ctf"][i].as_py()) == int(tf.sum())
-                and (d.size == 0 or (np.diff(d) > 0).all())
-                and (d.size == 0
-                     or int(b["min_docid"][i].as_py()) == int(d[0]))
-                and (tf.size == 0
-                     or int(b["max_tf"][i].as_py()) == int(tf.max()))
-                and int(b["bucket"][i].as_py())
-                == term_bucket(term, num_buckets))
-            bad += 0 if row_ok else 1
-            ctf_by_field[fld] = ctf_by_field.get(fld, 0) + int(tf.sum())
-        # one bad-count row (field "") + one ctf row per field
+        for b in batch["bucket"].to_pylist():
+            lex = r._bucket(b)
+            for f in range(len(lex.paths)):
+                runs = lex.runs.take(np.flatnonzero(lex.runs.file == f))
+                for i, (d, tf, _p) in enumerate(r.read_runs(runs)):
+                    term, fld = runs.term[i], runs.field[i]
+                    ok = (int(runs.df[i]) == d.size
+                          and int(runs.ctf[i]) == int(tf.sum())
+                          and (d.size == 0 or (np.diff(d) > 0).all())
+                          and (d.size == 0
+                               or int(runs.min_docid[i]) == int(d[0]))
+                          and (tf.size == 0
+                               or int(runs.max_tf[i]) == int(tf.max()))
+                          and term_bucket(term, num_buckets) == b)
+                    if not ok:
+                        bad.append(f"{term!r}/{fld} salt {runs.salt[i]} "
+                                   f"({os.path.basename(lex.paths[f])}, "
+                                   f"row group {runs.rg[i]}, "
+                                   f"row {runs.row[i]})")
+                    ctf_by_field[fld] = ctf_by_field.get(fld, 0) + int(
+                        tf.sum())
+        # one row per bad run (field "") + one ctf row per field
         flds = sorted(ctf_by_field)
         return pa.table({
-            "bad": pa.array([bad] + [0] * len(flds), pa.int64()),
-            "field": pa.array([""] + flds, pa.string()),
-            "ctf": pa.array([0] + [ctf_by_field[f] for f in flds],
-                            pa.int64())})
+            "bad": pa.array(bad + [""] * len(flds), pa.string()),
+            "field": pa.array([""] * len(bad) + flds, pa.string()),
+            "ctf": pa.array([0] * len(bad)
+                            + [ctf_by_field[f] for f in flds], pa.int64())})
 
-    if files:
+    if reader._postings_paths():
         parts = pa.concat_tables(
-            ray.data.read_parquet(files)
+            ray.data.from_items([{"bucket": b} for b in range(num_buckets)])
             .map_batches(audit, batch_format="pyarrow")
             .iter_batches(batch_size=None, batch_format="pyarrow"))
         seen_rows = parts.to_pydict()
-        bad_total = int(sum(seen_rows["bad"]))
+        bad_runs = [x for x in seen_rows["bad"] if x]
         ctf_sums: dict = {}
         for f, c in zip(seen_rows["field"], seen_rows["ctf"]):
             if f:
@@ -197,8 +195,9 @@ def cmd_verify(reader: IndexReader) -> dict:
                 t[f"terms_{f}"])).as_py() or 0)
         cross_ok = all(ctf_sums.get(f, 0) == fwd_tok[f]
                        for f in reader.fields)
-        checks["postings"] = {"ok": bad_total == 0,
-                              "bad_runs": int(bad_total)}
+        checks["postings"] = {"ok": not bad_runs,
+                              "bad_runs": len(bad_runs),
+                              "first_bad": sorted(bad_runs)[:10]}
         checks["cross_plane_ctf"] = {"ok": bool(cross_ok),
                                      "ctf_sums": ctf_sums}
     else:

@@ -2,19 +2,28 @@
 (``/root/reference/QryEval/Idx.java``) + ``InvList`` fetch
 (``InvList.java:107-145``) + ``DocLengthStore`` (``DocLengthStore.java``).
 
-Driver-side, pyarrow-only (no Ray session required): query evaluation
-reads a handful of term posting lists via bucket-pruned parquet scans.
-The distributed scoring path (``query/distributed.py``) reads the same
-layout from Ray tasks, one salt per task, through a per-worker
-hive-partitioned dataset handle and a per-worker reader.
+Driver-side, pyarrow-only (no Ray session required). The distributed
+scoring path (``query/distributed.py``) uses the same reader from Ray
+tasks, one salt per task, through the worker's process-cached reader.
 
-Doc lengths, external ids and attributes come from one byte-budgeted
-LRU of forward shards. A shard is one column of one fixed block of
-``FORWARD_BLOCK`` docids inside a pid's range, so its size does not grow
-with the corpus. A lookup splits its docids into blocks, loads the
-missing blocks in one forward scan that keeps only their rows, and
+Term-level facts come from a **lexicon per build** — the reference's
+Lucene term dictionary. It is derived lazily, one term bucket at a time,
+from the postings files' non-blob columns (term, field, salt, df, ctf,
+min_docid, max_tf) plus each row's file, row group and row; no build
+step writes it. ``runs`` is the one primitive every postings path goes
+through: it selects the (term, field[, salt]) runs from the lexicon in
+index order (bucket, then file, then row), and ``read_runs`` decodes
+their blobs, read as exact row groups (column-pruned) on a miss.
+
+Doc lengths, external ids, attributes and posting-run blobs share ONE
+byte-budgeted LRU per process (``CACHE_BYTES``), keyed by (index dir,
+build token), so a process that opens several indexes or builds still
+holds at most the budget. A forward shard is one column of one fixed
+block of ``FORWARD_BLOCK`` docids inside a pid's range, so its size does
+not grow with the corpus. A lookup splits its docids into blocks, loads
+the missing blocks in one forward scan that keeps only their rows, and
 gathers from memory: a warm reader answers a query without touching
-parquet, and never holds more than ``FORWARD_CACHE_BYTES`` of shards.
+parquet.
 """
 
 from __future__ import annotations
@@ -34,11 +43,13 @@ from ..util import ByteLRU
 from .build import DOCMETA_DIR, FORWARD_DIR, POSTINGS_DIR, STATS_FILE, term_bucket
 from .varbyte import decode_postings
 
-# resident bytes of one reader's forward-shard cache
-FORWARD_CACHE_BYTES = 64 << 20
+# resident bytes of the process's one cache (forward shards + posting runs)
+CACHE_BYTES = 64 << 20
 # docids per forward shard (one block of a pid's docid_local range)
 FORWARD_BLOCK = 1024
 _STR_HEADER = sys.getsizeof("")
+# lexicon columns: every postings column but the blobs
+_LEXICON_COLS = ["term", "field", "salt", "df", "ctf", "min_docid", "max_tf"]
 
 
 @dataclass
@@ -61,6 +72,81 @@ class Posting:
         return b
 
 
+class Runs:
+    """Lexicon rows, one per (term, field, salt) posting run, in index
+    order (bucket, then file, then row); ``bucket``, ``file``, ``rg`` and
+    ``row`` locate each run's blobs. The integer columns share one
+    (n, 9) int64 block, so a selection is three gathers."""
+    INT_COLS = ("salt", "df", "ctf", "min_docid", "max_tf",
+                "bucket", "file", "rg", "row")
+
+    def __init__(self, term: np.ndarray, field: np.ndarray,
+                 ints: np.ndarray):
+        self.term, self.field, self.ints = term, field, ints
+
+    def __len__(self) -> int:
+        return self.term.size
+
+    def take(self, idx) -> "Runs":
+        return Runs(self.term[idx], self.field[idx], self.ints[idx])
+
+    @staticmethod
+    def concat(parts: list["Runs"]) -> "Runs":
+        return Runs(*(np.concatenate([getattr(p, a) for p in parts])
+                      for a in ("term", "field", "ints")))
+
+
+for _j, _c in enumerate(Runs.INT_COLS):
+    setattr(Runs, _c, property(lambda self, j=_j: self.ints[:, j]))
+
+_NO_RUNS = Runs(np.empty(0, object), np.empty(0, object),
+                np.empty((0, len(Runs.INT_COLS)), np.int64))
+
+
+@dataclass
+class _Bucket:
+    """One term bucket's lexicon: its runs in file/row order, the term
+    column sorted (stable, so each term's runs keep index order) for
+    binary search, and each file's path and footer."""
+    runs: Runs
+    keys: np.ndarray            # runs.term[order]
+    order: np.ndarray
+    paths: list[str]
+    metas: list
+
+
+def _bucket_files(base: str, b: int) -> list[str]:
+    """Postings files of bucket ``b``, in name order."""
+    d = os.path.join(base, f"bucket={b}")
+    return ([os.path.join(d, f) for f in sorted(os.listdir(d))
+             if f.endswith(".parquet")] if os.path.isdir(d) else [])
+
+
+def _load_bucket(base: str, b: int) -> _Bucket:
+    """Lexicon of bucket ``b``: the non-blob columns of its postings
+    files (in name order, the order every scan used), plus each row's
+    file, row group and row."""
+    paths = _bucket_files(base, b)
+    metas, parts = [], []
+    for i, path in enumerate(paths):
+        pf = pq.ParquetFile(path)
+        t = pf.read(columns=_LEXICON_COLS)
+        sizes = [pf.metadata.row_group(g).num_rows
+                 for g in range(pf.metadata.num_row_groups)]
+        n = t.num_rows
+        ints = [t[c].to_numpy() for c in _LEXICON_COLS[2:]] + [
+            np.full(n, b), np.full(n, i),
+            np.repeat(np.arange(len(sizes)), sizes),
+            np.arange(n) - np.repeat(np.cumsum([0] + sizes)[:-1], sizes)]
+        parts.append(Runs(t["term"].to_numpy(zero_copy_only=False),
+                          t["field"].to_numpy(zero_copy_only=False),
+                          np.stack(ints, axis=1).astype(np.int64)))
+        metas.append(pf.metadata)
+    runs = Runs.concat(parts) if parts else _NO_RUNS
+    order = np.argsort(runs.term, kind="stable")
+    return _Bucket(runs, runs.term[order], order, paths, metas)
+
+
 class IndexReader:
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
@@ -76,8 +162,16 @@ class IndexReader:
         self._external_ids: np.ndarray | None = None
         self._fwd_dset = None
         self._pid_offsets = None
-        # (block key, forward column) → dense shard; see _shards
-        self.forward_cache = ByteLRU(FORWARD_CACHE_BYTES)
+        self._lexicon: dict[int, _Bucket] = {}
+        self._vocabs: dict[str, pa.Array] = {}
+        # the process's one byte budget: keys start with this build's
+        # (index dir, token); (key, block key, forward column) → dense
+        # forward shard (see _shards), (key, bucket, file, row group,
+        # row) → a run's blobs (see read_runs)
+        from ..util import proc_cached
+        self.cache = proc_cached(("byte_lru", CACHE_BYTES),
+                                 lambda: ByteLRU(CACHE_BYTES), cap=1)
+        self._ck = (index_dir, self.stats_token)
         self._block = FORWARD_BLOCK
         self._stride = None
 
@@ -225,7 +319,7 @@ class IndexReader:
         got, miss = {}, set()
         for k in keys:
             for c in cols:
-                v = self.forward_cache.get((k, c))
+                v = self.cache.get((self._ck, k, c))
                 if v is None:
                     miss.add(k)
                 else:
@@ -266,8 +360,8 @@ class IndexReader:
             for k, a, b in zip(want, lo, hi):
                 if (k, c) not in got:
                     got[k, c] = vals[order[a:b]]
-                    self.forward_cache.put((k, c), got[k, c],
-                                           int(row[order[a:b]].sum()))
+                    self.cache.put((self._ck, k, c), got[k, c],
+                                   int(row[order[a:b]].sum()))
         return got
 
     def _gather(self, docids: np.ndarray, cols: list[str]) -> dict:
@@ -358,177 +452,187 @@ class IndexReader:
         corpus."""
         return self._gather(docids, ["external_id"])["external_id"]
 
-    # ---- postings ----
-    def postings_many(self, terms: list[str], field: str,
-                      positions: bool = True) -> dict[str, Posting]:
-        """Bucket-pruned fetch of several terms' posting lists at once.
+    # ---- postings: the per-build lexicon and its one run primitive ----
+    def _bucket(self, b: int) -> _Bucket:
+        lex = self._lexicon.get(b)
+        if lex is None:
+            lex = self._lexicon[b] = _load_bucket(
+                os.path.join(self.index_dir, POSTINGS_DIR), b)
+        return lex
 
-        Reads only the ``bucket=<h>`` partition directories the query
-        terms hash to, with a parquet filter on (term, field); merges a
-        term's salted runs (disjoint docid ranges) by ``min_docid`` order
-        — concatenation, no re-sort (build.py layout contract)."""
-        terms = sorted(set(terms))
-        if not terms:
-            return {}
+    def runs(self, terms, fields: list[str], salt: int | None = None) -> Runs:
+        """Lexicon rows of ``terms`` × ``fields``, optionally of one
+        salt, in index order: bucket, then file, then row — the row order
+        of a scan over the bucket files, which downstream float sums
+        depend on. Reads no blob; only the buckets the terms hash to
+        load."""
+        by_bucket: dict[int, list[str]] = {}
+        for t in set(terms):
+            by_bucket.setdefault(term_bucket(t, self.num_buckets),
+                                 []).append(t)
+        parts = []
+        for b in sorted(by_bucket):
+            lex = self._bucket(b)
+            probe = np.asarray(by_bucket[b], dtype=object)
+            lo = np.searchsorted(lex.keys, probe, side="left")
+            hi = np.searchsorted(lex.keys, probe, side="right")
+            spans = [lex.order[x:y] for x, y in zip(lo, hi) if y > x]
+            if not spans:
+                continue
+            idx = np.concatenate(spans)
+            fld = lex.runs.field[idx]
+            idx = idx[fld == fields[0] if len(fields) == 1
+                      else np.isin(fld, fields)]
+            if salt is not None:
+                idx = idx[lex.runs.salt[idx] == salt]
+            if idx.size:
+                parts.append(lex.runs.take(np.sort(idx)))
+        return Runs.concat(parts) if parts else _NO_RUNS
+
+    def read_runs(self, runs: Runs, positions: bool = False) -> list[tuple]:
+        """Decoded ``(docids, tfs, positions)`` per run of ``runs``
+        (positions None unless asked for). Blobs come from the process
+        cache; the missing runs of a row group load in one column-pruned
+        read of exactly that row group, and only those runs are kept."""
         if positions and not self.stats.get("positions", True):
             raise ValueError(
                 "index was built with store_positions=False — positional "
                 "operators (#NEAR/#WINDOW) are unavailable; rebuild with "
                 "store_positions=True")
-        paths = self._bucket_paths(terms)
-        if not paths:
-            return {}
-        dset = pads.dataset(paths, format="parquet")
-        cols = ["term", "field", "salt", "df", "ctf", "min_docid",
-                "docid_blob", "tf_blob"] + (["pos_blob"] if positions else [])
-        t = dset.to_table(
-            columns=cols,
-            filter=(pc.field("term").isin(terms) & (pc.field("field") == field)))
+        cols = ["docid_blob", "tf_blob"] + (["pos_blob"] if positions else [])
+        blobs: list = [None] * len(runs)
+        miss: dict[tuple, list] = {}
+        for i, loc in enumerate(zip(runs.bucket.tolist(), runs.file.tolist(),
+                                    runs.rg.tolist(), runs.row.tolist())):
+            v = self.cache.get((self._ck,) + loc)
+            if v is None or len(v) < len(cols):
+                miss.setdefault(loc[:3], []).append((i, loc[3]))
+            else:
+                blobs[i] = v
+        for (b, f, g), want in miss.items():
+            lex = self._lexicon[b]
+            t = pq.ParquetFile(lex.paths[f], metadata=lex.metas[f]
+                               ).read_row_group(g, columns=cols)
+            for i, r in want:
+                v = tuple(t[c][r].as_py() for c in cols)
+                self.cache.put((self._ck, b, f, g, r), v,
+                               sum(map(sys.getsizeof, v)))
+                blobs[i] = v
+        return [decode_postings(v[0], v[1], v[2] if positions else None)
+                for v in blobs]
+
+    def term_stats(self, terms, field: str) -> dict[str, tuple[int, int]]:
+        """Global ``(df, ctf)`` per term = sums over its runs, from the
+        lexicon alone (no blob read); terms without runs are absent."""
+        r = self.runs(terms, [field])
+        out: dict[str, tuple[int, int]] = {}
+        for t, d, c in zip(r.term.tolist(), r.df.tolist(), r.ctf.tolist()):
+            d0, c0 = out.get(t, (0, 0))
+            out[t] = (d0 + d, c0 + c)
+        return out
+
+    def postings_many(self, terms: list[str], field: str,
+                      positions: bool = True) -> dict[str, Posting]:
+        """Several terms' posting lists at once: a term's salted runs
+        (disjoint docid ranges) merge in ``min_docid`` order —
+        concatenation, no re-sort (build.py layout contract)."""
+        r = self.runs(terms, [field])
+        r = r.take(np.lexsort((r.min_docid, r.term)))
+        got = self.read_runs(r, positions)
+        tl = r.term.tolist()
+        starts = [i for i in range(len(tl)) if i == 0 or tl[i] != tl[i - 1]]
         out: dict[str, Posting] = {}
-        if t.num_rows == 0:
-            return out
-        t = t.sort_by([("term", "ascending"), ("min_docid", "ascending")])
-        tcol = t["term"].to_pylist()
-        dblobs = t["docid_blob"].to_pylist()
-        tblobs = t["tf_blob"].to_pylist()
-        pblobs = t["pos_blob"].to_pylist() if positions else [None] * t.num_rows
-        i = 0
-        while i < len(tcol):
-            j = i
-            while j < len(tcol) and tcol[j] == tcol[i]:
-                j += 1
-            dparts, tparts, pparts = [], [], []
-            for k in range(i, j):
-                d, tf, p = decode_postings(dblobs[k], tblobs[k], pblobs[k])
-                dparts.append(d); tparts.append(tf)
-                if p is not None:
-                    pparts.append(p)
-            docids = np.concatenate(dparts)
-            tfs = np.concatenate(tparts)
-            pos = np.concatenate(pparts) if (positions and pparts) else None
-            out[tcol[i]] = Posting(
-                term=tcol[i], field=field, df=int(docids.size),
-                ctf=int(tfs.sum()), docids=docids, tfs=tfs, positions=pos)
-            i = j
+        for a, z in zip(starts, starts[1:] + [len(tl)]):
+            docids = np.concatenate([d for d, _, _ in got[a:z]])
+            tfs = np.concatenate([tf for _, tf, _ in got[a:z]])
+            pos = [p for _, _, p in got[a:z] if p is not None]
+            out[tl[a]] = Posting(
+                term=tl[a], field=field, df=int(docids.size),
+                ctf=int(tfs.sum()), docids=docids, tfs=tfs,
+                positions=np.concatenate(pos) if positions and pos else None)
         return out
 
     def postings(self, term: str, field: str, positions: bool = True) -> Posting | None:
         return self.postings_many([term], field, positions).get(term)
 
-    def _bucket_paths(self, terms: list[str] | None = None) -> list[str]:
-        """Postings files of the buckets ``terms`` hash to (every bucket
-        when None), in bucket order."""
-        base = os.path.join(self.index_dir, POSTINGS_DIR)
-        paths: list[str] = []
-        buckets = (range(self.num_buckets) if terms is None else
-                   sorted({term_bucket(t, self.num_buckets) for t in terms}))
-        for b in buckets:
-            d = os.path.join(base, f"bucket={b}")
-            if os.path.isdir(d):
-                paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                             if f.endswith(".parquet"))
-        return paths
-
     def _postings_paths(self) -> list[str]:
-        """Every postings parquet file across all term buckets, sorted —
-        the full-vocabulary scan input shared by the wildcard/fuzzy/
-        regexp expansions (hash bucketing cannot prune any of them)."""
+        """Every postings parquet file, in bucket order — the input of
+        whole-index passes over the blobs."""
         base = os.path.join(self.index_dir, POSTINGS_DIR)
-        paths: list[str] = []
-        if os.path.isdir(base):
-            for d in sorted(os.listdir(base)):
-                full = os.path.join(base, d)
-                if d.startswith("bucket=") and os.path.isdir(full):
-                    paths.extend(os.path.join(full, f)
-                                 for f in sorted(os.listdir(full))
-                                 if f.endswith(".parquet"))
-        return paths
+        return [p for b in range(self.num_buckets)
+                for p in _bucket_files(base, b)]
+
+    def _vocab(self, field: str) -> pa.Array:
+        """Sorted distinct terms of ``field`` over every bucket's lexicon
+        — the input of the full-vocabulary expansions (wildcard, fuzzy,
+        regexp), which term hash-bucketing cannot prune. Built once per
+        reader and field; later expansions touch no parquet."""
+        v = self._vocabs.get(field)
+        if v is None:
+            lexs = [self._bucket(b) for b in range(self.num_buckets)]
+            u = pc.unique(pa.array(np.concatenate(
+                [x.runs.term[x.runs.field == field] for x in lexs]),
+                pa.string()))
+            v = self._vocabs[field] = u.take(pc.sort_indices(u))
+        return v
 
     def terms_with_prefix(self, prefix: str, field: str,
                           max_terms: int = 64) -> list[str]:
         """All indexed terms of ``field`` starting with ``prefix``,
         ascending, capped at ``max_terms`` (the wildcard-expansion
-        budget — Lucene caps its PrefixQuery rewrite the same way).
-        Term hash-bucketing cannot prune a prefix, so this is a
-        full-vocabulary scan — but of the ``term`` column only
-        (columnar prune), with the ``[prefix, prefix⁺)`` range filter
-        pushed to parquet row groups."""
+        budget — Lucene caps its PrefixQuery rewrite the same way):
+        the ``[prefix, prefix⁺)`` range of the sorted vocabulary."""
         if not prefix:
             return []
-        paths = self._postings_paths()
-        if not paths:
-            return []
+        v = self._vocab(field)
         hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-        t = pads.dataset(paths, format="parquet").to_table(
-            columns=["term"],
-            filter=((pc.field("field") == field)
-                    & (pc.field("term") >= prefix)
-                    & (pc.field("term") < hi)))
-        return sorted(set(t["term"].to_pylist()))[:max_terms]
+        return v.filter(pc.and_(pc.greater_equal(v, prefix),
+                                pc.less(v, hi)))[:max_terms].to_pylist()
 
     def terms_with_substring(self, sub: str, field: str,
                              max_terms: int = 64) -> list[str]:
         """All indexed terms of ``field`` CONTAINING ``sub``, ascending,
         capped at ``max_terms`` — the infix-wildcard (``*abc*``)
-        expansion. Unlike a prefix there is no byte-range to push down
-        (Lucene pays the same price: leading-wildcard terms enumerate
-        the whole term dictionary), so this scans the pruned ``term``
-        column and substring-matches vectorized in Arrow."""
+        expansion. Unlike a prefix there is no range to cut (Lucene pays
+        the same price: leading-wildcard terms enumerate the whole term
+        dictionary), so this substring-matches the vocabulary
+        vectorized in Arrow."""
         if not sub:
             return []
-        paths = self._postings_paths()
-        if not paths:
-            return []
-        t = pads.dataset(paths, format="parquet").to_table(
-            columns=["term"],
-            filter=((pc.field("field") == field)
-                    & pc.match_substring(pc.field("term"), sub)))
-        return sorted(set(t["term"].to_pylist()))[:max_terms]
+        v = self._vocab(field)
+        return v.filter(pc.match_substring(v, sub))[:max_terms].to_pylist()
 
     def terms_with_suffix(self, suffix: str, field: str,
                           max_terms: int = 64) -> list[str]:
         """All indexed terms of ``field`` ENDING with ``suffix``,
         ascending, capped — the ``*abc`` leading-wildcard expansion.
-        Same cost shape as the infix scan (no byte range to push down;
-        Lucene enumerates the term dictionary likewise): pruned
-        ``term`` column + vectorized Arrow ends-with."""
+        Same cost shape as the infix match (no range to cut; Lucene
+        enumerates the term dictionary likewise): vectorized Arrow
+        ends-with over the vocabulary."""
         if not suffix:
             return []
-        paths = self._postings_paths()
-        if not paths:
-            return []
-        t = pads.dataset(paths, format="parquet").to_table(
-            columns=["term"],
-            filter=((pc.field("field") == field)
-                    & pc.ends_with(pc.field("term"), suffix)))
-        return sorted(set(t["term"].to_pylist()))[:max_terms]
+        v = self._vocab(field)
+        return v.filter(pc.ends_with(v, suffix))[:max_terms].to_pylist()
 
     def terms_matching_regex(self, pattern: str, field: str,
                              max_terms: int = 64) -> list[str]:
         """All indexed terms of ``field`` FULLY matching ``pattern``
         (anchored, Lucene RegexpQuery semantics), ascending, capped at
-        ``max_terms``. Same cost shape as the infix scan — a regex has
-        no byte-range to push down, so this scans the pruned ``term``
-        column and matches with Arrow's RE2 kernel (the same regex
-        engine family DuckDB uses, keeping oracle semantics aligned).
-        Invalid patterns raise at compile time, before any scan."""
+        ``max_terms``. Same cost shape as the infix match — a regex has
+        no range to cut, so this matches the vocabulary with Arrow's RE2
+        kernel (the same regex engine family DuckDB uses, keeping oracle
+        semantics aligned). Invalid patterns raise before any read."""
         if not pattern:
             return []
-        # validate with the SAME engine that will scan (Arrow RE2) —
+        # validate with the SAME engine that will match (Arrow RE2) —
         # Python re accepts constructs RE2 rejects (lookahead,
         # backreferences) and vice versa, so compiling here with re
-        # would not actually guarantee the scan cannot fail mid-flight
+        # would not actually guarantee the match cannot fail mid-flight
         pc.match_substring_regex(pa.array([], type=pa.string()),
                                  pattern=f"^(?:{pattern})$")
-        paths = self._postings_paths()
-        if not paths:
-            return []
-        t = pads.dataset(paths, format="parquet").to_table(
-            columns=["term"],
-            filter=((pc.field("field") == field)
-                    & pc.match_substring_regex(
-                        pc.field("term"), f"^(?:{pattern})$")))
-        return sorted(set(t["term"].to_pylist()))[:max_terms]
+        v = self._vocab(field)
+        return v.filter(pc.match_substring_regex(
+            v, f"^(?:{pattern})$"))[:max_terms].to_pylist()
 
     def terms_within_distance(self, term: str, field: str,
                               max_distance: int = 2,
@@ -537,22 +641,15 @@ class IndexReader:
         edits of ``term``, ordered (distance asc, term asc), capped at
         ``max_terms`` (Lucene FuzzyQuery caps its rewrite at
         maxExpansions=50 the same way). Bucket hashing cannot prune an
-        edit ball, and unlike a prefix there is no byte-range filter
-        either (an edit at position 0 changes the first byte), so this
-        is a full scan of the ``term`` column only (columnar prune +
-        dictionary pages make it metadata-sized); the DP kernel runs
-        only on terms surviving the |len| band."""
+        edit ball, and unlike a prefix there is no range to cut either
+        (an edit at position 0 changes the first byte), so this walks
+        the vocabulary; the DP kernel runs only on terms surviving the
+        |len| band."""
         if not term or max_distance < 0:
             return []
         from ..functions.text import _levenshtein
-        paths = self._postings_paths()
-        if not paths:
-            return []
-        t = pads.dataset(paths, format="parquet").to_table(
-            columns=["term"], filter=pc.field("field") == field)
-        vocab = pc.unique(t["term"]).to_pylist()
         hits = []
-        for v in vocab:
+        for v in self._vocab(field).to_pylist():
             if abs(len(v) - len(term)) > max_distance:
                 continue
             d = _levenshtein(term, v)
@@ -560,62 +657,6 @@ class IndexReader:
                 hits.append((d, v))
         hits.sort()
         return [v for _, v in hits[:max_terms]]
-
-    def postings_meta(self, terms: list[str], field: str):
-        """Run-level metadata WITHOUT decoding (or even reading) posting
-        blobs: per (term, salt-run) df, ctf, min_docid, max_tf. This is
-        the block-max side of the index layout (build.py step 5): a run
-        is a docid-range block whose BM25 contribution is bounded by
-        ``idf · tfw(max_tf)`` — the MaxScore/WAND pruning input."""
-        terms = sorted(set(terms))
-        paths = self._bucket_paths(terms)
-        if not paths:
-            return None
-        dset = pads.dataset(paths, format="parquet")
-        t = dset.to_table(
-            columns=["term", "salt", "df", "ctf", "min_docid", "max_tf"],
-            filter=(pc.field("term").isin(terms) & (pc.field("field") == field)))
-        return t.sort_by([("term", "ascending"), ("min_docid", "ascending")])
-
-    def postings_runs(self, term: str, field: str, salts: list[int],
-                      positions: bool = False) -> Posting | None:
-        """Decode only the SELECTED salt runs of one term — the pruned
-        fetch used by the MaxScore scorer once whole docid-range runs are
-        provably unable to affect the top-k."""
-        if not salts:
-            return None
-        if positions and not self.stats.get("positions", True):
-            raise ValueError(
-                "index was built with store_positions=False — positional "
-                "operators (#NEAR/#WINDOW) are unavailable; rebuild with "
-                "store_positions=True")
-        paths = self._bucket_paths([term])
-        if not paths:
-            return None
-        dset = pads.dataset(paths, format="parquet")
-        cols = ["term", "salt", "min_docid", "docid_blob", "tf_blob"] + (
-            ["pos_blob"] if positions else [])
-        t = dset.to_table(
-            columns=cols,
-            filter=(pc.field("term") == term) & (pc.field("field") == field)
-                   & pc.field("salt").isin([int(s) for s in salts]))
-        if t.num_rows == 0:
-            return None
-        t = t.sort_by([("min_docid", "ascending")])
-        dparts, tparts, pparts = [], [], []
-        pblobs = t["pos_blob"].to_pylist() if positions else [None] * t.num_rows
-        for db, tb, pb in zip(t["docid_blob"].to_pylist(),
-                              t["tf_blob"].to_pylist(), pblobs):
-            d, tf, p = decode_postings(db, tb, pb)
-            dparts.append(d); tparts.append(tf)
-            if p is not None:
-                pparts.append(p)
-        docids = np.concatenate(dparts)
-        tfs = np.concatenate(tparts)
-        pos = np.concatenate(pparts) if (positions and pparts) else None
-        return Posting(term=term, field=field, df=int(docids.size),
-                       ctf=int(tfs.sum()), docids=docids, tfs=tfs,
-                       positions=pos)
 
     # ---- forward index (TermVector.java equivalent) ----
     def term_vectors(self, docids: list[int], field: str):

@@ -2006,7 +2006,7 @@ order by tf desc, doc_id asc limit 100
 def q_suffix_search(sf_dir: str):
     """Suffix wildcard retrieval (``*ow`` — Lucene leading-wildcard
     ends-with): rewrites to a #SYN of every indexed body term ENDING
-    with 'ow' (vectorized Arrow ends-with over the pruned term column,
+    with 'ow' (vectorized Arrow ends-with over the index vocabulary,
     capped at 64 by term asc), ranked boolean; LIKE '%ow' vocab CTE."""
     reader = get_index(sf_dir, "simple")
     engine = QueryEngine(reader, RankedBooleanModel())
@@ -2029,7 +2029,7 @@ order by tf desc, doc_id asc limit 100
 def q_regexp_search(sf_dir: str):
     """Regexp-term retrieval (Lucene ``RegexpQuery``): ``/s.*t/``
     rewrites to a #SYN of every indexed body term FULLY matching the
-    anchored pattern (Arrow RE2 kernel over the pruned term column,
+    anchored pattern (Arrow RE2 kernel over the index vocabulary,
     capped at 64 by term asc — ``reader.terms_matching_regex``),
     ranked boolean. The oracle mirrors the expansion with a
     ``regexp_full_match`` vocab CTE (DuckDB's RE2 agrees with Arrow's
@@ -5378,8 +5378,8 @@ def q_significant_terms(sf_dir: str):
     scored by JLH = (fg% − bg%)·(fg%/bg%), min fg_df 3, positively
     significant only. Foreground term sets come from the index's
     FORWARD term vectors (result-set-sized fetch, the PRF pattern);
-    background df is a metadata-only run scan (``postings_meta``, no
-    blob decode). → (term, fg_df, bg_df, score) top-15 by raw score
+    background df comes from the index lexicon (``term_stats``, no blob
+    read). → (term, fg_df, bg_df, score) top-15 by raw score
     desc, term asc."""
     reader = get_index(sf_dir, "simple")
     engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
@@ -5396,11 +5396,7 @@ def q_significant_terms(sf_dir: str):
         for t in set(terms):
             fg_df[t] = fg_df.get(t, 0) + 1
     cand = sorted(t for t, c in fg_df.items() if c >= 3)
-    meta = reader.postings_meta(cand, "body")
-    bg_df: dict[str, int] = {}
-    if meta is not None:
-        for t, d in zip(meta["term"].to_pylist(), meta["df"].to_pylist()):
-            bg_df[t] = bg_df.get(t, 0) + d
+    bg_df = {t: d for t, (d, _) in reader.term_stats(cand, "body").items()}
     n = float(reader.doc_count("body"))
     rows = []
     for t in cand:

@@ -49,12 +49,11 @@ def expansion_terms(reader: IndexReader, ranking: list[tuple[int, float]],
             tf.setdefault(t, {})[d] = tf.get(t, {}).get(d, 0) + 1
 
     c_len = max(reader.sum_field_lengths(field), 1)
-    posts = reader.postings_many(list(tf), field, positions=False)
+    stats = reader.term_stats(list(tf), field)
 
     scores: dict[str, float] = {}
     for t, per_doc in tf.items():
-        p = posts.get(t)
-        ctf = p.ctf if p else sum(per_doc.values())
+        ctf = stats[t][1] if t in stats else sum(per_doc.values())
         mle = ctf / c_len
         s = 0.0
         for d, doc_score in top:           # includes tf=0 docs (2nd pass)
@@ -111,8 +110,8 @@ def rocchio_terms(reader: IndexReader, ranking: list[tuple[int, float]],
     to a ``#WSUM`` like the Indri path's ``#WAND``.
 
     Same scale shape as ``expansion_terms``: |Dr| = fb_docs documents
-    per query, term vectors via one filtered forward scan, df/ctf via
-    one bucket-pruned metadata scan — driver-side by design."""
+    per query, term vectors via one filtered forward scan, df from the
+    index lexicon — driver-side by design."""
     top = ranking[:fb_docs]
     if not top:
         return []
@@ -128,12 +127,8 @@ def rocchio_terms(reader: IndexReader, ranking: list[tuple[int, float]],
             cent[t] = cent.get(t, 0.0) + 1.0
     if not cent:
         return []
-    # corpus df for idf, one metadata scan; N = doc_count of the field
-    meta = reader.postings_meta(sorted(cent), field)
-    df: dict[str, int] = {}
-    if meta is not None:
-        for t, d0 in zip(meta["term"].to_pylist(), meta["df"].to_pylist()):
-            df[t] = df.get(t, 0) + int(d0)
+    # corpus df for idf from the lexicon; N = doc_count of the field
+    df = {t: d for t, (d, _) in reader.term_stats(sorted(cent), field).items()}
     n = float(reader.doc_count(field))
     k = float(len(docids))
     q = set(query_terms)

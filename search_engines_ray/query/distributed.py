@@ -6,11 +6,12 @@ query — right for interactive use. This module is the *batch* path: score
 a whole query set against a huge index as one ZERO-SHUFFLE Ray job:
 
   one task per salt (= contiguous docid range; every term's postings
-  for that range live in one parquet row, so the task's local
-  bucket/row-group-pruned scan holds the COMPLETE inputs for its docs)
+  for that range live in one parquet row, so the runs the task reads
+  hold the COMPLETE inputs for its docs)
     → vectorized leaf math per posting row, dense per-salt group-sum on
       packed int64 keys ``qcode << 44 | docid`` (never string keys)
-    → exact per-salt top-k cut (salt ranges are disjoint)
+    → exact per-salt top-k cut (salt ranges are disjoint; a tie group
+      keeps at most k docs per pid)
     → driver merge of the tiny candidate tables: attach external ids,
       exact (score desc, external_id asc) top-k per qid.
 
@@ -20,11 +21,14 @@ submits one task per salt of a module-level ``@ray.remote`` kernel
 plain data (index dir, build token, model parameters, k) plus ObjectRefs
 to the batch-sized maps, so Ray exports each kernel once per session and
 a batch ships no code. The kernels
-share one body: ``_scan`` (bucket-, term-, field- and salt-pruned read
-plus varbyte decode), a leaf formula, ``_route`` to the queries and
-``_cut`` (dense group-sum, exact per-salt top-k, packed keys). Leaf
-formulas come from ``kernels``, the same functions the driver engine
-scores with.
+share one body: ``_scan`` (the worker reader's lexicon picks the salt's
+runs of the batch terms; their blobs come from the process cache or an
+exact row-group read, then varbyte decode), a leaf formula, ``_route``
+to the queries and ``_cut`` (dense group-sum, exact per-salt top-k,
+packed keys). Leaf formulas come from ``kernels``, the same functions
+the driver engine scores with. Global df/ctf and every "no postings"
+guard on the driver are lexicon lookups too (``IndexReader.runs`` /
+``term_stats``), so no path scans a postings dataset.
 
 Tombstones (``merge.delete_docs``) ride in the spec as a sorted docid
 array (``dels``, absent when there are none); ``_cut`` drops them after
@@ -33,14 +37,16 @@ never takes a top-k slot. Corpus statistics (df, doclens, avglen) stay
 as-built until compaction, as on every other search path.
 
 Scale notes: doclens come from the worker's reader (``_doclens``), whose
-byte-budgeted forward-shard cache loads only the docid blocks the
-posting runs touch — no O(n_docs) broadcast anywhere. Per-process state (the
-reader with its shard cache, the postings dataset handle) sits in
-``util``'s process cache behind a real import, keyed by the build token,
-so it outlives a task and a rebuilt index never serves stale entries.
-The driver takes its reader from the same cache, so the external ids of
-the final candidate set come from shards warmed by earlier batches. The
-packed key leaves 44 bits for docids and 19 for queries per batch.
+byte-budgeted cache loads only the docid blocks the posting runs touch
+— no O(n_docs) broadcast anywhere. Per-process state (the reader with
+its lexicon) sits in ``util``'s process cache behind a real import,
+keyed by the build token, and the process's one byte-budgeted cache of
+forward shards and posting runs keys every entry by (index dir, build
+token), so both outlive a task and a rebuilt index never serves stale
+entries. The driver takes its reader from the same cache, so the
+external ids of the final candidate set come from shards warmed by
+earlier batches. The packed key leaves 44 bits for docids and 19 for
+queries per batch.
 
 Entry points: ``bm25_batch_search`` (bag-of-words #SUM; BM25 or classic
 TF-IDF), ``bm25_msm_batch_search``, ``bm25_grid_search``,
@@ -58,13 +64,11 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 import ray
 
 from ..analysis.tokenizer import analyzer_for_mode
-from ..index.build import POSTINGS_DIR, STATS_FILE, term_bucket
+from ..index.build import STATS_FILE
 from ..index.reader import IndexReader
 from ..index.varbyte import decode_postings
 from .eval import expand_wildcards
@@ -75,7 +79,7 @@ from .trec import drop_deleted
 _DOC_BITS = 44
 _DOC_MASK = (1 << _DOC_BITS) - 1
 
-# index builds (reader + postings handle) a long-lived process keeps open
+# index builds (reader + lexicon) a long-lived process keeps open
 _MAX_INDEXES = 8
 
 
@@ -83,29 +87,15 @@ _MAX_INDEXES = 8
 
 def _index_reader(index_dir: str, token: float | None = None) -> IndexReader:
     """The process's reader for one index build (``token`` = stats.json
-    mtime; None reads the current one): its forward-shard cache and
-    dataset handles serve every later task or batch on this process."""
+    mtime; None reads the current one): its lexicon serves every later
+    task or batch on this process, and the process's one cache keeps
+    its forward shards and posting runs under keys carrying the
+    token."""
     from ..util import proc_cached
     if token is None:
         token = os.path.getmtime(os.path.join(index_dir, STATS_FILE))
     return proc_cached(("index_reader", index_dir, token),
                        lambda: IndexReader(index_dir), cap=_MAX_INDEXES)
-
-
-def _postings_dataset(index_dir: str, token: float):
-    """One hive-partitioned handle on every postings file per index build
-    and process; scans prune buckets with a ``bucket`` partition filter,
-    so every bucket set shares it. Files are listed in bucket order, the
-    order the per-bucket reads used, so row order (and float summation
-    order) is unchanged."""
-    from ..util import proc_cached
-    return proc_cached(
-        ("postings_dset", index_dir, token),
-        lambda: pads.dataset(
-            _index_reader(index_dir, token)._bucket_paths(),
-            format="parquet", partitioning="hive",
-            partition_base_dir=os.path.join(index_dir, POSTINGS_DIR)),
-        cap=_MAX_INDEXES)
 
 
 def _doclens(spec: dict, field: str, docids: np.ndarray) -> np.ndarray:
@@ -119,32 +109,18 @@ def _doclens(spec: dict, field: str, docids: np.ndarray) -> np.ndarray:
         docids, [field])[field]
 
 
-def _rows(num_buckets: int, terms: list[str], fields: list[str]):
-    """Postings filter for ``terms`` × ``fields``; the partition term
-    skips every bucket the terms do not hash to before any read."""
-    buckets = sorted({term_bucket(t, num_buckets) for t in terms})
-    return (pc.field("bucket").isin(buckets) & pc.field("term").isin(terms)
-            & pc.field("field").isin(fields))
-
-
 def _scan(spec: dict, salt: int, terms: list[str], fields: list[str],
           positions: bool = False):
     """Decoded ``(term, field, docids, tfs, positions)`` runs of ``terms``
-    × ``fields`` inside one salt, in file order (term/field/salt filters
-    hit parquet row-group stats). ``positions`` is None unless asked for."""
-    cols = ["term", "field", "docid_blob", "tf_blob"]
-    if positions:
-        cols.append("pos_blob")
-    t = _postings_dataset(spec["index_dir"], spec["token"]).to_table(
-        columns=cols,
-        filter=(_rows(spec["num_buckets"], terms, fields)
-                & (pc.field("salt") == salt)))
-    pos = t["pos_blob"].to_pylist() if positions else [None] * t.num_rows
-    for term, fld, db, tb, pb in zip(t["term"].to_pylist(),
-                                     t["field"].to_pylist(),
-                                     t["docid_blob"].to_pylist(),
-                                     t["tf_blob"].to_pylist(), pos):
-        yield (term, fld) + decode_postings(db, tb, pb)
+    × ``fields`` inside one salt, in index order (bucket, file, row): the
+    worker reader's lexicon picks the runs, its cache or an exact
+    row-group read supplies the blobs. ``positions`` is None unless asked
+    for."""
+    reader = _index_reader(spec["index_dir"], spec["token"])
+    runs = reader.runs(terms, fields, salt)
+    for term, fld, (d, tf, p) in zip(runs.term.tolist(), runs.field.tolist(),
+                                     reader.read_runs(runs, positions)):
+        yield term, fld, d, tf, p
 
 
 # ------------------------------------------------------ salt kernels
@@ -213,16 +189,42 @@ def _query_slices(qc: np.ndarray):
                np.concatenate((bounds, [qc.size])))
 
 
-def _topk_cut_sorted(qc: np.ndarray, sums: np.ndarray, k: int) -> np.ndarray:
+def _rank_in_runs(new: np.ndarray) -> np.ndarray:
+    """0-based position of each row inside its run of rows, where
+    ``new`` flags the first row of every run."""
+    starts = np.flatnonzero(new)
+    return np.arange(new.size) - np.repeat(
+        starts, np.diff(np.append(starts, new.size)))
+
+
+def _topk_cut_sorted(qc: np.ndarray, sums: np.ndarray, k: int,
+                     docid: np.ndarray | None = None,
+                     pid_offsets: np.ndarray | None = None) -> np.ndarray:
     """Exact per-query top-k keep mask over one salt's disjoint docid
-    range; ties at the kth score are kept (the global cut in
-    ``_emit_ranked`` resolves them by external id)."""
+    range, sorted by ``(qc, docid)``. Ties at the kth score survive the
+    score cut (the global cut in ``_emit_ranked`` orders them by external
+    id). Given the docids and the pid ranges, a tie group is also cut to
+    the first k of each (query, pid) by (score desc, docid asc): within
+    one pid, docid order is external-id order (the build url-sorts a
+    pid's docs before numbering them, and merge and compaction move
+    whole pids), so a doc with k better-or-tied docs ahead of it in its
+    own pid can never make the global top k. Without that cut, an
+    all-tied query (BM25 idf clamped to 0) ships every matched doc to
+    the driver."""
     keep = np.ones(qc.size, np.bool_)
     for lo, hi in _query_slices(qc):
         if hi - lo > k:
             sq = sums[lo:hi]
             kth = np.partition(sq, -k)[-k]
             keep[lo:hi] = sq >= kth
+    idx = np.flatnonzero(keep)
+    if docid is not None and idx.size > k:
+        pid = np.searchsorted(pid_offsets, docid[idx], side="right") - 1
+        order = np.lexsort((docid[idx], -sums[idx], pid, qc[idx]))
+        q, p = qc[idx][order], pid[order]
+        new = np.ones(order.size, np.bool_)
+        new[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])
+        keep[idx[order[_rank_in_runs(new) >= k]]] = False
     return keep
 
 
@@ -238,14 +240,16 @@ def _cut(spec: dict, entries: list, need_zero_candidates: bool = False,
          finish=None) -> pa.Table:
     """Group-sum one salt's entries, apply ``finish(qc, docid, sums)``
     (score transforms, filters), drop the spec's tombstoned docids, cut
-    each query to its exact top ``spec["k"]`` and pack the keys."""
+    each query to its exact top ``spec["k"]`` (ties bounded per pid) and
+    pack the keys."""
     qc, docid, sums = _group_sum_entries(entries, need_zero_candidates)
     if qc.size and finish is not None:
         qc, docid, sums = finish(qc, docid, sums)
     docid, qc, sums = drop_deleted(spec.get("dels"), docid, qc, sums)
     if not qc.size:
         return _partial_empty()
-    keep = _topk_cut_sorted(qc, sums, spec["k"])
+    keep = _topk_cut_sorted(qc, sums, spec["k"], docid, _index_reader(
+        spec["index_dir"], spec["token"]).pid_offsets)
     return pa.table({"gkey": pa.array((qc[keep] << _DOC_BITS) | docid[keep]),
                      "score": pa.array(sums[keep])})
 
@@ -585,7 +589,7 @@ def _spec(reader: IndexReader, k: int, **kw) -> dict:
     build (``token`` keys the worker caches), its size and its sorted
     tombstones (``dels``, absent when there are none)."""
     spec = dict(index_dir=reader.index_dir, token=reader.stats_token,
-                num_buckets=reader.num_buckets, N=reader.n_docs, k=k, **kw)
+                N=reader.n_docs, k=k, **kw)
     dels = reader.deleted_docids()
     if dels.size:
         spec["dels"] = dels
@@ -603,30 +607,29 @@ def _run_salt_tasks(kernel, spec: dict, reader: IndexReader) -> pa.Table:
 
 def _emit_ranked(cands: pa.Table, qids: list[str], k: int,
                  reader: IndexReader) -> pa.Table:
-    """Unpack packed keys, attach external ids (forward-shard cache),
+    """Unpack packed keys, attach external ids (the reader's cache),
     apply the reference ordering (score desc, externalId asc) per qid."""
     if cands.num_rows == 0:
         return _empty()
     gk = cands["gkey"].to_numpy()
     sc = cands["score"].to_numpy()
     qc = (gk >> _DOC_BITS).astype(np.int64)
-    docid = (gk & _DOC_MASK).astype(np.int64)
-    eids = reader.external_ids_for(docid)
-    out_qid, out_eid, out_rank, out_score = [], [], [], []
-    for q in range(len(qids)):
-        m = qc == q
-        if not m.any():
-            continue
-        order = np.lexsort((eids[m], -sc[m]))[:k]
-        out_qid.extend([qids[q]] * order.size)
-        out_eid.extend(eids[m][order].tolist())
-        out_rank.extend(range(1, order.size + 1))
-        out_score.extend(sc[m][order].tolist())
+    eids = reader.external_ids_for((gk & _DOC_MASK).astype(np.int64))
+    # one stable sort by (qc, score desc, external id): each qid's block
+    # is the order the per-qid sort gave, then its first k rows
+    order = np.lexsort((eids, -sc, qc))
+    qs = qc[order]
+    new = np.ones(qs.size, np.bool_)
+    new[1:] = qs[1:] != qs[:-1]
+    rank = _rank_in_runs(new)
+    top = rank < k
+    sel = order[top]
     return pa.table({
-        "qid": pa.array(out_qid, pa.string()),
-        "external_id": pa.array(out_eid, pa.string()),
-        "rank": pa.array(np.asarray(out_rank, dtype=np.int32)),
-        "score": pa.array(out_score, pa.float64()),
+        "qid": pa.array(np.asarray(qids, dtype=object)[qc[sel]].tolist(),
+                        pa.string()),
+        "external_id": pa.array(eids[sel].tolist(), pa.string()),
+        "rank": pa.array((rank[top] + 1).astype(np.int32)),
+        "score": pa.array(sc[sel], pa.float64()),
     })
 
 
@@ -647,38 +650,18 @@ def _term_queries(reader: IndexReader, queries: list[tuple]):
     return qids, term_queries, q_terms
 
 
-def _global_term_stats(reader: IndexReader, terms: list[str],
-                       field: str) -> dict[str, tuple[int, int]]:
-    """Global (df, ctf) per term = sums over salt runs — a metadata-only
-    parquet scan (no blob decode)."""
-    if not terms or not reader._bucket_paths(terms):
-        return {}
-    t = _postings_dataset(reader.index_dir, reader.stats_token).to_table(
-        columns=["term", "df", "ctf"],
-        filter=_rows(reader.num_buckets, list(terms), [field]))
-    out: dict[str, tuple[int, int]] = {}
-    for term, df, ctf in zip(t["term"].to_pylist(), t["df"].to_pylist(),
-                             t["ctf"].to_pylist()):
-        d0, c0 = out.get(term, (0, 0))
-        out[term] = (d0 + df, c0 + ctf)
-    return out
-
-
 def _global_dfs(reader: IndexReader, terms: list[str],
                 field: str) -> dict[str, int]:
-    return {t: df for t, (df, _) in
-            _global_term_stats(reader, terms, field).items()}
+    return {t: df for t, (df, _) in reader.term_stats(terms, field).items()}
 
 
-def _bm25_spec(reader: IndexReader, term_queries: dict, field: str, k: int,
-               nq: int, grid, classic: bool = False, **batch) -> dict:
-    terms = sorted(term_queries)
-    return _spec(reader, k, field=field, terms=terms,
+def _bm25_spec(reader: IndexReader, term_queries: dict, df: dict,
+               field: str, k: int, nq: int, grid, classic: bool = False,
+               **batch) -> dict:
+    return _spec(reader, k, field=field, terms=sorted(term_queries),
                  avglen=reader.avg_len(field), grid=list(grid),
                  classic=classic, nq=nq,
-                 batch=ray.put(dict(tq=term_queries,
-                                    df=_global_dfs(reader, terms, field),
-                                    **batch)))
+                 batch=ray.put(dict(tq=term_queries, df=df, **batch)))
 
 
 def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
@@ -700,9 +683,10 @@ def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
     classic = isinstance(model, TFIDFModel)
     reader = _index_reader(index_dir)
     qids, term_queries, _ = _term_queries(reader, queries)
-    if not term_queries or not reader._bucket_paths(list(term_queries)):
+    df = _global_dfs(reader, sorted(term_queries), field)
+    if not df:
         return _empty()
-    spec = _bm25_spec(reader, term_queries, field, k, len(qids),
+    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids),
                       [(0.0, 0.0) if classic else (model.k1, model.b)],
                       classic)
     return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
@@ -729,9 +713,10 @@ def bm25_msm_batch_search(index_dir: str,
     qids, term_queries, q_terms = _term_queries(reader, queries)
     n_req = np.asarray([max(1, min(int(q[2]), len(ts))) if ts else 1
                         for q, ts in zip(queries, q_terms)], np.int64)
-    if not term_queries or not reader._bucket_paths(list(term_queries)):
+    df = _global_dfs(reader, sorted(term_queries), field)
+    if not df:
         return _empty()
-    spec = _bm25_spec(reader, term_queries, field, k, len(qids),
+    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids),
                       [(model.k1, model.b)], nreq=n_req)
     return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                         qids, k, reader)
@@ -750,8 +735,8 @@ def bm25f_batch_search(index_dir: str, queries: list[tuple[str, str]],
     per-field metadata sum can produce — so phase A runs one tiny task
     per salt counting ``|∪_f docids(t, f, salt)|`` per term (salt
     ranges are disjoint, so the global union df is the plain sum) and
-    phase B re-scans the same row-group-pruned postings (page-cache
-    warm from A) to pool ``w_f·tf/B_f`` across fields per doc and
+    phase B re-reads the same runs (cache-warm from A on that worker)
+    to pool ``w_f·tf/B_f`` across fields per doc and
     score. Only (term, count) rows and the final per-salt top-k
     candidates ever reach the driver."""
     reader = _index_reader(index_dir)
@@ -760,7 +745,7 @@ def bm25f_batch_search(index_dir: str, queries: list[tuple[str, str]],
         field_b = {f: float(field_b) for f in fields}
     qids, term_queries, _ = _term_queries(reader, queries)
     terms = sorted(term_queries)
-    if not terms or not reader._bucket_paths(terms):
+    if not len(reader.runs(terms, fields)):
         return _empty()
     spec = _spec(reader, k, terms=terms, fields=fields, k1=k1,
                  avglen={f: reader.avg_len(f) for f in fields},
@@ -796,11 +781,11 @@ def bm25_grid_search(index_dir: str, queries: list[tuple[str, str]],
                       "external_id": pa.array([], pa.string()),
                       "rank": pa.array([], pa.int32()),
                       "score": pa.array([], pa.float64())})
-    if (not term_queries or not grid
-            or not reader._bucket_paths(list(term_queries))):
+    df = _global_dfs(reader, sorted(term_queries), field)
+    if not grid or not df:
         return empty
     grid_t = [(float(g[0]), float(g[1])) for g in grid]
-    spec = _bm25_spec(reader, term_queries, field, k, len(qids), grid_t)
+    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids), grid_t)
     slot_labels = [f"{g}\x00{qid}" for g in range(len(grid_t))
                    for qid in qids]
     ranked = _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
@@ -838,7 +823,8 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
     reader = _index_reader(index_dir)
     qids, term_queries, _ = _term_queries(reader, queries)
     terms_list = sorted(term_queries)
-    if not terms_list or not reader._bucket_paths(terms_list):
+    df = _global_dfs(reader, terms_list, field)
+    if not df:
         return _empty()
 
     # ---- phase A: per-salt local champions (tf desc, docid asc) ----
@@ -861,7 +847,7 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
         return _empty()
 
     # ---- phase B: exact scoring of the candidate set ----
-    spec = _bm25_spec(reader, term_queries, field, k, len(qids),
+    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids),
                       [(model.k1, model.b)], allowed=cand_set)
     return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                         qids, k, reader)
@@ -889,11 +875,10 @@ def indri_batch_search(index_dir: str, queries: list[tuple[str, str]],
     model = model or IndriModel()
     reader = _index_reader(index_dir)
     qids, term_queries, q_terms = _term_queries(reader, queries)
-    if not term_queries or not reader._bucket_paths(list(term_queries)):
-        return _empty()
-
     terms = sorted(term_queries)
-    stats = _global_term_stats(reader, terms, field)
+    stats = reader.term_stats(terms, field)
+    if not stats:
+        return _empty()
     clen = max(reader.sum_field_lengths(field), 1)
     mle = {t: stats.get(t, (0, 0))[1] / clen for t in term_queries}
     # per qcode: (mle array, mult array, k_q = total arg count)
@@ -966,8 +951,8 @@ def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
         plans.append((fld, [(key, _plan_data(p, acc))
                             for key, p in sorted(by_key.items())]))
         terms_by_field[fld] = sorted(acc)
-    all_terms = sorted({t for ts in terms_by_field.values() for t in ts})
-    if not all_terms or not reader._bucket_paths(all_terms):
+    if not any(len(reader.runs(ts, [fld]))
+               for fld, ts in terms_by_field.items()):
         return [], {}
     spec = _spec(reader, 0, plans=plans, terms=terms_by_field)
     pairs = [derive_salt.remote(spec, s) for s in range(_n_salts(reader))]
@@ -1006,7 +991,7 @@ def bm25_structured_batch_search(index_dir: str,
 
     Phase B is one task per salt again (``_run_salt_tasks``): it
     fetches the salt's derived table whole, reads the salt's plain-term
-    postings locally (column/row-group-pruned scan), and finishes the
+    postings locally (``_scan``), and finishes the
     (query, doc) #SUM with an exact per-salt top-k cut — zero shuffle
     end to end. Rank- and score-identical to ``QueryEngine.search``
     per query (tests/test_query_engine.py).
@@ -1075,15 +1060,15 @@ def bm25_structured_batch_search(index_dir: str,
     derived_refs, dstats = _derive_lists(reader, iop_plans_by_field)
     ddf = {lf: d for lf, (d, _) in dstats.items()}
 
-    # global plain-term stats (metadata-only scan) + per-field read sets
+    # global plain-term stats (lexicon only) + per-field read sets
     tstats_by_field: dict[str, dict[str, int]] = {}
     plain_by_field: dict[str, list[str]] = {}
     for tfld, tlist in sorted(terms_by_field.items()):
         plain = sorted(set(tlist))
-        if not reader._bucket_paths(plain):
-            continue
-        plain_by_field[tfld] = plain
-        tstats_by_field[tfld] = _global_dfs(reader, plain, tfld)
+        dfs = _global_dfs(reader, plain, tfld)
+        if dfs:
+            plain_by_field[tfld] = plain
+            tstats_by_field[tfld] = dfs
 
     # idf-clamped leaves score 0 but still create candidates — only then
     # does the dense group-sum need its zero-candidate bincount
@@ -1233,7 +1218,7 @@ def indri_structured_batch_search(index_dir: str,
         reader, {field: iop_plans} if iop_plans else {})
 
     clen = max(reader.sum_field_lengths(field), 1)
-    tstats = _global_term_stats(reader, plain_terms, field)
+    tstats = reader.term_stats(plain_terms, field)
     mle_of = {("t:" + t): tstats.get(t, (0, 0))[1] / clen
               for t in plain_terms}
     mle_of.update({lf: c / clen for lf, (_, c) in dstats.items()})
@@ -1256,8 +1241,7 @@ def indri_structured_batch_search(index_dir: str,
     # exact per-query cut run inside the task.
     spec = _spec(reader, k, field=field, mu=model.mu, lam=model.lambda_,
                  n_sub=n_sub, derived=derived_refs,
-                 terms=plain_terms if reader._bucket_paths(plain_terms)
-                 else [],
+                 terms=plain_terms if tstats else [],
                  batch=ray.put(dict(lt=leaf_targets, mle=mle_of,
                                     qinfo=q_info)))
     return _emit_ranked(

@@ -10,7 +10,7 @@ per-segment top-k lists.
 
 Scale design: segments are the natural cluster unit (one crawl shard /
 time slice per segment). The stats pre-pass reads run-level postings
-METADATA only (``postings_meta`` — no blob decode), each segment then
+METADATA only (each segment's lexicon — no blob read), each segment then
 evaluates independently (the per-segment work ships to where the
 segment lives; here it runs driver-side like ``QueryEngine``), and the
 merge is k·N rows — no shuffle anywhere.
@@ -197,15 +197,14 @@ class FederatedEngine:
                 self.field_stats[f] = (dc + r.doc_count(f),
                                        sl + r.sum_field_lengths(f))
         # persistent per-segment engines: global df/ctf are index (not
-        # query) properties, so the shared _df_ctf dict only grows and
-        # each engine's posting cache stays valid across queries
+        # query) properties, so each engine's posting cache stays valid
+        # across queries; _df_ctf holds the current search's term stats
+        # (segment lexicon lookups), shared with every segment's view
         self._df_ctf: dict = {}
-        self._presence: dict = {}        # (term, field) -> {segment idx}
-        self._seg_maxtf: dict = {}       # (seg, term, field) -> max_tf
         # derived-Iop GLOBAL stats — (field, repr) -> (Σdf, Σctf) over
         # segments; SHARED as every engine's iop_stats_override so a
         # phase-A sum becomes visible to all segments at once (an index
-        # property like _df_ctf: grows, never invalidates)
+        # property: grows, never invalidates)
         self._iop_global: dict = {}
         self._vocab = _UnionVocab(readers)
         self.last_skipped = 0            # routing introspection
@@ -220,28 +219,18 @@ class FederatedEngine:
 
     def _global_df_ctf(self, acc: dict) -> tuple[dict, dict]:
         """→ (global (term, field) → (df, ctf) sums, (term, field) →
-        set of segment indexes holding the term) — one metadata-only
-        scan per (segment, field). Also records per-(segment, term,
-        field) max_tf (block-max metadata) for the early-termination
-        upper bounds."""
+        set of segment indexes holding the term) — one lexicon lookup
+        per (segment, field), no blob read."""
         out: dict = {}
         presence: dict = {}
         for field, terms in acc.items():
-            tl = sorted(terms)
             for i, r in enumerate(self.readers):
-                meta = r.postings_meta(tl, field)
-                if meta is None or meta.num_rows == 0:
-                    continue
-                for t, df, ctf, mt in zip(meta["term"].to_pylist(),
-                                          meta["df"].to_pylist(),
-                                          meta["ctf"].to_pylist(),
-                                          meta["max_tf"].to_pylist()):
+                runs = r.runs(terms, [field])
+                for t, df, ctf in zip(runs.term.tolist(), runs.df.tolist(),
+                                      runs.ctf.tolist()):
                     d, c = out.get((t, field), (0, 0))
-                    out[(t, field)] = (d + int(df), c + int(ctf))
+                    out[(t, field)] = (d + df, c + ctf)
                     presence.setdefault((t, field), set()).add(i)
-                    key = (i, t, field)
-                    self._seg_maxtf[key] = max(self._seg_maxtf.get(key, 0),
-                                               int(mt))
         return out, presence
 
     def _term_multiplicity(self, node: PlanNode, acc: dict) -> None:
@@ -282,17 +271,9 @@ class FederatedEngine:
         acc: dict = {}
         iops: dict = {}
         _collect_plain_terms(plan, acc, iops)
-        missing = {f: {t for t in ts if (t, f) not in self._df_ctf}
-                   for f, ts in acc.items()}
-        missing = {f: ts for f, ts in missing.items() if ts}
-        if missing:
-            fresh, pres = self._global_df_ctf(missing)
-            for f, ts in missing.items():       # absent terms pin (0, 0)
-                for t in ts:
-                    fresh.setdefault((t, f), (0, 0))
-            self._df_ctf.update(fresh)
-            for key, segs in pres.items():
-                self._presence.setdefault(key, set()).update(segs)
+        stats, presence = self._global_df_ctf(acc)
+        self._df_ctf.clear()
+        self._df_ctf.update(stats)
         # ---- phase A (structured plans): derive every Iop subtree per
         # segment and sum (df, ctf) across segments — segments
         # partition docids, so the sums ARE the merged index's derived
@@ -310,8 +291,7 @@ class FederatedEngine:
             arg_keys = [(t, f) for f, ts in args.items() for t in ts]
             gdf = gctf = 0
             for i, eng in enumerate(self._engines):
-                if not any(i in self._presence.get(kk, ())
-                           for kk in arg_keys):
+                if not any(i in presence.get(kk, ()) for kk in arg_keys):
                     # no argument postings here: derived list is empty
                     # by construction — pin the cache without a fetch
                     eng._iop_inv_cache[ikey] = InvList.empty(ikey[0])
@@ -331,7 +311,7 @@ class FederatedEngine:
         live = list(range(len(self._engines)))
         if not isinstance(self.model, IndriModel):
             live = [i for i in live
-                    if any(i in self._presence.get(key, ()) for key in keys)]
+                    if any(i in presence.get(key, ()) for key in keys)]
         self.last_skipped = len(self._engines) - len(live)
         self.last_early_stopped = 0
         # UB early termination needs block-max (max_tf) metadata, which
@@ -357,7 +337,8 @@ class FederatedEngine:
             for i in live:
                 tot = 0.0
                 for (t, f), m in mult.items():
-                    mt = self._seg_maxtf.get((i, t, f), 0)
+                    # the segment's block-max metadata, from its lexicon
+                    mt = self.readers[i].runs([t], [f]).max_tf.max(initial=0)
                     if mt <= 0:
                         continue
                     df = self._df_ctf.get((t, f), (0, 0))[0]

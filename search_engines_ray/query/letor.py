@@ -58,12 +58,12 @@ class FeatureExtractor:
 
     # ---- per-(query, doc) feature scores over the forward index ----
     def _field_scores(self, q_terms: list[str], docid: int, field: str,
-                      tv: dict, posts: dict) -> tuple[float, float, float]:
+                      tv: dict, stats: dict) -> tuple[float, float, float]:
         """(bm25, indri, overlap) for one (q, d, field) from the doc's
         term vector — mirrors the TermVector-driven feature scorers
-        (QrySopScore.java:190-338). ``posts`` is the per-field postings
-        dict fetched ONCE per query in feature_matrix (df/ctf depend only
-        on the query, not the doc)."""
+        (QrySopScore.java:190-338). ``stats`` is the per-field term →
+        (df, ctf) lexicon lookup made ONCE per query in feature_matrix
+        (df/ctf depend only on the query, not the doc)."""
         r = self.reader
         if docid not in tv:
             return 0.0, 0.0, 0.0
@@ -80,9 +80,7 @@ class FeatureExtractor:
         indri_s, any_match = 1.0, False
         k = len(q_terms)
         for t in q_terms:
-            p = posts.get(t)
-            df = p.df if p else 0
-            ctf = p.ctf if p else 0
+            df, ctf = stats.get(t, (0, 0))
             t_tf = tf.get(t, 0)
             if t_tf > 0:
                 matched += 1
@@ -99,7 +97,7 @@ class FeatureExtractor:
 
     def features(self, q_terms: list[str], docid: int,
                  tvs: dict[str, dict],
-                 posts_by_field: dict[str, dict] | None = None,
+                 stats_by_field: dict[str, dict] | None = None,
                  ext: str | None = None) -> list[float | None]:
         """18-slot vector; None = feature unavailable (normalizes to 0)."""
         r = self.reader
@@ -112,15 +110,15 @@ class FeatureExtractor:
         f[1] = float(depth)
         f[2] = 1.0 if "wikipedia.org" in url else 0.0
         f[3] = self.pagerank.get(ext)
-        if posts_by_field is None:
-            posts_by_field = {fl: self.reader.postings_many(
-                q_terms, fl, positions=False) for fl in self._fields}
+        if stats_by_field is None:
+            stats_by_field = {fl: self.reader.term_stats(q_terms, fl)
+                              for fl in self._fields}
         slot = 4
         for field in _FIELDS:
             if field in self._fields:
                 b, i, o = self._field_scores(q_terms, docid, field,
                                              tvs.get(field, {}),
-                                             posts_by_field.get(field, {}))
+                                             stats_by_field.get(field, {}))
                 f[slot], f[slot + 1], f[slot + 2] = b, i, o
             slot += 3
         # f17: query-term coverage on body; f18: mean query-term tf (body)
@@ -144,15 +142,14 @@ class FeatureExtractor:
         for tok in query.split():
             q_terms.extend(self.analyzer.analyze_query_token(tok))
         tvs = {f: self.reader.term_vectors(docids, f) for f in self._fields}
-        # postings fetched once per (query, field) — df/ctf are doc-free
-        posts_by_field = {f: self.reader.postings_many(q_terms, f,
-                                                       positions=False)
+        # df/ctf looked up once per (query, field) — they are doc-free
+        stats_by_field = {f: self.reader.term_stats(q_terms, f)
                           for f in self._fields}
         mat = np.full((len(docids), N_FEATURES), np.nan)
         exts = self.reader.external_ids_for(
             np.asarray(docids, dtype=np.int64)) if docids else []
         for i, d in enumerate(docids):
-            row = self.features(q_terms, int(d), tvs, posts_by_field,
+            row = self.features(q_terms, int(d), tvs, stats_by_field,
                                 ext=exts[i])
             mat[i] = [np.nan if v is None else v for v in row]
         return mat, q_terms

@@ -17,8 +17,8 @@ granularity) that
 3. **probe phase** — once no new doc can qualify, drops candidates whose
    accumulated score + remaining upper bound is strictly below θ, and
    for each remaining term decodes ONLY the salt runs whose docid range
-   contains a surviving candidate (``postings_runs``), probing by binary
-   search.
+   contains a surviving candidate (``IndexReader.read_runs``), probing
+   by binary search.
 
 All drops use strict ``<`` against a θ that is a lower bound of the
 final kth score, so the result is EXACTLY the unpruned top-k, including
@@ -69,14 +69,13 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
     if not mult:
         return empty_results()
 
-    meta = reader.postings_meta(list(mult), field)
-    if meta is None or meta.num_rows == 0:
+    # the terms' runs from the lexicon, each term's in docid order
+    meta = reader.runs(list(mult), [field])
+    if not len(meta):
         return empty_results()
-    m_term = np.asarray(meta["term"].to_pylist(), dtype=object)
-    m_salt = meta["salt"].to_numpy()
-    m_df = meta["df"].to_numpy()
-    m_min = meta["min_docid"].to_numpy()
-    m_maxtf = meta["max_tf"].to_numpy()
+    meta = meta.take(np.lexsort((meta.min_docid, meta.term)))
+    m_term, m_df, m_min, m_maxtf = (meta.term, meta.df, meta.min_docid,
+                                    meta.max_tf)
 
     N = reader.n_docs
     avglen = reader.avg_len(field)
@@ -112,6 +111,12 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
             return 0.0
         return float(np.partition(cand_sc, -k)[-k])
 
+    def fetch(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(docids, tfs) of the selected runs of one term, concatenated."""
+        parts = reader.read_runs(meta.take(rows))
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
+
     def leaf_scores(tfs: np.ndarray, docids: np.ndarray, t: str) -> np.ndarray:
         # candidate-set lookup (one pruned scan per decoded term), not
         # the dense O(n_docs) doclens array — VERDICT r2 item 1
@@ -126,13 +131,9 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
         if cand_doc.size >= k and suffix[i] < th:
             break
         t = terms[i]
-        post = reader.postings_runs(t, field, [int(m_salt[r])
-                                              for r in runs_of[t]])
         runs_decoded += len(runs_of[t])
         i += 1
-        if post is None:
-            continue
-        docids, tfs = drop_deleted(dels, post.docids, post.tfs)
+        docids, tfs = drop_deleted(dels, *fetch(runs_of[t]))
         sc = leaf_scores(tfs, docids, t)
         all_doc = np.concatenate((cand_doc, docids))
         all_sc = np.concatenate((cand_sc, sc))
@@ -152,21 +153,19 @@ def bm25_maxscore_search(reader: IndexReader, query: str, k: int = 100,
         # run r covers docids [min_docid_r, min_docid_{r+1}) within term t
         lo_bounds = m_min[rows]
         hi_bounds = np.append(lo_bounds[1:], np.iinfo(np.int64).max)
-        need = [int(m_salt[r]) for j, r in enumerate(rows)
+        need = [r for j, r in enumerate(rows)
                 if np.searchsorted(cand_doc, lo_bounds[j]) <
                    np.searchsorted(cand_doc, hi_bounds[j])]
         i += 1
         if not need:
             continue
-        post = reader.postings_runs(t, field, need)
+        p_doc, p_tf = fetch(need)
         runs_decoded += len(need)
-        if post is None:
-            continue
-        pos = np.searchsorted(post.docids, cand_doc)
-        pos_c = np.clip(pos, 0, post.docids.size - 1)
-        hit = post.docids[pos_c] == cand_doc
+        pos = np.searchsorted(p_doc, cand_doc)
+        pos_c = np.clip(pos, 0, p_doc.size - 1)
+        hit = p_doc[pos_c] == cand_doc
         if hit.any():
-            sc = leaf_scores(post.tfs[pos_c[hit]], cand_doc[hit], t)
+            sc = leaf_scores(p_tf[pos_c[hit]], cand_doc[hit], t)
             cand_sc[hit] += sc
 
     if stats_out is not None:

@@ -24,41 +24,62 @@ def test_doclen_shard_cache_survives_pickle_round_trips(toy_index):
     docids = np.arange(toy_index.n_docs, dtype=np.int64)
     got = a(spec, "body", docids)
     cache = D._index_reader(toy_index.index_dir,
-                            toy_index.stats_token).forward_cache
+                            toy_index.stats_token).cache
     misses, hits = cache.misses, cache.hits
     assert list(b(spec, "body", docids)) == list(got)
     assert cache.misses == misses and cache.hits > hits
     assert list(got) == list(toy_index.doclens("body"))
 
 
-def test_postings_dataset_one_handle_per_build(toy_index):
-    """One hive-partitioned postings handle per (index_dir, build token),
-    shared by every bucket set and by every pickled copy of the lookup;
-    a bucket-filtered scan returns the same rows as the per-bucket file
-    read it replaced."""
+def test_lexicon_one_per_build(toy_index):
+    """The lexicon lives on the process's reader for one (index_dir,
+    build token), shared by every pickled copy of the lookup; a
+    long-lived process keeps at most ``_MAX_INDEXES`` builds. Its runs
+    are the rows a scan of the terms' bucket files returns, in the same
+    (bucket, file, row) order, and their blobs decode to the same
+    lists."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
+    from search_engines_ray.index.build import term_bucket
+    from search_engines_ray.index.varbyte import decode_postings
     from search_engines_ray.util import _BOUNDED
 
-    look = cloudpickle.loads(cloudpickle.dumps(D._postings_dataset))
-    dset = look(toy_index.index_dir, toy_index.stats_token)
-    assert D._postings_dataset(toy_index.index_dir,
-                               toy_index.stats_token) is dset
-    # a long-lived worker that sees many builds keeps at most the cap
+    look = cloudpickle.loads(cloudpickle.dumps(D._index_reader))
+    r = look(toy_index.index_dir, toy_index.stats_token)
+    assert D._index_reader(toy_index.index_dir, toy_index.stats_token) is r
     for fake_token in range(D._MAX_INDEXES + 3):
-        D._postings_dataset(toy_index.index_dir, float(fake_token))
-    assert len(_BOUNDED["postings_dset"]) == D._MAX_INDEXES
-    for terms in (["fox"], ["quick", "lazy", "dog"]):
-        want = pads.dataset(toy_index._bucket_paths(terms),
-                            format="parquet").to_table(
-            columns=["term", "salt", "df"],
+        D._index_reader(toy_index.index_dir, float(fake_token))
+    assert len(_BOUNDED["index_reader"]) == D._MAX_INDEXES
+    r = D._index_reader(toy_index.index_dir, toy_index.stats_token)
+    base = f"{toy_index.index_dir}/postings"
+    for terms, fields in ((["fox"], ["body"]),
+                          (["quick", "lazy", "dog", "nosuch"], ["body"]),
+                          (["quick", "fox", "brown"], ["body", "title"])):
+        paths = [p for b in sorted({term_bucket(t, r.num_buckets)
+                                    for t in terms})
+                 for p in sorted(pads.dataset(f"{base}/bucket={b}",
+                                              format="parquet").files)]
+        want = pads.dataset(paths, format="parquet").to_table(
             filter=pc.field("term").isin(terms)
-            & (pc.field("field") == "body"))
-        got = dset.to_table(columns=["term", "salt", "df"],
-                            filter=D._rows(toy_index.num_buckets, terms,
-                                           ["body"]))
-        assert got.equals(want)
+            & pc.field("field").isin(fields))
+        runs = r.runs(terms, fields)
+        assert runs.term.tolist() == want["term"].to_pylist()
+        assert runs.field.tolist() == want["field"].to_pylist()
+        assert runs.salt.tolist() == want["salt"].to_pylist()
+        assert runs.df.tolist() == want["df"].to_pylist()
+        got = r.read_runs(runs, positions=True)
+        for (d, tf, pos), db, tb, pb in zip(
+                got, *(want[c].to_pylist()
+                       for c in ("docid_blob", "tf_blob", "pos_blob"))):
+            wd, wt, wp = decode_postings(db, tb, pb)
+            assert d.tolist() == wd.tolist() and tf.tolist() == wt.tolist()
+            assert pos.tolist() == wp.tolist()
+        for s in range(D._n_salts(r)):
+            one = r.runs(terms, fields, salt=s)
+            assert one.term.tolist() == [
+                t for t, x in zip(runs.term.tolist(), runs.salt.tolist())
+                if x == s]
 
 
 def _pages(texts):

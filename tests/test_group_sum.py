@@ -90,6 +90,23 @@ def test_topk_cut_sorted():
     assert kth_keep.tolist() == [True, True, False, True]
 
 
+def test_topk_cut_bounds_ties_per_pid():
+    """With docids and pid ranges, a tie group wider than k keeps only
+    the first k of each (query, pid) by (score desc, docid asc); rows
+    above the kth score and queries within k are untouched."""
+    off = np.array([0, 10, 20, 30], dtype=np.int64)     # pids 0, 1, 2
+    qc = np.array([0] * 8 + [1] * 3, dtype=np.int64)
+    docid = np.array([1, 2, 3, 4, 11, 12, 13, 25, 1, 2, 3], dtype=np.int64)
+    sums = np.array([1.0, 1.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                     1.0, 1.0, 1.0])
+    keep = D._topk_cut_sorted(qc, sums, 2, docid, off)
+    # q0: kth = 1.0 keeps all 8; pid 0 keeps 3 (5.0) and 1, pid 1 keeps
+    # 11 and 12, pid 2 keeps 25; q1: 3 ties in one pid → first 2
+    assert keep.tolist() == [True, False, True, False, True, True, False,
+                             True, True, True, False]
+    assert D._topk_cut_sorted(qc, sums, 2).sum() == 11
+
+
 def test_rank_results_tie_resolution():
     """rank_results* must resolve a kth-score tie group larger than k
     by byte-ascending external id, exactly as a full lexsort would

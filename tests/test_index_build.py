@@ -448,11 +448,11 @@ def test_forward_shard_lookups_match_dense(sparse_pid_index):
     assert (np.diff(off) == 0).any() and (np.diff(off) > 0).sum() > 1
     docids = np.r_[np.arange(n)[::-1], 0, n - 1, 3].astype(np.int64)
     _check_lookups(r, docids, dense)                    # cold
-    misses = r.forward_cache.misses
+    misses = r.cache.misses
     assert misses > 0
     _check_lookups(r, docids, dense)                    # warm
     _check_lookups(r, docids[:2], dense)
-    assert r.forward_cache.misses == misses
+    assert r.cache.misses == misses
     for p in range(off.size - 1):
         assert (list(r.doclens_for(np.arange(off[p], off[p + 1]),
                                    ["body"])["body"])
@@ -470,25 +470,28 @@ def test_forward_cache_budget_evicts(sparse_pid_index, monkeypatch):
     from search_engines_ray.util import ByteLRU
 
     dense = _dense_forward(sparse_pid_index)
+    # patch the module constant in the namespace the constructor reads:
+    # a by-value cloudpickle round trip of the worker lookups in this
+    # process rebinds the class's methods to a copy of that namespace.
+    # The process cache is one per budget, so a budget of its own gives
+    # `full` an empty cache whose bytes are this index's working set.
+    g = IndexReader.__init__.__globals__
+    monkeypatch.setitem(g, "CACHE_BYTES", 1 << 40)
     full = IndexReader(sparse_pid_index)
     everything = np.arange(full.n_docs, dtype=np.int64)
     _check_lookups(full, everything, dense)
-    budget = full.forward_cache.bytes // 3
-    # patch the module constant in the namespace the constructor reads:
-    # a by-value cloudpickle round trip of the worker lookups in this
-    # process rebinds the class's methods to a copy of that namespace
-    monkeypatch.setitem(IndexReader.__init__.__globals__,
-                        "FORWARD_CACHE_BYTES", budget)
+    budget = full.cache.bytes // 3
+    monkeypatch.setitem(g, "CACHE_BYTES", budget)
     r = IndexReader(sparse_pid_index)
-    assert r.forward_cache.budget == budget
+    assert r.cache.budget == budget
     off = r.pid_offsets
     for _ in range(2):
         for p in range(off.size - 1):
             _check_lookups(r, np.arange(off[p], off[p + 1]), dense)
-            assert r.forward_cache.bytes <= budget
+            assert r.cache.bytes <= budget
         _check_lookups(r, everything[::-1].copy(), dense)
-        assert r.forward_cache.bytes <= budget
-    assert r.forward_cache.evictions > 0
+        assert r.cache.bytes <= budget
+    assert r.cache.evictions > 0
     # a value larger than the whole budget is served, never kept
     lru = ByteLRU(16)
     lru.put("big", np.zeros(8, np.int64))
@@ -510,27 +513,72 @@ def test_forward_shards_stay_block_sized(docs_index, monkeypatch):
     off = ref.pid_offsets
     whole = np.arange(off[0], off[1], dtype=np.int64)
     assert whole.size > 32
+    g = IndexReader.__init__.__globals__
+    monkeypatch.setitem(g, "CACHE_BYTES", 1 << 40)  # an empty cache
     full = IndexReader(d)
     full.external_ids_for(whole)                    # one block per pid
-    pid_bytes = full.forward_cache.bytes
-    g = IndexReader.__init__.__globals__
+    pid_bytes = full.cache.bytes
     monkeypatch.setitem(g, "FORWARD_BLOCK", 8)
-    monkeypatch.setitem(g, "FORWARD_CACHE_BYTES", pid_bytes // 2)
+    monkeypatch.setitem(g, "CACHE_BYTES", pid_bytes // 2)
     r = IndexReader(d)
     docids = np.array([off[0] + 1, off[0] + 3, off[0] + 17, off[1]],
                       dtype=np.int64)
     assert list(r.external_ids_for(docids)) == list(dense[docids])
-    assert len(r.forward_cache._d) == 3 and r.forward_cache.misses == 3
-    for v, size in r.forward_cache._d.values():
+    assert len(r.cache._d) == 3 and r.cache.misses == 3
+    for v, size in r.cache._d.values():
         # resident bytes count the str objects, not just the slots
         assert len(v) <= 8
         assert size == v.nbytes + sum(sys.getsizeof(x) for x in v)
-    assert r.forward_cache.bytes < pid_bytes // 2
+    assert r.cache.bytes < pid_bytes // 2
     assert list(r.external_ids_for(whole)) == list(dense[whole])
-    assert r.forward_cache.bytes <= pid_bytes // 2
-    assert r.forward_cache.evictions > 0
+    assert r.cache.bytes <= pid_bytes // 2
+    assert r.cache.evictions > 0
     got = r.doclens_for(docids, ["body"])["body"]
     assert list(got) == list(ref.doclens("body")[docids])
+
+
+def test_one_cache_budget_per_process(toy_index, docs_index,
+                                      sparse_pid_index, monkeypatch):
+    """Every reader in a process shares ONE byte-budgeted cache of
+    forward shards and posting runs: three indexes opened together stay
+    under one budget, keys carry (index dir, build token) so their
+    entries never mix, and lookups stay exact while it evicts."""
+    from search_engines_ray.index import IndexReader
+    dirs = [toy_index.index_dir, docs_index.index_dir, sparse_pid_index]
+    want = {}
+    for d in dirs:
+        ref = IndexReader(d)
+        terms = sorted(set(ref.runs(["fox", "dog", "alpha", "beta", "data",
+                                     "the"], ["body"]).term))
+        want[d] = (ref.external_ids(), ref.doclens("body"),
+                   {t: p.docids.tolist()
+                    for t, p in ref.postings_many(terms, "body").items()})
+        assert want[d][2], d
+    g = IndexReader.__init__.__globals__
+    monkeypatch.setitem(g, "CACHE_BYTES", 1 << 40)
+    probe = [IndexReader(d) for d in dirs]
+    for r in probe:
+        ids = np.arange(r.n_docs, dtype=np.int64)
+        r.external_ids_for(ids), r.doclens_for(ids, ["body"])
+        r.postings_many(list(want[r.index_dir][2]), "body")
+    budget = probe[0].cache.bytes // 2
+    monkeypatch.setitem(g, "CACHE_BYTES", budget)
+    readers = [IndexReader(d) for d in dirs]
+    cache = readers[0].cache
+    assert all(r.cache is cache for r in readers)
+    for _ in range(2):
+        for r in readers:
+            ext, lens, posts = want[r.index_dir]
+            ids = np.arange(r.n_docs, dtype=np.int64)[::-1].copy()
+            assert list(r.external_ids_for(ids)) == list(ext[ids])
+            assert list(r.doclens_for(ids, ["body"])["body"]) == list(
+                lens[ids])
+            got = r.postings_many(list(posts), "body")
+            assert {t: p.docids.tolist() for t, p in got.items()} == posts
+            assert cache.bytes <= budget
+    assert cache.evictions > 0
+    assert {k[0] for k in cache._d} <= {(r.index_dir, r.stats_token)
+                                        for r in readers}
 
 
 def test_warm_engine_search_records_no_misses(toy_index):
@@ -544,10 +592,10 @@ def test_warm_engine_search_records_no_misses(toy_index):
         eng = QueryEngine(r, model)
         first = eng.search(q, k=5)
         assert first.num_rows > 0
-        misses, hits = r.forward_cache.misses, r.forward_cache.hits
+        misses, hits = r.cache.misses, r.cache.hits
         assert eng.search(q, k=5).equals(first)
-        assert r.forward_cache.misses == misses
-        assert r.forward_cache.hits > hits
+        assert r.cache.misses == misses
+        assert r.cache.hits > hits
 
 
 def test_duplicated_external_id_resolves_to_smallest_docid(tmp_path,
