@@ -12,7 +12,9 @@ own length prior FIRST and saturates the pooled pseudo-frequency ONCE:
 
 idf uses the UNION document frequency (docs where t occurs in ANY
 scored field) with the engine's floored BM25 idf (``kernels.bm25_idf``,
-QrySopScore.java:90-120 parity).
+QrySopScore.java:90-120 parity). ``B_f`` and the saturation are
+``kernels.bm25_prior`` and ``kernels.bm25f_saturate``, shared with the
+distributed kernel.
 
 Driver-side like QueryEngine: postings are bucket-pruned batched reads
 per field, doclens come from the reader's forward-shard cache
@@ -28,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..index.reader import IndexReader
-from .kernels import bm25_idf
+from .kernels import bm25_idf, bm25_prior, bm25f_saturate
 from .trec import drop_deleted, empty_results, rank_results_candidates
 
 
@@ -51,8 +53,8 @@ def bm25f_search(reader: IndexReader, terms: list[str],
         return empty_results()
     all_ids = np.unique(np.concatenate(ids_list))
     dlens = reader.doclens_for(all_ids, fields)
-    B = {f: (1.0 - field_b[f])
-         + field_b[f] * dlens[f].astype(np.float64) / reader.avg_len(f)
+    B = {f: bm25_prior(dlens[f].astype(np.float64), field_b[f],
+                       reader.avg_len(f))
          for f in fields}
     n = all_ids.size
     score = np.zeros(n, dtype=np.float64)
@@ -70,7 +72,7 @@ def bm25f_search(reader: IndexReader, terms: list[str],
         df = float(seen.sum())
         if df == 0.0:
             continue
-        score += bm25_idf(N, df) * tft / (k1 + tft)
+        score += bm25f_saturate(bm25_idf(N, df), tft, k1)
     docids, score = drop_deleted(reader.deleted_docids(), all_ids, score)
     return rank_results_candidates(docids, score,
                                    reader.external_ids_for, k)

@@ -20,15 +20,26 @@ submits one task per salt of a module-level ``@ray.remote`` kernel
 ``(spec, salt) -> pa.Table`` and gathers the partial tables. ``spec`` is
 plain data (index dir, build token, model parameters, k) plus ObjectRefs
 to the batch-sized maps, so Ray exports each kernel once per session and
-a batch ships no code. The kernels
-share one body: ``_scan`` (the worker reader's lexicon picks the salt's
-runs of the batch terms; their blobs come from the process cache or an
-exact row-group read, then varbyte decode), a leaf formula, ``_route``
-to the queries and ``_cut`` (dense group-sum, exact per-salt top-k,
-packed keys). Leaf formulas come from ``kernels``, the same functions
-the driver engine scores with. Global df/ctf and every "no postings"
-guard on the driver are lexicon lookups too (``IndexReader.runs`` /
-``term_stats``), so no path scans a postings dataset.
+a batch ships no code. Three kernels score:
+
+- ``score_salt_bm25``: #SUM of BM25 or classic TF-IDF leaves — bag of
+  words (its term-only case), grid, #MSM, champion phase B and
+  structured BM25;
+- ``score_salt_indri``: #WSUM spines over log-linear #AND/#WAND
+  subtrees — a bag of words is one #AND subtree;
+- ``score_salt_bm25f``: BM25F's pooled saturation.
+
+The first two read their leaves through ``_salt_leaves``: the salt's
+parked derived rows (``i:<field>:<repr>``, phase A = ``_derive_lists``)
+then its plain runs (``t:<field>:<term>``), with doc lengths gathered
+once per field. Plain runs come from ``_scan`` (the worker reader's
+lexicon picks the salt's runs; their blobs come from the process cache
+or an exact row-group read, then varbyte decode). Every kernel ends in
+``_cut`` (dense group-sum, exact per-salt top-k, packed keys); the
+leaf formulas come from ``kernels``, the same functions the driver
+engine scores with. Global df/ctf and every "no postings" guard on the
+driver are lexicon lookups too (``IndexReader.runs`` / ``term_stats``),
+so no path scans a postings dataset.
 
 Tombstones (``merge.delete_docs``) ride in the spec as a sorted docid
 array (``dels``, absent when there are none); ``_cut`` drops them after
@@ -47,15 +58,6 @@ entries. The driver takes its reader from the same cache, so the
 external ids of the final candidate set come from shards warmed by
 earlier batches. The packed key leaves 44 bits for docids and 19 for
 queries per batch.
-
-Entry points: ``bm25_batch_search`` (bag-of-words #SUM; BM25 or classic
-TF-IDF), ``bm25_msm_batch_search``, ``bm25_grid_search``,
-``bm25_champion_search``, ``bm25f_batch_search``,
-``bm25_structured_batch_search`` (#SUM over term + positional leaves,
-multi-field — each field scores with its own df/doclen/avglen),
-``indri_batch_search`` (bag-of-words #AND in log space) and
-``indri_structured_batch_search`` (#WSUM spines over #AND/#WAND trees —
-log-linear subtrees mixed arithmetically in the final stage).
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ from ..index.build import STATS_FILE
 from ..index.reader import IndexReader
 from ..index.varbyte import decode_postings
 from .eval import expand_wildcards
-from .kernels import bm25, bm25_idf, dirichlet, tfidf
+from .kernels import (
+    bm25, bm25_idf, bm25_prior, bm25f_saturate, dirichlet, tfidf,
+)
 from .models import BM25Model
 from .trec import drop_deleted
 
@@ -254,53 +258,102 @@ def _cut(spec: dict, entries: list, need_zero_candidates: bool = False,
                      "score": pa.array(sums[keep])})
 
 
+def _derived_rows(spec: dict, salt: int):
+    """``(leaf, field, docids, tfs)`` of the salt's derived positional
+    lists (phase A output, fetched whole from the object store)."""
+    if not spec["derived"]:
+        return
+    t = ray.get(spec["derived"][salt])
+    for lf, fld, db, tb in zip(t["leaf"].to_pylist(), t["field"].to_pylist(),
+                               t["docid_blob"].to_pylist(),
+                               t["tf_blob"].to_pylist()):
+        d, tf, _ = decode_postings(db, tb, None)
+        yield lf, fld, d, tf
+
+
+def _doclen_lookup(spec: dict, runs):
+    """``lengths(field, docids)`` over ``runs`` = [(field, docids)]: ONE
+    ``_doclens`` gather per field over the union of that field's docids,
+    then a searchsorted into it for each run or candidate set (which
+    must fall inside that union)."""
+    by_field: dict[str, list[np.ndarray]] = {}
+    for fld, d in runs:
+        by_field.setdefault(fld, []).append(d)
+    gathered = {}
+    for fld, ds in by_field.items():
+        u = ds[0] if len(ds) == 1 else np.unique(np.concatenate(ds))
+        gathered[fld] = (u, _doclens(spec, fld, u).astype(np.float64))
+
+    def lengths(fld: str, docids: np.ndarray) -> np.ndarray:
+        u, dl = gathered[fld]
+        return dl[np.searchsorted(u, docids)]
+    return lengths
+
+
+def _salt_leaves(spec: dict, salt: int, allowed: np.ndarray | None = None):
+    """One salt's scored leaves → ``([(key, field, docids, tfs, dl)],
+    lengths)``, read the same way by both scoring kernels.
+
+    Order: the salt's parked derived rows (``i:<field>:<repr>``) first,
+    then each field's plain runs of ``spec["plain"]`` (field → terms;
+    ``t:<field>:<term>``) in index order — the entry order the
+    group-sum's float sums follow. ``allowed`` (sorted docids) masks every
+    leaf first; emptied leaves drop out. ``dl`` and ``lengths`` (for the
+    candidates, a subset of the leaves' docids) come from
+    ``_doclen_lookup``: one doclen gather per field."""
+    rows = list(_derived_rows(spec, salt))
+    for fld, terms in sorted(spec["plain"].items()):
+        rows += [(f"t:{fld}:{trm}", fld, d, tf)
+                 for trm, _, d, tf, _ in _scan(spec, salt, terms, [fld])]
+    if allowed is not None:
+        for i, (lf, fld, d, tf) in enumerate(rows):
+            pos = np.minimum(np.searchsorted(allowed, d), allowed.size - 1)
+            keep = allowed[pos] == d
+            rows[i] = (lf, fld, d[keep], tf[keep])
+    rows = [r for r in rows if r[2].size]
+    lengths = _doclen_lookup(spec, [(fld, d) for _, fld, d, _ in rows])
+    return [(lf, fld, d, tf, lengths(fld, d)) for lf, fld, d, tf in rows], \
+        lengths
+
+
 @ray.remote
 def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
-    """Bag-of-words #SUM over one salt — the kernel of
-    ``bm25_batch_search``, ``bm25_grid_search``, ``bm25_msm_batch_search``
-    and ``bm25_champion_search``'s phase B. BM25 per ``(k1, b)`` in
-    ``grid`` (grid point g scores query slot ``g·nq + qcode``), Lucene
-    classic TF-IDF when ``classic``. Batch maps: ``tq`` (term →
-    [(qcode, mult)]), ``df``, optional ``allowed`` (sorted candidate
-    docids the postings are masked to) and ``nreq`` (per-qcode clause
-    minimum: a second group-sum of clause indicators over the same keys
-    filters before the cut; docs live in one salt, so local counts are
-    complete)."""
+    """#SUM of BM25 (or Lucene classic TF-IDF when ``classic``) leaves
+    over one salt — the kernel of ``bm25_batch_search`` (a bag of words
+    is the term-only case), ``bm25_grid_search``,
+    ``bm25_msm_batch_search``, ``bm25_champion_search``'s phase B and
+    ``bm25_structured_batch_search``. Each leaf scores with its field's
+    df, doclen and avglen; BM25 runs once per ``(k1, b)`` in ``grid``
+    (grid point g scores query slot ``g·nq + qcode``). Batch maps:
+    ``tq`` (leaf → [(qcode, mult)]), ``df`` (leaf → global df), optional
+    ``allowed`` (sorted candidate docids the leaves are masked to) and
+    ``nreq`` (per-qcode clause minimum: a second group-sum of clause
+    indicators over the same keys filters before the cut; docs live in
+    one salt, so local counts are complete)."""
     bt = ray.get(spec["batch"])
-    tq, dfs = bt["tq"], bt["df"]
-    allowed, nreq = bt.get("allowed"), bt.get("nreq")
-    field, N, avglen = spec["field"], spec["N"], spec["avglen"]
+    tq, dfs, nreq = bt["tq"], bt["df"], bt.get("nreq")
+    N = spec["N"]
     entries, counts = [], []
-    need_zero = nreq is not None
-    for term, _, docids, tfs, _ in _scan(spec, salt, spec["terms"], [field]):
-        if allowed is not None:
-            pos = np.minimum(np.searchsorted(allowed, docids),
-                             allowed.size - 1)
-            keep = allowed[pos] == docids
-            docids, tfs = docids[keep], tfs[keep]
-            if docids.size == 0:
-                continue
-        df = dfs[term]
-        dl = _doclens(spec, field, docids).astype(np.float64)
-        tf = tfs.astype(np.float64)
+    leaves, _ = _salt_leaves(spec, salt, bt.get("allowed"))
+    for lf, fld, docids, tfs, dl in leaves:
+        df, tf = dfs[lf], tfs.astype(np.float64)
         if spec["classic"]:
             scores = [tfidf(N, df, tf, dl)]
         else:
             idf = bm25_idf(N, df)
-            need_zero |= idf == 0.0
-            scores = [bm25(idf, tf, dl, k1, b, avglen)
+            scores = [bm25(idf, tf, dl, k1, b, spec["avglen"][fld])
                       for k1, b in spec["grid"]]
         for g, sc in enumerate(scores):
-            _route(entries, tq[term], docids, sc, g * spec["nq"])
+            _route(entries, tq[lf], docids, sc, g * spec["nq"])
         if nreq is not None:
-            _route(counts, tq[term], docids, np.ones(docids.size, np.float64))
+            _route(counts, tq[lf], docids, np.ones(docids.size, np.float64))
 
     def min_match(qc, docid, sums):
         cnts = _group_sum_entries(counts, need_zero_candidates=True)[2]
         ok = cnts >= nreq[qc]
         return qc[ok], docid[ok], sums[ok]
 
-    return _cut(spec, entries, need_zero,
+    return _cut(spec, entries, spec["need_zero"],
                 min_match if nreq is not None else None)
 
 
@@ -349,11 +402,11 @@ def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
     bt = ray.get(spec["batch"])
     tq, gdf = bt["tq"], bt["df"]
     contribs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for term, fld, docids, tfs, _ in _scan(spec, salt, spec["terms"],
-                                           spec["fields"]):
-        dl = _doclens(spec, fld, docids).astype(np.float64)
-        bf = spec["b"][fld]
-        B = (1.0 - bf) + bf * dl / spec["avglen"][fld]
+    runs = list(_scan(spec, salt, spec["terms"], spec["fields"]))
+    lengths = _doclen_lookup(spec, [(fld, d) for _, fld, d, _, _ in runs])
+    for term, fld, docids, tfs, _ in runs:
+        B = bm25_prior(lengths(fld, docids), spec["b"][fld],
+                       spec["avglen"][fld])
         contribs.setdefault(term, []).append(
             (docids, spec["w"][fld] * tfs.astype(np.float64) / B))
     entries, need_zero = [], False
@@ -371,102 +424,30 @@ def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
             tft = np.add.reduceat(cc, starts)
         idf = bm25_idf(spec["N"], gdf[term])
         need_zero |= idf == 0.0
-        _route(entries, tq[term], docids, idf * tft / (spec["k1"] + tft))
+        _route(entries, tq[term], docids,
+               bm25f_saturate(idf, tft, spec["k1"]))
     return _cut(spec, entries, need_zero)
 
 
 @ray.remote
 def score_salt_indri(spec: dict, salt: int) -> pa.Table:
-    """Bag-of-words Indri #AND in log space: matched partials
-    ``m_t·(log s_t(tf,dl) − log s_t(0,dl))`` group-summed, then the
-    per-candidate all-terms default correction and the geometric mean.
-    Matched partials are strictly > 0 (s is monotone in tf), so the dense
-    group-sum's nonzero set IS the match-min candidate set."""
-    bt = ray.get(spec["batch"])
-    tq, mle, qinfo = bt["tq"], bt["mle"], bt["qinfo"]
-    field, mu, lam = spec["field"], spec["mu"], spec["lam"]
-    entries = []
-    with np.errstate(divide="ignore"):
-        for term, _, docids, tfs, _ in _scan(spec, salt, spec["terms"],
-                                             [field]):
-            dl = _doclens(spec, field, docids).astype(np.float64)
-            m = mle[term]
-            part = (np.log(dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
-                    - np.log(dirichlet(0.0, dl, m, mu, lam)))
-            _route(entries, tq[term], docids, part)
-
-    def geometric_mean(qc, docid, agg):
-        dl = _doclens(spec, field, docid).astype(np.float64)
-        final = np.empty(qc.size, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            for lo, hi in _query_slices(qc):
-                mles, mults, kq = qinfo[int(qc[lo])]
-                corr = np.zeros(hi - lo, dtype=np.float64)
-                for mlv, mv in zip(mles, mults):
-                    corr += mv * np.log(dirichlet(0.0, dl[lo:hi], mlv,
-                                                  mu, lam))
-                final[lo:hi] = np.exp((agg[lo:hi] + corr) / kq)
-        return qc, docid, final
-
-    return _cut(spec, entries, finish=geometric_mean)
-
-
-def _derived_rows(spec: dict, salt: int):
-    """``(leaf, field, docids, tfs)`` of the salt's derived positional
-    lists (phase A output, fetched whole from the object store)."""
-    if not spec["derived"]:
-        return
-    t = ray.get(spec["derived"][salt])
-    for lf, fld, db, tb in zip(t["leaf"].to_pylist(), t["field"].to_pylist(),
-                               t["docid_blob"].to_pylist(),
-                               t["tf_blob"].to_pylist()):
-        d, tf, _ = decode_postings(db, tb, None)
-        yield lf, fld, d, tf
-
-
-@ray.remote
-def score_salt_structured(spec: dict, salt: int) -> pa.Table:
-    """Structured BM25 #SUM over one salt: the salt's derived positional
-    runs plus its plain-term postings per field, each scored with its
-    field's own df/doclen/avglen."""
-    bt = ray.get(spec["batch"])
-    il, ddf, tl, ts = bt["il"], bt["ddf"], bt["tl"], bt["ts"]
-    N, k1, b = spec["N"], spec["k1"], spec["b"]
-
-    def leaf(fld, df, docids, tfs):
-        dl = _doclens(spec, fld, docids).astype(np.float64)
-        return bm25(bm25_idf(N, df), tfs.astype(np.float64), dl, k1, b,
-                    spec["avglen"][fld])
-
-    entries = []
-    for lf, fld, d, tf in _derived_rows(spec, salt):
-        _route(entries, il[lf], d, leaf(fld, ddf[lf], d, tf))
-    for fld, plain in sorted(spec["plain"].items()):
-        for trm, _, d, tf, _ in _scan(spec, salt, plain, [fld]):
-            _route(entries, tl[f"t:{fld}:{trm}"], d,
-                   leaf(fld, ts[fld].get(trm, 0), d, tf))
-    return _cut(spec, entries, spec["any_zero_idf"])
-
-
-@ray.remote
-def score_salt_indri_structured(spec: dict, salt: int) -> pa.Table:
-    """Structured Indri over one salt: matched log-partials of derived
-    and plain leaves group-summed per (query, #WSUM subtree), then the
-    per-candidate default correction and the #WSUM arithmetic mix."""
+    """Indri over one salt — the kernel of ``indri_batch_search`` (a bag
+    of words is one ``#AND`` subtree) and
+    ``indri_structured_batch_search``. Matched log-partials
+    ``c·(log s(tf,dl) − log s(0,dl))`` of derived and plain leaves are
+    group-summed per (query, #WSUM subtree j); each candidate then adds
+    subtree j's all-leaves default correction ``corr_j`` and scores
+    ``Σ_j W_j·exp((S_j + corr_j)/k_j)``. ``k_j`` is a bag-of-words
+    query's term count (its geometric-mean divisor) and 1.0 for a
+    structured subtree, whose coefficients already fold it. Matched
+    partials are strictly > 0 (s is monotone in tf), so the dense
+    group-sum's nonzero set is the match-min candidate set."""
     bt = ray.get(spec["batch"])
     lt, mles, qinfo = bt["lt"], bt["mle"], bt["qinfo"]
     field, mu, lam, n_sub = spec["field"], spec["mu"], spec["lam"], \
         spec["n_sub"]
     entries = []
-
-    def add(lf, docids, tfs):
-        if docids.size == 0:
-            return
-        dl = _doclens(spec, field, docids).astype(np.float64)
-        m = mles[lf]
-        part = (np.log(dirichlet(tfs.astype(np.float64), dl, m, mu, lam))
-                - np.log(dirichlet(0.0, dl, m, mu, lam)))
-        _route(entries, lt[lf], docids, part)
+    leaves, lengths = _salt_leaves(spec, salt)
 
     def default_corr(dlq, mlv_arr, coefs):
         corr = np.zeros(dlq.size, dtype=np.float64)
@@ -482,25 +463,27 @@ def score_salt_indri_structured(spec: dict, salt: int) -> pa.Table:
             subs = qinfo[int(qc_a[lo])]
             if len(subs) == 1 and subs[0][0] == 1.0:
                 # pure log-linear tree: rows are already unique per
-                # candidate — final = exp(S + corr)
+                # candidate — final = exp((S + corr)/k)
+                _, mlv_arr, coefs, kq = subs[0]
                 cand = docid[lo:hi]
-                dlq = _doclens(spec, field, cand).astype(np.float64)
-                final = np.exp(agg[lo:hi] + default_corr(dlq, *subs[0][1:]))
+                corr = default_corr(lengths(field, cand), mlv_arr, coefs)
+                final = np.exp((agg[lo:hi] + corr) / kq)
             else:
                 # #WSUM spine: candidates = docs with ≥1 subtree row;
-                # start from the all-defaults baseline Σ_j W_j·exp(corr_j),
-                # then swap in exp(S_j + corr_j) for each matched row
+                # start from the all-defaults baseline
+                # Σ_j W_j·exp(corr_j/k_j), then swap in
+                # exp((S_j + corr_j)/k_j) for each matched row
                 cand, cidx = np.unique(docid[lo:hi], return_inverse=True)
-                dlq = _doclens(spec, field, cand).astype(np.float64)
+                dlq = lengths(field, cand)
                 final = np.zeros(cand.size, dtype=np.float64)
                 aggq, jq = agg[lo:hi], j_a[lo:hi]
-                for j, (w, mlv_arr, coefs) in enumerate(subs):
+                for j, (w, mlv_arr, coefs, kq) in enumerate(subs):
                     corr = default_corr(dlq, mlv_arr, coefs)
-                    base = w * np.exp(corr)
+                    base = w * np.exp(corr / kq)
                     final += base
                     rmsk = jq == j
                     ridx = cidx[rmsk]
-                    final[ridx] += (w * np.exp(aggq[rmsk] + corr[ridx])
+                    final[ridx] += (w * np.exp((aggq[rmsk] + corr[ridx]) / kq)
                                     - base[ridx])
             out_q.append(np.full(cand.size, qc_a[lo], np.int64))
             out_d.append(cand)
@@ -509,11 +492,11 @@ def score_salt_indri_structured(spec: dict, salt: int) -> pa.Table:
                 np.concatenate(out_s))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lf, _, d, tf in _derived_rows(spec, salt):
-            add(lf, d, tf)
-        if spec["terms"]:
-            for trm, _, d, tf, _ in _scan(spec, salt, spec["terms"], [field]):
-                add("t:" + trm, d, tf)
+        for lf, _, d, tf, dl in leaves:
+            m = mles[lf]
+            part = (np.log(dirichlet(tf.astype(np.float64), dl, m, mu, lam))
+                    - np.log(dirichlet(0.0, dl, m, mu, lam)))
+            _route(entries, lt[lf], d, part)
         return _cut(spec, entries, finish=wsum_mix)
 
 
@@ -545,8 +528,9 @@ def derive_salt(spec: dict, salt: int):
     matching phase-B salt task fetches it."""
     from ..index.varbyte import encode_postings
     from .eval import InvList, eval_iop_tree
-    rows = {c: [] for c in ("leaf", "field", "df", "ctf",
-                            "docid_blob", "tf_blob")}
+    types = dict(leaf=pa.string(), field=pa.string(), df=pa.int64(),
+                 ctf=pa.int64(), docid_blob=pa.binary(), tf_blob=pa.binary())
+    rows = {c: [] for c in types}
     for fld, items in spec["plans"]:
         cache = {}
         for trm, _, d, tf, p in _scan(spec, salt, spec["terms"][fld], [fld],
@@ -560,22 +544,12 @@ def derive_salt(spec: dict, salt: int):
                 continue
             db2, tb2, _ = encode_postings(
                 inv.docids, inv.tfs, np.empty(0, np.int64))
-            rows["leaf"].append(key)
-            rows["field"].append(fld)
-            rows["df"].append(int(inv.df))
-            rows["ctf"].append(int(inv.ctf))
-            rows["docid_blob"].append(db2)
-            rows["tf_blob"].append(tb2)
-    stats_tbl = pa.table({
-        "leaf": pa.array(rows["leaf"], pa.string()),
-        "df": pa.array(rows["df"], pa.int64()),
-        "ctf": pa.array(rows["ctf"], pa.int64())})
-    derived_tbl = pa.table({
-        "leaf": pa.array(rows["leaf"], pa.string()),
-        "field": pa.array(rows["field"], pa.string()),
-        "docid_blob": pa.array(rows["docid_blob"], pa.binary()),
-        "tf_blob": pa.array(rows["tf_blob"], pa.binary())})
-    return stats_tbl, derived_tbl
+            for c, v in zip(types, (key, fld, int(inv.df), int(inv.ctf),
+                                    db2, tb2)):
+                rows[c].append(v)
+    t = pa.table({c: pa.array(rows[c], ty) for c, ty in types.items()})
+    return (t.select(["leaf", "df", "ctf"]),
+            t.select(["leaf", "field", "docid_blob", "tf_blob"]))
 
 
 # -------------------------------------------------------------- driver
@@ -633,11 +607,13 @@ def _emit_ranked(cands: pa.Table, qids: list[str], k: int,
     })
 
 
-def _term_queries(reader: IndexReader, queries: list[tuple]):
+def _term_queries(reader: IndexReader, queries: list[tuple],
+                  prefix: str = ""):
     """Analyze a bag-of-words batch ``[(qid, text, ...)]`` →
-    ``(qids, term → [(qcode, multiplicity)], analyzed terms per qcode)``.
-    A repeated query term scores per occurrence, as #SUM over duplicate
-    args does."""
+    ``(qids, prefix + term → [(qcode, multiplicity)], analyzed terms per
+    qcode)``. A repeated query term scores per occurrence, as #SUM over
+    duplicate args does; ``prefix`` ``t:<field>:`` keys the terms as the
+    scoring kernels' leaves."""
     an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
     qids = _check_unique_qids(queries)
     term_queries: dict[str, list[tuple[int, int]]] = {}
@@ -646,47 +622,67 @@ def _term_queries(reader: IndexReader, queries: list[tuple]):
         terms = [t for tok in q[1].split() for t in an.analyze_query_token(tok)]
         q_terms.append(terms)
         for t in set(terms):
-            term_queries.setdefault(t, []).append((qc, terms.count(t)))
+            term_queries.setdefault(prefix + t, []).append(
+                (qc, terms.count(t)))
     return qids, term_queries, q_terms
 
 
-def _global_dfs(reader: IndexReader, terms: list[str],
-                field: str) -> dict[str, int]:
-    return {t: df for t, (df, _) in reader.term_stats(terms, field).items()}
+def _term_dfs(reader: IndexReader, leaves) -> tuple[dict, dict]:
+    """Global dfs of the ``t:<field>:<term>`` leaves, from the lexicon →
+    ``(leaf → df, field → indexed terms to scan)``."""
+    by_field: dict[str, list[str]] = {}
+    for lf in leaves:
+        if lf.startswith("t:"):
+            _, fld, trm = lf.split(":", 2)
+            by_field.setdefault(fld, []).append(trm)
+    df, plain = {}, {}
+    for fld, terms in sorted(by_field.items()):
+        stats = reader.term_stats(terms, fld)
+        if stats:
+            plain[fld] = sorted(stats)
+            df.update({f"t:{fld}:{t}": d for t, (d, _) in stats.items()})
+    return df, plain
 
 
-def _bm25_spec(reader: IndexReader, term_queries: dict, df: dict,
-               field: str, k: int, nq: int, grid, classic: bool = False,
-               **batch) -> dict:
-    return _spec(reader, k, field=field, terms=sorted(term_queries),
-                 avglen=reader.avg_len(field), grid=list(grid),
-                 classic=classic, nq=nq,
-                 batch=ray.put(dict(tq=term_queries, df=df, **batch)))
+def _bm25_spec(reader: IndexReader, leaves: dict, df: dict, plain: dict,
+               k: int, nq: int, grid, classic: bool = False,
+               derived=(), **batch) -> dict:
+    """Spec of ``score_salt_bm25``: ``leaves`` (key → [(qcode, mult)]),
+    ``df`` (key → global df), ``plain`` (field → terms to scan),
+    ``derived`` (phase A's parked tables). Idf-clamped leaves score 0 but
+    still create candidates; only then (or under a clause minimum) does
+    the group-sum need its zero-candidate bincount."""
+    need_zero = "nreq" in batch or (not classic and any(
+        bm25_idf(reader.n_docs, d) == 0.0 for d in df.values() if d > 0))
+    fields = {lf.split(":", 2)[1] for lf in leaves}
+    return _spec(reader, k, plain=plain, derived=derived,
+                 avglen={f: reader.avg_len(f) for f in fields},
+                 grid=list(grid), classic=classic, nq=nq,
+                 need_zero=need_zero,
+                 batch=ray.put(dict(tq=leaves, df=df, **batch)))
 
 
 def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
                       model=None, k: int = 100,
                       field: str = "body") -> pa.Table:
     """Score a bag-of-words query batch — BM25 by default, or Lucene
-    ClassicSimilarity when ``model`` is a ``TFIDFModel`` (same per-salt
-    zero-shuffle plumbing, different per-term kernel; classic idf is
-    strictly positive so the zero-idf candidate path never triggers);
-    → (qid, external_id, rank, score), reference ordering per qid.
+    ClassicSimilarity when ``model`` is a ``TFIDFModel`` — as the
+    term-only case of ``score_salt_bm25``; → (qid, external_id, rank,
+    score), reference ordering per qid.
 
     Salt is the SAME contiguous docid range for every term (build.py
     salt_of_pid), so one task per salt holds the complete postings of
     every query term for its range — (query, doc) scores are FINAL
-    inside the task and the per-query top-k cut is exact. Parallelism =
-    merge_salts, which steps with corpus size."""
+    inside the task and the per-query top-k cut is exact."""
     from .models import TFIDFModel
     model = model or BM25Model()
     classic = isinstance(model, TFIDFModel)
     reader = _index_reader(index_dir)
-    qids, term_queries, _ = _term_queries(reader, queries)
-    df = _global_dfs(reader, sorted(term_queries), field)
+    qids, leaves, _ = _term_queries(reader, queries, f"t:{field}:")
+    df, plain = _term_dfs(reader, leaves)
     if not df:
         return _empty()
-    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids),
+    spec = _bm25_spec(reader, leaves, df, plain, k, len(qids),
                       [(0.0, 0.0) if classic else (model.k1, model.b)],
                       classic)
     return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
@@ -710,13 +706,13 @@ def bm25_msm_batch_search(index_dir: str,
     exchange."""
     model = model or BM25Model()
     reader = _index_reader(index_dir)
-    qids, term_queries, q_terms = _term_queries(reader, queries)
+    qids, leaves, q_terms = _term_queries(reader, queries, f"t:{field}:")
     n_req = np.asarray([max(1, min(int(q[2]), len(ts))) if ts else 1
                         for q, ts in zip(queries, q_terms)], np.int64)
-    df = _global_dfs(reader, sorted(term_queries), field)
+    df, plain = _term_dfs(reader, leaves)
     if not df:
         return _empty()
-    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids),
+    spec = _bm25_spec(reader, leaves, df, plain, k, len(qids),
                       [(model.k1, model.b)], nreq=n_req)
     return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                         qids, k, reader)
@@ -727,18 +723,12 @@ def bm25f_batch_search(index_dir: str, queries: list[tuple[str, str]],
                        field_b: dict[str, float] | float = 0.75,
                        k1: float = 1.2, k: int = 100) -> pa.Table:
     """Distributed BM25F (query/bm25f.py math at batch scale): → (qid,
-    external_id, rank, score), reference ordering per qid.
-
-    Same zero-shuffle per-salt factorization as ``bm25_batch_search``,
-    with one extra wrinkle: BM25F's idf uses the UNION document
-    frequency (docs holding the term in ANY scored field), which no
-    per-field metadata sum can produce — so phase A runs one tiny task
-    per salt counting ``|∪_f docids(t, f, salt)|`` per term (salt
-    ranges are disjoint, so the global union df is the plain sum) and
-    phase B re-reads the same runs (cache-warm from A on that worker)
-    to pool ``w_f·tf/B_f`` across fields per doc and
-    score. Only (term, count) rows and the final per-salt top-k
-    candidates ever reach the driver."""
+    external_id, rank, score), reference ordering per qid. BM25F's idf
+    uses the UNION df (docs holding the term in ANY scored field), which
+    no per-field sum gives, so phase A counts ``|∪_f docids(t, f, salt)|``
+    per term in one task per salt (salts are disjoint: the global union
+    df is the sum) and phase B re-reads the same runs, cache-warm, to
+    pool ``w_f·tf/B_f`` across fields per doc and saturate once."""
     reader = _index_reader(index_dir)
     fields = sorted(weights)
     if not isinstance(field_b, dict):
@@ -774,18 +764,18 @@ def bm25_grid_search(index_dir: str, queries: list[tuple[str, str]],
     (disjoint salt docid ranges). → (k1, b, qid, external_id, rank,
     score), reference ordering per (grid point, qid)."""
     reader = _index_reader(index_dir)
-    qids, term_queries, _ = _term_queries(reader, queries)
+    qids, leaves, _ = _term_queries(reader, queries, f"t:{field}:")
     empty = pa.table({"k1": pa.array([], pa.float64()),
                       "b": pa.array([], pa.float64()),
                       "qid": pa.array([], pa.string()),
                       "external_id": pa.array([], pa.string()),
                       "rank": pa.array([], pa.int32()),
                       "score": pa.array([], pa.float64())})
-    df = _global_dfs(reader, sorted(term_queries), field)
+    df, plain = _term_dfs(reader, leaves)
     if not grid or not df:
         return empty
     grid_t = [(float(g[0]), float(g[1])) for g in grid]
-    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids), grid_t)
+    spec = _bm25_spec(reader, leaves, df, plain, k, len(qids), grid_t)
     slot_labels = [f"{g}\x00{qid}" for g in range(len(grid_t))
                    for qid in qids]
     ranked = _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
@@ -821,33 +811,28 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
     entries. → (qid, external_id, rank, score)."""
     model = BM25Model()
     reader = _index_reader(index_dir)
-    qids, term_queries, _ = _term_queries(reader, queries)
-    terms_list = sorted(term_queries)
-    df = _global_dfs(reader, terms_list, field)
+    qids, leaves, _ = _term_queries(reader, queries, f"t:{field}:")
+    df, plain = _term_dfs(reader, leaves)
     if not df:
         return _empty()
 
-    # ---- phase A: per-salt local champions (tf desc, docid asc) ----
+    # ---- phase A: per-salt local champions (tf desc, docid asc), then
+    # each term's first m of their union in one sort ----
     locs = _run_salt_tasks(
-        champions_salt, _spec(reader, k, field=field, terms=terms_list, m=m),
-        reader)
-    cands: list[np.ndarray] = []
-    lt = locs["term"].to_pylist()
-    ld = locs["docid"].to_numpy()
-    lf = locs["tf"].to_numpy()
-    for term in terms_list:
-        mask = np.asarray([x == term for x in lt], bool)
-        d, f = ld[mask], lf[mask]
-        if d.size > m:
-            sel = np.lexsort((d, -f))[:m]
-            d = d[sel]
-        cands.append(d)
-    cand_set = np.unique(np.concatenate(cands))
-    if cand_set.size == 0:
+        champions_salt, _spec(reader, k, field=field, terms=plain[field],
+                              m=m), reader)
+    if locs.num_rows == 0:
         return _empty()
+    tc = locs["term"].combine_chunks().dictionary_encode().indices.to_numpy()
+    ld = locs["docid"].to_numpy()
+    order = np.lexsort((ld, -locs["tf"].to_numpy(), tc))
+    tc = tc[order]
+    new = np.ones(tc.size, np.bool_)
+    new[1:] = tc[1:] != tc[:-1]
+    cand_set = np.unique(ld[order[_rank_in_runs(new) < m]])
 
     # ---- phase B: exact scoring of the candidate set ----
-    spec = _bm25_spec(reader, term_queries, df, field, k, len(qids),
+    spec = _bm25_spec(reader, leaves, df, plain, k, len(qids),
                       [(model.k1, model.b)], allowed=cand_set)
     return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                         qids, k, reader)
@@ -857,42 +842,33 @@ def indri_batch_search(index_dir: str, queries: list[tuple[str, str]],
                        model=None, k: int = 100,
                        field: str = "body") -> pa.Table:
     """Distributed Indri query-likelihood (Dirichlet + Jelinek-Mercer mix,
-    ``QrySopScore.java:140-161``) for bag-of-words ``#AND`` batches.
-
-    Indri's geometric mean needs a *default score* for every query term a
-    candidate doc lacks (``QrySopAnd.java:97-107``) — naively an outer
-    join. In log space it factors into a groupby-sum:
+    ``QrySopScore.java:140-161``) for bag-of-words ``#AND`` batches: each
+    query is the one-subtree case of ``indri_structured_batch_search``'s
+    plan. Indri's geometric mean needs a default score for every query
+    term a candidate lacks (``QrySopAnd.java:97-107``); in log space that
+    factors into a group-sum plus a per-candidate correction:
 
         log score(d) = (1/k_q) · [ Σ_matched m_t·(log s_t(tf,dl) − log s_t(0,dl))
                                    + Σ_all-terms m_t·log s_t(0,dl) ]
 
-    The first sum is a per-posting partial summed by the per-salt dense
-    group-sum; the second depends only on (query, doclen), so the same
-    salt task computes it per candidate from the sharded doclens before
-    the exact per-query cut. Candidates are exactly the match-min set
-    (docs with ≥1 matched term), as in the reference's DAAT loop."""
-    from .models import IndriModel
-    model = model or IndriModel()
+    so the subtree's leaves carry the multiplicities ``m_t`` and the
+    subtree carries the divisor ``k_q`` (its arg count). Candidates are
+    the match-min set (docs with ≥1 matched term), as in the reference's
+    DAAT loop."""
     reader = _index_reader(index_dir)
-    qids, term_queries, q_terms = _term_queries(reader, queries)
-    terms = sorted(term_queries)
-    stats = reader.term_stats(terms, field)
-    if not stats:
-        return _empty()
-    clen = max(reader.sum_field_lengths(field), 1)
-    mle = {t: stats.get(t, (0, 0))[1] / clen for t in term_queries}
-    # per qcode: (mle array, mult array, k_q = total arg count)
-    q_info = []
-    for ts in q_terms:
-        uniq = sorted(set(ts))
-        q_info.append((np.array([mle[t] for t in uniq], dtype=np.float64),
-                       np.array([ts.count(t) for t in uniq], dtype=np.float64),
-                       float(len(ts))))
-    spec = _spec(reader, k, field=field, terms=terms, mu=model.mu,
-                 lam=model.lambda_,
-                 batch=ray.put(dict(tq=term_queries, mle=mle, qinfo=q_info)))
-    return _emit_ranked(_run_salt_tasks(score_salt_indri, spec, reader),
-                        qids, k, reader)
+    qids, _, q_terms = _term_queries(reader, queries)
+    key = f"t:{field}:"
+    # each query is one #AND subtree: weight 1, leaf coefficient = the
+    # term's multiplicity, divisor k_q = its total arg count
+    q_subtrees = [[(1.0, {key + t: float(ts.count(t)) for t in set(ts)},
+                    float(len(ts)))] if ts else [] for ts in q_terms]
+    return _indri_search(reader, qids, q_subtrees, {}, field, model, k)
+
+
+def _parser(reader: IndexReader, field: str):
+    from .parser import QueryParser
+    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
+    return QueryParser(an, default_field=field)
 
 
 def _check_unique_qids(queries: list[tuple]) -> list[str]:
@@ -920,22 +896,33 @@ def _empty() -> pa.Table:
 
 # ---------------------------------------------------------- structured
 
+def _leaf_key(leaf, iop_plans: dict) -> tuple[str, str]:
+    """A ``TermNode`` / ``IopNode`` leaf → ``(field, key)``, keyed
+    ``t:<field>:<term>`` or ``i:<field>:<repr>`` as the scoring kernels
+    read it. A positional leaf is also filed in ``iop_plans`` (field →
+    key → node) for phase A."""
+    from .plan import TermNode
+    if isinstance(leaf, TermNode):
+        return leaf.field, f"t:{leaf.field}:{leaf.term}"
+    fld = leaf.field_name
+    key = f"i:{fld}:{leaf!r}"
+    iop_plans.setdefault(fld, {})[key] = leaf
+    return fld, key
+
+
 def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
     """Phase A of the distributed structured paths: evaluate every Iop
     subtree (#NEAR/#WINDOW/#SYN/#FIRST) per salt and return
     ``([ObjectRef[pa.Table] per salt], {leaf: (df, ctf)})``.
 
-    Partitioning contract: salt = contiguous docid range, one postings
-    row per (term, salt), so ONE ``derive_salt`` TASK PER SALT holds ALL
-    argument terms' postings for its docid range and runs the driver's
-    positional kernels (``eval_iop_tree``: two-pointer #NEAR, min/max-head
-    #WINDOW, #SYN union) unchanged. ZERO shuffle. A derived list's GLOBAL
-    df/ctf (what the reference scores with, ``QryIop.java:139-151``) is
-    the sum over its salt runs — the small (leaf, df, ctf) side is the
-    only part that reaches the driver. Each salt's derived rows stay in
-    the object store as ONE table (``num_returns=2``) that the phase-B
-    task for that salt fetches whole, so every salt is scored exactly
-    once.
+    A salt is a contiguous docid range with one postings row per (term,
+    salt), so ONE ``derive_salt`` task per salt holds every argument
+    term's postings for its docids and runs the driver's positional
+    kernels (``eval_iop_tree``) unchanged — zero shuffle. A derived
+    list's global df/ctf (``QryIop.java:139-151``) is the sum over its
+    salt runs; only that (leaf, df, ctf) side reaches the driver. Each
+    salt's derived rows stay in the object store as one table
+    (``num_returns=2``) that the phase-B task of that salt fetches whole.
 
     Plans travel as plain nested tuples (``_plan_data``) and are rebuilt
     inside the task (``_plan_node``) from the worker's own import of
@@ -976,36 +963,21 @@ def bm25_structured_batch_search(index_dir: str,
     BoW + SDM-shaped query set (``queries2.txt``), batch-scored in two
     rounds of one task per salt.
 
-    Partitioning contract: a positional operator is docid-local, and the
-    index stores each term's postings as ONE row per salt where salt =
-    contiguous docid range (build.py step 5). ONE TASK PER SALT
-    (phase A, ``_derive_lists``) therefore holds, for its docid range,
-    ALL argument terms' postings — it runs the driver's own Iop kernels
-    (``eval_iop_tree``) unchanged, emitting one derived-postings table
-    per salt into the object store. Phase parallelism equals
-    ``merge_salts``, which auto-sizes with the corpus (build.py
-    ``docs_per_salt``; at cluster scale salts number in the thousands).
-    A derived list's df/ctf (what the reference scores with,
-    ``QryIop.java:139-151``) is the SUM over its salt runs — a tiny
-    driver-side aggregation between the phases.
-
-    Phase B is one task per salt again (``_run_salt_tasks``): it
-    fetches the salt's derived table whole, reads the salt's plain-term
-    postings locally (``_scan``), and finishes the
-    (query, doc) #SUM with an exact per-salt top-k cut — zero shuffle
-    end to end. Rank- and score-identical to ``QueryEngine.search``
-    per query (tests/test_query_engine.py).
-    """
-    from .parser import QueryParser
+    A positional operator is docid-local and a salt is a contiguous
+    docid range, so phase A (``_derive_lists``) evaluates every
+    positional leaf per salt with zero shuffle; a derived list's df/ctf
+    (what the reference scores with, ``QryIop.java:139-151``) is the sum
+    over its salt runs. Phase B is ``score_salt_bm25`` over the salt's
+    parked derived rows plus its plain-term runs, each leaf scored with
+    its own field's df/doclen/avglen, with an exact per-salt top-k cut.
+    Rank- and score-identical to ``QueryEngine.search`` per query
+    (tests/test_query_engine.py)."""
     from .plan import IopNode, ScoreNode, SopNode, TermNode
 
     model = model or BM25Model()
     reader = _index_reader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-    parser = QueryParser(an, default_field=field)
-
+    parser = _parser(reader, field)
     qids = _check_unique_qids(queries)
-    qcode = {qid: i for i, qid in enumerate(qids)}
 
     def leaves_of(plan):
         """Flatten a parsed plan to #SUM leaves (TermNode | IopNode)."""
@@ -1029,62 +1001,30 @@ def bm25_structured_batch_search(index_dir: str,
     # = "i:<field>:<repr>" — per-field keys let one batch mix fields
     # (each field scores with its OWN df/doclen/avglen stats, matching
     # the reference's per-field model — QryParser.java:156-158)
-    term_leaves: dict[str, list[tuple[int, int]]] = {}
-    iop_plans_by_field: dict[str, dict[str, "IopNode"]] = {}
-    iop_leaves: dict[str, list[tuple[int, int]]] = {}
-    for qid, q in queries:
+    leaves: dict[str, list[tuple[int, int]]] = {}
+    iop_plans: dict[str, dict[str, IopNode]] = {}
+    for qc, (qid, q) in enumerate(queries):
         # same plan-time wildcard/fuzzy/regexp -> #SYN rewrite as the
         # driver engine, so wildcards mean the same thing on this path
         plan = expand_wildcards(parser.parse(q, "#sum"), reader)
         counts: dict[str, int] = {}
         for leaf in leaves_of(plan):
-            if isinstance(leaf, TermNode):
-                key = f"t:{leaf.field}:{leaf.term}"
-            else:
-                fld = leaf.field_name
-                key = f"i:{fld}:{leaf!r}"
-                iop_plans_by_field.setdefault(fld, {})[key] = leaf
+            key = _leaf_key(leaf, iop_plans)[1]
             counts[key] = counts.get(key, 0) + 1
         for key, m in counts.items():
-            dst = term_leaves if key.startswith("t:") else iop_leaves
-            dst.setdefault(key, []).append((qcode[qid], m))
-    # field → its plain terms
-    terms_by_field: dict[str, list[str]] = {}
-    for key in term_leaves:
-        _, fld, trm = key.split(":", 2)
-        terms_by_field.setdefault(fld, []).append(trm)
-    if not term_leaves and not iop_leaves:
+            leaves.setdefault(key, []).append((qc, m))
+    if not leaves:
         return _empty()
 
     # ---- phase A: derived lists, one task per salt, zero shuffle ----
-    derived_refs, dstats = _derive_lists(reader, iop_plans_by_field)
-    ddf = {lf: d for lf, (d, _) in dstats.items()}
+    derived_refs, dstats = _derive_lists(reader, iop_plans)
+    df = {lf: d for lf, (d, _) in dstats.items()}
 
-    # global plain-term stats (lexicon only) + per-field read sets
-    tstats_by_field: dict[str, dict[str, int]] = {}
-    plain_by_field: dict[str, list[str]] = {}
-    for tfld, tlist in sorted(terms_by_field.items()):
-        plain = sorted(set(tlist))
-        dfs = _global_dfs(reader, plain, tfld)
-        if dfs:
-            plain_by_field[tfld] = plain
-            tstats_by_field[tfld] = dfs
-
-    # idf-clamped leaves score 0 but still create candidates — only then
-    # does the dense group-sum need its zero-candidate bincount
-    any_zero_idf = any(
-        bm25_idf(reader.n_docs, d) == 0.0
-        for dmap in ([ddf] + list(tstats_by_field.values()))
-        for d in dmap.values() if d > 0)
-
-    spec = _spec(reader, k, k1=model.k1, b=model.b,
-                 avglen={f: reader.avg_len(f) for f in
-                         set(terms_by_field) | set(iop_plans_by_field)},
-                 plain=plain_by_field, derived=derived_refs,
-                 any_zero_idf=any_zero_idf,
-                 batch=ray.put(dict(il=iop_leaves, ddf=ddf, tl=term_leaves,
-                                    ts=tstats_by_field)))
-    return _emit_ranked(_run_salt_tasks(score_salt_structured, spec, reader),
+    tdf, plain = _term_dfs(reader, leaves)
+    df.update(tdf)
+    spec = _bm25_spec(reader, leaves, df, plain, k, len(qids),
+                      [(model.k1, model.b)], derived=derived_refs)
+    return _emit_ranked(_run_salt_tasks(score_salt_bm25, spec, reader),
                         qids, k, reader)
 
 
@@ -1127,34 +1067,22 @@ def indri_structured_batch_search(index_dir: str,
     per-query cut run there too, zero shuffle. #WSUM below a
     #AND/#WAND (log of a sum — not factorizable) still raises to the
     driver path. Rank- and score-identical to ``QueryEngine.search``."""
-    from .models import IndriModel
-    from .parser import QueryParser
     from .plan import IopNode, ScoreNode, SopNode, TermNode
 
-    model = model or IndriModel()
     reader = _index_reader(index_dir)
-    an = analyzer_for_mode(reader.stats.get("analyzer", "lucene"))
-    parser = QueryParser(an, default_field=field)
-
+    parser = _parser(reader, field)
     qids = _check_unique_qids(queries)
     iop_plans: dict = {}
 
     def flatten(plan, coef, acc):
         if isinstance(plan, ScoreNode):
             flatten(plan.child, coef, acc)
-        elif isinstance(plan, TermNode):
-            if plan.field != field:
+        elif isinstance(plan, (TermNode, IopNode)):
+            fld, key = _leaf_key(plan, iop_plans)
+            if fld != field:
                 raise ValueError(
                     f"distributed Indri scores field {field!r} only; "
-                    f"leaf uses {plan.field!r} — use the driver path")
-            acc["t:" + plan.term] = acc.get("t:" + plan.term, 0.0) + coef
-        elif isinstance(plan, IopNode):
-            if plan.field_name != field:
-                raise ValueError(
-                    f"distributed Indri scores field {field!r} only; "
-                    f"leaf uses {plan.field_name!r} — use the driver path")
-            key = "i:" + repr(plan)
-            iop_plans[key] = plan
+                    f"leaf uses {fld!r} — use the driver path")
             acc[key] = acc.get(key, 0.0) + coef
         elif isinstance(plan, SopNode) and plan.op == "and":
             for a in plan.args:
@@ -1181,10 +1109,10 @@ def indri_structured_batch_search(index_dir: str,
         else:
             out.append((w, plan))
 
-    # per qcode: [(W_j, leaf key → coefficient)]
-    q_subtrees: list[list[tuple[float, dict]]] = []
+    # per qcode: [(W_j, leaf key → coefficient, divisor 1.0)]
+    q_subtrees: list[list[tuple[float, dict, float]]] = []
     for qid, q in queries:
-        subs: list[tuple[float, dict]] = []
+        subs: list[tuple[float, dict, float]] = []
         plan = expand_wildcards(parser.parse(q, "#and"), reader)
         if plan is not None:
             parts: list = []
@@ -1192,10 +1120,22 @@ def indri_structured_batch_search(index_dir: str,
             for w, sub in parts:
                 acc: dict = {}
                 flatten(sub, 1.0, acc)
-                subs.append((w, acc))
+                subs.append((w, acc, 1.0))
         q_subtrees.append(subs)
+    return _indri_search(reader, qids, q_subtrees, iop_plans, field, model,
+                         k)
+
+
+def _indri_search(reader: IndexReader, qids: list[str], q_subtrees: list,
+                  iop_plans: dict, field: str, model, k: int) -> pa.Table:
+    """Plan and run ``score_salt_indri``: ``q_subtrees`` holds per qcode
+    the #WSUM spine's ``[(W_j, leaf key → coefficient, divisor k_j)]``,
+    ``iop_plans`` (field → key → node) the positional leaves phase A
+    derives."""
+    from .models import IndriModel
+    model = model or IndriModel()
     all_leaves = sorted({lf for subs in q_subtrees
-                         for _, acc in subs for lf in acc})
+                         for _, acc, _ in subs for lf in acc})
     if not all_leaves:
         return _empty()
     # subtree index j packs into the key's high bits next to qcode
@@ -1207,31 +1147,35 @@ def indri_structured_batch_search(index_dir: str,
     # leaf → [(gq, coef)] routing for the partial stage
     leaf_targets: dict[str, list[tuple[int, float]]] = {}
     for qc, subs in enumerate(q_subtrees):
-        for j, (_, acc) in enumerate(subs):
+        for j, (_, acc, _) in enumerate(subs):
             for lf, c in acc.items():
                 leaf_targets.setdefault(lf, []).append((qc * n_sub + j, c))
 
-    plain_terms = sorted({lf[2:] for lf in all_leaves if lf.startswith("t:")})
+    key = f"t:{field}:"
+    plain_terms = sorted({lf[len(key):] for lf in all_leaves
+                          if lf.startswith(key)})
 
     # ---- phase A: derived lists + their (df, ctf), per salt ----
-    derived_refs, dstats = _derive_lists(
-        reader, {field: iop_plans} if iop_plans else {})
+    derived_refs, dstats = (_derive_lists(reader, iop_plans) if iop_plans
+                            else ([], {}))
+    tstats = reader.term_stats(plain_terms, field)
+    if not tstats and not dstats:
+        return _empty()
 
     clen = max(reader.sum_field_lengths(field), 1)
-    tstats = reader.term_stats(plain_terms, field)
-    mle_of = {("t:" + t): tstats.get(t, (0, 0))[1] / clen
-              for t in plain_terms}
+    mle_of = {key + t: tstats.get(t, (0, 0))[1] / clen for t in plain_terms}
     mle_of.update({lf: c / clen for lf, (_, c) in dstats.items()})
     # leaves absent from the index entirely (no postings): mle = 0
     for lf in all_leaves:
         mle_of.setdefault(lf, 0.0)
 
-    # per qcode: [(W_j, mle array, coef array)] over each subtree's
+    # per qcode: [(W_j, mle array, coef array, k_j)] over each subtree's
     # leaves (the default-score correction inputs)
     q_info = [[(w,
                 np.array([mle_of[lf] for lf in sorted(acc)], dtype=np.float64),
-                np.array([acc[lf] for lf in sorted(acc)], dtype=np.float64))
-               for w, acc in subs]
+                np.array([acc[lf] for lf in sorted(acc)], dtype=np.float64),
+                kq)
+               for w, acc, kq in subs]
               for subs in q_subtrees]
 
     # ---- phase B: one task per salt (_run_salt_tasks): the salt's
@@ -1241,9 +1185,8 @@ def indri_structured_batch_search(index_dir: str,
     # exact per-query cut run inside the task.
     spec = _spec(reader, k, field=field, mu=model.mu, lam=model.lambda_,
                  n_sub=n_sub, derived=derived_refs,
-                 terms=plain_terms if tstats else [],
+                 plain={field: plain_terms} if tstats else {},
                  batch=ray.put(dict(lt=leaf_targets, mle=mle_of,
                                     qinfo=q_info)))
-    return _emit_ranked(
-        _run_salt_tasks(score_salt_indri_structured, spec, reader),
-        qids, k, reader)
+    return _emit_ranked(_run_salt_tasks(score_salt_indri, spec, reader),
+                        qids, k, reader)

@@ -17,7 +17,7 @@ merge is k·N rows — no shuffle anywhere.
 
 Structured queries (r5 — the reference's SDM workload,
 ``Indri-Sdm.teIn``, ``QryIopNear.java``) run the salt-grain two-phase
-pattern of ``distributed.py:_derive_lists`` at SEGMENT grain: phase A
+pattern of ``distributed._derive_lists`` at SEGMENT grain: phase A
 evaluates every positional/derived subtree (#NEAR/#WINDOW/#SYN/...)
 once per segment — segments partition docids, so the derived list's
 GLOBAL df/ctf (what the reference scores with,

@@ -13,6 +13,12 @@ salt kernels) calls these functions instead of re-deriving them:
   ``dl = tf = max_tf`` bounds a posting run (MaxScore) and ``dl = 0``
   — the length prior ``1 − b`` — bounds a whole segment (federated
   early stop);
+- ``bm25_prior``: the length prior ``(1−b) + b·dl/avglen`` inside
+  ``bm25_tfw``; BM25F divides each field's tf by its own prior
+  ``B_f`` before pooling;
+- ``bm25f_saturate``: BM25F's one saturation of the pooled
+  pseudo-frequency, ``idf·tf~/(k1 + tf~)`` (Zaragoza & Robertson,
+  TREC-13, 2004);
 - ``dirichlet``: Indri's Dirichlet + Jelinek-Mercer term probability
   ``(1−λ)·(tf + μ·mle)/(dl + μ) + λ·mle`` (``QrySopScore.java:140-161``);
   ``tf = 0`` is the default score of a document lacking the term
@@ -34,12 +40,20 @@ def bm25_idf(N, df) -> float:
     return max(0.0, float(np.log((N - df + 0.5) / (df + 0.5))))
 
 
+def bm25_prior(dl, b: float, avglen: float):
+    return (1.0 - b) + b * dl / avglen
+
+
 def bm25_tfw(tf, dl, k1: float, b: float, avglen: float):
-    return tf / (tf + k1 * ((1.0 - b) + b * dl / avglen))
+    return tf / (tf + k1 * bm25_prior(dl, b, avglen))
 
 
 def bm25(idf: float, tf, dl, k1: float, b: float, avglen: float):
     return idf * bm25_tfw(tf, dl, k1, b, avglen)
+
+
+def bm25f_saturate(idf: float, tft, k1: float):
+    return idf * tft / (k1 + tft)
 
 
 def dirichlet(tf, dl, mle, mu: float, lam: float):

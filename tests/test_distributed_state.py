@@ -147,3 +147,105 @@ def test_bm25f_batch_matches_driver_scorer(toy_index, weights, field_b):
         assert len(want) > 0, qid
         assert list(sub["external_id"]) == list(want["external_id"]), qid
         np.testing.assert_allclose(sub["score"], want["score"], rtol=1e-12)
+
+
+BOW = [("1", "fast sort merge"), ("2", "hash join"), ("3", "dup line"),
+       ("4", "nosuchterm window scan"), ("5", "dup dup key")]
+
+
+def _local_scoring_tasks(monkeypatch) -> list:
+    """Run every scoring kernel (``score_salt*``) in this process, one
+    ``._function(spec, salt)`` call per salt, and record the fields of
+    each ``IndexReader.doclens_for`` call as ``(kernel, salt, fields)``;
+    phase-A kernels stay remote."""
+    import pyarrow as pa
+
+    from search_engines_ray.index.reader import IndexReader
+    seen, calls = [], []
+    real, run = IndexReader.doclens_for, D._run_salt_tasks
+
+    def doclens_for(self, docids, fields):
+        calls.extend(fields)
+        return real(self, docids, fields)
+
+    def local(kernel, spec, reader):
+        name = kernel._function.__name__
+        if not name.startswith("score_salt"):
+            return run(kernel, spec, reader)
+        tables = []
+        for salt in range(D._n_salts(reader)):
+            calls.clear()
+            tables.append(kernel._function(spec, salt))
+            seen.append((name, salt, list(calls)))
+        full = [t for t in tables if t.num_rows]
+        return pa.concat_tables(full) if full else tables[0]
+
+    monkeypatch.setattr(IndexReader, "doclens_for", doclens_for)
+    monkeypatch.setattr(D, "_run_salt_tasks", local)
+    return seen
+
+
+def test_scoring_kernels_gather_doclens_once_per_field_and_salt(
+        docs_index, toy_index, monkeypatch):
+    """Each scoring kernel looks up doc lengths once per (salt, field),
+    over the union of the salt's leaves in that field — not once per
+    posting run — and returns what its remote tasks return."""
+    from search_engines_ray.query.models import IndriModel
+    d, t = docs_index.index_dir, toy_index.index_dir
+    structured = [("1", "#sum(#near/1(dup line) sort)"),
+                  ("2", "#sum(#window/8(hash join) #syn(fast slow))")]
+    wsum = [("1", "#wsum( 0.7 #and( dup line ) 0.3 #and( #near/1( dup "
+                  "line ) ) )"), ("2", "#and(#syn(hash join) scan)")]
+    two_fields = [("a", "#sum(quick fox.title #near/1(quick brown))"),
+                  ("b", "#sum(lazy.title cat dog fox.title)")]
+    searches = [
+        lambda: D.bm25_batch_search(d, BOW, BM25Model(), k=10),
+        lambda: D.bm25_msm_batch_search(d, [(q, x, 2) for q, x in BOW],
+                                        BM25Model(), k=10),
+        lambda: D.bm25_champion_search(d, BOW, m=4, k=10),
+        lambda: D.bm25_structured_batch_search(d, structured, BM25Model(),
+                                               k=10),
+        lambda: D.indri_batch_search(d, BOW, IndriModel(), k=10),
+        lambda: D.indri_structured_batch_search(d, wsum, IndriModel(), k=10),
+        lambda: D.bm25_structured_batch_search(t, two_fields, BM25Model(),
+                                               k=5),
+        lambda: D.bm25f_batch_search(t, [("a", "quick fox"),
+                                         ("b", "lazy cat")],
+                                     weights={"body": 1.0, "title": 2.0},
+                                     k=5),
+    ]
+    want = [f().to_pandas() for f in searches]
+    seen = _local_scoring_tasks(monkeypatch)
+    for f, w in zip(searches, want):
+        assert len(w) and f().to_pandas().equals(w)
+    for name, salt, fields in seen:
+        assert len(fields) == len(set(fields)), (name, salt, fields)
+    assert {name for name, _, _ in seen} == {
+        "score_salt_bm25", "score_salt_indri", "score_salt_bm25f"}
+    assert any(sorted(fields) == ["body", "title"] for _, _, fields in seen)
+    # a per-run lookup would show: some salt holds several body runs
+    terms = ["fast", "sort", "merge", "hash", "join", "dup", "line", "key"]
+    assert any(len(docs_index.runs(terms, ["body"], s)) > 1
+               for s in range(D._n_salts(docs_index)))
+
+
+def test_bag_of_words_is_the_term_only_structured_case(docs_index):
+    """A bag-of-words batch is the term-only case of the structured
+    plans: ``bm25_batch_search`` returns ``bm25_structured_batch_search``'s
+    frame on the same texts, and ``indri_batch_search`` ranks as
+    ``indri_structured_batch_search`` does on ``#and(...)``-wrapped texts.
+    Indri scores agree to 1e-12, not bit for bit: the structured plan
+    folds 1/k_q into each leaf's coefficient, the bag-of-words plan
+    divides the subtree's sum by k_q."""
+    from search_engines_ray.query.models import IndriModel
+    d = docs_index.index_dir
+    bm = D.bm25_batch_search(d, BOW, BM25Model(), k=20).to_pandas()
+    assert len(bm) and bm.equals(D.bm25_structured_batch_search(
+        d, BOW, BM25Model(), k=20).to_pandas())
+    bow = D.indri_batch_search(d, BOW, IndriModel(), k=20).to_pandas()
+    st = D.indri_structured_batch_search(
+        d, [(q, f"#and({x})") for q, x in BOW], IndriModel(),
+        k=20).to_pandas()
+    cols = ["qid", "external_id", "rank"]
+    assert len(bow) and bow[cols].equals(st[cols])
+    np.testing.assert_allclose(bow["score"], st["score"], rtol=1e-12)

@@ -614,33 +614,6 @@ def test_champion_search_prunes_but_scores_exactly(docs_index):
     assert (np.diff(s) <= 1e-15).all()
 
 
-def test_cached_searcher(docs_index, tmp_path):
-    """Hits skip the engine and return the same Arrow table; LRU evicts
-    the oldest entry; k and model params key distinct entries."""
-    from search_engines_ray.query.cache import CachedSearcher
-    engine = QueryEngine(docs_index, BM25Model())
-    calls = {"n": 0}
-    real = engine.search
-
-    def counting(q, k=100, **kw):
-        calls["n"] += 1
-        return real(q, k=k, **kw)
-
-    engine.search = counting
-    cs = CachedSearcher(engine, capacity=2)
-    a1 = cs.search("fast sort", k=10)
-    a2 = cs.search("fast sort", k=10)
-    assert calls["n"] == 1 and a1 is a2            # hit returns same table
-    cs.search("hash join", k=10)
-    cs.search("window scan", k=10)                 # evicts "fast sort"
-    cs.search("fast sort", k=10)
-    assert calls["n"] == 4
-    assert cs.stats()["hits"] == 1
-    # different k / model params are distinct entries
-    cs.search("fast sort", k=5)
-    assert calls["n"] == 5
-
-
 def test_explain_indri_decomposes_search_scores(docs_index):
     """Indri explain: the product of p^weight rows reproduces the search
     score exactly, absent terms included with their default scores."""
