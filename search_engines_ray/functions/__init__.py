@@ -19,7 +19,7 @@ from .sample import (
     dataset_split, hash_sample, shuffle_to_shards, stratified_sample,
     topk_per_group, weighted_sample,
 )
-from .partitioning import estimate_rows, resolve_exchange_parts
+from .partitioning import estimate_rows
 from .sketch import (
     frequent_terms, hyperloglog_distinct, percentile_ranks,
     value_histogram, value_quantiles, value_stats,
@@ -45,7 +45,7 @@ __all__ = [
     "connected_components",
     "bloom_semijoin", "broadcast_hash_join", "broadcast_semijoin",
     "shuffle_hash_join",
-    "estimate_rows", "resolve_exchange_parts",
+    "estimate_rows",
     "dataset_split", "hash_sample", "shuffle_to_shards", "stratified_sample",
     "topk_per_group", "weighted_sample",
     "frequent_terms", "hyperloglog_distinct", "percentile_ranks",

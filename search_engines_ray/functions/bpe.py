@@ -91,39 +91,3 @@ def bpe_train(ds, num_merges: int = 50, text_col: str = "text",
         "left": pa.array([m[0] for m in merges], pa.string()),
         "right": pa.array([m[1] for m in merges], pa.string()),
         "freq": pa.array([m[2] for m in merges], pa.int64())})
-
-
-def bpe_encode_counts(ds, merges: list[tuple[str, str]],
-                      text_col: str = "text", id_col: str = "doc_id"):
-    """Apply a learned merge table to the corpus → Dataset (``id_col``,
-    bpe_tokens): per-doc subword count under the trained tokenizer.
-    The merge list broadcasts in the closure (tiny); docs stream
-    map-only. Per-word segmentations are memoized per batch — webtext
-    repeats words heavily."""
-    ranks = {(a, b): i for i, (a, b) in enumerate(merges)}
-
-    def seg_len(word: str, memo: dict) -> int:
-        n = memo.get(word)
-        if n is not None:
-            return n
-        syms = list(word) + [END]
-        while len(syms) > 1:
-            best, bi = None, -1
-            for i in range(len(syms) - 1):
-                r = ranks.get((syms[i], syms[i + 1]))
-                if r is not None and (best is None or r < best):
-                    best, bi = r, i
-            if best is None:
-                break
-            syms[bi:bi + 2] = [syms[bi] + syms[bi + 1]]
-        memo[word] = len(syms)
-        return len(syms)
-
-    def fn(b: pa.Table) -> pa.Table:
-        memo: dict = {}
-        counts = [sum(seg_len(w, memo) for w in simple_tokenize(t or ""))
-                  for t in b[text_col].to_pylist()]
-        return pa.table({id_col: b[id_col],
-                         "bpe_tokens": pa.array(counts, pa.int64())})
-
-    return ds.map_batches(fn, batch_format="pyarrow")

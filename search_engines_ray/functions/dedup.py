@@ -31,7 +31,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .partitioning import estimate_rows, resolve_exchange_parts
+from .partitioning import (
+    ROWS_PER_PART, estimate_rows, exchange, part_of, plan,
+)
 
 _MERSENNE = (1 << 61) - 1
 _P61 = np.uint64(_MERSENNE)
@@ -89,44 +91,21 @@ def _shingle_hashes(tokens: list[str], n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- exact
 
-# One exchange plan for the hash-partitioned dedup exchanges: rows key
-# by ``hash % parts``, one part per ``rows_per_part`` input rows from the
-# Parquet footers, and the keyed table is coalesced to ``blocks`` ≤ parts
-# blocks, so one map_groups call reduces about one block. Each site's
-# constant is 2^18 of the rows it exchanges, divided by that site's rows
-# per doc as measured on sf0.1 ``documents`` (5,000 rows, 54.1 words per
-# doc, no newlines; perfbench/gen.py models the same table):
+# Rows each exchange moves per input doc, measured on sf0.1 ``documents``
+# (5,000 rows, 54.1 words per doc, no newlines; perfbench/gen.py models
+# the same table). The plan gives one part per 2^18 exchanged rows.
 #   digests  1 per doc (exact_dedup);
 #   lines    7.2 per doc in q_line_dedup's 8-token line view, the only
 #            dedup_lines input the repo builds (the raw text is 1 line);
 #   shingles 47.1 distinct 8-token shingles per doc (dup_span_stats,
-#            remove_dup_spans at q_dup_span_stats' w=8).
-# An explicit num_parts wins. An input without footers (from_pandas,
-# read_json chains) gets 256 parts: its size is unknown, so its
-# exchange stays wide. The sort moves blocks × blocks pieces, so blocks are capped at
-# max(16, wide // 8), wide = num_parts, else one part per 2M input rows
-# clamped to [256, 16384]: the block count the exchanges used before
-# they were sized from the input, never exceeded at any size.
-# Results are parts-invariant: every reduce keys on the digest, line or
-# shingle, never on the part.
-_DEFAULT_PARTS = 256
-_MAX_PARTS = 16384
-_DIGEST_DOCS_PER_PART = 1 << 18             # 1 digest per doc
-_LINE_DOCS_PER_PART = (1 << 18) // 8        # 7.2 lines per doc
-_SHINGLE_DOCS_PER_PART = (1 << 18) // 48    # 47.1 shingles per doc
-
-
-def _exchange_plan(n_rows: int | None, num_parts: int | None,
-                   rows_per_part: int) -> tuple[int, int]:
-    """→ (parts, blocks) for an input of ``n_rows`` rows (None when its
-    size is unknown)."""
-    parts = int(num_parts or resolve_exchange_parts(
-        n_rows=n_rows, rows_per_part=rows_per_part, min_parts=1,
-        max_parts=_MAX_PARTS, default=_DEFAULT_PARTS))
-    wide = int(num_parts or resolve_exchange_parts(
-        n_rows=n_rows, rows_per_part=2_000_000, min_parts=256,
-        max_parts=_MAX_PARTS, default=256))
-    return parts, min(parts, max(16, wide // 8))
+#            remove_dup_spans at q_dup_span_stats' w=8);
+#   bands    16 band rows per distinct signature, by construction at
+#            the default bands=16 (minhash_lsh_dedup,
+#            minhash_candidate_pairs).
+_DIGEST_DOCS_PER_PART = ROWS_PER_PART             # 1 digest per doc
+_LINE_DOCS_PER_PART = ROWS_PER_PART // 8          # 7.2 lines per doc
+_SHINGLE_DOCS_PER_PART = ROWS_PER_PART // 48      # 47.1 shingles per doc
+_BAND_DOCS_PER_PART = ROWS_PER_PART // 16         # 16 bands per doc
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -139,16 +118,15 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     exchange, keyed by an int32 partition of its top-64 bits — a sorted
     shuffle on a tiny int key + one vectorized groupby per partition,
     instead of a whole-dataset sort aggregate on 32-char hex strings.
-    The exchange follows ``_exchange_plan``: one part per ~2^18 docs by
-    default, and the digest table (~70 B/row vs the KB-scale payloads)
+    The exchange follows ``partitioning.plan``: one part per ~2^18 docs
+    by default, and the digest table (~70 B/row vs the KB-scale payloads)
     is coalesced to at most that many blocks, whatever block count the
     payload read had — a 1,000-doc input is one part and one block, so
     the sort runs one map and one reduce task. Pass ``num_parts`` only
     to widen the exchange past the default. Hex materializes once per
     distinct group at emit time."""
-    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
-                                   _DIGEST_DOCS_PER_PART)
-    parts = np.uint64(parts)
+    parts, blocks = plan(estimate_rows(ds), _DIGEST_DOCS_PER_PART,
+                         num_parts)
 
     def add_hash(b: pa.Table) -> pa.Table:
         # digest straight off the Arrow UTF-8 data buffer via the
@@ -168,7 +146,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         h64 = (np.frombuffer(b"".join(dg), dtype=">u8")[::2].astype(np.uint64)
                if dg else np.empty(0, np.uint64))
         return pa.table({
-            "part": pa.array((h64 % parts).astype(np.int32)),
+            "part": pa.array(part_of(h64, parts)),
             "digest": pa.array(dg, pa.binary()),
             id_col: b[id_col],
         })
@@ -197,9 +175,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             "canonical_id": ids[first],
             "n_dups": counts.astype(np.int64)})
 
-    return ds.map_batches(add_hash, batch_format="pyarrow") \
-        .repartition(blocks) \
-        .groupby("part").map_groups(dedup_part, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_hash, batch_format="pyarrow"),
+                    blocks, dedup_part, "pyarrow")
 
 
 def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -222,16 +199,14 @@ def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
     an exchange. A drop list over the guard raises with the bound — at
     that duplication level, dedup the lines as a table (``exact_dedup``
     on the exploded view) instead of rewriting in place. The exchange
-    follows ``_exchange_plan``, sized for ~8 lines per doc; pass
+    follows ``partitioning.plan``, sized for ~8 lines per doc; pass
     ``num_parts`` ≈ line rows / 2^18 when docs carry many more lines."""
     import ray
 
     from ..util import proc_cached
     from .join import _gather_small
 
-    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
-                                   _LINE_DOCS_PER_PART)
-    parts = np.uint64(parts)
+    parts, blocks = plan(estimate_rows(ds), _LINE_DOCS_PER_PART, num_parts)
 
     def explode(b: pa.Table) -> pa.Table:
         ids = b[id_col].to_pylist()
@@ -245,7 +220,7 @@ def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
         h64 = (np.frombuffer(b"".join(dgs), ">u8")[::2].astype(np.uint64)
                if dgs else np.empty(0, np.uint64))
         return pa.table({
-            "part": pa.array((h64 % parts).astype(np.int32)),
+            "part": pa.array(part_of(h64, parts)),
             "digest": pa.array(dgs, pa.binary()),
             id_col: pa.array(out_id, b.schema.field(id_col).type),
             "line_no": pa.array(out_ln, pa.int32())})
@@ -265,9 +240,8 @@ def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
         return pd.DataFrame({id_col: ids[drop],
                              "line_no": lns[drop].astype(np.int32)})
 
-    drops = ds.map_batches(explode, batch_format="pyarrow") \
-        .repartition(blocks) \
-        .groupby("part").map_groups(drops_part, batch_format="pyarrow")
+    drops = exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                     blocks, drops_part, "pyarrow")
     dt = _gather_small(drops, [id_col, "line_no"], max_broadcast_bytes,
                        what="line-dedup drop list")
     ref = ray.put(dt)
@@ -281,7 +255,7 @@ def dedup_lines(ds, text_col: str = "text", id_col: str = "doc_id",
                             t["line_no"].to_pylist()):
                 m.setdefault(i, set()).add(l)
             return m
-        dmap = proc_cached(cache_key, build)
+        dmap = proc_cached(cache_key, build, cap=1)
         ids = b[id_col].to_pylist()
         texts = b[text_col].to_pylist()
         out, nrm = [], []
@@ -426,12 +400,6 @@ class MinHasher:
         })
 
 
-# LSH bucket-shuffle fan-in: buckets hash into this many groupby keys so
-# per-group Python overhead is bounded; scale-independent because each
-# partition's work is vectorized bucket segmentation.
-_LSH_PARTS = 256
-
-
 def _band_fold(sig: np.ndarray) -> np.ndarray:
     """(n, bands, rows_per_band) uint64 signatures → (n, bands) uint64
     bucket keys: FNV-style multiply-xor fold of each band's values with
@@ -513,35 +481,15 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                               text_col=text_col, id_col=id_col))
         return mh(b)
 
-    # the two groupby fan-ins below pay fixed cost per (block ×
-    # partition) cell, so partition count follows corpus size (same
-    # lesson as exact_dedup / connected_components). For file-backed
-    # inputs ds.count() is a parquet-metadata lookup (no execution), so
-    # the signatures stay LAZY and stream straight into the collapse
-    # shuffle — materializing them would both add a full barrier job
-    # (~1-2 s of fixed overhead at small scale) and park ~1 KB/doc of
-    # signatures in the object store (a terabyte at 10⁹ docs).
     # batch_size bundles the read's small blocks into fewer, meatier
     # tasks: a single-file corpus splits into ~2×CPU tiny blocks and
     # per-task dispatch (~tens of ms) would otherwise dwarf the ~30 ms
-    # of signature work per block
+    # of signature work per block. The signatures stay lazy and stream
+    # straight into the collapse exchange: materializing them would
+    # add a barrier job and park ~1 KB/doc in the object store.
     sig_ds = ds.map_batches(sig_fn, batch_format="pyarrow",
                             batch_size=1024)
-    n_docs = None
-    try:
-        if ds.input_files():
-            n_docs = ds.count()
-    except Exception:
-        n_docs = None
-    if n_docs is None:
-        # derived input: counting would execute the upstream pipeline
-        # twice — materialize the (narrow) signatures once instead
-        sig_ds = sig_ds.materialize()
-        n_docs = sig_ds.count()
-    # cap raised from _LSH_PARTS (=256, saturated at ~5M docs): on a
-    # fixed-size cluster streaming 100 TB the bucket exchange needs
-    # partition count to keep following the corpus
-    parts = max(16, min(8192, n_docs // 20_000 + 1))
+    parts, blocks = plan(estimate_rows(ds), _BAND_DOCS_PER_PART)
 
     def add_fp(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -554,7 +502,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                               dtype=np.uint64).reshape(n, num_perm)
         fp = _sig_fold(sig2d)
         return pa.table({
-            "part": pa.array((fp % np.uint64(parts)).astype(np.int32)),
+            "part": pa.array(part_of(fp, parts)),
             "sigfp": pa.array(fp),
             id_col: b[id_col],
             "minhash": b["minhash"]})
@@ -585,9 +533,8 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 np.ones(len(first), np.int8),
                 np.zeros(len(members), np.int8)))})
 
-    collapsed = sig_ds.map_batches(add_fp, batch_format="pyarrow") \
-        .groupby("part").map_groups(collapse_fp, batch_format="pyarrow") \
-        .materialize()
+    collapsed = exchange(sig_ds.map_batches(add_fp, batch_format="pyarrow"),
+                         blocks, collapse_fp, "pyarrow").materialize()
     member_edges = collapsed.map_batches(
         lambda b: b[(b["is_rep"] == 0).to_numpy()][[id_col,
                                                     "canonical_id"]],
@@ -625,7 +572,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         hv = _band_fold(sig).reshape(-1)
         idx = np.repeat(np.arange(n), bands)
         return pa.table({
-            "part": pa.array((hv % np.uint64(parts)).astype(np.int32)),
+            "part": pa.array(part_of(hv, parts)),
             "bucket": pa.array(hv),
             id_col: b[id_col].take(pa.array(idx))})
 
@@ -659,13 +606,11 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                          id_col: pa.array(sid[big],
                                           g.schema.field(id_col).type)})
 
-    requests = reps.map_batches(explode_light, batch_format="pyarrow") \
-        .groupby("part").map_groups(nontrivial_members,
-                                    batch_format="pyarrow") \
-        .materialize()
+    requests = exchange(reps.map_batches(explode_light, batch_format="pyarrow"),
+                        blocks, nontrivial_members, "pyarrow").materialize()
 
     def partition_pairs(g: pa.Table) -> pd.DataFrame:
-        """One call per HASH PARTITION (bucket % _LSH_PARTS), not per
+        """One call per HASH PARTITION of the buckets, not per
         bucket: a groupby().map_groups at bucket grain costs one Python
         call per bucket (~bands × n_reps groups, almost all
         singletons); here the partition's buckets are segmented
@@ -801,14 +746,14 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             k = np.arange(rows.size) - np.repeat(np.cumsum(n) - n - lo, n)
             ob = np.asarray(rb_s[k], dtype=np.uint64)
             return pa.table({
-                "part": pa.array((ob % np.uint64(parts)).astype(np.int32)),
+                "part": pa.array(part_of(ob, parts)),
                 "bucket": pa.array(ob),
                 id_col: b[id_col].take(rows),
                 "minhash": b["minhash"].take(rows).cast(pa.binary())})
 
-        banded = reps.map_batches(attach_bcast, batch_format="pyarrow")
-        rep_pairs = banded.groupby("part").map_groups(
-            partition_pairs, batch_format="pyarrow")
+        rep_pairs = exchange(
+            reps.map_batches(attach_bcast, batch_format="pyarrow"),
+            blocks, partition_pairs, "pyarrow")
         return _compress_canonical(member_edges.union(rep_pairs), id_col)
 
     # id-keyed co-group: tagged union of sig rows and request rows,
@@ -816,20 +761,10 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     # slice and emits (bucket-part, bucket, id, minhash) for the
     # verify stage (the shuffle_hash_join pattern, inlined because the
     # output needs a second partition key)
-    _JK = "minhash.sigjoin0"  # exactly-16-byte key (pandas requires it
-    # on the string-id path; the numeric path ignores it — review r5)
-
-    def _id_part(vals) -> np.ndarray:
-        a = np.asarray(vals)
-        if a.dtype.kind == "i":
-            a = a.astype(np.int64, copy=False)
-        h = pd.util.hash_array(a, hash_key=_JK, categorize=False)
-        return (h % np.uint64(parts)).astype(np.int32)
-
     def tag_sig(b: pa.Table) -> pa.Table:
         return pa.table({
-            "jpart": pa.array(_id_part(
-                b[id_col].to_numpy(zero_copy_only=False))),
+            "part": pa.array(part_of(
+                b[id_col].to_numpy(zero_copy_only=False), parts)),
             id_col: b[id_col],
             "bucket": pa.array(np.zeros(b.num_rows, np.uint64)),
             "minhash": b["minhash"],
@@ -837,8 +772,8 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def tag_req(b: pa.Table) -> pa.Table:
         return pa.table({
-            "jpart": pa.array(_id_part(
-                b[id_col].to_numpy(zero_copy_only=False))),
+            "part": pa.array(part_of(
+                b[id_col].to_numpy(zero_copy_only=False), parts)),
             id_col: b[id_col],
             "bucket": b["bucket"],
             "minhash": pa.array([b""] * b.num_rows, pa.binary()),
@@ -861,20 +796,17 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         lut = {ids[i]: sigs_all[i] for i in sig_rows}
         buckets = g["bucket"].to_numpy()
         return pa.table({
-            "part": pa.array((buckets[req]
-                              % np.uint64(parts)).astype(np.int32)),
+            "part": pa.array(part_of(buckets[req], parts)),
             "bucket": pa.array(buckets[req]),
             id_col: pa.array(ids[req], id_type),
             "minhash": pa.array([lut[ids[i]] for i in req],
                                 pa.binary())})
 
-    banded = reps.map_batches(tag_sig, batch_format="pyarrow") \
-        .union(requests.map_batches(tag_req, batch_format="pyarrow")) \
-        .groupby("jpart").map_groups(attach_sigs, batch_format="pyarrow")
-
-
-    rep_pairs = banded.groupby("part").map_groups(
-        partition_pairs, batch_format="pyarrow")
+    banded = exchange(
+        reps.map_batches(tag_sig, batch_format="pyarrow")
+        .union(requests.map_batches(tag_req, batch_format="pyarrow")),
+        blocks, attach_sigs, "pyarrow")
+    rep_pairs = exchange(banded, blocks, partition_pairs, "pyarrow")
     return _compress_canonical(member_edges.union(rep_pairs), id_col)
 
 
@@ -1147,6 +1079,7 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     from ray.data.aggregate import Count
     from ..util import proc_cached
     rows_per_band = _check_bands(num_perm, bands)
+    parts, blocks = plan(estimate_rows(ds), _BAND_DOCS_PER_PART)
 
     def sig_fn(b: pa.Table) -> pa.Table:
         mh = proc_cached(
@@ -1176,7 +1109,7 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
             [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(buf)])
         idx = np.repeat(np.arange(n), bands)
         return pa.table({
-            "part": pa.array((hv % np.uint64(_LSH_PARTS)).astype(np.int32)),
+            "part": pa.array(part_of(hv, parts)),
             "bucket": pa.array(hv),
             "band_bytes": band_bytes,
             id_col: b[id_col].take(pa.array(idx))})
@@ -1244,10 +1177,10 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"id_a": pa.array(sid[i_pos], t_id),
                          "id_b": pa.array(sid[j_pos], t_id)})
 
-    pairs = ds.map_batches(sig_fn, batch_format="pyarrow",
-                           batch_size=1024) \
-        .map_batches(explode_bands, batch_format="pyarrow") \
-        .groupby("part").map_groups(partition_pairs, batch_format="pyarrow")
+    pairs = exchange(ds.map_batches(sig_fn, batch_format="pyarrow",
+                                    batch_size=1024)
+                     .map_batches(explode_bands, batch_format="pyarrow"),
+                     blocks, partition_pairs, "pyarrow")
     return pairs.groupby(["id_a", "id_b"]).aggregate(
         Count(alias_name="n_bands"))
 
@@ -1518,10 +1451,10 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     (group total ≥ 2); a second doc-keyed exchange folds per-doc sums.
     Both exchanges carry (uint64, int64, int64) rows — never text — and
     per-partition work is vectorized segment arithmetic. Both follow
-    ``_exchange_plan``, sized for ~48 shingles per doc; pass
+    ``partitioning.plan``, sized for ~48 shingles per doc; pass
     ``num_parts`` ≈ shingle rows / 2^18 when docs run much longer."""
-    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
-                                   _SHINGLE_DOCS_PER_PART)
+    parts, blocks = plan(estimate_rows(ds), _SHINGLE_DOCS_PER_PART,
+                         num_parts)
 
     def shingles(b: pa.Table) -> pa.Table:
         from ..analysis.tokenizer import simple_tokenize
@@ -1537,7 +1470,7 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
             ds_.append(np.full(len(h), did, dtype=np.int64))
         h = np.concatenate(hs) if hs else np.empty(0, np.uint64)
         return pa.table({
-            "part": pa.array((h % np.uint64(parts)).astype(np.int32)),
+            "part": pa.array(part_of(h, parts)),
             "h": pa.array(h),
             id_col: pa.array(np.concatenate(ds_) if ds_
                              else np.empty(0, np.int64)),
@@ -1578,17 +1511,15 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
             "dup_span_frac": round6(df["dup"].to_numpy(np.float64)
                                     / df["sh"].to_numpy(np.float64))})
 
-    marked = ds.map_batches(shingles, batch_format="pyarrow") \
-        .repartition(blocks) \
-        .groupby("part").map_groups(mark_dups, batch_format="pyarrow")
+    marked = exchange(ds.map_batches(shingles, batch_format="pyarrow"),
+                      blocks, mark_dups, "pyarrow")
 
     def repart(b: pa.Table) -> pa.Table:
         doc = b[id_col].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "part2", pa.array((doc % parts).astype(np.int32)))
+        return b.append_column("part", pa.array(part_of(doc, parts)))
 
-    return marked.map_batches(repart, batch_format="pyarrow") \
-        .groupby("part2").map_groups(fold_docs, batch_format="pyarrow") \
+    return exchange(marked.map_batches(repart, batch_format="pyarrow"),
+                    blocks, fold_docs, "pyarrow") \
         .select_columns([id_col, "n_shingles", "n_dup_shingles",
                          "dup_span_frac"])
 
@@ -1639,7 +1570,8 @@ def decontaminate(ds, benchmark_ds, text_col: str = "text",
     ref = ray.put(bench)
 
     def score(b: pa.Table) -> pa.Table:
-        bset = proc_cached(("decontam", ref.hex()), lambda: ray.get(ref))
+        bset = proc_cached(("decontam", ref.hex()), lambda: ray.get(ref),
+                           cap=1)
         ids, n_sh, n_hit = [], [], []
         for did, t in zip(b[id_col].to_pylist(), b[text_col].to_pylist()):
             toks = simple_tokenize(t or "")
@@ -1701,8 +1633,8 @@ def remove_dup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
     from ..analysis.tokenizer import simple_tokenize
     from ..util import proc_cached
 
-    parts, blocks = _exchange_plan(estimate_rows(ds), num_parts,
-                                   _SHINGLE_DOCS_PER_PART)
+    parts, blocks = plan(estimate_rows(ds), _SHINGLE_DOCS_PER_PART,
+                         num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         hs, cs = [], []
@@ -1721,7 +1653,7 @@ def remove_dup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
         uc = np.zeros(uh.size, np.int64)
         np.add.at(uc, inv, c)
         return pa.table({
-            "part": pa.array((uh % np.uint64(parts)).astype(np.int32)),
+            "part": pa.array(part_of(uh, parts)),
             "h": pa.array(uh), "c": pa.array(uc)})
 
     def dup_only(g: pa.Table) -> pa.Table:
@@ -1736,9 +1668,8 @@ def remove_dup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"h": pa.array(hs[first][keep])})
 
     gathered, nbytes = [], 0
-    for b in ds.map_batches(partial, batch_format="pyarrow") \
-            .repartition(blocks) \
-            .groupby("part").map_groups(dup_only, batch_format="pyarrow") \
+    for b in exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                      blocks, dup_only, "pyarrow") \
             .iter_batches(batch_size=None, batch_format="pyarrow"):
         arr = b["h"].to_numpy(zero_copy_only=False)
         nbytes += arr.nbytes
@@ -1754,7 +1685,8 @@ def remove_dup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
     ref = ray.put(dup)
 
     def clean(b: pa.Table) -> pa.Table:
-        dset = proc_cached(("dupspans", ref.hex()), lambda: ray.get(ref))
+        dset = proc_cached(("dupspans", ref.hex()), lambda: ray.get(ref),
+                           cap=1)
         ids, n_tok, n_rm, md5s = [], [], [], []
         for did, t in zip(b[id_col].to_pylist(), b[text_col].to_pylist()):
             toks = simple_tokenize(t or "")

@@ -13,7 +13,7 @@ hash-match bit for bit (float summation order would otherwise differ
 between engines).
 
 Scale notes (100 TB): the only shuffle in each op is keyed by
-``hash(key) % parts`` where ``parts`` follows the row count, so skewed
+a hash of the key into parts that follow the row count, so skewed
 event keys spread across partitions with their key groups intact;
 windows/sessions for one key land on one partition. ``asof_join``
 additionally assumes each partition's RIGHT-side slice fits a worker
@@ -27,6 +27,19 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .partitioning import ROWS_PER_PART, estimate_rows, exchange, part_of, plan
+
+# Rows each exchange moves per input event (see partitioning.plan),
+# measured on sf0.1 ``events`` (100,000 rows) by the registry entries:
+#   tumbling_window_aggregate  0.036 (window, key) partials per event
+#                              at 1-hour windows;
+#   sliding_window_aggregate   0.144 at 1-hour windows, 15-minute stride;
+#   sessionize, asof_join, event_transitions  1 row per event (both
+#                              sides for asof_join), by construction.
+_WINDOW_EVENTS_PER_PART = int(ROWS_PER_PART / 0.036)
+_SLIDING_EVENTS_PER_PART = int(ROWS_PER_PART / 0.144)
+_EVENTS_PER_PART = ROWS_PER_PART
+
 
 def _cents(vals: np.ndarray) -> np.ndarray:
     """2-dp float → exact integer cents (np.rint: 28.999999999999996 →
@@ -37,11 +50,6 @@ def _cents(vals: np.ndarray) -> np.ndarray:
 def _epoch_us(arr: pa.ChunkedArray) -> np.ndarray:
     return arr.cast(pa.timestamp("us")).cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
-
-
-def _auto_parts(n_rows: int, rows_per_part: int = 50_000,
-                cap: int = 256) -> int:
-    return max(8, min(cap, n_rows // rows_per_part + 1))
 
 
 # ------------------------------------------------------------- windows
@@ -59,15 +67,13 @@ def tumbling_window_aggregate(ds, window_s: int = 3600,
     moves per-window partials, not events — at web scale it is
     proportional to window count, not row count. The merge is the house
     int-key-partition + vectorized-map_groups pattern
-    (``window_start % parts`` co-locates every (window, key) partial);
+    (hashing ``window_start`` co-locates every (window, key) partial);
     Ray's multi-key hash Aggregate is orders of magnitude slower on
     compound int+string keys.
     """
     win_us = int(window_s) * 1_000_000
-    # exchange parts auto-size with the corpus (metadata-only; results
-    # parts-invariant — the merge is an associative per-(window,key) agg)
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _WINDOW_EVENTS_PER_PART,
+                         num_parts)
 
     def partial(b: pa.Table) -> pd.DataFrame:
         t = _epoch_us(b[ts_col])
@@ -83,7 +89,7 @@ def tumbling_window_aggregate(ds, window_s: int = 3600,
                     sum_cents=("sum_cents", "sum"),
                     min_cents=("min_cents", "min"),
                     max_cents=("max_cents", "max")).reset_index()
-        out["part"] = (out["window_start"] % merge_parts).astype(np.int32)
+        out["part"] = part_of(out["window_start"].to_numpy(), parts)
         return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -100,9 +106,9 @@ def tumbling_window_aggregate(ds, window_s: int = 3600,
             "min_value": gg["min_cents"].to_numpy() / 100.0,
             "max_value": gg["max_cents"].to_numpy() / 100.0})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby("part").map_groups(merge, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=None),
+                    blocks, merge, "pandas")
 
 
 def sliding_window_aggregate(ds, window_s: int = 3600, stride_s: int = 900,
@@ -125,8 +131,8 @@ def sliding_window_aggregate(ds, window_s: int = 3600, stride_s: int = 900,
                          f"stride_s={stride_s}")
     q = window_s // stride_s
     stride_us = int(stride_s) * 1_000_000
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _SLIDING_EVENTS_PER_PART,
+                         num_parts)
 
     def partial(b: pa.Table) -> pd.DataFrame:
         t = _epoch_us(b[ts_col])
@@ -142,7 +148,7 @@ def sliding_window_aggregate(ds, window_s: int = 3600, stride_s: int = 900,
         g = df.groupby(["window_start", key_col], sort=False)
         out = g.agg(n_events=("n_events", "sum"),
                     sum_cents=("sum_cents", "sum")).reset_index()
-        out["part"] = (out["window_start"] % merge_parts).astype(np.int32)
+        out["part"] = part_of(out["window_start"].to_numpy(), parts)
         return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -155,9 +161,9 @@ def sliding_window_aggregate(ds, window_s: int = 3600, stride_s: int = 900,
             "n_events": gg["n_events"].astype(np.int64),
             "sum_value": gg["sum_cents"].to_numpy() / 100.0})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby("part").map_groups(merge, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=None),
+                    blocks, merge, "pandas")
 
 
 # ------------------------------------------------------------ sessions
@@ -169,18 +175,17 @@ def sessionize(ds, gap_s: int = 1800, ts_col: str = "ts",
     (``user_col``, session_id [0-based per user], session_start /
     session_end [epoch µs], n_events, sum_value).
 
-    One shuffle keyed by ``user % parts``; inside a partition ALL users
+    One shuffle keyed by a hash of the user; inside a partition ALL users
     are sessionized in one vectorized pass (lexsort by (user, ts) +
     segment reduceat), not one Python call per user.
     """
     gap_us = int(gap_s) * 1_000_000
-    n_rows = ds.count()
-    parts = _auto_parts(n_rows)
+    parts, blocks = plan(estimate_rows(ds), _EVENTS_PER_PART)
 
     def keyed(b: pa.Table) -> pa.Table:
         users = b[user_col].to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": pa.array((users % parts).astype(np.int32)),
+            "part": pa.array(part_of(users, parts)),
             user_col: pa.array(users.astype(np.int64)),
             "t": pa.array(_epoch_us(b[ts_col])),
             "cents": pa.array(_cents(
@@ -217,8 +222,8 @@ def sessionize(ds, gap_s: int = 1800, ts_col: str = "ts",
             "n_events": (ends - bounds).astype(np.int64),
             "sum_value": np.add.reduceat(c, bounds) / 100.0})
 
-    return ds.map_batches(keyed, batch_format="pyarrow") \
-        .groupby("part").map_groups(sessions, batch_format="pyarrow")
+    return exchange(ds.map_batches(keyed, batch_format="pyarrow"),
+                    blocks, sessions, "pyarrow")
 
 
 # ------------------------------------------------------------ asof join
@@ -231,20 +236,21 @@ def asof_join(left_ds, right_ds, left_key: str, right_key: str,
     ``right_ts`` broken by largest ``right_val``). → Dataset
     (``left_id``, ``right_val``), unmatched rows carrying ``no_match``.
 
-    Both sides shuffle ONCE on ``key % parts`` (tagged union, so one
+    Both sides shuffle ONCE on a hash of the key (tagged union, so one
     exchange covers both inputs); each partition then runs pandas
     ``merge_asof`` — a vectorized C galloping merge — over its complete
     key groups. The right side is first reduced to one row per
     (key, ts), so partition memory is bounded by the distinct right
     keyspace slice, not right-side row count.
     """
-    n_rows = left_ds.count()
-    parts = _auto_parts(n_rows)
+    nl, nr = estimate_rows(left_ds), estimate_rows(right_ds)
+    parts, blocks = plan(None if nl is None or nr is None else nl + nr,
+                         _EVENTS_PER_PART)
 
     def tag_left(b: pa.Table) -> pa.Table:
         keys = b[left_key].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((keys % parts).astype(np.int32)),
+            "part": pa.array(part_of(keys, parts)),
             "k": pa.array(keys),
             "t": pa.array(_epoch_us(b[left_ts])),
             "rid": b[left_id].cast(pa.int64()),
@@ -253,7 +259,7 @@ def asof_join(left_ds, right_ds, left_key: str, right_key: str,
     def tag_right(b: pa.Table) -> pa.Table:
         keys = b[right_key].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((keys % parts).astype(np.int32)),
+            "part": pa.array(part_of(keys, parts)),
             "k": pa.array(keys),
             "t": pa.array(_epoch_us(b[right_ts])),
             "rid": b[right_val].cast(pa.int64()),
@@ -285,8 +291,7 @@ def asof_join(left_ds, right_ds, left_key: str, right_key: str,
             left_id: m["rid"].to_numpy(),
             right_val: m["rv"].fillna(no_match).astype(np.int64).to_numpy()})
 
-    return tagged.groupby("part").map_groups(join_part,
-                                             batch_format="pandas")
+    return exchange(tagged, blocks, join_part, "pandas")
 
 
 def json_field_agg(ds, field: str = "k", json_col: str = "props",
@@ -347,18 +352,17 @@ def event_transitions(ds, ts_col: str = "ts", user_col: str = "user_id",
     order yield consecutive (from_type → to_type) pairs, counted
     globally. → Arrow (from_type, to_type, n) sorted by (from, to).
 
-    One shuffle keyed by ``user % parts`` co-locates each user's
+    One shuffle keyed by a hash of the user co-locates each user's
     stream; inside a partition ALL users' pairs fall out of one
     lexsort + adjacency mask (no per-user Python), and only the
     per-partition (from, to, count) partials — at most |types|² rows
     each — leave the task. The driver folds the tiny partials."""
-    n_rows = ds.count()
-    parts = _auto_parts(n_rows)
+    parts, blocks = plan(estimate_rows(ds), _EVENTS_PER_PART)
 
     def keyed(b: pa.Table) -> pa.Table:
         users = b[user_col].to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": pa.array((users % parts).astype(np.int32)),
+            "part": pa.array(part_of(users, parts)),
             user_col: pa.array(users.astype(np.int64)),
             "t": pa.array(_epoch_us(b[ts_col])),
             "eid": pa.array(b[id_col].to_numpy(zero_copy_only=False)
@@ -384,9 +388,8 @@ def event_transitions(ds, ts_col: str = "ts", user_col: str = "user_id",
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    partials = ds.map_batches(keyed, batch_format="pyarrow") \
-        .groupby("part").map_groups(pairs, batch_format="pyarrow") \
-        .to_pandas()
+    partials = exchange(ds.map_batches(keyed, batch_format="pyarrow"),
+                        blocks, pairs, "pyarrow").to_pandas()
     if partials.empty:
         return pa.table({"from_type": pa.array([], pa.string()),
                          "to_type": pa.array([], pa.string()),

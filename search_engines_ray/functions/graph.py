@@ -18,19 +18,21 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-# hash-partition fan-in for the per-round groupby — same role as
-# dedup._LSH_PARTS: per-partition work is vectorized, so the knob only
-# bounds per-task memory. The default auto-sizes from the edge count
-# (the shuffle's transfer matrix is blocks × partitions and pays fixed
-# cost per cell, so a small graph must not fan out 256×256 every round).
-_CC_EDGES_PER_PART = 500_000
-_CC_MAX_PARTS = 65536
+from .partitioning import (
+    ROWS_PER_PART, estimate_rows, exchange, part_of, plan,
+)
 
-
-def _part_of(values: np.ndarray, parts: int) -> np.ndarray:
-    # deterministic vectorized hash for int and object (str/bytes) ids
-    return (pd.util.hash_array(values, categorize=False)
-            % np.uint64(parts)).astype(np.int32)
+# Rows each exchange moves per input row (see partitioning.plan),
+# measured on sf0.1 by the registry entries:
+#   connected_components  2.0 per edge (each round symmetrizes the
+#                         135,001-edge chain graph);
+#   pagerank, hits        2.7 per node: the 5,000-node link graph has
+#                         1.7 edges per node, plus one zero row per node;
+#   anchor_text           1 per link row, by construction (its input is
+#                         the link table).
+_EDGES_PER_PART = ROWS_PER_PART // 2
+_NODES_PER_PART = int(ROWS_PER_PART / 2.7)
+_LINKS_PER_PART = ROWS_PER_PART
 
 
 def _large_star(df: pd.DataFrame) -> pd.DataFrame:
@@ -95,7 +97,7 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
                                    fwd["dst"].to_numpy())),
             "dst": np.concatenate((fwd["dst"].to_numpy(),
                                    fwd["src"].to_numpy()))})
-        out["part"] = _part_of(out["src"].to_numpy(), parts)
+        out["part"] = part_of(out["src"].to_numpy(), parts)
         return out
 
     def orient(b: pd.DataFrame) -> pd.DataFrame:
@@ -106,7 +108,7 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
         lo = np.where(swap, s, d)
         keep = hi != lo
         out = pd.DataFrame({"src": hi[keep], "dst": lo[keep]})
-        out["part"] = _part_of(out["src"].to_numpy(), parts)
+        out["part"] = part_of(out["src"].to_numpy(), parts)
         return out
 
     def digest(b: pd.DataFrame) -> pd.DataFrame:
@@ -127,22 +129,14 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
         .materialize()
 
     cur = edges.map_batches(normalize, batch_format="pandas").materialize()
-    if num_parts is None:
-        parts = max(8, min(_CC_MAX_PARTS,
-                           -(-cur.count() // _CC_EDGES_PER_PART)))
-    else:
-        parts = int(num_parts)
-    # bound the per-round shuffle fan-out: block count stays ≈ parts
-    # through the rounds because each map_groups emits one block per
-    # partition, but the INPUT edge set can arrive in hundreds of tiny
-    # blocks, and the sort moves blocks × parts pieces
-    cur = cur.repartition(parts)
+    # cur is materialized: its count reads block metadata, no execution
+    parts, blocks = plan(cur.count(), _EDGES_PER_PART, num_parts)
     prev_sig = None
     for _ in range(max_rounds):
-        cur = cur.map_batches(symmetrize, batch_format="pandas") \
-            .groupby("part").map_groups(_large_star, batch_format="pandas")
-        cur = cur.map_batches(orient, batch_format="pandas") \
-            .groupby("part").map_groups(_small_star, batch_format="pandas")
+        cur = exchange(cur.map_batches(symmetrize, batch_format="pandas"),
+                       blocks, _large_star, "pandas")
+        cur = exchange(cur.map_batches(orient, batch_format="pandas"),
+                       blocks, _small_star, "pandas")
         cur = cur.materialize()
         d = cur.map_batches(digest, batch_format="pandas").to_pandas()
         sig = (int(d["n"].sum()),
@@ -161,14 +155,14 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
     def root_parts(b: pd.DataFrame) -> pd.DataFrame:
         r = b["dst"].drop_duplicates()
         return pd.DataFrame({"id": r,
-                             "part": _part_of(r.to_numpy(), parts)})
+                             "part": part_of(r.to_numpy(), parts)})
 
     def emit_roots(g: pd.DataFrame) -> pd.DataFrame:
         ids = g["id"].drop_duplicates()
         return pd.DataFrame({"id": ids, "component": ids})
 
-    roots = cur.map_batches(root_parts, batch_format="pandas") \
-        .groupby("part").map_groups(emit_roots, batch_format="pandas")
+    roots = exchange(cur.map_batches(root_parts, batch_format="pandas"),
+                     blocks, emit_roots, "pandas")
 
     def member_rows(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"id": b["src"], "component": b["dst"]})
@@ -191,20 +185,14 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
 
     tagged_out = out.map_batches(
         lambda b: b.assign(_kind=np.int8(0),
-                           part=_part_of(b["id"].to_numpy(), parts)),
+                           part=part_of(b["id"].to_numpy(), parts)),
         batch_format="pandas")
     tagged_lone = self_nodes.map_batches(
         lambda b: b.assign(component=b["id"], _kind=np.int8(1),
-                           part=_part_of(b["id"].to_numpy(), parts)),
+                           part=part_of(b["id"].to_numpy(), parts)),
         batch_format="pandas")
-    return tagged_out.union(tagged_lone).groupby("part") \
-        .map_groups(anti_join, batch_format="pandas")
-
-
-# pagerank shuffle fan-in — same role as _CC_EDGES_PER_PART: the
-# per-partition fold is vectorized, so the knob only bounds per-task
-# group size; auto-sized from the node count.
-_PR_NODES_PER_PART = 500_000
+    return exchange(tagged_out.union(tagged_lone), blocks, anti_join,
+                    "pandas")
 
 
 def pagerank(edges, nodes, iters: int = 3, damping=(85, 100),
@@ -267,14 +255,12 @@ def pagerank(edges, nodes, iters: int = 3, damping=(85, 100),
                                 "outdeg": pa.array([], pa.int64()),
                                 "rank_u": pa.array([], pa.int64())}),
             batch_format="pyarrow")
-    P = int(num_parts or max(8, min(4096, n // _PR_NODES_PER_PART)))
-    # coalesce target for every per-iteration exchange input: groupby's
-    # sort shuffle emits as many blocks as it consumes, and the rank
-    # table feeds the NEXT iteration's union — without a bound the
-    # block count (and the shuffle's blocks × partitions transfer
-    # matrix) doubles per iteration (measured 14 → 61 → 225 s for
-    # iters 1/2/3 on a 500-node toy graph before this coalesce).
-    shuffle_blocks = max(4, P // 8)
+    # n is counted for the arithmetic anyway. Every exchange coalesces
+    # to ``blocks``: groupby's sort shuffle emits as many blocks as it
+    # consumes, and the rank table feeds the NEXT iteration's union —
+    # without a bound the block count doubles per iteration (measured
+    # 14 → 61 → 225 s for iters 1/2/3 on a 500-node toy graph).
+    P, blocks = plan(n, _NODES_PER_PART, num_parts)
     seed_arr = (np.unique(np.asarray(list(seeds), np.int64))
                 if seeds is not None else None)
     if seed_arr is not None and seed_arr.size == 0:
@@ -295,13 +281,13 @@ def pagerank(edges, nodes, iters: int = 3, damping=(85, 100),
     # into the groupby, same trick as the iteration body).
     def deg_partial(b: pa.Table) -> pa.Table:
         src = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"part": pa.array((src % P).astype(np.int32)),
+        return pa.table({"part": pa.array(part_of(src, P)),
                          "node": pa.array(src),
                          "c": pa.array(np.ones(len(src), np.int64))})
 
     def node_zero(b: pa.Table) -> pa.Table:
         nd = b["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"part": pa.array((nd % P).astype(np.int32)),
+        return pa.table({"part": pa.array(part_of(nd, P)),
                          "node": pa.array(nd),
                          "c": pa.array(np.zeros(len(nd), np.int64))})
 
@@ -318,11 +304,10 @@ def pagerank(edges, nodes, iters: int = 3, damping=(85, 100),
                          "outdeg": pa.array(od),
                          "rank_u": pa.array(ru0)})
 
-    ranks = edges.map_batches(deg_partial, batch_format="pyarrow") \
-        .union(nodes.map_batches(node_zero, batch_format="pyarrow")) \
-        .repartition(shuffle_blocks) \
-        .groupby("part").map_groups(fold_deg, batch_format="pyarrow") \
-        .materialize()
+    ranks = exchange(
+        edges.map_batches(deg_partial, batch_format="pyarrow")
+        .union(nodes.map_batches(node_zero, batch_format="pyarrow")),
+        blocks, fold_deg, "pyarrow").materialize()
 
     def dangling_partial(b: pa.Table) -> pa.Table:
         od = b["outdeg"].to_numpy(zero_copy_only=False)
@@ -378,7 +363,7 @@ def pagerank(edges, nodes, iters: int = 3, damping=(85, 100),
             ru = b["ru"].to_numpy(zero_copy_only=False).astype(np.int64)
             od = b["od"].to_numpy(zero_copy_only=False).astype(np.int64)
             return pa.table({
-                "part": pa.array((dst % P).astype(np.int32)),
+                "part": pa.array(part_of(dst, P)),
                 "node": pa.array(dst),
                 "outdeg": pa.array(np.full(len(dst), -1, np.int64)),
                 "c": pa.array(ru // od)})
@@ -386,17 +371,15 @@ def pagerank(edges, nodes, iters: int = 3, damping=(85, 100),
         def zero(b: pa.Table) -> pa.Table:
             nd = b["node"].to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": pa.array((nd % P).astype(np.int32)),
+                "part": pa.array(part_of(nd, P)),
                 "node": b["node"],
                 "outdeg": b["outdeg"],
                 "c": pa.array(np.zeros(len(nd), np.int64))})
 
-        ranks = joined.map_batches(contrib, batch_format="pyarrow") \
-            .union(ranks.map_batches(zero, batch_format="pyarrow")) \
-            .repartition(shuffle_blocks) \
-            .groupby("part").map_groups(fold_rank(dangle_t),
-                                        batch_format="pyarrow") \
-            .materialize()
+        ranks = exchange(
+            joined.map_batches(contrib, batch_format="pyarrow")
+            .union(ranks.map_batches(zero, batch_format="pyarrow")),
+            blocks, fold_rank(dangle_t), "pyarrow").materialize()
 
     return ranks
 
@@ -423,13 +406,12 @@ def anchor_text(links, target_col: str = "dst",
     boilerplate."""
     import pyarrow as pa
 
-    P = int(num_parts or 64)
+    P, blocks = plan(estimate_rows(links), _LINKS_PER_PART, num_parts)
     ocols = list(order_cols)
 
     def key(b: pa.Table) -> pa.Table:
         tgt = b[target_col].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "part", pa.array(_part_of(tgt, P)))
+        return b.append_column("part", pa.array(part_of(tgt, P)))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([target_col] + ocols, ignore_index=True)
@@ -443,8 +425,8 @@ def anchor_text(links, target_col: str = "dst",
             "inlink": [sep.join(anchors[a:z]) for a, z in
                        zip(starts, ends)]})
 
-    return links.map_batches(key, batch_format="pyarrow") \
-        .groupby("part").map_groups(fold, batch_format="pandas")
+    return exchange(links.map_batches(key, batch_format="pyarrow"),
+                    blocks, fold, "pandas")
 
 
 def hits(edges, nodes, iters: int = 2, scale: int = 10 ** 9,
@@ -478,8 +460,7 @@ def hits(edges, nodes, iters: int = 2, scale: int = 10 ** 9,
                                 "hub_u": pa.array([], pa.int64()),
                                 "auth_u": pa.array([], pa.int64())}),
             batch_format="pyarrow")
-    P = int(num_parts or max(8, min(4096, n // _PR_NODES_PER_PART)))
-    shuffle_blocks = max(4, P // 8)
+    P, blocks = plan(n, _NODES_PER_PART, num_parts)
 
     def const_scores(v: int):
         def fn(b: pa.Table) -> pa.Table:
@@ -490,7 +471,7 @@ def hits(edges, nodes, iters: int = 2, scale: int = 10 ** 9,
 
     def zero_rows(b: pa.Table) -> pa.Table:
         nd = b["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"part": pa.array((nd % P).astype(np.int32)),
+        return pa.table({"part": pa.array(part_of(nd, P)),
                          "node": pa.array(nd),
                          "c": pa.array(np.zeros(nd.size, np.int64))})
 
@@ -516,15 +497,14 @@ def hits(edges, nodes, iters: int = 2, scale: int = 10 ** 9,
         def contrib(b: pa.Table, sc=sum_col) -> pa.Table:
             tgt = b[sc].to_numpy(zero_copy_only=False).astype(np.int64)
             v = b["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({"part": pa.array((tgt % P).astype(np.int32)),
+            return pa.table({"part": pa.array(part_of(tgt, P)),
                              "node": pa.array(tgt),
                              "c": pa.array(v)})
 
-        raw = joined.map_batches(contrib, batch_format="pyarrow") \
-            .union(nodes.map_batches(zero_rows, batch_format="pyarrow")) \
-            .repartition(shuffle_blocks) \
-            .groupby("part").map_groups(fold_sum, batch_format="pyarrow") \
-            .materialize()
+        raw = exchange(
+            joined.map_batches(contrib, batch_format="pyarrow")
+            .union(nodes.map_batches(zero_rows, batch_format="pyarrow")),
+            blocks, fold_sum, "pyarrow").materialize()
         m = int(raw.max("v") or 0)
         d = max(1, m // scale)
 

@@ -34,6 +34,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from .partitioning import ROWS_PER_PART, estimate_rows, exchange, part_of, plan
+
 
 def _gather_small(small, columns=None, max_broadcast_bytes=256 << 20,
                   what="broadcast side") -> pa.Table:
@@ -105,7 +107,7 @@ def broadcast_semijoin(ds, keys, key_col: str, keys_col: str | None = None,
 
     def filt(b: pa.Table) -> pa.Table:
         idx = proc_cached(cache_key, lambda: pd.Index(
-            ray.get(key_ref).to_numpy(zero_copy_only=False)))
+            ray.get(key_ref).to_numpy(zero_copy_only=False)), cap=1)
         vals = b[key_col].to_numpy(zero_copy_only=False)
         mask = idx.get_indexer(vals) >= 0
         if anti:
@@ -174,7 +176,7 @@ def broadcast_hash_join(ds, small, left_on: str, right_on: str | None = None,
 
     def join_unique(b: pa.Table) -> pa.Table:
         _check_overlap(b)
-        idx, rt = proc_cached(cache_key, build)
+        idx, rt = proc_cached(cache_key, build, cap=1)
         pos = idx.get_indexer(b[left_on].to_numpy(zero_copy_only=False))
         if join_type == "inner":
             keep = pos >= 0
@@ -220,10 +222,10 @@ def shuffle_hash_join(left, right, left_on: str, right_on: str | None = None,
         raise ValueError(
             f"non-key columns {overlap} exist on both sides — rename "
             f"upstream (no implicit suffixing)")
-    if num_parts is None:
-        # follow the bigger side's row count (metadata for parquet reads)
-        num_parts = max(8, min(4096,
-                               max(left.count(), right.count()) // 200_000))
+    # both sides cross the exchange, one row per input row
+    nl, nr = estimate_rows(left), estimate_rows(right)
+    parts, blocks = plan(None if nl is None or nr is None else nl + nr,
+                         ROWS_PER_PART, num_parts)
     def _pa_type(t) -> pa.DataType:
         # ray.data.Schema.types yields pyarrow types for Arrow blocks but
         # numpy dtypes / Python classes for pandas-backed datasets
@@ -240,15 +242,12 @@ def shuffle_hash_join(left, right, left_on: str, right_on: str | None = None,
     types.update({n: _pa_type(rschema.types[rschema.names.index(n)])
                   for n in rrest})
 
-    def _part(arr) -> pa.Array:
-        vals = arr.to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.asarray(vals), categorize=False)
-        return pa.array((h % np.uint64(num_parts)).astype(np.int32))
-
     def tag(side: int, key: str, own: list):
         def fn(b: pa.Table) -> pa.Table:
             n = len(b)
-            cols = {"part": _part(b[key]), "_k": b[key],
+            cols = {"part": pa.array(part_of(
+                        b[key].to_numpy(zero_copy_only=False), parts)),
+                    "_k": b[key],
                     "_side": pa.array(np.full(n, side, dtype=np.int8))}
             for name in (*lrest, *rrest):
                 cols[name] = b[name] if name in own \
@@ -270,8 +269,7 @@ def shuffle_hash_join(left, right, left_on: str, right_on: str | None = None,
         out = lf.merge(rf, on="_k", how=how)
         return out.rename(columns={"_k": left_on})
 
-    return tagged.groupby("part").map_groups(join_part,
-                                             batch_format="pyarrow")
+    return exchange(tagged, blocks, join_part, "pyarrow")
 
 
 def bloom_semijoin(ds, keys, key_col: str, keys_col: str | None = None,
@@ -348,7 +346,7 @@ def bloom_semijoin(ds, keys, key_col: str, keys_col: str | None = None,
 
     def bloom_filt(b: pa.Table) -> pa.Table:
         from ..util import proc_cached
-        bb = proc_cached(cache_key, lambda: ray.get(bits_ref))
+        bb = proc_cached(cache_key, lambda: ray.get(bits_ref), cap=1)
         h = _key_hash(b[key_col].to_numpy(zero_copy_only=False))
         g2 = (h * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
         mask = np.ones(len(h), dtype=bool)
@@ -374,19 +372,4 @@ def bloom_semijoin(ds, keys, key_col: str, keys_col: str | None = None,
         .map_batches(dedup_rename, batch_format="pyarrow") \
         .groupby(key_col).count() \
         .map_batches(lambda b: b.select([key_col]), batch_format="pyarrow")
-    # size the exchange HERE and pass it down: shuffle_hash_join's own
-    # num_parts default calls left.count(), which would execute the
-    # full read+bloom pipeline once before the tagged exchange
-    # re-executes it — doubling the fact-table pass this operator
-    # exists to avoid. The pre-bloom metadata row count is an upper
-    # bound for the survivor side (extra parts are harmless); when no
-    # file metadata exists, materialize the (narrow, bloom-thinned)
-    # survivors once instead of scanning twice.
-    from .partitioning import estimate_rows
-    n_est = estimate_rows(ds)
-    if n_est is None:
-        surv = surv.materialize()
-        n_est = surv.count()
-    num_parts = max(8, min(4096, n_est // 200_000))
-    return shuffle_hash_join(surv, kd, key_col, how="inner",
-                             num_parts=num_parts)
+    return shuffle_hash_join(surv, kd, key_col, how="inner")

@@ -26,22 +26,6 @@ MEDIA_SCHEMA = pa.schema([
 ])
 
 
-def make_fake_media_batch(n: int, kind: str = "image", seed: int = 0) -> pa.Table:
-    """Deterministic synthetic media rows matching MEDIA_SCHEMA."""
-    rng = np.random.default_rng(seed)
-    payloads = [rng.integers(0, 256, size=64 + 8 * i, dtype=np.uint8).tobytes()
-                for i in range(n)]
-    return pa.table({
-        "media_id": pa.array(np.arange(n, dtype=np.int64) + seed * 10_000),
-        "kind": pa.array([kind] * n),
-        "payload": pa.array(payloads, pa.binary()),
-        "mime": pa.array(["image/fake"] * n),
-        "width": pa.array(np.full(n, 32, dtype=np.int32)),
-        "height": pa.array(np.full(n, 32, dtype=np.int32)),
-        "duration_ms": pa.array(np.full(n, -1, dtype=np.int32)),
-    }, schema=MEDIA_SCHEMA)
-
-
 class DecodeImage:
     """Actor stage: payload → feature vector.
 

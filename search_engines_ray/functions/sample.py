@@ -21,6 +21,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .partitioning import ROWS_PER_PART, estimate_rows, exchange, part_of, plan
+
+# ≤ k candidate rows per group and block cross topk_per_group's
+# exchange: 0.09 per input row, measured on sf0.1 ``events`` (100,000
+# rows, 1,500 users, k=3) by the registry entry (see partitioning.plan)
+_TOPK_ROWS_PER_PART = int(ROWS_PER_PART / 0.09)
+
 
 # exactly-16-byte hash key for the fast (non-auditable) permutation —
 # fixed so the fast sample is just as reproducible across runs,
@@ -116,8 +123,7 @@ def topk_per_group(ds, group_col: str, sort_col: str, id_col: str,
     final cut are one vectorized lexsort + segment slice over ALL groups
     in the batch — no per-group Python calls. Exchange parts auto-size
     with the corpus (metadata-only); results parts-invariant."""
-    from .partitioning import resolve_exchange_parts
-    num_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _TOPK_ROWS_PER_PART, num_parts)
 
     def _cut(groups, vals, ids, kk):
         # sort by (group asc, val desc, id asc); take first kk per group
@@ -140,7 +146,7 @@ def topk_per_group(ds, group_col: str, sort_col: str, id_col: str,
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         keep, _ = _cut(groups, vals, ids, k)
         return pa.table({
-            "part": pa.array((groups[keep] % num_parts).astype(np.int32)),
+            "part": pa.array(part_of(groups[keep], parts)),
             group_col: pa.array(groups[keep]),
             id_col: pa.array(ids[keep]),
             sort_col: pa.array(vals[keep])})
@@ -159,8 +165,8 @@ def topk_per_group(ds, group_col: str, sort_col: str, id_col: str,
                              sort_col: vals[keep],
                              "rank": (rank + 1).astype(np.int64)})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(final, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    blocks, final, "pyarrow")
 
 
 def stratified_sample(ds, strata_col: str, id_col: str = "doc_id",

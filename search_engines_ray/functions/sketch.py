@@ -26,6 +26,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .partitioning import ROWS_PER_PART, estimate_rows, exchange, part_of, plan
+
+# Partial rows each exchange moves per input row (see partitioning.plan),
+# measured on sf0.1 by the registry entries: hll_distinct over 5,000
+# ``documents``, the others over 100,000 ``events``.
+#   hyperloglog_distinct          0.93 (group, bucket) registers per doc;
+#   value_quantiles, percentile_ranks  0.66 (group, cents) rows per event;
+#   value_histogram               0.002 (group, bucket) rows per event;
+#   value_stats                   0.0001 rows per event (one per group
+#                                 and block).
+_HLL_DOCS_PER_PART = int(ROWS_PER_PART / 0.93)
+_CENTS_EVENTS_PER_PART = int(ROWS_PER_PART / 0.66)
+_BUCKET_EVENTS_PER_PART = int(ROWS_PER_PART / 0.002)
+_GROUP_EVENTS_PER_PART = int(ROWS_PER_PART / 0.0001)
+
 # raw-estimator bias constant alpha_m for m = 2^p (Flajolet et al. 2007)
 def _alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
@@ -88,18 +103,18 @@ def hyperloglog_distinct(ds, value_col: str, group_col: str, p: int = 12,
     # whole-block batches: partial EXPANDS its input to up to
     # (groups × m) register rows, so small batches would feed the merge
     # ~5× the row count it needs. The merge itself is the house
-    # int-key-partition + vectorized-map_groups pattern (bucket % parts
-    # co-locates every (group, bucket) register) — Ray's multi-key
+    # int-key-partition + vectorized-map_groups pattern (hashing the
+    # bucket co-locates every (group, bucket) register) — Ray's multi-key
     # hash Aggregate is orders of magnitude slower on compound
     # string+int keys (measured 9.0 s → 1.6 s at sf0.1). Parts
     # auto-size with the corpus (metadata-only) so merge parallelism
     # grows on a big cluster; results are parts-invariant (max-merge).
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _HLL_DOCS_PER_PART,
+                         num_parts)
 
     def with_part(b: pa.Table) -> pd.DataFrame:
         df = partial(b)
-        df["part"] = (df["bucket"] % merge_parts).astype(np.int32)
+        df["part"] = part_of(df["bucket"].to_numpy(), parts)
         return df
 
     def merge_max(g: pd.DataFrame) -> pd.DataFrame:
@@ -107,16 +122,16 @@ def hyperloglog_distinct(ds, value_col: str, group_col: str, p: int = 12,
             .max().reset_index()
         return out
 
-    regs = ds.map_batches(with_part, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby("part").map_groups(merge_max, batch_format="pandas")
+    regs = exchange(ds.map_batches(with_part, batch_format="pyarrow",
+                                   batch_size=None),
+                    blocks, merge_max, "pandas")
 
     alpha = _alpha(m)
     two_R = float(1 << R)
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         # duplicate (group, bucket) registers cannot survive merge_max
-        # (bucket % parts routes a bucket's registers to ONE partition),
+        # (the bucket's hash routes its registers to ONE partition),
         # so a plain scatter keeps the max
         rho = np.zeros(m, dtype=np.int64)
         rho[g["bucket"].to_numpy()] = g["rho"].to_numpy()
@@ -248,13 +263,13 @@ def value_quantiles(ds, value_col: str, group_col: str,
     rule: the smallest value whose cumulative count reaches
     ``ceil(p·n)`` — the classic discrete (type-1) quantile, mirrored
     literally in SQL. The partial merge is the house int-key-partition
-    + vectorized-map_groups pattern (``cents % parts`` co-locates every
+    + vectorized-map_groups pattern (hashing ``cents`` co-locates every
     (group, cents) pair) — Ray's multi-key hash Aggregate is orders of
     magnitude slower on compound string+int keys (measured 19 → 3.5 s
     at sf0.1). Parts auto-size with the corpus (metadata-only; see
-    partitioning.resolve_exchange_parts); results parts-invariant."""
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    partitioning.plan); results parts-invariant."""
+    parts, blocks = plan(estimate_rows(ds), _CENTS_EVENTS_PER_PART,
+                         num_parts)
 
     def partial(b: pa.Table) -> pd.DataFrame:
         cents = np.rint(np.asarray(
@@ -264,7 +279,7 @@ def value_quantiles(ds, value_col: str, group_col: str,
                            "cents": cents})
         out = df.groupby([group_col, "cents"], sort=False) \
             .size().rename("n").reset_index()
-        out["part"] = (out["cents"] % merge_parts).astype(np.int32)
+        out["part"] = part_of(out["cents"].to_numpy(), parts)
         return out
 
     def merge_sum(g: pd.DataFrame) -> pd.DataFrame:
@@ -275,9 +290,9 @@ def value_quantiles(ds, value_col: str, group_col: str,
     # value cardinality; tiny batches would emit near-uncompressed
     # partials), then one int-key exchange to merge duplicate
     # (group, cents) rows across blocks
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=None) \
-        .groupby("part").map_groups(merge_sum, batch_format="pandas")
+    counts = exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                     batch_size=None),
+                      blocks, merge_sum, "pandas")
 
     ps = tuple(float(p) for p in ps)
 
@@ -310,8 +325,8 @@ def value_histogram(ds, value_col: str, group_col: str,
     vectorized merges — the shuffle carries distinct buckets, never
     rows. Bucketing is ``floor(value / interval) * interval`` on the
     cents grid (SQL-mirrored literally, negatives floor like SQL)."""
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _BUCKET_EVENTS_PER_PART,
+                         num_parts)
     step = int(round(float(interval) * 100.0))
     if step <= 0:
         raise ValueError(f"interval={interval!r}: must be > 0")
@@ -325,8 +340,7 @@ def value_histogram(ds, value_col: str, group_col: str,
                            "bkt": bkt})
         out = df.groupby([group_col, "bkt"], sort=False) \
             .size().rename("n").reset_index()
-        out["part"] = ((out["bkt"] // step) % merge_parts) \
-            .astype(np.int32)
+        out["part"] = part_of(out["bkt"].to_numpy(), parts)
         return out
 
     def merge_sum(g: pd.DataFrame) -> pd.DataFrame:
@@ -336,9 +350,9 @@ def value_histogram(ds, value_col: str, group_col: str,
                              "bucket": gg["bkt"].to_numpy() / 100.0,
                              "n": gg["n"].astype(np.int64)})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby("part").map_groups(merge_sum, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=None),
+                    blocks, merge_sum, "pandas")
 
 
 # rows per int64 Σc² chunk: 32768 · 16777215² < 2⁶³, so a chunk's dot
@@ -373,8 +387,8 @@ def value_stats(ds, value_col: str, group_col: str,
     the same expression the SQL mirror uses — associative by
     construction, identical on every run. Exchange: one row per group
     per block."""
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _GROUP_EVENTS_PER_PART,
+                         num_parts)
 
     def partial(b: pa.Table) -> pd.DataFrame:
         cents = np.rint(np.asarray(
@@ -391,10 +405,8 @@ def value_stats(ds, value_col: str, group_col: str,
             "mn": g.min().astype(np.int64),
             "mx": g.max().astype(np.int64),
         }).reset_index()
-        h = pd.util.hash_array(
-            np.asarray(out[group_col].to_numpy(), dtype=object),
-            hash_key="sketch.statpart0", categorize=False)
-        out["part"] = (h % np.uint64(merge_parts)).astype(np.int32)
+        out["part"] = part_of(
+            np.asarray(out[group_col].to_numpy(), dtype=object), parts)
         return out
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
@@ -412,9 +424,9 @@ def value_stats(ds, value_col: str, group_col: str,
         return pd.DataFrame(rows, columns=[
             group_col, "n", "min_value", "max_value", "mean", "variance"])
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None) \
-        .groupby("part").map_groups(finalize, batch_format="pandas")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=None),
+                    blocks, finalize, "pandas")
 
 
 def value_stats_sql(table: str, value_col: str, group_col: str) -> str:
@@ -526,8 +538,8 @@ def percentile_ranks(ds, value_col: str, group_col: str,
     pct = 100·|{x ≤ v}|/n computed in doubles and mirrored literally
     in SQL (:func:`percentile_ranks_sql`). Exchange parts auto-size
     with the corpus (metadata-only); results parts-invariant."""
-    from .partitioning import resolve_exchange_parts
-    merge_parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _CENTS_EVENTS_PER_PART,
+                         num_parts)
 
     def partial(b: pa.Table) -> pd.DataFrame:
         cents = np.rint(np.asarray(
@@ -537,16 +549,16 @@ def percentile_ranks(ds, value_col: str, group_col: str,
                            "cents": cents})
         out = df.groupby([group_col, "cents"], sort=False) \
             .size().rename("n").reset_index()
-        out["part"] = (out["cents"] % merge_parts).astype(np.int32)
+        out["part"] = part_of(out["cents"].to_numpy(), parts)
         return out
 
     def merge_sum(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby([group_col, "cents"], sort=False)["n"] \
             .sum().reset_index()
 
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=None) \
-        .groupby("part").map_groups(merge_sum, batch_format="pandas")
+    counts = exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                     batch_size=None),
+                      blocks, merge_sum, "pandas")
 
     probes = tuple(float(v) for v in values)
 

@@ -13,6 +13,17 @@ import pandas as pd
 import pyarrow as pa
 
 from ..analysis.tokenizer import LUCENE_STOP_WORDS, simple_tokenize
+from .partitioning import ROWS_PER_PART, estimate_rows, exchange, part_of, plan
+
+# Rows each exchange moves per input doc (see partitioning.plan). The
+# (term, doc) exchanges of distinctive_terms and more_like_this carry
+# 23.2 distinct terms per doc, measured on sf0.1 ``documents``. The
+# per-batch term and bigram partials of the other operators are bounded
+# by the vocabulary, and sf0.1's is 31 words (931 bigrams), so their fold
+# compresses there as no real corpus would (0.006–0.77 rows per doc):
+# they use 1, the digest constant.
+_DOC_TERM_DOCS_PER_PART = ROWS_PER_PART // 24
+_VOCAB_DOCS_PER_PART = ROWS_PER_PART
 
 # function-word profiles for a tiny trigram-free language-ID heuristic
 _LANG_PROFILES = {
@@ -257,16 +268,16 @@ def pii_scrub(ds, text_col: str = "text", out_col: str = "scrubbed"):
 
 
 def top_bigrams(ds, text_col: str = "text", k: int = 50,
-                num_parts: int = 64):
+                num_parts: int | None = None):
     """Corpus-level word-bigram counts, top ``k`` (count desc, bigram
     asc). Three-stage shape built for 100 TB: (1) per-batch Counter
     pre-aggregation so the exchange carries one row per distinct bigram
     per batch, not one per occurrence; (2) hash-partitioned per-part
     exact sums + per-part top-k (a bigram lives in exactly one part, so
-    the per-part cut is globally safe); (3) a ≤ num_parts × k row
+    the per-part cut is globally safe); (3) a ≤ parts × k row
     single-block merge."""
     from collections import Counter
-    from zlib import crc32
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         c = Counter()
@@ -274,17 +285,12 @@ def top_bigrams(ds, text_col: str = "text", k: int = 50,
             toks = simple_tokenize(t or "")
             c.update(" ".join(p) for p in zip(toks, toks[1:]))
         bigrams = list(c.keys())
-        # crc32, NOT hash(): str hashing is salted per process, and the
-        # per-part top-k cut is only safe if every worker routes a given
-        # bigram to the same partition. Sentinel row (part -1, dropped
-        # in per_part) keeps the schema alive through Ray's sort-groupby
+        # the per-part top-k cut is safe because every worker routes a
+        # bigram to the same part. Sentinel row (part -1, dropped in
+        # per_part) keeps the schema alive through Ray's sort-groupby
         # when no doc has a bigram.
-        parts = np.concatenate([
-            np.fromiter((crc32(g.encode()) % num_parts for g in bigrams),
-                        dtype=np.int32, count=len(bigrams)),
-            np.array([-1], dtype=np.int32)])
         return pa.table({
-            "part": pa.array(parts),
+            "part": pa.array(np.append(part_of(bigrams, parts), -1)),
             "bigram": pa.array(bigrams + [""], pa.string()),
             "n": pa.array(np.concatenate([
                 np.fromiter(c.values(), dtype=np.int64, count=len(c)),
@@ -313,8 +319,8 @@ def top_bigrams(ds, text_col: str = "text", k: int = 50,
             ["n", "bigram"], ascending=[False, True], kind="stable")[:k]
         return pa.Table.from_pandas(df.reset_index(drop=True))
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(per_part, batch_format="pyarrow") \
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    blocks, per_part, "pyarrow") \
         .repartition(1) \
         .map_batches(final, batch_format="pyarrow", batch_size=None)
 
@@ -398,7 +404,7 @@ def best_passage(ds, query_terms: list[str], window: int = 15,
 
 
 def distinctive_terms(ds, text_col: str = "text", id_col: str = "doc_id",
-                      k: int = 5, num_parts: int = 128):
+                      k: int = 5, num_parts: int | None = None):
     """→ Dataset (``id_col``, term, tf, df, rank 1..k): each doc's k
     most distinctive terms — highest in-doc term frequency, corpus
     document frequency as the tie-breaker (rarer wins), then term asc.
@@ -411,7 +417,8 @@ def distinctive_terms(ds, text_col: str = "text", id_col: str = "doc_id",
     there); the per-doc top-k cut is a second small exchange on doc id
     over already-k-boundable rows."""
     from ..analysis.tokenizer import simple_tokenize
-    from zlib import crc32
+    parts, blocks = plan(estimate_rows(ds), _DOC_TERM_DOCS_PER_PART,
+                         num_parts)
 
     def tf_rows(b: pa.Table) -> pa.Table:
         terms, docs, tfs = [], [], []
@@ -425,10 +432,8 @@ def distinctive_terms(ds, text_col: str = "text", id_col: str = "doc_id",
             tfs.append(c)
             docs.append(np.full(len(t), did, dtype=np.int64))
         terms = np.concatenate(terms) if terms else np.empty(0, object)
-        parts = np.fromiter((crc32(t.encode()) % num_parts for t in terms),
-                            dtype=np.int32, count=len(terms))
         return pa.table({
-            "part": pa.array(parts),
+            "part": pa.array(part_of(terms, parts)),
             "term": pa.array(terms.tolist(), pa.string()),
             id_col: pa.array(np.concatenate(docs) if docs
                              else np.empty(0, np.int64)),
@@ -478,22 +483,21 @@ def distinctive_terms(ds, text_col: str = "text", id_col: str = "doc_id",
 
     import pandas as pd  # noqa: F401  (map_groups pandas outputs)
 
-    annotated = ds.map_batches(tf_rows, batch_format="pyarrow") \
-        .repartition(max(16, num_parts // 8)) \
-        .groupby("part").map_groups(annotate_df, batch_format="pyarrow")
+    annotated = exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                         blocks, annotate_df, "pyarrow")
 
-    def part2(b: pa.Table) -> pa.Table:
+    def by_doc(b: pa.Table) -> pa.Table:
         doc = b[id_col].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "part2", pa.array((doc % num_parts).astype(np.int32)))
+        return b.append_column("part", pa.array(part_of(doc, parts)))
 
-    return annotated.map_batches(part2, batch_format="pyarrow") \
-        .groupby("part2").map_groups(topk, batch_format="pyarrow") \
+    return exchange(annotated.map_batches(by_doc, batch_format="pyarrow"),
+                    blocks, topk, "pyarrow") \
         .select_columns([id_col, "term", "tf", "df", "rank"])
 
 
 def unigram_lm_surprisal(ds, text_col: str = "text",
-                         id_col: str = "doc_id", num_parts: int = 64):
+                         id_col: str = "doc_id",
+                         num_parts: int | None = None):
     """→ Dataset (``id_col``, n_tokens, mean_surprisal): CCNet-style
     LM quality scoring with a corpus-fit add-one-smoothed unigram LM —
     mean per-token surprisal −log2((c+1)/(N+V)) in bits (= log2 of the
@@ -512,20 +516,18 @@ def unigram_lm_surprisal(ds, text_col: str = "text",
     the LM, matching the SQL oracle exactly. Empty docs are omitted
     (no tokens to score)."""
     from collections import Counter
-    from zlib import crc32
     import ray
 
     from ..analysis.tokenizer import simple_tokenize
     from ..util import proc_cached
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         c = Counter()
         for t in b[text_col].to_pylist():
             c.update(simple_tokenize(t or ""))
         terms = list(c.keys())
-        parts = np.fromiter((crc32(t.encode()) % num_parts for t in terms),
-                            dtype=np.int32, count=len(terms))
-        return pa.table({"part": pa.array(parts),
+        return pa.table({"part": pa.array(part_of(terms, parts)),
                          "term": pa.array(terms, pa.string()),
                          "c": pa.array(np.fromiter(c.values(), np.int64,
                                                    count=len(c)))})
@@ -540,10 +542,8 @@ def unigram_lm_surprisal(ds, text_col: str = "text",
         return pd.DataFrame({"term": s.index.to_numpy(),
                              "c": s.to_numpy(np.int64)})
 
-    vocab = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(max(8, num_parts // 8)) \
-        .groupby("part").map_groups(sum_part, batch_format="pyarrow") \
-        .to_pandas()
+    vocab = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                     blocks, sum_part, "pyarrow").to_pandas()
     n_total = int(vocab["c"].sum())
     v_size = len(vocab)
     # integer surprisal per vocab entry, computed ONCE driver-side
@@ -552,7 +552,8 @@ def unigram_lm_surprisal(ds, text_col: str = "text",
     ref = ray.put(dict(zip(vocab["term"], su)))
 
     def score(b: pa.Table) -> pa.Table:
-        lut = proc_cached(("unigram_lm", ref.hex()), lambda: ray.get(ref))
+        lut = proc_cached(("unigram_lm", ref.hex()), lambda: ray.get(ref),
+                          cap=1)
         ids, n_toks, means = [], [], []
         for did, t in zip(b[id_col].to_pylist(), b[text_col].to_pylist()):
             toks = simple_tokenize(t or "")
@@ -570,7 +571,7 @@ def unigram_lm_surprisal(ds, text_col: str = "text",
 
 
 def prefix_suggest(ds, prefix: str, text_col: str = "text", k: int = 10,
-                   num_parts: int = 64):
+                   num_parts: int | None = None):
     """→ Dataset (term, df, rank 1..k): autocomplete — the k corpus
     terms starting with ``prefix``, by document frequency desc then
     term asc. The prefix filter applies at the map side, so the
@@ -579,8 +580,8 @@ def prefix_suggest(ds, prefix: str, text_col: str = "text", k: int = 10,
     not a per-keystroke query path. A term lives in exactly one hash
     partition, so per-part df sums are exact and the per-part top-k cut
     is globally safe; the final merge sees ≤ parts × k rows."""
-    from zlib import crc32
     from ..analysis.tokenizer import simple_tokenize
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         df: dict[str, int] = {}
@@ -592,11 +593,8 @@ def prefix_suggest(ds, prefix: str, text_col: str = "text", k: int = 10,
         # sentinel row (part -1, dropped downstream): Ray's sort-based
         # groupby erases the SCHEMA of a zero-row dataset, so a prefix
         # with no matches would otherwise return a column-less result
-        parts = np.concatenate([
-            np.fromiter((crc32(t.encode()) % num_parts for t in terms),
-                        dtype=np.int32, count=len(terms)),
-            np.array([-1], dtype=np.int32)])
-        return pa.table({"part": pa.array(parts),
+        return pa.table({"part": pa.array(np.append(part_of(terms, parts),
+                                                    -1)),
                          "term": pa.array(terms + [""], pa.string()),
                          "df": pa.array(np.concatenate([
                              np.fromiter(df.values(), np.int64,
@@ -628,8 +626,8 @@ def prefix_suggest(ds, prefix: str, text_col: str = "text", k: int = 10,
             "df": pa.array(df["df"].to_numpy(np.int64)),
             "rank": pa.array(np.arange(1, len(df) + 1, dtype=np.int64))})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(per_part, batch_format="pyarrow") \
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    blocks, per_part, "pyarrow") \
         .repartition(1) \
         .map_batches(final, batch_format="pyarrow", batch_size=None)
 
@@ -654,7 +652,7 @@ def _levenshtein(a: str, b: str) -> int:
 
 
 def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
-                  num_parts: int = 64, max_distance: int = 3):
+                  num_parts: int | None = None, max_distance: int = 3):
     """→ Dataset (query_term, suggestion, distance, df): did-you-mean —
     for each query term, the corpus vocabulary term minimizing
     (edit distance, −df, term asc), among terms within
@@ -668,10 +666,10 @@ def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
     winners, so the final merge sees ≤ parts × |terms| rows. The DP
     kernel is per (vocab term, query term) — bounded by vocab size,
     never corpus size, and trivially parallel across partitions."""
-    from zlib import crc32
     from ..analysis.tokenizer import simple_tokenize
 
     qterms = sorted(set(query_terms))
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         df: dict[str, int] = {}
@@ -681,11 +679,8 @@ def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
         terms = list(df.keys())
         # sentinel row (part -1, dropped in local_best): keeps the
         # schema alive through Ray's sort-groupby when no vocab matches
-        parts = np.concatenate([
-            np.fromiter((crc32(t.encode()) % num_parts for t in terms),
-                        dtype=np.int32, count=len(terms)),
-            np.array([-1], dtype=np.int32)])
-        return pa.table({"part": pa.array(parts),
+        return pa.table({"part": pa.array(np.append(part_of(terms, parts),
+                                                    -1)),
                          "term": pa.array(terms + [""], pa.string()),
                          "df": pa.array(np.concatenate([
                              np.fromiter(df.values(), np.int64,
@@ -750,8 +745,8 @@ def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
         return df.groupby("query_term", sort=True).head(1) \
             .reset_index(drop=True)
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(local_best, batch_format="pyarrow") \
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    blocks, local_best, "pyarrow") \
         .repartition(1) \
         .map_batches(final, batch_format="pandas", batch_size=None)
 
@@ -842,7 +837,7 @@ def strip_html(ds, html_col: str = "html", out_col: str = "clean_text"):
 
 def more_like_this(ds, query_doc_id: int, text_col: str = "text",
                    id_col: str = "doc_id", k: int = 10,
-                   num_parts: int = 128):
+                   num_parts: int | None = None):
     """→ Dataset (``id_col``, score): the k documents most similar to
     ``query_doc_id`` by tf·idf cosine (idf = ln(N/df), N = docs with
     ≥1 token; the query doc itself excluded; candidates = docs sharing
@@ -857,7 +852,6 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
     fold finishes both sums. The final top-k is a per-batch cut + one
     driver merge over ≤ batches × k rows (the exact-ANN pattern)."""
     import math
-    from zlib import crc32
 
     from ..analysis.tokenizer import simple_tokenize
 
@@ -888,6 +882,8 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
     qt, qc = np.unique(np.asarray(simple_tokenize(qtexts[0]),
                                   dtype=object), return_counts=True)
     tfq = dict(zip(qt.tolist(), qc.astype(np.int64).tolist()))
+    parts, blocks = plan(estimate_rows(ds), _DOC_TERM_DOCS_PER_PART,
+                         num_parts)
 
     def tf_rows(b: pa.Table) -> pa.Table:
         terms, docs, tfs = [], [], []
@@ -902,10 +898,8 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
             tfs.append(c)
             docs.append(np.full(len(t), did, dtype=np.int64))
         terms = np.concatenate(terms) if terms else np.empty(0, object)
-        parts = np.fromiter((crc32(t.encode()) % num_parts for t in terms),
-                            dtype=np.int32, count=len(terms))
         return pa.table({
-            "part": pa.array(parts),
+            "part": pa.array(part_of(terms, parts)),
             "term": pa.array(terms.tolist(), pa.string()),
             id_col: pa.array(np.concatenate(docs) if docs
                              else np.empty(0, np.int64)),
@@ -915,7 +909,7 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
     def partials(g: pa.Table) -> pa.Table:
         term = np.asarray(g["term"].to_pylist(), dtype=object)
         if not len(term):
-            return pa.table({"part2": pa.array([], pa.int32()),
+            return pa.table({"part": pa.array([], pa.int32()),
                              id_col: pa.array([], pa.int64()),
                              "dot": pa.array([], pa.float64()),
                              "nsq": pa.array([], pa.float64())})
@@ -936,7 +930,7 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
         np.add.at(sdot, dinv, contrib_dot)
         np.add.at(snsq, dinv, contrib_nsq)
         return pa.table({
-            "part2": pa.array((ud % np.int64(num_parts)).astype(np.int32)),
+            "part": pa.array(part_of(ud, parts)),
             id_col: pa.array(ud),
             "dot": pa.array(sdot),
             "nsq": pa.array(snsq)})
@@ -952,10 +946,9 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
                          "dot": pa.array(np.add.reduceat(dt, first)),
                          "nsq": pa.array(np.add.reduceat(ns, first))})
 
-    sums = ds.map_batches(tf_rows, batch_format="pyarrow") \
-        .groupby("part").map_groups(partials, batch_format="pyarrow") \
-        .groupby("part2").map_groups(fold_doc, batch_format="pyarrow") \
-        .materialize()
+    sums = exchange(exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                             blocks, partials, "pyarrow"),
+                    blocks, fold_doc, "pyarrow").materialize()
 
     qrow = [b for b in sums.map_batches(
         lambda b: b.filter(pa.compute.equal(b[id_col], qid)),
@@ -993,7 +986,7 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
 
 
 def pmi_collocations(ds, text_col: str = "text", k: int = 20,
-                     min_count: int = 5, num_parts: int = 64,
+                     min_count: int = 5, num_parts: int | None = None,
                      max_broadcast_bytes: int = 256 << 20):
     """→ Dataset (bigram, n, pmi): the corpus's top-``k`` collocations
     by pointwise mutual information, ``pmi = ln(p(ab)/(p(a)p(b)))``
@@ -1011,12 +1004,12 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
     top-k; the driver merges ≤ parts × k rows."""
     import math
     from collections import Counter
-    from zlib import crc32
 
     import ray
 
     from ..analysis.tokenizer import simple_tokenize
     from ..util import proc_cached
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def uni_partial(b: pa.Table) -> pa.Table:
         c = Counter()
@@ -1026,11 +1019,8 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
             c.update(toks)
             nbi += max(0, len(toks) - 1)
         words = list(c.keys())
-        parts = np.fromiter((crc32(w.encode()) % num_parts for w in words),
-                            dtype=np.int32, count=len(words))
         return pa.table({
-            "part": pa.array(np.concatenate([parts,
-                                             np.array([-1], np.int32)])),
+            "part": pa.array(np.append(part_of(words, parts), -1)),
             "w": pa.array(words + [""], pa.string()),
             "n": pa.array(np.concatenate([
                 np.fromiter(c.values(), dtype=np.int64, count=len(c)),
@@ -1051,8 +1041,8 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
 
     uni_parts, nbytes = [], 0
     n_bi_total = 0
-    for b in ds.map_batches(uni_partial, batch_format="pyarrow") \
-            .groupby("part").map_groups(uni_fold, batch_format="pyarrow") \
+    for b in exchange(ds.map_batches(uni_partial, batch_format="pyarrow"),
+                      blocks, uni_fold, "pyarrow") \
             .iter_batches(batch_size=None, batch_format="pyarrow"):
         ws = b["w"].to_pylist()
         ns = b["n"].to_numpy(zero_copy_only=False)
@@ -1080,19 +1070,16 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
     ref = ray.put(uni)
 
     def bi_partial(b: pa.Table) -> pa.Table:
-        vocab = proc_cached(("pmi_uni", ref.hex()), lambda: ray.get(ref))
+        vocab = proc_cached(("pmi_uni", ref.hex()), lambda: ray.get(ref),
+                            cap=1)
         c = Counter()
         for t in b[text_col].to_pylist():
             toks = simple_tokenize(t or "")
             c.update(" ".join(p) for p in zip(toks, toks[1:])
                      if p[0] in vocab and p[1] in vocab)
         grams = list(c.keys())
-        parts = np.concatenate([
-            np.fromiter((crc32(g.encode()) % num_parts for g in grams),
-                        dtype=np.int32, count=len(grams)),
-            np.array([-1], np.int32)])
         return pa.table({
-            "part": pa.array(parts),
+            "part": pa.array(np.append(part_of(grams, parts), -1)),
             "bigram": pa.array(grams + [""], pa.string()),
             "n": pa.array(np.concatenate([
                 np.fromiter(c.values(), dtype=np.int64, count=len(c)),
@@ -1100,7 +1087,8 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
 
     def bi_score(g: pa.Table) -> pa.Table:
         import pandas as pd
-        vocab = proc_cached(("pmi_uni", ref.hex()), lambda: ray.get(ref))
+        vocab = proc_cached(("pmi_uni", ref.hex()), lambda: ray.get(ref),
+                            cap=1)
         df = g.to_pandas()
         df = df[df["part"] >= 0]
         if df.empty:
@@ -1124,8 +1112,8 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
             "pmi": pa.array(np.asarray([r[2] for r in rows]))})
 
     cand = pa.concat_tables(list(
-        ds.map_batches(bi_partial, batch_format="pyarrow")
-        .groupby("part").map_groups(bi_score, batch_format="pyarrow")
+        exchange(ds.map_batches(bi_partial, batch_format="pyarrow"),
+                 blocks, bi_score, "pyarrow")
         .iter_batches(batch_size=None, batch_format="pyarrow")))
     pmi = cand["pmi"].to_numpy(zero_copy_only=False)
     grams = np.asarray(cand["bigram"].to_pylist(), dtype=object)
@@ -1138,7 +1126,7 @@ def pmi_collocations(ds, text_col: str = "text", k: int = 20,
 
 
 def naive_bayes_train(ds, text_col: str = "text", label_col: str = "lang",
-                      num_parts: int = 64) -> dict:
+                      num_parts: int | None = None) -> dict:
     """Multinomial Naive Bayes trainer (add-one smoothing) → a plain
     model dict the predictor broadcasts. Distributed shape: ONE pass of
     per-batch (label, term, count) Counter partials hash-partitioned by
@@ -1147,7 +1135,7 @@ def naive_bayes_train(ds, text_col: str = "text", label_col: str = "lang",
     integer grid at TRAIN time (same trick as ``unigram_lm_surprisal``)
     so prediction sums are associative and SQL-mirrorable."""
     from collections import Counter
-    from zlib import crc32
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         cnt: Counter = Counter()         # (label, term) -> tf
@@ -1157,13 +1145,12 @@ def naive_bayes_train(ds, text_col: str = "text", label_col: str = "lang",
             for w in simple_tokenize(t or ""):
                 cnt[(lab, w)] += 1
         keys = list(cnt.keys())
-        parts = np.fromiter((crc32(t.encode()) % num_parts for _, t in keys),
-                            dtype=np.int32, count=len(keys))
         # doc-count rows ride the same exchange as term "" (no real
         # term is empty after tokenization)
         return pa.table({
             "part": pa.array(np.concatenate(
-                [parts, np.full(len(docs), -1, np.int32)])),
+                [part_of([t for _, t in keys], parts),
+                 np.full(len(docs), -1, np.int32)])),
             "label": pa.array([k[0] for k in keys] + list(docs),
                               pa.string()),
             "term": pa.array([k[1] for k in keys] + [""] * len(docs),
@@ -1181,10 +1168,8 @@ def naive_bayes_train(ds, text_col: str = "text", label_col: str = "lang",
         s = df.groupby(["label", "term"], sort=False)["c"].sum().reset_index()
         return s
 
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(max(8, num_parts // 8)) \
-        .groupby("part").map_groups(sum_part, batch_format="pyarrow") \
-        .to_pandas()
+    agg = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                   blocks, sum_part, "pyarrow").to_pandas()
     doc_rows = agg[agg["term"] == ""]
     tok_rows = agg[agg["term"] != ""]
     n_docs = {lab: int(c) for lab, c in
@@ -1221,7 +1206,8 @@ def naive_bayes_predict(ds, model: dict, text_col: str = "text",
     ref = ray.put(model)
 
     def score(b: pa.Table) -> pa.Table:
-        m = proc_cached(("nb_model", ref.hex()), lambda: ray.get(ref))
+        m = proc_cached(("nb_model", ref.hex()), lambda: ray.get(ref),
+                        cap=1)
         labels, prior, lp, unseen = (m["labels"], m["prior"], m["lp"],
                                      m["unseen"])
         ids, preds = [], []
@@ -1246,7 +1232,8 @@ def naive_bayes_predict(ds, model: dict, text_col: str = "text",
 
 
 def bigram_lm_perplexity(ds, text_col: str = "text",
-                         id_col: str = "doc_id", num_parts: int = 64):
+                         id_col: str = "doc_id",
+                         num_parts: int | None = None):
     """→ Dataset (``id_col``, n_bigrams, bits): CCNet-style LM quality
     scoring one order up from ``unigram_lm_surprisal`` — mean per-BIGRAM
     surprisal in bits under a corpus-fit Laplace-smoothed bigram LM,
@@ -1265,7 +1252,6 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
     to c=0); here the corpus-fit table IS the LM, matching the SQL
     oracle exactly. Docs with < 2 tokens are omitted."""
     from collections import Counter
-    from zlib import crc32
     import ray
 
     from ..analysis.tokenizer import simple_tokenize
@@ -1276,6 +1262,7 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
     # collapses keys at an embedded NUL; simple_tokenize terms are
     # [a-z0-9]+ so a space can never occur inside a token
     SEP = " "
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         bc: Counter = Counter()
@@ -1289,9 +1276,7 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
                                 np.ones(len(bc), np.int8)])
         cnts = np.fromiter((*uni.values(), *bc.values()), np.int64,
                            count=len(keys))
-        parts = np.fromiter((crc32(k.encode()) % num_parts for k in keys),
-                            dtype=np.int32, count=len(keys))
-        return pa.table({"part": pa.array(parts),
+        return pa.table({"part": pa.array(part_of(keys, parts)),
                          "kind": pa.array(kinds),
                          "key": pa.array(keys, pa.string()),
                          "c": pa.array(cnts)})
@@ -1306,10 +1291,8 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
         s = df.groupby(["kind", "key"], sort=False)["c"].sum().reset_index()
         return s
 
-    lm = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(max(8, num_parts // 8)) \
-        .groupby("part").map_groups(sum_part, batch_format="pyarrow") \
-        .to_pandas()
+    lm = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                  blocks, sum_part, "pyarrow").to_pandas()
     v_size = int((lm["kind"] == 0).sum())          # |vocab|
     big = lm[lm["kind"] == 1]
     keys = big["key"].to_numpy()
@@ -1323,7 +1306,8 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
     ref = ray.put(dict(zip(keys, q)))
 
     def score(b: pa.Table) -> pa.Table:
-        lut = proc_cached(("bigram_lm", ref.hex()), lambda: ray.get(ref))
+        lut = proc_cached(("bigram_lm", ref.hex()), lambda: ray.get(ref),
+                          cap=1)
         ids, nbs, bits = [], [], []
         for did, t in zip(b[id_col].to_pylist(), b[text_col].to_pylist()):
             toks = simple_tokenize(t or "")
@@ -1344,7 +1328,7 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
 
 def phrase_did_you_mean(ds, query: str, text_col: str = "text",
                         max_distance: int = 2, cand_k: int = 8,
-                        num_parts: int = 64) -> pa.Table:
+                        num_parts: int | None = None) -> pa.Table:
     """Phrase-level did-you-mean for a 2-term query: per-term spelling
     candidates (vocab terms within ``max_distance`` edits, top
     ``cand_k`` by (distance, −df, term) — the ``spell_suggest`` rule)
@@ -1360,7 +1344,6 @@ def phrase_did_you_mean(ds, query: str, text_col: str = "text",
     candidate pairs survive the map, so the driver fold sees a few
     rows per block. Two corpus passes total, no all-to-all exchange."""
     from collections import Counter
-    from zlib import crc32
 
     from ..analysis.tokenizer import simple_tokenize
 
@@ -1369,6 +1352,7 @@ def phrase_did_you_mean(ds, query: str, text_col: str = "text",
         raise ValueError("phrase_did_you_mean is defined for 2-term "
                          f"queries, got {len(qtoks)} terms")
     q1, q2 = qtoks
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         df: dict[str, int] = {}
@@ -1376,11 +1360,8 @@ def phrase_did_you_mean(ds, query: str, text_col: str = "text",
             for w in set(simple_tokenize(t or "")):
                 df[w] = df.get(w, 0) + 1
         terms = list(df.keys())
-        parts = np.concatenate([
-            np.fromiter((crc32(t.encode()) % num_parts for t in terms),
-                        dtype=np.int32, count=len(terms)),
-            np.array([-1], dtype=np.int32)])
-        return pa.table({"part": pa.array(parts),
+        return pa.table({"part": pa.array(np.append(part_of(terms, parts),
+                                                    -1)),
                          "term": pa.array(terms + [""], pa.string()),
                          "df": pa.array(np.concatenate([
                              np.fromiter(df.values(), np.int64,
@@ -1409,9 +1390,8 @@ def phrase_did_you_mean(ds, query: str, text_col: str = "text",
         return pd.DataFrame(rows, columns=["query_term", "cand",
                                            "dist", "df"])
 
-    ct = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(local_cands, batch_format="pandas") \
-        .to_pandas()
+    ct = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                  blocks, local_cands, "pandas").to_pandas()
     cands: dict[str, list[str]] = {}
     for q in (q1, q2):
         sub = ct[ct["query_term"] == q] \
@@ -1464,7 +1444,7 @@ def phrase_did_you_mean(ds, query: str, text_col: str = "text",
 def group_significant_terms(ds, group_col: str = "lang",
                             text_col: str = "text", k: int = 5,
                             min_fg_df: int = 3,
-                            num_parts: int = 64) -> pa.Table:
+                            num_parts: int | None = None) -> pa.Table:
     """Per-GROUP significant terms (the facet-level sibling of the
     result-set ``significant_terms`` entry): for each group value,
     the terms overrepresented in that group's docs vs the corpus,
@@ -1480,7 +1460,6 @@ def group_significant_terms(ds, group_col: str = "lang",
     groups × k rows reach the driver). Group sizes are a tiny separate
     aggregate, broadcast into the partition closure."""
     from collections import Counter
-    from zlib import crc32
 
     import ray.data as rd
     from ray.data.aggregate import Count
@@ -1490,6 +1469,7 @@ def group_significant_terms(ds, group_col: str = "lang",
     sz = ds.groupby(group_col).aggregate(Count(alias_name="n")).take_all()
     n_g = {r[group_col]: float(r["n"]) for r in sz}
     n_total = float(sum(r["n"] for r in sz))
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         c = Counter()
@@ -1497,12 +1477,9 @@ def group_significant_terms(ds, group_col: str = "lang",
             for w in set(simple_tokenize(t or "")):
                 c[(g, w)] += 1
         ks = list(c.keys())
-        parts = np.concatenate([
-            np.fromiter((crc32(t.encode()) % num_parts for _, t in ks),
-                        dtype=np.int32, count=len(ks)),
-            np.array([-1], dtype=np.int32)])
         return pa.table({
-            "part": pa.array(parts),
+            "part": pa.array(np.append(part_of([t for _, t in ks], parts),
+                                       -1)),
             group_col: pa.array([g for g, _ in ks] + [""], pa.string()),
             "term": pa.array([t for _, t in ks] + [""], pa.string()),
             "n": pa.array(np.concatenate([
@@ -1536,9 +1513,8 @@ def group_significant_terms(ds, group_col: str = "lang",
                                                       sort=False).head(k)
         return out[[group_col, "term", "fg_df", "bg_df", "raw"]]
 
-    rows = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(local_top, batch_format="pandas") \
-        .to_pandas()
+    rows = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    blocks, local_top, "pandas").to_pandas()
     out = rows.sort_values(["raw", "term"], ascending=[False, True],
                            kind="mergesort").groupby(group_col,
                                                      sort=False).head(k)
@@ -1568,25 +1544,17 @@ def vocab_stats(ds, text_col: str = "text",
     partitions), and a ≤ parts-row driver sum. Tokenization is the
     shared ``simple_tokenize`` contract."""
     from collections import Counter
-    from zlib import crc32
-
-    from .partitioning import resolve_exchange_parts
-    parts = num_parts or resolve_exchange_parts(ds)
+    parts, blocks = plan(estimate_rows(ds), _VOCAB_DOCS_PER_PART, num_parts)
 
     def partial(b: pa.Table) -> pa.Table:
         c = Counter()
         for t in b[text_col].to_pylist():
             c.update(simple_tokenize(t or ""))
         terms = list(c.keys())
-        # crc32 like top_bigrams: str hash() is process-salted, and the
-        # per-part scalar fold is only exact if every worker routes a
-        # term to the same partition; sentinel keeps the schema alive
-        pt = np.concatenate([
-            np.fromiter((crc32(g.encode()) % parts for g in terms),
-                        dtype=np.int32, count=len(terms)),
-            np.array([-1], dtype=np.int32)])
+        # the per-part scalar fold is exact because every worker routes
+        # a term to the same part; the sentinel keeps the schema alive
         return pa.table({
-            "part": pa.array(pt),
+            "part": pa.array(np.append(part_of(terms, parts), -1)),
             "term": pa.array(terms + [""], pa.string()),
             "cnt": pa.array(np.concatenate([
                 np.fromiter(c.values(), dtype=np.int64, count=len(c)),
@@ -1607,9 +1575,8 @@ def vocab_stats(ds, text_col: str = "text",
             "n_hapax": np.array([int((v == 1).sum())], dtype=np.int64),
             "max_tf": np.array([v.max()], dtype=np.int64)})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(per_part, batch_format="pandas") \
-        .take_all()
+    rows = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    blocks, per_part, "pandas").take_all()
     n_tokens = sum(int(r["n_tokens"]) for r in rows)
     n_types = sum(int(r["n_types"]) for r in rows)
     n_hapax = sum(int(r["n_hapax"]) for r in rows)

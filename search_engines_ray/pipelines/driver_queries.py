@@ -2710,11 +2710,10 @@ def q_sdm_wand_search(sf_dir: str):
     """Full-analyzer SDM — rows-only integration run; the oracle-checked
     twin is ``sdm_wand_search_simple`` (same driver code path, simple
     analyzer)."""
+    from ..query.sdm import sdm_query
     reader = get_index(sf_dir, "lucene")
     engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    q = ("#wand( 0.7 #and( fast sort ) 0.2 #and( #near/1( fast sort ) ) "
-         "0.1 #and( #window/8( fast sort ) ) )")
-    return engine.search(q, k=100)
+    return engine.search(sdm_query("fast sort"), k=100)
 
 
 def q_sdm_wand_search_simple(sf_dir: str):
@@ -2726,11 +2725,10 @@ def q_sdm_wand_search_simple(sf_dir: str):
     #AND nesting is pure arithmetic over Indri leaves. Exercises the
     identical ``QueryEngine.search`` tree evaluation as the rows-only
     full-analyzer ``sdm_wand_search``."""
+    from ..query.sdm import sdm_query
     reader = get_index(sf_dir, "simple")
     engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    q = ("#wand( 0.7 #and( fast sort ) 0.2 #and( #near/1( fast sort ) ) "
-         "0.1 #and( #window/8( fast sort ) ) )")
-    return _ranked_to_table(engine.search(q, k=10))
+    return _ranked_to_table(engine.search(sdm_query("fast sort"), k=10))
 
 
 def q_prf_expansion(sf_dir: str):

@@ -98,25 +98,6 @@ def interpolated_precision_11pt(ranked: list[str],
             for lvl in range(11)]
 
 
-def evaluate_run(run: dict[str, list[str]], qrels: dict[str, dict[str, int]],
-                 ks: tuple[int, ...] = (5, 10, 100)) -> dict:
-    """run: qid → ranked external ids; qrels: qid → {doc: rel}.
-    → {"map":…, "mrr":…, "p@k":…, "ndcg@k":…, "n_queries":…} averaged
-    over the queries present in qrels (trec_eval convention)."""
-    qids = [q for q in run if q in qrels]
-    if not qids:
-        return {"n_queries": 0}
-    out: dict = {"n_queries": len(qids)}
-    out["map"] = sum(average_precision(run[q], qrels[q]) for q in qids) / len(qids)
-    out["mrr"] = sum(reciprocal_rank(run[q], qrels[q]) for q in qids) / len(qids)
-    for k in ks:
-        out[f"p@{k}"] = sum(precision_at_k(run[q], qrels[q], k)
-                            for q in qids) / len(qids)
-        out[f"ndcg@{k}"] = sum(ndcg_at_k(run[q], qrels[q], k)
-                               for q in qids) / len(qids)
-    return out
-
-
 def paired_ttest(per_query_a: list[float],
                  per_query_b: list[float]) -> dict:
     """Paired Student's t over per-query metric values (the standard IR

@@ -3,6 +3,25 @@ import pandas as pd
 import pytest
 
 
+def _fake_media_batch(n: int, kind: str = "image", seed: int = 0):
+    """Deterministic synthetic media rows matching MEDIA_SCHEMA."""
+    import pyarrow as pa
+
+    from search_engines_ray.functions.multimodal import MEDIA_SCHEMA
+    rng = np.random.default_rng(seed)
+    payloads = [rng.integers(0, 256, size=64 + 8 * i, dtype=np.uint8).tobytes()
+                for i in range(n)]
+    return pa.table({
+        "media_id": pa.array(np.arange(n, dtype=np.int64) + seed * 10_000),
+        "kind": pa.array([kind] * n),
+        "payload": pa.array(payloads, pa.binary()),
+        "mime": pa.array(["image/fake"] * n),
+        "width": pa.array(np.full(n, 32, dtype=np.int32)),
+        "height": pa.array(np.full(n, 32, dtype=np.int32)),
+        "duration_ms": pa.array(np.full(n, -1, dtype=np.int32)),
+    }, schema=MEDIA_SCHEMA)
+
+
 @pytest.fixture(scope="module")
 def dup_docs(ray_session):
     import ray.data as rd
@@ -130,9 +149,9 @@ def test_doc_fingerprint_deterministic(ray_session):
 def test_multimodal_plumbing(ray_session):
     import ray.data as rd
     from search_engines_ray.functions.multimodal import (
-        DecodeImage, decode_features, make_fake_media_batch,
+        DecodeImage, decode_features,
     )
-    media = rd.from_arrow(make_fake_media_batch(20))
+    media = rd.from_arrow(_fake_media_batch(20))
     out = decode_features(media, fake=True).to_pandas()
     assert len(out) == 20
     assert all(len(f) == 16 for f in out["features"])
@@ -240,20 +259,18 @@ def test_frame_sample_auto_and_real_branch():
     the real branch (driven with a stub reader) emits one mean-luma
     byte per stride-th frame."""
     import ray.data as rd
-    from search_engines_ray.functions.multimodal import (
-        FrameSample, make_fake_media_batch,
-    )
+    from search_engines_ray.functions.multimodal import FrameSample
     fs = FrameSample(stride=3, auto=True)
     try:
         import imageio.v3  # noqa: F401
         assert fs._reader is not None and not fs.fake
     except ImportError:
         assert fs._reader is None and fs.fake
-    media = rd.from_arrow(make_fake_media_batch(6, kind="video"))
+    media = rd.from_arrow(_fake_media_batch(6, kind="video"))
     out = fs(media.take_batch(6, batch_format="pyarrow"))
     assert out.num_rows == 6
     if fs.fake:
-        pay = make_fake_media_batch(6, kind="video")["payload"].to_pylist()
+        pay = _fake_media_batch(6, kind="video")["payload"].to_pylist()
         assert out["frames"].to_pylist() == [p[::3] for p in pay]
 
     class _StubReader:
@@ -646,19 +663,105 @@ def test_dedup_lines(ray_session):
 
 
 
+def _exchange_ops():
+    """(name, call) for every operator whose exchange follows
+    partitioning.plan; ``call(ds)`` takes the wide test table below."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from search_engines_ray.functions import (
+        dedup, events, graph, join, sample, sketch, text,
+    )
+
+    def edges(ds):
+        return ds.select_columns(["src", "dst"])
+
+    def nodes(ds):
+        return rd.from_arrow(pa.table({"node": pa.array(np.arange(40))}))
+
+    return [
+        ("exact_dedup", lambda ds: dedup.exact_dedup(ds)),
+        ("dedup_lines", lambda ds: dedup.dedup_lines(ds)),
+        ("dup_span_stats", lambda ds: dedup.dup_span_stats(ds, id_col="n")),
+        ("remove_dup_spans",
+         lambda ds: dedup.remove_dup_spans(ds, id_col="n")),
+        ("minhash_lsh_dedup", lambda ds: dedup.minhash_lsh_dedup(
+            ds, id_col="n", jaccard_threshold=0.5)),
+        ("minhash_candidate_pairs",
+         lambda ds: dedup.minhash_candidate_pairs(ds, id_col="n")),
+        ("hyperloglog_distinct",
+         lambda ds: sketch.hyperloglog_distinct(ds, "doc_id", "lang")),
+        ("value_quantiles", lambda ds: sketch.value_quantiles(ds, "val",
+                                                              "lang")),
+        ("value_histogram", lambda ds: sketch.value_histogram(ds, "val",
+                                                              "lang")),
+        ("value_stats", lambda ds: sketch.value_stats(ds, "val", "lang")),
+        ("percentile_ranks", lambda ds: sketch.percentile_ranks(ds, "val",
+                                                                "lang")),
+        ("tumbling_window_aggregate",
+         lambda ds: events.tumbling_window_aggregate(
+             ds, key_col="etype", value_col="val")),
+        ("sliding_window_aggregate",
+         lambda ds: events.sliding_window_aggregate(
+             ds, key_col="etype", value_col="val")),
+        ("sessionize", lambda ds: events.sessionize(
+            ds, gap_s=600, user_col="user", value_col="val")),
+        ("asof_join", lambda ds: events.asof_join(
+            ds, ds, "user", "user", "ts", "ts", "n", "g")),
+        ("event_transitions", lambda ds: events.event_transitions(
+            ds, user_col="user", type_col="etype", id_col="n")),
+        ("topk_per_group",
+         lambda ds: sample.topk_per_group(ds, "g", "val", "n")),
+        ("connected_components",
+         lambda ds: graph.connected_components(edges(ds))),
+        ("pagerank", lambda ds: graph.pagerank(edges(ds), nodes(ds),
+                                               iters=1)),
+        ("hits", lambda ds: graph.hits(edges(ds), nodes(ds), iters=1)),
+        ("anchor_text", lambda ds: graph.anchor_text(
+            ds, anchor_col="etype", order_cols=("src", "n"))),
+        ("shuffle_hash_join", lambda ds: join.shuffle_hash_join(
+            ds.select_columns(["n", "text"]),
+            ds.select_columns(["n", "val"]), "n", how="left")),
+        ("bloom_semijoin", lambda ds: join.bloom_semijoin(
+            ds.select_columns(["n", "g"]),
+            ds.filter(lambda r: r["g"] == 1).select_columns(["n"]), "n")),
+        ("top_bigrams", lambda ds: text.top_bigrams(ds, k=20)),
+        ("distinctive_terms",
+         lambda ds: text.distinctive_terms(ds, id_col="n")),
+        ("unigram_lm_surprisal",
+         lambda ds: text.unigram_lm_surprisal(ds, id_col="n")),
+        ("prefix_suggest", lambda ds: text.prefix_suggest(ds, "w1")),
+        ("spell_suggest", lambda ds: text.spell_suggest(
+            ds, ["lnie", "shered", "zzzzzzzz"])),
+        ("more_like_this",
+         lambda ds: text.more_like_this(ds, 20, id_col="n")),
+        ("pmi_collocations",
+         lambda ds: text.pmi_collocations(ds, min_count=2)),
+        ("naive_bayes_train",
+         lambda ds: text.naive_bayes_train(ds, label_col="lang")),
+        ("bigram_lm_perplexity",
+         lambda ds: text.bigram_lm_perplexity(ds, id_col="n")),
+        ("phrase_did_you_mean",
+         lambda ds: text.phrase_did_you_mean(ds, "shered lnie")),
+        ("group_significant_terms", lambda ds: text.group_significant_terms(
+            ds, group_col="lang", min_fg_df=2)),
+        ("vocab_stats", lambda ds: text.vocab_stats(ds)),
+    ]
+
+
 def test_dedup_exchanges_invariant_to_parts_and_blocks(ray_session,
-                                                       tmp_path):
-    """exact_dedup, dedup_lines and dup_span_stats size their exchange
-    from the input (Parquet row estimate, or a fixed default without
-    one): the rows they return must not depend on the part count or on
-    how many blocks the input arrives in. A null text hashes as b"";
-    ids are strings except for dup_span_stats, which takes int ids."""
+                                                       tmp_path,
+                                                       monkeypatch):
+    """Every operator whose exchange follows partitioning.plan returns
+    the same rows whatever the part count (the plan's, 1 or 3) and
+    however the input arrives: 1 or 64 blocks, or without Parquet
+    footers (the plan's fixed default). A null text hashes as b""."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from search_engines_ray.functions.dedup import (
-        dedup_lines, dup_span_stats, exact_dedup,
+    from search_engines_ray.functions import (
+        dedup, events, graph, join, partitioning, sample, sketch, text,
     )
 
     rng = np.random.default_rng(5)
@@ -671,9 +774,21 @@ def test_dedup_exchanges_invariant_to_parts_and_blocks(ray_session,
     texts[7] = texts[3]                  # verbatim copy
     texts[11] = None                     # hashes as b""
     texts[12] = ""
-    t = pa.table({"doc_id": pa.array([f"u{i:04d}" for i in range(120)]),
-                  "n": pa.array(np.arange(120, dtype=np.int64) * 3 - 40),
-                  "text": pa.array(texts, pa.string())})
+    i = np.arange(120, dtype=np.int64)
+    t = pa.table({
+        "doc_id": pa.array([f"u{k:04d}" for k in range(120)]),
+        "n": pa.array(i * 3 - 40),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(np.array(["en", "de", "fr"])[i % 3]),
+        "g": pa.array(i % 5),
+        "val": pa.array(np.round(rng.integers(-500, 5000, 120) / 100, 2)),
+        "ts": pa.array((1_700_000_000 + rng.integers(0, 6 * 3600, 120))
+                       .astype("datetime64[s]")),
+        "user": pa.array(i % 9),
+        "etype": pa.array(np.array(["view", "click", "buy"])[i % 7 % 3]),
+        "src": pa.array(i % 40),
+        "dst": pa.array((i * 7 + 3) % 40),
+    })
     f = tmp_path / "docs.parquet"
     pq.write_table(t, f, row_group_size=8)
     assert rd.read_parquet(str(f), override_num_blocks=64) \
@@ -687,18 +802,32 @@ def test_dedup_exchanges_invariant_to_parts_and_blocks(ray_session,
         yield rd.from_arrow(t), None     # no footers: the default plan
 
     def canon(out):
+        if isinstance(out, dict):        # naive_bayes_train's model
+            return repr(sorted((k, sorted(v.items()) if isinstance(v, dict)
+                                else v) for k, v in out.items()))
         df = out.to_pandas()
         return df.sort_values(list(df.columns), ignore_index=True)
 
-    for fn, kw in ((exact_dedup, {}), (dedup_lines, {}),
-                   (dup_span_stats, {"id_col": "n"})):
-        outs = [canon(fn(ds, num_parts=parts, **kw))
-                for ds, parts in variants()]
-        assert len(outs[0]) > 0
+    plan = partitioning.plan
+    for name, call in _exchange_ops():
+        outs = []
+        for ds, parts in variants():
+            # an explicit num_parts wins over the plan, as a caller's would
+            with monkeypatch.context() as m:
+                for mod in (dedup, events, graph, join, sample, sketch,
+                            text):
+                    m.setattr(mod, "plan", lambda n, r, num_parts=None,
+                              p=parts: plan(n, r, num_parts or p))
+                outs.append(canon(call(ds)))
+        if isinstance(outs[0], str):
+            assert len(set(outs)) == 1, name
+            continue
+        assert len(outs[0]) > 0, name
         for o in outs[1:]:
-            pd.testing.assert_frame_equal(outs[0], o)
-    exact = canon(exact_dedup(rd.read_parquet(str(f))))
+            pd.testing.assert_frame_equal(outs[0], o, obj=name)
+    exact = canon(dedup.exact_dedup(rd.read_parquet(str(f))))
     assert exact["n_dups"].sum() == 120 and exact["n_dups"].max() >= 2
+
 
 def test_best_passage(ray_session):
     """Window covering the most distinct query terms wins; ties break to
@@ -776,8 +905,7 @@ def test_bpe_train_matches_stream_reference(ray_session):
 
     import ray.data as rd
     from search_engines_ray.analysis.tokenizer import simple_tokenize
-    from search_engines_ray.functions.bpe import (
-        END, bpe_encode_counts, bpe_train)
+    from search_engines_ray.functions.bpe import END, bpe_train
 
     texts = ["the quick brown fox jumps over the lazy dog",
              "the lazy dog sleeps all day the dog dreams",
@@ -812,13 +940,6 @@ def test_bpe_train_matches_stream_reference(ray_session):
     want = naive(25)
     assert list(zip(got["left"].to_pylist(), got["right"].to_pylist(),
                     got["freq"].to_pylist())) == want
-
-    # encode: more merges → fewer-or-equal subwords, floor = word count
-    m = list(zip(got["left"].to_pylist(), got["right"].to_pylist()))
-    c0 = bpe_encode_counts(ds, [], ).to_pandas().set_index("doc_id")
-    c25 = bpe_encode_counts(ds, m).to_pandas().set_index("doc_id")
-    assert (c25["bpe_tokens"] <= c0["bpe_tokens"]).all()
-    assert (c25.loc[4, "bpe_tokens"] == 0)  # empty doc
 
 
 def test_weighted_sample(ray_session):
@@ -1152,3 +1273,43 @@ def test_samplers_string_ids(ray_session, sampler):
                                         pa.array(np.arange(200) + 0.5)))
     with pytest.raises(Exception, match="integer or string"):
         run(floats).to_pandas()
+
+
+def test_exchange_decision_lives_in_partitioning():
+    """Only functions/partitioning.py routes rows to parts and runs the
+    part exchange: no other functions/ module hashes with crc32 or
+    groups by the part column itself."""
+    import pathlib
+
+    import search_engines_ray.functions as fns
+    root = pathlib.Path(fns.__file__).parent
+    bad = [(p.name, pat) for p in sorted(root.glob("*.py"))
+           if p.name != "partitioning.py"
+           for pat in ("crc32(", 'groupby("part")', "groupby('part')")
+           if pat in p.read_text()]
+    assert not bad, bad
+
+
+def test_broadcast_cache_keeps_latest_per_operator(ray_session):
+    """An operator that broadcasts a fresh ray.put per call keeps only
+    its latest broadcast in a worker's process cache: repeated calls
+    must not pin every earlier broadcast for the worker's lifetime.
+    The scoring UDFs run in this process so its cache can be read."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from search_engines_ray import util
+    from search_engines_ray.functions.text import (
+        naive_bayes_predict, unigram_lm_surprisal,
+    )
+
+    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+                  "text": ["a b c", "b c d", "c d e"]})
+    model = {"labels": ["x"], "prior": {"x": 0}, "lp": {}, "unseen": {"x": -1}}
+    for _ in range(3):
+        for out in (unigram_lm_surprisal(rd.from_arrow(t)),
+                    naive_bayes_predict(rd.from_arrow(t), model)):
+            out._logical_plan.dag._fn(t)
+    for ns in ("unigram_lm", "nb_model"):
+        assert not [k for k in util._PROC_CACHE if k[0] == ns], ns
+        assert len(util._BOUNDED[ns]) == 1, ns

@@ -223,45 +223,40 @@ def test_hll_fast_path_accuracy_and_invariance(rd):
     assert abs(int(est1["n_distinct_est"][0]) - true) / true < 0.05
 
 
-def test_resolve_exchange_parts_scales_with_corpus(rd, tmp_path):
-    """VERDICT r4 item 2: the exchange knob derives from corpus
-    metadata — a big corpus picks more parts than the floor, a
-    metadata-less dataset falls back to the operator default, and an
-    explicit argument always wins."""
+def test_exchange_plan_scales_with_input(rd, tmp_path):
+    """The one exchange plan: (parts, blocks) from the input's Parquet
+    footers — a small input is one part in one block, the plan grows
+    with the input up to a cap, an explicit num_parts wins, and an
+    input without footers gets the fixed default. The router is
+    process-independent and stays in [0, parts)."""
     import pyarrow.parquet as pq
 
     from search_engines_ray.functions import dedup
     from search_engines_ray.functions.partitioning import (
-        estimate_rows, resolve_exchange_parts,
+        DEFAULT_PARTS, ROWS_PER_PART, estimate_rows, part_of, plan,
     )
-
-    assert resolve_exchange_parts(n_rows=100) == 16           # floor
-    assert resolve_exchange_parts(n_rows=250_000_000) == 1000  # scales
-    assert resolve_exchange_parts(n_rows=10**12) == 4096       # cap
-    assert resolve_exchange_parts(None) == 64                  # default
 
     f = tmp_path / "t.parquet"
     pq.write_table(pa.table({"x": pa.array(np.arange(1000))}), f)
     ds = rd.read_parquet(str(f))
     assert estimate_rows(ds) == 1000
-    assert resolve_exchange_parts(ds) == 16
-    # metadata-less input → operator default, never an execution
+    assert estimate_rows(ds.map_batches(lambda b: b)) == 1000
+    assert plan(estimate_rows(ds), ROWS_PER_PART) == (1, 1)
+    assert plan(10**8, ROWS_PER_PART) == (382, 32)
+    assert plan(10**12, ROWS_PER_PART) == (16384, 2048)
+    # an explicit num_parts wins; blocks never exceed the parts
+    assert plan(1000, ROWS_PER_PART, 17) == (17, 16)
+    assert plan(1000, ROWS_PER_PART, 3) == (3, 3)
+    assert plan(10**12, ROWS_PER_PART, 5000) == (5000, 625)
+    # no footers → the default, never an execution
     assert estimate_rows(rd.from_items([{"x": 1}])) is None
-    # dedup exchange plan (parts, blocks): a small corpus is one part in
-    # one block, a web-scale corpus grows the parts up to the cap, an
-    # explicit num_parts wins, a metadata-less input keeps the 256 parts
-    # and 32 blocks of the fixed plan this replaced
-    per = dedup._DIGEST_DOCS_PER_PART
-    assert dedup._exchange_plan(estimate_rows(ds), None, per) == (1, 1)
-    assert dedup._exchange_plan(10**8, None, per) == (382, 32)
-    assert dedup._exchange_plan(10**12, None, per) == (16384, 2048)
-    assert dedup._exchange_plan(estimate_rows(ds), 17, per) == (17, 16)
-    assert dedup._exchange_plan(estimate_rows(ds), 3, per) == (3, 3)
-    assert dedup._exchange_plan(
-        estimate_rows(rd.from_items([{"x": 1}])), None, per) == (256, 32)
-    # never more blocks than the fixed plan, and never more exchanged
-    # rows per reduce call than that plan or ~2^18, for each site's
-    # measured rows per doc (digests 1, lines 7.2, shingles 47.1)
+    assert plan(None, ROWS_PER_PART) == (DEFAULT_PARTS, 32)
+    assert plan(None, ROWS_PER_PART, 3) == (3, 3)
+    # a site exchanging k rows per input row plans like k times the rows
+    assert plan(10**6, ROWS_PER_PART // 48) == plan(48 * 10**6, ROWS_PER_PART)
+    # never more blocks than the fixed plans this one replaced, and
+    # never more exchanged rows per reduce call than those plans or
+    # ~2^18, for the dedup sites' measured rows per doc
     for per, rows_per_doc in ((dedup._DIGEST_DOCS_PER_PART, 1.0),
                               (dedup._LINE_DOCS_PER_PART, 7.2),
                               (dedup._SHINGLE_DOCS_PER_PART, 47.1)):
@@ -269,16 +264,24 @@ def test_resolve_exchange_parts_scales_with_corpus(rd, tmp_path):
             for num_parts in (None, 3, 64, 5000):
                 old_parts = num_parts or \
                     min(16384, max(256, -(-n // 2_000_000)))
-                parts, blocks = dedup._exchange_plan(n, num_parts, per)
-                assert blocks <= max(16, old_parts // 8)
+                parts, blocks = plan(n, per, num_parts)
+                assert 1 <= blocks <= min(parts, max(16, old_parts // 8))
                 if num_parts is None:
                     per_call = n * rows_per_doc / parts
                     assert per_call <= max(
                         1 << 18, n * rows_per_doc / old_parts)
-    from search_engines_ray.functions import partitioning as pt
-    assert pt.resolve_exchange_parts(
-        n_rows=10**12, rows_per_part=2_000_000, min_parts=256,
-        max_parts=16384, default=256) == 16384
+    # the router: in range, deterministic, and alike for a value's
+    # int32 / int64 forms and for str lists and object arrays
+    ids = np.arange(-50, 5000, dtype=np.int64)
+    p = part_of(ids, 7)
+    assert p.dtype == np.int32 and p.min() >= 0 and p.max() < 7
+    assert len(set(p.tolist())) == 7
+    assert (part_of(ids[ids >= 0].astype(np.int32), 7) == p[ids >= 0]).all()
+    words = [f"w{i}" for i in range(300)]
+    assert (part_of(words, 5) ==
+            part_of(np.asarray(words, dtype=object), 5)).all()
+    assert part_of(words, 5).tolist() == part_of(list(words), 5).tolist()
+    assert part_of([], 5).size == 0
 
 
 def test_dataset_split_deterministic_and_validated(rd):
