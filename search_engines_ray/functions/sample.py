@@ -281,16 +281,14 @@ def dataset_split(ds, fractions: tuple = (0.98, 0.01, 0.01),
         np.round(np.asarray(fractions, dtype=np.float64) * m)
     ).astype(np.int64)
     bounds[-1] = m
-    names = tuple(str(n) for n in names)
+    labels = pa.array([str(n) for n in names], pa.string())
 
     def assign(b: pa.Table) -> pa.Table:
         ids = b[id_col].to_pylist()
         bucket = (_id_hash64(ids, auditable)
                   % np.uint64(m)).astype(np.int64)
         idx = np.searchsorted(bounds, bucket, side="right")
-        return pa.table({
-            id_col: b[id_col],
-            "split": pa.array([names[i] for i in idx], pa.string())})
+        return pa.table({id_col: b[id_col], "split": labels.take(idx)})
 
     return ds.map_batches(assign, batch_format="pyarrow")
 

@@ -651,6 +651,19 @@ def _levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+_SPELL_SCHEMA = pa.schema([("query_term", pa.string()),
+                           ("suggestion", pa.string()),
+                           ("distance", pa.int64()), ("df", pa.int64())])
+
+
+def _spell_table(rows: list) -> pa.Table:
+    """``spell_suggest`` rows (query_term, suggestion, distance, df) →
+    a table typed even at 0 rows."""
+    cols = list(zip(*rows)) or [()] * 4
+    return pa.table([pa.array(c, f.type) for c, f in zip(cols, _SPELL_SCHEMA)],
+                    schema=_SPELL_SCHEMA)
+
+
 def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
                   num_parts: int | None = None, max_distance: int = 3):
     """→ Dataset (query_term, suggestion, distance, df): did-you-mean —
@@ -687,27 +700,17 @@ def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
                                          count=len(df)),
                              np.array([0], dtype=np.int64)]))})
 
-    def local_best(g: pa.Table):
+    def local_best(g: pa.Table) -> pa.Table:
         # the sentinel group (part -1) passes THROUGH as a marker row
         # (distance -1, dropped in final) — a 0-row output block would
         # be dropped and the schema lost with it
-        import pandas as pd
         vdf = g.to_pandas()
-        sentinel = pd.DataFrame(
-            {"query_term": pd.Series([""], dtype=object),
-             "suggestion": pd.Series([""], dtype=object),
-             "distance": pd.Series([-1], dtype=np.int64),
-             "df": pd.Series([-1], dtype=np.int64)})
         if (vdf["part"] < 0).any():
             vdf = vdf[vdf["part"] >= 0]
             if vdf.empty:
-                return sentinel
-        cols = {"query_term": pd.Series([], dtype=object),
-                "suggestion": pd.Series([], dtype=object),
-                "distance": pd.Series([], dtype=np.int64),
-                "df": pd.Series([], dtype=np.int64)}
+                return _spell_table([("", "", -1, -1)])
         if vdf.empty:
-            return pd.DataFrame(cols)
+            return _spell_table([])
         s = vdf.groupby("term", sort=True)["df"].sum()
         vocab, dfs = s.index.to_numpy(), s.to_numpy(np.int64)
         rows = []
@@ -725,30 +728,22 @@ def spell_suggest(ds, query_terms: list[str], text_col: str = "text",
                     best = key
             if best is not None:
                 rows.append((q, best[2], best[0], -best[1]))
-        if not rows:
-            return pd.DataFrame(cols)
-        return pd.DataFrame(rows, columns=["query_term", "suggestion",
-                                           "distance", "df"])
+        return _spell_table(rows)
 
-    def final(df):
-        import pandas as pd
+    def final(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         df = df[df["distance"] >= 0]
-        if df.empty:
-            return pd.DataFrame({
-                "query_term": pd.Series([], dtype=object),
-                "suggestion": pd.Series([], dtype=object),
-                "distance": pd.Series([], dtype=np.int64),
-                "df": pd.Series([], dtype=np.int64)})
         df = df.sort_values(["query_term", "distance", "df", "suggestion"],
                             ascending=[True, True, False, True],
                             kind="stable")
-        return df.groupby("query_term", sort=True).head(1) \
-            .reset_index(drop=True)
+        return pa.Table.from_pandas(
+            df.groupby("query_term", sort=True).head(1),
+            schema=_SPELL_SCHEMA, preserve_index=False)
 
     return exchange(ds.map_batches(partial, batch_format="pyarrow"),
                     blocks, local_best, "pyarrow") \
         .repartition(1) \
-        .map_batches(final, batch_format="pandas", batch_size=None)
+        .map_batches(final, batch_format="pyarrow", batch_size=None)
 
 
 def chunk_documents(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -853,9 +848,17 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
     driver merge over ≤ batches × k rows (the exact-ANN pattern)."""
     import math
 
+    import ray.data as rd
+
     from ..analysis.tokenizer import simple_tokenize
 
     qid = int(query_doc_id)
+
+    def nothing():
+        # one typed block, not one more pass over the input that maps
+        # each of its blocks to an empty table
+        return rd.from_arrow(pa.table({id_col: pa.array([], pa.int64()),
+                                       "score": pa.array([], pa.float64())}))
 
     def meta(b: pa.Table) -> pa.Table:
         n = 0
@@ -875,10 +878,7 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
     n_docs = int(np.sum(parts_tbl["n"].to_numpy()))
     qtexts = [x for x in parts_tbl["qtext"].to_pylist() if x is not None]
     if not qtexts or n_docs == 0:
-        return ds.map_batches(
-            lambda b: pa.table({id_col: pa.array([], pa.int64()),
-                                "score": pa.array([], pa.float64())}),
-            batch_format="pyarrow")
+        return nothing()
     qt, qc = np.unique(np.asarray(simple_tokenize(qtexts[0]),
                                   dtype=object), return_counts=True)
     tfq = dict(zip(qt.tolist(), qc.astype(np.int64).tolist()))
@@ -956,10 +956,7 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
         .iter_batches(batch_size=None, batch_format="pyarrow")
         if b.num_rows]
     if not qrow:
-        return sums.map_batches(
-            lambda b: pa.table({id_col: pa.array([], pa.int64()),
-                                "score": pa.array([], pa.float64())}),
-            batch_format="pyarrow")
+        return nothing()
     nq = math.sqrt(float(qrow[0]["nsq"][0].as_py()))
 
     def topk(b: pa.Table) -> pa.Table:
@@ -973,13 +970,14 @@ def more_like_this(ds, query_doc_id: int, text_col: str = "text",
         return pa.table({id_col: pa.array(doc[order]),
                          "raw": pa.array(raw[order])})
 
-    cand = pa.concat_tables(list(
-        sums.map_batches(topk, batch_format="pyarrow")
-        .iter_batches(batch_size=None, batch_format="pyarrow")))
+    cand = list(sums.map_batches(topk, batch_format="pyarrow")
+                .iter_batches(batch_size=None, batch_format="pyarrow"))
+    if not cand:                    # no doc shares a term with the query
+        return nothing()
+    cand = pa.concat_tables(cand)
     doc = cand[id_col].to_numpy(zero_copy_only=False)
     raw = cand["raw"].to_numpy(zero_copy_only=False)
     order = np.lexsort((doc, -raw))[:k]
-    import ray.data as rd
     return rd.from_arrow(pa.table({
         id_col: pa.array(doc[order]),
         "score": pa.array(round6(raw[order]))}))

@@ -13,11 +13,16 @@ Positional operators (#NEAR/n `QryIopNear.java:80-128`, #WINDOW/n
 `QryIopWindow.java:106-143`, #SYN `QryIopSyn.java:17-71`) materialize
 derived inverted lists first — their *derived* df/ctf feed the scorers,
 exactly as ``QryIop.evaluate`` materializes before scoring
-(``QryIop.java:174-190``).
+(``QryIop.java:174-190``). #NEAR/#WINDOW run the reference's per-doc
+state machines in lockstep: per-doc heads over every common doc, each
+numpy step moving all live docs one step on (#NEAR as pairwise passes
+whose matches carry into the next pass as per-doc runs). Once fewer than
+``_TAIL_DOCS`` docs are live, they finish in the plain-list kernels.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,36 +85,43 @@ class _Scored:
     def scores_for(self, docids: np.ndarray, model) -> np.ndarray:
         """Scores aligned to ``docids``; non-matching docs get the
         default score (Indri) or 0."""
-        idx = np.searchsorted(self.docids, docids)
-        idx_c = np.clip(idx, 0, max(self.docids.size - 1, 0))
-        hit = (self.docids.size > 0) & (self.docids[idx_c] == docids) if self.docids.size \
-            else np.zeros(docids.size, dtype=bool)
         if isinstance(model, IndriModel):
             out = self.default(docids)
         else:
             out = np.zeros(docids.size, dtype=np.float64)
-        if self.docids.size:
-            out[hit] = self.scores[idx_c[hit]]
+        idx, hit = _align(self.docids, docids)
+        out[hit] = self.scores[idx[hit]]
         return out
 
 
 # ---------------------------------------------------------------- Iop plane
+
+def _runs(doc: np.ndarray, pos: np.ndarray):
+    """Stable-sort (doc, pos) pairs by doc → (docs, starts, ends, pos):
+    one run of positions per distinct doc, pair order kept within it."""
+    order = np.argsort(doc, kind="stable")
+    doc, pos = doc[order], pos[order]
+    new = np.ones(doc.size + 1, dtype=bool)
+    new[1:-1] = doc[1:] != doc[:-1]
+    b = np.flatnonzero(new)
+    return doc[b[:-1]], b[:-1], b[1:], pos
+
+
+def _inv(docids, starts, ends, pos, field: str) -> InvList:
+    """Derived InvList from per-doc runs of ``pos``; df/ctf recounted."""
+    if docids.size == 0:
+        return InvList.empty(field)
+    return InvList(docids, (ends - starts).astype(np.int32),
+                   pos.astype(np.int32), int(docids.size), int(pos.size),
+                   field)
+
 
 def _syn(args: list[InvList], field: str) -> InvList:
     """#SYN: docid union; positions = sorted concat (QryIopSyn.java:17-71)."""
     doc_rep = np.concatenate([np.repeat(a.docids, a.tfs) for a in args])
     pos_all = np.concatenate([a.positions for a in args])
     order = np.lexsort((pos_all, doc_rep))
-    doc_s, pos_s = doc_rep[order], pos_all[order]
-    if doc_s.size == 0:
-        return InvList.empty(field)
-    new = np.empty(doc_s.size, dtype=bool)
-    new[0] = True
-    new[1:] = doc_s[1:] != doc_s[:-1]
-    starts = np.flatnonzero(new)
-    tfs = np.diff(np.append(starts, doc_s.size)).astype(np.int32)
-    return InvList(doc_s[starts], tfs, pos_s.astype(np.int32),
-                   int(starts.size), int(doc_s.size), field)
+    return _inv(*_runs(doc_rep[order], pos_all[order]), field)
 
 
 def _first(a: InvList, field: str, n: int) -> InvList:
@@ -119,42 +131,28 @@ def _first(a: InvList, field: str, n: int) -> InvList:
     like #NEAR: df/ctf recomputed from the survivors. Vectorized:
     one boolean mask + one run-length regroup, no per-doc loop."""
     keep = a.positions < n
-    if not keep.any():
-        return InvList.empty(field)
-    doc_rep = np.repeat(a.docids, a.tfs)[keep]
-    pos = a.positions[keep]
-    new = np.empty(doc_rep.size, dtype=bool)
-    new[0] = True
-    new[1:] = doc_rep[1:] != doc_rep[:-1]
-    starts = np.flatnonzero(new)
-    tfs = np.diff(np.append(starts, doc_rep.size)).astype(np.int32)
-    return InvList(doc_rep[starts], tfs, pos.astype(np.int32),
-                   int(starts.size), int(doc_rep.size), field)
+    return _inv(*_runs(np.repeat(a.docids, a.tfs)[keep], a.positions[keep]),
+                field)
 
 
 def _near_positions(lists: list, n: int) -> list[int]:
-    """Left→right pairwise two-pointer match (QryIopNear.java:80-128):
-    keep right position r when an unconsumed left l satisfies
-    l <= r <= l + n; matched pairs are consumed. Plain-list kernel."""
-    cur = list(lists[0])
-    for right in lists[1:]:
-        out = []
-        i = j = 0
-        nl, nr = len(cur), len(right)
-        while i < nl and j < nr:
-            l, r = cur[i], right[j]
-            if r < l:
-                j += 1
-            elif r - l <= n:
-                out.append(r)
-                i += 1
-                j += 1
-            else:
-                i += 1
-        cur = out
-        if not cur:
-            break
-    return cur
+    """One left→right two-pointer pass of #NEAR/n over (left, right)
+    (QryIopNear.java:80-128): keep right position r when an unconsumed
+    left l satisfies l <= r <= l + n; matched pairs are consumed."""
+    (left, right), out = lists, []
+    i = j = 0
+    nl, nr = len(left), len(right)
+    while i < nl and j < nr:
+        l, r = left[i], right[j]
+        if r < l:
+            j += 1
+        elif r - l <= n:
+            out.append(r)
+            i += 1
+            j += 1
+        else:
+            i += 1
+    return out
 
 
 def _window_positions(lists: list, n: int) -> list[int]:
@@ -173,82 +171,85 @@ def _window_positions(lists: list, n: int) -> list[int]:
     return out
 
 
+# Live-doc floor of the lockstep loops: below it a loop hands its docs
+# to the per-doc kernels above. One lockstep step costs ~20–30 µs of
+# numpy calls at any width up to a few hundred docs, one Python step
+# ~2 µs per doc for #WINDOW over 2 args and ~0.2 µs for #NEAR (1-vCPU VM,
+# numpy 1.26, docs of tf 300): break-even near 17 and 100–120 docs.
+_TAIL_DOCS = {"window": 16, "near": 128}
+
+
+def _lockstep(kind: str, segs: list, n: int):
+    """Run ``kind``'s per-doc state machine for every doc at once.
+    ``segs`` holds one (positions, heads, ends) per list with one head
+    per doc; each numpy step moves every live doc one step on (#NEAR:
+    one two-pointer pass over two lists). The last live docs finish in
+    the per-doc kernel from their heads. → (doc, position) pairs, in
+    emission order within a doc."""
+    pos, H, E = (list(x) for x in zip(*segs))
+    docs = np.arange(H[0].size)
+    out_d, out_p = [], []
+    while True:
+        live = functools.reduce(np.logical_and,
+                                [h < e for h, e in zip(H, E)])
+        if not live.all():
+            H, E, docs = [h[live] for h in H], [e[live] for e in E], \
+                docs[live]
+        if docs.size == 0 or docs.size < _TAIL_DOCS[kind]:
+            break
+        V = [p[h] for p, h in zip(pos, H)]
+        if kind == "near":
+            (l, r), emit = V, V[1]
+            back = r < l
+            hit = ~back & (r - l <= n)
+            step = [~back, back | hit]
+        else:
+            emit = functools.reduce(np.maximum, V)
+            mn = functools.reduce(np.minimum, V)
+            hit = emit - mn < n
+            # a hit advances every head. A miss advances every head at
+            # the min, where the reference advances the first: the max
+            # only grows, so no later window holds any of them, and the
+            # order they are passed in never changes what is emitted.
+            step = [hit | (v == mn) for v in V]
+        out_d.append(docs[hit])
+        out_p.append(emit[hit])
+        H = [h + s for h, s in zip(H, step)]
+    fn = _near_positions if kind == "near" else _window_positions
+    tail = [(p, h.tolist(), e.tolist()) for p, h, e in zip(pos, H, E)]
+    td, tp = [], []
+    for k, d in enumerate(docs.tolist()):
+        m = fn([p[h[k]:e[k]].tolist() for p, h, e in tail], n)
+        td += [d] * len(m)
+        tp += m
+    out_d.append(np.asarray(td, np.int64))
+    out_p.append(np.asarray(tp, np.int64))
+    return np.concatenate(out_d), np.concatenate(out_p)
+
+
 def _positional(args: list[InvList], field: str, n: int, kind: str) -> InvList:
+    """#NEAR/n or #WINDOW/n over the docs every arg holds, matched in
+    lockstep across those docs (module docstring)."""
     common = args[0].docids
     for a in args[1:]:
         common = common[np.isin(common, a.docids, assume_unique=True)]
-    if common.size == 0:
-        return InvList.empty(field)
-    idxs = [np.searchsorted(a.docids, common) for a in args]
-    bounds = [a.pos_bounds() for a in args]
-
-    # fast path: docs where every arg has tf == 1 (the overwhelming case
-    # in web text) reduce to scalar position chains — fully vectorized.
-    tf_mat = np.stack([a.tfs[i] for a, i in zip(args, idxs)])
-    simple = (tf_mat == 1).all(axis=0)
-    docids_s = np.empty(0, np.int64)
-    pos_s = np.empty(0, np.int64)
-    if simple.any():
-        P = np.stack([a.positions[b[i[simple]]].astype(np.int64)
-                      for a, i, b in zip(args, idxs, bounds)])
-        if kind == "near":
-            d = np.diff(P, axis=0)
-            ok = ((d >= 0) & (d <= n)).all(axis=0)
-            last = P[-1]
-        else:
-            ok = (P.max(axis=0) - P.min(axis=0)) < n
-            last = P.max(axis=0)
-        docids_s = common[simple][ok]
-        pos_s = last[ok]
-
-    match_fn = _near_positions if kind == "near" else _window_positions
-    docids_out, tfs_out, pos_out = [], [], []
-    rest = np.flatnonzero(~simple)
-    if rest.size:
-        # plain-list slicing: per-doc numpy views cost ~30µs each in
-        # allocation/boxing; python lists make the per-doc two-pointer
-        # loops ~10× cheaper on short position lists
-        plists = [a.positions.tolist() for a in args]
-        blists = [b.tolist() for b in bounds]
-        ilists = [i.tolist() for i in idxs]
-        common_l = common.tolist()
-        for k in rest.tolist():
-            lists = []
-            for pl, bl, il in zip(plists, blists, ilists):
-                i = il[k]
-                lists.append(pl[bl[i]:bl[i + 1]])
-            matched = match_fn(lists, n)
-            if matched:
-                docids_out.append(common_l[k])
-                tfs_out.append(len(matched))
-                pos_out.extend(matched)
-
-    # merge the two paths back into docid order
-    docids_g = np.asarray(docids_out, dtype=np.int64)
-    all_doc = np.concatenate([docids_s, docids_g])
-    if all_doc.size == 0:
-        return InvList.empty(field)
-    all_tf = np.concatenate([np.ones(docids_s.size, np.int32),
-                             np.asarray(tfs_out, dtype=np.int32)])
-    order = np.argsort(all_doc, kind="stable")
-    # gather variable-length position segments in docid order
-    seg_pos = [pos_s.astype(np.int32)]
-    seg_start_g = np.concatenate(([0], np.cumsum(tfs_out))).astype(np.int64)
-    pos_g = np.asarray(pos_out, dtype=np.int32)
-    starts = np.concatenate([np.arange(docids_s.size, dtype=np.int64),
-                             docids_s.size + seg_start_g[:-1]]) \
-        if docids_g.size else np.arange(docids_s.size, dtype=np.int64)
-    all_pos = np.concatenate([pos_s.astype(np.int32), pos_g])
-    lens = all_tf.astype(np.int64)
-    new_starts = starts[order]
-    new_lens = lens[order]
-    total = int(new_lens.sum())
-    out_start = np.concatenate(([0], np.cumsum(new_lens)[:-1]))
-    idx_g = np.repeat(new_starts - out_start, new_lens) + np.arange(total)
-    pos_final = all_pos[idx_g]
-    tfs = all_tf[order]
-    return InvList(all_doc[order], tfs, pos_final,
-                   int(all_doc.size), int(tfs.sum()), field)
+    segs = []
+    for a in args:
+        b = a.pos_bounds()
+        i = np.searchsorted(a.docids, common)
+        segs.append((a.positions, b[i], b[i + 1]))
+    if kind == "window":
+        docs, starts, ends, pos = _runs(*_lockstep(kind, segs, n))
+    else:
+        # each pass matches the survivors of the last (as per-doc runs
+        # of their matched positions) against the next arg
+        pos, starts, ends = segs[0]
+        docs = np.arange(common.size)
+        for p, h, e in segs[1:]:
+            sub, starts, ends, pos = _runs(*_lockstep(
+                kind, [(pos, starts, ends), (p, h[docs], e[docs])], n))
+            docs = docs[sub]
+    return _inv(common[docs], starts, ends, pos, field)
 
 
 def eval_iop_tree(node, cache: dict) -> InvList:
@@ -429,10 +430,8 @@ class QueryEngine:
                 docids = docids[np.isin(docids, a.docids, assume_unique=True)]
             if isinstance(m, UnrankedBooleanModel):
                 return _Scored(docids, np.ones(docids.size))
-            s = args[0].scores_for(docids, m)
-            for a in args[1:]:
-                s = np.minimum(s, a.scores_for(docids, m))
-            return _Scored(docids, s)
+            return _Scored(docids, np.min(
+                [a.scores_for(docids, m) for a in args], axis=0))
 
         if op == "and" and indri:
             docids = _union([a.docids for a in args])
@@ -455,10 +454,8 @@ class QueryEngine:
             docids = _union([a.docids for a in args])
             if isinstance(m, UnrankedBooleanModel):
                 return _Scored(docids, np.ones(docids.size))
-            s = args[0].scores_for(docids, m)
-            for a in args[1:]:
-                s = np.maximum(s, a.scores_for(docids, m))
-            return _Scored(docids, s)
+            return _Scored(docids, np.max(
+                [a.scores_for(docids, m) for a in args], axis=0))
 
         if op == "sum":
             if not bm25:
@@ -504,10 +501,8 @@ class QueryEngine:
             if isinstance(m, UnrankedBooleanModel):
                 return _Scored(docids, np.ones(docids.size))
             if isinstance(m, RankedBooleanModel):
-                s = args[0].scores_for(docids, m)
-                for a in args[1:]:
-                    s = np.maximum(s, a.scores_for(docids, m))
-                return _Scored(docids, s)
+                return _Scored(docids, np.max(
+                    [a.scores_for(docids, m) for a in args], axis=0))
             s = np.zeros(docids.size, dtype=np.float64)
             for a in args:
                 s += a.scores_for(docids, m)
@@ -729,9 +724,7 @@ class QueryEngine:
                 if inv.docids.size == 0:
                     continue
                 idf = bm25_idf(N, inv.df)
-                pos = np.searchsorted(inv.docids, ids)
-                pc_ = np.minimum(pos, inv.docids.size - 1)
-                hit = inv.docids[pc_] == ids
+                pc_, hit = _align(inv.docids, ids)
                 if not hit.any():
                     continue
                 tf = inv.tfs[pc_[hit]].astype(np.float64)
@@ -771,12 +764,7 @@ class QueryEngine:
                 mle = inv.ctf / max(
                     self.reader.sum_field_lengths(field), 1)
                 dl = self._dl(field, ids)
-                pos = np.searchsorted(inv.docids, ids) \
-                    if inv.docids.size else np.zeros(ids.size, np.int64)
-                pc_ = np.minimum(pos, max(inv.docids.size - 1, 0))
-                hit = (inv.docids.size > 0) & (
-                    inv.docids[pc_] == ids) if inv.docids.size else \
-                    np.zeros(ids.size, bool)
+                pc_, hit = _align(inv.docids, ids)
                 tf = np.where(hit, inv.tfs[pc_] if inv.tfs.size else 0,
                               0).astype(np.float64)
                 p = dirichlet(tf, dl, mle, m.mu, m.lambda_)
@@ -798,6 +786,14 @@ class QueryEngine:
             t = t.append_column("qid", pa.array([qid] * t.num_rows, pa.string()))
             tables.append(t)
         return pa.concat_tables(tables) if tables else empty_results(with_qid=True)
+
+
+def _align(docids: np.ndarray, ids: np.ndarray):
+    """Where each of ``ids`` sits in the ascending ``docids`` → (clipped
+    index, found mask)."""
+    idx = np.minimum(np.searchsorted(docids, ids), max(docids.size - 1, 0))
+    return idx, (docids[idx] == ids if docids.size
+                 else np.zeros(ids.size, dtype=bool))
 
 
 def _union(arrs: list[np.ndarray]) -> np.ndarray:

@@ -287,6 +287,19 @@ def test_spell_suggest(rd):
     # 'qqqqqq' has nothing within distance 3 -> omitted
 
 
+def test_spell_suggest_all_miss_is_typed(rd):
+    """With no vocab term in range the result is empty but typed: every
+    local and final table carries the (string, string, int64, int64)
+    schema instead of an untyped empty pandas frame."""
+    from search_engines_ray.functions.text import spell_suggest
+    t = pa.table({"text": ["merge sort merge", "merge hash"]})
+    ds = spell_suggest(rd.from_arrow(t).repartition(4), ["qqqqqqqq"])
+    assert ds.count() == 0
+    s = ds.schema()
+    assert s.names == ["query_term", "suggestion", "distance", "df"]
+    assert s.types == [pa.string(), pa.string(), pa.int64(), pa.int64()]
+
+
 def test_levenshtein_matches_duckdb():
     import duckdb
     import random
@@ -476,6 +489,23 @@ def test_more_like_this(rd):
     assert list(out["doc_id"]) == [2, 3]
     assert out.loc[0, "score"] == 1.0
     assert 0 < out.loc[1, "score"] < 1.0
+
+
+@pytest.mark.parametrize("query_doc_id", [9, 4])
+def test_more_like_this_without_candidates_is_typed(rd, query_doc_id):
+    """An unknown query doc (9) and one that shares no term with any
+    other doc (4) both yield one empty (doc_id int64, score double)
+    table, not one empty block per input block or a raise."""
+    from search_engines_ray.functions.text import more_like_this
+    t = pa.table({"doc_id": [1, 2, 3, 4],
+                  "text": ["apple banana", "apple cherry", "banana date",
+                           "xylophone zebra"]})
+    ds = more_like_this(rd.from_arrow(t).repartition(4),
+                        query_doc_id=query_doc_id).materialize()
+    assert ds.count() == 0
+    assert ds.num_blocks() == 1
+    assert ds.schema().names == ["doc_id", "score"]
+    assert ds.schema().types == [pa.int64(), pa.float64()]
 
 
 def test_pmi_collocations(rd):
