@@ -1458,33 +1458,32 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def shingles(b: pa.Table) -> pa.Table:
         from ..analysis.tokenizer import simple_tokenize
-        hs, ds_, cs = [], [], []
-        for did, text in zip(b[id_col].to_pylist(),
-                             b[text_col].to_pylist()):
+        hs, rows, cs = [], [], []
+        for row, text in enumerate(b[text_col].to_pylist()):
             toks = simple_tokenize(text or "")
             if len(toks) < w:
                 continue
             h, c = np.unique(_shingle_hashes(toks, w), return_counts=True)
             hs.append(h)
             cs.append(c)
-            ds_.append(np.full(len(h), did, dtype=np.int64))
+            rows.append(np.full(len(h), row, dtype=np.int64))
         h = np.concatenate(hs) if hs else np.empty(0, np.uint64)
         return pa.table({
             "part": pa.array(part_of(h, parts)),
             "h": pa.array(h),
-            id_col: pa.array(np.concatenate(ds_) if ds_
-                             else np.empty(0, np.int64)),
+            id_col: b[id_col].take(pa.array(
+                np.concatenate(rows) if rows else np.empty(0, np.int64))),
             "cnt": pa.array(np.concatenate(cs).astype(np.int64) if cs
                             else np.empty(0, np.int64))})
 
-    def mark_dups(g: pa.Table) -> pd.DataFrame:
+    def mark_dups(g: pa.Table) -> pa.Table | pd.DataFrame:
         # rows of one shingle-hash partition: group totals by h via
         # sorted segment sums, then per-doc partial (total, dup) sums
         h = g["h"].to_numpy(zero_copy_only=False)
         if not len(h):
-            return pd.DataFrame({id_col: pd.Series([], dtype=np.int64),
-                                 "sh": pd.Series([], dtype=np.int64),
-                                 "dup": pd.Series([], dtype=np.int64)})
+            return pa.table({id_col: g[id_col],
+                             "sh": pa.array([], pa.int64()),
+                             "dup": pa.array([], pa.int64())})
         doc = g[id_col].to_numpy(zero_copy_only=False)
         cnt = g["cnt"].to_numpy(zero_copy_only=False)
         order = np.argsort(h, kind="stable")

@@ -4,7 +4,8 @@
 
 Driver-side, pyarrow-only (no Ray session required). The distributed
 scoring path (``query/distributed.py``) uses the same reader from Ray
-tasks, one salt per task, through the worker's process-cached reader.
+tasks, each over a range of salts, through the worker's process-cached
+reader.
 
 Term-level facts come from a **lexicon per build** — the reference's
 Lucene term dictionary. It is derived lazily, one term bucket at a time,
@@ -13,7 +14,8 @@ min_docid, max_tf) plus each row's file, row group and row; no build
 step writes it. ``runs`` is the one primitive every postings path goes
 through: it selects the (term, field[, salt]) runs from the lexicon in
 index order (bucket, then file, then row), and ``read_runs`` decodes
-their blobs, read as exact row groups (column-pruned) on a miss.
+their blobs in one pass, read as exact row groups (column-pruned) on a
+miss.
 
 Doc lengths, external ids, attributes and posting-run blobs share ONE
 byte-budgeted LRU per process (``CACHE_BYTES``), keyed by (index dir,
@@ -113,6 +115,51 @@ class _Bucket:
     order: np.ndarray
     paths: list[str]
     metas: list
+
+
+def _joined(blobs: list[bytes]) -> tuple[bytes, np.ndarray]:
+    """The varbyte ``blobs`` back to back, and the running count of the
+    values they hold at each blob's end (a value ends at each byte
+    without the continuation bit)."""
+    joined = b"".join(blobs)
+    sizes = np.fromiter(map(len, blobs), np.int64, len(blobs))
+    ends = np.zeros(len(blobs) + 1, np.int64)
+    np.cumsum(sizes, out=ends[1:])
+    last = (np.frombuffer(joined, np.uint8) < 0x80).view(np.uint8)
+    counts = np.zeros(len(blobs), np.int64)
+    full = sizes > 0                 # reduceat needs non-empty segments
+    if full.any():
+        counts[full] = np.add.reduceat(last, ends[:-1][full], dtype=np.int64)
+    ends[1:] = np.cumsum(counts)
+    return joined, ends
+
+
+def decode_runs(docid_blobs: list[bytes], tf_blobs: list[bytes],
+                pos_blobs: list[bytes] | None = None) -> list[tuple]:
+    """Decoded ``(docids, tfs, positions)`` of each run (positions None
+    without ``pos_blobs``) from ONE ``decode_postings`` call over the
+    joined blobs. A run's first docid gap is its absolute first docid,
+    so the joined cumsum carries the previous runs' sum into it; taking
+    that sum off restarts each run (exact in wrapping 64-bit
+    arithmetic). Each blob's own value count splits docids and tfs, and
+    each run's tf sum splits positions: run boundaries are doc
+    boundaries, so the per-doc position cumsum runs across them."""
+    if not docid_blobs:
+        return []
+    db, dc = _joined(docid_blobs)
+    tb, tc = _joined(tf_blobs)
+    d, tf, p = decode_postings(
+        db, tb, None if pos_blobs is None else b"".join(pos_blobs))
+    if d.size:
+        carried = d[np.maximum(dc[:-1], 1) - 1]
+        carried[dc[:-1] == 0] = 0
+        d -= np.repeat(carried, np.diff(dc))
+    out = zip(np.split(d, dc[1:-1]), np.split(tf, tc[1:-1]))
+    if p is None:
+        return [(a, b, None) for a, b in out]
+    tsum = np.zeros(tf.size + 1, np.int64)
+    np.cumsum(tf, out=tsum[1:])
+    return [(a, b, c) for (a, b), c in zip(out, np.split(p, tsum[tc[1:-1]]))]
 
 
 def _bucket_files(base: str, b: int) -> list[str]:
@@ -491,9 +538,11 @@ class IndexReader:
 
     def read_runs(self, runs: Runs, positions: bool = False) -> list[tuple]:
         """Decoded ``(docids, tfs, positions)`` per run of ``runs``
-        (positions None unless asked for). Blobs come from the process
-        cache; the missing runs of a row group load in one column-pruned
-        read of exactly that row group, and only those runs are kept."""
+        (positions None unless asked for), all from one vectorized
+        decode of the runs' joined blobs (``decode_runs``). Blobs come
+        from the process cache; the missing runs of a row group load in
+        one column-pruned read of exactly that row group, and only those
+        runs are kept."""
         if positions and not self.stats.get("positions", True):
             raise ValueError(
                 "index was built with store_positions=False — positional "
@@ -518,8 +567,8 @@ class IndexReader:
                 self.cache.put((self._ck, b, f, g, r), v,
                                sum(map(sys.getsizeof, v)))
                 blobs[i] = v
-        return [decode_postings(v[0], v[1], v[2] if positions else None)
-                for v in blobs]
+        return decode_runs([v[0] for v in blobs], [v[1] for v in blobs],
+                           [v[2] for v in blobs] if positions else None)
 
     def term_stats(self, terms, field: str) -> dict[str, tuple[int, int]]:
         """Global ``(df, ctf)`` per term = sums over its runs, from the

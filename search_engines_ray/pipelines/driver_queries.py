@@ -3597,7 +3597,10 @@ def _minhash_core_cte(num_perm: int, shingle: int) -> str:
     shingle hashes → the ``sig`` relation (doc_id, j, m) of per-
     permutation minhash values, with the engine's permutation
     coefficients inlined as VALUES (uhugeint arithmetic is exact mod
-    2⁶¹−1, so the values are bit-identical to MinHasher's)."""
+    2⁶¹−1, so the values are bit-identical to MinHasher's). ``sig`` is
+    materialized: inside a ``with recursive`` chain DuckDB 1.0 otherwise
+    re-evaluates it at every reference (``sigv``, ``bandv``, twice in
+    ``vp``)."""
     from ..functions.dedup import MinHasher
     mh = MinHasher(num_perm=num_perm, shingle=shingle)
     vals = ",".join(f"({j + 1},{int(a)},{int(b)})"
@@ -3613,7 +3616,7 @@ sh as (
   select doc_id, array_to_string(toks, ' ') as s from tok
   where len(toks) between 1 and {shingle - 1}),
 hs as (select doc_id, ('0x' || substr(md5(s), 1, 16))::ubigint as h from sh),
-sig as (
+sig as materialized (
   select doc_id, p.j,
          min((p.a::uhugeint * h::uhugeint + p.b::uhugeint)
              % 2305843009213693951::uhugeint)::ubigint as m

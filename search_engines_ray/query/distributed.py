@@ -5,10 +5,11 @@ The driver-side ``QueryEngine`` fetches a handful of posting lists per
 query — right for interactive use. This module is the *batch* path: score
 a whole query set against a huge index as one ZERO-SHUFFLE Ray job:
 
-  one task per salt (= contiguous docid range; every term's postings
-  for that range live in one parquet row, so the runs the task reads
-  hold the COMPLETE inputs for its docs)
-    → vectorized leaf math per posting row, dense per-salt group-sum on
+  one task per contiguous range of salts, at most one per cluster CPU
+  (a salt = contiguous docid range; every term's postings for that
+  range live in one parquet row, so the runs the task reads hold the
+  COMPLETE inputs for its docs)
+    → per salt: vectorized leaf math per posting row, dense group-sum on
       packed int64 keys ``qcode << 44 | docid`` (never string keys)
     → exact per-salt top-k cut (salt ranges are disjoint; a tie group
       keeps at most k docs per pid)
@@ -16,11 +17,15 @@ a whole query set against a huge index as one ZERO-SHUFFLE Ray job:
       exact (score desc, external_id asc) top-k per qid.
 
 Execution: each entry point plans on the driver, then ``_run_salt_tasks``
-submits one task per salt of a module-level ``@ray.remote`` kernel
-``(spec, salt) -> pa.Table`` and gathers the partial tables. ``spec`` is
-plain data (index dir, build token, model parameters, k) plus ObjectRefs
-to the batch-sized maps, so Ray exports each kernel once per session and
-a batch ships no code. Three kernels score:
+splits the salts into ``min(n_salts, cluster CPUs)`` contiguous ranges
+and submits one ``score_salts`` task per range. That task fetches the
+batch maps once and calls a plain kernel ``(spec, salt) -> pa.Table``
+once per salt of its range; the partial tables concatenate in salt
+order, in the task and then on the driver, so every later step sees
+what one task per salt would give. ``spec`` is plain data (index dir,
+build token, model parameters, k) plus ObjectRefs to the batch-sized
+maps, and the kernel travels by name, so Ray exports the runner once
+per session and a batch ships no code. Three kernels score:
 
 - ``score_salt_bm25``: #SUM of BM25 or classic TF-IDF leaves — bag of
   words (its term-only case), grid, #MSM, champion phase B and
@@ -34,12 +39,13 @@ parked derived rows (``i:<field>:<repr>``, phase A = ``_derive_lists``)
 then its plain runs (``t:<field>:<term>``), with doc lengths gathered
 once per field. Plain runs come from ``_scan`` (the worker reader's
 lexicon picks the salt's runs; their blobs come from the process cache
-or an exact row-group read, then varbyte decode). Every kernel ends in
-``_cut`` (dense group-sum, exact per-salt top-k, packed keys); the
-leaf formulas come from ``kernels``, the same functions the driver
-engine scores with. Global df/ctf and every "no postings" guard on the
-driver are lexicon lookups too (``IndexReader.runs`` / ``term_stats``),
-so no path scans a postings dataset.
+or an exact row-group read, then one varbyte decode for all of them).
+Every kernel ends in ``_cut`` (dense group-sum, exact per-salt top-k,
+packed keys); the leaf formulas come from ``kernels``, the same
+functions the driver engine scores with. Global df/ctf and every "no
+postings" guard on the driver are lexicon lookups too
+(``IndexReader.runs`` / ``term_stats``), so no path scans a postings
+dataset.
 
 Tombstones (``merge.delete_docs``) ride in the spec as a sorted docid
 array (``dels``, absent when there are none); ``_cut`` drops them after
@@ -71,8 +77,8 @@ import ray
 
 from ..analysis.tokenizer import analyzer_for_mode
 from ..index.build import STATS_FILE
-from ..index.reader import IndexReader
-from ..index.varbyte import decode_postings
+from ..index.reader import IndexReader, decode_runs
+from ..util import pool_size
 from .eval import expand_wildcards
 from .kernels import (
     bm25, bm25_idf, bm25_prior, bm25f_saturate, dirichlet, tfidf,
@@ -130,14 +136,14 @@ def _scan(spec: dict, salt: int, terms: list[str], fields: list[str],
 # ------------------------------------------------------ salt kernels
 
 # dense-accumulate cap for _group_sum_entries: nq_present × docid-span
-# cells per salt task; two float64 arrays at the cap ≈ 512 MB, inside a
+# cells per salt; two float64 arrays at the cap ≈ 512 MB, inside a
 # worker's heap. Past it (very wide docid ranges × many queries) the
 # sort-based fallback runs in O(n log n) of the posting count instead.
 _DENSE_CAP = 1 << 25
 
 
 def _group_sum_entries(entries, need_zero_candidates: bool = False):
-    """Sum per-(query, docid) contributions inside ONE salt task.
+    """Sum per-(query, docid) contributions of ONE salt.
 
     ``entries``: list of ``(qcode, ascending docid array, float64 vals)``.
     Returns ``(qc, docid, sums)`` sorted by ``(qc, docid)``.
@@ -260,14 +266,16 @@ def _cut(spec: dict, entries: list, need_zero_candidates: bool = False,
 
 def _derived_rows(spec: dict, salt: int):
     """``(leaf, field, docids, tfs)`` of the salt's derived positional
-    lists (phase A output, fetched whole from the object store)."""
-    if not spec["derived"]:
+    lists: its table in the task's salt → table map (phase A output,
+    fetched whole from the object store by ``_task_spec``), decoded in
+    one pass."""
+    t = spec["derived"].get(salt)
+    if t is None:
         return
-    t = ray.get(spec["derived"][salt])
-    for lf, fld, db, tb in zip(t["leaf"].to_pylist(), t["field"].to_pylist(),
-                               t["docid_blob"].to_pylist(),
-                               t["tf_blob"].to_pylist()):
-        d, tf, _ = decode_postings(db, tb, None)
+    for lf, fld, (d, tf, _) in zip(
+            t["leaf"].to_pylist(), t["field"].to_pylist(),
+            decode_runs(t["docid_blob"].to_pylist(),
+                        t["tf_blob"].to_pylist())):
         yield lf, fld, d, tf
 
 
@@ -316,7 +324,6 @@ def _salt_leaves(spec: dict, salt: int, allowed: np.ndarray | None = None):
         lengths
 
 
-@ray.remote
 def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
     """#SUM of BM25 (or Lucene classic TF-IDF when ``classic``) leaves
     over one salt — the kernel of ``bm25_batch_search`` (a bag of words
@@ -330,7 +337,7 @@ def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
     ``nreq`` (per-qcode clause minimum: a second group-sum of clause
     indicators over the same keys filters before the cut; docs live in
     one salt, so local counts are complete)."""
-    bt = ray.get(spec["batch"])
+    bt = spec["batch"]
     tq, dfs, nreq = bt["tq"], bt["df"], bt.get("nreq")
     N = spec["N"]
     entries, counts = [], []
@@ -357,7 +364,6 @@ def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
                 min_match if nreq is not None else None)
 
 
-@ray.remote
 def champions_salt(spec: dict, salt: int) -> pa.Table:
     """Champion-list phase A: each term's local top-``m`` postings in one
     salt by (tf desc, docid asc) → (term, docid, tf) rows."""
@@ -379,7 +385,6 @@ def champions_salt(spec: dict, salt: int) -> pa.Table:
                        else np.empty(0, np.int64))})
 
 
-@ray.remote
 def union_df_salt(spec: dict, salt: int) -> pa.Table:
     """BM25F phase A: ``|∪_f docids(t, f, salt)|`` per term — salt ranges
     are disjoint, so the global union df is the plain sum over salts."""
@@ -395,11 +400,10 @@ def union_df_salt(spec: dict, salt: int) -> pa.Table:
                          for t in ts], pa.int64())})
 
 
-@ray.remote
 def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
     """BM25F phase B: pool ``w_f·tf/B_f`` across fields per doc, then
     saturate once with the union-df idf."""
-    bt = ray.get(spec["batch"])
+    bt = spec["batch"]
     tq, gdf = bt["tq"], bt["df"]
     contribs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     runs = list(_scan(spec, salt, spec["terms"], spec["fields"]))
@@ -429,7 +433,6 @@ def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
     return _cut(spec, entries, need_zero)
 
 
-@ray.remote
 def score_salt_indri(spec: dict, salt: int) -> pa.Table:
     """Indri over one salt — the kernel of ``indri_batch_search`` (a bag
     of words is one ``#AND`` subtree) and
@@ -442,7 +445,7 @@ def score_salt_indri(spec: dict, salt: int) -> pa.Table:
     structured subtree, whose coefficients already fold it. Matched
     partials are strictly > 0 (s is monotone in tf), so the dense
     group-sum's nonzero set is the match-min candidate set."""
-    bt = ray.get(spec["batch"])
+    bt = spec["batch"]
     lt, mles, qinfo = bt["lt"], bt["mle"], bt["qinfo"]
     field, mu, lam, n_sub = spec["field"], spec["mu"], spec["lam"], \
         spec["n_sub"]
@@ -520,12 +523,11 @@ def _plan_node(data: tuple):
     return IopNode(op, [_plan_node(a) for a in args], dist)
 
 
-@ray.remote(num_returns=2)
 def derive_salt(spec: dict, salt: int):
     """→ (stats_table, derived_table) for ONE salt: the tiny (leaf, df,
     ctf) side the driver sums for global stats, and the blob side (leaf,
     field, docid_blob, tf_blob) that stays in the object store until the
-    matching phase-B salt task fetches it."""
+    phase-B task of that salt's range fetches it."""
     from ..index.varbyte import encode_postings
     from .eval import InvList, eval_iop_tree
     types = dict(leaf=pa.string(), field=pa.string(), df=pa.int64(),
@@ -552,6 +554,49 @@ def derive_salt(spec: dict, salt: int):
             t.select(["leaf", "field", "docid_blob", "tf_blob"]))
 
 
+# ------------------------------------------------------ range runners
+
+_KERNELS = {f.__name__: f for f in (score_salt_bm25, score_salt_indri,
+                                     score_salt_bm25f, champions_salt,
+                                     union_df_salt)}
+
+
+def _task_spec(spec: dict, lo: int, hi: int) -> dict:
+    """``spec`` as the kernels of salts ``[lo, hi)`` read it: the batch
+    maps fetched once for the task, and ``derived`` as one salt → table
+    map from the phase-A ranges that overlap it."""
+    out = dict(spec, derived={})
+    if "batch" in spec:
+        out["batch"] = ray.get(spec["batch"])
+    refs = [ref for a, b, ref in spec.get("derived", ()) if a < hi and lo < b]
+    for m in ray.get(refs):
+        out["derived"].update(m)
+    return out
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    """Partial tables in order; the first (empty) one if all are empty."""
+    full = [t for t in tables if t.num_rows]
+    return pa.concat_tables(full) if full else tables[0]
+
+
+@ray.remote
+def score_salts(kernel: str, spec: dict, lo: int, hi: int) -> pa.Table:
+    """Kernel ``kernel`` (by name) over salts ``[lo, hi)``, one call per
+    salt, its partial tables concatenated in salt order."""
+    spec = _task_spec(spec, lo, hi)
+    return _concat([_KERNELS[kernel](spec, s) for s in range(lo, hi)])
+
+
+@ray.remote(num_returns=2)
+def derive_salts(spec: dict, lo: int, hi: int):
+    """Phase A over salts ``[lo, hi)`` → (their stats tables concatenated,
+    salt → derived table)."""
+    parts = [derive_salt(spec, s) for s in range(lo, hi)]
+    return (pa.concat_tables([st for st, _ in parts]),
+            {s: d for s, (_, d) in zip(range(lo, hi), parts)})
+
+
 # -------------------------------------------------------------- driver
 
 def _n_salts(reader: IndexReader) -> int:
@@ -570,13 +615,22 @@ def _spec(reader: IndexReader, k: int, **kw) -> dict:
     return spec
 
 
+def _salt_ranges(reader: IndexReader) -> list[tuple[int, int]]:
+    """The salts split into ``min(n_salts, cluster CPUs)`` contiguous
+    ``[lo, hi)`` ranges, one task each: a task per salt beyond the
+    cluster's width only adds per-task cost."""
+    n = _n_salts(reader)
+    r = min(n, pool_size(floor=1))
+    return [(i * n // r, (i + 1) * n // r) for i in range(r)]
+
+
 def _run_salt_tasks(kernel, spec: dict, reader: IndexReader) -> pa.Table:
-    """One stateless task per salt (docid range); the tiny partial tables
-    (≤ salts × queries × k rows for the scoring kernels) concat on the
-    driver."""
-    tables = ray.get([kernel.remote(spec, s) for s in range(_n_salts(reader))])
-    full = [t for t in tables if t.num_rows]
-    return pa.concat_tables(full) if full else tables[0]
+    """One stateless ``score_salts`` task per salt range running
+    ``kernel``; the tiny partial tables (≤ salts × queries × k rows for
+    the scoring kernels) concat on the driver in salt order."""
+    return _concat(ray.get([
+        score_salts.remote(kernel.__name__, spec, lo, hi)
+        for lo, hi in _salt_ranges(reader)]))
 
 
 def _emit_ranked(cands: pa.Table, qids: list[str], k: int,
@@ -671,9 +725,9 @@ def bm25_batch_search(index_dir: str, queries: list[tuple[str, str]],
     score), reference ordering per qid.
 
     Salt is the SAME contiguous docid range for every term (build.py
-    salt_of_pid), so one task per salt holds the complete postings of
-    every query term for its range — (query, doc) scores are FINAL
-    inside the task and the per-query top-k cut is exact."""
+    salt_of_pid), so the kernel call on one salt holds the complete
+    postings of every query term for its range — (query, doc) scores
+    are FINAL there and the per-salt top-k cut is exact."""
     from .models import TFIDFModel
     model = model or BM25Model()
     classic = isinstance(model, TFIDFModel)
@@ -726,8 +780,8 @@ def bm25f_batch_search(index_dir: str, queries: list[tuple[str, str]],
     external_id, rank, score), reference ordering per qid. BM25F's idf
     uses the UNION df (docs holding the term in ANY scored field), which
     no per-field sum gives, so phase A counts ``|∪_f docids(t, f, salt)|``
-    per term in one task per salt (salts are disjoint: the global union
-    df is the sum) and phase B re-reads the same runs, cache-warm, to
+    per term and salt (salts are disjoint: the global union df is the
+    sum) and phase B re-reads the same runs, cache-warm, to
     pool ``w_f·tf/B_f`` across fields per doc and saturate once."""
     reader = _index_reader(index_dir)
     fields = sorted(weights)
@@ -755,7 +809,7 @@ def bm25_grid_search(index_dir: str, queries: list[tuple[str, str]],
                      grid: list[tuple[float, float]], k: int = 100,
                      field: str = "body") -> pa.Table:
     """BM25 (k1, b) hyper-parameter sweep in ONE pass over the postings:
-    parameter tuning re-reads nothing — each salt task decodes every
+    parameter tuning re-reads nothing — each salt's kernel decodes every
     query term's (docids, tf) run once, then every grid point re-weights
     the SAME arrays (idf and doclen are parameter-independent), so the
     sweep costs one batch search plus G cheap vectorized re-weightings
@@ -799,7 +853,7 @@ def bm25_champion_search(index_dir: str, queries: list[tuple[str, str]],
     are the union of each query term's GLOBAL top-``m`` postings by
     (tf desc, docid asc); candidates then score EXACTLY (full tf of
     every query term, corpus-wide df/doclens), so only the candidate-
-    generation step is approximate. Two salt-task rounds: phase A
+    generation step is approximate. Two rounds of salt-range tasks: phase A
     returns each salt's local top-m (term, docid, tf) triples — the
     global top-m per term is a subset of the locals' union, so the
     driver merge is exact over ≤ salts × terms × m tiny rows; phase B
@@ -913,16 +967,19 @@ def _leaf_key(leaf, iop_plans: dict) -> tuple[str, str]:
 def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
     """Phase A of the distributed structured paths: evaluate every Iop
     subtree (#NEAR/#WINDOW/#SYN/#FIRST) per salt and return
-    ``([ObjectRef[pa.Table] per salt], {leaf: (df, ctf)})``.
+    ``([(lo, hi, ObjectRef[{salt: pa.Table}]) per salt range],
+    {leaf: (df, ctf)})``.
 
     A salt is a contiguous docid range with one postings row per (term,
-    salt), so ONE ``derive_salt`` task per salt holds every argument
-    term's postings for its docids and runs the driver's positional
-    kernels (``eval_iop_tree``) unchanged — zero shuffle. A derived
-    list's global df/ctf (``QryIop.java:139-151``) is the sum over its
-    salt runs; only that (leaf, df, ctf) side reaches the driver. Each
-    salt's derived rows stay in the object store as one table
-    (``num_returns=2``) that the phase-B task of that salt fetches whole.
+    salt), so ``derive_salt`` on one salt holds every argument term's
+    postings for its docids and runs the driver's positional kernels
+    (``eval_iop_tree``) unchanged — zero shuffle. One ``derive_salts``
+    task per salt range (``_salt_ranges``) calls it on each of its
+    salts. A derived list's global df/ctf (``QryIop.java:139-151``) is
+    the sum over its salt runs; only that (leaf, df, ctf) side reaches
+    the driver. A range's derived rows stay in the object store as one
+    salt → table map (``num_returns=2``) that the phase-B tasks whose
+    ranges overlap it fetch whole.
 
     Plans travel as plain nested tuples (``_plan_data``) and are rebuilt
     inside the task (``_plan_node``) from the worker's own import of
@@ -942,7 +999,8 @@ def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
                for fld, ts in terms_by_field.items()):
         return [], {}
     spec = _spec(reader, 0, plans=plans, terms=terms_by_field)
-    pairs = [derive_salt.remote(spec, s) for s in range(_n_salts(reader))]
+    ranges = _salt_ranges(reader)
+    pairs = [derive_salts.remote(spec, lo, hi) for lo, hi in ranges]
     stats: dict[str, tuple[int, int]] = {}
     for st in ray.get([p[0] for p in pairs]):
         for lf, dfv, ctfv in zip(st["leaf"].to_pylist(),
@@ -950,7 +1008,7 @@ def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
                                  st["ctf"].to_pylist()):
             d0, c0 = stats.get(lf, (0, 0))
             stats[lf] = (d0 + dfv, c0 + ctfv)
-    return [p[1] for p in pairs], stats
+    return [(lo, hi, p[1]) for (lo, hi), p in zip(ranges, pairs)], stats
 
 
 def bm25_structured_batch_search(index_dir: str,
@@ -961,7 +1019,7 @@ def bm25_structured_batch_search(index_dir: str,
     """Distributed structured BM25: ``#SUM`` over TERM and positional
     (``#NEAR/n`` / ``#WINDOW/n`` / ``#SYN``) leaves — the reference's
     BoW + SDM-shaped query set (``queries2.txt``), batch-scored in two
-    rounds of one task per salt.
+    rounds of one task per salt range.
 
     A positional operator is docid-local and a salt is a contiguous
     docid range, so phase A (``_derive_lists``) evaluates every
@@ -1016,7 +1074,7 @@ def bm25_structured_batch_search(index_dir: str,
     if not leaves:
         return _empty()
 
-    # ---- phase A: derived lists, one task per salt, zero shuffle ----
+    # ---- phase A: derived lists per salt, zero shuffle ----
     derived_refs, dstats = _derive_lists(reader, iop_plans)
     df = {lf: d for lf, (d, _) in dstats.items()}
 
@@ -1048,8 +1106,8 @@ def indri_structured_batch_search(index_dir: str,
     per #WAND level). The first sum is the dense per-salt group-sum
     over posting rows (terms + the salt's derived positional lists,
     phase A = ``_derive_lists``); the second is the per-candidate
-    default-score correction computed from sharded doclens inside the
-    same salt task, using each leaf's mle = ctf/collection_len
+    default-score correction computed from sharded doclens in the same
+    salt's kernel call, using each leaf's mle = ctf/collection_len
     (DERIVED ctf for positional leaves — ``QryIop.java:139-151``).
 
     ``#WSUM`` (arithmetic mean, ``QrySopWsum``) is not log-linear, but
@@ -1063,8 +1121,8 @@ def indri_structured_batch_search(index_dir: str,
     subtree j contributes its pure default ``W_j·exp(corr_j)``. The
     packed key carries ``(qcode·J + j)`` in the high bits, and because
     a salt is a disjoint docid range, every subtree sum for a doc is
-    complete inside its salt task — the arithmetic mix and the exact
-    per-query cut run there too, zero shuffle. #WSUM below a
+    complete inside its salt's kernel call — the arithmetic mix and the
+    exact per-query cut run there too, zero shuffle. #WSUM below a
     #AND/#WAND (log of a sum — not factorizable) still raises to the
     driver path. Rank- and score-identical to ``QueryEngine.search``."""
     from .plan import IopNode, ScoreNode, SopNode, TermNode
@@ -1178,11 +1236,12 @@ def _indri_search(reader: IndexReader, qids: list[str], q_subtrees: list,
                for w, acc, kq in subs]
               for subs in q_subtrees]
 
-    # ---- phase B: one task per salt (_run_salt_tasks): the salt's
-    # derived rows come whole from the object store, plain-term postings
-    # for its docid range are read LOCALLY, the matched log-partials are
-    # summed by the dense group-sum, and the #WSUM default-score mix +
-    # exact per-query cut run inside the task.
+    # ---- phase B: one task per salt range (_run_salt_tasks), one
+    # kernel call per salt: the salt's derived rows come whole from the
+    # object store, plain-term postings for its docid range are read
+    # LOCALLY, the matched log-partials are summed by the dense
+    # group-sum, and the #WSUM default-score mix + exact per-query cut
+    # run inside the task.
     spec = _spec(reader, k, field=field, mu=model.mu, lam=model.lambda_,
                  n_sub=n_sub, derived=derived_refs,
                  plain={field: plain_terms} if tstats else {},

@@ -2,7 +2,7 @@
 sort/truncate contract (``/root/reference/QryEval/ScoreList.java:87-126``)
 and ``printResults`` writer (``QryEval.java:781-801``). Search paths
 finish here: ``drop_deleted`` (the tombstone mask, also applied inside
-each distributed salt task) before the top-k cut,
+each distributed salt kernel call) before the top-k cut,
 ``rank_results_candidates``, and ``empty_results`` when nothing parses.
 """
 

@@ -155,11 +155,9 @@ BOW = [("1", "fast sort merge"), ("2", "hash join"), ("3", "dup line"),
 
 def _local_scoring_tasks(monkeypatch) -> list:
     """Run every scoring kernel (``score_salt*``) in this process, one
-    ``._function(spec, salt)`` call per salt, and record the fields of
-    each ``IndexReader.doclens_for`` call as ``(kernel, salt, fields)``;
-    phase-A kernels stay remote."""
-    import pyarrow as pa
-
+    ``kernel(spec, salt)`` call per salt over the spec a range task
+    would see, and record the fields of each ``IndexReader.doclens_for``
+    call as ``(kernel, salt, fields)``; phase-A kernels stay remote."""
     from search_engines_ray.index.reader import IndexReader
     seen, calls = [], []
     real, run = IndexReader.doclens_for, D._run_salt_tasks
@@ -169,16 +167,17 @@ def _local_scoring_tasks(monkeypatch) -> list:
         return real(self, docids, fields)
 
     def local(kernel, spec, reader):
-        name = kernel._function.__name__
+        name = kernel.__name__
         if not name.startswith("score_salt"):
             return run(kernel, spec, reader)
+        n = D._n_salts(reader)
+        spec = D._task_spec(spec, 0, n)
         tables = []
-        for salt in range(D._n_salts(reader)):
+        for salt in range(n):
             calls.clear()
-            tables.append(kernel._function(spec, salt))
+            tables.append(kernel(spec, salt))
             seen.append((name, salt, list(calls)))
-        full = [t for t in tables if t.num_rows]
-        return pa.concat_tables(full) if full else tables[0]
+        return D._concat(tables)
 
     monkeypatch.setattr(IndexReader, "doclens_for", doclens_for)
     monkeypatch.setattr(D, "_run_salt_tasks", local)
@@ -249,3 +248,81 @@ def test_bag_of_words_is_the_term_only_structured_case(docs_index):
     cols = ["qid", "external_id", "rank"]
     assert len(bow) and bow[cols].equals(st[cols])
     np.testing.assert_allclose(bow["score"], st["score"], rtol=1e-12)
+
+
+class _CountingRemote:
+    """Stands in for a ``@ray.remote`` function and counts submissions."""
+
+    def __init__(self, fn):
+        self.fn, self.n = fn, 0
+
+    def remote(self, *args):
+        self.n += 1
+        return self.fn.remote(*args)
+
+
+def test_salt_ranges_leave_every_shape_unchanged(docs_index, toy_index,
+                                                 monkeypatch):
+    """A batch runs as ``min(n_salts, cluster CPUs)`` tasks, each over a
+    contiguous range of salts. Every distributed entry shape returns the
+    same frame with the range count forced to 1, to 2 and to n_salts,
+    and each scoring or phase-A round submits one task per range."""
+    import ray
+
+    from search_engines_ray.query.models import IndriModel, TFIDFModel
+    d, t = docs_index.index_dir, toy_index.index_dir
+    structured = [("1", "#sum(#first/5(fast) sort merg*)"),
+                  ("2", "#sum(#window/8(hash join) #syn(fast slow) *oin)")]
+    wsum = [("1", "#wsum( 0.7 #and( dup line ) 0.3 #and( #near/1( dup "
+                  "line ) ) )"), ("2", "#and(#syn(hash join) scan)")]
+    searches = {
+        "bm25": lambda: D.bm25_batch_search(d, BOW, BM25Model(), k=10),
+        "tfidf": lambda: D.bm25_batch_search(d, BOW, TFIDFModel(), k=10),
+        "msm": lambda: D.bm25_msm_batch_search(
+            d, [(q, x, 2) for q, x in BOW], BM25Model(), k=10),
+        "grid": lambda: D.bm25_grid_search(
+            d, BOW, [(1.2, 0.75), (0.9, 0.3)], k=10),
+        "champion": lambda: D.bm25_champion_search(d, BOW, m=5, k=10),
+        "champion_all": lambda: D.bm25_champion_search(d, BOW, m=10**6,
+                                                       k=10),
+        "indri": lambda: D.indri_batch_search(d, BOW, IndriModel(), k=10),
+        "structured": lambda: D.bm25_structured_batch_search(
+            d, structured, BM25Model(), k=10),
+        "indri_wsum": lambda: D.indri_structured_batch_search(
+            d, wsum, IndriModel(), k=10),
+        "two_fields": lambda: D.bm25_structured_batch_search(
+            t, [("a", "#sum(quick fox.title #near/1(quick brown))")],
+            BM25Model(), k=5),
+        "bm25f": lambda: D.bm25f_batch_search(
+            t, [("a", "quick fox"), ("b", "lazy cat")],
+            weights={"body": 1.0, "title": 2.0}, k=5),
+    }
+    want = {name: f().to_pandas() for name, f in searches.items()}
+    assert all(len(w) for w in want.values())
+    cpus = int(ray.cluster_resources()["CPU"])
+    widths = []
+    run = D._run_salt_tasks
+
+    def recording(kernel, spec, reader):
+        widths.append((len(D._salt_ranges(reader)), D._n_salts(reader)))
+        return run(kernel, spec, reader)
+
+    monkeypatch.setattr(D, "_run_salt_tasks", recording)
+    for forced in (None, 1, 2, 10**6):
+        if forced is not None:
+            monkeypatch.setattr(D, "pool_size", lambda floor=1, n=forced: n)
+        for name, f in searches.items():
+            score = _CountingRemote(D.score_salts)
+            derive = _CountingRemote(D.derive_salts)
+            monkeypatch.setattr(D, "score_salts", score)
+            monkeypatch.setattr(D, "derive_salts", derive)
+            widths.clear()
+            assert f().to_pandas().equals(want[name]), (forced, name)
+            monkeypatch.setattr(D, "score_salts", score.fn)
+            monkeypatch.setattr(D, "derive_salts", derive.fn)
+            n_salts = widths[0][1]
+            per_round = min(n_salts, cpus if forced is None else forced)
+            assert all(w == (per_round, n_salts) for w in widths), name
+            assert score.n == per_round * len(widths), (forced, name)
+            phase_a = name in ("structured", "indri_wsum", "two_fields")
+            assert derive.n == per_round * phase_a, (forced, name)

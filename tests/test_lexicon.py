@@ -253,3 +253,81 @@ def test_verify_names_a_corrupted_run(split_index, tmp_path, ray_session):
                           f"salt {lex.runs.salt[i]} ")
     assert f"row group 1, row {lex.runs.row[i]})" in bad
     assert cmd_verify(split_index)["ok"]
+
+
+def _memory_reader(blobs: list[tuple]):
+    """An ``IndexReader`` whose process cache already holds ``blobs``
+    (docid, tf, pos) as the runs of bucket 0, file 0, row group 0, and
+    the ``Runs`` that point at them: ``read_runs`` then touches no
+    file."""
+    from search_engines_ray.index.reader import IndexReader, Runs
+    from search_engines_ray.util import ByteLRU
+    r = IndexReader.__new__(IndexReader)
+    r.stats, r.cache, r._ck = {"positions": True}, ByteLRU(1 << 30), ("mem",)
+    ints = np.zeros((len(blobs), len(Runs.INT_COLS)), np.int64)
+    ints[:, Runs.INT_COLS.index("row")] = np.arange(len(blobs))
+    for i, v in enumerate(blobs):
+        r.cache.put((r._ck, 0, 0, 0, i), v, 1)
+    names = np.asarray([f"t{i}" for i in range(len(blobs))], dtype=object)
+    return r, Runs(names, np.full(len(blobs), "body", dtype=object), ints)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_read_runs_matches_per_run_decode(seed):
+    """``read_runs`` decodes all its runs in one pass over their joined
+    blobs; each run must come back as its own ``decode_postings`` call
+    gives it, in values and dtypes: 1–8 runs, df 1–300, docids up to
+    2^44 with gaps of one to six varbyte bytes, with and without
+    positions."""
+    from search_engines_ray.index.varbyte import (
+        decode_postings, encode_postings,
+    )
+    rng = np.random.default_rng(seed)
+    blobs = []
+    for _ in range(rng.integers(1, 9)):
+        df = int(rng.integers(1, 301))
+        gaps = rng.integers(1, 1 << int(rng.integers(1, 36)), df)
+        docids = np.cumsum(gaps) + int(rng.integers(0, 1 << 43))
+        docids = docids[docids < 1 << 44]
+        docids = docids if docids.size else np.asarray([(1 << 44) - 1])
+        tfs = rng.integers(1, 200 if rng.random() < 0.2 else 5, docids.size)
+        pos = np.concatenate([np.sort(rng.choice(1 << 15, t, replace=False))
+                              for t in tfs])
+        blobs.append(encode_postings(docids, tfs, pos))
+    r, runs = _memory_reader(blobs)
+    for positions in (False, True):
+        got = r.read_runs(runs, positions)
+        assert len(got) == len(blobs)
+        for (d, tf, p), (db, tb, pb) in zip(got, blobs):
+            want = decode_postings(db, tb, pb if positions else None)
+            for a, b in zip((d, tf), want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            if positions:
+                assert p.dtype == want[2].dtype
+                assert np.array_equal(p, want[2])
+            else:
+                assert p is None and want[2] is None
+
+
+def test_read_runs_decodes_once(docs_index, monkeypatch):
+    """One ``decode_postings`` call per ``read_runs`` call, whatever the
+    number of runs it returns. The counter goes into the globals this
+    reader's ``read_runs`` reads: a by-value unpickle of reader code
+    elsewhere in the session leaves copies of the module's functions
+    with globals of their own."""
+    calls = []
+    module = type(docs_index).read_runs.__globals__
+    real = module["decode_postings"]
+
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setitem(module, "decode_postings", counting)
+    runs = docs_index.runs(["fast", "sort", "merge", "dup", "line"],
+                           ["body"])
+    assert len(runs) > 4
+    for positions in (False, True):
+        calls.clear()
+        got = docs_index.read_runs(runs, positions)
+        assert len(got) == len(runs) and len(calls) == 1

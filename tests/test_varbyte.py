@@ -10,7 +10,8 @@ from search_engines_ray.index.varbyte import (
 
 def test_roundtrip_edges():
     for vals in ([], [0], [0, 0, 0], [127], [128], [16383], [16384],
-                 [2**63 - 1], [1, 2**40, 0, 7]):
+                 [2**63 - 1], [1, 2**40, 0, 7], [2**64 - 1, 5],
+                 [1, 200, 1, 1, 2**40, 3, 300, 127, 128, 16384, 2]):
         a = np.array(vals, dtype=np.uint64)
         assert vb_decode(vb_encode(a)).tolist() == vals
 

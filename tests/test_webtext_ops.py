@@ -178,6 +178,29 @@ def test_dup_span_stats(rd):
     assert out.loc[2, "dup_span_frac"] == 0.0
 
 
+def test_dup_span_stats_string_ids_match_int_ids(rd):
+    """String ids give the rows of their int twin: the map side gathers
+    each shingle row's id from the batch's own id column, as
+    ``exact_dedup`` does, instead of casting it to int64."""
+    from search_engines_ray.functions.dedup import dup_span_stats
+    boiler = "alpha beta gamma delta epsilon zeta eta theta"
+    texts = [boiler + " one two three", boiler + " four five six",
+             "u1 u2 u3 u4 u5 u6 u7 u8 u9", "short doc",
+             boiler + " " + boiler]
+    ints = list(range(10, 10 + len(texts)))
+    got = {}
+    for ids in (ints, [f"doc-{i}" for i in ints]):
+        t = pa.table({"doc_id": ids, "text": texts})
+        got[type(ids[0])] = dup_span_stats(
+            rd.from_arrow(t), w=8, num_parts=3).to_pandas() \
+            .sort_values("doc_id", ignore_index=True)
+    want, strs = got[int], got[str]
+    assert len(want) == 4
+    assert list(strs["doc_id"]) == [f"doc-{i}" for i in want["doc_id"]]
+    cols = ["n_shingles", "n_dup_shingles", "dup_span_frac"]
+    assert strs[cols].equals(want[cols])
+
+
 def test_dup_span_counts_within_doc_repeats(rd):
     from search_engines_ray.functions.dedup import dup_span_stats
     eight = "a b c d e f g h"
