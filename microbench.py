@@ -9,6 +9,10 @@ Kernels:
   (the path ``IndexReader.read_runs`` takes);
 - ``simple_tokenize``: the tokenizer over 1,000 pages;
 - ``minhash``: ``MinHasher.__call__`` over a 1,000-row batch;
+- ``minhash_affine``: ``MinHasher.values`` alone, the (a*h + b) mod
+  (2^61-1) pass (``dedup._affine_p61``) over that batch's distinct
+  shingle hashes and every permutation, so an arithmetic regression
+  shows apart from tokenizing and hashing;
 - ``group_sum``: ``distributed._group_sum_entries`` over one salt's
   entries of a 20-query BM25 batch.
 
@@ -81,7 +85,9 @@ def _time(fn, budget_s: float) -> float:
 def run(seed: int, budget_s: float) -> dict:
     from perfbench import gen
     from search_engines_ray.analysis.tokenizer import simple_tokenize
-    from search_engines_ray.functions.dedup import MinHasher
+    from search_engines_ray.functions.dedup import (
+        MinHasher, _shingle_hashes,
+    )
     from search_engines_ray.index.reader import decode_runs
     from search_engines_ray.index.varbyte import decode_postings
     from search_engines_ray.query.distributed import _group_sum_entries
@@ -93,6 +99,9 @@ def run(seed: int, budget_s: float) -> dict:
     texts = index.texts()[:DEDUP_ROWS]
     batch = gen.corpus(seed, DEDUP_ROWS).dedup_table()
     hasher = MinHasher()
+    shingle_h = np.unique(np.concatenate(
+        [_shingle_hashes(simple_tokenize(t), hasher.shingle)
+         for t in batch["text"].to_pylist()]))
     entries = _group_sum_input(index, rng)
 
     kernels = {
@@ -103,6 +112,8 @@ def run(seed: int, budget_s: float) -> dict:
         "simple_tokenize": (lambda: [simple_tokenize(t) for t in texts],
                             f"ms per {len(texts)} pages"),
         "minhash": (lambda: hasher(batch), f"ms per {batch.num_rows} rows"),
+        "minhash_affine": (lambda: hasher.values(shingle_h),
+                           f"ms per {shingle_h.size} distinct shingles"),
         "group_sum": (lambda: _group_sum_entries(entries),
                       f"ms per {len(entries)} entries"),
     }

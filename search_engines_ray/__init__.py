@@ -19,11 +19,14 @@ def _register_pickle_by_value() -> None:
     """Ship this package's code inside task/actor pickles.
 
     Ray workers deserialize map_batches callables by module reference;
-    when the driver imported us off a path the workers don't share (e.g.
-    a sys.path hack), that fails. Registering the package for by-value
-    cloudpickle makes every stage self-contained — no worker-side
-    installation or PYTHONPATH assumption, which is also the right
-    posture for a multi-node cluster."""
+    registering the package for by-value cloudpickle ships the pickled
+    functions' own code with each task. It does not make the package
+    optional on workers: task code still imports it at run time (every
+    ``util.proc_cached`` lookup, e.g. a worker's ``MinHasher`` or index
+    reader, goes through ``import``), so the package must be importable
+    on every worker, through an installation or ``PYTHONPATH``. A
+    driver that finds it only through a ``sys.path`` edit fails in the
+    workers with ``ModuleNotFoundError``."""
     try:
         import importlib
         import pkgutil

@@ -39,36 +39,44 @@ _MERSENNE = (1 << 61) - 1
 _P61 = np.uint64(_MERSENNE)
 
 
-def _mod_p61(x: np.ndarray) -> np.ndarray:
-    """x mod (2^61−1) for uint64 x (full range): one Mersenne fold —
-    2^61 ≡ 1 (mod p) — plus a conditional subtract."""
-    x = (x >> np.uint64(61)) + (x & _P61)
-    return np.where(x >= _P61, x - _P61, x)
+_M32 = np.uint64(0xFFFFFFFF)
+_M29 = np.uint64((1 << 29) - 1)
+_U29, _U32, _U61 = np.uint64(29), np.uint64(32), np.uint64(61)
 
 
-def _modadd_p61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x+y) mod p for x, y < p (sum < 2^62 — no uint64 overflow)."""
-    s = x + y
-    return np.where(s >= _P61, s - _P61, s)
+def _affine_p61(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(a·h + b) mod (2^61−1), elementwise with broadcasting, for
+    a, b < p and full-range uint64 h, in pure uint64 via 32-bit limbs.
+    h is reduced first (2^61 ≡ 1), so a, h < 2^61 and both high limbs
+    are below 2^29; with 2^64 ≡ 8 and m·2^32 ≡ (m >> 29) + (m & M29)·2^32
 
+        a·h + b ≡ (lo >> 61) + (lo & p) + (mid >> 29) + (mid & M29)·2^32
+                  + 8·a1h1 + b
 
-def _modmul_p61(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(a·h) mod (2^61−1) elementwise for full-range uint64 inputs, in
-    pure uint64 via 32-bit limbs (no object dtype, no Python ints):
-
-        a·h = a1·h1·2^64 + (a1·h0 + a0·h1)·2^32 + a0·h0
-        2^64 ≡ 8 (mod p);  m·2^32 ≡ (m >> 29) + (m & (2^29−1))·2^32
-
-    Each partial product of 32-bit limbs fits uint64 exactly."""
-    m32 = np.uint64(0xFFFFFFFF)
-    a0, a1 = a & m32, a >> np.uint64(32)
-    h0, h1 = h & m32, h >> np.uint64(32)
-    lo = _mod_p61(a0 * h0)
-    hi = _mod_p61(_mod_p61(a1 * h1) << np.uint64(3))
-    mid = _modadd_p61(_mod_p61(a1 * h0), _mod_p61(a0 * h1))
-    mid = _modadd_p61(mid >> np.uint64(29),
-                      (mid & np.uint64((1 << 29) - 1)) << np.uint64(32))
-    return _modadd_p61(_modadd_p61(lo, hi), mid)
+    for lo = a0h0 and mid = a1h0 + a0h1 < 2^62. The five terms after
+    lo's are each below 2^61, so the sum fits uint64; one fold leaves
+    at most p + 4, and one conditional subtract the canonical residue
+    (``min(s, s − p)``: when s < p the subtraction wraps above s)."""
+    h = (h >> _U61) + (h & _P61)
+    h = np.minimum(h, h - _P61)
+    a0, a1 = a & _M32, a >> _U32
+    h0, h1 = h & _M32, h >> _U32
+    s = a0 * h0
+    t = s >> _U61
+    s &= _P61
+    s += t
+    mid = a1 * h0
+    mid += a0 * h1
+    s += mid >> _U29
+    mid &= _M29
+    mid <<= _U32
+    s += mid
+    s += (a1 << np.uint64(3)) * h1
+    s += b
+    t = s >> _U61
+    s &= _P61
+    s += t
+    return np.minimum(s, s - _P61, out=s)
 
 
 def _stable_u64(s: str) -> int:
@@ -317,6 +325,14 @@ def select_canonical(clusters, scores, id_col: str = "doc_id",
 
 # ---------------------------------------------------------------- minhash
 
+# MinHasher's chunk sizes, in rows of num_perm uint64 values: at 128
+# perms the arithmetic's temporaries (512 rows, 512 KiB) and one gather
+# (1,024 rows, 1 MiB) stay cache-sized; a 4,096-row gather ran its
+# reduceat about 3x slower (1-vCPU VM, perfbench's 1,000-row batch).
+_AFFINE_ROWS = 512
+_GATHER_ROWS = 1024
+
+
 class MinHasher:
     """num_perm universal-hash minhash over word shingles; stateful
     (permutation coefficients built once per actor)."""
@@ -331,73 +347,109 @@ class MinHasher:
         self.text_col = text_col
         self.id_col = id_col
 
-    def signature(self, text: str) -> np.ndarray:
-        from ..analysis.tokenizer import simple_tokenize
-        h = _shingle_hashes(simple_tokenize(text or ""), self.shingle)
-        if h.size == 0:
-            return np.full(self.num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-        # (a*h + b) mod p, rowwise min — uint64 Mersenne limb arithmetic
-        # (bit-identical to exact big-int mod-p, ~40× the old object-
-        # dtype path); chunked to bound the (num_perm × chunk) temporaries
-        out = np.full(self.num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-        step = 4096
-        a_col = self.a[:, None]
-        b_col = self.b[:, None]
-        for i in range(0, h.size, step):
-            hh = h[i:i + step]
-            m = _modadd_p61(_modmul_p61(a_col, hh[None, :]), b_col)
-            out = np.minimum(out, m.min(axis=1))
-        return out
+    def values(self, h: np.ndarray) -> np.ndarray:
+        """(len(h), num_perm) table of (a·h + b) mod p over shingle
+        hashes h, built _AFFINE_ROWS rows at a time."""
+        h = h.astype(np.uint64)[:, None]
+        vals = np.empty((h.size, self.num_perm), np.uint64)
+        a, b = self.a[None, :], self.b[None, :]
+        for lo in range(0, h.size, _AFFINE_ROWS):
+            vals[lo:lo + _AFFINE_ROWS] = _affine_p61(
+                a, b, h[lo:lo + _AFFINE_ROWS])
+        return vals
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # batched across the whole Arrow batch: one (num_perm × 8192)
-        # mod-p pass per shingle chunk with per-doc mins folded by
-        # np.minimum.reduceat over doc boundaries. Per-doc signature()
-        # calls cost ~30 small-array numpy ops per doc (call overhead
-        # dwarfs the flops at ~50 shingles/doc); this path is
-        # bit-identical and ~3× the throughput.
+        """→ (id, minhash): each row's num_perm minima as native uint64
+        bytes in one ``pa.binary()`` value. A doc shorter than
+        ``shingle`` tokens hashes its whole joined text as one shingle;
+        a doc with no tokens gets all 2^64−1.
+
+        Layout: the batch's shingle strings intern into one table of
+        distinct strings (``pd.factorize`` codes), and only those are
+        md5-hashed and run through ``values``, into a doc-major
+        (distinct, num_perm) value table. Gather chunks of about
+        _GATHER_ROWS shingles hold whole docs (a longer doc gets a chunk
+        of its own): each takes its shingles' value rows and folds them
+        to per-doc minima with one ``np.minimum.reduceat`` at the doc
+        starts, straight into the (n, num_perm) signature buffer that
+        backs the column."""
         from ..analysis.tokenizer import simple_tokenize
-        ids = batch[self.id_col].to_pylist()
-        hs = [_shingle_hashes(simple_tokenize(t or ""), self.shingle)
-              for t in batch[self.text_col].to_pylist()]
-        n = len(hs)
-        out = np.full((self.num_perm, n), np.iinfo(np.uint64).max,
-                      dtype=np.uint64)
-        lens = np.fromiter((h.size for h in hs), dtype=np.int64, count=n)
-        nz = np.flatnonzero(lens)
-        if nz.size:
-            h_all = np.concatenate([hs[i] for i in nz])
-            offsets = np.concatenate(([0], np.cumsum(lens[nz])))
-            # the ~40-op mod-p chain runs once per DISTINCT shingle
-            # (webtext shingles repeat heavily across docs — ~4× even in
-            # the unreplicated test corpus); positions then gather from
-            # the value table. Chunks sized so each (num_perm × step)
-            # temporary stays L2-resident — the 8192-wide variant was
-            # memory-bound and LOST to the per-doc path.
-            u, inv = np.unique(h_all, return_inverse=True)
-            a_col, b_col = self.a[:, None], self.b[:, None]
-            vals = np.empty((self.num_perm, u.size), dtype=np.uint64)
-            for lo in range(0, u.size, 512):
-                hi = min(lo + 512, u.size)
-                vals[:, lo:hi] = _modadd_p61(
-                    _modmul_p61(a_col, u[None, lo:hi]), b_col)
-            for lo in range(0, h_all.size, 4096):
-                hi = min(lo + 4096, h_all.size)
-                m = vals[:, inv[lo:hi]]
-                # docs whose shingle range intersects [lo, hi); a doc
-                # split across chunks min-merges through `out`
-                d0 = int(np.searchsorted(offsets, lo, side="right")) - 1
-                d1 = int(np.searchsorted(offsets, hi, side="left"))
-                starts = (offsets[d0:d1] - lo).clip(min=0)
-                red = np.minimum.reduceat(m, starts, axis=1)
-                cols = nz[d0:d1]
-                out[:, cols] = np.minimum(out[:, cols], red)
-        sigs = np.ascontiguousarray(out.T)
+        k, num_perm = self.shingle, self.num_perm
+        shingles: list[str] = []
+        lens = []
+        for t in batch[self.text_col].to_pylist():
+            toks = simple_tokenize(t or "")
+            if len(toks) >= k:
+                sh = list(map(" ".join, zip(*(toks[i:] for i in range(k)))))
+            else:
+                sh = [" ".join(toks)] if toks else []
+            shingles += sh
+            lens.append(len(sh))
+        n = len(lens)
+        if n * num_perm * 8 >= 1 << 31:
+            raise ValueError(f"{n} signatures overflow int32 offsets")
+        out = np.full((n, num_perm), np.iinfo(np.uint64).max, np.uint64)
+        if shingles:
+            inv, distinct = pd.factorize(np.array(shingles, dtype=object))
+            dg = b"".join([hashlib.md5(s.encode()).digest()
+                           for s in distinct])
+            vals = self.values(np.frombuffer(dg, ">u8")[::2])
+            lens = np.asarray(lens, dtype=np.int64)
+            nz = np.flatnonzero(lens)
+            starts = np.concatenate(([0], np.cumsum(lens[nz])))
+            d = 0
+            while d < nz.size:
+                e = max(d + 1, int(np.searchsorted(
+                    starts, starts[d] + _GATHER_ROWS, side="right")) - 1)
+                lo, hi = starts[d], starts[e]
+                out[nz[d:e]] = np.minimum.reduceat(
+                    vals[inv[lo:hi]], starts[d:e] - lo, axis=0)
+                d = e
+        offsets = np.arange(n + 1, dtype=np.int32) * np.int32(num_perm * 8)
         return pa.table({
-            self.id_col: pa.array(ids),
-            "minhash": pa.array([sigs[j].tobytes() for j in range(n)],
-                                pa.binary()),
+            self.id_col: pa.array(batch[self.id_col].to_pylist()),
+            "minhash": pa.Array.from_buffers(
+                pa.binary(), n,
+                [None, pa.py_buffer(offsets), pa.py_buffer(out)]),
         })
+
+
+def _signatures(ds, num_perm: int, shingle: int, text_col: str,
+                id_col: str):
+    """→ Dataset (id, minhash) of ``MinHasher`` over ``ds``: stateless
+    tasks with a process-global hasher (coefficients built once per
+    worker), so they schedule on every CPU. batch_size bundles a read's
+    small blocks into fewer tasks: a single-file corpus splits into
+    ~2×CPU tiny blocks, and per-task dispatch (~tens of ms) would
+    otherwise dwarf the signature work per block."""
+    from ..util import proc_cached
+
+    def sig_fn(b: pa.Table) -> pa.Table:
+        mh = proc_cached(
+            ("minhasher", num_perm, shingle, text_col, id_col),
+            lambda: MinHasher(num_perm=num_perm, shingle=shingle,
+                              text_col=text_col, id_col=id_col))
+        return mh(b)
+
+    return ds.map_batches(sig_fn, batch_format="pyarrow", batch_size=1024)
+
+
+def _sig_matrix(col, num_perm: int) -> np.ndarray:
+    """(n, num_perm) uint64 rows of a binary column of fixed-width
+    signatures (``minhash``, or ``band_bytes`` with num_perm = rows per
+    band): a view of the value buffer from the array offset on, no
+    per-row bytes objects. Chunks are combined first (one copy)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n, width = len(col), num_perm * 8
+    if n == 0:
+        return np.empty((0, num_perm), np.uint64)
+    off = np.frombuffer(col.buffers()[1], np.int32, count=n + 1,
+                        offset=col.offset * 4)
+    if (np.diff(off) != width).any():
+        raise ValueError(f"signature rows are not all {width} bytes")
+    return np.frombuffer(col.buffers()[2], np.uint64, count=n * num_perm,
+                         offset=int(off[0])).reshape(n, num_perm)
 
 
 def _band_fold(sig: np.ndarray) -> np.ndarray:
@@ -469,38 +521,15 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     the uint64 bucket key. 'Verified' still means the full-signature
     Jaccard ESTIMATE; true n-gram verification would need the text
     (see ``ngram_jaccard``)."""
-    from ..util import proc_cached
     rows_per_band = _check_bands(num_perm, bands)
-
-    # stateless task + process-global hasher (coefficient arrays built
-    # once per worker) — tasks schedule on every CPU, no pool-width cap
-    def sig_fn(b: pa.Table) -> pa.Table:
-        mh = proc_cached(
-            ("minhasher", num_perm, shingle, text_col, id_col),
-            lambda: MinHasher(num_perm=num_perm, shingle=shingle,
-                              text_col=text_col, id_col=id_col))
-        return mh(b)
-
-    # batch_size bundles the read's small blocks into fewer, meatier
-    # tasks: a single-file corpus splits into ~2×CPU tiny blocks and
-    # per-task dispatch (~tens of ms) would otherwise dwarf the ~30 ms
-    # of signature work per block. The signatures stay lazy and stream
-    # straight into the collapse exchange: materializing them would
-    # add a barrier job and park ~1 KB/doc in the object store.
-    sig_ds = ds.map_batches(sig_fn, batch_format="pyarrow",
-                            batch_size=1024)
+    # lazy: the signatures stream straight into the collapse exchange;
+    # materializing them would add a barrier job and park ~1 KB/doc in
+    # the object store
+    sig_ds = _signatures(ds, num_perm, shingle, text_col, id_col)
     parts, blocks = plan(estimate_rows(ds), _BAND_DOCS_PER_PART)
 
     def add_fp(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n == 0:
-            return pa.table({"part": pa.array([], pa.int32()),
-                             "sigfp": pa.array([], pa.uint64()),
-                             id_col: b[id_col],
-                             "minhash": b["minhash"]})
-        sig2d = np.frombuffer(b"".join(b["minhash"].to_pylist()),
-                              dtype=np.uint64).reshape(n, num_perm)
-        fp = _sig_fold(sig2d)
+        fp = _sig_fold(_sig_matrix(b["minhash"], num_perm))
         return pa.table({
             "part": pa.array(part_of(fp, parts)),
             "sigfp": pa.array(fp),
@@ -520,18 +549,20 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         bound = np.concatenate(([True], f[1:] != f[:-1]))
         run_id = np.cumsum(bound) - 1
         first = order[np.flatnonzero(bound)]       # rep = min id per fp
-        sigs = g["minhash"].to_pylist()
         rep_of = first[run_id]
         members = order[ids[order] != ids[rep_of]]
         rep_for_member = first[run_id[ids[order] != ids[rep_of]]]
-        return pd.DataFrame({
-            id_col: np.concatenate((ids[first], ids[members])),
-            "canonical_id": np.concatenate((ids[first],
-                                            ids[rep_for_member])),
-            "minhash": [sigs[i] for i in first] + [b""] * len(members),
-            "is_rep": np.concatenate((
+        return pa.table({
+            id_col: g[id_col].take(np.concatenate((first, members))),
+            "canonical_id": g[id_col].take(
+                np.concatenate((first, rep_for_member))),
+            "minhash": pa.chunked_array(
+                g["minhash"].take(first).chunks
+                + [pa.array([b""] * len(members), pa.binary())],
+                pa.binary()),
+            "is_rep": pa.array(np.concatenate((
                 np.ones(len(first), np.int8),
-                np.zeros(len(members), np.int8)))})
+                np.zeros(len(members), np.int8))))})
 
     collapsed = exchange(sig_ds.map_batches(add_fp, batch_format="pyarrow"),
                          blocks, collapse_fp, "pyarrow").materialize()
@@ -562,13 +593,8 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def explode_light(b: pa.Table) -> pa.Table:
         n = b.num_rows
-        if n == 0:
-            return pa.table({"part": pa.array([], pa.int32()),
-                             "bucket": pa.array([], pa.uint64()),
-                             id_col: b[id_col]})
-        sig = np.frombuffer(b"".join(b["minhash"].to_pylist()),
-                            dtype=np.uint64).reshape(n, bands,
-                                                     rows_per_band)
+        sig = _sig_matrix(b["minhash"], num_perm) \
+            .reshape(n, bands, rows_per_band)
         hv = _band_fold(sig).reshape(-1)
         idx = np.repeat(np.arange(n), bands)
         return pa.table({
@@ -627,7 +653,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         seg = np.flatnonzero(np.concatenate(
             ([True], bs[1:] != bs[:-1], [True])))
         ids_all = g[id_col].to_pylist()
-        sigs_all = g["minhash"].to_pylist()
+        sigs_all = _sig_matrix(g["minhash"], num_perm)
         frames = []
         for lo, hi in zip(seg[:-1], seg[1:]):
             if hi - lo < 2:
@@ -646,9 +672,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             # the stage wall; one broadcast compare per bucket (row-
             # chunked to bound the k×k×num_perm temporary) leaves only
             # the passing edges to a tiny index union-find.
-            A = np.frombuffer(
-                b"".join(sigs_all[seen[i]] for i in ids),
-                dtype=np.uint64).reshape(k, num_perm)
+            A = sigs_all[[seen[i] for i in ids]]
             ea: list = []
             eb: list = []
             step = max(1, 4_000_000 // (k * num_perm))
@@ -792,15 +816,14 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             return empty
         sig_rows = np.flatnonzero(side == 0)
         ids = np.asarray(g[id_col].to_pandas().to_numpy())
-        sigs_all = g["minhash"].to_pylist()
-        lut = {ids[i]: sigs_all[i] for i in sig_rows}
+        lut = {ids[i]: i for i in sig_rows}
         buckets = g["bucket"].to_numpy()
         return pa.table({
             "part": pa.array(part_of(buckets[req], parts)),
             "bucket": pa.array(buckets[req]),
             id_col: pa.array(ids[req], id_type),
-            "minhash": pa.array([lut[ids[i]] for i in req],
-                                pa.binary())})
+            "minhash": g["minhash"].take([lut[ids[i]] for i in req])
+            .cast(pa.binary())})
 
     banded = exchange(
         reps.map_batches(tag_sig, batch_format="pyarrow")
@@ -1077,36 +1100,21 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     → Dataset (id_a, id_b, n_bands), id_a < id_b."""
     from ray.data.aggregate import Count
-    from ..util import proc_cached
     rows_per_band = _check_bands(num_perm, bands)
     parts, blocks = plan(estimate_rows(ds), _BAND_DOCS_PER_PART)
 
-    def sig_fn(b: pa.Table) -> pa.Table:
-        mh = proc_cached(
-            ("minhasher", num_perm, shingle, text_col, id_col),
-            lambda: MinHasher(num_perm=num_perm, shingle=shingle,
-                              text_col=text_col, id_col=id_col))
-        return mh(b)
-
     def explode_bands(b: pa.Table) -> pa.Table:
         n = b.num_rows
-        if n == 0:
-            return pa.table({"part": pa.array([], pa.int32()),
-                             "bucket": pa.array([], pa.uint64()),
-                             "band_bytes": pa.array([], pa.binary()),
-                             id_col: b[id_col]})
-        buf = b"".join(b["minhash"].to_pylist())
-        sig = np.frombuffer(buf, dtype=np.uint64) \
-            .reshape(n, bands, rows_per_band)
-        hv = _band_fold(sig).reshape(-1)
-        # all of a doc's band slices are contiguous in buf, so the
-        # per-(doc, band) byte windows are one offsets array — a
-        # zero-copy Arrow binary column, no per-row slicing
+        sig = _sig_matrix(b["minhash"], num_perm)
+        hv = _band_fold(sig.reshape(n, bands, rows_per_band)).reshape(-1)
+        # all of a doc's band slices are contiguous in the signature
+        # rows, so the per-(doc, band) byte windows are one offsets
+        # array — a zero-copy Arrow binary column, no per-row slicing
         step = rows_per_band * 8
         offsets = (np.arange(n * bands + 1, dtype=np.int32) * step)
         band_bytes = pa.Array.from_buffers(
             pa.binary(), n * bands,
-            [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(buf)])
+            [None, pa.py_buffer(offsets), pa.py_buffer(sig)])
         idx = np.repeat(np.arange(n), bands)
         return pa.table({
             "part": pa.array(part_of(hv, parts)),
@@ -1133,19 +1141,7 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         if n < 2:
             return _empty()
         buckets = g["bucket"].to_numpy()
-        bb = g["band_bytes"].combine_chunks()
-        step = rows_per_band * 8
-        off = np.frombuffer(bb.buffers()[1], dtype=np.int32,
-                            count=n + 1, offset=bb.offset * 4)
-        data = np.frombuffer(bb.buffers()[2], dtype=np.uint8)
-        if (np.diff(off) == step).all():
-            # fixed-width rows pack contiguously — one aligned copy of
-            # the value buffer, no per-row bytes objects
-            mat = data[off[0]:off[0] + n * step].copy().view(np.uint64) \
-                .reshape(n, rows_per_band)
-        else:  # defensive: non-uniform offsets (never produced upstream)
-            mat = np.frombuffer(b"".join(bb.to_pylist()),
-                                dtype=np.uint64).reshape(n, rows_per_band)
+        mat = _sig_matrix(g["band_bytes"], rows_per_band)
         ids = np.asarray(g[id_col].to_pandas().to_numpy())
         order = np.lexsort((ids,
                             *(mat[:, c] for c in
@@ -1177,8 +1173,7 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"id_a": pa.array(sid[i_pos], t_id),
                          "id_b": pa.array(sid[j_pos], t_id)})
 
-    pairs = exchange(ds.map_batches(sig_fn, batch_format="pyarrow",
-                                    batch_size=1024)
+    pairs = exchange(_signatures(ds, num_perm, shingle, text_col, id_col)
                      .map_batches(explode_bands, batch_format="pyarrow"),
                      blocks, partition_pairs, "pyarrow")
     return pairs.groupby(["id_a", "id_b"]).aggregate(

@@ -335,33 +335,108 @@ def test_minhash_chain_and_pairwise(ray_session):
     assert all(v == 5 for k, v in m.items() if k in (5, 6, 7))
 
 
-def test_minhash_signature_matches_bigint_reference():
-    """The uint64 Mersenne-limb signature kernel must be bit-identical
-    to exact big-integer (a*h+b) mod (2^61-1) arithmetic (the round-1
-    object-dtype implementation)."""
-    from search_engines_ray.functions.dedup import (
-        MinHasher, _MERSENNE, _shingle_hashes,
-    )
+def _bigint_minhash(mh, text):
+    """One doc's signature in exact big-integer arithmetic, hashing
+    each shingle string on its own: md5's top 64 bits, then
+    min over shingles of (a*h + b) mod (2^61-1) per permutation."""
+    import hashlib
+
     from search_engines_ray.analysis.tokenizer import simple_tokenize
-    mh = MinHasher(num_perm=64, shingle=3)
+    from search_engines_ray.functions.dedup import _MERSENNE
+    toks = simple_tokenize(text or "")
+    k = mh.shingle
+    if not toks:
+        return [2 ** 64 - 1] * mh.num_perm
+    sh = ([" ".join(toks[i:i + k]) for i in range(len(toks) - k + 1)]
+          if len(toks) >= k else [" ".join(toks)])
+    hs = [int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
+          for s in sh]
+    return [min((a * h + b) % _MERSENNE for h in hs)
+            for a, b in zip(map(int, mh.a), map(int, mh.b))]
+
+
+def test_minhash_signature_matches_bigint_reference():
+    """The batch signature kernel (distinct-shingle interning, uint64
+    Mersenne-limb arithmetic, chunked doc-major gather and min) is
+    bit-identical, row by row, to exact big-integer arithmetic over
+    every shingle. The batch repeats shingles across docs, holds None,
+    empty, 1- and 2-token docs, one doc longer than a gather chunk and
+    docs that straddle chunk boundaries."""
+    import pyarrow as pa
+
+    from search_engines_ray.functions.dedup import _GATHER_ROWS, MinHasher
+    mh = MinHasher(num_perm=16, shingle=3)
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(40)]
     texts = [
         "the quick brown fox jumps over the lazy dog again and again",
-        "a b c d e f g h i j k l m n o p q r s t u v w x y z",
-        "short",
-        "",
-        " ".join(f"tok{i % 37}" for i in range(500)),
+        "the quick brown fox sleeps",          # shares shingles with row 0
+        None, "", "short", "two tokens", "!!! ...",
+        " ".join(rng.choice(vocab, _GATHER_ROWS + 300)),
     ]
-    for text in texts:
-        got = mh.signature(text)
-        h = _shingle_hashes(simple_tokenize(text), mh.shingle)
-        if h.size == 0:
-            assert (got == np.iinfo(np.uint64).max).all()
-            continue
-        a = mh.a.astype(object)
-        b = mh.b.astype(object)
-        hh = h.astype(object)
-        want = (np.outer(a, hh) + b[:, None]) % _MERSENNE
-        assert (got.astype(object) == want.min(axis=1)).all()
+    # ~95-shingle docs: their running total crosses several chunk edges
+    texts += [" ".join(rng.choice(vocab, int(n)))
+              for n in rng.integers(60, 130, 40)]
+    texts += ["the quick brown fox jumps over the lazy dog again and again"]
+    batch = pa.table({"doc_id": pa.array(np.arange(len(texts)) * 3),
+                      "text": pa.array(texts, pa.string())})
+    out = mh(batch)
+    assert out.schema.field("minhash").type == pa.binary()
+    assert out["doc_id"].to_pylist() == list(np.arange(len(texts)) * 3)
+    sigs = out["minhash"].to_pylist()
+    for text, sig in zip(texts, sigs):
+        got = np.frombuffer(sig, np.uint64).tolist()
+        assert got == _bigint_minhash(mh, text), text
+
+
+def test_affine_p61_matches_bigint():
+    """``_affine_p61`` is (a*h + b) mod (2^61-1) exactly, for full-range
+    h (edge values included) and a, b anywhere in [0, p)."""
+    from search_engines_ray.functions.dedup import _MERSENNE, _affine_p61
+    p = _MERSENNE
+    rng = np.random.default_rng(11)
+    h = np.concatenate((
+        rng.integers(0, 2 ** 64 - 1, 3000, dtype=np.uint64, endpoint=True),
+        np.array([0, p - 1, p, p + 1, 2 * p, 2 ** 61, 2 ** 63,
+                  2 ** 64 - 1], dtype=np.uint64)))
+    a = np.concatenate((rng.integers(1, p, 13, dtype=np.uint64),
+                        np.array([1, p - 1, 2 ** 32 - 1, 2 ** 32],
+                                 dtype=np.uint64)))
+    b = np.concatenate((rng.integers(0, p, 13, dtype=np.uint64),
+                        np.array([0, p - 1, p - 1, 0], dtype=np.uint64)))
+    got = _affine_p61(a[None, :], b[None, :], h[:, None])
+    want = [[(int(x) * int(y) + int(z)) % p for y, z in zip(a, b)]
+            for x in h]
+    assert got.tolist() == want
+    # residues 0..4, where the last fold can leave p + r: per (a, b),
+    # every h ≡ (r - b)/a that fits uint64
+    for y, z in zip(map(int, a), map(int, b)):
+        hs = [(r - z) * pow(y, -1, p) % p + k * p
+              for r in range(5) for k in range(8)]
+        got = _affine_p61(np.uint64(y), np.uint64(z),
+                          np.array(hs, dtype=np.uint64))
+        assert got.tolist() == [r for r in range(5) for _ in range(8)]
+
+
+def test_sig_matrix_reads_sliced_chunked_columns():
+    """``_sig_matrix`` on a sliced multi-chunk binary column equals
+    joining its rows' bytes, and refuses rows of the wrong width."""
+    import pyarrow as pa
+
+    from search_engines_ray.functions.dedup import _sig_matrix
+    rng = np.random.default_rng(2)
+    rows = rng.integers(0, 2 ** 64 - 1, (30, 4), dtype=np.uint64,
+                        endpoint=True)
+    chunks = [pa.array([r.tobytes() for r in rows[lo:hi]], pa.binary())
+              for lo, hi in ((0, 7), (7, 8), (8, 30))]
+    col = pa.chunked_array(chunks).slice(3, 20)
+    want = np.frombuffer(b"".join(col.to_pylist()), np.uint64).reshape(-1, 4)
+    assert np.array_equal(_sig_matrix(col, 4), want)
+    arr = chunks[2].slice(5, 9)
+    assert np.array_equal(_sig_matrix(arr, 4), rows[13:22])
+    assert _sig_matrix(chunks[0].slice(0, 0), 4).shape == (0, 4)
+    with pytest.raises(ValueError, match="32 bytes"):
+        _sig_matrix(pa.array([b"x" * 32, b"y" * 31], pa.binary()), 4)
 
 
 def test_compress_canonical_transitive_components(ray_session):

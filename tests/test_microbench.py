@@ -17,7 +17,8 @@ def test_microbench_prints_every_kernel():
     assert len(out) == 1
     got = json.loads(out[0])
     assert set(got) == {"decode_per_run", "decode_joined",
-                        "simple_tokenize", "minhash", "group_sum"}
+                        "simple_tokenize", "minhash", "minhash_affine",
+                        "group_sum"}
     for v in got.values():
         assert set(v) == {"median", "unit"}
         assert v["median"] > 0 and v["unit"].startswith("ms per ")
