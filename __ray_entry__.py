@@ -10,7 +10,10 @@ here (or in the library) calls ``ray.init()`` / ``ray.shutdown()``.
 - ``queries()`` / ``oracle_sql()`` — one entry per implemented operator
   (SURVEY.md §2 + training-data ops); oracle-checked entries use the
   simple (SQL-reproducible) analyzer, rows-only entries exercise the
-  full engine and are covered by the pytest oracle suite instead.
+  full engine and are covered by the pytest oracle suite instead. Both
+  are copies of the registry ``pipelines/driver_queries.py`` fills as
+  it declares each entry (``@entry`` / the entry builders, and
+  ``oracle``).
 """
 
 from __future__ import annotations

@@ -14,38 +14,3 @@ Nothing here calls ``ray.init()`` — sessions are owned by the caller
 
 __version__ = "0.1.0"
 
-
-def _register_pickle_by_value() -> None:
-    """Ship this package's code inside task/actor pickles.
-
-    Ray workers deserialize map_batches callables by module reference;
-    registering the package for by-value cloudpickle ships the pickled
-    functions' own code with each task. It does not make the package
-    optional on workers: task code still imports it at run time (every
-    ``util.proc_cached`` lookup, e.g. a worker's ``MinHasher`` or index
-    reader, goes through ``import``), so the package must be importable
-    on every worker, through an installation or ``PYTHONPATH``. A
-    driver that finds it only through a ``sys.path`` edit fails in the
-    workers with ``ModuleNotFoundError``."""
-    try:
-        import importlib
-        import pkgutil
-        import sys
-
-        from ray import cloudpickle
-
-        pkg = sys.modules[__name__]
-        cloudpickle.register_pickle_by_value(pkg)
-        for pkginfo in pkgutil.walk_packages(pkg.__path__, prefix=__name__ + "."):
-            if pkginfo.name.endswith("__main__"):
-                continue
-            try:
-                mod = importlib.import_module(pkginfo.name)
-                cloudpickle.register_pickle_by_value(mod)
-            except Exception:
-                pass
-    except Exception:
-        pass
-
-
-_register_pickle_by_value()

@@ -407,7 +407,7 @@ class MinHasher:
                 d = e
         offsets = np.arange(n + 1, dtype=np.int32) * np.int32(num_perm * 8)
         return pa.table({
-            self.id_col: pa.array(batch[self.id_col].to_pylist()),
+            self.id_col: batch[self.id_col],
             "minhash": pa.Array.from_buffers(
                 pa.binary(), n,
                 [None, pa.py_buffer(offsets), pa.py_buffer(out)]),
@@ -653,6 +653,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         seg = np.flatnonzero(np.concatenate(
             ([True], bs[1:] != bs[:-1], [True])))
         ids_all = g[id_col].to_pylist()
+        id_dtype = g.schema.field(id_col).type.to_pandas_dtype()
         sigs_all = _sig_matrix(g["minhash"], num_perm)
         frames = []
         for lo, hi in zip(seg[:-1], seg[1:]):
@@ -711,8 +712,9 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                     out_id.append(ids[m])
                     out_canon.append(canon)
             if out_id:
-                frames.append(pd.DataFrame({id_col: out_id,
-                                            "canonical_id": out_canon}))
+                frames.append(pd.DataFrame({
+                    id_col: pd.Series(out_id, dtype=id_dtype),
+                    "canonical_id": pd.Series(out_canon, dtype=id_dtype)}))
         return pd.concat(frames).drop_duplicates(ignore_index=True) \
             if frames else empty
 
@@ -1017,9 +1019,11 @@ def _compress_canonical(pairs, id_col: str,
             parent[hi] = lo
 
     members = sorted(set(edges[id_col]) | set(edges["canonical_id"]))
+    id_type = edges[id_col].dtype      # ids keep their input type
     return rd.from_pandas(pd.DataFrame({
-        id_col: members,
-        "canonical_id": [find(m) for m in members]}))
+        id_col: pd.Series(members, dtype=id_type),
+        "canonical_id": pd.Series([find(m) for m in members],
+                                  dtype=id_type)}))
 
 
 def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -1176,8 +1180,17 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     pairs = exchange(_signatures(ds, num_perm, shingle, text_col, id_col)
                      .map_batches(explode_bands, batch_format="pyarrow"),
                      blocks, partition_pairs, "pyarrow")
-    return pairs.groupby(["id_a", "id_b"]).aggregate(
+    out = pairs.groupby(["id_a", "id_b"]).aggregate(
         Count(alias_name="n_bands"))
+    # the groupby widens integer keys to int64: hand the ids back in
+    # their input type
+    sch = ds.schema()
+    id_type = dict(zip(sch.names, sch.types)).get(id_col)
+    if not isinstance(id_type, pa.DataType) or id_type == pa.int64():
+        return out
+    schema = pa.schema([("id_a", id_type), ("id_b", id_type),
+                        ("n_bands", pa.int64())])
+    return out.map_batches(lambda b: b.cast(schema), batch_format="pyarrow")
 
 
 def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",

@@ -61,7 +61,8 @@ import pyarrow as pa
 
 import ray.data
 
-from ..analysis.tokenizer import Analyzer, analyzer_for_mode
+from ..analysis.tokenizer import analyzer_for_mode
+from ..util import proc_cached
 from .varbyte import encode_postings, decode_postings
 
 # bump when the on-disk layout changes: resume fingerprints include it,
@@ -456,22 +457,6 @@ def _build_forward_lineage(pages: "ray.data.Dataset", fwd_path: str,
             "docs_built": int(sum(r["n_docs"] for r in rows))}
 
 
-# Ray reuses worker processes across tasks, so a process-global analyzer
-# gives actor-style setup amortization (stem cache, compiled regexes)
-# WITHOUT an actor pool — tasks schedule elastically on every CPU and
-# there is no pool spin-up or read-starvation to tune (the earlier actor
-# pool variant stalled when concurrency == session CPUs).
-_PROC_ANALYZERS: dict = {}
-
-
-def _get_analyzer(mode: str) -> Analyzer:
-    an = _PROC_ANALYZERS.get(mode)
-    if an is None:
-        an = analyzer_for_mode(mode)
-        _PROC_ANALYZERS[mode] = an
-    return an
-
-
 class _Tokenize:
     """Tokenize stage (stateless task form): emits forward-index rows
     (docid, external_id, pid, per field: terms/positions/len, and the
@@ -495,7 +480,14 @@ class _Tokenize:
         }
         for aname, col in sorted(self.attributes.items()):
             out[f"attr_{aname}"] = batch[col]
-        analyze = _get_analyzer(self.mode).analyze
+        # Ray reuses worker processes across tasks, so a process-global
+        # analyzer gives actor-style setup amortization (stem cache,
+        # compiled regexes) WITHOUT an actor pool — tasks schedule
+        # elastically on every CPU and there is no pool spin-up or
+        # read-starvation to tune (the earlier actor pool variant
+        # stalled when concurrency == session CPUs).
+        analyze = proc_cached(("analyzer", self.mode),
+                              lambda: analyzer_for_mode(self.mode)).analyze
         for fname, col in self.fields.items():
             texts = batch[col].to_pylist()
             terms_col, pos_col, len_col = [], [], np.empty(n, dtype=np.int32)

@@ -1,5 +1,14 @@
 """Driver-contract pipelines (``__ray_entry__.queries()``) and their
-DuckDB oracle SQL, kept side by side so names and semantics stay in sync.
+DuckDB oracle SQL (``__ray_entry__.oracle_sql()``).
+
+Each entry is declared once: ``@entry`` registers a ``q_<name>``
+function as ``<name>``, or an entry builder (``_search_entry``,
+``_batch_entry``, ``_federated_entry``, ...) registers a parameterized
+twin; ``oracle(fn, sql)`` attaches the SQL next to where it is written.
+``QUERIES`` and ``ORACLE_SQL`` are the two dicts these calls fill, and
+both refuse a name twice. Shared SQL pieces (the BM25 idf and tf
+weight, the ``tok``/``doclen``/``stats`` prologue, the wildcard
+``vocab``) come from one fragment builder each.
 
 Each oracle-checked pipeline uses the *simple* analyzer mode
 (``[a-z0-9]+`` runs on lowercased text) so DuckDB's
@@ -29,18 +38,178 @@ from ..index.build import IndexBuildConfig, build_index
 from ..index.reader import IndexReader
 from ..query.eval import QueryEngine
 from ..query.models import (
-    BM25Model, IndriModel, RankedBooleanModel, UnrankedBooleanModel,
+    BM25Model, IndriModel, RankedBooleanModel, TFIDFModel,
+    UnrankedBooleanModel,
 )
+from ..query.sdm import sdm_query
 from .corpus import pages_from_documents
 
 _IDX_ROOT = "/tmp/se_ray_indexes"
 
-SIMPLE_TOKS_SQL = ("list_filter(string_split_regex(lower(text), '[^a-z0-9]+'), "
+# The registry ``__ray_entry__`` serves: entry name → pipeline, and entry
+# name → DuckDB oracle SQL for the oracle-checked subset. ``@entry`` and
+# the entry builders fill QUERIES; ``oracle`` fills ORACLE_SQL next to
+# the SQL it attaches. Both refuse a second registration of a name, so a
+# duplicate cannot silently shadow an earlier entry.
+QUERIES: dict = {}
+ORACLE_SQL: dict[str, str] = {}
+
+
+def entry(fn):
+    """Register ``fn`` under its own name minus the ``q_`` prefix."""
+    name = fn.__name__.removeprefix("q_")
+    if not fn.__name__.startswith("q_") or name in QUERIES:
+        raise ValueError(f"cannot register entry {fn.__name__!r}")
+    QUERIES[name] = fn
+    return fn
+
+
+def oracle(fn, sql: str) -> None:
+    """Attach the oracle SQL of the registered entry ``fn``."""
+    name = fn.__name__.removeprefix("q_")
+    if QUERIES.get(name) is not fn or name in ORACLE_SQL:
+        raise ValueError(f"cannot attach oracle SQL to {fn.__name__!r}")
+    ORACLE_SQL[name] = sql
+
+
+def _register(fn, name: str, sql: str | None):
+    """Name a builder's pipeline ``q_<name>``, register it and attach
+    its oracle SQL (None = rows-only)."""
+    fn.__name__ = fn.__qualname__ = f"q_{name}"
+    entry(fn)
+    if sql is not None:
+        oracle(fn, sql)
+    return fn
+
+
+# the models every engine entry ranks with, parameters as the oracles
+_BM25 = BM25Model(k1=1.2, b=0.75)
+_INDRI = IndriModel(mu=2500, lambda_=0.4)
+_RANKED = RankedBooleanModel()
+_UNRANKED = UnrankedBooleanModel()
+
+
+def _n_matches(res: pa.Table) -> pa.Table:
+    return pa.table({"n_matches": pa.array([res.num_rows], pa.int64())})
+
+
+def _search_entry(name: str, index, model, query: str, k: int,
+                  sql: str | None = None, table=None, **search_kw):
+    """Entry ``name``: ``QueryEngine(index(sf_dir), model)`` searches
+    ``query`` for the top ``k`` → ``table(result)`` (default: the ranked
+    (doc_id, score) table); ``search_kw`` go to ``search``."""
+    def fn(sf_dir: str):
+        res = QueryEngine(index(sf_dir), model).search(query, k=k,
+                                                       **search_kw)
+        return (table or _ranked_to_table)(res)
+    return _register(fn, name, sql)
+
+
+def _federated_entry(name: str, model, query: str, sql: str):
+    """Entry ``name``: ``query`` over the two half-corpus segments of
+    ``get_half_index_paths`` through one ``FederatedEngine`` (no
+    physical merge) → top-10 (doc_id, score)."""
+    def fn(sf_dir: str):
+        from ..query.federated import FederatedEngine
+        readers = [IndexReader(p)
+                   for p in get_half_index_paths(sf_dir, "simple")]
+        res = FederatedEngine(readers, model).search(query, k=10)
+        return _ranked_to_table(res)
+    return _register(fn, name, sql)
+
+
+def _batch_entry(name: str, search: str, queries: list, sql: str,
+                 index=None, **kw):
+    """Entry ``name``: ``query.distributed.<search>`` over the batch
+    ``queries`` on ``index(sf_dir)`` (default: the simple index) →
+    (doc_id, score), led by qid when the batch holds several queries."""
+    def fn(sf_dir: str):
+        from ..query import distributed
+        reader = (index or _simple_index)(sf_dir)
+        res = getattr(distributed, search)(reader.index_dir, queries, **kw)
+        t = _ranked_to_table(res)
+        return t.add_column(0, "qid", res["qid"]) if len(queries) > 1 else t
+    return _register(fn, name, sql)
+
+
+SIMPLE_TOKS_SQL =("list_filter(string_split_regex(lower(text), '[^a-z0-9]+'), "
                    "x -> len(x) > 0)")
 _STOPLIST_SQL = "(" + ",".join(f"'{w}'" for w in sorted(LUCENE_STOP_WORDS)) + ")"
 # tokens with 1-based positions (simple mode = dense positions)
 POS_TOK_SQL = (f"select doc_id, unnest({SIMPLE_TOKS_SQL}) as term, "
                f"generate_subscripts({SIMPLE_TOKS_SQL}, 1) as pos from documents")
+
+
+# ------------------------------------------------------- oracle SQL fragments
+# One spelling of each shared piece of the oracle SQL. Each builder emits
+# the text its call sites used to carry inline; the idf and tf-weight are
+# the SQL forms of ``query.kernels.bm25_idf`` / ``bm25_tfw``.
+
+def _tok_cte(src: str = "documents") -> str:
+    """``tok``: one (doc_id, term) row per simple-analyzer token."""
+    return (f"tok as (\n  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term "
+            f"from {src})")
+
+
+def _doclen_cte(name: str = "doclen", src: str = "tok") -> str:
+    """Per-doc token count ``dl`` of the token relation ``src``."""
+    return (f"{name} as (select doc_id, count(*)::double as dl from {src} "
+            f"group by doc_id)")
+
+
+def _stats_cte(name: str = "stats", dl: str = "doclen",
+               docs: str | None = "documents") -> str:
+    """BM25 corpus statistics over the doc-length relation ``dl``:
+    ``n`` (rows of ``docs``; omitted when ``docs`` is None), ``dc``
+    (docs with a token) and ``suml`` (total tokens)."""
+    n = f"\n  (select count(*) from {docs})::double as n," if docs else ""
+    return (f"{name} as (select{n}\n"
+            f"  (select count(*) from {dl})::double as dc,\n"
+            f"  (select sum(dl) from {dl})::double as suml)")
+
+
+def _bm25_prologue(pos: bool = False, recursive: bool = False) -> str:
+    """``with tok, doclen, stats`` — the head of every BM25 oracle;
+    ``pos`` adds 1-based token positions to ``tok``."""
+    tok = f"tok as ({POS_TOK_SQL})" if pos else _tok_cte()
+    head = "with recursive" if recursive else "with"
+    return f"{head} {tok},\n{_doclen_cte()},\n{_stats_cte()}"
+
+
+def _vocab_cte(match: str) -> str:
+    """``vocab``: the ≤ 64 distinct terms (term asc) satisfying the
+    predicate ``match`` — the engine's wildcard expansion."""
+    return (f"vocab as (select distinct term from tok where {match}\n"
+            f"          order by term limit 64)")
+
+
+# Indri collection length ``suml.v`` (the leaf's ctf/|C| denominator)
+_SUML_CTE = "suml as (select sum(dl)::double as v from doclen)"
+
+def _idf_sql(n: str, df: str) -> str:
+    """BM25 idf clamped at 0 (``kernels.bm25_idf``)."""
+    return f"greatest(0.0, ln(({n} - {df} + 0.5)/({df} + 0.5)))"
+
+
+def _tfw_sql(tf: str, dl: str, stats: str, k1: float = 1.2,
+             b: float = 0.75) -> str:
+    """BM25 tf saturation with length prior (``kernels.bm25_tfw``); the
+    average length is ``stats.suml/stats.dc``."""
+    return (f"({tf} / ({tf} + {k1}*((1.0-{b}) + "
+            f"{b}*{dl}/({stats}.suml/{stats}.dc))))")
+
+
+def _build_cfg(**kw) -> IndexBuildConfig:
+    """The registry's build settings (16 buckets and docid partitions,
+    simple analyzer, body = text), overridden by ``kw``."""
+    import ray
+    # leave headroom for the read/write task stages: an actor pool that
+    # reserves every session CPU starves them and the pipeline stalls
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    cfg = dict(num_buckets=16, docid_partitions=16, analyzer="simple",
+               fields={"body": "text"},
+               tokenize_concurrency=max(1, min(ncpu - 2, 8)))
+    return IndexBuildConfig(**{**cfg, **kw})
 
 
 def get_index(sf_dir: str, mode: str, fields: dict | None = None,
@@ -55,44 +224,74 @@ def get_index(sf_dir: str, mode: str, fields: dict | None = None,
     tag = hashlib.md5(key.encode()).hexdigest()[:8]
     path = os.path.join(_IDX_ROOT, f"{tag}_{mode}")
     os.makedirs(path, exist_ok=True)
-    import ray
-    # leave headroom for the read/write task stages: an actor pool that
-    # reserves every session CPU starves them and the pipeline stalls
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    cfg = IndexBuildConfig(num_buckets=16, docid_partitions=16,
-                           analyzer=mode, fields=fields,
-                           attributes=attributes,
-                           tokenize_concurrency=max(1, min(ncpu - 2, 8)))
+    cfg = _build_cfg(analyzer=mode, fields=fields, attributes=attributes)
     build_index(pages_from_documents(sf_dir), path, cfg,
                 input_token=sf_dir, resume=True)
     return IndexReader(path)
+
+
+def _simple_index(sf_dir: str) -> IndexReader:
+    return get_index(sf_dir, "simple")
+
+
+def _url_index(sf_dir: str) -> IndexReader:
+    """Two fields: body = text, url = the tokenized page url."""
+    return get_index(sf_dir, "simple", fields={"body": "text", "url": "url"})
+
+
+def _resumed_index(sf_dir: str, label: str, pages, name: str | None = None,
+                   **cfg) -> IndexReader:
+    """Build (or resume) the index of ``pages`` (build settings
+    ``_build_cfg(**cfg)``), cached on disk like ``get_index``."""
+    tag = hashlib.md5(f"{sf_dir}|{label}".encode()).hexdigest()[:8]
+    path = os.path.join(_IDX_ROOT, f"{tag}_{name or 'simple_' + label}")
+    os.makedirs(path, exist_ok=True)
+    build_index(pages, path, _build_cfg(**cfg),
+                input_token=f"{sf_dir}|{label}", resume=True)
+    return IndexReader(path)
+
+
+def _derived_index(sf_dir: str, label: str, name: str, make,
+                   done: str = "stats.json") -> IndexReader:
+    """An index made from other indexes by ``make(path)``, cached on
+    disk: ``make`` runs only while ``done`` is missing from ``path``,
+    over a cleared directory (no half-written appends)."""
+    import shutil
+    tag = hashlib.md5(f"{sf_dir}|{label}".encode()).hexdigest()[:8]
+    path = os.path.join(_IDX_ROOT, f"{tag}_{name}")
+    if not os.path.exists(os.path.join(path, done)):
+        shutil.rmtree(path, ignore_errors=True)
+        make(path)
+    return IndexReader(path)
+
+
+def _segment_paths(sf_dir: str, label: str, mode: str, n: int,
+                   prefix: str) -> list[str]:
+    """``n`` 'crawl segment' indexes, segment ``r`` holding the docs
+    whose url number is ``r`` mod ``n``; cached on disk."""
+    tag = hashlib.md5(f"{sf_dir}|{label}".encode()).hexdigest()[:8]
+    cfg = _build_cfg(docid_partitions=8, analyzer=mode)
+    paths = []
+    for r in range(n):
+        def keep(b: pa.Table, r=r) -> pa.Table:
+            nums = np.array([int(u.rsplit("/", 1)[1])
+                             for u in b["url"].to_pylist()], np.int64)
+            return b.filter(pa.array(nums % n == r))
+        path = os.path.join(_IDX_ROOT, f"{tag}_{mode}_{prefix}{r}")
+        build_index(
+            pages_from_documents(sf_dir).map_batches(
+                keep, batch_format="pyarrow"),
+            path, cfg, input_token=f"{sf_dir}|{prefix}{r}", resume=True)
+        paths.append(path)
+    return paths
 
 
 def get_half_index_paths(sf_dir: str, mode: str) -> list[str]:
     """Two half-corpus 'crawl segment' indexes (docs split by url-number
     parity), cached on disk — the shared segment source for the
     physical-merge (``get_merged_index``) and federated-search
-    (``q_bm25_federated_top10``) paths."""
-    tag = hashlib.md5(f"{sf_dir}|merged".encode()).hexdigest()[:8]
-    import ray
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    cfg = dict(num_buckets=16, docid_partitions=8, analyzer=mode,
-               fields={"body": "text"},
-               tokenize_concurrency=max(1, min(ncpu - 2, 8)))
-    halves = []
-    for parity in (0, 1):
-        def keep(b: pa.Table, parity=parity) -> pa.Table:
-            nums = np.array([int(u.rsplit("/", 1)[1])
-                             for u in b["url"].to_pylist()], np.int64)
-            return b.filter(pa.array(nums % 2 == parity))
-        hp = os.path.join(_IDX_ROOT, f"{tag}_{mode}_h{parity}")
-        build_index(
-            pages_from_documents(sf_dir).map_batches(
-                keep, batch_format="pyarrow"),
-            hp, IndexBuildConfig(**cfg),
-            input_token=f"{sf_dir}|h{parity}", resume=True)
-        halves.append(hp)
-    return halves
+    (``bm25_federated_top10``) paths."""
+    return _segment_paths(sf_dir, "merged", mode, 2, "h")
 
 
 def get_merged_index(sf_dir: str, mode: str) -> IndexReader:
@@ -101,15 +300,10 @@ def get_merged_index(sf_dir: str, mode: str) -> IndexReader:
     ``merge_indexes`` them; cached on disk like ``get_index``. Rankings
     over the merged index must equal the one-pass full build's (same
     corpus stats by addition), which the shared BM25 oracle checks."""
-    import shutil
     from ..index.merge import merge_indexes
-    tag = hashlib.md5(f"{sf_dir}|merged".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_{mode}_merged")
-    if not os.path.exists(os.path.join(path, "stats.json")):
-        shutil.rmtree(path, ignore_errors=True)  # no half-written appends
-        halves = get_half_index_paths(sf_dir, mode)
-        merge_indexes(halves[0], halves[1], path)
-    return IndexReader(path)
+    return _derived_index(
+        sf_dir, "merged", f"{mode}_merged",
+        lambda path: merge_indexes(*get_half_index_paths(sf_dir, mode), path))
 
 
 def get_bigram_index(sf_dir: str) -> IndexReader:
@@ -119,15 +313,6 @@ def get_bigram_index(sf_dir: str) -> IndexReader:
     quoted two-word phrase becomes ONE term lookup instead of a
     positional #NEAR/1 intersection — the classic trade of index bytes
     for phrase-query latency at serving scale. Cached like get_index."""
-    tag = hashlib.md5(f"{sf_dir}|bigram".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_bigram")
-    os.makedirs(path, exist_ok=True)
-    import ray
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    cfg = IndexBuildConfig(num_buckets=16, docid_partitions=16,
-                           analyzer="simple", fields={"body": "text"},
-                           tokenize_concurrency=max(1, min(ncpu - 2, 8)))
-
     def to_bigrams(b: pa.Table) -> pa.Table:
         texts = []
         for t in b["text"].to_pylist():
@@ -137,128 +322,38 @@ def get_bigram_index(sf_dir: str) -> IndexReader:
         idx = b.schema.get_field_index("text")
         return b.set_column(idx, "text", pa.array(texts, pa.string()))
 
-    build_index(pages_from_documents(sf_dir).map_batches(
-        to_bigrams, batch_format="pyarrow"), path, cfg,
-        input_token=f"{sf_dir}|bigram", resume=True)
-    return IndexReader(path)
+    return _resumed_index(sf_dir, "bigram", pages_from_documents(
+        sf_dir).map_batches(to_bigrams, batch_format="pyarrow"),
+        name="bigram")
 
 
-def q_phrase_index_top10(sf_dir: str):
-    """BM25 phrase search served from the bigram index: the phrase
-    'fast sort' is one term; tf = adjacency count, doclen = per-doc
-    bigram count (the bigram field's own statistics — distinct from the
-    derived-#NEAR/1 scoring, which keeps unigram field lengths)."""
-    reader = get_bigram_index(sf_dir)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("fast0sort", k=10)
-    return _ranked_to_table(res)
-
-
-SQL_PHRASE_INDEX_TOP10 = f"""
-with tok as ({POS_TOK_SQL}),
-big as (
-  select a.doc_id, a.term || '0' || b.term as term
-  from tok a join tok b on a.doc_id = b.doc_id and b.pos = a.pos + 1),
-doclen as (select doc_id, count(*)::double as dl from big group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
-tfv as (select doc_id, count(*)::double as tf from big
-        where term = 'fast0sort' group by doc_id),
-dfv as (select count(*)::double as df from tfv),
-scored as (
-  select tfv.doc_id,
-         greatest(0.0, ln((stats.n - dfv.df + 0.5)/(dfv.df + 0.5)))
-         * (tfv.tf / (tfv.tf + 1.2*((1.0-0.75)
-            + 0.75*doclen.dl/(stats.suml/stats.dc)))) as raw
-  from tfv join doclen using (doc_id)
-  cross join stats cross join dfv)
-select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
-order by raw desc, doc_id asc limit 10
-"""
-
-
-def q_bm25_merged_top10(sf_dir: str):
-    """BM25 over a MERGED index (two parity-split segment builds folded
-    by ``merge_indexes``) — same oracle as ``index_bm25_top10``: the
-    segment merge must be ranking-invisible."""
-    reader = get_merged_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
-
-
-def q_bm25_compacted_top10(sf_dir: str):
-    """BM25 over the merged index AFTER ``compact_index`` rewrote its
-    (doubled) salt runs back to the build-time budget — the LSM
-    compaction step; also shares the full-build BM25 oracle, so the
-    whole segment lifecycle (split builds → merge → compact) is proven
-    ranking-invisible."""
-    import shutil
+def _compacted_index(sf_dir: str) -> IndexReader:
+    """The merged index after ``compact_index`` rewrote its (doubled)
+    salt runs back to the build-time budget."""
     from ..index.merge import compact_index
-    get_merged_index(sf_dir, "simple")  # ensure the merged input exists
-    tag = hashlib.md5(f"{sf_dir}|merged".encode()).hexdigest()[:8]
-    src = os.path.join(_IDX_ROOT, f"{tag}_simple_merged")
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_compacted")
-    if not os.path.exists(os.path.join(path, "stats.json")):
-        shutil.rmtree(path, ignore_errors=True)
-        compact_index(src, path, merge_salts=4)
-    reader = IndexReader(path)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
+    src = get_merged_index(sf_dir, "simple").index_dir
+    return _derived_index(sf_dir, "merged", "simple_compacted",
+                          lambda path: compact_index(src, path,
+                                                     merge_salts=4))
 
 
-def q_bm25_merged3_top10(sf_dir: str):
-    """BM25 over a 3-way SINGLE-PASS merged index
-    (``merge_indexes_many`` over three url-residue segment builds) —
-    same oracle as ``index_bm25_top10``: the N-way fold must be
-    ranking-invisible exactly like the binary one."""
-    import shutil
+def _merged3_index(sf_dir: str) -> IndexReader:
+    """``merge_indexes_many`` over three url-residue segment builds."""
     from ..index.merge import merge_indexes_many
-    tag = hashlib.md5(f"{sf_dir}|merged3".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_merged3")
-    if not os.path.exists(os.path.join(path, "stats.json")):
-        shutil.rmtree(path, ignore_errors=True)
-        import ray
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        cfg = dict(num_buckets=16, docid_partitions=8, analyzer="simple",
-                   fields={"body": "text"},
-                   tokenize_concurrency=max(1, min(ncpu - 2, 8)))
-        dirs = []
-        for res in range(3):
-            def keep(b: pa.Table, res=res) -> pa.Table:
-                nums = np.array([int(u.rsplit("/", 1)[1])
-                                 for u in b["url"].to_pylist()], np.int64)
-                return b.filter(pa.array(nums % 3 == res))
-            d = os.path.join(_IDX_ROOT, f"{tag}_simple_m3s{res}")
-            build_index(pages_from_documents(sf_dir).map_batches(
-                keep, batch_format="pyarrow"), d,
-                IndexBuildConfig(**cfg),
-                input_token=f"{sf_dir}|m3s{res}", resume=True)
-            dirs.append(d)
-        merge_indexes_many(dirs, path)
-    engine = QueryEngine(IndexReader(path), BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
+    return _derived_index(
+        sf_dir, "merged3", "simple_merged3",
+        lambda path: merge_indexes_many(
+            _segment_paths(sf_dir, "merged3", "simple", 3, "m3s"), path))
 
 
-def q_bm25_inlink_top10(sf_dir: str):
-    """Anchor-text ('inlink') field, end to end: the deterministic link
-    graph's anchors (first two tokens of the linking doc) aggregate per
-    target via ``graph.anchor_text`` (one keyed exchange, ordered
-    concat), join onto the corpus as one more indexed field, and a
-    two-field ``#SUM(hash.inlink fast.body)`` ranks with per-field
-    stats — the reference's ClueWeb inlink field
-    (``QryParser.java:156-158``) produced from the graph instead of
-    pre-baked."""
+def _inlink_index(sf_dir: str) -> IndexReader:
+    """Fields body = text and inlink = the anchor text the link graph
+    points at each doc (see ``bm25_inlink_top10``)."""
     import ray.data as rd
     from ..functions.graph import anchor_text
     from ..functions.join import shuffle_hash_join
-    tag = hashlib.md5(f"{sf_dir}|inlink".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_inlink")
-    if not os.path.exists(os.path.join(path, "stats.json")):
+
+    def make(path: str) -> None:
         docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
         n = docs.count()
@@ -300,22 +395,85 @@ def q_bm25_inlink_top10(sf_dir: str):
                                    pa.string())})
 
         pages = joined.map_batches(to_pages, batch_format="pandas")
-        import ray
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
         build_index(pages, path,
-                    IndexBuildConfig(
-                        num_buckets=16, docid_partitions=8,
-                        analyzer="simple",
-                        fields={"body": "text", "inlink": "inlink"},
-                        tokenize_concurrency=max(1, min(ncpu - 2, 8))),
+                    _build_cfg(docid_partitions=8,
+                               fields={"body": "text", "inlink": "inlink"}),
                     input_token=f"{sf_dir}|inlink", resume=True)
-    reader = IndexReader(path)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("#sum(hash.inlink fast.body)", k=10)
-    return _ranked_to_table(res)
+    return _derived_index(sf_dir, "inlink", "simple_inlink", make)
 
 
-SQL_BM25_INLINK_TOP10 = f"""
+def _deleted_index(sf_dir: str) -> IndexReader:
+    """A dedicated simple-analyzer index with every ``doc_id % 5 == 0``
+    document tombstoned (``delete_docs``) — kept separate from the
+    shared ``get_index`` cache, which other queries must see
+    undeleted."""
+    from ..index.merge import delete_docs
+
+    def make(path: str) -> None:
+        build_index(pages_from_documents(sf_dir), path, _build_cfg(),
+                    input_token=f"{sf_dir}|del", resume=True)
+        n = IndexReader(path).n_docs
+        delete_docs(path, [f"http://docs.example.com/{i:08d}"
+                           for i in range(0, n, 5)])
+    return _derived_index(sf_dir, "deleted", "simple_deleted", make,
+                          done="deletes.json")
+
+
+def _purged_index(sf_dir: str) -> IndexReader:
+    """``compact_index`` over the tombstoned index: the deleted docs
+    are dropped, survivors renumbered and every statistic refreshed."""
+    from ..index.merge import compact_index
+    src = _deleted_index(sf_dir).index_dir
+    return _derived_index(sf_dir, "deleted", "simple_purged",
+                          lambda path: compact_index(src, path,
+                                                     merge_salts=4))
+
+
+def _positionless_index(sf_dir: str) -> IndexReader:
+    return _resumed_index(sf_dir, "nopos", pages_from_documents(sf_dir),
+                          store_positions=False)
+
+
+def _synonym_index(sf_dir: str) -> IndexReader:
+    return _resumed_index(sf_dir, "idxsyn", pages_from_documents(sf_dir),
+                          index_synonyms={"dup": ["duplicate"]})
+
+
+# BM25 phrase search served from the bigram index: the phrase 'fast
+# sort' is one term; tf = adjacency count, doclen = per-doc bigram count
+# (the bigram field's own statistics — distinct from the derived-#NEAR/1
+# scoring, which keeps unigram field lengths).
+_search_entry("phrase_index_top10", get_bigram_index, _BM25, "fast0sort", 10,
+              f"""
+with tok as ({POS_TOK_SQL}),
+big as (
+  select a.doc_id, a.term || '0' || b.term as term
+  from tok a join tok b on a.doc_id = b.doc_id and b.pos = a.pos + 1),
+{_doclen_cte(src='big')},
+{_stats_cte()},
+tfv as (select doc_id, count(*)::double as tf from big
+        where term = 'fast0sort' group by doc_id),
+dfv as (select count(*)::double as df from tfv),
+scored as (
+  select tfv.doc_id,
+         {_idf_sql('stats.n', 'dfv.df')}
+         * {_tfw_sql('tfv.tf', 'doclen.dl', 'stats')} as raw
+  from tfv join doclen using (doc_id)
+  cross join stats cross join dfv)
+select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
+order by raw desc, doc_id asc limit 10
+""")
+
+
+# Anchor-text ('inlink') field, end to end: the deterministic link
+# graph's anchors (first two tokens of the linking doc) aggregate per
+# target via ``graph.anchor_text`` (one keyed exchange, ordered concat),
+# join onto the corpus as one more indexed field, and a two-field
+# ``#SUM(hash.inlink fast.body)`` ranks with per-field stats — the
+# reference's ClueWeb inlink field (``QryParser.java:156-158``) produced
+# from the graph instead of pre-baked.
+_search_entry("bm25_inlink_top10", _inlink_index, _BM25,
+              "#sum(hash.inlink fast.body)", 10, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 n0 as (select count(*)::bigint as c from documents),
 anch as (select t.doc_id as src, k.k,
@@ -331,12 +489,10 @@ itok as (select doc_id,
            unnest(list_filter(string_split_regex(lower(inlink),
                   '[^a-z0-9]+'), x -> len(x) > 0)) as term from il),
 nv as (select count(*)::double as v from documents),
-bdl as (select doc_id, count(*)::double as dl from tok group by doc_id),
-bstats as (select (select count(*) from bdl)::double as dc,
-                  (select sum(dl) from bdl)::double as suml),
-idl as (select doc_id, count(*)::double as dl from itok group by doc_id),
-istats as (select (select count(*) from idl)::double as dc,
-                  (select sum(dl) from idl)::double as suml),
+{_doclen_cte('bdl', 'tok')},
+{_stats_cte('bstats', 'bdl', docs=None)},
+{_doclen_cte('idl', 'itok')},
+{_stats_cte('istats', 'idl', docs=None)},
 btf as (select doc_id, count(*)::double as tf from tok
         where term = 'fast' group by doc_id),
 bdf as (select count(*)::double as df from btf),
@@ -344,15 +500,13 @@ itf as (select doc_id, count(*)::double as tf from itok
         where term = 'hash' group by doc_id),
 idf as (select count(*)::double as df from itf),
 bscore as (select btf.doc_id,
-    greatest(0.0, ln((nv.v - bdf.df + 0.5)/(bdf.df + 0.5)))
-      * (btf.tf / (btf.tf + 1.2*((1.0-0.75)
-         + 0.75*bdl.dl/(bstats.suml/bstats.dc)))) as s
+    {_idf_sql('nv.v', 'bdf.df')}
+      * {_tfw_sql('btf.tf', 'bdl.dl', 'bstats')} as s
   from btf cross join bdf join bdl using (doc_id)
   cross join nv cross join bstats),
 iscore as (select itf.doc_id,
-    greatest(0.0, ln((nv.v - idf.df + 0.5)/(idf.df + 0.5)))
-      * (itf.tf / (itf.tf + 1.2*((1.0-0.75)
-         + 0.75*idl.dl/(istats.suml/istats.dc)))) as s
+    {_idf_sql('nv.v', 'idf.df')}
+      * {_tfw_sql('itf.tf', 'idl.dl', 'istats')} as s
   from itf cross join idf join idl using (doc_id)
   cross join nv cross join istats),
 scored as (select coalesce(b.doc_id, i.doc_id) as doc_id,
@@ -360,85 +514,7 @@ scored as (select coalesce(b.doc_id, i.doc_id) as doc_id,
   from bscore b full outer join iscore i on b.doc_id = i.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
-"""
-
-
-def _get_deleted_index(sf_dir: str) -> str:
-    """A dedicated simple-analyzer index with every ``doc_id % 5 == 0``
-    document tombstoned (``delete_docs``) — kept separate from the
-    shared ``get_index`` cache, which other queries must see
-    undeleted."""
-    import shutil
-    from ..index.merge import delete_docs
-    tag = hashlib.md5(f"{sf_dir}|deleted".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_deleted")
-    if not os.path.exists(os.path.join(path, "deletes.json")):
-        shutil.rmtree(path, ignore_errors=True)
-        import ray
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        build_index(pages_from_documents(sf_dir), path,
-                    IndexBuildConfig(
-                        num_buckets=16, docid_partitions=16,
-                        analyzer="simple", fields={"body": "text"},
-                        tokenize_concurrency=max(1, min(ncpu - 2, 8))),
-                    input_token=f"{sf_dir}|del", resume=True)
-        n = IndexReader(path).n_docs
-        delete_docs(path, [f"http://docs.example.com/{i:08d}"
-                           for i in range(0, n, 5)])
-    return path
-
-
-def q_bm25_deleted_top10(sf_dir: str):
-    """Tombstoned search: every ``doc_id % 5 == 0`` doc deleted via
-    ``delete_docs``; BM25 masks them out AFTER scoring while corpus
-    statistics stay as-built — exactly the oracle's candidate-filter
-    semantics (Lucene's deletes-until-merge)."""
-    reader = IndexReader(_get_deleted_index(sf_dir))
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
-
-
-def q_bm25_purged_top10(sf_dir: str):
-    """The purge half of the delete lifecycle: ``compact_index`` over
-    the tombstoned index physically drops the deleted docs, renumbers
-    survivors densely and REFRESHES every statistic — so the oracle is
-    BM25 over the surviving corpus with live-only stats (unlike the
-    tombstone query, whose stats stay corpus-wide)."""
-    import shutil
-    from ..index.merge import compact_index
-    src = _get_deleted_index(sf_dir)
-    tag = hashlib.md5(f"{sf_dir}|deleted".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_purged")
-    if not os.path.exists(os.path.join(path, "stats.json")):
-        shutil.rmtree(path, ignore_errors=True)
-        compact_index(src, path, merge_salts=4)
-    reader = IndexReader(path)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
-
-
-def q_bm25_positionless_top10(sf_dir: str):
-    """BM25 over a ``store_positions=False`` index — the BoW-only
-    footprint mode (positions are the bulk of postings bytes at
-    100 TB); scoring must be identical to the positional build, so it
-    shares the full BM25 oracle."""
-    tag = hashlib.md5(f"{sf_dir}|nopos".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_nopos")
-    import ray
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    build_index(pages_from_documents(sf_dir), path,
-                IndexBuildConfig(
-                    num_buckets=16, docid_partitions=16,
-                    analyzer="simple", fields={"body": "text"},
-                    store_positions=False,
-                    tokenize_concurrency=max(1, min(ncpu - 2, 8))),
-                input_token=f"{sf_dir}|nopos", resume=True)
-    reader = IndexReader(path)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
+""")
 
 
 def _docid_of_external(ext_ids: list[str]) -> np.ndarray:
@@ -446,16 +522,15 @@ def _docid_of_external(ext_ids: list[str]) -> np.ndarray:
     return np.array([int(e.rsplit("/", 1)[1]) for e in ext_ids], dtype=np.int64)
 
 
-def _ranked_to_table(res: pa.Table, k: int | None = None) -> pa.Table:
+def _ranked_to_table(res: pa.Table) -> pa.Table:
     ids = _docid_of_external(res["external_id"].to_pylist())
     scores = round6(res["score"].to_pylist())
-    if k is not None:
-        ids, scores = ids[:k], scores[:k]
     return pa.table({"doc_id": pa.array(ids), "score": pa.array(scores)})
 
 
 # ------------------------------------------------------------------ queries
 
+@entry
 def q_doc_token_counts(sf_dir: str):
     import ray.data as rd
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -468,11 +543,12 @@ def q_doc_token_counts(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-SQL_DOC_TOKEN_COUNTS = f"""
+oracle(q_doc_token_counts, f"""
 select doc_id, len({SIMPLE_TOKS_SQL})::bigint as n_tokens from documents
-"""
+""")
 
 
+@entry
 def q_term_df_ctf_top50(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
@@ -517,24 +593,16 @@ def q_term_df_ctf_top50(sf_dir: str):
     return pa.Table.from_pandas(pdf.reset_index(drop=True), preserve_index=False)
 
 
-SQL_TERM_DF_CTF_TOP50 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents)
+oracle(q_term_df_ctf_top50, f"""
+with {_tok_cte()}
 select term, count(distinct doc_id)::bigint as df, count(*)::bigint as ctf
 from tok group by term order by ctf desc, term asc limit 50
-"""
+""")
 
 
 # "dup" is the one low-df term in the synthetic vocabulary; the others
 # exercise the idf floor (df > N/2 → idf clamped to 0 on both sides)
 BM25_QUERY_TERMS = ("dup", "line", "hash")
-
-
-def q_index_bm25_top10(sf_dir: str):
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
 
 
 def _bm25_sql(terms: tuple[str, ...], k: int, raw: bool = False,
@@ -553,20 +621,14 @@ def _bm25_sql(terms: tuple[str, ...], k: int, raw: bool = False,
               "select doc_id, floor(raw*1000000 + 0.5)/1000000 as score "
               "from scored order by raw desc, doc_id asc")
     return f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+{_bm25_prologue()},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ({in_list}) group by doc_id, term),
 dfs as (select term, count(*)::double as df from tfs group by term),
 scored as (
   select tfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + {k1}*((1.0-{b}) + {b}*doclen.dl/(stats.suml/stats.dc)))))
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats', k1, b)})
            as raw
   from tfs
   join dfs on tfs.term = dfs.term
@@ -578,16 +640,81 @@ scored as (
 """
 
 
+BM25_QUERY = " ".join(BM25_QUERY_TERMS)
 SQL_INDEX_BM25_TOP10 = _bm25_sql(BM25_QUERY_TERMS, 10)
 
+# The standard BM25 query over the one-pass build, then over the other
+# builds of the same corpus: each build path must be ranking-invisible,
+# so they share its oracle unless they change the corpus itself.
+_search_entry("index_bm25_top10", _simple_index, _BM25, BM25_QUERY, 10,
+              SQL_INDEX_BM25_TOP10)
+# BM25 over a MERGED index (two parity-split segment builds folded by
+# ``merge_indexes``) — same oracle as ``index_bm25_top10``: the segment
+# merge must be ranking-invisible.
+_search_entry("bm25_merged_top10", lambda sf: get_merged_index(sf, "simple"),
+              _BM25, BM25_QUERY, 10, SQL_INDEX_BM25_TOP10)
+# BM25 over the merged index AFTER ``compact_index`` rewrote its
+# (doubled) salt runs back to the build-time budget — the LSM compaction
+# step; also shares the full-build BM25 oracle, so the whole segment
+# lifecycle (split builds → merge → compact) is proven
+# ranking-invisible.
+_search_entry("bm25_compacted_top10", _compacted_index, _BM25, BM25_QUERY,
+              10, SQL_INDEX_BM25_TOP10)
+# BM25 over a 3-way SINGLE-PASS merged index (``merge_indexes_many``
+# over three url-residue segment builds) — same oracle as
+# ``index_bm25_top10``: the N-way fold must be ranking-invisible exactly
+# like the binary one.
+_search_entry("bm25_merged3_top10", _merged3_index, _BM25, BM25_QUERY, 10,
+              SQL_INDEX_BM25_TOP10)
+# BM25 over a ``store_positions=False`` index — the BoW-only footprint
+# mode (positions are the bulk of postings bytes at 100 TB); scoring
+# must be identical to the positional build, so it shares the full BM25
+# oracle.
+_search_entry("bm25_positionless_top10", _positionless_index, _BM25,
+              BM25_QUERY, 10, SQL_INDEX_BM25_TOP10)
+# Tombstoned search: every ``doc_id % 5 == 0`` doc deleted via
+# ``delete_docs``; BM25 masks them out AFTER scoring while corpus
+# statistics stay as-built — exactly the oracle's candidate-filter
+# semantics (Lucene's deletes-until-merge).
+_search_entry("bm25_deleted_top10", _deleted_index, _BM25, BM25_QUERY, 10,
+              _bm25_sql(BM25_QUERY_TERMS, 10,
+                        doc_filter="tfs.doc_id % 5 <> 0"))
+# The purge half of the delete lifecycle: ``compact_index`` over the
+# tombstoned index physically drops the deleted docs, renumbers
+# survivors densely and REFRESHES every statistic — so the oracle is
+# BM25 over the surviving corpus with live-only stats (unlike the
+# tombstone query, whose stats stay corpus-wide): the shared template
+# with ``documents`` shadowed by the live subset.
+_search_entry("bm25_purged_top10", _purged_index, _BM25, BM25_QUERY, 10,
+              SQL_INDEX_BM25_TOP10
+              .replace("from documents", "from live_docs")
+              .replace("\nwith tok as (",
+                       "\nwith live_docs as (select * from documents "
+                       "where doc_id % 5 <> 0),\ntok as (", 1))
 
+
+@entry
+def q_index_bm25_maxscore_top10(sf_dir: str):
+    """Same query + oracle as ``index_bm25_top10`` but scored through the
+    MaxScore/block-max pruned path (query/maxscore.py) — the oracle match
+    proves pruning is exact, not approximate."""
+    from ..query.maxscore import bm25_maxscore_search
+    res = bm25_maxscore_search(_simple_index(sf_dir), BM25_QUERY, k=10,
+                               model=_BM25)
+    return _ranked_to_table(res)
+
+
+oracle(q_index_bm25_maxscore_top10, SQL_INDEX_BM25_TOP10)
+
+
+@entry
 def q_bm25_explain_top10(sf_dir: str):
     """Lucene Explanation parity: per-term BM25 factor breakdown
     (tf, df, idf, tf_weight, term_score) for the top-10 docs of the
     standard 3-term query — ``QueryEngine.explain``."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    t = engine.explain(" ".join(BM25_QUERY_TERMS), k=10)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    t = engine.explain(BM25_QUERY, k=10)
     return pa.table({
         "doc_id": pa.array(_docid_of_external(t["external_id"].to_pylist())),
         "term": t["term"],
@@ -605,17 +732,10 @@ def _bm25_explain_sql(terms: tuple[str, ...], k: int,
     same CTE chain, un-summed."""
     in_list = ",".join(f"'{t}'" for t in terms)
     r6 = "floor({}*1000000 + 0.5)/1000000"
-    idf = "greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))"
-    tfw = (f"(tfs.tf / (tfs.tf + {k1}*((1.0-{b}) + "
-           f"{b}*doclen.dl/(stats.suml/stats.dc))))")
+    idf = _idf_sql("stats.n", "dfs.df")
+    tfw = _tfw_sql("tfs.tf", "doclen.dl", "stats", k1, b)
     return f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+{_bm25_prologue()},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ({in_list}) group by doc_id, term),
 dfs as (select term, count(*)::double as df from tfs group by term),
@@ -639,32 +759,15 @@ order by tfs.doc_id, tfs.term
 """
 
 
-SQL_BM25_EXPLAIN_TOP10 = _bm25_explain_sql(BM25_QUERY_TERMS, 10)
+oracle(q_bm25_explain_top10, _bm25_explain_sql(BM25_QUERY_TERMS, 10))
 
 
-def q_bm25_champion_top10(sf_dir: str):
-    """Champion-list approximate top-k: candidates = union of each
-    term's global tf-top-50 postings, scored exactly (full tf,
-    corpus-wide df/doclens) — only candidate generation approximates."""
-    from ..query.distributed import bm25_champion_search
-    reader = get_index(sf_dir, "simple")
-    res = bm25_champion_search(
-        reader.index_dir, [("q", " ".join(BM25_QUERY_TERMS))], m=50, k=10)
-    return pa.table({
-        "doc_id": pa.array(_docid_of_external(
-            res["external_id"].to_pylist())),
-        "score": pa.array(round6(res["score"].to_pylist())),
-    })
-
-
-SQL_BM25_CHAMPION_TOP10 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+# Champion-list approximate top-k: candidates = union of each
+# term's global tf-top-50 postings, scored exactly (full tf,
+# corpus-wide df/doclens) — only candidate generation approximates.
+_batch_entry("bm25_champion_top10", "bm25_champion_search",
+             [("q", BM25_QUERY)], f"""
+{_bm25_prologue()},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ({",".join(f"'{t}'" for t in BM25_QUERY_TERMS)})
         group by doc_id, term),
@@ -676,9 +779,8 @@ champ as (
 cands as (select distinct doc_id from champ where rn <= 50),
 scored as (
   select tfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')}) as raw
   from tfs
   join dfs on tfs.term = dfs.term
   join doclen on tfs.doc_id = doclen.doc_id
@@ -687,9 +789,10 @@ scored as (
   group by tfs.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score
 from scored order by raw desc, doc_id asc limit 10
-"""
+""", m=50, k=10)
 
 
+@entry
 def q_search_snippets(sf_dir: str):
     """Result-page highlighting: BM25 top-10 → pruned text read of just
     those docs → ``best_passage`` (the 15-token window covering the most
@@ -698,9 +801,9 @@ def q_search_snippets(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
     from ..functions.text import best_passage
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    t = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    t = engine.search(BM25_QUERY, k=10)
     ids = _docid_of_external(t["external_id"].to_pylist())
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"],
@@ -715,7 +818,7 @@ def q_search_snippets(sf_dir: str):
     })
 
 
-SQL_SEARCH_SNIPPETS = f"""
+oracle(q_search_snippets, f"""
 with tok as ({POS_TOK_SQL}),
 topk as (select doc_id from ({_bm25_sql(BM25_QUERY_TERMS, 10, raw=True)})),
 hits as (
@@ -739,48 +842,21 @@ snip as (
   where b.rn = 1 group by b.doc_id, b.s, b.c)
 select doc_id, s::bigint as start_pos, c::bigint as n_match, snippet
 from snip order by doc_id
-"""
+""")
 
 
-def q_index_bm25_maxscore_top10(sf_dir: str):
-    """Same query + oracle as ``index_bm25_top10`` but scored through the
-    MaxScore/block-max pruned path (query/maxscore.py) — the oracle match
-    proves pruning is exact, not approximate."""
-    from ..query.maxscore import bm25_maxscore_search
-    reader = get_index(sf_dir, "simple")
-    res = bm25_maxscore_search(reader, " ".join(BM25_QUERY_TERMS), k=10,
-                               model=BM25Model(k1=1.2, b=0.75))
-    return _ranked_to_table(res)
-
-
-def q_bm25_multifield_top10(sf_dir: str):
-    """BM25 #SUM over leaves in TWO fields (body + url) — the
-    reference's multi-field model (``QryParser.java:156-158`` field
-    whitelist; per-field df/doclen/avglen stats). The url field is the
-    tokenized page url, so per-field statistics differ sharply from
-    body. Oracle: DuckDB reconstructs the deterministic page url from
-    doc_id and scores each field with its own stats."""
-    reader = get_index(sf_dir, "simple",
-                       fields={"body": "text", "url": "url"})
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("#sum(dup 00000007.url 00000008.url)", k=10)
-    return _ranked_to_table(res)
-
-
+MULTIFIELD_QUERY = "#sum(dup 00000007.url 00000008.url)"
 SQL_BM25_MULTIFIELD_TOP10 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+with {_tok_cte()},
 utok as (
   select doc_id, unnest(list_filter(string_split_regex(
     lower('http://docs.example.com/' || printf('%08d', doc_id)),
     '[^a-z0-9]+'), x -> len(x) > 0)) as term from documents),
 n as (select count(*)::double as v from documents),
-bdl as (select doc_id, count(*)::double as dl from tok group by doc_id),
-bstats as (select (select count(*) from bdl)::double as dc,
-                  (select sum(dl) from bdl)::double as suml),
-udl as (select doc_id, count(*)::double as dl from utok group by doc_id),
-ustats as (select (select count(*) from udl)::double as dc,
-                  (select sum(dl) from udl)::double as suml),
+{_doclen_cte('bdl', 'tok')},
+{_stats_cte('bstats', 'bdl', docs=None)},
+{_doclen_cte('udl', 'utok')},
+{_stats_cte('ustats', 'udl', docs=None)},
 btf as (select doc_id, term, count(*)::double as tf from tok
         where term = 'dup' group by doc_id, term),
 bdf as (select term, count(*)::double as df from btf group by term),
@@ -789,16 +865,14 @@ utf as (select doc_id, term, count(*)::double as tf from utok
 udf as (select term, count(*)::double as df from utf group by term),
 bscore as (
   select btf.doc_id,
-         sum(greatest(0.0, ln((n.v - bdf.df + 0.5)/(bdf.df + 0.5)))
-             * (btf.tf / (btf.tf + 1.2*((1.0-0.75)
-                + 0.75*bdl.dl/(bstats.suml/bstats.dc))))) as s
+         sum({_idf_sql('n.v', 'bdf.df')}
+             * {_tfw_sql('btf.tf', 'bdl.dl', 'bstats')}) as s
   from btf join bdf using (term) join bdl using (doc_id)
   cross join n cross join bstats group by btf.doc_id),
 uscore as (
   select utf.doc_id,
-         sum(greatest(0.0, ln((n.v - udf.df + 0.5)/(udf.df + 0.5)))
-             * (utf.tf / (utf.tf + 1.2*((1.0-0.75)
-                + 0.75*udl.dl/(ustats.suml/ustats.dc))))) as s
+         sum({_idf_sql('n.v', 'udf.df')}
+             * {_tfw_sql('utf.tf', 'udl.dl', 'ustats')}) as s
   from utf join udf using (term) join udl using (doc_id)
   cross join n cross join ustats group by utf.doc_id),
 scored as (
@@ -809,22 +883,24 @@ select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
 """
 
+# BM25 #SUM over leaves in TWO fields (body + url) — the
+# reference's multi-field model (``QryParser.java:156-158`` field
+# whitelist; per-field df/doclen/avglen stats). The url field is the
+# tokenized page url, so per-field statistics differ sharply from
+# body. Oracle: DuckDB reconstructs the deterministic page url from
+# doc_id and scores each field with its own stats.
+_search_entry("bm25_multifield_top10", _url_index, _BM25, MULTIFIELD_QUERY, 10,
+              SQL_BM25_MULTIFIELD_TOP10)
+
 
 INDRI_QUERY_TERMS = ("dup", "sort", "merge")
-
-
-def q_index_indri_top10(sf_dir: str):
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    res = engine.search(" ".join(INDRI_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
+INDRI_QUERY = " ".join(INDRI_QUERY_TERMS)
 
 
 SQL_INDEX_INDRI_TOP10 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+with {_tok_cte()},
+{_doclen_cte()},
+{_SUML_CTE},
 qterms as (select * from (values ('dup'),('sort'),('merge')) t(term)),
 ctfs as (select term, count(*)::double as ctf from tok
          where term in (select term from qterms) group by term),
@@ -847,7 +923,11 @@ select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
 """
 
+_search_entry("index_indri_top10", _simple_index, _INDRI, INDRI_QUERY, 10,
+              SQL_INDEX_INDRI_TOP10)
 
+
+@entry
 def q_rare_terms(sf_dir: str):
     """ES ``rare_terms`` agg: body terms with global df ≤ 100, term asc,
     capped at 50 — computed as a Ray Data pipeline OVER THE INDEX'S
@@ -858,7 +938,7 @@ def q_rare_terms(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
     from ..index.build import POSTINGS_DIR
-    reader = get_index(sf_dir, "simple")
+    reader = _simple_index(sf_dir)
     ds = rd.read_parquet(os.path.join(reader.index_dir, POSTINGS_DIR),
                          columns=["term", "field", "df"],
                          filter=pc.field("field") == "body")
@@ -875,37 +955,37 @@ def q_rare_terms(sf_dir: str):
     })
 
 
-SQL_RARE_TERMS = f"""
+oracle(q_rare_terms, f"""
 with tok as (
   select doc_id, unnest(list_distinct({SIMPLE_TOKS_SQL})) as term
   from documents),
 v as (select term, count(*)::bigint as df from tok group by term)
 select term, df from v where df <= 100 order by term asc limit 50
-"""
+""")
 
 
+@entry
 def q_rescore_indri_top10(sf_dir: str):
     """Two-phase retrieval (ES rescore / the recall-then-precision
     pattern): BM25 recalls the top-100, Indri re-scores ONLY those
     candidates (``search(allowed=...)`` — corpus statistics stay
     corpus-wide, top-10 cut after the filter). The rescore window
     is candidate-sized; the second phase never touches the corpus."""
-    reader = get_index(sf_dir, "simple")
-    bm = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    recall = bm.search(" ".join(BM25_QUERY_TERMS), k=100)
+    reader = _simple_index(sf_dir)
+    bm = QueryEngine(reader, _BM25)
+    recall = bm.search(BM25_QUERY, k=100)
     allowed = reader.internal_docids_for(
         recall["external_id"].to_pylist())
-    ind = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    res = ind.search(" ".join(BM25_QUERY_TERMS), k=10, allowed=allowed)
+    ind = QueryEngine(reader, _INDRI)
+    res = ind.search(BM25_QUERY, k=10, allowed=allowed)
     return _ranked_to_table(res)
 
 
-SQL_RESCORE_INDRI_TOP10 = f"""
+oracle(q_rescore_indri_top10, f"""
 with recall as ( {_bm25_sql(BM25_QUERY_TERMS, 100, raw=True)} ),
-tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+{_tok_cte()},
+{_doclen_cte()},
+{_SUML_CTE},
 qterms as (select * from (values ('dup'),('line'),('hash')) t(term)),
 ctfs as (select term, count(*)::double as ctf from tok
          where term in (select term from qterms) group by term),
@@ -927,17 +1007,18 @@ scored as (
   from cells cross join suml group by doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_indri_explain_top10(sf_dir: str):
     """Indri explain parity: one row per (top-10 doc, query term)
     INCLUDING absent terms (their Dirichlet default score is part of the
     geometric mean) — score == product of p^weight, verified by pytest;
     here the factor rows themselves hash-match the un-multiplied SQL."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    t = engine.explain(" ".join(INDRI_QUERY_TERMS), k=10)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _INDRI)
+    t = engine.explain(INDRI_QUERY, k=10)
     return pa.table({
         "doc_id": pa.array(_docid_of_external(t["external_id"].to_pylist())),
         "term": t["term"],
@@ -948,11 +1029,10 @@ def q_indri_explain_top10(sf_dir: str):
     })
 
 
-SQL_INDRI_EXPLAIN_TOP10 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+oracle(q_indri_explain_top10, f"""
+with {_tok_cte()},
+{_doclen_cte()},
+{_SUML_CTE},
 qterms as (select * from (values ('dup'),('sort'),('merge')) t(term)),
 ctfs as (select term, count(*)::double as ctf from tok
          where term in (select term from qterms) group by term),
@@ -979,28 +1059,15 @@ select c.doc_id, c.term, c.tf::bigint as tf, c.ctf::bigint as ctf,
 from cells c cross join suml
 where c.doc_id in (select doc_id from topk)
 order by c.doc_id, c.term
-"""
-
-
-def q_indri_batch_distributed(sf_dir: str):
-    """Same query + oracle as ``index_indri_top10`` but scored through
-    the distributed log-space Indri path (query/distributed.py) — the
-    oracle match proves the groupby-sum factorization is exact."""
-    from ..query.distributed import indri_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = indri_batch_search(reader.index_dir,
-                             [("q", " ".join(INDRI_QUERY_TERMS))],
-                             IndriModel(mu=2500, lambda_=0.4), k=10)
-    return _ranked_to_table(res.drop_columns(["qid"]))
+""")
 
 
 _INDRI_LEAF_SQL = ("((1.0-0.4)*(tf + 2500.0*(ctf/suml.v))/(dl + 2500.0) "
                    "+ 0.4*(ctf/suml.v))")
 _WOP_CTE_SQL = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+with {_tok_cte()},
+{_doclen_cte()},
+{_SUML_CTE},
 qterms as (select * from (values ('dup', 0.6),('sort', 0.4)) t(term, w)),
 ctfs as (select term, count(*)::double as ctf from tok
          where term in (select term from qterms) group by term),
@@ -1017,15 +1084,9 @@ cells as (
 """
 
 WOP_QUERY = "#wsum( 0.6 dup 0.4 sort )"
-
-
-def q_wsum_indri_top10(sf_dir: str):
-    """Indri #WSUM (weighted arithmetic mean with default-score fill,
-    QrySopWSum.java:24-70) — oracle-checked."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    res = engine.search(WOP_QUERY, k=10)
-    return _ranked_to_table(res)
+WAND_QUERY = "#wand( 0.6 dup 0.4 sort )"
+# SDM spine: #WAND of a bag-of-words #AND and a #NEAR/1 ordered-phrase #AND
+SDM_QUERY = "#wand( 0.7 #and( fast sort ) 0.3 #and( #near/1( fast sort ) ) )"
 
 
 SQL_WSUM_INDRI_TOP10 = f"""
@@ -1037,14 +1098,10 @@ select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
 """
 
-
-def q_wand_indri_top10(sf_dir: str):
-    """Indri #WAND (weighted geometric mean with default-score fill,
-    QrySopWAnd.java:20-62) — oracle-checked."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    res = engine.search("#wand( 0.6 dup 0.4 sort )", k=10)
-    return _ranked_to_table(res)
+# Indri #WSUM (weighted arithmetic mean with default-score fill,
+# QrySopWSum.java:24-70) — oracle-checked.
+_search_entry("wsum_indri_top10", _simple_index, _INDRI, WOP_QUERY, 10,
+              SQL_WSUM_INDRI_TOP10)
 
 
 SQL_WAND_INDRI_TOP10 = f"""
@@ -1056,49 +1113,25 @@ select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
 """
 
-
-def q_wand_structured_distributed(sf_dir: str):
-    """Same #WAND query + oracle as ``wand_indri_top10`` but scored via
-    the distributed log-linear structured Indri path — the oracle match
-    proves the tree flattening is exact."""
-    from ..query.distributed import indri_structured_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = indri_structured_batch_search(
-        reader.index_dir, [("q", "#wand( 0.6 dup 0.4 sort )")],
-        IndriModel(mu=2500, lambda_=0.4), k=10)
-    return _ranked_to_table(res.drop_columns(["qid"]))
+# Indri #WAND (weighted geometric mean with default-score fill,
+# QrySopWAnd.java:20-62) — oracle-checked.
+_search_entry("wand_indri_top10", _simple_index, _INDRI, WAND_QUERY, 10,
+              SQL_WAND_INDRI_TOP10)
 
 
-def q_wsum_structured_distributed(sf_dir: str):
-    """Same #WSUM query + oracle as ``wsum_indri_top10`` but scored via
-    the distributed structured Indri path's per-subtree factorization
-    (arithmetic mix of log-linear subtrees in the final stage) — the
-    oracle match proves the #WSUM spine decomposition is exact."""
-    from ..query.distributed import indri_structured_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = indri_structured_batch_search(
-        reader.index_dir, [("q", WOP_QUERY)],
-        IndriModel(mu=2500, lambda_=0.4), k=10)
-    return _ranked_to_table(res.drop_columns(["qid"]))
+# Same #WAND query + oracle as ``wand_indri_top10`` but scored via
+# the distributed log-linear structured Indri path — the oracle match
+# proves the tree flattening is exact.
+_batch_entry("wand_structured_distributed", "indri_structured_batch_search",
+             [("q", WAND_QUERY)], SQL_WAND_INDRI_TOP10, model=_INDRI, k=10)
 
 
-def q_sdm_structured_distributed(sf_dir: str):
-    """SDM spine (#WAND of a bag-of-words #AND and a #NEAR/1 ordered-
-    phrase #AND) scored via the distributed structured Indri path —
-    ORACLE-CHECKED: #NEAR/1 over two distinct terms has SQL-expressible
-    tf (adjacency pair count, see ``near1_ranked``), and the #WAND /
-    #AND nesting is pure arithmetic over leaf scores, so the whole
-    distributed SDM chain (per-salt Iop co-group -> derived list ->
-    log-linear spine mix) hash-matches DuckDB. The full-analyzer
-    #WINDOW-bearing SDM stays rows-only as ``sdm_wand_search``."""
-    from ..query.distributed import indri_structured_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = indri_structured_batch_search(
-        reader.index_dir,
-        [("sdm", "#wand( 0.7 #and( fast sort ) "
-                 "0.3 #and( #near/1( fast sort ) ) )")],
-        IndriModel(mu=2500, lambda_=0.4), k=10)
-    return _ranked_to_table(res.drop_columns(["qid"]))
+# Same #WSUM query + oracle as ``wsum_indri_top10`` but scored via
+# the distributed structured Indri path's per-subtree factorization
+# (arithmetic mix of log-linear subtrees in the final stage) — the
+# oracle match proves the #WSUM spine decomposition is exact.
+_batch_entry("wsum_structured_distributed", "indri_structured_batch_search",
+             [("q", WOP_QUERY)], SQL_WSUM_INDRI_TOP10, model=_INDRI, k=10)
 
 
 # Mirrors the engine's nesting exactly: s_and = (s_fast*s_sort)^(1/2)
@@ -1108,8 +1141,8 @@ def q_sdm_structured_distributed(sf_dir: str):
 # Candidates = match-min union (docs holding either term).
 SQL_SDM_STRUCTURED = f"""
 with tok as ({POS_TOK_SQL}),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+{_doclen_cte()},
+{_SUML_CTE},
 ctfs as (select term, count(*)::double as ctf from tok
          where term in ('fast','sort') group by term),
 tfs as (select doc_id, term, count(*)::double as tf from tok
@@ -1144,134 +1177,106 @@ select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
 """
 
+# SDM spine (#WAND of a bag-of-words #AND and a #NEAR/1 ordered-
+# phrase #AND) scored via the distributed structured Indri path —
+# ORACLE-CHECKED: #NEAR/1 over two distinct terms has SQL-expressible
+# tf (adjacency pair count, see ``near1_ranked``), and the #WAND /
+# #AND nesting is pure arithmetic over leaf scores, so the whole
+# distributed SDM chain (per-salt Iop co-group -> derived list ->
+# log-linear spine mix) hash-matches DuckDB. The full-analyzer
+# #WINDOW-bearing SDM stays rows-only as ``sdm_wand_search``.
+_batch_entry("sdm_structured_distributed", "indri_structured_batch_search",
+             [("sdm", SDM_QUERY)], SQL_SDM_STRUCTURED, model=_INDRI, k=10)
 
-def q_ranked_and(sf_dir: str):
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("#and(fast sort)", k=10**9)
-    return _ranked_to_table(res)
 
-
-SQL_RANKED_AND = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+_search_entry("ranked_and", _simple_index, _RANKED, "#and(fast sort)", 10**9,
+              f"""
+with {_tok_cte()},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ('fast','sort') group by doc_id, term)
 select doc_id, floor(min(tf)*1000000 + 0.5)/1000000 as score from tfs
 group by doc_id having count(distinct term) = 2
-"""
+""")
 
 
-def q_ranked_or(sf_dir: str):
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("#or(fast sort)", k=10**9)
-    return _ranked_to_table(res)
-
-
-SQL_RANKED_OR = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+_search_entry("ranked_or", _simple_index, _RANKED, "#or(fast sort)", 10**9,
+              f"""
+with {_tok_cte()},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ('fast','sort') group by doc_id, term)
 select doc_id, floor(max(tf)*1000000 + 0.5)/1000000 as score from tfs group by doc_id
-"""
+""")
 
 
-def q_unranked_and_count(sf_dir: str):
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, UnrankedBooleanModel())
-    res = engine.search("#and(fast sort merge)", k=10**9)
-    return pa.table({"n_matches": pa.array([res.num_rows], pa.int64())})
-
-
-SQL_UNRANKED_AND_COUNT = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents)
+_search_entry("unranked_and_count", _simple_index, _UNRANKED,
+              "#and(fast sort merge)", 10**9, f"""
+with {_tok_cte()}
 select count(*)::bigint as n_matches from (
   select doc_id from tok where term in ('fast','sort','merge')
   group by doc_id having count(distinct term) = 3)
-"""
+""", table=_n_matches)
 
 
-def q_syn_ranked(sf_dir: str):
-    """#SYN under ranked boolean: score = summed tf of the synonyms
-    (QryIopSyn union semantics -> leaf tf scoring)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("#syn(fast quick)", k=10**9)
-    return _ranked_to_table(res)
-
-
-SQL_SYN_RANKED = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents)
+# #SYN under ranked boolean: score = summed tf of the synonyms
+# (QryIopSyn union semantics -> leaf tf scoring).
+_search_entry("syn_ranked", _simple_index, _RANKED, "#syn(fast quick)", 10**9,
+              f"""
+with {_tok_cte()}
 select doc_id, floor(count(*)::double*1000000 + 0.5)/1000000 as score
 from tok where term in ('fast','quick') group by doc_id
-"""
+""")
 
 
-def q_unranked_near_count(sf_dir: str):
-    """#NEAR/1 existence is SQL-checkable: adjacency self-join on dense
-    positions (the tf-bearing consume semantics stay pytest-oracle-
-    checked; this gates the match set)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, UnrankedBooleanModel())
-    res = engine.search("#near/1(fast sort)", k=10**9)
-    return pa.table({"n_matches": pa.array([res.num_rows], pa.int64())})
-
-
-SQL_UNRANKED_NEAR_COUNT = f"""
+# #NEAR/1 existence is SQL-checkable: adjacency self-join on dense
+# positions (the tf-bearing consume semantics stay pytest-oracle-
+# checked; this gates the match set).
+_search_entry("unranked_near_count", _simple_index, _UNRANKED,
+              "#near/1(fast sort)", 10**9, f"""
 with tok as ({POS_TOK_SQL})
 select count(*)::bigint as n_matches from (
   select distinct a.doc_id from tok a join tok b
     on a.doc_id = b.doc_id and b.pos = a.pos + 1
   where a.term = 'fast' and b.term = 'sort')
-"""
+""", table=_n_matches)
 
 
-def q_near1_ranked(sf_dir: str):
-    """#NEAR/1 with two DISTINCT terms has SQL-expressible tf: every
-    candidate match is an adjacent (p, p+1) pair, and two such pairs can
-    never share a position (one position holds one term), so the
-    reference's greedy consume-on-match loop (QryIopNear.java docEval)
-    accepts ALL adjacency pairs — near-tf == the plain pair count.
-    RankedBoolean score = leaf tf, like ``syn_ranked``."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("#near/1(fast sort)", k=10**9)
-    return _ranked_to_table(res)
-
-
-SQL_NEAR1_RANKED = f"""
+# #NEAR/1 with two DISTINCT terms has SQL-expressible tf: every
+# candidate match is an adjacent (p, p+1) pair, and two such pairs can
+# never share a position (one position holds one term), so the
+# reference's greedy consume-on-match loop (QryIopNear.java docEval)
+# accepts ALL adjacency pairs — near-tf == the plain pair count.
+# RankedBoolean score = leaf tf, like ``syn_ranked``.
+_search_entry("near1_ranked", _simple_index, _RANKED, "#near/1(fast sort)",
+              10**9, f"""
 with tok as ({POS_TOK_SQL})
 select a.doc_id as doc_id,
        floor(count(*)::double*1000000 + 0.5)/1000000 as score
 from tok a join tok b on a.doc_id = b.doc_id and b.pos = a.pos + 1
 where a.term = 'fast' and b.term = 'sort'
 group by a.doc_id
-"""
+""")
 
 
 NEAR1_BM25_QUERY = "#sum(#near/1(fast sort))"
 
-SQL_NEAR1_BM25_TOP10 = f"""
-with tok as ({POS_TOK_SQL}),
+def _near1_bm25_sql(b_term: str, head: str = "") -> str:
+    """BM25 top-10 over the DERIVED #NEAR/1 list of 'fast' followed by a
+    term satisfying ``b.term <b_term>``: tf = adjacency pair count,
+    df = docs in the list, unigram field lengths. ``head`` adds CTEs
+    after ``tok``."""
+    return f"""
+with tok as ({POS_TOK_SQL}),{head}
 neartf as (
   select a.doc_id, count(*)::double as tf
   from tok a join tok b on a.doc_id = b.doc_id and b.pos = a.pos + 1
-  where a.term = 'fast' and b.term = 'sort' group by a.doc_id),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+  where a.term = 'fast' and b.term {b_term} group by a.doc_id),
+{_doclen_cte()},
+{_stats_cte()},
 dfv as (select count(*)::double as df from neartf),
 scored as (
   select neartf.doc_id,
-         greatest(0.0, ln((stats.n - dfv.df + 0.5)/(dfv.df + 0.5)))
-         * (neartf.tf / (neartf.tf + 1.2*((1.0-0.75)
-            + 0.75*doclen.dl/(stats.suml/stats.dc)))) as raw
+         {_idf_sql('stats.n', 'dfv.df')}
+         * {_tfw_sql('neartf.tf', 'doclen.dl', 'stats')} as raw
   from neartf join doclen using (doc_id)
   cross join stats cross join dfv)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
@@ -1279,87 +1284,33 @@ order by raw desc, doc_id asc limit 10
 """
 
 
-def q_phrase_prefix_search(sf_dir: str):
-    """ES ``match_phrase_prefix``: a phrase whose LAST term is a
-    wildcard — ``#near/1(fast s*)`` composes the existing plan-time
-    prefix rewrite (``s*`` → #SYN of the ≤64 vocab expansions) under
-    the positional #NEAR kernel, scored BM25 over the derived list.
-    tf stays the SQL-expressible adjacency pair count: one position
-    holds one term, and 'fast' is not s-prefixed, so no two greedy
-    matches can share a position even with the multi-term #SYN arg."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("#sum(#near/1(fast s*))", k=10)
-    return _ranked_to_table(res)
+SQL_NEAR1_BM25_TOP10 = _near1_bm25_sql("= 'sort'")
+SQL_PHRASE_PREFIX_SEARCH = _near1_bm25_sql(
+    "in (select term from vocab)", "\n" + _vocab_cte("term like 's%'") + ",")
+
+# ES ``match_phrase_prefix``: a phrase whose LAST term is a
+# wildcard — ``#near/1(fast s*)`` composes the existing plan-time
+# prefix rewrite (``s*`` → #SYN of the ≤64 vocab expansions) under
+# the positional #NEAR kernel, scored BM25 over the derived list.
+# tf stays the SQL-expressible adjacency pair count: one position
+# holds one term, and 'fast' is not s-prefixed, so no two greedy
+# matches can share a position even with the multi-term #SYN arg.
+_search_entry("phrase_prefix_search", _simple_index, _BM25,
+              "#sum(#near/1(fast s*))", 10, SQL_PHRASE_PREFIX_SEARCH)
 
 
-SQL_PHRASE_PREFIX_SEARCH = f"""
-with tok as ({POS_TOK_SQL}),
-vocab as (select distinct term from tok where term like 's%'
-          order by term limit 64),
-neartf as (
-  select a.doc_id, count(*)::double as tf
-  from tok a join tok b on a.doc_id = b.doc_id and b.pos = a.pos + 1
-  where a.term = 'fast' and b.term in (select term from vocab)
-  group by a.doc_id),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
-dfv as (select count(*)::double as df from neartf),
-scored as (
-  select neartf.doc_id,
-         greatest(0.0, ln((stats.n - dfv.df + 0.5)/(dfv.df + 0.5)))
-         * (neartf.tf / (neartf.tf + 1.2*((1.0-0.75)
-            + 0.75*doclen.dl/(stats.suml/stats.dc)))) as raw
-  from neartf join doclen using (doc_id)
-  cross join stats cross join dfv)
-select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
-order by raw desc, doc_id asc limit 10
-"""
-
-
-def q_near1_bm25_top10(sf_dir: str):
-    """BM25 #SCORE over a DERIVED #NEAR/1 inverted list: df/ctf come
-    from the match list itself (QryIop.getDf/getCtf semantics), and the
-    #NEAR/1 tf is the SQL-expressible adjacency count (see
-    ``near1_ranked``) — so the whole structured scoring chain is
-    oracle-checked, not just the match set."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(NEAR1_BM25_QUERY, k=10)
-    return _ranked_to_table(res)
-
-
-def q_near1_bm25_distributed(sf_dir: str):
-    """Same query + oracle through the DISTRIBUTED structured path
-    (per-salt co-grouped positional kernel + derived-stats BM25)."""
-    from ..query.distributed import bm25_structured_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = bm25_structured_batch_search(
-        reader.index_dir, [("1", NEAR1_BM25_QUERY)],
-        BM25Model(k1=1.2, b=0.75), k=10)
-    return _ranked_to_table(res)
-
-
-def q_unranked_window_count(sf_dir: str):
-    """#WINDOW/3 existence: any position pair with |pa-pb| < 3."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, UnrankedBooleanModel())
-    res = engine.search("#window/3(hash join)", k=10**9)
-    return pa.table({"n_matches": pa.array([res.num_rows], pa.int64())})
-
-
-SQL_UNRANKED_WINDOW_COUNT = f"""
+# #WINDOW/3 existence: any position pair with |pa-pb| < 3.
+_search_entry("unranked_window_count", _simple_index, _UNRANKED,
+              "#window/3(hash join)", 10**9, f"""
 with tok as ({POS_TOK_SQL})
 select count(*)::bigint as n_matches from (
   select distinct a.doc_id from tok a join tok b
     on a.doc_id = b.doc_id and abs(a.pos - b.pos) < 3
   where a.term = 'hash' and b.term = 'join')
-"""
+""", table=_n_matches)
 
 
+@entry
 def q_exact_dedup(sf_dir: str):
     import ray.data as rd
     from ..functions.dedup import exact_dedup
@@ -1368,13 +1319,14 @@ def q_exact_dedup(sf_dir: str):
     return exact_dedup(ds)
 
 
-SQL_EXACT_DEDUP = """
+oracle(q_exact_dedup, """
 select md5(text) as content_hash, min(doc_id)::bigint as canonical_id,
        count(*)::bigint as n_dups
 from documents group by text
-"""
+""")
 
 
+@entry
 def q_connected_components(sf_dir: str):
     """Distributed connected components (large/small-star) over chain
     graphs: consecutive orders of each customer are linked, so every
@@ -1402,15 +1354,16 @@ def q_connected_components(sf_dir: str):
     return connected_components(edges)
 
 
-SQL_CONNECTED_COMPONENTS = """
+oracle(q_connected_components, """
 select o_orderkey as id,
        min(o_orderkey) over (partition by o_custkey) as component
 from orders
 where o_custkey in (select o_custkey from orders
                     group by o_custkey having count(*) >= 2)
-"""
+""")
 
 
+@entry
 def q_lang_counts(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Count
@@ -1418,9 +1371,11 @@ def q_lang_counts(sf_dir: str):
     return ds.groupby("lang").aggregate(Count(alias_name="n"))
 
 
-SQL_LANG_COUNTS = "select lang, count(*)::bigint as n from documents group by lang"
+oracle(q_lang_counts,
+       "select lang, count(*)::bigint as n from documents group by lang")
 
 
+@entry
 def q_quality_scores(sf_dir: str):
     import ray.data as rd
     from ..functions.text import quality_batch
@@ -1431,7 +1386,7 @@ def q_quality_scores(sf_dir: str):
                                "stopword_ratio", "mean_token_len"])
 
 
-SQL_QUALITY_SCORES = f"""
+oracle(q_quality_scores, f"""
 with t as (select doc_id, text, {SIMPLE_TOKS_SQL} as toks from documents)
 select doc_id,
   len(toks)::bigint as n_tokens,
@@ -1445,9 +1400,10 @@ select doc_id,
         then list_aggregate(list_transform(toks, x -> len(x)), 'sum')::double / len(toks)
         else 0.0 end)*1000000 + 0.5)/1000000 as mean_token_len
 from t
-"""
+""")
 
 
+@entry
 def q_token_stats(sf_dir: str):
     """Whitespace + BPE-ish-regex token counts (functions/text.py
     token_stats) — the training-data 'token counting' op; both counters
@@ -1461,16 +1417,17 @@ def q_token_stats(sf_dir: str):
         ["doc_id", "ws_tokens", "bpe_ish_tokens"])
 
 
-SQL_TOKEN_STATS = r"""
+oracle(q_token_stats, r"""
 select doc_id,
   len(list_filter(string_split_regex(coalesce(text, ''), '\s+'),
       x -> len(x) > 0))::bigint as ws_tokens,
   len(regexp_extract_all(lower(coalesce(text, '')),
       '[a-z]+|[0-9]|[^a-z0-9\s]'))::bigint as bpe_ish_tokens
 from documents
-"""
+""")
 
 
+@entry
 def q_vocab_stats(sf_dir: str):
     """Corpus vocabulary profile (Zipf/Heaps audit before training):
     n_tokens / n_types / hapax count / max term frequency, one
@@ -1483,7 +1440,7 @@ def q_vocab_stats(sf_dir: str):
     return vocab_stats(ds)
 
 
-SQL_VOCAB_STATS = f"""
+oracle(q_vocab_stats, f"""
 with t as (select {SIMPLE_TOKS_SQL} as toks from documents),
 tok as (select unnest(toks) as term from t),
 tf as (select term, count(*)::bigint as cnt from tok group by term)
@@ -1493,9 +1450,10 @@ select coalesce(sum(cnt), 0)::bigint as n_tokens,
          as n_hapax,
        coalesce(max(cnt), 0)::bigint as max_tf
 from tf
-"""
+""")
 
 
+@entry
 def q_dataset_split(sf_dir: str):
     """Deterministic train/val/test split (98/1/1) — hash-bucket
     assignment, MAP-ONLY (no shuffle, no state): a doc's split never
@@ -1511,7 +1469,7 @@ def q_dataset_split(sf_dir: str):
                          auditable=True)
 
 
-SQL_DATASET_SPLIT = """
+oracle(q_dataset_split, """
 with b as (select doc_id,
     (('0x' || substr(md5(doc_id::varchar), 1, 16))::ubigint
      % 1000000)::bigint as bucket
@@ -1521,9 +1479,10 @@ select doc_id,
        when bucket < 990000 then 'val'
        else 'test' end as split
 from b
-"""
+""")
 
 
+@entry
 def q_ann_cosine_top10(sf_dir: str):
     import ray.data as rd
     from ..functions.similarity import ann_cosine_topk
@@ -1540,7 +1499,7 @@ def q_ann_cosine_top10(sf_dir: str):
     })
 
 
-SQL_ANN_COSINE_TOP10 = """
+oracle(q_ann_cosine_top10, """
 with q as (select embedding::DOUBLE[] as qv from embeddings where vec_id = 0)
 select vec_id,
        floor(list_cosine_similarity(embedding::DOUBLE[], q.qv)*1000000 + 0.5)/1000000
@@ -1548,7 +1507,7 @@ select vec_id,
 from embeddings, q
 order by list_cosine_similarity(embedding::DOUBLE[], q.qv) desc, vec_id asc
 limit 10
-"""
+""")
 
 
 # the synthetic embeddings are near-orthogonal random vectors (max
@@ -1558,6 +1517,7 @@ limit 10
 EMB_DEDUP_THRESHOLD = 0.45
 
 
+@entry
 def q_embedding_dedup(sf_dir: str):
     """EXACT embedding-cosine near-dup pairs (broadcast-matmul baseline,
     functions/dedup.py embedding_dedup); oracle = DuckDB all-pairs
@@ -1577,7 +1537,7 @@ def q_embedding_dedup(sf_dir: str):
     })
 
 
-SQL_EMBEDDING_DEDUP = f"""
+oracle(q_embedding_dedup, f"""
 with nv as (
   select vec_id,
          list_transform(embedding::DOUBLE[],
@@ -1589,9 +1549,10 @@ select a.vec_id as id_a, b.vec_id as id_b,
        floor(list_dot_product(a.v, b.v)*1000000 + 0.5)/1000000 as score
 from nv a join nv b on a.vec_id < b.vec_id
 where list_dot_product(a.v, b.v) >= {EMB_DEDUP_THRESHOLD}
-"""
+""")
 
 
+@entry
 def q_embedding_lsh_dedup(sf_dir: str):
     """Scale path for embedding near-dup: hyperplane-bucketed within-
     bucket exact cosine (no full-matrix broadcast) — approximate, hence
@@ -1603,6 +1564,7 @@ def q_embedding_lsh_dedup(sf_dir: str):
     return embedding_lsh_dedup(ds, threshold=EMB_DEDUP_THRESHOLD, planes=4)
 
 
+@entry
 def q_top_docs_by_chars(sf_dir: str):
     import ray.data as rd
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1627,27 +1589,13 @@ def q_top_docs_by_chars(sf_dir: str):
                      "n_chars": pa.array(pdf["n_chars"].to_numpy(), pa.int64())})
 
 
-SQL_TOP_DOCS_BY_CHARS = """
+oracle(q_top_docs_by_chars, """
 select doc_id, n_chars from documents where lang = 'en'
 order by n_chars desc, doc_id asc limit 20
-"""
+""")
 
 
 # ---------------------------------------------------------------- rows-only
-
-def q_near_search(sf_dir: str):
-    """GREEDY #NEAR/2 (consume-on-match two-pointer, not plain pair
-    count) + term under BM25 #SUM — ORACLE-CHECKED: the greedy kernel
-    is transcribed as a recursive CTE (see _greedy_pair_cte), closing
-    the 'greedy positional tf is not SQL-expressible' gap for the
-    two-distinct-term case."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model())
-    res = engine.search("#sum(#near/2(fast sort) merge)", k=100)
-    return _ranked_to_table(res)
-
-
-# SQL_NEAR_SEARCH defined below _bm25_derived_sql
 
 
 STRUCTURED_BATCH_QUERIES = [
@@ -1737,19 +1685,13 @@ def _bm25_derived_sql(leaves, k: int) -> str:
                            f"from {name}")
     cells = "\nunion all\n".join(cell_blocks)
     return f"""
-with recursive tok as ({POS_TOK_SQL}),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+{_bm25_prologue(pos=True, recursive=True)},
 {",".join(tf_blocks)},
 cells as ({cells}),
 scored as (
   select cells.doc_id,
-         sum(greatest(0.0, ln((stats.n - cells.df + 0.5)/(cells.df + 0.5)))
-             * (cells.tf / (cells.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'cells.df')}
+             * {_tfw_sql('cells.tf', 'doclen.dl', 'stats')}) as raw
   from cells join doclen on cells.doc_id = doclen.doc_id
   cross join stats group by cells.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
@@ -1757,31 +1699,27 @@ order by raw desc, doc_id asc limit {k}
 """
 
 
-def q_structured_batch_distributed(sf_dir: str):
-    """#NEAR/#SYN derived lists evaluated distributed (per-salt Iop
-    co-group -> derived list -> BM25 scoring), MULTI-QUERY — ORACLE-
-    CHECKED on the simple analyzer (adjacency + member-merge tfs are
-    SQL-expressible; greedy #WINDOW stays rows-only in
-    ``window_search``)."""
-    from ..query.distributed import bm25_structured_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = bm25_structured_batch_search(
-        reader.index_dir,
-        [(qid, q) for qid, q, _ in STRUCTURED_BATCH_QUERIES], k=10)
-    ids = _docid_of_external(res["external_id"].to_pylist())
-    return pa.table({
-        "qid": res["qid"],
-        "doc_id": pa.array(ids),
-        "score": pa.array(round6(res["score"].to_pylist())),
-    })
+# #NEAR/#SYN derived lists evaluated distributed (per-salt Iop
+# co-group -> derived list -> BM25 scoring), MULTI-QUERY — ORACLE-
+# CHECKED on the simple analyzer (adjacency + member-merge tfs are
+# SQL-expressible; greedy #WINDOW stays rows-only in
+# ``window_search``).
+_batch_entry("structured_batch_distributed", "bm25_structured_batch_search",
+             [(qid, q) for qid, q, _ in STRUCTURED_BATCH_QUERIES],
+             "\nunion all\n".join(
+                 f"select '{qid}' as qid, * from "
+                 f"({_bm25_derived_sql(leaves, 10)})"
+                 for qid, _, leaves in STRUCTURED_BATCH_QUERIES), k=10)
 
-
-SQL_STRUCTURED_BATCH_DISTRIBUTED = "\nunion all\n".join(
-    f"select '{qid}' as qid, * from ({_bm25_derived_sql(leaves, 10)})"
-    for qid, _, leaves in STRUCTURED_BATCH_QUERIES)
-
-SQL_NEAR_SEARCH = _bm25_derived_sql(
-    [("near", "fast", "sort", 2), ("term", "merge")], 100)
+# GREEDY #NEAR/2 (consume-on-match two-pointer, not plain pair
+# count) + term under BM25 #SUM — ORACLE-CHECKED: the greedy kernel
+# is transcribed as a recursive CTE (see _greedy_pair_cte), closing
+# the 'greedy positional tf is not SQL-expressible' gap for the
+# two-distinct-term case.
+_search_entry("near_search", _simple_index, _BM25,
+              "#sum(#near/2(fast sort) merge)", 100,
+              _bm25_derived_sql([("near", "fast", "sort", 2),
+                                 ("term", "merge")], 100))
 
 SQL_PHRASE_SEARCH = _bm25_derived_sql(
     [("near1", "dup", "line"), ("term", "sort")], 100)
@@ -1800,8 +1738,8 @@ SQL_WINDOW_SEARCH = _bm25_derived_sql(
 # Candidates = docs holding either term (positional matches ⊂ that set).
 SQL_SDM_WAND_SIMPLE = f"""
 with recursive tok as ({POS_TOK_SQL}),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+{_doclen_cte()},
+{_SUML_CTE},
 ctfs as (select term, count(*)::double as ctf from tok
          where term in ('fast','sort') group by term),
 tfs as (select doc_id, term, count(*)::double as tf from tok
@@ -1852,10 +1790,9 @@ order by raw desc, doc_id asc limit 10
 # term vectors, %.4f-rounded top-5; stage 3 = the expanded
 # #wand(0.5 #and(orig) 0.5 #wand(fb)) rescore with default-score fill.
 SQL_PRF_EXPANSION_SIMPLE = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-suml as (select sum(dl)::double as v from doclen),
+with {_tok_cte()},
+{_doclen_cte()},
+{_SUML_CTE},
 q0 as (select * from (values ('fast'),('sort')) t(term)),
 ctf0 as (select term, count(*)::double as ctf from tok
          where term in (select term from q0) group by term),
@@ -1915,34 +1852,21 @@ order by raw desc, doc_id asc limit 100
 """
 
 
-def q_window_search(sf_dir: str):
-    """GREEDY #WINDOW/8 (min-head advance, QryIopWindow.java:106-143)
-    + term under BM25 #SUM — ORACLE-CHECKED via the same recursive-CTE
-    transcription as ``near_search``."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model())
-    res = engine.search("#sum(#window/8(fast sort) merge)", k=100)
-    return _ranked_to_table(res)
+# GREEDY #WINDOW/8 (min-head advance, QryIopWindow.java:106-143)
+# + term under BM25 #SUM — ORACLE-CHECKED via the same recursive-CTE
+# transcription as ``near_search``.
+_search_entry("window_search", _simple_index, _BM25,
+              "#sum(#window/8(fast sort) merge)", 100, SQL_WINDOW_SEARCH)
 
 
-# SQL_WINDOW_SEARCH defined below _bm25_derived_sql
-
-
-def q_syn_search(sf_dir: str):
-    """#OR over a #SYN derived list and a plain term, ranked boolean —
-    ORACLE-CHECKED: #SYN's merged tf is the summed member tf (terms
-    occupy distinct positions, QryIopSyn.java merge), RB #OR is the
-    per-doc max, so the derived-list chain is SQL-expressible on the
-    simple analyzer."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("#or(#syn(fast quick) merge)", k=100)
-    return _ranked_to_table(res)
-
-
-SQL_SYN_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+# #OR over a #SYN derived list and a plain term, ranked boolean —
+# ORACLE-CHECKED: #SYN's merged tf is the summed member tf (terms
+# occupy distinct positions, QryIopSyn.java merge), RB #OR is the
+# per-doc max, so the derived-list chain is SQL-expressible on the
+# simple analyzer.
+_search_entry("syn_search", _simple_index, _RANKED,
+              "#or(#syn(fast quick) merge)", 100, f"""
+with {_tok_cte()},
 syntf as (select doc_id, count(*)::double as tf from tok
           where term in ('fast','quick') group by doc_id),
 mtf as (select doc_id, count(*)::double as tf from tok
@@ -1953,25 +1877,16 @@ scored as (
   from syntf s full outer join mtf m on s.doc_id = m.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 100
-"""
+""")
 
 
-def q_prefix_search(sf_dir: str):
-    """Wildcard retrieval: ``s*`` rewrites to a #SYN of every indexed
-    body term starting with 's' (PrefixQuery → term-disjunction,
-    vocabulary-metadata scan only), ranked boolean (score = merged tf).
-    The oracle mirrors the expansion with a LIKE-limited vocab CTE."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("s*", k=100)
-    return _ranked_to_table(res)
-
-
-SQL_PREFIX_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-vocab as (select distinct term from tok where term like 's%'
-          order by term limit 64),
+def _wildcard_sql(match: str) -> str:
+    """Ranked-boolean oracle of a wildcard term: the #SYN of the ≤ 64
+    vocabulary terms satisfying ``match`` (term asc) scores its merged
+    tf."""
+    return f"""
+with {_tok_cte()},
+{_vocab_cte(match)},
 syntf as (select doc_id, count(*)::double as tf from tok
           where term in (select term from vocab) group by doc_id)
 select doc_id, floor(tf*1000000 + 0.5)/1000000 as score from syntf
@@ -1979,207 +1894,140 @@ order by tf desc, doc_id asc limit 100
 """
 
 
-def q_infix_search(sf_dir: str):
-    """Infix wildcard retrieval (``*ash*`` — Lucene leading-wildcard):
-    rewrites to a #SYN of every indexed body term CONTAINING 'ash'
-    (full term-dictionary enumeration, the price Lucene pays too;
-    capped at 64 by term asc), ranked boolean. Oracle mirrors with a
-    LIKE '%ash%' vocab CTE."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("*ash*", k=100)
-    return _ranked_to_table(res)
+# Wildcard retrieval: ``s*`` rewrites to a #SYN of every indexed
+# body term starting with 's' (PrefixQuery → term-disjunction,
+# vocabulary-metadata scan only), ranked boolean (score = merged tf).
+# The oracle mirrors the expansion with a LIKE-limited vocab CTE.
+_search_entry("prefix_search", _simple_index, _RANKED, "s*", 100,
+              _wildcard_sql("term like 's%'"))
 
 
-SQL_INFIX_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-vocab as (select distinct term from tok where term like '%ash%'
-          order by term limit 64),
-syntf as (select doc_id, count(*)::double as tf from tok
-          where term in (select term from vocab) group by doc_id)
-select doc_id, floor(tf*1000000 + 0.5)/1000000 as score from syntf
-order by tf desc, doc_id asc limit 100
-"""
+# Infix wildcard retrieval (``*ash*`` — Lucene leading-wildcard):
+# rewrites to a #SYN of every indexed body term CONTAINING 'ash'
+# (full term-dictionary enumeration, the price Lucene pays too;
+# capped at 64 by term asc), ranked boolean. Oracle mirrors with a
+# LIKE '%ash%' vocab CTE.
+_search_entry("infix_search", _simple_index, _RANKED, "*ash*", 100,
+              _wildcard_sql("term like '%ash%'"))
 
 
-def q_suffix_search(sf_dir: str):
-    """Suffix wildcard retrieval (``*ow`` — Lucene leading-wildcard
-    ends-with): rewrites to a #SYN of every indexed body term ENDING
-    with 'ow' (vectorized Arrow ends-with over the index vocabulary,
-    capped at 64 by term asc), ranked boolean; LIKE '%ow' vocab CTE."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("*ow", k=100)
-    return _ranked_to_table(res)
+# Suffix wildcard retrieval (``*ow`` — Lucene leading-wildcard
+# ends-with): rewrites to a #SYN of every indexed body term ENDING
+# with 'ow' (vectorized Arrow ends-with over the index vocabulary,
+# capped at 64 by term asc), ranked boolean; LIKE '%ow' vocab CTE.
+_search_entry("suffix_search", _simple_index, _RANKED, "*ow", 100,
+              _wildcard_sql("term like '%ow'"))
 
 
-SQL_SUFFIX_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-vocab as (select distinct term from tok where term like '%ow'
-          order by term limit 64),
-syntf as (select doc_id, count(*)::double as tf from tok
-          where term in (select term from vocab) group by doc_id)
-select doc_id, floor(tf*1000000 + 0.5)/1000000 as score from syntf
-order by tf desc, doc_id asc limit 100
-"""
+# Regexp-term retrieval (Lucene ``RegexpQuery``): ``/s.*t/``
+# rewrites to a #SYN of every indexed body term FULLY matching the
+# anchored pattern (Arrow RE2 kernel over the index vocabulary,
+# capped at 64 by term asc — ``reader.terms_matching_regex``),
+# ranked boolean. The oracle mirrors the expansion with a
+# ``regexp_full_match`` vocab CTE (DuckDB's RE2 agrees with Arrow's
+# on this pattern class).
+_search_entry("regexp_search", _simple_index, _RANKED, "/s.*t/", 100,
+              _wildcard_sql("regexp_full_match(term, 's.*t')"))
 
 
-def q_regexp_search(sf_dir: str):
-    """Regexp-term retrieval (Lucene ``RegexpQuery``): ``/s.*t/``
-    rewrites to a #SYN of every indexed body term FULLY matching the
-    anchored pattern (Arrow RE2 kernel over the index vocabulary,
-    capped at 64 by term asc — ``reader.terms_matching_regex``),
-    ranked boolean. The oracle mirrors the expansion with a
-    ``regexp_full_match`` vocab CTE (DuckDB's RE2 agrees with Arrow's
-    on this pattern class)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("/s.*t/", k=100)
-    return _ranked_to_table(res)
+# Quoted-phrase retrieval (Lucene PhraseQuery sugar): ``"dup
+# line"`` parses to #NEAR/1 adjacency, scored under BM25 #SUM next
+# to a plain term — same derived-leaf SQL transcription as the
+# structured batch (adjacency tf == greedy tf for two distinct
+# terms: a position can be adjacent to at most one match).
+_search_entry("phrase_search", _simple_index, _BM25, '#sum("dup line" sort)',
+              100, SQL_PHRASE_SEARCH)
 
 
-SQL_REGEXP_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-vocab as (select distinct term from tok
-          where regexp_full_match(term, 's.*t')
-          order by term limit 64),
-syntf as (select doc_id, count(*)::double as tf from tok
-          where term in (select term from vocab) group by doc_id)
-select doc_id, floor(tf*1000000 + 0.5)/1000000 as score from syntf
-order by tf desc, doc_id asc limit 100
-"""
+# Sloppy-phrase retrieval (Lucene ``"a b"~n`` syntax): the parser
+# relaxes the quoted phrase to #NEAR/n (in-order, gap ≤ n), so
+# ``"fast sort"~2 merge`` under BM25 #SUM is plan-identical to
+# ``#sum(#near/2(fast sort) merge)`` — oracle = the same greedy
+# recursive-CTE transcription as ``near_search``.
+_search_entry("phrase_slop_search", _simple_index, _BM25,
+              '#sum("fast sort"~2 merge)', 100, SQL_PHRASE_SLOP_SEARCH)
 
 
-def q_phrase_search(sf_dir: str):
-    """Quoted-phrase retrieval (Lucene PhraseQuery sugar): ``"dup
-    line"`` parses to #NEAR/1 adjacency, scored under BM25 #SUM next
-    to a plain term — same derived-leaf SQL transcription as the
-    structured batch (adjacency tf == greedy tf for two distinct
-    terms: a position can be adjacent to at most one match)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model())
-    res = engine.search('#sum("dup line" sort)', k=100)
-    return _ranked_to_table(res)
+# Boolean MUST_NOT (Lucene ``-term`` syntax): ``dup line hash
+# -merge`` scores the positive bag under BM25 and removes every doc
+# whose body contains 'merge' BEFORE the top-k cut; corpus stats
+# stay corpus-wide (``QueryEngine.search`` negation clause — the
+# filtered-search semantics with an anti- instead of an allow-set).
+_search_entry("negation_search", _simple_index, _BM25, BM25_QUERY + " -merge",
+              100, _bm25_sql(BM25_QUERY_TERMS, 100,
+                             doc_filter="tfs.doc_id not in (select doc_id "
+                                        "from tok where term = 'merge')"))
 
 
-# SQL_PHRASE_SEARCH defined below _bm25_derived_sql
+# Federated search (Lucene MultiReader): the standard 3-term BM25
+# query answered over TWO independently-built half-corpus segments
+# with NO physical merge — global N/df/avglen from a metadata-only
+# pre-pass, per-segment exact top-k, k·N-row driver merge
+# (query/federated.py). Oracle: the single-index BM25 SQL — rankings
+# must be merge-identical.
+_federated_entry("bm25_federated_top10", _BM25, BM25_QUERY,
+                 SQL_INDEX_BM25_TOP10)
+
+# Federated Indri over the same two segments: the hard case for
+# global stats — the default (tf=0) score needs the GLOBAL ctf even
+# in a segment that lacks the term entirely, which the proxy's
+# synthesized empty postings carry. Oracle: the single-index Indri
+# SQL.
+_federated_entry("indri_federated_top10", _INDRI, INDRI_QUERY,
+                 SQL_INDEX_INDRI_TOP10)
+# Same query + oracle as ``index_indri_top10`` but scored through
+# the distributed log-space Indri path (query/distributed.py) — the
+# oracle match proves the groupby-sum factorization is exact.
+_batch_entry("indri_batch_distributed", "indri_batch_search",
+             [("q", INDRI_QUERY)], SQL_INDEX_INDRI_TOP10, model=_INDRI, k=10)
 
 
-def q_phrase_slop_search(sf_dir: str):
-    """Sloppy-phrase retrieval (Lucene ``"a b"~n`` syntax): the parser
-    relaxes the quoted phrase to #NEAR/n (in-order, gap ≤ n), so
-    ``"fast sort"~2 merge`` under BM25 #SUM is plan-identical to
-    ``#sum(#near/2(fast sort) merge)`` — oracle = the same greedy
-    recursive-CTE transcription as ``near_search``."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model())
-    res = engine.search('#sum("fast sort"~2 merge)', k=100)
-    return _ranked_to_table(res)
+# Federated STRUCTURED search (r5 — VERDICT r4 item 1): the
+# derived #NEAR/1 BM25 query of ``near1_bm25_top10`` answered over
+# TWO independently-built half-corpus segments. Segments partition
+# docids, so the derived list's global df/ctf is the SUM of the
+# per-segment derived df/ctf (phase A of
+# ``query/federated.py``; the reference's QryIop.getDf/getCtf over
+# the merged index) and phase B scores each segment with those sums
+# patched in. Oracle: the single-index #NEAR BM25 SQL — rankings
+# must be merge-identical.
+_federated_entry("near1_bm25_federated", _BM25, NEAR1_BM25_QUERY,
+                 SQL_NEAR1_BM25_TOP10)
+# BM25 #SCORE over a DERIVED #NEAR/1 inverted list: df/ctf come
+# from the match list itself (QryIop.getDf/getCtf semantics), and the
+# #NEAR/1 tf is the SQL-expressible adjacency count (see
+# ``near1_ranked``) — so the whole structured scoring chain is
+# oracle-checked, not just the match set.
+_search_entry("near1_bm25_top10", _simple_index, _BM25, NEAR1_BM25_QUERY, 10,
+              SQL_NEAR1_BM25_TOP10)
+# Same query + oracle through the DISTRIBUTED structured path
+# (per-salt co-grouped positional kernel + derived-stats BM25).
+_batch_entry("near1_bm25_distributed", "bm25_structured_batch_search",
+             [("1", NEAR1_BM25_QUERY)], SQL_NEAR1_BM25_TOP10, model=_BM25,
+             k=10)
 
 
-# SQL_PHRASE_SLOP_SEARCH defined below _bm25_derived_sql
+# Federated SDM (the reference's structured golden workload,
+# ``Indri-Sdm.teIn`` shape, on the engine's true cluster-deployment
+# unit): #WAND of a bag-of-words #AND and an ordered-phrase #NEAR/1
+# #AND, scored Indri over TWO segments with cross-segment derived
+# ctf feeding every default (tf=0) score. Oracle: the single-index
+# SDM SQL (``sdm_structured_distributed``'s mirror) — rankings must
+# be merge-identical.
+_federated_entry("sdm_federated_top10", _INDRI, SDM_QUERY, SQL_SDM_STRUCTURED)
 
 
-def q_negation_search(sf_dir: str):
-    """Boolean MUST_NOT (Lucene ``-term`` syntax): ``dup line hash
-    -merge`` scores the positive bag under BM25 and removes every doc
-    whose body contains 'merge' BEFORE the top-k cut; corpus stats
-    stay corpus-wide (``QueryEngine.search`` negation clause — the
-    filtered-search semantics with an anti- instead of an allow-set)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS) + " -merge", k=100)
-    return _ranked_to_table(res)
+# Federated match_phrase_prefix: the ``#near/1(fast s*)`` query of
+# ``phrase_prefix_search`` over two segments — the wildcard expands
+# over the UNION vocabulary (Lucene MultiReader rewrite: same order,
+# same 64-term budget as the merged dictionary) and the derived
+# positional list scores with cross-segment df/ctf. Oracle: the
+# single-index SQL.
+_federated_entry("phrase_prefix_federated", _BM25, "#sum(#near/1(fast s*))",
+                 SQL_PHRASE_PREFIX_SEARCH)
 
 
-SQL_NEGATION_SEARCH = _bm25_sql(
-    BM25_QUERY_TERMS, 100,
-    doc_filter="tfs.doc_id not in (select doc_id from tok "
-               "where term = 'merge')")
-
-
-def q_bm25_federated_top10(sf_dir: str):
-    """Federated search (Lucene MultiReader): the standard 3-term BM25
-    query answered over TWO independently-built half-corpus segments
-    with NO physical merge — global N/df/avglen from a metadata-only
-    pre-pass, per-segment exact top-k, k·N-row driver merge
-    (query/federated.py). Oracle: the single-index BM25 SQL — rankings
-    must be merge-identical."""
-    from ..query.federated import FederatedEngine
-    readers = [IndexReader(p)
-               for p in get_half_index_paths(sf_dir, "simple")]
-    eng = FederatedEngine(readers, BM25Model(k1=1.2, b=0.75))
-    res = eng.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
-
-
-def q_indri_federated_top10(sf_dir: str):
-    """Federated Indri over the same two segments: the hard case for
-    global stats — the default (tf=0) score needs the GLOBAL ctf even
-    in a segment that lacks the term entirely, which the proxy's
-    synthesized empty postings carry. Oracle: the single-index Indri
-    SQL."""
-    from ..query.federated import FederatedEngine
-    readers = [IndexReader(p)
-               for p in get_half_index_paths(sf_dir, "simple")]
-    eng = FederatedEngine(readers, IndriModel(mu=2500, lambda_=0.4))
-    res = eng.search(" ".join(INDRI_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
-
-
-def q_near1_bm25_federated(sf_dir: str):
-    """Federated STRUCTURED search (r5 — VERDICT r4 item 1): the
-    derived #NEAR/1 BM25 query of ``near1_bm25_top10`` answered over
-    TWO independently-built half-corpus segments. Segments partition
-    docids, so the derived list's global df/ctf is the SUM of the
-    per-segment derived df/ctf (phase A of
-    ``query/federated.py``; the reference's QryIop.getDf/getCtf over
-    the merged index) and phase B scores each segment with those sums
-    patched in. Oracle: the single-index #NEAR BM25 SQL — rankings
-    must be merge-identical."""
-    from ..query.federated import FederatedEngine
-    readers = [IndexReader(p)
-               for p in get_half_index_paths(sf_dir, "simple")]
-    eng = FederatedEngine(readers, BM25Model(k1=1.2, b=0.75))
-    res = eng.search(NEAR1_BM25_QUERY, k=10)
-    return _ranked_to_table(res)
-
-
-def q_sdm_federated_top10(sf_dir: str):
-    """Federated SDM (the reference's structured golden workload,
-    ``Indri-Sdm.teIn`` shape, on the engine's true cluster-deployment
-    unit): #WAND of a bag-of-words #AND and an ordered-phrase #NEAR/1
-    #AND, scored Indri over TWO segments with cross-segment derived
-    ctf feeding every default (tf=0) score. Oracle: the single-index
-    SDM SQL (``sdm_structured_distributed``'s mirror) — rankings must
-    be merge-identical."""
-    from ..query.federated import FederatedEngine
-    readers = [IndexReader(p)
-               for p in get_half_index_paths(sf_dir, "simple")]
-    eng = FederatedEngine(readers, IndriModel(mu=2500, lambda_=0.4))
-    res = eng.search("#wand( 0.7 #and( fast sort ) "
-                     "0.3 #and( #near/1( fast sort ) ) )", k=10)
-    return _ranked_to_table(res)
-
-
-def q_phrase_prefix_federated(sf_dir: str):
-    """Federated match_phrase_prefix: the ``#near/1(fast s*)`` query of
-    ``phrase_prefix_search`` over two segments — the wildcard expands
-    over the UNION vocabulary (Lucene MultiReader rewrite: same order,
-    same 64-term budget as the merged dictionary) and the derived
-    positional list scores with cross-segment df/ctf. Oracle: the
-    single-index SQL."""
-    from ..query.federated import FederatedEngine
-    readers = [IndexReader(p)
-               for p in get_half_index_paths(sf_dir, "simple")]
-    eng = FederatedEngine(readers, BM25Model(k1=1.2, b=0.75))
-    res = eng.search("#sum(#near/1(fast s*))", k=10)
-    return _ranked_to_table(res)
-
-
+@entry
 def q_bm25f_top10(sf_dir: str):
     """BM25F (Zaragoza & Robertson 2004): per-field length-normalized
     tf pooled with field weights into ONE saturation, idf over the
@@ -2197,19 +2045,16 @@ def q_bm25f_top10(sf_dir: str):
 
 
 SQL_BM25F_TOP10 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+with {_tok_cte()},
 utok as (
   select doc_id, unnest(list_filter(string_split_regex(
     lower('http://docs.example.com/' || printf('%08d', doc_id)),
     '[^a-z0-9]+'), x -> len(x) > 0)) as term from documents),
 n as (select count(*)::double as v from documents),
-bdl as (select doc_id, count(*)::double as dl from tok group by doc_id),
-bstats as (select (select count(*) from bdl)::double as dc,
-                  (select sum(dl) from bdl)::double as suml),
-udl as (select doc_id, count(*)::double as dl from utok group by doc_id),
-ustats as (select (select count(*) from udl)::double as dc,
-                  (select sum(dl) from udl)::double as suml),
+{_doclen_cte('bdl', 'tok')},
+{_stats_cte('bstats', 'bdl', docs=None)},
+{_doclen_cte('udl', 'utok')},
+{_stats_cte('ustats', 'udl', docs=None)},
 btf as (select doc_id, term, count(*)::double as tf from tok
         where term in ('dup','00000007','00000008') group by doc_id, term),
 utf as (select doc_id, term, count(*)::double as tf from utok
@@ -2227,7 +2072,7 @@ dfs as (select term, count(distinct doc_id)::double as df
         from contrib group by term),
 scored as (
   select tft.doc_id,
-         sum(greatest(0.0, ln((n.v - dfs.df + 0.5)/(dfs.df + 0.5)))
+         sum({_idf_sql('n.v', 'dfs.df')}
              * (tft.tft / (1.2 + tft.tft))) as raw
   from tft join dfs using (term) cross join n group by tft.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
@@ -2235,35 +2080,17 @@ order by raw desc, doc_id asc limit 10
 """
 
 
-def q_msm_distributed(sf_dir: str):
-    """#MSM/2 at batch scale: per-salt clause-indicator bincount over
-    the same key set as the score sum (docs live in one salt, so local
-    clause counts are exact), cnt ≥ n mask before the top-k cut. Same
-    query/oracle as ``msm_search`` — the distributed path must be
-    rank- and score-identical to the engine."""
-    from ..query.distributed import bm25_msm_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = bm25_msm_batch_search(
-        reader.index_dir, [("q1", "dup line hash", 2)],
-        BM25Model(k1=1.2, b=0.75), k=100)
-    return _ranked_to_table(res)
-
-
-def q_bm25f_distributed(sf_dir: str):
-    """BM25F at batch scale (distributed.bm25f_batch_search): phase A
-    counts the per-salt UNION df (disjoint salt ranges sum exactly),
-    phase B pools w_f·tf/B_f across fields per doc inside zero-shuffle
-    per-salt tasks. Same query/params as ``bm25f_top10`` — the oracle
-    match proves the distributed path is rank- and score-identical to
-    the driver-side scorer."""
-    from ..query.distributed import bm25f_batch_search
-    reader = get_index(sf_dir, "simple",
-                       fields={"body": "text", "url": "url"})
-    res = bm25f_batch_search(
-        reader.index_dir, [("q1", "dup 00000007 00000008")],
-        weights={"body": 1.0, "url": 0.6},
-        field_b={"body": 0.75, "url": 0.5}, k1=1.2, k=10)
-    return _ranked_to_table(res)
+oracle(q_bm25f_top10, SQL_BM25F_TOP10)
+# BM25F at batch scale (distributed.bm25f_batch_search): phase A
+# counts the per-salt UNION df (disjoint salt ranges sum exactly),
+# phase B pools w_f·tf/B_f across fields per doc inside zero-shuffle
+# per-salt tasks. Same query/params as ``bm25f_top10`` — the oracle
+# match proves the distributed path is rank- and score-identical to
+# the driver-side scorer.
+_batch_entry("bm25f_distributed", "bm25f_batch_search",
+             [("q1", "dup 00000007 00000008")], SQL_BM25F_TOP10,
+             index=_url_index, weights={"body": 1.0, "url": 0.6},
+             field_b={"body": 0.75, "url": 0.5}, k1=1.2, k=10)
 
 
 PERCOLATE_QUERIES = [("alert_fastsort", "fast sort"),
@@ -2271,6 +2098,7 @@ PERCOLATE_QUERIES = [("alert_fastsort", "fast sort"),
                      ("alert_pipeline", "merge hash line")]
 
 
+@entry
 def q_percolate_phrase(sf_dir: str):
     """Percolator with PHRASE constraints (Elasticsearch percolator
     match_phrase): stored queries mixing bare terms and quoted
@@ -2306,7 +2134,7 @@ def _term_cond(w: str) -> str:
             f"and t0.term = '{w}')")
 
 
-SQL_PERCOLATE_PHRASE = f"""
+oracle(q_percolate_phrase, f"""
 with ptok as ({POS_TOK_SQL})
 select 'p1' as qid, d.doc_id from documents d
   where {_term_cond('dup')} and {_phrase_cond(('fast', 'sort'))}
@@ -2318,9 +2146,10 @@ select 'p3', d.doc_id from documents d
   where {_term_cond('hash')} and {_term_cond('line')}
         and {_phrase_cond(('merge', 'sort'))}
 order by qid, doc_id
-"""
+""")
 
 
+@entry
 def q_percolate_matches(sf_dir: str):
     """Percolator (reverse search, Elasticsearch percolate / Lucene
     Monitor): three REGISTERED conjunctive queries stream-matched
@@ -2337,13 +2166,13 @@ def q_percolate_matches(sf_dir: str):
         preserve_index=False)
 
 
-SQL_PERCOLATE_MATCHES = "\nunion all\n".join(
+oracle(q_percolate_matches, "\nunion all\n".join(
     "select '{q}' as qid, doc_id from (select doc_id, {t} as toks "
     "from documents) where {cond}".format(
         q=qid, t=SIMPLE_TOKS_SQL,
         cond=" and ".join(f"list_contains(toks, '{w}')"
                           for w in qtext.split()))
-    for qid, qtext in PERCOLATE_QUERIES) + "\norder by qid, doc_id"
+    for qid, qtext in PERCOLATE_QUERIES) + "\norder by qid, doc_id")
 
 
 _TS_BASE_US = 1_500_000_000_000_000   # corpus.documents_to_pages_batch
@@ -2354,36 +2183,42 @@ def _docvalues_index(sf_dir: str) -> IndexReader:
                      attributes={"ts": "warc_ts", "lang": "lang"})
 
 
-def q_attr_range_bm25_top10(sf_dir: str):
-    """Doc-values RANGE-filtered retrieval ('recent pages only'): the
-    standard BM25 query restricted to docs whose crawl timestamp (a
-    build-time attribute column, Lucene DocValues analogue) lies in
-    [ts(10), ts(300)) — ``reader.docids_where`` pushes the range to
-    parquet row-group stats, the engine's allowed-set intersects
-    candidates. Stats stay corpus-wide. The oracle inverts the
-    deterministic doc_id→ts mapping."""
-    reader = _docvalues_index(sf_dir)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    lo = pa.scalar(_TS_BASE_US + 10 * 1_000_000, pa.timestamp("us"))
-    hi = pa.scalar(_TS_BASE_US + 300 * 1_000_000, pa.timestamp("us"))
-    allowed = reader.docids_where("ts", lo=lo, hi=hi)
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10, allowed=allowed)
-    return _ranked_to_table(res)
+def _ts_range_entry(name: str, index, sql: str):
+    """Entry ``name``: the standard BM25 query over ``index(sf_dir)``
+    restricted to docs whose crawl-ts doc-value lies in [ts(10),
+    ts(300)) → top-10 (doc_id, score)."""
+    def fn(sf_dir: str):
+        reader = index(sf_dir)
+        lo = pa.scalar(_TS_BASE_US + 10 * 1_000_000, pa.timestamp("us"))
+        hi = pa.scalar(_TS_BASE_US + 300 * 1_000_000, pa.timestamp("us"))
+        allowed = reader.docids_where("ts", lo=lo, hi=hi)
+        res = QueryEngine(reader, _BM25).search(BM25_QUERY, k=10,
+                                                allowed=allowed)
+        return _ranked_to_table(res)
+    return _register(fn, name, sql)
 
 
-SQL_ATTR_RANGE_BM25_TOP10 = _bm25_sql(
+# Doc-values RANGE-filtered retrieval ('recent pages only'): the
+# standard BM25 query restricted to docs whose crawl timestamp (a
+# build-time attribute column, Lucene DocValues analogue) lies in
+# [ts(10), ts(300)) — ``reader.docids_where`` pushes the range to
+# parquet row-group stats, the engine's allowed-set intersects
+# candidates. Stats stay corpus-wide. The oracle inverts the
+# deterministic doc_id→ts mapping.
+_ts_range_entry("attr_range_bm25_top10", _docvalues_index, _bm25_sql(
     BM25_QUERY_TERMS, 10,
     doc_filter="tfs.doc_id in (select doc_id from documents "
-               "where doc_id >= 10 and doc_id < 300)")
+               "where doc_id >= 10 and doc_id < 300)"))
 
 
+@entry
 def q_attr_sorted_search(sf_dir: str):
     """Sort-by-field retrieval (Lucene Sort(SortField)): docs matching
     'dup' ordered NEWEST-FIRST by the indexed crawl-timestamp doc-value
     instead of relevance — ``QueryEngine.search_sorted`` fetches the
     attribute for the match set only. → (doc_id, rank)."""
     reader = _docvalues_index(sf_dir)
-    engine = QueryEngine(reader, BM25Model())
+    engine = QueryEngine(reader, _BM25)
     t = engine.search_sorted("dup", attr="ts", k=20, descending=True)
     return pa.table({
         "doc_id": pa.array(_docid_of_external(
@@ -2392,7 +2227,7 @@ def q_attr_sorted_search(sf_dir: str):
     })
 
 
-SQL_ATTR_SORTED_SEARCH = f"""
+oracle(q_attr_sorted_search, f"""
 with m as (
   select doc_id from (select doc_id, {SIMPLE_TOKS_SQL} as toks
                       from documents)
@@ -2400,18 +2235,19 @@ with m as (
 select doc_id,
        row_number() over (order by doc_id desc)::bigint as rank
 from m order by doc_id desc limit 20
-"""
+""")
 
 
+@entry
 def q_highlight_positions(sf_dir: str):
     """Term-vector highlighter (Lucene FastVectorHighlighter pattern):
     exact match POSITIONS of the query terms inside the BM25 top-5
     docs, read from the INDEX's forward term vectors — no source-text
     re-tokenization (the serving path often has no text at all).
     → (doc_id, term, pos), (doc_id, pos)-ordered."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    top = engine.search(" ".join(BM25_QUERY_TERMS), k=5)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    top = engine.search(BM25_QUERY, k=5)
     exts = top["external_id"].to_pylist()
     ids = reader.internal_docids_for(exts)
     tvs = reader.term_vectors(ids.tolist(), "body")
@@ -2429,21 +2265,15 @@ def q_highlight_positions(sf_dir: str):
         "pos": pa.array([r[2] for r in rows], pa.int64())})
 
 
-SQL_HIGHLIGHT_POSITIONS = f"""
-with tok as ({POS_TOK_SQL}),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+oracle(q_highlight_positions, f"""
+{_bm25_prologue(pos=True)},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ('dup','line','hash') group by doc_id, term),
 dfs as (select term, count(*)::double as df from tfs group by term),
 scored as (
   select tfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')}) as raw
   from tfs join dfs on tfs.term = dfs.term
   join doclen on tfs.doc_id = doclen.doc_id
   cross join stats group by tfs.doc_id),
@@ -2453,27 +2283,29 @@ from tok t
 where t.term in ('dup','line','hash')
   and t.doc_id in (select doc_id from topk)
 order by t.doc_id, t.pos
-"""
+""")
 
 
+@entry
 def q_search_after_page2(sf_dir: str):
     """Deep pagination (Lucene searchAfter): page 2 of the standard
     BM25 query — page 1's last (score, externalId) becomes the cursor,
     `search_after` returns the strictly-after next 10; the oracle is
     the same ranking with OFFSET 10."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    q = " ".join(BM25_QUERY_TERMS)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    q = BM25_QUERY
     page1 = engine.search(q, k=10)
     cursor = (page1["score"][-1].as_py(), page1["external_id"][-1].as_py())
     page2 = engine.search_after(q, cursor, k=10)
     return _ranked_to_table(page2)
 
 
-SQL_SEARCH_AFTER_PAGE2 = _bm25_sql(BM25_QUERY_TERMS, 10).replace(
-    "limit 10", "limit 10 offset 10")
+oracle(q_search_after_page2, _bm25_sql(BM25_QUERY_TERMS, 10).replace(
+    "limit 10", "limit 10 offset 10"))
 
 
+@entry
 def q_nb_lang_predict(sf_dir: str):
     """Multinomial Naive Bayes language classifier: TRAIN distributed
     on docs with doc_id % 5 != 0 (label×vocab count exchange — the
@@ -2500,7 +2332,7 @@ def q_nb_lang_predict(sf_dir: str):
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
-SQL_NB_LANG_PREDICT = f"""
+oracle(q_nb_lang_predict, f"""
 with train as (select * from documents where doc_id % 5 <> 0),
 test as (select * from documents where doc_id % 5 = 0),
 ttok as (select lang, unnest({SIMPLE_TOKS_SQL}) as term from train),
@@ -2531,9 +2363,10 @@ ranked as (select doc_id, lang as pred,
                                      order by s desc, lang asc) as rn
            from sc)
 select doc_id, pred from ranked where rn = 1 order by doc_id
-"""
+""")
 
 
+@entry
 def q_weighted_sample(sf_dir: str):
     """Weight-proportional sample without replacement (Efraimidis &
     Spirakis A-Res, w = n_chars): ln(u)/w keys from the md5 id
@@ -2546,7 +2379,7 @@ def q_weighted_sample(sf_dir: str):
     return weighted_sample(ds, weight_col="n_chars", k=50, auditable=True)
 
 
-SQL_WEIGHTED_SAMPLE = """
+oracle(q_weighted_sample, """
 with h as (select doc_id,
   ((('0x' || substr(md5(doc_id::varchar), 1, 16))::ubigint)::double + 1.0)
     / 18446744073709551616.0 as u,
@@ -2557,9 +2390,10 @@ r as (select doc_id,
       from h)
 select doc_id, sample_rank::bigint as sample_rank
 from r where sample_rank < 50
-"""
+""")
 
 
+@entry
 def q_bpe_merges(sf_dir: str):
     """BPE tokenizer training (Sennrich 2016) over the documents table:
     one distributed word-histogram pass, driver merge loop on the
@@ -2573,58 +2407,49 @@ def q_bpe_merges(sf_dir: str):
     return bpe_train(ds, num_merges=30)
 
 
-def q_msm_search(sf_dir: str):
-    """Minimum-should-match (#MSM/n — Lucene BooleanQuery
-    setMinimumNumberShouldMatch): docs matching ≥ 2 of the 3 terms,
-    scored as BM25 #SUM over the matching terms; the oracle injects a
-    HAVING count(distinct term) ≥ 2 candidate filter into the shared
-    BM25 template."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("#msm/2(dup line hash)", k=100)
-    return _ranked_to_table(res)
-
-
 SQL_MSM_SEARCH = _bm25_sql(
     BM25_QUERY_TERMS, 100,
     doc_filter="tfs.doc_id in (select doc_id from tfs "
                "group by doc_id having count(distinct term) >= 2)")
 
+# #MSM/2 at batch scale: per-salt clause-indicator bincount over
+# the same key set as the score sum (docs live in one salt, so local
+# clause counts are exact), cnt ≥ n mask before the top-k cut. Same
+# query/oracle as ``msm_search`` — the distributed path must be
+# rank- and score-identical to the engine.
+_batch_entry("msm_distributed", "bm25_msm_batch_search",
+             [("q1", "dup line hash", 2)], SQL_MSM_SEARCH, model=_BM25, k=100)
 
-def q_synonym_search(sf_dir: str):
-    """Query-time thesaurus expansion (Lucene SynonymGraphFilter
-    analogue): ``fast merge`` with thesaurus {fast: [quick]} rewrites
-    the 'fast' leaf to ``#SYN(fast quick)`` before scoring, so the
-    plan is identical to ``#sum(#syn(fast quick) merge)`` under BM25 —
-    oracle = the derived-SYN leaf transcription (summed member tf,
-    union df)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model())
-    res = engine.search("fast merge", k=100,
-                        synonyms={"fast": ["quick"]})
-    return _ranked_to_table(res)
-
-
-SQL_SYNONYM_SEARCH = _bm25_derived_sql(
-    [("syn", ("fast", "quick")), ("term", "merge")], 100)
+# Minimum-should-match (#MSM/n — Lucene BooleanQuery
+# setMinimumNumberShouldMatch): docs matching ≥ 2 of the 3 terms,
+# scored as BM25 #SUM over the matching terms; the oracle injects a
+# HAVING count(distinct term) ≥ 2 candidate filter into the shared
+# BM25 template.
+_search_entry("msm_search", _simple_index, _BM25, "#msm/2(dup line hash)", 100,
+              SQL_MSM_SEARCH)
 
 
-def q_fuzzy_search(sf_dir: str):
-    """Fuzzy retrieval (Lucene FuzzyQuery syntax ``term~d``): each
-    marked term rewrites to a #SYN of indexed vocabulary terms within
-    edit distance d (unit-cost Levenshtein, expansion capped at 64 by
-    (distance, term) order), ranked boolean — the oracle mirrors the
-    edit ball with DuckDB's own ``levenshtein`` (identical unit-cost
-    definition)."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, RankedBooleanModel())
-    res = engine.search("#or(mirge~1 fst~2)", k=100)
-    return _ranked_to_table(res)
+# Query-time thesaurus expansion (Lucene SynonymGraphFilter
+# analogue): ``fast merge`` with thesaurus {fast: [quick]} rewrites
+# the 'fast' leaf to ``#SYN(fast quick)`` before scoring, so the
+# plan is identical to ``#sum(#syn(fast quick) merge)`` under BM25 —
+# oracle = the derived-SYN leaf transcription (summed member tf,
+# union df).
+_search_entry("synonym_search", _simple_index, _BM25, "fast merge", 100,
+              _bm25_derived_sql([("syn", ("fast", "quick")),
+                                 ("term", "merge")], 100),
+              synonyms={"fast": ["quick"]})
 
 
-SQL_FUZZY_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+# Fuzzy retrieval (Lucene FuzzyQuery syntax ``term~d``): each
+# marked term rewrites to a #SYN of indexed vocabulary terms within
+# edit distance d (unit-cost Levenshtein, expansion capped at 64 by
+# (distance, term) order), ranked boolean — the oracle mirrors the
+# edit ball with DuckDB's own ``levenshtein`` (identical unit-cost
+# definition).
+_search_entry("fuzzy_search", _simple_index, _RANKED, "#or(mirge~1 fst~2)",
+              100, f"""
+with {_tok_cte()},
 v1 as (select term from (
          select distinct term, levenshtein(term, 'mirge') as d from tok)
        where d <= 1 order by d, term limit 64),
@@ -2641,18 +2466,19 @@ scored as (
   from tf1 a full outer join tf2 b on a.doc_id = b.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 100
-"""
+""")
 
 
+@entry
 def q_rocchio_terms(sf_dir: str):
     """Rocchio (1971) vector-space feedback over the BM25 top-5:
     weight(t) = α·1[t∈q] + (β/k)·Σ_d tf(t,d)·ln(N/df) — the SMART-era
     classic next to the Indri expansion; pure tf/df/ln arithmetic,
     hence SQL-expressible."""
     from .prf import rocchio_terms
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    initial = engine.search(" ".join(BM25_QUERY_TERMS), k=5)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    initial = engine.search(BM25_QUERY, k=5)
     ids = initial["external_id"].to_pylist()
     scores = initial["score"].to_pylist()
     internal = reader.internal_docids_for(ids).tolist()
@@ -2665,23 +2491,16 @@ def q_rocchio_terms(sf_dir: str):
     })
 
 
-SQL_ROCCHIO_TERMS = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+oracle(q_rocchio_terms, f"""
+{_bm25_prologue()},
 tfs0 as (select doc_id, term, count(*)::double as tf from tok
         where term in ({",".join(f"'{t}'" for t in BM25_QUERY_TERMS)})
         group by doc_id, term),
 dfs0 as (select term, count(*)::double as df from tfs0 group by term),
 scored as (
   select tfs0.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs0.df + 0.5)/(dfs0.df + 0.5)))
-             * (tfs0.tf / (tfs0.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs0.df')}
+             * {_tfw_sql('tfs0.tf', 'doclen.dl', 'stats')}) as raw
   from tfs0 join dfs0 on tfs0.term = dfs0.term
   join doclen on tfs0.doc_id = doclen.doc_id
   cross join stats group by tfs0.doc_id),
@@ -2703,45 +2522,45 @@ w as (select cent.term,
       from cent join cdf using (term))
 select term, floor(weight*1000000 + 0.5)/1000000 as weight from w
 order by weight desc, term asc limit 10
-"""
+""")
 
 
+@entry
 def q_sdm_wand_search(sf_dir: str):
     """Full-analyzer SDM — rows-only integration run; the oracle-checked
     twin is ``sdm_wand_search_simple`` (same driver code path, simple
     analyzer)."""
     from ..query.sdm import sdm_query
     reader = get_index(sf_dir, "lucene")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
+    engine = QueryEngine(reader, _INDRI)
     return engine.search(sdm_query("fast sort"), k=100)
 
 
-def q_sdm_wand_search_simple(sf_dir: str):
-    """The FULL three-subtree SDM (#WAND over a BoW #AND, a #NEAR/1
-    #AND and a #WINDOW/8 #AND) on the DRIVER engine path, simple
-    analyzer — ORACLE-CHECKED (VERDICT r3 item 5): the greedy #WINDOW
-    tf comes from the same recursive-CTE transcription as
-    ``window_search``, #NEAR/1 from the adjacency join, and the #WAND/
-    #AND nesting is pure arithmetic over Indri leaves. Exercises the
-    identical ``QueryEngine.search`` tree evaluation as the rows-only
-    full-analyzer ``sdm_wand_search``."""
-    from ..query.sdm import sdm_query
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
-    return _ranked_to_table(engine.search(sdm_query("fast sort"), k=10))
+# The FULL three-subtree SDM (#WAND over a BoW #AND, a #NEAR/1
+# #AND and a #WINDOW/8 #AND) on the DRIVER engine path, simple
+# analyzer — ORACLE-CHECKED (VERDICT r3 item 5): the greedy #WINDOW
+# tf comes from the same recursive-CTE transcription as
+# ``window_search``, #NEAR/1 from the adjacency join, and the #WAND/
+# #AND nesting is pure arithmetic over Indri leaves. Exercises the
+# identical ``QueryEngine.search`` tree evaluation as the rows-only
+# full-analyzer ``sdm_wand_search``.
+_search_entry("sdm_wand_search_simple", _simple_index, _INDRI,
+              sdm_query("fast sort"), 10, SQL_SDM_WAND_SIMPLE)
 
 
+@entry
 def q_prf_expansion(sf_dir: str):
     """Full-analyzer PRF chain — rows-only integration run; the
     oracle-checked twin is ``prf_expansion_simple``."""
     from .prf import prf_search
     reader = get_index(sf_dir, "lucene")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
+    engine = QueryEngine(reader, _INDRI)
     res, expanded = prf_search(engine, "fast sort", fb_docs=10, fb_terms=5,
                                fb_mu=0.0, fb_orig_weight=0.5, k=100)
     return res
 
 
+@entry
 def q_prf_expansion_simple(sf_dir: str):
     """The FULL PRF chain (initial Indri retrieval → fb_mu=0 expansion
     → ``#wand`` re-retrieval) on the simple analyzer — ORACLE-CHECKED
@@ -2753,50 +2572,48 @@ def q_prf_expansion_simple(sf_dir: str):
     driver code path as the rows-only full-analyzer
     ``prf_expansion``."""
     from .prf import prf_search
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, IndriModel(mu=2500, lambda_=0.4))
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _INDRI)
     res, _ = prf_search(engine, "fast sort", fb_docs=10, fb_terms=5,
                         fb_mu=0.0, fb_orig_weight=0.5, k=100)
     return _ranked_to_table(res)
+oracle(q_prf_expansion_simple, SQL_PRF_EXPANSION_SIMPLE)
 
 
-def q_prf_terms_fb_mu0(sf_dir: str):
-    """PRF expansion-term weights at fb_mu=0 over the SIMPLE index —
-    p(t|d) = tf/dl, weight(t) = Σ_d p(t|d)·score_d·ln(clen/ctf): pure
-    arithmetic over tf/doclen/ctf, hence SQL-expressible (the
-    full-analyzer PRF pipeline stays rows-only as ``prf_expansion``).
-    Initial ranking = the oracle-checked BM25 top-10."""
-    from .prf import expansion_terms
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    initial = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    ids = initial["external_id"].to_pylist()
-    scores = initial["score"].to_pylist()
-    internal = reader.internal_docids_for(ids).tolist()
-    best = expansion_terms(reader, list(zip(internal, scores)),
-                           fb_docs=10, fb_terms=5, fb_mu=0.0)
-    return pa.table({
-        "term": pa.array([t for t, _ in best], pa.string()),
-        "weight": pa.array(round6([w for _, w in best])),
-    })
+def _prf_terms_entry(name: str, fb_mu: float, sql: str):
+    """Entry ``name``: ``prf.expansion_terms`` (10 feedback docs, 5
+    terms, smoothing ``fb_mu``) over the standard BM25 top-10 →
+    (term, weight)."""
+    def fn(sf_dir: str):
+        from .prf import expansion_terms
+        reader = _simple_index(sf_dir)
+        initial = QueryEngine(reader, _BM25).search(BM25_QUERY, k=10)
+        internal = reader.internal_docids_for(
+            initial["external_id"].to_pylist()).tolist()
+        best = expansion_terms(
+            reader, list(zip(internal, initial["score"].to_pylist())),
+            fb_docs=10, fb_terms=5, fb_mu=fb_mu)
+        return pa.table({
+            "term": pa.array([t for t, _ in best], pa.string()),
+            "weight": pa.array(round6([w for _, w in best])),
+        })
+    return _register(fn, name, sql)
 
 
-SQL_PRF_TERMS_FB_MU0 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+# PRF expansion-term weights at fb_mu=0 over the SIMPLE index —
+# p(t|d) = tf/dl, weight(t) = Σ_d p(t|d)·score_d·ln(clen/ctf): pure
+# arithmetic over tf/doclen/ctf, hence SQL-expressible (the
+# full-analyzer PRF pipeline stays rows-only as ``prf_expansion``).
+# Initial ranking = the oracle-checked BM25 top-10.
+_prf_terms_entry("prf_terms_fb_mu0", 0.0, f"""
+{_bm25_prologue()},
 qtfs as (select doc_id, term, count(*)::double as tf from tok
          where term in ('dup','line','hash') group by doc_id, term),
 qdfs as (select term, count(*)::double as df from qtfs group by term),
 scored as (
   select qtfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - qdfs.df + 0.5)/(qdfs.df + 0.5)))
-             * (qtfs.tf / (qtfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'qdfs.df')}
+             * {_tfw_sql('qtfs.tf', 'doclen.dl', 'stats')}) as raw
   from qtfs join qdfs using (term) join doclen using (doc_id)
   cross join stats group by qtfs.doc_id),
 topd as (select doc_id, raw as score from scored
@@ -2813,47 +2630,24 @@ wt as (select ttf.term,
        group by ttf.term)
 select term, floor(w*1000000 + 0.5)/1000000 as weight from wt
 order by w desc, term asc limit 5
-"""
+""")
 
 
-def q_prf_terms_fb_mu2500(sf_dir: str):
-    """Full Dirichlet-smoothed PRF expansion weights (fb_mu=2500):
-    p(t|d) = (tf + μ·ctf/clen)/(dl + μ) summed over ALL fb docs
-    (including tf=0 docs — the second pass the reference makes in
-    QryEval.java expandQuery). Still pure arithmetic → SQL-expressible;
-    complements the μ=0 oracle which never exercises the smoothing
-    term."""
-    from .prf import expansion_terms
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    initial = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    ids = initial["external_id"].to_pylist()
-    scores = initial["score"].to_pylist()
-    internal = reader.internal_docids_for(ids).tolist()
-    best = expansion_terms(reader, list(zip(internal, scores)),
-                           fb_docs=10, fb_terms=5, fb_mu=2500.0)
-    return pa.table({
-        "term": pa.array([t for t, _ in best], pa.string()),
-        "weight": pa.array(round6([w for _, w in best])),
-    })
-
-
-SQL_PRF_TERMS_FB_MU2500 = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+# Full Dirichlet-smoothed PRF expansion weights (fb_mu=2500):
+# p(t|d) = (tf + μ·ctf/clen)/(dl + μ) summed over ALL fb docs
+# (including tf=0 docs — the second pass the reference makes in
+# QryEval.java expandQuery). Still pure arithmetic → SQL-expressible;
+# complements the μ=0 oracle which never exercises the smoothing
+# term.
+_prf_terms_entry("prf_terms_fb_mu2500", 2500.0, f"""
+{_bm25_prologue()},
 qtfs as (select doc_id, term, count(*)::double as tf from tok
          where term in ('dup','line','hash') group by doc_id, term),
 qdfs as (select term, count(*)::double as df from qtfs group by term),
 scored as (
   select qtfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - qdfs.df + 0.5)/(qdfs.df + 0.5)))
-             * (qtfs.tf / (qtfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'qdfs.df')}
+             * {_tfw_sql('qtfs.tf', 'doclen.dl', 'stats')}) as raw
   from qtfs join qdfs using (term) join doclen using (doc_id)
   cross join stats group by qtfs.doc_id),
 topd as (select doc_id, raw as score from scored
@@ -2876,21 +2670,16 @@ wt as (select c.term,
        group by c.term)
 select term, floor(w*1000000 + 0.5)/1000000 as weight from wt
 order by w desc, term asc limit 5
-"""
+""")
 
 
-def q_bm25_multifield_distributed(sf_dir: str):
-    """The multi-field BM25 query scored through the DISTRIBUTED
-    structured path (per-field df/doclen/avglen routing in
-    ``bm25_structured_batch_search``) — same oracle as the driver-path
-    ``bm25_multifield_top10``."""
-    from ..query.distributed import bm25_structured_batch_search
-    reader = get_index(sf_dir, "simple",
-                       fields={"body": "text", "url": "url"})
-    res = bm25_structured_batch_search(
-        reader.index_dir, [("1", "#sum(dup 00000007.url 00000008.url)")],
-        BM25Model(k1=1.2, b=0.75), k=10)
-    return _ranked_to_table(res)
+# The multi-field BM25 query scored through the DISTRIBUTED
+# structured path (per-field df/doclen/avglen routing in
+# ``bm25_structured_batch_search``) — same oracle as the driver-path
+# ``bm25_multifield_top10``.
+_batch_entry("bm25_multifield_distributed", "bm25_structured_batch_search",
+             [("1", MULTIFIELD_QUERY)], SQL_BM25_MULTIFIELD_TOP10,
+             index=_url_index, model=_BM25, k=10)
 
 
 BATCH_BM25_QUERIES = [("q1", ("dup", "line", "hash")),
@@ -2898,29 +2687,32 @@ BATCH_BM25_QUERIES = [("q1", ("dup", "line", "hash")),
                       ("q3", ("line", "merge"))]
 
 
-def q_bm25_batch_distributed(sf_dir: str):
-    """The MULTI-QUERY distributed BM25 path (one shuffle scores the
-    whole batch via packed qcode<<44|docid keys) against a per-query
-    UNION ALL of the single-query BM25 oracle template."""
-    from ..query.distributed import bm25_batch_search
-    reader = get_index(sf_dir, "simple")
-    res = bm25_batch_search(
-        reader.index_dir,
-        [(qid, " ".join(terms)) for qid, terms in BATCH_BM25_QUERIES],
-        BM25Model(k1=1.2, b=0.75), k=10)
-    ids = _docid_of_external(res["external_id"].to_pylist())
-    return pa.table({
-        "qid": res["qid"],
-        "doc_id": pa.array(ids),
-        "score": pa.array(round6(res["score"].to_pylist())),
-    })
+# The MULTI-QUERY distributed BM25 path (one shuffle scores the
+# whole batch via packed qcode<<44|docid keys) against a per-query
+# UNION ALL of the single-query BM25 oracle template.
+_batch_entry("bm25_batch_distributed", "bm25_batch_search",
+             [(qid, " ".join(terms)) for qid, terms in BATCH_BM25_QUERIES],
+             "\nunion all\n".join(
+                 f"select '{qid}' as qid, * from ({_bm25_sql(terms, 10)})"
+                 for qid, terms in BATCH_BM25_QUERIES),
+             model=_BM25, k=10)
 
 
-SQL_BM25_BATCH_DISTRIBUTED = "\nunion all\n".join(
-    f"select '{qid}' as qid, * from ({_bm25_sql(terms, 10)})"
-    for qid, terms in BATCH_BM25_QUERIES)
+def _n_docs(sf_dir: str) -> int:
+    return pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id"]).num_rows
 
 
+def _batch_rankings(engine):
+    """(qnum, qid, ranked doc ids as str) for each of BATCH_BM25_QUERIES
+    (qnum from 1), ranked top-50 by ``engine``."""
+    for qnum, (qid, terms) in enumerate(BATCH_BM25_QUERIES, start=1):
+        t = engine.search(" ".join(terms), k=50)
+        yield qnum, qid, [str(d) for d in
+                          _docid_of_external(t["external_id"].to_pylist())]
+
+
+@entry
 def q_eval_metrics(sf_dir: str):
     """trec_eval metrics (AP, P@10, NDCG@10, RR — query/metrics.py,
     replacing the reference's trec_eval CGI upload fetchUrl.pl:15-31)
@@ -2930,15 +2722,11 @@ def q_eval_metrics(sf_dir: str):
     from ..query.metrics import (
         average_precision, ndcg_at_k, precision_at_k, reciprocal_rank,
     )
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    n_docs = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]).num_rows
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    n_docs = _n_docs(sf_dir)
     rows = []
-    for qnum, (qid, terms) in enumerate(BATCH_BM25_QUERIES, start=1):
-        t = engine.search(" ".join(terms), k=50)
-        ranked = [str(d) for d in
-                  _docid_of_external(t["external_id"].to_pylist())]
+    for qnum, qid, ranked in _batch_rankings(engine):
         rel = {str(d): 1 + (d % 2) for d in range(n_docs)
                if d % 7 == qnum}
         rows.append((qid, average_precision(ranked, rel),
@@ -3007,26 +2795,23 @@ join idcg using (qid) join rr using (qid)
 """
 
 
-SQL_EVAL_METRICS = _eval_metrics_sql()
+oracle(q_eval_metrics, _eval_metrics_sql())
 
 
+@entry
 def q_sig_test(sf_dir: str):
     """Paired t significance test between two BM25 parameterizations
     (k1=1.2,b=0.75 vs k1=2.0,b=0.3) on per-query AP over the batch
     queries and the synthetic qrels — the standard two-run comparison
     trec_eval users hand to a t-test; pure arithmetic, SQL-mirrored."""
     from ..query.metrics import average_precision, paired_ttest
-    reader = get_index(sf_dir, "simple")
-    n_docs = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]).num_rows
+    reader = _simple_index(sf_dir)
+    n_docs = _n_docs(sf_dir)
     aps = {}
     for tag, (k1, b) in (("a", (1.2, 0.75)), ("b", (2.0, 0.3))):
         engine = QueryEngine(reader, BM25Model(k1=k1, b=b))
         vals = []
-        for qnum, (qid, terms) in enumerate(BATCH_BM25_QUERIES, start=1):
-            t = engine.search(" ".join(terms), k=50)
-            ranked = [str(d) for d in
-                      _docid_of_external(t["external_id"].to_pylist())]
+        for qnum, qid, ranked in _batch_rankings(engine):
             rel = {str(d): 1 + (d % 2) for d in range(n_docs)
                    if d % 7 == qnum}
             vals.append(average_precision(ranked, rel))
@@ -3089,7 +2874,7 @@ from agg
 """
 
 
-SQL_SIG_TEST = _sig_test_sql()
+oracle(q_sig_test, _sig_test_sql())
 
 
 def _synthetic_qrels(n_docs: int, qnum: int) -> dict[str, int]:
@@ -3102,20 +2887,17 @@ def _synthetic_qrels(n_docs: int, qnum: int) -> dict[str, int]:
     return rel
 
 
+@entry
 def q_eval_trec_extended(sf_dir: str):
     """trec_eval parity beyond eval_metrics: R-precision and bpref per
     query, with judged-nonrelevant docs in the qrels (bpref is the
     judgment-robust metric — unjudged docs are invisible to it)."""
     from ..query.metrics import bpref, r_precision
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    n_docs = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]).num_rows
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    n_docs = _n_docs(sf_dir)
     rows = []
-    for qnum, (qid, terms) in enumerate(BATCH_BM25_QUERIES, start=1):
-        t = engine.search(" ".join(terms), k=50)
-        ranked = [str(d) for d in
-                  _docid_of_external(t["external_id"].to_pylist())]
+    for qnum, qid, ranked in _batch_rankings(engine):
         rel = _synthetic_qrels(n_docs, qnum)
         rows.append((qid, r_precision(ranked, rel), bpref(ranked, rel)))
     return pa.table({
@@ -3125,21 +2907,18 @@ def q_eval_trec_extended(sf_dir: str):
     })
 
 
+@entry
 def q_eval_iprec11(sf_dir: str):
     """trec_eval's 11-point interpolated precision-recall curve per
     query — (qid, level_x10, iprec): max precision at any rank whose
     recall clears the level, with the recall comparison integer-exact
     (10·hits ≥ level·n_rel) on both sides."""
     from ..query.metrics import interpolated_precision_11pt
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    n_docs = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]).num_rows
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    n_docs = _n_docs(sf_dir)
     out_q, out_l, out_p = [], [], []
-    for qnum, (qid, terms) in enumerate(BATCH_BM25_QUERIES, start=1):
-        t = engine.search(" ".join(terms), k=50)
-        ranked = [str(d) for d in
-                  _docid_of_external(t["external_id"].to_pylist())]
+    for qnum, qid, ranked in _batch_rankings(engine):
         rel = {str(d): 1 for d in range(n_docs) if d % 7 == qnum}
         for lvl, p in enumerate(interpolated_precision_11pt(ranked, rel)):
             out_q.append(qid)
@@ -3235,14 +3014,15 @@ from iprec order by qid, lvl
 """
 
 
-SQL_EVAL_TREC_EXTENDED = _eval_trec_extended_sql()
-SQL_EVAL_IPREC11 = _eval_iprec11_sql()
+oracle(q_eval_trec_extended, _eval_trec_extended_sql())
+oracle(q_eval_iprec11, _eval_iprec11_sql())
 
 
 # (k1, b) hyper-parameter grid for the one-pass tuning sweep
 BM25_TUNE_GRID = ((0.9, 0.4), (1.2, 0.75), (2.0, 0.9))
 
 
+@entry
 def q_bm25_grid_tune(sf_dir: str):
     """Hyper-parameter tuning as a distributed job: one postings pass
     scores EVERY (k1, b) grid point for the whole query batch
@@ -3253,13 +3033,12 @@ def q_bm25_grid_tune(sf_dir: str):
     leaderboard (MAP per grid point = mean of its qid rows)."""
     from ..query.distributed import bm25_grid_search
     from ..query.metrics import average_precision
-    reader = get_index(sf_dir, "simple")
+    reader = _simple_index(sf_dir)
     ranked = bm25_grid_search(
         reader.index_dir,
         [(qid, " ".join(terms)) for qid, terms in BATCH_BM25_QUERIES],
         list(BM25_TUNE_GRID), k=50)
-    n_docs = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"]).num_rows
+    n_docs = _n_docs(sf_dir)
     rels = {qid: {str(d): 1 for d in range(n_docs) if d % 7 == qnum}
             for qnum, (qid, _) in enumerate(BATCH_BM25_QUERIES, start=1)}
     pdf = ranked.to_pandas()
@@ -3316,9 +3095,10 @@ from ap order by k1_x100, b_x100, qid
 """
 
 
-SQL_BM25_GRID_TUNE = _bm25_grid_tune_sql()
+oracle(q_bm25_grid_tune, _bm25_grid_tune_sql())
 
 
+@entry
 def q_minhash_dedup(sf_dir: str):
     import ray.data as rd
     from ..functions.dedup import minhash_lsh_dedup
@@ -3327,6 +3107,7 @@ def q_minhash_dedup(sf_dir: str):
     return minhash_lsh_dedup(ds, jaccard_threshold=0.8)
 
 
+@entry
 def q_jaccard_verified_dedup(sf_dir: str):
     """MinHash-LSH candidates verified with TRUE n-gram Jaccard: the
     candidate set is small, so texts for just those ids are fetched with
@@ -3361,6 +3142,7 @@ def q_jaccard_verified_dedup(sf_dir: str):
     })
 
 
+@entry
 def q_simhash_dedup(sf_dir: str):
     import ray.data as rd
     from ..functions.dedup import simhash_dedup
@@ -3369,6 +3151,7 @@ def q_simhash_dedup(sf_dir: str):
     return simhash_dedup(ds)
 
 
+@entry
 def q_ngram_jaccard_pairs(sf_dir: str):
     """EXACT n-gram Jaccard near-dup pairs (inverted-shingle pattern,
     functions/dedup.py ngram_jaccard_pairs) — unlike the MinHash entries
@@ -3387,7 +3170,7 @@ def q_ngram_jaccard_pairs(sf_dir: str):
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
-SQL_NGRAM_JACCARD_PAIRS = f"""
+oracle(q_ngram_jaccard_pairs, f"""
 with tok as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 sh as (
   select t.doc_id,
@@ -3414,9 +3197,10 @@ j as (select id_a, id_b, c / (za.sz + zb.sz - c) as jac
       join sz zb on zb.doc_id = inter.id_b)
 select id_a, id_b, floor(jac*1000000 + 0.5)/1000000 as jaccard
 from j where jac >= 0.5
-"""
+""")
 
 
+@entry
 def q_simhash_pairs(sf_dir: str):
     """SimHash near-dup PAIRS (Hamming ≤ 3, 4-band pigeonhole blocking)
     — stops before union-find so the whole op is SQL-expressible: DuckDB
@@ -3446,8 +3230,7 @@ comp as (select src as doc_id, min(dst) as canonical_id
 
 
 SQL_SIMHASH_PAIRS = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+with {_tok_cte()},
 tc as (select doc_id, term, count(*)::bigint as c from tok
        group by doc_id, term),
 th as (select doc_id, ('0x' || substr(md5(term), 1, 16))::ubigint as h, c
@@ -3477,28 +3260,30 @@ pairs as (
   group by 1, 2)
 select id_a, id_b, hamming from pairs
 """
+oracle(q_simhash_pairs, SQL_SIMHASH_PAIRS)
 
 # simhash_dedup = connected components over the Hamming-≤3 pair graph:
 # the engine's per-bucket identical-fingerprint collapse + rep union-find
 # (functions/dedup.py simhash_dedup) produces exactly the components of
 # that graph, so the oracle reuses SQL_SIMHASH_PAIRS as the edge set.
-SQL_SIMHASH_DEDUP = f"""
+oracle(q_simhash_dedup, f"""
 with recursive edges as (
   select id_a as a, id_b as b from ({SQL_SIMHASH_PAIRS.strip()})
 ),{_CC_CTES}
 select doc_id::bigint as doc_id, canonical_id::bigint as canonical_id
 from comp
-"""
+""")
 
 
+@entry
 def q_collapse_by_source(sf_dir: str):
     """Field collapsing / host crowding: BM25 top-50 → at most 2 results
     per `source` (walking the ranking in order), re-ranked top-10 — the
     SERP diversity cap applied before any intent-aware reranker."""
     from ..query.diversity import collapse_ranking
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    t = engine.search(" ".join(BM25_QUERY_TERMS), k=50)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    t = engine.search(BM25_QUERY, k=50)
     ext = t["external_id"].to_pylist()
     ids = _docid_of_external(ext)
     meta = pq.read_table(f"{sf_dir}/documents.parquet",
@@ -3515,7 +3300,7 @@ def q_collapse_by_source(sf_dir: str):
     })
 
 
-SQL_COLLAPSE_BY_SOURCE = f"""
+oracle(q_collapse_by_source, f"""
 with top50 as (
   select doc_id, raw,
          row_number() over (order by raw desc, doc_id asc) as rnk
@@ -3527,9 +3312,10 @@ src as (
 select row_number() over (order by rnk) as rank, doc_id,
        floor(raw*1000000 + 0.5)/1000000 as score
 from src where gn <= 2 order by rnk limit 10
-"""
+""")
 
 
+@entry
 def q_dedup_keep_best(sf_dir: str):
     """Quality-aware canonical selection: the simhash near-dup clusters
     re-keyed to their LONGEST member (n_tokens desc, doc_id asc) — the
@@ -3576,9 +3362,10 @@ from best where rn = 1 order by canonical_id
 """
 
 
-SQL_DEDUP_KEEP_BEST = _dedup_keep_best_sql()
+oracle(q_dedup_keep_best, _dedup_keep_best_sql())
 
 
+@entry
 def q_minhash_candidate_pairs(sf_dir: str):
     """MinHash-LSH band-collision candidate pairs with collision counts
     — the banding stage without the estimate filter / union-find, so the
@@ -3643,7 +3430,7 @@ select id_a, id_b, n_bands from pairs
 """
 
 
-SQL_MINHASH_CANDIDATE_PAIRS = _minhash_pairs_sql()
+oracle(q_minhash_candidate_pairs, _minhash_pairs_sql())
 
 def _minhash_dedup_ctes(num_perm: int, bands: int, shingle: int,
                         threshold: float) -> str:
@@ -3724,40 +3511,39 @@ from jv where jac >= {jac_threshold}
 """
 
 
-SQL_MINHASH_DEDUP = _minhash_dedup_sql()
-SQL_JACCARD_VERIFIED_DEDUP = _jaccard_verified_sql()
+oracle(q_minhash_dedup, _minhash_dedup_sql())
+oracle(q_jaccard_verified_dedup, _jaccard_verified_sql())
 
 
-def q_lsh_ann(sf_dir: str):
-    import ray.data as rd
-    from ..functions.similarity import lsh_ann_topk
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qvecs = np.asarray(t["embedding"].to_pylist()[:3], dtype=np.float32)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    return lsh_ann_topk(ds, qvecs, k=10)
+def _ann_entry(name: str, kernel: str, sql: str | None = None, **kw):
+    """Entry ``name``: ``functions.similarity.<kernel>`` top-10 for the
+    first three embeddings as queries (``kw`` to the kernel). With an
+    oracle the queries are float64 and the result (query_id, vec_id,
+    score) is ordered and rounded; rows-only → the float32 kernel's
+    raw output."""
+    def fn(sf_dir: str):
+        import ray.data as rd
+        from ..functions import similarity
+        t = pq.read_table(f"{sf_dir}/embeddings.parquet")
+        qvecs = np.asarray(t["embedding"].to_pylist()[:3],
+                           dtype=np.float32 if sql is None else np.float64)
+        ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                             columns=["vec_id", "embedding"])
+        out = getattr(similarity, kernel)(ds, qvecs, k=10, **kw)
+        if sql is None:
+            return out
+        out = out.to_pandas().sort_values(
+            ["query_id", "score", "vec_id"], ascending=[True, False, True],
+            kind="mergesort")
+        return pa.table({
+            "query_id": pa.array(out["query_id"].to_numpy(), pa.int64()),
+            "vec_id": pa.array(out["vec_id"].to_numpy(), pa.int64()),
+            "score": pa.array(round6(out["score"].to_numpy())),
+        })
+    return _register(fn, name, sql)
 
 
-def q_lsh_ann_oracle(sf_dir: str):
-    """Hyperplane-LSH ANN in float64 so DuckDB can reproduce it
-    bit-for-bit at 6 dp: the 64×12 plane matrix is inlined into the SQL
-    as literal lists, bucket = sign-bit integer, probe = Hamming ≤ 1
-    bucket join, exact cosine within probed buckets, top-10 per query.
-    The float32 production path stays rows-only as ``lsh_ann``."""
-    import ray.data as rd
-    from ..functions.similarity import lsh_ann_topk
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qvecs = np.asarray(t["embedding"].to_pylist()[:3], dtype=np.float64)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    out = lsh_ann_topk(ds, qvecs, k=10, dtype=np.float64).to_pandas()
-    out = out.sort_values(["query_id", "score", "vec_id"],
-                          ascending=[True, False, True], kind="mergesort")
-    return pa.table({
-        "query_id": pa.array(out["query_id"].to_numpy(), pa.int64()),
-        "vec_id": pa.array(out["vec_id"].to_numpy(), pa.int64()),
-        "score": pa.array(round6(out["score"].to_numpy())),
-    })
+_ann_entry("lsh_ann", "lsh_ann_topk")
 
 
 def _lsh_ann_sql(k: int = 10, planes: int = 12, probe: int = 1,
@@ -3795,17 +3581,15 @@ from ranked where rnk <= {k}
 """
 
 
-SQL_LSH_ANN_ORACLE = _lsh_ann_sql()
+# Hyperplane-LSH ANN in float64 so DuckDB can reproduce it
+# bit-for-bit at 6 dp: the 64×12 plane matrix is inlined into the SQL
+# as literal lists, bucket = sign-bit integer, probe = Hamming ≤ 1
+# bucket join, exact cosine within probed buckets, top-10 per query.
+# The float32 production path stays rows-only as ``lsh_ann``.
+_ann_entry("lsh_ann_oracle", "lsh_ann_topk", _lsh_ann_sql(), dtype=np.float64)
 
 
-def q_ivf_ann(sf_dir: str):
-    import ray.data as rd
-    from ..functions.similarity import ivf_ann_topk
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qvecs = np.asarray(t["embedding"].to_pylist()[:3], dtype=np.float32)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    return ivf_ann_topk(ds, qvecs, k=10)
+_ann_entry("ivf_ann", "ivf_ann_topk")
 
 
 def _ivf_fixed_centroids(n_lists: int = 4, d: int = 64,
@@ -3813,31 +3597,6 @@ def _ivf_fixed_centroids(n_lists: int = 4, d: int = 64,
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((n_lists, d))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
-
-
-def q_ivf_ann_oracle(sf_dir: str):
-    """IVF ANN with PINNED centroids (kmeans_iters=0) in float64 so
-    DuckDB can reproduce it at 6 dp: the 4×64 normalized centroid
-    matrix is inlined into the SQL, assignment = argmax dot (ties →
-    lowest cid), probe = top-2 lists per query, exact cosine within
-    probed lists. The trained float32 production path stays rows-only
-    as ``ivf_ann``."""
-    import ray.data as rd
-    from ..functions.similarity import ivf_ann_topk
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qvecs = np.asarray(t["embedding"].to_pylist()[:3], dtype=np.float64)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    out = ivf_ann_topk(ds, qvecs, k=10, n_probe=2, kmeans_iters=0,
-                       centroids=_ivf_fixed_centroids(),
-                       dtype=np.float64).to_pandas()
-    out = out.sort_values(["query_id", "score", "vec_id"],
-                          ascending=[True, False, True], kind="mergesort")
-    return pa.table({
-        "query_id": pa.array(out["query_id"].to_numpy(), pa.int64()),
-        "vec_id": pa.array(out["vec_id"].to_numpy(), pa.int64()),
-        "score": pa.array(round6(out["score"].to_numpy())),
-    })
 
 
 def _ivf_ann_sql(k: int = 10, n_probe: int = 2, n_queries: int = 3) -> str:
@@ -3879,9 +3638,17 @@ from ranked where rnk <= {k}
 """
 
 
-SQL_IVF_ANN_ORACLE = _ivf_ann_sql()
+# IVF ANN with PINNED centroids (kmeans_iters=0) in float64 so
+# DuckDB can reproduce it at 6 dp: the 4×64 normalized centroid
+# matrix is inlined into the SQL, assignment = argmax dot (ties →
+# lowest cid), probe = top-2 lists per query, exact cosine within
+# probed lists. The trained float32 production path stays rows-only
+# as ``ivf_ann``.
+_ann_entry("ivf_ann_oracle", "ivf_ann_topk", _ivf_ann_sql(), n_probe=2,
+           kmeans_iters=0, centroids=_ivf_fixed_centroids(), dtype=np.float64)
 
 
+@entry
 def q_language_id(sf_dir: str):
     import ray.data as rd
     from ..functions.text import language_id
@@ -3901,8 +3668,7 @@ def _language_id_sql() -> str:
     # (en, de, fr, es) order and a later language needs STRICTLY more
     # hits to displace an earlier one; all-zero → 'unknown'
     return f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+with {_tok_cte()},
 hits as (
   select doc_id,
     count(*) filter (where term in {p['en']}) as en,
@@ -3924,7 +3690,7 @@ from documents d left join hits h using (doc_id)
 """
 
 
-SQL_LANGUAGE_ID = _language_id_sql()
+oracle(q_language_id, _language_id_sql())
 
 
 _FP_B = 1099511628211                 # rolling-hash base (functions/text.py)
@@ -3933,6 +3699,7 @@ _FP_POWS = ", ".join(f"({k}, {pow(_FP_B, k, _FP_P)}::hugeint)"
                      for k in range(8))
 
 
+@entry
 def q_doc_fingerprint(sf_dir: str):
     """Winnowing fingerprints EXPLODED to (doc_id, fp) rows so DuckDB
     can hash-compare them (list columns don't value-hash portably)."""
@@ -3959,7 +3726,7 @@ def q_doc_fingerprint(sf_dir: str):
 # the single s=1 window with absent positions contributing 0 mirrors
 # functions/text.py's padding), keep cur % 16 == 0 plus the per-doc
 # min as fallback; distinct values per doc.
-SQL_DOC_FINGERPRINT = f"""
+oracle(q_doc_fingerprint, f"""
 with tok as ({POS_TOK_SQL}),
 h as (select doc_id, pos,
         (('0x' || substr(md5(term), 1, 16))::ubigint
@@ -3981,58 +3748,49 @@ fb as (select w.doc_id, min(w.cur) as fp from win w
                          where w2.doc_id = w.doc_id and w2.cur % 16 = 0)
        group by w.doc_id)
 select doc_id, fp from sel union select doc_id, fp from fb
-"""
+""")
 
 
-def q_xquad_rerank(sf_dir: str):
-    """Diversified reranking: initial + 2 intent rankings → xQuAD."""
-    from ..query.diversity import build_diversity_data, xquad
-    reader = get_index(sf_dir, "lucene")
-    engine = QueryEngine(reader, BM25Model())
+def _diversity_entry(name: str, algo: str, mode: str, queries: list[str],
+                     sql: str | None = None):
+    """Entry ``name``: ``query.diversity.<algo>`` (λ = 0.4, 20 results)
+    reranks the BM25 top-50 of ``queries[0]`` with the top-50s of the
+    other queries as intents, over the ``mode``-analyzer index. With an
+    oracle → (doc_id, rank, score) at 6 dp; rows-only → the raw
+    (external_id, rank, score)."""
+    def fn(sf_dir: str):
+        from ..query import diversity
+        engine = QueryEngine(get_index(sf_dir, mode), _BM25)
 
-    def ranking(q):
-        t = engine.search(q, k=50)
-        return list(zip(t["external_id"].to_pylist(),
-                        t["score"].to_pylist()))
+        def ranking(q):
+            t = engine.search(q, k=50)
+            return list(zip(t["external_id"].to_pylist(),
+                            t["score"].to_pylist()))
 
-    data = build_diversity_data(
-        "1", ranking("fast sort merge"),
-        [ranking("fast scan"), ranking("merge join")], max_input=50)
-    ranked = xquad(data, lam=0.4, max_result=20)
-    return pa.table({
-        "external_id": pa.array([e for e, _ in ranked], pa.string()),
-        "rank": pa.array(np.arange(1, len(ranked) + 1, dtype=np.int32)),
-        "score": pa.array([s for _, s in ranked], pa.float64()),
-    })
+        data = diversity.build_diversity_data(
+            "1", ranking(queries[0]), [ranking(q) for q in queries[1:]],
+            max_input=50)
+        ranked = getattr(diversity, algo)(data, lam=0.4, max_result=20)
+        ext, scores = [e for e, _ in ranked], [s for _, s in ranked]
+        if sql is None:
+            return pa.table({
+                "external_id": pa.array(ext, pa.string()),
+                "rank": pa.array(np.arange(1, len(ranked) + 1,
+                                           dtype=np.int32)),
+                "score": pa.array(scores, pa.float64())})
+        return pa.table({
+            "doc_id": pa.array(_docid_of_external(ext)),
+            "rank": pa.array(np.arange(1, len(ranked) + 1, dtype=np.int64)),
+            "score": pa.array(round6(scores))})
+    return _register(fn, name, sql)
 
 
-def q_xquad_rerank_simple(sf_dir: str):
-    """xQuAD over SIMPLE-index BM25 rankings (initial + 2 intents) so
-    the whole flow is SQL-expressible: the greedy argmax loop is a
-    LOOP-UNROLLED chain of 20 pick/state CTEs generated by
-    ``_xquad_sql`` (coverage per intent is scalar state; tie-break =
-    candidate insertion order, mirrored by the ``ord`` column). The
-    lucene-mode ``xquad_rerank`` entry stays rows-only."""
-    from ..query.diversity import build_diversity_data, xquad
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
+_BATCH_QUERY_STRINGS = [" ".join(terms) for _, terms in BATCH_BM25_QUERIES]
 
-    def ranking(terms):
-        t = engine.search(" ".join(terms), k=50)
-        return list(zip(t["external_id"].to_pylist(),
-                        t["score"].to_pylist()))
 
-    data = build_diversity_data(
-        "1", ranking(BATCH_BM25_QUERIES[0][1]),
-        [ranking(BATCH_BM25_QUERIES[1][1]),
-         ranking(BATCH_BM25_QUERIES[2][1])], max_input=50)
-    ranked = xquad(data, lam=0.4, max_result=20)
-    ids = _docid_of_external([e for e, _ in ranked])
-    return pa.table({
-        "doc_id": pa.array(ids),
-        "rank": pa.array(np.arange(1, len(ranked) + 1, dtype=np.int64)),
-        "score": pa.array(round6([s for _, s in ranked])),
-    })
+# Diversified reranking: initial + 2 intent rankings → xQuAD.
+_diversity_entry("xquad_rerank", "xquad", "lucene",
+                 ["fast sort merge", "fast scan", "merge join"])
 
 
 def _xquad_sql(lam: float = 0.4, steps: int = 20) -> str:
@@ -4096,34 +3854,14 @@ from ({sel}) z order by rank""")
     return "".join(parts)
 
 
-SQL_XQUAD_RERANK_SIMPLE = _xquad_sql()
-
-
-def q_pm2_rerank_simple(sf_dir: str):
-    """PM2 over SIMPLE-index BM25 rankings — same loop-unrolling trick
-    as ``xquad_rerank_simple``: per-step state is (slot₁, slot₂,
-    last-picked intent vector, picked set, early-stop flag), all scalar
-    columns, so each iteration is one pick/state CTE pair."""
-    from ..query.diversity import build_diversity_data, pm2
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-
-    def ranking(terms):
-        t = engine.search(" ".join(terms), k=50)
-        return list(zip(t["external_id"].to_pylist(),
-                        t["score"].to_pylist()))
-
-    data = build_diversity_data(
-        "1", ranking(BATCH_BM25_QUERIES[0][1]),
-        [ranking(BATCH_BM25_QUERIES[1][1]),
-         ranking(BATCH_BM25_QUERIES[2][1])], max_input=50)
-    ranked = pm2(data, lam=0.4, max_result=20)
-    ids = _docid_of_external([e for e, _ in ranked])
-    return pa.table({
-        "doc_id": pa.array(ids),
-        "rank": pa.array(np.arange(1, len(ranked) + 1, dtype=np.int64)),
-        "score": pa.array(round6([s for _, s in ranked])),
-    })
+# xQuAD over SIMPLE-index BM25 rankings (initial + 2 intents) so
+# the whole flow is SQL-expressible: the greedy argmax loop is a
+# LOOP-UNROLLED chain of 20 pick/state CTEs generated by
+# ``_xquad_sql`` (coverage per intent is scalar state; tie-break =
+# candidate insertion order, mirrored by the ``ord`` column). The
+# lucene-mode ``xquad_rerank`` entry stays rows-only.
+_diversity_entry("xquad_rerank_simple", "xquad", "simple",
+                 _BATCH_QUERY_STRINGS, _xquad_sql())
 
 
 def _pm2_sql(lam: float = 0.4, steps: int = 20) -> str:
@@ -4202,34 +3940,23 @@ from ({sel}) z order by rank""")
     return "".join(parts)
 
 
-SQL_PM2_RERANK_SIMPLE = _pm2_sql()
+# PM2 over SIMPLE-index BM25 rankings — same loop-unrolling trick
+# as ``xquad_rerank_simple``: per-step state is (slot₁, slot₂,
+# last-picked intent vector, picked set, early-stop flag), all scalar
+# columns, so each iteration is one pick/state CTE pair.
+_diversity_entry("pm2_rerank_simple", "pm2", "simple", _BATCH_QUERY_STRINGS,
+                 _pm2_sql())
 
 
-def q_pm2_rerank(sf_dir: str):
-    from ..query.diversity import build_diversity_data, pm2
-    reader = get_index(sf_dir, "lucene")
-    engine = QueryEngine(reader, BM25Model())
-
-    def ranking(q):
-        t = engine.search(q, k=50)
-        return list(zip(t["external_id"].to_pylist(),
-                        t["score"].to_pylist()))
-
-    data = build_diversity_data(
-        "1", ranking("hash join table"),
-        [ranking("hash scan"), ranking("join merge")], max_input=50)
-    ranked = pm2(data, lam=0.4, max_result=20)
-    return pa.table({
-        "external_id": pa.array([e for e, _ in ranked], pa.string()),
-        "rank": pa.array(np.arange(1, len(ranked) + 1, dtype=np.int32)),
-        "score": pa.array([s for _, s in ranked], pa.float64()),
-    })
+_diversity_entry("pm2_rerank", "pm2", "lucene",
+                 ["hash join table", "hash scan", "join merge"])
 
 
+@entry
 def q_letor_rerank(sf_dir: str):
     from ..query.letor import letor_rerank
     reader = get_index(sf_dir, "lucene")
-    engine = QueryEngine(reader, BM25Model())
+    engine = QueryEngine(reader, _BM25)
     t = engine.search("fast sort merge", k=50)
     initial = list(zip(t["external_id"].to_pylist(),
                        t["score"].to_pylist()))
@@ -4241,6 +3968,7 @@ def q_letor_rerank(sf_dir: str):
     })
 
 
+@entry
 def q_letor_rerank_simple(sf_dir: str):
     """The FULL LeToR flow (BM25 top-50 candidates → 18-slot features →
     per-query min-max → LinearRanker → re-sort) over the SIMPLE index,
@@ -4251,12 +3979,12 @@ def q_letor_rerank_simple(sf_dir: str):
     0), so score = n5 + n6 + 0.6·n7 + 0.6·n17 + 0.2·n18. The lucene-mode
     ``letor_rerank`` entry stays rows-only."""
     from ..query.letor import letor_rerank
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    t = engine.search(" ".join(BM25_QUERY_TERMS), k=50)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    t = engine.search(BM25_QUERY, k=50)
     initial = list(zip(t["external_id"].to_pylist(),
                        t["score"].to_pylist()))
-    ranked = letor_rerank(reader, " ".join(BM25_QUERY_TERMS), initial, k=20)
+    ranked = letor_rerank(reader, BM25_QUERY, initial, k=20)
     ids = _docid_of_external([e for e, _ in ranked])
     return pa.table({
         "doc_id": pa.array(ids),
@@ -4264,14 +3992,8 @@ def q_letor_rerank_simple(sf_dir: str):
     })
 
 
-SQL_LETOR_RERANK_SIMPLE = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+oracle(q_letor_rerank_simple, f"""
+{_bm25_prologue()},
 qterms as (select * from (values ('dup'),('line'),('hash')) t(term)),
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in (select term from qterms) group by doc_id, term),
@@ -4280,9 +4002,8 @@ ctfs as (select term, count(*)::double as ctf from tok
          where term in (select term from qterms) group by term),
 bm25d as (
   select tfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')}) as raw
   from tfs join dfs using (term) join doclen using (doc_id)
   cross join stats group by tfs.doc_id),
 topd as (select doc_id, raw from bm25d
@@ -4320,9 +4041,10 @@ final as (
   from norm)
 select doc_id, floor(s*1000000 + 0.5)/1000000 as score from final
 order by s desc, doc_id asc limit 20
-"""
+""")
 
 
+@entry
 def q_multimodal_decode(sf_dir: str):
     """Media decode plumbing over a payload DERIVED from the documents
     table (payload = utf-8 text bytes) so the fake md5 decoder is
@@ -4361,7 +4083,7 @@ def q_multimodal_decode(sf_dir: str):
 
 # byte i of md5(text) / 255 as float32, then 6-dp half-away rounding —
 # the FLOAT cast reproduces the decoder's float32 precision exactly
-SQL_MULTIMODAL_DECODE = """
+oracle(q_multimodal_decode, """
 with idx as (select unnest(generate_series(0, 15)) as i),
 b as (select d.doc_id, idx.i,
         ('0x' || substr(md5(d.text), 2 * idx.i + 1, 2))::int as byte
@@ -4370,9 +4092,10 @@ select doc_id, i::int as i,
        floor(((byte / 255.0)::FLOAT)::DOUBLE * 1000000 + 0.5) / 1000000
          as feature
 from b
-"""
+""")
 
 
+@entry
 def q_window_aggregate(sf_dir: str):
     """Tumbling 1-hour event-time windows per event_type (combiner
     pattern: per-batch partial aggregation before the groupby, exact
@@ -4384,7 +4107,7 @@ def q_window_aggregate(sf_dir: str):
     return tumbling_window_aggregate(ds, window_s=3600)
 
 
-SQL_WINDOW_AGGREGATE = """
+oracle(q_window_aggregate, """
 select (epoch_us(ts) // 3600000000) * 3600 as window_start,
        event_type,
        count(*)::bigint as n_events,
@@ -4392,9 +4115,10 @@ select (epoch_us(ts) // 3600000000) * 3600 as window_start,
        min(round(value * 100)::bigint) / 100.0 as min_value,
        max(round(value * 100)::bigint) / 100.0 as max_value
 from events group by 1, 2
-"""
+""")
 
 
+@entry
 def q_sliding_window_aggregate(sf_dir: str):
     """Sliding 1-hour windows hopping every 15 min: the ×4 event
     replication happens inside each batch and folds to (window, key)
@@ -4407,7 +4131,7 @@ def q_sliding_window_aggregate(sf_dir: str):
     return sliding_window_aggregate(ds, window_s=3600, stride_s=900)
 
 
-SQL_SLIDING_WINDOW_AGGREGATE = """
+oracle(q_sliding_window_aggregate, """
 with e as (select epoch_us(ts) as t, event_type,
                   round(value * 100)::bigint as cents from events),
 offs as (select unnest(range(0, 4)) as i)
@@ -4416,9 +4140,10 @@ select ((t // 900000000) - i) * 900 as window_start, event_type,
        sum(cents) / 100.0 as sum_value
 from e cross join offs
 group by 1, 2
-"""
+""")
 
 
+@entry
 def q_sessionize(sf_dir: str):
     """Gap-based sessionization (30-min gap) per user — one hash
     shuffle at partition grain, vectorized lexsort+reduceat session
@@ -4430,7 +4155,7 @@ def q_sessionize(sf_dir: str):
     return sessionize(ds, gap_s=1800)
 
 
-SQL_SESSIONIZE = """
+oracle(q_sessionize, """
 with e as (select user_id, epoch_us(ts) as t,
                   round(value * 100)::bigint as cents from events),
 s as (select user_id, t, cents,
@@ -4447,9 +4172,10 @@ select user_id, sid::bigint as session_id,
        count(*)::bigint as n_events,
        sum(cents) / 100.0 as sum_value
 from sess group by user_id, sid
-"""
+""")
 
 
+@entry
 def q_asof_join(sf_dir: str):
     """Backward as-of join: each event picks the latest order of the
     same customer placed at or before the event time (ties by largest
@@ -4467,7 +4193,7 @@ def q_asof_join(sf_dir: str):
                      left_id="event_id", right_val="o_orderkey")
 
 
-SQL_ASOF_JOIN = """
+oracle(q_asof_join, """
 with m as (
   select e.event_id, o.o_orderkey,
          row_number() over (partition by e.event_id
@@ -4478,9 +4204,10 @@ with m as (
 select e.event_id,
        coalesce(m.o_orderkey, -1)::bigint as o_orderkey
 from events e left join m on m.event_id = e.event_id and m.rn = 1
-"""
+""")
 
 
+@entry
 def q_percentile_ranks(sf_dir: str):
     """ES percentile_ranks agg (inverse quantiles): % of event values
     ≤ each probe per event_type, exact, from the same distinct-cents
@@ -4499,9 +4226,10 @@ def _percentile_ranks_sql() -> str:
                                 values=(10.0, 50.0, 100.0))
 
 
-SQL_PERCENTILE_RANKS = _percentile_ranks_sql()
+oracle(q_percentile_ranks, _percentile_ranks_sql())
 
 
+@entry
 def q_hll_distinct(sf_dir: str):
     """Distributed HyperLogLog (p=12) distinct-text count per language —
     the mergeable-sketch pattern: per-batch registers, groupby max-merge,
@@ -4520,9 +4248,10 @@ def _hll_sql() -> str:
     return hyperloglog_sql("documents", "text", "lang")
 
 
-SQL_HLL_DISTINCT = _hll_sql()
+oracle(q_hll_distinct, _hll_sql())
 
 
+@entry
 def q_frequent_terms(sf_dir: str):
     """Heavy-hitter terms over ``documents`` via the mergeable
     Misra-Gries summary (``functions.sketch.frequent_terms``): each
@@ -4544,15 +4273,16 @@ def q_frequent_terms(sf_dir: str):
     return t
 
 
-SQL_FREQUENT_TERMS = f"""
+oracle(q_frequent_terms, f"""
 with tok as (
   select unnest({SIMPLE_TOKS_SQL}) as term from documents)
 select term, count(*)::bigint as count_lo, count(*)::bigint as count_hi
 from tok group by term
 order by count_lo desc, term asc limit 25
-"""
+""")
 
 
+@entry
 def q_value_quantiles(sf_dir: str):
     """Exact p50/p90/p99 of event value per event_type via the
     counting-histogram sketch (shuffle carries distinct cents, not
@@ -4569,9 +4299,10 @@ def _quantiles_sql() -> str:
     return value_quantiles_sql("events", "value", "event_type")
 
 
-SQL_VALUE_QUANTILES = _quantiles_sql()
+oracle(q_value_quantiles, _quantiles_sql())
 
 
+@entry
 def q_value_stats(sf_dir: str):
     """ES ``extended_stats``: count/min/max/mean/population-variance of
     event value per event_type, bit-exact under any partitioning —
@@ -4590,9 +4321,10 @@ def _stats_sql() -> str:
     return value_stats_sql("events", "value", "event_type")
 
 
-SQL_VALUE_STATS = _stats_sql()
+oracle(q_value_stats, _stats_sql())
 
 
+@entry
 def q_value_histogram(sf_dir: str):
     """ES ``histogram`` aggregation: fixed-interval (25.0) buckets of
     event value per event_type — the counting-histogram exchange of
@@ -4612,9 +4344,10 @@ def _histogram_sql() -> str:
                                interval=25.0)
 
 
-SQL_VALUE_HISTOGRAM = _histogram_sql()
+oracle(q_value_histogram, _histogram_sql())
 
 
+@entry
 def q_quality_quantile_gate(sf_dir: str):
     """Global-statistic-then-filter composition: the corpus median of
     n_chars computes distributively (exact counting-histogram
@@ -4661,101 +4394,73 @@ where n_chars >= thr.value group by lang
 """
 
 
-SQL_QUALITY_QUANTILE_GATE = _quality_quantile_gate_sql()
+oracle(q_quality_quantile_gate, _quality_quantile_gate_sql())
 
 
-def q_semijoin_urgent_lineitem(sf_dir: str):
-    """Zero-shuffle broadcast semijoin: the urgent order keys are
-    gathered once and filter the lineitem fact stream inside
-    map_batches; the fact table never enters an exchange — only the
-    per-batch (flag, n, sum_qty) partials reach the tiny groupby."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-    from ..functions.join import broadcast_semijoin
+def _lineitem_semijoin_entry(name: str, priority: str, join: str, **kw):
+    """Entry ``name``: the lineitem rows whose order has
+    ``o_orderpriority = priority``, kept by ``functions.join.<join>``
+    against those order keys (``kw`` to the join), rolled up per
+    l_returnflag to (n, sum_qty) from per-batch partials."""
+    def fn(sf_dir: str):
+        import pyarrow.compute as pc
+        import ray.data as rd
+        from ray.data.aggregate import Sum
+        from ..functions import join as joins
 
-    keys = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                           columns=["o_orderkey"],
-                           filter=pc.field("o_orderpriority") == "1-URGENT")
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_quantity",
-                                  "l_returnflag"])
-    hit = broadcast_semijoin(li, keys, "l_orderkey", keys_col="o_orderkey")
+        keys = rd.read_parquet(f"{sf_dir}/orders.parquet",
+                               columns=["o_orderkey"],
+                               filter=pc.field("o_orderpriority") == priority)
+        li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                             columns=["l_orderkey", "l_quantity",
+                                      "l_returnflag"])
+        hit = getattr(joins, join)(li, keys, "l_orderkey",
+                                   keys_col="o_orderkey", **kw)
 
-    def partial(b: pa.Table) -> pd.DataFrame:
-        qty = np.rint(b["l_quantity"].to_numpy(
-            zero_copy_only=False)).astype(np.int64)
-        df = pd.DataFrame({"l_returnflag": b["l_returnflag"].to_pylist(),
-                           "q": qty})
-        g = df.groupby("l_returnflag", sort=False)["q"]
-        out = pd.DataFrame({"n": g.size().astype(np.int64),
-                            "sum_qty": g.sum().astype(np.int64)})
-        return out.reset_index()
+        def partial(b: pa.Table) -> pd.DataFrame:
+            qty = np.rint(b["l_quantity"].to_numpy(
+                zero_copy_only=False)).astype(np.int64)
+            df = pd.DataFrame({"l_returnflag": b["l_returnflag"].to_pylist(),
+                               "q": qty})
+            g = df.groupby("l_returnflag", sort=False)["q"]
+            out = pd.DataFrame({"n": g.size().astype(np.int64),
+                                "sum_qty": g.sum().astype(np.int64)})
+            return out.reset_index()
 
-    return hit.map_batches(partial, batch_format="pyarrow") \
-        .groupby("l_returnflag") \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("sum_qty", alias_name="sum_qty"))
-
-
-SQL_SEMIJOIN_URGENT_LINEITEM = """
+        return hit.map_batches(partial, batch_format="pyarrow") \
+            .groupby("l_returnflag") \
+            .aggregate(Sum("n", alias_name="n"),
+                       Sum("sum_qty", alias_name="sum_qty"))
+    return _register(fn, name, f"""
 select l_returnflag, count(*)::bigint as n,
        sum(round(l_quantity)::bigint)::bigint as sum_qty
 from lineitem
 where l_orderkey in (select o_orderkey from orders
-                     where o_orderpriority = '1-URGENT')
+                     where o_orderpriority = '{priority}')
 group by l_returnflag
-"""
+""")
 
 
-def q_bloom_semijoin_high(sf_dir: str):
-    """Bloom-accelerated semijoin (``functions.join.bloom_semijoin``,
-    ``verify="shuffle"``): the 2-HIGH order keys become a broadcast
-    bit array (~1.25 B/key) that kills definite non-matches map-side;
-    only the bloom-surviving sliver of the lineitem stream enters the
-    exact tagged-union verify exchange — the key-set-too-big-to-
-    broadcast shape of ``semijoin_urgent_lineitem``. Same per-flag
-    aggregate, same SQL shape as the plain semijoin oracle."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-    from ..functions.join import bloom_semijoin
+# Zero-shuffle broadcast semijoin: the urgent order keys are
+# gathered once and filter the lineitem fact stream inside
+# map_batches; the fact table never enters an exchange — only the
+# per-batch (flag, n, sum_qty) partials reach the tiny groupby.
+_lineitem_semijoin_entry("semijoin_urgent_lineitem", "1-URGENT",
+                         "broadcast_semijoin")
 
-    keys = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                           columns=["o_orderkey"],
-                           filter=pc.field("o_orderpriority") == "2-HIGH")
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_quantity",
-                                  "l_returnflag"])
-    hit = bloom_semijoin(li, keys, "l_orderkey", keys_col="o_orderkey",
+
+# Bloom-accelerated semijoin (``functions.join.bloom_semijoin``,
+# ``verify="shuffle"``): the 2-HIGH order keys become a broadcast
+# bit array (~1.25 B/key) that kills definite non-matches map-side;
+# only the bloom-surviving sliver of the lineitem stream enters the
+# exact tagged-union verify exchange — the key-set-too-big-to-
+# broadcast shape of ``semijoin_urgent_lineitem``. Same per-flag
+# aggregate, same SQL shape as the plain semijoin oracle.
+_lineitem_semijoin_entry("bloom_semijoin_high", "2-HIGH", "bloom_semijoin",
                          verify="shuffle")
 
-    def partial(b: pa.Table) -> pd.DataFrame:
-        qty = np.rint(b["l_quantity"].to_numpy(
-            zero_copy_only=False)).astype(np.int64)
-        df = pd.DataFrame({"l_returnflag": b["l_returnflag"].to_pylist(),
-                           "q": qty})
-        g = df.groupby("l_returnflag", sort=False)["q"]
-        out = pd.DataFrame({"n": g.size().astype(np.int64),
-                            "sum_qty": g.sum().astype(np.int64)})
-        return out.reset_index()
 
-    return hit.map_batches(partial, batch_format="pyarrow") \
-        .groupby("l_returnflag") \
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("sum_qty", alias_name="sum_qty"))
-
-
-SQL_BLOOM_SEMIJOIN_HIGH = """
-select l_returnflag, count(*)::bigint as n,
-       sum(round(l_quantity)::bigint)::bigint as sum_qty
-from lineitem
-where l_orderkey in (select o_orderkey from orders
-                     where o_orderpriority = '2-HIGH')
-group by l_returnflag
-"""
-
-
+@entry
 def q_antijoin_idle_customers(sf_dir: str):
     """Broadcast ANTI-semijoin: customers that never placed an URGENT
     order, counted per nation. The key side (distinct o_custkey of
@@ -4785,16 +4490,17 @@ def q_antijoin_idle_customers(sf_dir: str):
         .groupby("c_nationkey").aggregate(Sum("n", alias_name="n"))
 
 
-SQL_ANTIJOIN_IDLE_CUSTOMERS = """
+oracle(q_antijoin_idle_customers, """
 select c_nationkey::bigint as c_nationkey, count(*)::bigint as n
 from customer
 where not exists (select 1 from orders
                   where o_custkey = c_custkey
                     and o_orderpriority = '1-URGENT')
 group by c_nationkey
-"""
+""")
 
 
+@entry
 def q_broadcast_join_nation_revenue(sf_dir: str):
     """Two broadcast hash joins around a pre-aggregated fact stream:
     orders widen with the (small) customer nation key per batch, fold to
@@ -4839,16 +4545,17 @@ def q_broadcast_join_nation_revenue(sf_dir: str):
     return named.select_columns(["n_name", "revenue_cents"])
 
 
-SQL_BROADCAST_JOIN_NATION_REVENUE = """
+oracle(q_broadcast_join_nation_revenue, """
 select n_name, sum(round(o_totalprice * 100)::bigint)::bigint
          as revenue_cents
 from orders
 join customer on o_custkey = c_custkey
 join nation on c_nationkey = n_nationkey
 group by n_name
-"""
+""")
 
 
+@entry
 def q_shuffle_join_priority_revenue(sf_dir: str):
     """Large × large shuffle hash join (neither side broadcast):
     lineitem ⨝ orders on the order key in one tagged-union exchange,
@@ -4882,14 +4589,15 @@ def q_shuffle_join_priority_revenue(sf_dir: str):
                    Sum("revenue_cents", alias_name="revenue_cents"))
 
 
-SQL_SHUFFLE_JOIN_PRIORITY_REVENUE = """
+oracle(q_shuffle_join_priority_revenue, """
 select o_orderpriority, count(*)::bigint as n,
        sum(round(l_extendedprice * 100)::bigint)::bigint as revenue_cents
 from lineitem join orders on l_orderkey = o_orderkey
 group by o_orderpriority
-"""
+""")
 
 
+@entry
 def q_hash_sample(sf_dir: str):
     """Deterministic uniform 100-row sample by smallest md5(doc_id) —
     reproducible across runs/cluster sizes, unlike random_sample."""
@@ -4899,7 +4607,7 @@ def q_hash_sample(sf_dir: str):
     return hash_sample(ds, k=100, auditable=True)
 
 
-SQL_HASH_SAMPLE = """
+oracle(q_hash_sample, """
 with h as (select doc_id,
                   ('0x' || substr(md5(doc_id::varchar), 1, 16))::ubigint as h
            from documents),
@@ -4908,9 +4616,10 @@ r as (select doc_id,
       from h)
 select doc_id, sample_rank::bigint as sample_rank
 from r where sample_rank < 100
-"""
+""")
 
 
+@entry
 def q_shuffle_export(sf_dir: str):
     """Deterministic training-shard shuffle: md5(id) picks the shard
     and the within-shard order — reproducible across runs and
@@ -4923,7 +4632,7 @@ def q_shuffle_export(sf_dir: str):
     return shuffle_to_shards(ds, num_shards=8, auditable=True)
 
 
-SQL_SHUFFLE_EXPORT = """
+oracle(q_shuffle_export, """
 with h as (select doc_id,
                   ('0x' || substr(md5(doc_id::varchar), 1, 16))::ubigint as h
            from documents)
@@ -4931,9 +4640,10 @@ select doc_id, (h % 8)::int as shard,
        (row_number() over (partition by h % 8 order by h, doc_id)
         - 1)::bigint as pos
 from h
-"""
+""")
 
 
+@entry
 def q_topk_per_group(sf_dir: str):
     """Top-3 events by value per user (ties by smallest event_id) —
     per-batch partial top-k bounds the shuffle to candidates."""
@@ -4945,16 +4655,17 @@ def q_topk_per_group(sf_dir: str):
                           id_col="event_id", k=3)
 
 
-SQL_TOPK_PER_GROUP = """
+oracle(q_topk_per_group, """
 with r as (select user_id, event_id, value,
                   row_number() over (partition by user_id
                                      order by value desc, event_id) as rnk
            from events)
 select user_id, event_id, value, rnk::bigint as "rank"
 from r where rnk <= 3
-"""
+""")
 
 
+@entry
 def q_repetition_stats(sf_dir: str):
     """Gopher-style per-doc repetition signals (duplicate-token /
     top-token / duplicate-bigram fractions) — the standard web-text
@@ -4967,7 +4678,7 @@ def q_repetition_stats(sf_dir: str):
         ["doc_id", "dup_token_frac", "top_token_frac", "dup_bigram_frac"])
 
 
-SQL_REPETITION_STATS = f"""
+oracle(q_repetition_stats, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 b as (select doc_id, len(toks) as n, len(list_distinct(toks)) as nd,
         case when len(toks) >= 2 then len(toks) - 1 else 0 end as nbg,
@@ -4988,9 +4699,10 @@ select b.doc_id,
   floor((case when nbg > 0 then 1.0 - nbgd::double / nbg else 0.0 end)
         * 1000000 + 0.5) / 1000000 as dup_bigram_frac
 from b left join tc on tc.doc_id = b.doc_id
-"""
+""")
 
 
+@entry
 def q_heuristic_filter(sf_dir: str):
     """C4/Gopher-style quality gate producing an auditable boolean
     ``keep`` per doc (token-count band, mean-token-length band,
@@ -5007,7 +4719,7 @@ def q_heuristic_filter(sf_dir: str):
     return out.select_columns(["doc_id", "keep"])
 
 
-SQL_HEURISTIC_FILTER = f"""
+oracle(q_heuristic_filter, f"""
 with t as (select doc_id, text, {SIMPLE_TOKS_SQL} as toks from documents),
 q as (select doc_id, len(toks) as n,
         floor((case when len(toks) > 0
@@ -5026,9 +4738,10 @@ select doc_id,
        (n >= 40 and n <= 100000 and mtl >= 2.0 and mtl <= 10.0
         and stopr >= 0.0 and dup <= 0.55) as keep
 from q
-"""
+""")
 
 
+@entry
 def q_pii_scrub(sf_dir: str):
     """PII redaction (emails → <EMAIL>, phones → <PHONE>, IPv4 → <IP>)
     with per-doc match counts. The corpus carries no PII, so both sides
@@ -5068,7 +4781,7 @@ def q_pii_scrub(sf_dir: str):
     return scrubbed.map_batches(digest, batch_format="pyarrow")
 
 
-SQL_PII_SCRUB = r"""
+oracle(q_pii_scrub, r"""
 with inj as (select doc_id,
     text || repeat(' u' || doc_id::varchar || '@ex.com', doc_id % 3)
          || repeat(' 555-123-' || lpad((doc_id % 10000)::varchar, 4, '0'),
@@ -5095,9 +4808,10 @@ i as (select doc_id, n_emails, n_phones,
                        '<IP>', 'g') as s3
       from p)
 select doc_id, n_emails, n_phones, n_ipv4, md5(s3) as scrub_md5 from i
-"""
+""")
 
 
+@entry
 def q_top_bigrams(sf_dir: str):
     """Corpus-level top-50 word bigrams (count desc, bigram asc) via
     per-batch Counter partials → hash-partitioned exact per-part sums →
@@ -5109,15 +4823,16 @@ def q_top_bigrams(sf_dir: str):
     return top_bigrams(ds, k=50)
 
 
-SQL_TOP_BIGRAMS = f"""
+oracle(q_top_bigrams, f"""
 with t as (select {SIMPLE_TOKS_SQL} as toks from documents),
 b as (select unnest(list_transform(range(1, len(toks)),
                     i -> toks[i] || ' ' || toks[i+1])) as bigram from t)
 select bigram, count(*)::bigint as n
 from b group by bigram order by n desc, bigram limit 50
-"""
+""")
 
 
+@entry
 def q_stratified_sample(sf_dir: str):
     """Per-language deterministic 10-doc sample by smallest md5(doc_id)
     within each stratum — equal depth regardless of stratum skew."""
@@ -5129,7 +4844,7 @@ def q_stratified_sample(sf_dir: str):
                              auditable=True)
 
 
-SQL_STRATIFIED_SAMPLE = """
+oracle(q_stratified_sample, """
 with h as (select lang, doc_id,
                   ('0x' || substr(md5(doc_id::varchar), 1, 16))::ubigint as h
            from documents),
@@ -5139,9 +4854,10 @@ r as (select lang, doc_id,
       from h)
 select lang, doc_id, sample_rank::bigint as sample_rank
 from r where sample_rank <= 10
-"""
+""")
 
 
+@entry
 def q_dup_span_stats(sf_dir: str):
     """Exact duplicate-span signal (Lee et al. 2021 substring-dedup,
     shingle-approximated): per doc, the fraction of its 8-token
@@ -5157,7 +4873,7 @@ def q_dup_span_stats(sf_dir: str):
 
 _DUP_SPAN_W = 8
 
-SQL_DUP_SPAN_STATS = f"""
+oracle(q_dup_span_stats, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 s as (select doc_id,
         unnest(list_transform(range(1, len(toks) - {_DUP_SPAN_W} + 2),
@@ -5172,9 +4888,10 @@ select g.doc_id,
   floor((sum(case when total >= 2 then cnt else 0 end)::double
          / sum(cnt)) * 1000000 + 0.5) / 1000000 as dup_span_frac
 from g join tot using (h) group by g.doc_id
-"""
+""")
 
 
+@entry
 def q_kwic_snippets(sf_dir: str):
     """Keyword-in-context snippets for the term 'merge': first match
     position, match count, ±40-char snippet — the search-results
@@ -5187,7 +4904,7 @@ def q_kwic_snippets(sf_dir: str):
     return kwic_snippets(ds, term="merge", context_chars=40)
 
 
-SQL_KWIC_SNIPPETS = """
+oracle(q_kwic_snippets, """
 with m as (select doc_id, text, strpos(lower(text), 'merge') as p
            from documents where strpos(lower(text), 'merge') > 0)
 select doc_id, p::bigint as first_pos,
@@ -5196,9 +4913,10 @@ select doc_id, p::bigint as first_pos,
   substr(text, greatest(1, p - 40),
          p + len('merge') + 40 - greatest(1, p - 40)) as snippet
 from m
-"""
+""")
 
 
+@entry
 def q_search_with_snippets(sf_dir: str):
     """The full SERP surface in one pipeline: BM25 top-10 for 'merge'
     (index engine) + keyword-in-context snippet per hit. The hit set is
@@ -5208,8 +4926,8 @@ def q_search_with_snippets(sf_dir: str):
     import ray.data as rd
     from ..functions.join import broadcast_semijoin
     from ..functions.text import kwic_snippets
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
     res = engine.search("merge", k=10)
     ids = _docid_of_external(res["external_id"].to_pylist())
     score = dict(zip(ids.tolist(), round6(res["score"].to_pylist())))
@@ -5226,22 +4944,15 @@ def q_search_with_snippets(sf_dir: str):
     return snip.map_batches(attach, batch_format="pyarrow")
 
 
-SQL_SEARCH_WITH_SNIPPETS = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+oracle(q_search_with_snippets, f"""
+{_bm25_prologue()},
 tfs as (select doc_id, count(*)::double as tf from tok
         where term = 'merge' group by doc_id),
 dfs as (select count(*)::double as df from tfs),
 scored as (
   select tfs.doc_id,
-         greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-           * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-              + 0.75*doclen.dl/(stats.suml/stats.dc)))) as raw
+         {_idf_sql('stats.n', 'dfs.df')}
+           * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')} as raw
   from tfs cross join dfs
   join doclen on tfs.doc_id = doclen.doc_id cross join stats),
 topd as (select doc_id, floor(raw*1000000 + 0.5)/1000000 as score
@@ -5255,9 +4966,10 @@ select m.doc_id, p::bigint as first_pos,
          p + len('merge') + 40 - greatest(1, p - 40)) as snippet,
   topd.score
 from m join topd using (doc_id)
-"""
+""")
 
 
+@entry
 def q_sq8_ann_top10(sf_dir: str):
     """INT8 scalar-quantized ANN (the SQ8 memory tier): approximate
     dot-product top-10 for the first embedding as query. The integer
@@ -5278,7 +4990,7 @@ def q_sq8_ann_top10(sf_dir: str):
     })
 
 
-SQL_SQ8_ANN_TOP10 = """
+oracle(q_sq8_ann_top10, """
 with e as (select vec_id, generate_subscripts(embedding, 1) as i,
              unnest(embedding)::double as x
            from embeddings),
@@ -5300,9 +5012,10 @@ s as (select dots.vec_id,
       from dots join sc using (vec_id))
 select vec_id, floor(raw*1000000 + 0.5)/1000000 as score from s
 order by raw desc, vec_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_pmi_collocations(sf_dir: str):
     """Top-20 collocations by PMI (Church & Hanks 1990), bigram count
     ≥ 5 — phrase mining over the corpus; probabilities over unigram /
@@ -5314,7 +5027,7 @@ def q_pmi_collocations(sf_dir: str):
     return pmi_collocations(ds, k=20, min_count=5)
 
 
-SQL_PMI_COLLOCATIONS = f"""
+oracle(q_pmi_collocations, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tok as (select doc_id, unnest(toks) as w from t),
 uni as (select w, count(*)::bigint as n from tok group by w),
@@ -5335,9 +5048,10 @@ s as (select bic.g as bigram, bic.n,
       where bic.n >= 5)
 select bigram, n, floor(pmi*1000000 + 0.5)/1000000 as pmi from s
 order by pmi desc, bigram asc limit 20
-"""
+""")
 
 
+@entry
 def q_more_like_this(sf_dir: str):
     """'More Like This' for doc 7: tf·idf cosine top-10 over the
     corpus (Lucene MLT, distributed via the term-keyed df exchange +
@@ -5349,7 +5063,7 @@ def q_more_like_this(sf_dir: str):
     return more_like_this(ds, query_doc_id=7, k=10)
 
 
-SQL_MORE_LIKE_THIS = f"""
+oracle(q_more_like_this, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tok as (select doc_id, unnest(toks) as term from t),
 nn as (select count(*)::double as n from t where len(toks) > 0),
@@ -5370,9 +5084,10 @@ s as (select dt.doc_id,
       where dt.doc_id <> 7 and dt.dt > 0)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from s
 order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_significant_terms(sf_dir: str):
     """ES ``significant_terms`` over a search RESULT SET: terms
     overrepresented in the BM25 top-50 docs vs the corpus background,
@@ -5382,9 +5097,9 @@ def q_significant_terms(sf_dir: str):
     background df comes from the index lexicon (``term_stats``, no blob
     read). → (term, fg_df, bg_df, score) top-15 by raw score
     desc, term asc."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=50)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    res = engine.search(BM25_QUERY, k=50)
     ids = reader.internal_docids_for(res["external_id"].to_pylist())
     tvs = reader.term_vectors([int(i) for i in ids], "body")
     # fg_n is the RETRIEVED-set size (the oracle's fgn = count(*) of the
@@ -5418,7 +5133,7 @@ def q_significant_terms(sf_dir: str):
     })
 
 
-SQL_SIGNIFICANT_TERMS = f"""
+oracle(q_significant_terms, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tok as (select doc_id, unnest(toks) as term from t),
 bm as ( {_bm25_sql(BM25_QUERY_TERMS, 50, raw=True)} ),
@@ -5436,9 +5151,10 @@ s as (select fg.term, fg.fg_df, bg.bg_df,
       where (fg.fg_df / fgn.fn) > (bg.bg_df / nn.n))
 select term, fg_df, bg_df, floor(raw*1000000 + 0.5)/1000000 as score
 from s order by raw desc, term asc limit 15
-"""
+""")
 
 
+@entry
 def q_distinctive_terms(sf_dir: str):
     """Top-5 distinctive terms per doc (tf desc, df asc, term asc) —
     integer-exact tf·idf-style doc profiling; one term-keyed exchange
@@ -5450,7 +5166,7 @@ def q_distinctive_terms(sf_dir: str):
     return distinctive_terms(ds, k=5)
 
 
-SQL_DISTINCTIVE_TERMS = f"""
+oracle(q_distinctive_terms, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tok as (select doc_id, unnest(toks) as term from t),
 tf as (select doc_id, term, count(*)::bigint as tf
@@ -5461,9 +5177,10 @@ r as (select tf.doc_id, tf.term, tf.tf, df.df,
                            order by tf.tf desc, df.df, tf.term) as rnk
       from tf join df using (term))
 select doc_id, term, tf, df, rnk::bigint as rank from r where rnk <= 5
-"""
+""")
 
 
+@entry
 def q_group_significant_terms(sf_dir: str):
     """Per-language significant terms (the facet-level JLH sibling of
     ``significant_terms``): which terms characterize each lang subset
@@ -5477,7 +5194,7 @@ def q_group_significant_terms(sf_dir: str):
     return group_significant_terms(ds, group_col="lang", k=5)
 
 
-SQL_GROUP_SIGNIFICANT_TERMS = f"""
+oracle(q_group_significant_terms, f"""
 with t as (select lang, doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tokd as (select lang, doc_id, unnest(list_distinct(toks)) as term from t),
 fg as (select lang, term, count(*)::bigint as fg_df
@@ -5496,9 +5213,10 @@ r as (select *, row_number() over (partition by lang
 select lang, term, fg_df, bg_df,
        floor(raw*1000000 + 0.5)/1000000 as score
 from r where rnk <= 5
-"""
+""")
 
 
+@entry
 def q_unigram_surprisal(sf_dir: str):
     """CCNet-style LM quality score: mean per-token surprisal under a
     corpus-fit add-one unigram LM (= log2 unigram perplexity), token
@@ -5511,7 +5229,7 @@ def q_unigram_surprisal(sf_dir: str):
     return unigram_lm_surprisal(ds)
 
 
-SQL_UNIGRAM_SURPRISAL = f"""
+oracle(q_unigram_surprisal, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tok as (select doc_id, unnest(toks) as term from t),
 cnt as (select term, count(*)::bigint as c from tok group by term),
@@ -5524,9 +5242,10 @@ select doc_id, count(*)::bigint as n_tokens,
   floor((sum(su)::double / count(*) / 10000) * 1000000 + 0.5) / 1000000
     as mean_surprisal
 from s group by doc_id
-"""
+""")
 
 
+@entry
 def q_facet_counts(sf_dir: str):
     """Faceted search: per-language counts of the docs matching the
     boolean #AND(fast sort merge) query. Candidates come from the index
@@ -5536,7 +5255,7 @@ def q_facet_counts(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Count
     from ..functions.join import broadcast_semijoin
-    reader = get_index(sf_dir, "simple")
+    reader = _simple_index(sf_dir)
     engine = QueryEngine(reader, UnrankedBooleanModel())
     res = engine.search("#and(fast sort merge)", k=10**9)
     ids = _docid_of_external(res["external_id"].to_pylist())
@@ -5548,16 +5267,16 @@ def q_facet_counts(sf_dir: str):
         .groupby("lang").aggregate(Count(alias_name="n"))
 
 
-SQL_FACET_COUNTS = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+oracle(q_facet_counts, f"""
+with {_tok_cte()},
 m as (select doc_id from tok where term in ('fast','sort','merge')
       group by doc_id having count(distinct term) = 3)
 select lang, count(*)::bigint as n
 from documents join m using (doc_id) group by lang
-"""
+""")
 
 
+@entry
 def q_top_hits_per_lang(sf_dir: str):
     """ES ``top_hits`` inside a ``terms`` aggregation: the BM25 match
     set's top-3 hits PER LANGUAGE facet — SERP-style grouped results.
@@ -5569,9 +5288,9 @@ def q_top_hits_per_lang(sf_dir: str):
     import ray.data as rd
     from ..functions.join import broadcast_hash_join
     from ..functions.text import round6
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10**9)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    res = engine.search(BM25_QUERY, k=10**9)
     ids = _docid_of_external(res["external_id"].to_pylist())
     small = rd.from_arrow(pa.table({
         "doc_id": pa.array(np.asarray(ids, np.int64)),
@@ -5592,7 +5311,7 @@ def q_top_hits_per_lang(sf_dir: str):
     return joined.groupby("lang").map_groups(cut, batch_format="pandas")
 
 
-SQL_TOP_HITS_PER_LANG = f"""
+oracle(q_top_hits_per_lang, f"""
 with bm as ( {_bm25_sql(BM25_QUERY_TERMS, 1000000000, raw=True)} ),
 r as (select d.lang, bm.doc_id, bm.raw,
         row_number() over (partition by d.lang
@@ -5601,9 +5320,10 @@ r as (select d.lang, bm.doc_id, bm.raw,
 select lang, doc_id, rnk::bigint as rank,
        floor(raw*1000000 + 0.5)/1000000 as score
 from r where rnk <= 3
-"""
+""")
 
 
+@entry
 def q_bm25_filtered_top10(sf_dir: str):
     """Metadata-filtered ranked retrieval: BM25 top-10 over docs with
     lang='en' only — the facet filter applies BEFORE the top-k cut,
@@ -5612,36 +5332,24 @@ def q_bm25_filtered_top10(sf_dir: str):
     import ray.data as rd
     import pyarrow.compute as pc
     from .corpus import doc_url
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
     en = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"],
                          filter=pc.field("lang") == "en").to_pandas()
     allowed = reader.internal_docids_for(
         [doc_url(i) for i in en["doc_id"]])
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10, allowed=allowed)
+    res = engine.search(BM25_QUERY, k=10, allowed=allowed)
     return _ranked_to_table(res)
 
 
-SQL_BM25_FILTERED_TOP10 = _bm25_sql(
+oracle(q_bm25_filtered_top10, _bm25_sql(
     BM25_QUERY_TERMS, 10,
     doc_filter="tfs.doc_id in (select doc_id from documents "
-               "where lang = 'en')")
+               "where lang = 'en')"))
 
 
-SQL_BM25_DELETED_TOP10 = _bm25_sql(
-    BM25_QUERY_TERMS, 10, doc_filter="tfs.doc_id % 5 <> 0")
-
-# purge refreshes the statistics: the oracle is plain BM25 over the
-# SURVIVING corpus — shadow `documents` with the live subset inside the
-# shared template
-SQL_BM25_PURGED_TOP10 = _bm25_sql(BM25_QUERY_TERMS, 10) \
-    .replace("from documents", "from live_docs") \
-    .replace("\nwith tok as (",
-             "\nwith live_docs as (select * from documents "
-             "where doc_id % 5 <> 0),\ntok as (", 1)
-
-
+@entry
 def q_prefix_suggest(sf_dir: str):
     """Autocomplete: top-10 corpus terms with prefix 's' by document
     frequency desc, term asc — map-side prefix pruning, exact per-part
@@ -5652,7 +5360,7 @@ def q_prefix_suggest(sf_dir: str):
     return prefix_suggest(ds, prefix="s", k=10)
 
 
-SQL_PREFIX_SUGGEST = f"""
+oracle(q_prefix_suggest, f"""
 with tok as (
   select doc_id, unnest(list_distinct({SIMPLE_TOKS_SQL})) as term
   from documents),
@@ -5661,9 +5369,10 @@ d as (select term, count(*)::bigint as df from tok
 select term, df,
        row_number() over (order by df desc, term)::bigint as rank
 from d order by df desc, term limit 10
-"""
+""")
 
 
+@entry
 def q_spell_suggest(sf_dir: str):
     """Did-you-mean: for each misspelled query term, the vocabulary
     term minimizing (edit distance, −df, term asc) within distance 3.
@@ -5676,7 +5385,7 @@ def q_spell_suggest(sf_dir: str):
     return spell_suggest(ds, ["mrge", "hach", "custmer", "windoow"])
 
 
-SQL_SPELL_SUGGEST = f"""
+oracle(q_spell_suggest, f"""
 with tok as (
   select doc_id, unnest(list_distinct({SIMPLE_TOKS_SQL})) as term
   from documents),
@@ -5689,25 +5398,25 @@ c as (select q.query_term, v.term as suggestion,
 r as (select *, row_number() over (partition by query_term
         order by distance, df desc, suggestion) as rn from c)
 select query_term, suggestion, distance, df from r where rn = 1
-"""
+""")
 
 
+@entry
 def q_boosting_search(sf_dir: str):
     """ES ``boosting`` query: BM25 over the standard 3-term positive
     clause, with docs also containing 'scan' demoted ×0.5 BEFORE the
     top-10 cut (``QueryEngine.search_boosting``) — soft negation, vs
     ``negation_search``'s hard MUST_NOT."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search_boosting(" ".join(BM25_QUERY_TERMS), "scan",
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    res = engine.search_boosting(BM25_QUERY, "scan",
                                  negative_boost=0.5, k=10)
     return _ranked_to_table(res)
 
 
-SQL_BOOSTING_SEARCH = f"""
+oracle(q_boosting_search, f"""
 with pos as ( {_bm25_sql(BM25_QUERY_TERMS, 10**9, raw=True)} ),
-tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+{_tok_cte()},
 neg as (select distinct doc_id from tok where term = 'scan'),
 boosted as (
   select pos.doc_id,
@@ -5716,9 +5425,10 @@ boosted as (
   from pos left join neg using (doc_id))
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from boosted
 order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_did_you_mean_phrase(sf_dir: str):
     """Phrase-level did-you-mean ('fsat sortt' → 'fast sort'): per-term
     spell candidates (the ``spell_suggest`` (distance, −df, term) rule,
@@ -5732,7 +5442,7 @@ def q_did_you_mean_phrase(sf_dir: str):
     return phrase_did_you_mean(ds, "fsat sortt")
 
 
-SQL_DID_YOU_MEAN_PHRASE = f"""
+oracle(q_did_you_mean_phrase, f"""
 with tokl as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 tokd as (select doc_id, unnest(list_distinct(toks)) as term from tokl),
 v as (select term, count(*)::bigint as df from tokd group by term),
@@ -5758,9 +5468,10 @@ pairs as (
 select 'fsat sortt' as query, w1 || ' ' || w2 as suggestion,
        n::bigint as bigram_n, td::bigint as total_distance
 from pairs order by n desc, td asc, w1 asc, w2 asc limit 1
-"""
+""")
 
 
+@entry
 def q_chunk_documents(sf_dir: str):
     """Training-data chunking: overlapping 32-token windows every 24
     tokens (final partial window kept, md5 of each chunk verified) —
@@ -5775,7 +5486,7 @@ def q_chunk_documents(sf_dir: str):
 
 _CHUNK_W, _CHUNK_S = 32, 24
 
-SQL_CHUNK_DOCUMENTS = f"""
+oracle(q_chunk_documents, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 n as (select doc_id, toks, len(toks) as n from t where len(toks) > 0),
 -- last emitted start: first stride multiple s with s + W >= n
@@ -5795,9 +5506,10 @@ select doc_id,
   md5(array_to_string(toks[s0 + 1:least(s0 + {_CHUNK_W}, n)], ' '))
     as chunk_md5
 from w
-"""
+""")
 
 
+@entry
 def q_strip_html(sf_dir: str):
     """General-HTML text extraction (tags → space, entity unescape,
     whitespace collapse): both sides build the same deterministic HTML
@@ -5854,6 +5566,7 @@ select doc_id, md5(clean) as clean_md5 from c
 """
 
 
+@entry
 def q_decontaminate(sf_dir: str):
     """Benchmark decontamination: fraction of each doc's 8-token
     shingles that appear in the 'benchmark' subset (doc_id % 97 = 0) —
@@ -5874,7 +5587,7 @@ def q_decontaminate(sf_dir: str):
     return decontaminate(ds, bench, w=8)
 
 
-SQL_DECONTAMINATE = f"""
+oracle(q_decontaminate, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents
            where len({SIMPLE_TOKS_SQL}) >= 8),
 s as (select doc_id,
@@ -5889,7 +5602,7 @@ agg as (select h.doc_id, count(*)::bigint as n_sh,
 select doc_id, n_sh as n_shingles, n_hit as n_contaminated,
   floor((n_hit::double / n_sh) * 1000000 + 0.5) / 1000000 as contam_frac
 from agg
-"""
+""")
 
 
 def _pr_graph(sf_dir: str):
@@ -5918,6 +5631,7 @@ def _pr_graph(sf_dir: str):
     return edges, nodes, n
 
 
+@entry
 def q_pagerank(sf_dir: str):
     """Integer fixed-point PageRank (3 iterations, damping 85/100) over
     the synthetic link graph. Every arithmetic step is int64
@@ -5930,6 +5644,7 @@ def q_pagerank(sf_dir: str):
     return pagerank(edges, nodes, iters=3)
 
 
+@entry
 def q_personalized_pagerank(sf_dir: str):
     """Topic-sensitive PageRank (Haveliwala WWW'02): teleport/start/
     dangling mass flow ONLY to the seed set (docs with
@@ -5986,7 +5701,7 @@ def _ppr_iter_sql(prev: str, cur: str) -> str:
       group by e.dst) s on nd.node = s.node)"""
 
 
-SQL_PAGERANK = f"""
+oracle(q_pagerank, f"""
 with nn as (select count(*)::bigint as n from documents),
 e as (select d.doc_id as src,
         (d.doc_id * 131 + k.k * 7919) % (select n from nn) as dst
@@ -5999,10 +5714,10 @@ r0 as (select node, od,
          ({_PR_SCALE} // (select n from nn))::bigint as ru
        from nd){_pr_iter_sql('r0', 'r1')}{_pr_iter_sql('r1', 'r2')}{_pr_iter_sql('r2', 'r3')}
 select node, od as outdeg, ru as rank_u from r3
-"""
+""")
 
 
-SQL_PERSONALIZED_PAGERANK = f"""
+oracle(q_personalized_pagerank, f"""
 with nn as (select count(*)::bigint as n from documents),
 e as (select d.doc_id as src,
         (d.doc_id * 131 + k.k * 7919) % (select n from nn) as dst
@@ -6017,12 +5732,13 @@ r0 as (select node, od,
               else 0::bigint end as ru
        from nd){_ppr_iter_sql('r0', 'r1')}{_ppr_iter_sql('r1', 'r2')}{_ppr_iter_sql('r2', 'r3')}
 select node, od as outdeg, ru as rank_u from r3
-"""
+""")
 
 
 _HITS_SCALE = 10 ** 9
 
 
+@entry
 def q_hits(sf_dir: str):
     """Kleinberg HITS (2 iterations) over the synthetic link graph —
     division-only int64 fixed-point (normalize by v // max(1, max//S))
@@ -6052,7 +5768,7 @@ def _hits_half_sql(prev: str, raw: str, out: str, key: str,
   from {raw})"""
 
 
-SQL_HITS = f"""
+oracle(q_hits, f"""
 with nn as (select count(*)::bigint as n from documents),
 e as (select d.doc_id as src,
         (d.doc_id * 131 + k.k * 7919) % (select n from nn) as dst
@@ -6065,9 +5781,10 @@ h0 as (select doc_id as node, {_HITS_SCALE}::bigint as v from documents)
 {_hits_half_sql('a2', 'h2r', 'h2', 'dst', 'src')}
 select h2.node, h2.v as hub_u, a2.v as auth_u
 from h2 join a2 using (node) order by node
-"""
+""")
 
 
+@entry
 def q_bm25_pagerank_blend(sf_dir: str):
     """Static-prior blended ranking: BM25 candidates re-scored as
     ``raw + rank_u / 1e12`` with the integer fixed-point PageRank of
@@ -6077,9 +5794,9 @@ def q_bm25_pagerank_blend(sf_dir: str):
     The prior joins the candidate set driver-side here (the rank table
     is small); at cluster scale it shards like the doclens and the
     blend happens inside the distributed scorer."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10 ** 9)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    res = engine.search(BM25_QUERY, k=10 ** 9)
     ids = _docid_of_external(res["external_id"].to_pylist())
     raw = res["score"].to_numpy()
     pr = q_pagerank(sf_dir).to_pandas()
@@ -6091,23 +5808,16 @@ def q_bm25_pagerank_blend(sf_dir: str):
                      "score": pa.array(round6(blend[order]))})
 
 
-SQL_BM25_PAGERANK_BLEND = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+oracle(q_bm25_pagerank_blend, f"""
+{_bm25_prologue()},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ({",".join(f"'{t}'" for t in BM25_QUERY_TERMS)})
         group by doc_id, term),
 dfs as (select term, count(*)::double as df from tfs group by term),
 scored as (
   select tfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')}) as raw
   from tfs join dfs on tfs.term = dfs.term
   join doclen on tfs.doc_id = doclen.doc_id
   cross join stats group by tfs.doc_id),
@@ -6127,7 +5837,7 @@ select s.doc_id,
     as score
 from scored s join r3 r on s.doc_id = r.node
 order by (s.raw + r.ru / 1000000000000.0) desc, s.doc_id asc limit 10
-"""
+""")
 
 
 def _raw_url_of(i: int) -> str:
@@ -6147,6 +5857,7 @@ def _raw_url_of(i: int) -> str:
             f"?utm_source=x&fbclid=42{frag}")
 
 
+@entry
 def q_url_canonicalize(sf_dir: str):
     """URL canonicalization over the deterministic messy-url family;
     the oracle builds the expected canonical form analytically from
@@ -6167,7 +5878,7 @@ def q_url_canonicalize(sf_dir: str):
         .select_columns(["doc_id", "canonical_url", "host"])
 
 
-SQL_URL_CANONICALIZE = """
+oracle(q_url_canonicalize, """
 select doc_id,
   'http://host' || (doc_id % 17) || '.example.'
     || case when doc_id % 2 = 0 then 'com' else 'org' end
@@ -6175,9 +5886,10 @@ select doc_id,
   'host' || (doc_id % 17) || '.example.'
     || case when doc_id % 2 = 0 then 'com' else 'org' end as host
 from documents
-"""
+""")
 
 
+@entry
 def q_domain_stats(sf_dir: str):
     """Per-domain crawl rollup over the messy-url family: docs per
     host, DISTINCT canonical urls per host (the alias-collapse rate —
@@ -6200,7 +5912,7 @@ def q_domain_stats(sf_dir: str):
                         size_col="n_chars")
 
 
-SQL_DOMAIN_STATS = """
+oracle(q_domain_stats, """
 with c as (select doc_id, n_chars,
     'host' || (doc_id % 17) || '.example.'
       || case when doc_id % 2 = 0 then 'com' else 'org' end as host,
@@ -6210,9 +5922,10 @@ select host, count(*)::bigint as n_docs,
   count(distinct path)::bigint as n_distinct_canonical,
   sum(n_chars)::bigint as sum_size
 from c group by host
-"""
+""")
 
 
+@entry
 def q_remove_dup_spans(sf_dir: str):
     """Exact-substring dedup (Lee et al. 2021): tokens covered by any
     corpus-duplicated 8-token shingle are cut; the oracle re-derives
@@ -6225,7 +5938,7 @@ def q_remove_dup_spans(sf_dir: str):
     return remove_dup_spans(ds, w=8)
 
 
-SQL_REMOVE_DUP_SPANS = f"""
+oracle(q_remove_dup_spans, f"""
 with t as (select doc_id, {SIMPLE_TOKS_SQL} as toks from documents),
 s as (select doc_id, toks, unnest(range(1, len(toks) - 8 + 2)) as i
       from t where len(toks) >= 8),
@@ -6252,9 +5965,10 @@ select d.doc_id,
   coalesce(c.n_removed, 0::bigint) as n_removed,
   coalesce(md5(c.txt), md5('')) as clean_md5
 from documents d left join clean c using (doc_id)
-"""
+""")
 
 
+@entry
 def q_warc_roundtrip(sf_dir: str):
     """Crawl-format ingest: the corpus serializes to WARC response
     records (fixed WARC-Date — byte-reproducible), reads back via the
@@ -6299,8 +6013,11 @@ def q_warc_roundtrip(sf_dir: str):
                          "clean_md5": pa.array(md5, pa.string())})
 
     return cleaned.map_batches(digest, batch_format="pyarrow")
+oracle(q_strip_html, SQL_STRIP_HTML)
+oracle(q_warc_roundtrip, SQL_STRIP_HTML)
 
 
+@entry
 def q_curation_pipeline(sf_dir: str):
     """The composed LLM-data curation flagship, end to end in ONE
     streamed pipeline: quality gate (C4/Gopher heuristics) →
@@ -6330,7 +6047,7 @@ def q_curation_pipeline(sf_dir: str):
     return chunk_documents(survivors, max_tokens=32)
 
 
-SQL_CURATION_PIPELINE = f"""
+oracle(q_curation_pipeline, f"""
 with t0 as (select doc_id, text, {SIMPLE_TOKS_SQL} as toks from documents),
 q as (select doc_id, len(toks) as n,
         floor((case when len(toks) > 0
@@ -6359,14 +6076,12 @@ select doc_id,
   (least(s0 + 32, n) - s0)::bigint as n_tokens,
   md5(array_to_string(toks[s0 + 1:least(s0 + 32, n)], ' ')) as chunk_md5
 from w
-"""
+""")
 
 
-def q_jsonl_roundtrip(sf_dir: str):
-    """LLM-corpus interchange: documents serialize to gzipped JSONL
-    (byte-reproducible writer), read back with column pruning (only
-    the 3 asked-for fields parse out of each object) — values must
-    survive the hop exactly."""
+def _read_jsonl_dump(sf_dir: str, columns: list[str]):
+    """The documents table as a gzipped JSONL dump (written once,
+    byte-reproducible), read back pruned to ``columns``."""
     import ray.data as rd
     from ..io.jsonl import read_jsonl, write_jsonl
     tag = hashlib.md5(f"{sf_dir}|jsonl".encode()).hexdigest()[:8]
@@ -6374,14 +6089,24 @@ def q_jsonl_roundtrip(sf_dir: str):
     if not (os.path.isdir(out) and os.listdir(out)):
         docs = rd.read_parquet(f"{sf_dir}/documents.parquet")
         write_jsonl(docs, out, compress=True)
-    return read_jsonl(out, columns=["doc_id", "lang", "n_chars"]) \
+    return read_jsonl(out, columns=columns) \
         .map_batches(lambda b: b.drop_columns(["_bad_lines"]),
                      batch_format="pyarrow")
 
 
-SQL_JSONL_ROUNDTRIP = "select doc_id, lang, n_chars from documents"
+@entry
+def q_jsonl_roundtrip(sf_dir: str):
+    """LLM-corpus interchange: documents serialize to gzipped JSONL
+    (byte-reproducible writer), read back with column pruning (only
+    the 3 asked-for fields parse out of each object) — values must
+    survive the hop exactly."""
+    return _read_jsonl_dump(sf_dir, ["doc_id", "lang", "n_chars"])
 
 
+oracle(q_jsonl_roundtrip, "select doc_id, lang, n_chars from documents")
+
+
+@entry
 def q_line_dedup(sf_dir: str):
     """C4-style global line dedup over a deterministic line view of the
     corpus (8 space-tokens per line — the synthetic docs ship without
@@ -6415,7 +6140,7 @@ def q_line_dedup(sf_dir: str):
     return res.map_batches(digest, batch_format="pyarrow")
 
 
-SQL_LINE_DEDUP = """
+oracle(q_line_dedup, """
 with tok as (
   select doc_id, unnest(string_split(text, ' ')) as w,
          generate_subscripts(string_split(text, ' '), 1) as i
@@ -6434,41 +6159,26 @@ tot as (select doc_id, count(*) as n_lines from lines group by doc_id)
 select t.doc_id, md5(coalesce(a.txt, '')) as clean_md5,
        (t.n_lines - coalesce(a.n_kept, 0))::bigint as n_removed
 from tot t left join agg a using (doc_id)
-"""
+""")
 
 
-def q_bm25_jsonl_top10(sf_dir: str):
-    """End-to-end source-format composition: documents → gzipped JSONL
-    dump → ``read_jsonl`` (pruned to the 3 build columns) → the SAME
-    tokenize/build plane → BM25 top-10. Must rank byte-identically to
-    the parquet-sourced ``index_bm25_top10`` (same oracle SQL): the
-    interchange hop may not perturb the index."""
-    import ray
-    import ray.data as rd
-    from ..io.jsonl import read_jsonl, write_jsonl
+def _jsonl_index(sf_dir: str) -> IndexReader:
     from .corpus import documents_to_pages_batch
-    tag = hashlib.md5(f"{sf_dir}|jsonl".encode()).hexdigest()[:8]
-    dump = os.path.join("/tmp/se_ray_jsonl", tag)
-    if not (os.path.isdir(dump) and os.listdir(dump)):
-        write_jsonl(rd.read_parquet(f"{sf_dir}/documents.parquet"),
-                    dump, compress=True)
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_jsonl")
-    os.makedirs(path, exist_ok=True)
-    pages = read_jsonl(dump, columns=["doc_id", "text", "lang"]) \
-        .map_batches(lambda b: b.drop_columns(["_bad_lines"]),
-                     batch_format="pyarrow") \
+    pages = _read_jsonl_dump(sf_dir, ["doc_id", "text", "lang"]) \
         .map_batches(documents_to_pages_batch, batch_format="pyarrow")
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    cfg = IndexBuildConfig(num_buckets=16, docid_partitions=16,
-                           analyzer="simple", fields={"body": "text"},
-                           tokenize_concurrency=max(1, min(ncpu - 2, 8)))
-    build_index(pages, path, cfg, input_token=f"{sf_dir}|jsonl",
-                resume=True)
-    engine = QueryEngine(IndexReader(path), BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
+    return _resumed_index(sf_dir, "jsonl", pages)
 
 
+# End-to-end source-format composition: documents → gzipped JSONL dump
+# → ``read_jsonl`` (pruned to the 3 build columns) → the SAME
+# tokenize/build plane → BM25 top-10. Must rank byte-identically to the
+# parquet-sourced ``index_bm25_top10`` (same oracle SQL): the
+# interchange hop may not perturb the index.
+_search_entry("bm25_jsonl_top10", _jsonl_index, _BM25, BM25_QUERY, 10,
+              SQL_INDEX_BM25_TOP10)
+
+
+@entry
 def q_event_transitions(sf_dir: str):
     """Clickstream first-order Markov matrix: per-user (ts, event_id)-
     ordered consecutive event-type pairs, counted globally
@@ -6482,7 +6192,7 @@ def q_event_transitions(sf_dir: str):
     return event_transitions(ds)
 
 
-SQL_EVENT_TRANSITIONS = """
+oracle(q_event_transitions, """
 with ordered as (
   select user_id, event_type,
          lead(event_type) over (partition by user_id
@@ -6492,9 +6202,10 @@ select event_type as from_type, next_type as to_type,
        count(*)::bigint as n
 from ordered where next_type is not null
 group by 1, 2 order by 1, 2
-"""
+""")
 
 
+@entry
 def q_json_field_agg(sf_dir: str):
     """Parse the events' JSON ``props`` sidecar, extract the numeric
     ``k`` field, aggregate (count, sum, 6-dp mean) per event_type —
@@ -6508,7 +6219,7 @@ def q_json_field_agg(sf_dir: str):
                           group_col="event_type")
 
 
-SQL_JSON_FIELD_AGG = """
+oracle(q_json_field_agg, """
 select event_type,
   count(json_extract_string(props, '$.k'))::bigint as n_vals,
   coalesce(sum(json_extract_string(props, '$.k')::double), 0)::double
@@ -6517,19 +6228,7 @@ select event_type,
          / count(json_extract_string(props, '$.k')))
         * 1000000 + 0.5) / 1000000 as mean_val
 from events group by event_type
-"""
-
-
-def q_tfidf_classic_top10(sf_dir: str):
-    """Lucene ClassicSimilarity (TF-IDF vector-space) ranking — the
-    pre-BM25 Lucene default the reference's 4.3 backend shipped:
-    per-term ``sqrt(tf) * (1 + ln(N/(df+1)))^2 / sqrt(dl)``, summed
-    over the standard 3-term query (``models.TFIDFModel``)."""
-    from ..query.models import TFIDFModel
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, TFIDFModel())
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
+""")
 
 
 def _tfidf_sql(terms: tuple[str, ...], k: int) -> str:
@@ -6537,9 +6236,8 @@ def _tfidf_sql(terms: tuple[str, ...], k: int) -> str:
     ``_bm25_sql`` (single query and batch oracles)."""
     in_list = ",".join(f"'{t}'" for t in terms)
     return f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
+with {_tok_cte()},
+{_doclen_cte()},
 stats as (select (select count(*) from documents)::double as n),
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ({in_list})
@@ -6557,29 +6255,15 @@ from scored order by raw desc, doc_id asc limit {k}
 """
 
 
-SQL_TFIDF_CLASSIC_TOP10 = _tfidf_sql(BM25_QUERY_TERMS, 10)
+# Lucene ClassicSimilarity (TF-IDF vector-space) ranking — the
+# pre-BM25 Lucene default the reference's 4.3 backend shipped:
+# per-term ``sqrt(tf) * (1 + ln(N/(df+1)))^2 / sqrt(dl)``, summed
+# over the standard 3-term query (``models.TFIDFModel``).
+_search_entry("tfidf_classic_top10", _simple_index, TFIDFModel(), BM25_QUERY,
+              10, _tfidf_sql(BM25_QUERY_TERMS, 10))
 
 
-def q_tfidf_batch_distributed(sf_dir: str):
-    """The multi-query DISTRIBUTED path under ClassicSimilarity — the
-    same per-salt zero-shuffle machinery as ``bm25_batch_distributed``
-    with the TF-IDF kernel (``bm25_batch_search(model=TFIDFModel())``),
-    against a per-query UNION ALL of the single-query TF-IDF oracle."""
-    from ..query.distributed import bm25_batch_search
-    from ..query.models import TFIDFModel
-    reader = get_index(sf_dir, "simple")
-    res = bm25_batch_search(
-        reader.index_dir,
-        [(qid, " ".join(terms)) for qid, terms in BATCH_BM25_QUERIES],
-        TFIDFModel(), k=10)
-    ids = _docid_of_external(res["external_id"].to_pylist())
-    return pa.table({
-        "qid": res["qid"],
-        "doc_id": pa.array(ids),
-        "score": pa.array(round6(res["score"].to_pylist())),
-    })
-
-
+@entry
 def q_time_decay_top10(sf_dir: str):
     """Recency-boosted retrieval (Elasticsearch ``function_score``
     exponential decay / Solr ``recip(ms(NOW,date))``): BM25 top-100
@@ -6591,8 +6275,8 @@ def q_time_decay_top10(sf_dir: str):
     (base + n_docs seconds). Window semantics match Elasticsearch
     rescore: docs outside the lexical top-100 cannot enter."""
     reader = _docvalues_index(sf_dir)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=100)
+    engine = QueryEngine(reader, _BM25)
+    res = engine.search(BM25_QUERY, k=100)
     exts = res["external_id"].to_pylist()
     if not exts:
         return pa.table({"doc_id": pa.array([], pa.int64()),
@@ -6609,14 +6293,21 @@ def q_time_decay_top10(sf_dir: str):
                      "score": pa.array(round6(raw[order]))})
 
 
-SQL_TFIDF_BATCH_DISTRIBUTED = "\nunion all\n".join(
-    f"select '{qid}' as qid, * from ({_tfidf_sql(terms, 10)})"
-    for qid, terms in BATCH_BM25_QUERIES)
+# The multi-query DISTRIBUTED path under ClassicSimilarity — the
+# same per-salt zero-shuffle machinery as ``bm25_batch_distributed``
+# with the TF-IDF kernel (``bm25_batch_search(model=TFIDFModel())``),
+# against a per-query UNION ALL of the single-query TF-IDF oracle.
+_batch_entry("tfidf_batch_distributed", "bm25_batch_search",
+             [(qid, " ".join(terms)) for qid, terms in BATCH_BM25_QUERIES],
+             "\nunion all\n".join(
+                 f"select '{qid}' as qid, * from ({_tfidf_sql(terms, 10)})"
+                 for qid, terms in BATCH_BM25_QUERIES),
+             model=TFIDFModel(), k=10)
 
 
 # the deterministic ts mapping (corpus.documents_to_pages_batch:
 # ts_us = base + doc_id*1e6) makes age_s = n_docs - doc_id in SQL
-SQL_TIME_DECAY_TOP10 = f"""
+oracle(q_time_decay_top10, f"""
 with bm as (select doc_id, raw from (
   {_bm25_sql(BM25_QUERY_TERMS, 100, raw=True)}
 )),
@@ -6626,9 +6317,10 @@ blended as (
   from bm, n)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score
 from blended order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_rrf_fusion_top10(sf_dir: str):
     """Hybrid retrieval: BM25 top-50 over ``documents`` fused with
     embedding-cosine top-50 over ``embeddings`` (query vector =
@@ -6641,9 +6333,9 @@ def q_rrf_fusion_top10(sf_dir: str):
     import ray.data as rd
     from ..functions.similarity import ann_cosine_topk
     from ..query.fusion import rrf_fuse
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    lex = engine.search(" ".join(BM25_QUERY_TERMS), k=50)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    lex = engine.search(BM25_QUERY, k=50)
     lex_ids = _docid_of_external(lex["external_id"].to_pylist())
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet")
@@ -6659,7 +6351,7 @@ def q_rrf_fusion_top10(sf_dir: str):
                      "score": pa.array(round6(fused["score"].to_numpy()))})
 
 
-SQL_RRF_FUSION_TOP10 = f"""
+oracle(q_rrf_fusion_top10, f"""
 with bm as (
   select doc_id, row_number() over (order by raw desc, doc_id asc) as r
   from ( {_bm25_sql(BM25_QUERY_TERMS, 50, raw=True)} )),
@@ -6679,9 +6371,10 @@ fused as (
   from bm full outer join ann on bm.doc_id = ann.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score
 from fused order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_mmr_rerank(sf_dir: str):
     """Embedding-space MMR diversification (λ=0.7, top-5 of the cosine
     top-20 for vec 0's embedding) — ``similarity.mmr_rerank``. The
@@ -6712,7 +6405,7 @@ s{i} as (select vec_id, sc from m{i} order by sc desc, vec_id asc limit 1),
 sel{i} as (select vec_id from sel{i-1} union all select vec_id from s{i})"""
 
 
-SQL_MMR_RERANK = f"""
+oracle(q_mmr_rerank, f"""
 with q as (select embedding::DOUBLE[] as qv from embeddings
            where vec_id = 0),
 c0 as (select vec_id,
@@ -6735,9 +6428,10 @@ select rank, vec_id, floor(sc*1000000 + 0.5)/1000000 as score from (
   union all select 4::bigint, vec_id, sc from s4
   union all select 5::bigint, vec_id, sc from s5)
 order by rank
-"""
+""")
 
 
+@entry
 def q_combsum_fusion(sf_dir: str):
     """Score-based hybrid fusion (Fox & Shaw CombSUM/CombMNZ): the same
     BM25 top-50 + embedding-cosine top-50 inputs as ``rrf_fusion_top10``
@@ -6751,9 +6445,9 @@ def q_combsum_fusion(sf_dir: str):
     from ..functions.similarity import ann_cosine_topk
     from ..functions.text import round6
     from ..query.fusion import combsum_fuse
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    lex = engine.search(" ".join(BM25_QUERY_TERMS), k=50)
+    reader = _simple_index(sf_dir)
+    engine = QueryEngine(reader, _BM25)
+    lex = engine.search(BM25_QUERY, k=50)
     lex_ids = _docid_of_external(lex["external_id"].to_pylist())
     lex_s6 = round6(lex["score"].to_numpy())
 
@@ -6794,7 +6488,7 @@ def q_combsum_fusion(sf_dir: str):
     return pa.concat_tables(out)
 
 
-SQL_COMBSUM_FUSION = f"""
+oracle(q_combsum_fusion, f"""
 with bm as (
   select doc_id, floor(raw*1000000 + 0.5)/1000000 as s6
   from ( {_bm25_sql(BM25_QUERY_TERMS, 50, raw=True)} ) limit 50),
@@ -6830,30 +6524,19 @@ mnz10 as (
          floor(ssum*nhit*1000000 + 0.5)/1000000 as score
   from fused order by ssum*nhit desc, doc_id asc limit 10)
 select * from sum10 union all select * from mnz10
-"""
-
-
-def q_span_first_search(sf_dir: str):
-    """Lucene SpanFirstQuery: ``#FIRST/10(dup)`` keeps only the 'dup'
-    occurrences among a doc's first 10 token positions — a derived Iop
-    (df/ctf recomputed from survivors) scored under BM25 #SUM next to
-    a plain term, so lead-paragraph matches rank while deep-body ones
-    drop out of the derived leaf entirely."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("#sum(#first/10(dup) line)", k=10)
-    return _ranked_to_table(res)
+""")
 
 
 # engine positions are 0-based (pos < 10) — POS_TOK_SQL's
 # generate_subscripts is 1-based, hence pos <= 10
-SQL_SPAN_FIRST_SEARCH = f"""
-with tok as ({POS_TOK_SQL}),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+# Lucene SpanFirstQuery: ``#FIRST/10(dup)`` keeps only the 'dup'
+# occurrences among a doc's first 10 token positions — a derived Iop
+# (df/ctf recomputed from survivors) scored under BM25 #SUM next to
+# a plain term, so lead-paragraph matches rank while deep-body ones
+# drop out of the derived leaf entirely.
+_search_entry("span_first_search", _simple_index, _BM25,
+              "#sum(#first/10(dup) line)", 10, f"""
+{_bm25_prologue(pos=True)},
 ftf as (select doc_id, count(*)::double as tf from tok
         where term = 'dup' and pos <= 10 group by doc_id),
 fdf as (select count(*)::double as df from ftf),
@@ -6862,15 +6545,13 @@ ltf as (select doc_id, count(*)::double as tf from tok
 ldf as (select count(*)::double as df from ltf),
 fsc as (
   select ftf.doc_id,
-         greatest(0.0, ln((stats.n - fdf.df + 0.5)/(fdf.df + 0.5)))
-         * (ftf.tf / (ftf.tf + 1.2*((1.0-0.75)
-            + 0.75*doclen.dl/(stats.suml/stats.dc)))) as s
+         {_idf_sql('stats.n', 'fdf.df')}
+         * {_tfw_sql('ftf.tf', 'doclen.dl', 'stats')} as s
   from ftf join doclen using (doc_id) cross join stats cross join fdf),
 lsc as (
   select ltf.doc_id,
-         greatest(0.0, ln((stats.n - ldf.df + 0.5)/(ldf.df + 0.5)))
-         * (ltf.tf / (ltf.tf + 1.2*((1.0-0.75)
-            + 0.75*doclen.dl/(stats.suml/stats.dc)))) as s
+         {_idf_sql('stats.n', 'ldf.df')}
+         * {_tfw_sql('ltf.tf', 'doclen.dl', 'stats')} as s
   from ltf join doclen using (doc_id) cross join stats cross join ldf),
 scored as (
   select coalesce(f.doc_id, l.doc_id) as doc_id,
@@ -6878,23 +6559,17 @@ scored as (
   from fsc f full outer join lsc l on f.doc_id = l.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
-"""
-
-
-def q_dismax_search(sf_dir: str):
-    """Lucene DisjunctionMaxQuery: ``#DISMAX/30(#sum(dup line)
-    #sum(hash sort))`` scores each doc max(clause scores) + 0.30 × the
-    rest — the best-fields combiner (Solr defType=dismax), here over
-    two BM25 #SUM clauses."""
-    reader = get_index(sf_dir, "simple")
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search("#dismax/30(#sum(dup line) #sum(hash sort))", k=10)
-    return _ranked_to_table(res)
+""")
 
 
 # two raw BM25 clause scores (no top-k cut inside: k = corpus bound),
 # dismax-combined with tie 0.30
-SQL_DISMAX_SEARCH = f"""
+# Lucene DisjunctionMaxQuery: ``#DISMAX/30(#sum(dup line)
+# #sum(hash sort))`` scores each doc max(clause scores) + 0.30 × the
+# rest — the best-fields combiner (Solr defType=dismax), here over
+# two BM25 #SUM clauses.
+_search_entry("dismax_search", _simple_index, _BM25,
+              "#dismax/30(#sum(dup line) #sum(hash sort))", 10, f"""
 with a as (select doc_id, raw from (
   {_bm25_sql(("dup", "line"), 1000000000, raw=True)}
 )),
@@ -6910,9 +6585,10 @@ scored as (
   from a full outer join b on a.doc_id = b.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score from scored
 order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_ann_filtered_top10(sf_dir: str):
     """Pre-filtered vector search (Elasticsearch knn ``filter`` /
     Qdrant payload filter): exact cosine top-10 restricted to
@@ -6937,7 +6613,7 @@ def q_ann_filtered_top10(sf_dir: str):
     })
 
 
-SQL_ANN_FILTERED_TOP10 = """
+oracle(q_ann_filtered_top10, """
 with q as (select embedding::DOUBLE[] as qv from embeddings where vec_id = 0)
 select vec_id,
        floor(list_cosine_similarity(embedding::DOUBLE[], q.qv)*1000000 + 0.5)/1000000
@@ -6946,9 +6622,10 @@ from embeddings, q
 where label = 1
 order by list_cosine_similarity(embedding::DOUBLE[], q.qv) desc, vec_id asc
 limit 10
-"""
+""")
 
 
+@entry
 def q_date_histogram(sf_dir: str):
     """Elasticsearch ``date_histogram``: minute-bucket doc counts of
     the crawl timestamp doc-value, one column-pruned distributed pass
@@ -6960,6 +6637,7 @@ def q_date_histogram(sf_dir: str):
                                bucket_us=60_000_000)
 
 
+@entry
 def q_attr_terms_agg(sf_dir: str):
     """Elasticsearch ``terms`` aggregation over the ``lang`` doc-value
     (``inspect.attribute_value_counts``): value → doc count, one
@@ -6969,20 +6647,21 @@ def q_attr_terms_agg(sf_dir: str):
     return attribute_value_counts(reader.index_dir, "lang")
 
 
-SQL_ATTR_TERMS_AGG = """
+oracle(q_attr_terms_agg, """
 select lang as value, count(*)::bigint as n_docs
 from documents group by lang order by lang
-"""
+""")
 
 
 # the deterministic doc_id→ts map: ts_us = base + doc_id*1e6
-SQL_DATE_HISTOGRAM = f"""
+oracle(q_date_histogram, f"""
 select (({_TS_BASE_US} + doc_id*1000000) // 60000000)::bigint as bucket,
        count(*)::bigint as n_docs
 from documents group by 1 order by 1
-"""
+""")
 
 
+@entry
 def q_date_histogram_cumulative(sf_dir: str):
     """ES pipeline aggregation (``cumulative_sum`` over a
     ``date_histogram``): the minute-bucket counts from the distributed
@@ -7002,7 +6681,7 @@ def q_date_histogram_cumulative(sf_dir: str):
                      "cum_docs": pa.array(t["cum_docs"], pa.int64())})
 
 
-SQL_DATE_HISTOGRAM_CUMULATIVE = f"""
+oracle(q_date_histogram_cumulative, f"""
 with h as (
   select (({_TS_BASE_US} + doc_id*1000000) // 60000000)::bigint as bucket,
          count(*)::bigint as n_docs
@@ -7010,62 +6689,42 @@ with h as (
 select bucket, n_docs,
        (sum(n_docs) over (order by bucket))::bigint as cum_docs
 from h order by bucket
-"""
+""")
 
 
-def q_index_synonym_search(sf_dir: str):
-    """INDEX-TIME synonyms (Lucene SynonymFilter, posIncrement=0; the
-    build-plane twin of the query-time ``synonym_search``): the index
-    is built with ``index_synonyms={'dup': ['duplicate']}``, so every
-    'dup' occurrence also indexes 'duplicate' at the same position —
-    field length unchanged, tf/df grow. A plain ``duplicate line``
-    BM25 query then reaches the 'dup' docs with no query rewrite."""
-    tag = hashlib.md5(f"{sf_dir}|idxsyn".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_idxsyn")
-    import ray
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    build_index(pages_from_documents(sf_dir), path,
-                IndexBuildConfig(
-                    num_buckets=16, docid_partitions=16,
-                    analyzer="simple", fields={"body": "text"},
-                    index_synonyms={"dup": ["duplicate"]},
-                    tokenize_concurrency=max(1, min(ncpu - 2, 8))),
-                input_token=f"{sf_dir}|idxsyn", resume=True)
-    engine = QueryEngine(IndexReader(path), BM25Model(k1=1.2, b=0.75))
-    res = engine.search("duplicate line", k=10)
-    return _ranked_to_table(res)
-
-
-# token stream with the synonym injected at the same positions; doclen
-# and corpus stats stay on the PLAIN stream (field length unchanged)
-SQL_INDEX_SYNONYM_SEARCH = f"""
-with tok as (
-  select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from documents),
+# INDEX-TIME synonyms (Lucene SynonymFilter, posIncrement=0; the
+# build-plane twin of the query-time ``synonym_search``): the index is
+# built with ``index_synonyms={'dup': ['duplicate']}``, so every 'dup'
+# occurrence also indexes 'duplicate' at the same position — field
+# length unchanged, tf/df grow. A plain ``duplicate line`` BM25 query
+# then reaches the 'dup' docs with no query rewrite. The oracle's token
+# stream carries the synonym at the same positions; doclen and corpus
+# stats stay on the PLAIN stream (field length unchanged).
+_search_entry("index_synonym_search", _synonym_index, _BM25, "duplicate line",
+              10, f"""
+with {_tok_cte()},
 stok as (
   select doc_id, term from tok
   union all
   select doc_id, 'duplicate' as term from tok where term = 'dup'),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from documents)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+{_doclen_cte()},
+{_stats_cte()},
 tfs as (select doc_id, term, count(*)::double as tf from stok
         where term in ('duplicate','line') group by doc_id, term),
 dfs as (select term, count(*)::double as df from tfs group by term),
 scored as (
   select tfs.doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')}) as raw
   from tfs join dfs on tfs.term = dfs.term
   join doclen on tfs.doc_id = doclen.doc_id
   cross join stats group by tfs.doc_id)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score
 from scored order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
+@entry
 def q_bigram_perplexity(sf_dir: str):
     """CCNet-style quality filter one LM order up: per-doc mean
     per-bigram surprisal (log2 bigram perplexity) under a corpus-fit
@@ -7080,7 +6739,7 @@ def q_bigram_perplexity(sf_dir: str):
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
-SQL_BIGRAM_PERPLEXITY = f"""
+oracle(q_bigram_perplexity, f"""
 with tok as ({POS_TOK_SQL}),
 big as (
   select a.doc_id, a.term as w1, b.term as w2
@@ -7098,9 +6757,10 @@ doc as (select big.doc_id, sum(lp.q)::bigint as total,
 select doc_id, nb as n_bigrams,
        floor((total/(nb*10000.0))*1000000 + 0.5)/1000000 as bits
 from doc order by doc_id
-"""
+""")
 
 
+@entry
 def q_label_centroids(sf_dir: str):
     """Per-label element-wise embedding centroids (cluster statistics):
     1e-6 integer-grid quantized components, per-batch (label, dim)
@@ -7112,7 +6772,7 @@ def q_label_centroids(sf_dir: str):
     return label_centroids(ds)
 
 
-SQL_LABEL_CENTROIDS = """
+oracle(q_label_centroids, """
 with ex as (
   select label::bigint as label, unnest(embedding)::double as v,
          generate_subscripts(embedding, 1)::bigint as dim
@@ -7121,9 +6781,10 @@ select label, dim,
        floor((sum(floor(v*1000000 + 0.5)::bigint) / (count(*)*1000000.0))
              *1000000 + 0.5)/1000000 as mean
 from ex group by label, dim order by label, dim
-"""
+""")
 
 
+@entry
 def q_dense_prf_top10(sf_dir: str):
     """Dense pseudo-relevance feedback (Rocchio in embedding space —
     the ANN twin of the Indri PRF pipeline): round 1 retrieves the
@@ -7161,7 +6822,7 @@ def q_dense_prf_top10(sf_dir: str):
     })
 
 
-SQL_DENSE_PRF_TOP10 = """
+oracle(q_dense_prf_top10, """
 with q0 as (select embedding::DOUBLE[] as qv from embeddings where vec_id = 0),
 c1 as (
   select vec_id,
@@ -7184,17 +6845,18 @@ from embeddings, q1
 order by list_cosine_similarity(embedding::DOUBLE[], q1.qv) desc,
          vec_id asc
 limit 10
-"""
+""")
 
 
+@entry
 def q_rbo_runs(sf_dir: str):
     """Rank-biased overlap (Webber et al. TOIS'10) between two BM25
     parameterizations' top-10 (k1=1.2 vs k1=2.0) — the top-weighted
     run-diff metric; → per-depth (d, overlap, contrib) rows whose sum
     is RBO@10 (``metrics.rank_biased_overlap``)."""
-    reader = get_index(sf_dir, "simple")
-    q = " ".join(BM25_QUERY_TERMS)
-    a = QueryEngine(reader, BM25Model(k1=1.2, b=0.75)) \
+    reader = _simple_index(sf_dir)
+    q = BM25_QUERY
+    a = QueryEngine(reader, _BM25) \
         .search(q, k=10)["external_id"].to_pylist()
     b = QueryEngine(reader, BM25Model(k1=2.0, b=0.75)) \
         .search(q, k=10)["external_id"].to_pylist()
@@ -7215,7 +6877,7 @@ def q_rbo_runs(sf_dir: str):
     })
 
 
-SQL_RBO_RUNS = f"""
+oracle(q_rbo_runs, f"""
 with a as (
   select doc_id, row_number() over (order by raw desc, doc_id asc) as r
   from ( {_bm25_sql(BM25_QUERY_TERMS, 10, raw=True)} )),
@@ -7232,46 +6894,39 @@ select d, overlap,
        floor(((1.0-0.9) * pow(0.9, d-1) * overlap / d)*1000000 + 0.5)
          /1000000 as contrib
 from ov order by d
-"""
+""")
 
 
-def q_attr_update_range_top10(sf_dir: str):
-    """Updatable doc-values (Lucene updateDocValues —
-    ``merge.update_attributes``): every ``doc_id % 10 == 0`` doc's
-    crawl-ts doc-value is bumped far into the future WITHOUT reindex
-    (forward-plane column rewrite, postings bytes untouched); the
-    [ts(10), ts(300)) range query then excludes the bumped docs while
-    corpus stats stay as-built."""
+def _attr_updated_index(sf_dir: str) -> IndexReader:
+    """The doc-values index with every ``doc_id % 10 == 0`` doc's
+    crawl-ts bumped 10M seconds by ``merge.update_attributes``."""
     import datetime
-    import shutil
     from ..index.merge import update_attributes
     from .corpus import doc_url
     src = _docvalues_index(sf_dir)
-    tag = hashlib.md5(f"{sf_dir}|attrupd".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_attrupd")
-    if not os.path.exists(os.path.join(path, "stats.json")):
-        shutil.rmtree(path, ignore_errors=True)
-        n = src.n_docs
+
+    def make(path: str) -> None:
         epoch = datetime.datetime(1970, 1, 1)
         vals = {doc_url(i): epoch + datetime.timedelta(
                     microseconds=_TS_BASE_US + (i + 10_000_000) * 1_000_000)
-                for i in range(0, n, 10)}
+                for i in range(0, src.n_docs, 10)}
         update_attributes(src.index_dir, path, "ts", vals)
-    reader = IndexReader(path)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    lo = pa.scalar(_TS_BASE_US + 10 * 1_000_000, pa.timestamp("us"))
-    hi = pa.scalar(_TS_BASE_US + 300 * 1_000_000, pa.timestamp("us"))
-    allowed = reader.docids_where("ts", lo=lo, hi=hi)
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10, allowed=allowed)
-    return _ranked_to_table(res)
+    return _derived_index(sf_dir, "attrupd", "simple_attrupd", make)
 
 
-SQL_ATTR_UPDATE_RANGE_TOP10 = _bm25_sql(
+# Updatable doc-values (Lucene updateDocValues —
+# ``merge.update_attributes``): every ``doc_id % 10 == 0`` doc's
+# crawl-ts doc-value is bumped far into the future WITHOUT reindex
+# (forward-plane column rewrite, postings bytes untouched); the
+# [ts(10), ts(300)) range query then excludes the bumped docs while
+# corpus stats stay as-built.
+_ts_range_entry("attr_update_range_top10", _attr_updated_index, _bm25_sql(
     BM25_QUERY_TERMS, 10,
     doc_filter="tfs.doc_id in (select doc_id from documents "
-               "where doc_id >= 10 and doc_id < 300 and doc_id % 10 <> 0)")
+               "where doc_id >= 10 and doc_id < 300 and doc_id % 10 <> 0)"))
 
 
+@entry
 def q_maxsim_top10(sf_dir: str):
     """ColBERT-style late interaction over multi-vector documents:
     pseudo-docs bag 5 consecutive vectors (``vec_id // 5``), the query
@@ -7295,7 +6950,7 @@ def q_maxsim_top10(sf_dir: str):
     return maxsim_topk(ds, qm, k=10)
 
 
-SQL_MAXSIM_TOP10 = """
+oracle(q_maxsim_top10, """
 with q as (select vec_id as qi, embedding::DOUBLE[] as qv
            from embeddings where vec_id < 5),
 sims as (
@@ -7306,7 +6961,7 @@ agg as (select doc_id, sum(floor(mx*1000000 + 0.5)::bigint) as s6
         from sims group by doc_id)
 select doc_id, s6/1000000.0 as score
 from agg order by s6 desc, doc_id asc limit 10
-"""
+""")
 
 
 def _get_upserted_index(sf_dir: str) -> IndexReader:
@@ -7318,15 +6973,12 @@ def _get_upserted_index(sf_dir: str) -> IndexReader:
     the stale main versions tombstone."""
     import shutil
     from ..index.merge import upsert_docs
-    from .corpus import doc_url, documents_to_pages_batch
-    tag = hashlib.md5(f"{sf_dir}|upsert".encode()).hexdigest()[:8]
-    path = os.path.join(_IDX_ROOT, f"{tag}_simple_upserted")
-    if not os.path.exists(os.path.join(path, "deletes.json")):
-        shutil.rmtree(path, ignore_errors=True)
-        shutil.rmtree(path + ".seg", ignore_errors=True)
-        main = get_index(sf_dir, "simple")
-        import ray
+    from .corpus import documents_to_pages_batch
+
+    def make(path: str) -> None:
         import ray.data as rd
+        shutil.rmtree(path + ".seg", ignore_errors=True)
+        main = _simple_index(sf_dir)
 
         def upd_fn(b: pa.Table) -> pa.Table:
             ids = b["doc_id"].to_pylist()
@@ -7351,34 +7003,26 @@ def _get_upserted_index(sf_dir: str) -> IndexReader:
         seg = rd.read_parquet(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text", "lang"]) \
             .map_batches(upd_fn, batch_format="pyarrow")
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        cfg = IndexBuildConfig(num_buckets=16, docid_partitions=4,
-                               analyzer="simple", fields={"body": "text"},
-                               tokenize_concurrency=max(1, min(ncpu - 2, 8)))
-        upsert_docs(main.index_dir, seg, path, cfg,
+        upsert_docs(main.index_dir, seg, path,
+                    _build_cfg(docid_partitions=4),
                     input_token=f"{sf_dir}|upseg")
-    return IndexReader(path)
+    return _derived_index(sf_dir, "upsert", "simple_upserted", make,
+                          done="deletes.json")
 
 
-def q_bm25_upsert_top10(sf_dir: str):
-    """BM25 over the UPSERTED index — latest-version-wins: updated urls
-    score from the segment postings only (stale main versions are
-    tombstoned), new urls appear, stats stay as-built across old+new
-    versions (deletes-until-merge freshness, like
-    ``bm25_deleted_top10``)."""
-    reader = _get_upserted_index(sf_dir)
-    engine = QueryEngine(reader, BM25Model(k1=1.2, b=0.75))
-    res = engine.search(" ".join(BM25_QUERY_TERMS), k=10)
-    return _ranked_to_table(res)
-
-
-# corpus as the merged index sees it: every original row, plus the
-# segment (updated versions at id+20M — an oracle-internal alias that
-# maps back to the original id, since the url is unchanged — and new
-# docs at id+10M, their real external id). Stale originals are
+# BM25 over the UPSERTED index — latest-version-wins: updated urls
+# score from the segment postings only (stale main versions are
+# tombstoned), new urls appear, stats stay as-built across old+new
+# versions (deletes-until-merge freshness, like
+# ``bm25_deleted_top10``).
+# The oracle's corpus is the one the merged index sees: every original
+# row, plus the segment (updated versions at id+20M — an oracle-internal
+# alias that maps back to the original id, since the url is unchanged —
+# and new docs at id+10M, their real external id). Stale originals are
 # tombstone-filtered AFTER scoring; stats/df stay as-built over the
 # union, mirroring deletes-until-merge.
-SQL_BM25_UPSERT_TOP10 = f"""
+_search_entry("bm25_upsert_top10", _get_upserted_index, _BM25, BM25_QUERY, 10,
+              f"""
 with udocs as (
   select doc_id, text from documents
   union all
@@ -7389,11 +7033,8 @@ with udocs as (
   from documents where doc_id % 11 = 3),
 tok as (
   select doc_id, unnest({SIMPLE_TOKS_SQL}) as term from udocs),
-doclen as (select doc_id, count(*)::double as dl from tok group by doc_id),
-stats as (select
-  (select count(*) from udocs)::double as n,
-  (select count(*) from doclen)::double as dc,
-  (select sum(dl) from doclen)::double as suml),
+{_doclen_cte()},
+{_stats_cte(docs='udocs')},
 tfs as (select doc_id, term, count(*)::double as tf from tok
         where term in ({",".join(f"'{t}'" for t in BM25_QUERY_TERMS)})
         group by doc_id, term),
@@ -7401,9 +7042,8 @@ dfs as (select term, count(*)::double as df from tfs group by term),
 scored as (
   select case when tfs.doc_id >= 20000000 then tfs.doc_id - 20000000
               else tfs.doc_id end as doc_id,
-         sum(greatest(0.0, ln((stats.n - dfs.df + 0.5)/(dfs.df + 0.5)))
-             * (tfs.tf / (tfs.tf + 1.2*((1.0-0.75)
-                + 0.75*doclen.dl/(stats.suml/stats.dc))))) as raw
+         sum({_idf_sql('stats.n', 'dfs.df')}
+             * {_tfw_sql('tfs.tf', 'doclen.dl', 'stats')}) as raw
   from tfs
   join dfs on tfs.term = dfs.term
   join doclen on tfs.doc_id = doclen.doc_id
@@ -7412,388 +7052,6 @@ scored as (
   group by 1)
 select doc_id, floor(raw*1000000 + 0.5)/1000000 as score
 from scored order by raw desc, doc_id asc limit 10
-"""
+""")
 
 
-QUERIES = {
-    # oracle-checked
-    "doc_token_counts": q_doc_token_counts,
-    "window_aggregate": q_window_aggregate,
-    "sliding_window_aggregate": q_sliding_window_aggregate,
-    "sessionize": q_sessionize,
-    "asof_join": q_asof_join,
-    "hll_distinct": q_hll_distinct,
-    "frequent_terms": q_frequent_terms,
-    "hash_sample": q_hash_sample,
-    "shuffle_export": q_shuffle_export,
-    "topk_per_group": q_topk_per_group,
-    "value_quantiles": q_value_quantiles,
-    "value_histogram": q_value_histogram,
-    "value_stats": q_value_stats,
-    "percentile_ranks": q_percentile_ranks,
-    "semijoin_urgent_lineitem": q_semijoin_urgent_lineitem,
-    "bloom_semijoin_high": q_bloom_semijoin_high,
-    "antijoin_idle_customers": q_antijoin_idle_customers,
-    "broadcast_join_nation_revenue": q_broadcast_join_nation_revenue,
-    "shuffle_join_priority_revenue": q_shuffle_join_priority_revenue,
-    "term_df_ctf_top50": q_term_df_ctf_top50,
-    "index_bm25_top10": q_index_bm25_top10,
-    "index_bm25_maxscore_top10": q_index_bm25_maxscore_top10,
-    "bm25_multifield_top10": q_bm25_multifield_top10,
-    "index_indri_top10": q_index_indri_top10,
-    "rescore_indri_top10": q_rescore_indri_top10,
-    "rare_terms": q_rare_terms,
-    "indri_batch_distributed": q_indri_batch_distributed,
-    "wsum_indri_top10": q_wsum_indri_top10,
-    "wand_indri_top10": q_wand_indri_top10,
-    "wand_structured_distributed": q_wand_structured_distributed,
-    "wsum_structured_distributed": q_wsum_structured_distributed,
-    "ranked_and": q_ranked_and,
-    "ranked_or": q_ranked_or,
-    "unranked_and_count": q_unranked_and_count,
-    "syn_ranked": q_syn_ranked,
-    "unranked_near_count": q_unranked_near_count,
-    "unranked_window_count": q_unranked_window_count,
-    "exact_dedup": q_exact_dedup,
-    "connected_components": q_connected_components,
-    "lang_counts": q_lang_counts,
-    "quality_scores": q_quality_scores,
-    "ann_cosine_top10": q_ann_cosine_top10,
-    "top_docs_by_chars": q_top_docs_by_chars,
-    "language_id": q_language_id,
-    "doc_fingerprint": q_doc_fingerprint,
-    "multimodal_decode": q_multimodal_decode,
-    "prf_terms_fb_mu0": q_prf_terms_fb_mu0,
-    "prf_terms_fb_mu2500": q_prf_terms_fb_mu2500,
-    "bm25_multifield_distributed": q_bm25_multifield_distributed,
-    "bm25_batch_distributed": q_bm25_batch_distributed,
-    "near1_ranked": q_near1_ranked,
-    "near1_bm25_top10": q_near1_bm25_top10,
-    "phrase_prefix_search": q_phrase_prefix_search,
-    "near1_bm25_distributed": q_near1_bm25_distributed,
-    "token_stats": q_token_stats,
-    "vocab_stats": q_vocab_stats,
-    "dataset_split": q_dataset_split,
-    "embedding_dedup": q_embedding_dedup,
-    "simhash_pairs": q_simhash_pairs,
-    "minhash_candidate_pairs": q_minhash_candidate_pairs,
-    "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
-    "letor_rerank_simple": q_letor_rerank_simple,
-    "xquad_rerank_simple": q_xquad_rerank_simple,
-    "pm2_rerank_simple": q_pm2_rerank_simple,
-    "eval_metrics": q_eval_metrics,
-    "lsh_ann_oracle": q_lsh_ann_oracle,
-    "ivf_ann_oracle": q_ivf_ann_oracle,
-    "structured_batch_distributed": q_structured_batch_distributed,
-    "sdm_structured_distributed": q_sdm_structured_distributed,
-    "syn_search": q_syn_search,
-    "near_search": q_near_search,
-    "window_search": q_window_search,
-    "sdm_wand_search_simple": q_sdm_wand_search_simple,
-    "prf_expansion_simple": q_prf_expansion_simple,
-    "minhash_dedup": q_minhash_dedup,
-    "jaccard_verified_dedup": q_jaccard_verified_dedup,
-    "simhash_dedup": q_simhash_dedup,
-    "repetition_stats": q_repetition_stats,
-    "heuristic_filter": q_heuristic_filter,
-    "pii_scrub": q_pii_scrub,
-    "top_bigrams": q_top_bigrams,
-    "stratified_sample": q_stratified_sample,
-    "json_field_agg": q_json_field_agg,
-    "dup_span_stats": q_dup_span_stats,
-    "kwic_snippets": q_kwic_snippets,
-    "distinctive_terms": q_distinctive_terms,
-    "significant_terms": q_significant_terms,
-    "group_significant_terms": q_group_significant_terms,
-    "unigram_surprisal": q_unigram_surprisal,
-    "facet_counts": q_facet_counts,
-    "top_hits_per_lang": q_top_hits_per_lang,
-    "bm25_filtered_top10": q_bm25_filtered_top10,
-    "bm25_merged_top10": q_bm25_merged_top10,
-    "bm25_merged3_top10": q_bm25_merged3_top10,
-    "bm25_compacted_top10": q_bm25_compacted_top10,
-    "bm25_inlink_top10": q_bm25_inlink_top10,
-    "bm25_deleted_top10": q_bm25_deleted_top10,
-    "bm25_purged_top10": q_bm25_purged_top10,
-    "bm25_positionless_top10": q_bm25_positionless_top10,
-    "prefix_suggest": q_prefix_suggest,
-    "spell_suggest": q_spell_suggest,
-    "did_you_mean_phrase": q_did_you_mean_phrase,
-    "boosting_search": q_boosting_search,
-    "chunk_documents": q_chunk_documents,
-    "strip_html": q_strip_html,
-    "decontaminate": q_decontaminate,
-    "pagerank": q_pagerank,
-    "hits": q_hits,
-    "bm25_pagerank_blend": q_bm25_pagerank_blend,
-    "personalized_pagerank": q_personalized_pagerank,
-    "remove_dup_spans": q_remove_dup_spans,
-    "warc_roundtrip": q_warc_roundtrip,
-    "curation_pipeline": q_curation_pipeline,
-    "rocchio_terms": q_rocchio_terms,
-    "search_with_snippets": q_search_with_snippets,
-    "more_like_this": q_more_like_this,
-    "pmi_collocations": q_pmi_collocations,
-    "sq8_ann_top10": q_sq8_ann_top10,
-    "jsonl_roundtrip": q_jsonl_roundtrip,
-    "bm25_jsonl_top10": q_bm25_jsonl_top10,
-    "line_dedup": q_line_dedup,
-    "bm25_explain_top10": q_bm25_explain_top10,
-    "bm25_grid_tune": q_bm25_grid_tune,
-    "tfidf_classic_top10": q_tfidf_classic_top10,
-    "tfidf_batch_distributed": q_tfidf_batch_distributed,
-    "time_decay_top10": q_time_decay_top10,
-    "rrf_fusion_top10": q_rrf_fusion_top10,
-    "combsum_fusion": q_combsum_fusion,
-    "mmr_rerank": q_mmr_rerank,
-    "bm25_upsert_top10": q_bm25_upsert_top10,
-    "span_first_search": q_span_first_search,
-    "dismax_search": q_dismax_search,
-    "ann_filtered_top10": q_ann_filtered_top10,
-    "date_histogram": q_date_histogram,
-    "date_histogram_cumulative": q_date_histogram_cumulative,
-    "index_synonym_search": q_index_synonym_search,
-    "bigram_perplexity": q_bigram_perplexity,
-    "label_centroids": q_label_centroids,
-    "dense_prf_top10": q_dense_prf_top10,
-    "rbo_runs": q_rbo_runs,
-    "attr_update_range_top10": q_attr_update_range_top10,
-    "maxsim_top10": q_maxsim_top10,
-    "suffix_search": q_suffix_search,
-    "regexp_search": q_regexp_search,
-    "event_transitions": q_event_transitions,
-    "attr_terms_agg": q_attr_terms_agg,
-    "percolate_phrase": q_percolate_phrase,
-    "search_snippets": q_search_snippets,
-    "eval_trec_extended": q_eval_trec_extended,
-    "bm25_champion_top10": q_bm25_champion_top10,
-    "dedup_keep_best": q_dedup_keep_best,
-    "collapse_by_source": q_collapse_by_source,
-    "quality_quantile_gate": q_quality_quantile_gate,
-    "phrase_index_top10": q_phrase_index_top10,
-    "indri_explain_top10": q_indri_explain_top10,
-    "eval_iprec11": q_eval_iprec11,
-    "url_canonicalize": q_url_canonicalize,
-    "domain_stats": q_domain_stats,
-    "prefix_search": q_prefix_search,
-    "infix_search": q_infix_search,
-    "fuzzy_search": q_fuzzy_search,
-    "phrase_search": q_phrase_search,
-    "phrase_slop_search": q_phrase_slop_search,
-    "negation_search": q_negation_search,
-    "synonym_search": q_synonym_search,
-    "msm_search": q_msm_search,
-    "attr_range_bm25_top10": q_attr_range_bm25_top10,
-    "attr_sorted_search": q_attr_sorted_search,
-    "weighted_sample": q_weighted_sample,
-    "highlight_positions": q_highlight_positions,
-    "nb_lang_predict": q_nb_lang_predict,
-    "search_after_page2": q_search_after_page2,
-    "sig_test": q_sig_test,
-    "percolate_matches": q_percolate_matches,
-    "bm25f_top10": q_bm25f_top10,
-    "bm25f_distributed": q_bm25f_distributed,
-    "msm_distributed": q_msm_distributed,
-    "bm25_federated_top10": q_bm25_federated_top10,
-    "indri_federated_top10": q_indri_federated_top10,
-    "near1_bm25_federated": q_near1_bm25_federated,
-    "sdm_federated_top10": q_sdm_federated_top10,
-    "phrase_prefix_federated": q_phrase_prefix_federated,
-    # rows-only (full-analyzer token chains — oracle-checked via their
-    # simple-analyzer twins above — plus sketches/LSH float paths and
-    # iterative algorithms with pytest-reference oracles)
-    "bpe_merges": q_bpe_merges,
-    "sdm_wand_search": q_sdm_wand_search,
-    "prf_expansion": q_prf_expansion,
-    "embedding_lsh_dedup": q_embedding_lsh_dedup,
-    "lsh_ann": q_lsh_ann,
-    "ivf_ann": q_ivf_ann,
-    "xquad_rerank": q_xquad_rerank,
-    "pm2_rerank": q_pm2_rerank,
-    "letor_rerank": q_letor_rerank,
-}
-
-ORACLE_SQL = {
-    "dup_span_stats": SQL_DUP_SPAN_STATS,
-    "kwic_snippets": SQL_KWIC_SNIPPETS,
-    "distinctive_terms": SQL_DISTINCTIVE_TERMS,
-    "significant_terms": SQL_SIGNIFICANT_TERMS,
-    "group_significant_terms": SQL_GROUP_SIGNIFICANT_TERMS,
-    "unigram_surprisal": SQL_UNIGRAM_SURPRISAL,
-    "facet_counts": SQL_FACET_COUNTS,
-    "top_hits_per_lang": SQL_TOP_HITS_PER_LANG,
-    "bm25_filtered_top10": SQL_BM25_FILTERED_TOP10,
-    "prefix_suggest": SQL_PREFIX_SUGGEST,
-    "spell_suggest": SQL_SPELL_SUGGEST,
-    "did_you_mean_phrase": SQL_DID_YOU_MEAN_PHRASE,
-    "boosting_search": SQL_BOOSTING_SEARCH,
-    "chunk_documents": SQL_CHUNK_DOCUMENTS,
-    "strip_html": SQL_STRIP_HTML,
-    "decontaminate": SQL_DECONTAMINATE,
-    "pagerank": SQL_PAGERANK,
-    "hits": SQL_HITS,
-    "bm25_pagerank_blend": SQL_BM25_PAGERANK_BLEND,
-    "personalized_pagerank": SQL_PERSONALIZED_PAGERANK,
-    "remove_dup_spans": SQL_REMOVE_DUP_SPANS,
-    "warc_roundtrip": SQL_STRIP_HTML,
-    "curation_pipeline": SQL_CURATION_PIPELINE,
-    "rocchio_terms": SQL_ROCCHIO_TERMS,
-    "search_with_snippets": SQL_SEARCH_WITH_SNIPPETS,
-    "more_like_this": SQL_MORE_LIKE_THIS,
-    "pmi_collocations": SQL_PMI_COLLOCATIONS,
-    "sq8_ann_top10": SQL_SQ8_ANN_TOP10,
-    "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
-    "bm25_jsonl_top10": SQL_INDEX_BM25_TOP10,
-    "line_dedup": SQL_LINE_DEDUP,
-    "bm25_explain_top10": SQL_BM25_EXPLAIN_TOP10,
-    "bm25_grid_tune": SQL_BM25_GRID_TUNE,
-    "search_snippets": SQL_SEARCH_SNIPPETS,
-    "eval_trec_extended": SQL_EVAL_TREC_EXTENDED,
-    "bm25_champion_top10": SQL_BM25_CHAMPION_TOP10,
-    "dedup_keep_best": SQL_DEDUP_KEEP_BEST,
-    "collapse_by_source": SQL_COLLAPSE_BY_SOURCE,
-    "quality_quantile_gate": SQL_QUALITY_QUANTILE_GATE,
-    "phrase_index_top10": SQL_PHRASE_INDEX_TOP10,
-    "indri_explain_top10": SQL_INDRI_EXPLAIN_TOP10,
-    "eval_iprec11": SQL_EVAL_IPREC11,
-    "url_canonicalize": SQL_URL_CANONICALIZE,
-    "domain_stats": SQL_DOMAIN_STATS,
-    "prefix_search": SQL_PREFIX_SEARCH,
-    "infix_search": SQL_INFIX_SEARCH,
-    "fuzzy_search": SQL_FUZZY_SEARCH,
-    "phrase_search": SQL_PHRASE_SEARCH,
-    "phrase_slop_search": SQL_PHRASE_SLOP_SEARCH,
-    "negation_search": SQL_NEGATION_SEARCH,
-    "synonym_search": SQL_SYNONYM_SEARCH,
-    "msm_search": SQL_MSM_SEARCH,
-    "attr_range_bm25_top10": SQL_ATTR_RANGE_BM25_TOP10,
-    "attr_sorted_search": SQL_ATTR_SORTED_SEARCH,
-    "weighted_sample": SQL_WEIGHTED_SAMPLE,
-    "highlight_positions": SQL_HIGHLIGHT_POSITIONS,
-    "nb_lang_predict": SQL_NB_LANG_PREDICT,
-    "search_after_page2": SQL_SEARCH_AFTER_PAGE2,
-    "sig_test": SQL_SIG_TEST,
-    "percolate_matches": SQL_PERCOLATE_MATCHES,
-    "bm25f_top10": SQL_BM25F_TOP10,
-    "bm25f_distributed": SQL_BM25F_TOP10,
-    "msm_distributed": SQL_MSM_SEARCH,
-    "bm25_federated_top10": SQL_INDEX_BM25_TOP10,
-    "indri_federated_top10": SQL_INDEX_INDRI_TOP10,
-    "near1_bm25_federated": SQL_NEAR1_BM25_TOP10,
-    "sdm_federated_top10": SQL_SDM_STRUCTURED,
-    "phrase_prefix_federated": SQL_PHRASE_PREFIX_SEARCH,
-    "repetition_stats": SQL_REPETITION_STATS,
-    "heuristic_filter": SQL_HEURISTIC_FILTER,
-    "pii_scrub": SQL_PII_SCRUB,
-    "top_bigrams": SQL_TOP_BIGRAMS,
-    "stratified_sample": SQL_STRATIFIED_SAMPLE,
-    "json_field_agg": SQL_JSON_FIELD_AGG,
-    "doc_token_counts": SQL_DOC_TOKEN_COUNTS,
-    "window_aggregate": SQL_WINDOW_AGGREGATE,
-    "sliding_window_aggregate": SQL_SLIDING_WINDOW_AGGREGATE,
-    "sessionize": SQL_SESSIONIZE,
-    "asof_join": SQL_ASOF_JOIN,
-    "hash_sample": SQL_HASH_SAMPLE,
-    "shuffle_export": SQL_SHUFFLE_EXPORT,
-    "topk_per_group": SQL_TOPK_PER_GROUP,
-    "hll_distinct": SQL_HLL_DISTINCT,
-    "frequent_terms": SQL_FREQUENT_TERMS,
-    "value_quantiles": SQL_VALUE_QUANTILES,
-    "value_histogram": SQL_VALUE_HISTOGRAM,
-    "value_stats": SQL_VALUE_STATS,
-    "percentile_ranks": SQL_PERCENTILE_RANKS,
-    "semijoin_urgent_lineitem": SQL_SEMIJOIN_URGENT_LINEITEM,
-    "bloom_semijoin_high": SQL_BLOOM_SEMIJOIN_HIGH,
-    "antijoin_idle_customers": SQL_ANTIJOIN_IDLE_CUSTOMERS,
-    "broadcast_join_nation_revenue": SQL_BROADCAST_JOIN_NATION_REVENUE,
-    "shuffle_join_priority_revenue": SQL_SHUFFLE_JOIN_PRIORITY_REVENUE,
-    "term_df_ctf_top50": SQL_TERM_DF_CTF_TOP50,
-    "index_bm25_top10": SQL_INDEX_BM25_TOP10,
-    "index_bm25_maxscore_top10": SQL_INDEX_BM25_TOP10,
-    "bm25_merged_top10": SQL_INDEX_BM25_TOP10,
-    "bm25_merged3_top10": SQL_INDEX_BM25_TOP10,
-    "bm25_compacted_top10": SQL_INDEX_BM25_TOP10,
-    "bm25_inlink_top10": SQL_BM25_INLINK_TOP10,
-    "bm25_deleted_top10": SQL_BM25_DELETED_TOP10,
-    "bm25_purged_top10": SQL_BM25_PURGED_TOP10,
-    "tfidf_classic_top10": SQL_TFIDF_CLASSIC_TOP10,
-    "tfidf_batch_distributed": SQL_TFIDF_BATCH_DISTRIBUTED,
-    "time_decay_top10": SQL_TIME_DECAY_TOP10,
-    "rrf_fusion_top10": SQL_RRF_FUSION_TOP10,
-    "combsum_fusion": SQL_COMBSUM_FUSION,
-    "mmr_rerank": SQL_MMR_RERANK,
-    "bm25_upsert_top10": SQL_BM25_UPSERT_TOP10,
-    "span_first_search": SQL_SPAN_FIRST_SEARCH,
-    "dismax_search": SQL_DISMAX_SEARCH,
-    "ann_filtered_top10": SQL_ANN_FILTERED_TOP10,
-    "date_histogram": SQL_DATE_HISTOGRAM,
-    "date_histogram_cumulative": SQL_DATE_HISTOGRAM_CUMULATIVE,
-    "index_synonym_search": SQL_INDEX_SYNONYM_SEARCH,
-    "bigram_perplexity": SQL_BIGRAM_PERPLEXITY,
-    "label_centroids": SQL_LABEL_CENTROIDS,
-    "dense_prf_top10": SQL_DENSE_PRF_TOP10,
-    "rbo_runs": SQL_RBO_RUNS,
-    "attr_update_range_top10": SQL_ATTR_UPDATE_RANGE_TOP10,
-    "maxsim_top10": SQL_MAXSIM_TOP10,
-    "suffix_search": SQL_SUFFIX_SEARCH,
-    "regexp_search": SQL_REGEXP_SEARCH,
-    "event_transitions": SQL_EVENT_TRANSITIONS,
-    "attr_terms_agg": SQL_ATTR_TERMS_AGG,
-    "percolate_phrase": SQL_PERCOLATE_PHRASE,
-    "bm25_positionless_top10": SQL_INDEX_BM25_TOP10,
-    "bm25_multifield_top10": SQL_BM25_MULTIFIELD_TOP10,
-    "index_indri_top10": SQL_INDEX_INDRI_TOP10,
-    "rescore_indri_top10": SQL_RESCORE_INDRI_TOP10,
-    "rare_terms": SQL_RARE_TERMS,
-    "indri_batch_distributed": SQL_INDEX_INDRI_TOP10,
-    "wsum_indri_top10": SQL_WSUM_INDRI_TOP10,
-    "wand_indri_top10": SQL_WAND_INDRI_TOP10,
-    "wand_structured_distributed": SQL_WAND_INDRI_TOP10,
-    "wsum_structured_distributed": SQL_WSUM_INDRI_TOP10,
-    "ranked_and": SQL_RANKED_AND,
-    "ranked_or": SQL_RANKED_OR,
-    "unranked_and_count": SQL_UNRANKED_AND_COUNT,
-    "syn_ranked": SQL_SYN_RANKED,
-    "unranked_near_count": SQL_UNRANKED_NEAR_COUNT,
-    "unranked_window_count": SQL_UNRANKED_WINDOW_COUNT,
-    "exact_dedup": SQL_EXACT_DEDUP,
-    "connected_components": SQL_CONNECTED_COMPONENTS,
-    "lang_counts": SQL_LANG_COUNTS,
-    "quality_scores": SQL_QUALITY_SCORES,
-    "ann_cosine_top10": SQL_ANN_COSINE_TOP10,
-    "top_docs_by_chars": SQL_TOP_DOCS_BY_CHARS,
-    "language_id": SQL_LANGUAGE_ID,
-    "doc_fingerprint": SQL_DOC_FINGERPRINT,
-    "multimodal_decode": SQL_MULTIMODAL_DECODE,
-    "prf_terms_fb_mu0": SQL_PRF_TERMS_FB_MU0,
-    "prf_terms_fb_mu2500": SQL_PRF_TERMS_FB_MU2500,
-    "bm25_multifield_distributed": SQL_BM25_MULTIFIELD_TOP10,
-    "bm25_batch_distributed": SQL_BM25_BATCH_DISTRIBUTED,
-    "near1_ranked": SQL_NEAR1_RANKED,
-    "near1_bm25_top10": SQL_NEAR1_BM25_TOP10,
-    "phrase_prefix_search": SQL_PHRASE_PREFIX_SEARCH,
-    "near1_bm25_distributed": SQL_NEAR1_BM25_TOP10,
-    "sdm_structured_distributed": SQL_SDM_STRUCTURED,
-    "syn_search": SQL_SYN_SEARCH,
-    "structured_batch_distributed": SQL_STRUCTURED_BATCH_DISTRIBUTED,
-    "near_search": SQL_NEAR_SEARCH,
-    "window_search": SQL_WINDOW_SEARCH,
-    "token_stats": SQL_TOKEN_STATS,
-    "vocab_stats": SQL_VOCAB_STATS,
-    "dataset_split": SQL_DATASET_SPLIT,
-    "embedding_dedup": SQL_EMBEDDING_DEDUP,
-    "simhash_pairs": SQL_SIMHASH_PAIRS,
-    "simhash_dedup": SQL_SIMHASH_DEDUP,
-    "minhash_candidate_pairs": SQL_MINHASH_CANDIDATE_PAIRS,
-    "minhash_dedup": SQL_MINHASH_DEDUP,
-    "jaccard_verified_dedup": SQL_JACCARD_VERIFIED_DEDUP,
-    "ngram_jaccard_pairs": SQL_NGRAM_JACCARD_PAIRS,
-    "letor_rerank_simple": SQL_LETOR_RERANK_SIMPLE,
-    "xquad_rerank_simple": SQL_XQUAD_RERANK_SIMPLE,
-    "pm2_rerank_simple": SQL_PM2_RERANK_SIMPLE,
-    "eval_metrics": SQL_EVAL_METRICS,
-    "lsh_ann_oracle": SQL_LSH_ANN_ORACLE,
-    "ivf_ann_oracle": SQL_IVF_ANN_ORACLE,
-    "sdm_wand_search_simple": SQL_SDM_WAND_SIMPLE,
-    "prf_expansion_simple": SQL_PRF_EXPANSION_SIMPLE,
-}

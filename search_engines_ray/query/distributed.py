@@ -503,24 +503,14 @@ def score_salt_indri(spec: dict, salt: int) -> pa.Table:
         return _cut(spec, entries, finish=wsum_mix)
 
 
-def _plan_data(node, terms: set) -> tuple:
-    """An Iop subtree as nested plain tuples — ``(term, field)`` leaves,
-    ``(op, dist, args)`` operators — collecting its terms."""
+def _plan_terms(node, terms: set) -> None:
+    """Add the terms of the Iop subtree ``node`` to ``terms``."""
     from .plan import TermNode
     if isinstance(node, TermNode):
         terms.add(node.term)
-        return (node.term, node.field)
-    return (node.op, node.dist, tuple(_plan_data(a, terms) for a in node.args))
-
-
-def _plan_node(data: tuple):
-    """Inverse of ``_plan_data``, built from this process's own import of
-    ``query.plan`` — the classes ``eval_iop_tree`` checks against."""
-    from .plan import IopNode, TermNode
-    if len(data) == 2:
-        return TermNode(*data)
-    op, dist, args = data
-    return IopNode(op, [_plan_node(a) for a in args], dist)
+    else:
+        for a in node.args:
+            _plan_terms(a, terms)
 
 
 def derive_salt(spec: dict, salt: int):
@@ -540,8 +530,8 @@ def derive_salt(spec: dict, salt: int):
             cache[(trm, fld)] = InvList(
                 d, tf, p if p is not None else np.empty(0, np.int32),
                 int(d.size), int(tf.sum()), fld)
-        for key, data in items:
-            inv = eval_iop_tree(_plan_node(data), cache)
+        for key, node in items:
+            inv = eval_iop_tree(node, cache)
             if inv.df == 0:
                 continue
             db2, tb2, _ = encode_postings(
@@ -979,21 +969,16 @@ def _derive_lists(reader: IndexReader, iop_plans_by_field: dict):
     the sum over its salt runs; only that (leaf, df, ctf) side reaches
     the driver. A range's derived rows stay in the object store as one
     salt → table map (``num_returns=2``) that the phase-B tasks whose
-    ranges overlap it fetch whole.
-
-    Plans travel as plain nested tuples (``_plan_data``) and are rebuilt
-    inside the task (``_plan_node``) from the worker's own import of
-    ``query.plan``: this package pickles by value, so a plan object
-    shipped as an argument would carry its own copy of the node classes
-    and fail ``eval_iop_tree``'s ``isinstance`` checks."""
+    ranges overlap it fetch whole."""
     terms_by_field: dict[str, list[str]] = {}
     plans = []
     for fld, by_key in sorted(iop_plans_by_field.items()):
         if not by_key:
             continue
         acc: set[str] = set()
-        plans.append((fld, [(key, _plan_data(p, acc))
-                            for key, p in sorted(by_key.items())]))
+        for p in by_key.values():
+            _plan_terms(p, acc)
+        plans.append((fld, sorted(by_key.items())))
         terms_by_field[fld] = sorted(acc)
     if not any(len(reader.runs(ts, [fld]))
                for fld, ts in terms_by_field.items()):

@@ -7,13 +7,10 @@ the upstream read; a fixed ``concurrency=2`` caps throughput at scale):
 - **stateless tasks + process-global cache**: Ray reuses worker
   processes across tasks, so a module-level cache gives actor-style
   setup amortization while tasks schedule elastically on every CPU
-  (``index/build.py`` ``_get_analyzer`` established this). The cache
-  must sit behind a real import: this package pickles its code by value
-  (``__init__.py``), and a by-value function carries its own copy of
-  every module global it reads, so a cache dict referenced as a global
-  is fresh and empty in each task payload. Task code reaches the one
-  per-process cache with ``from ..util import proc_cached`` inside the
-  function body, which resolves to the worker's imported module.
+  (``index/build.py``'s tokenize stage established this). Every
+  piece of such state lives in the one per-process ``proc_cached``
+  map; workers import the package (an installation or ``PYTHONPATH``),
+  so task code reaches that map through its module like any global.
 - **autoscaling actor pools** sized from ``ray.cluster_resources()``
   for stages that genuinely need per-actor state (model weights,
   media decoders): ``concurrency=(floor, pool_size())`` lets Ray grow

@@ -12,14 +12,12 @@ from search_engines_ray.query import distributed as D
 
 
 def test_doclen_shard_cache_survives_pickle_round_trips(toy_index):
-    """Each Ray task payload is a by-value cloudpickle round trip of the
+    """Each Ray task payload is a cloudpickle round trip of the
     kernel's code. Two round trips of the worker's doclen lookup must
     hit ONE process cache (the process's reader and its forward-shard
-    cache): a module-global cache would travel with each payload as a
-    fresh empty copy and never hit."""
+    cache), never a fresh empty copy per payload."""
     a = cloudpickle.loads(cloudpickle.dumps(D._doclens))
     b = cloudpickle.loads(cloudpickle.dumps(D._doclens))
-    assert a is not D._doclens          # really pickled by value
     spec = dict(index_dir=toy_index.index_dir, token=toy_index.stats_token)
     docids = np.arange(toy_index.n_docs, dtype=np.int64)
     got = a(spec, "body", docids)
@@ -29,6 +27,29 @@ def test_doclen_shard_cache_survives_pickle_round_trips(toy_index):
     assert list(b(spec, "body", docids)) == list(got)
     assert cache.misses == misses and cache.hits > hits
     assert list(got) == list(toy_index.doclens("body"))
+
+
+def test_task_payloads_reach_the_process_own_module():
+    """The package is pickled by reference: a task payload's references
+    to it resolve to the unpickling process's own objects. The doclen
+    lookup comes back as itself, the scoring task's code reaches this
+    module's helpers and kernels, and a plan comes back as this
+    process's ``IopNode``/``TermNode``, so it passes ``eval_iop_tree``'s
+    ``isinstance`` checks."""
+    from search_engines_ray.query.plan import IopNode, TermNode
+
+    def round_trip(obj):
+        return cloudpickle.loads(cloudpickle.dumps(obj))
+
+    assert round_trip(D._doclens) is D._doclens
+    task = round_trip(D.score_salts)._function
+    g = task.__globals__
+    assert g["_task_spec"] is D._task_spec and g["_concat"] is D._concat
+    assert all(g["_KERNELS"][k] is f for k, f in D._KERNELS.items())
+    plan = IopNode("near", [TermNode("fast"), TermNode("sort")], 2)
+    back = round_trip(plan)
+    assert isinstance(back, IopNode) and isinstance(back.args[0], TermNode)
+    assert back == plan
 
 
 def test_lexicon_one_per_build(toy_index):

@@ -83,3 +83,82 @@ def test_oracle_match(entry_mod, con, name):
             np.testing.assert_array_equal(a, b, err_msg=f"{name}.{c}")
         else:
             assert (a == b).all(), f"{name}.{c}: {a[:5]} vs {b[:5]}"
+
+
+# ------------------------------------------------- registry guards (no Ray)
+
+def test_every_entry_function_is_registered():
+    from search_engines_ray.pipelines import driver_queries as dq
+    fns = {n: f for n, f in vars(dq).items()
+           if n.startswith("q_") and callable(f)}
+    assert fns
+    for n, f in fns.items():
+        assert dq.QUERIES.get(n.removeprefix("q_")) is f, n
+
+
+def test_registry_refuses_a_name_twice():
+    from search_engines_ray.pipelines import driver_queries as dq
+    before = (dict(dq.QUERIES), dict(dq.ORACLE_SQL))
+
+    def q_index_bm25_top10(sf_dir):
+        return None
+
+    with pytest.raises(ValueError):
+        dq.entry(q_index_bm25_top10)
+    with pytest.raises(ValueError):
+        dq.oracle(dq.QUERIES["index_bm25_top10"], "select 1")
+    with pytest.raises(ValueError):     # not the registered function
+        dq.oracle(q_index_bm25_top10, "select 1")
+    assert (dq.QUERIES, dq.ORACLE_SQL) == before
+
+
+def test_oracle_keys_are_entries():
+    import __ray_entry__ as m
+    assert set(m.oracle_sql()) <= set(m.queries())
+
+
+def test_sql_fragments_match_the_engine_kernels():
+    """The oracle SQL's one spelling of the BM25 idf, the BM25 tf weight
+    and the Indri leaf, evaluated by DuckDB over a parameter grid, equals
+    ``query.kernels`` within 1e-12 relative — the idf clamp (df > N/2,
+    df = 0) and b = 0 / b = 1 included."""
+    from search_engines_ray.pipelines import driver_queries as dq
+    from search_engines_ray.query import kernels
+
+    c = duckdb.connect()
+    grid = pd.DataFrame([(float(n), float(df)) for n in (1, 2, 7, 1000)
+                         for df in sorted({0, 1, n // 2, n // 2 + 1,
+                                           n - 1, n})],
+                        columns=["n", "df"])
+    c.register("g", grid)
+    got = c.sql(f"select {dq._idf_sql('g.n', 'g.df')} as v from g") \
+        .df()["v"].to_numpy()
+    want = [kernels.bm25_idf(n, df) for n, df in zip(grid["n"], grid["df"])]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert (got == 0).any() and (got > 0).any()
+
+    cells = pd.DataFrame(
+        [(float(tf), float(dl), float(suml), float(dc))
+         for tf in (1, 2, 5, 40) for dl in (1, 7, 300)
+         for suml, dc in ((1000, 100), (37, 5), (12345, 7))],
+        columns=["tf", "dl", "suml", "dc"])
+    c.register("t", cells)
+    for k1 in (0.9, 1.2, 2.0):
+        for b in (0.0, 0.3, 0.75, 1.0):
+            got = c.sql(f"select {dq._tfw_sql('t.tf', 't.dl', 't', k1, b)}"
+                        f" as v from t").df()["v"].to_numpy()
+            want = kernels.bm25_tfw(cells["tf"].to_numpy(),
+                                    cells["dl"].to_numpy(), k1, b,
+                                    (cells["suml"] / cells["dc"]).to_numpy())
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    leaf = pd.DataFrame([(float(tf), float(ctf), float(dl))
+                         for tf in (0, 1, 4) for ctf in (1, 50)
+                         for dl in (0, 5, 300)], columns=["tf", "ctf", "dl"])
+    c.register("cells", leaf)
+    for total in (1000.0, 123457.0):
+        got = c.sql(f"select {dq._INDRI_LEAF_SQL} as v from cells, "
+                    f"(select {total} as v) suml").df()["v"].to_numpy()
+        want = kernels.dirichlet(leaf["tf"].to_numpy(), leaf["dl"].to_numpy(),
+                                 leaf["ctf"].to_numpy() / total, 2500.0, 0.4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 
@@ -516,6 +517,47 @@ def test_minhash_candidate_pairs(dup_docs):
     assert len(hit) == 1 and hit.iloc[0]["n_bands"] == 8
     # unrelated docs never share a band
     assert not ((out["id_a"] < 10) & (out["id_b"] < 10)).any()
+
+
+@pytest.mark.parametrize("id_type", [pa.int32(), pa.string()])
+def test_minhash_ops_keep_the_id_type(dup_docs, id_type):
+    """``MinHasher`` passes its id column through, so int32 and string
+    ids keep their type through the signature table,
+    ``minhash_lsh_dedup`` and ``minhash_candidate_pairs``, and the
+    int64 results are the same pairs with the ids cast."""
+    from search_engines_ray.functions import (
+        minhash_candidate_pairs, minhash_lsh_dedup,
+    )
+    from search_engines_ray.functions.dedup import MinHasher
+    import ray.data as rd
+
+    def arrow(ds):
+        return pa.concat_tables(ds.iter_batches(batch_format="pyarrow",
+                                                batch_size=None))
+
+    t = arrow(dup_docs)
+    i = t.schema.get_field_index("doc_id")
+    cast = t.set_column(i, "doc_id", t["doc_id"].cast(id_type))
+    sig = MinHasher(num_perm=32)(cast)
+    assert sig.schema.field("doc_id").type == id_type
+    assert sig["minhash"].equals(MinHasher(num_perm=32)(t)["minhash"])
+    ds = rd.from_arrow(cast)
+
+    def as_int64(df):
+        return df.astype(np.int64).sort_values(list(df.columns),
+                                               ignore_index=True)
+
+    dd = arrow(minhash_lsh_dedup(ds, jaccard_threshold=0.5))
+    assert dd.schema.field("doc_id").type == id_type
+    assert dd.schema.field("canonical_id").type == id_type
+    want = minhash_lsh_dedup(dup_docs, jaccard_threshold=0.5).to_pandas()
+    pd.testing.assert_frame_equal(as_int64(dd.to_pandas()), as_int64(want))
+    cp = arrow(minhash_candidate_pairs(ds, num_perm=32, bands=8))
+    assert cp.schema.field("id_a").type == id_type
+    assert cp.schema.field("id_b").type == id_type
+    want = minhash_candidate_pairs(dup_docs, num_perm=32,
+                                   bands=8).to_pandas()
+    pd.testing.assert_frame_equal(as_int64(cp.to_pandas()), as_int64(want))
 
 
 def test_embedding_dedup_matches_numpy(emb_ds):

@@ -470,9 +470,7 @@ def test_forward_cache_budget_evicts(sparse_pid_index, monkeypatch):
     from search_engines_ray.util import ByteLRU
 
     dense = _dense_forward(sparse_pid_index)
-    # patch the module constant in the namespace the constructor reads:
-    # a by-value cloudpickle round trip of the worker lookups in this
-    # process rebinds the class's methods to a copy of that namespace.
+    # patch the module constant in the namespace the constructor reads.
     # The process cache is one per budget, so a budget of its own gives
     # `full` an empty cache whose bytes are this index's working set.
     g = IndexReader.__init__.__globals__

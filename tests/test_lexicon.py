@@ -311,10 +311,8 @@ def test_read_runs_matches_per_run_decode(seed):
 
 def test_read_runs_decodes_once(docs_index, monkeypatch):
     """One ``decode_postings`` call per ``read_runs`` call, whatever the
-    number of runs it returns. The counter goes into the globals this
-    reader's ``read_runs`` reads: a by-value unpickle of reader code
-    elsewhere in the session leaves copies of the module's functions
-    with globals of their own."""
+    number of runs it returns. The counter goes into the module globals
+    this reader's ``read_runs`` reads."""
     calls = []
     module = type(docs_index).read_runs.__globals__
     real = module["decode_postings"]
