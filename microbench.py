@@ -7,6 +7,19 @@ Kernels:
   posting runs for the whole query vocabulary, one ``decode_postings``
   call per run vs one ``reader.decode_runs`` call over the joined blobs
   (the path ``IndexReader.read_runs`` takes);
+- ``encode_per_run`` / ``encode_joined``: the same runs encoded, one
+  ``encode_postings`` call per run vs one ``varbyte.encode_runs`` call
+  (the path the build's partial fragments and merge take);
+- ``partial_postings``: the build's partial-fragment function
+  (``build._partial_postings_fn``) over the whole corpus as one batch,
+  as the benchmark's build runs it;
+- ``merge_bucket``: the build's merge kernel (``build._merge_bucket``)
+  over the fragments of 100-doc partial batches, sorted by (bucket,
+  salt) into one block, so most runs merge several fragments;
+- ``partial_postings_zipf`` / ``merge_bucket_zipf``: the same two on a
+  seeded Zipf(1.1) sample over 200,000 words (4,096 docs of 250 tokens;
+  merge input from 256-doc batches): a real vocabulary's run count,
+  which the benchmark's 30 words hide;
 - ``simple_tokenize``: the tokenizer over 1,000 pages;
 - ``minhash``: ``MinHasher.__call__`` over a 1,000-row batch;
 - ``minhash_affine``: ``MinHasher.values`` alone, the (a*h + b) mod
@@ -18,7 +31,8 @@ Kernels:
 
 Inputs are seeded and shaped like the declared benchmark's (its
 ``perfbench.gen`` corpus model: a 3,000-page index split into 4 salts,
-1,000-row dedup batches). A kernel regression shows here without the
+a 1,000-page build over 16 pids and 4 salts, 1,000-row dedup batches),
+except the Zipf sample, which this script generates itself. A kernel regression shows here without the
 shuffle and scheduling noise of a Ray run.
 
     python microbench.py [--seed 7] [--budget-s 4]
@@ -34,27 +48,79 @@ import time
 import numpy as np
 
 INDEX_ROWS = 3000
+BUILD_ROWS = 1000
 DEDUP_ROWS = 1000
 SALTS = 4
+PIDS = 16
 
 
-def _postings(corpus, lo: int, hi: int) -> list[tuple[bytes, bytes, bytes]]:
-    """Encoded (docid, tf, pos) blobs of every word's run inside docids
+def _runs(corpus, lo: int, hi: int) -> list[tuple]:
+    """(docids, tfs, positions) of every word's run inside docids
     ``[lo, hi)`` — one salt of the benchmark's query index."""
-    from search_engines_ray.index.varbyte import encode_postings
     lens = np.diff(corpus.offsets)
     row = np.repeat(np.arange(corpus.n_docs), lens)
     pos = np.arange(corpus.ids.size) - np.repeat(corpus.offsets[:-1], lens)
     keep = (row >= lo) & (row < hi)
     ids, row, pos = corpus.ids[keep], row[keep], pos[keep]
-    blobs = []
+    runs = []
     for w in range(len(corpus.vocab)):
         hit = ids == w
-        if not hit.any():
-            continue
-        docids, tfs = np.unique(row[hit], return_counts=True)
-        blobs.append(encode_postings(docids, tfs, pos[hit]))
-    return blobs
+        if hit.any():
+            docids, tfs = np.unique(row[hit], return_counts=True)
+            runs.append((docids, tfs, pos[hit]))
+    return runs
+
+
+def _forward(texts: list[str], urls: list[str], n_pids: int):
+    """The forward table of a corpus (lucene analyzer, docids by pid
+    then url as the build assigns them) and its pid offsets."""
+    import pyarrow as pa
+    from search_engines_ray.index import build
+    pid = np.array([build.url_pid(u, n_pids) for u in urls], np.int32)
+    order = np.lexsort((np.array(urls), pid))
+    n = np.bincount(pid, minlength=n_pids)
+    offs = np.concatenate(([0], np.cumsum(n)))
+    pages = pa.table({"text": np.array(texts, object)[order],
+                      "external_id": np.array(urls, object)[order],
+                      "pid": pid[order],
+                      "docid_local": np.arange(len(urls)) - offs[pid[order]]})
+    return build._forward_rows(pages, {"body": "text"}, "lucene", {}, {}), offs
+
+
+def _zipf_forward(rng, n_docs: int = 4096, doc_len: int = 250,
+                  n_words: int = 200_000, n_pids: int = 16):
+    """A forward table of Zipf(1.1) word draws (positions 0..doc_len-1),
+    docids contiguous per pid."""
+    import pyarrow as pa
+    p = 1.0 / np.arange(1, n_words + 1) ** 1.1
+    ranks = rng.choice(n_words, n_docs * doc_len, p=p / p.sum())
+    words = pa.array([f"w{r}" for r in range(n_words)]).take(ranks)
+    offsets = pa.array(np.arange(0, n_docs * doc_len + 1, doc_len, np.int32))
+    pid = (np.arange(n_docs) * n_pids // n_docs).astype(np.int32)
+    offs = np.concatenate(([0], np.cumsum(np.bincount(pid, minlength=n_pids))))
+    fwd = pa.table({
+        "docid_local": np.arange(n_docs) - offs[pid], "pid": pid,
+        "terms_body": pa.ListArray.from_arrays(offsets, words),
+        "pos_body": pa.ListArray.from_arrays(offsets, pa.array(
+            np.tile(np.arange(doc_len, dtype=np.int32), n_docs)))})
+    return fwd, offs
+
+
+def _build_kernels(fwd, offs, n_pids: int, merge_batch: int) -> dict:
+    """``partial_postings`` over ``fwd`` as one batch and ``merge_bucket``
+    over the (bucket, salt)-sorted fragments of ``merge_batch``-doc
+    batches, with the benchmark build's 16 buckets and 4 salts."""
+    import pyarrow as pa
+    from search_engines_ray.index import build
+    salt_of_pid = (np.arange(n_pids) * 4 // n_pids).astype(np.int32)
+    fn = build._partial_postings_fn(["body"], 16, salt_of_pid, offs)
+    parts = pa.concat_tables(fn(fwd.slice(i, merge_batch))
+                             for i in range(0, fwd.num_rows, merge_batch))
+    block = parts.take(np.lexsort((parts["salt"].to_numpy(),
+                                   parts["bucket"].to_numpy())))
+    return {"partial_postings": (lambda: fn(fwd), f"{fwd.num_rows} docs"),
+            "merge_bucket": (lambda: build._merge_bucket(block),
+                             f"{block.num_rows} fragments")}
 
 
 def _group_sum_input(corpus, rng) -> list:
@@ -89,13 +155,23 @@ def run(seed: int, budget_s: float) -> dict:
         MinHasher, _shingle_hashes,
     )
     from search_engines_ray.index.reader import decode_runs
-    from search_engines_ray.index.varbyte import decode_postings
+    from search_engines_ray.index.varbyte import (
+        decode_postings, encode_postings, encode_runs,
+    )
     from search_engines_ray.query.distributed import _group_sum_entries
 
     rng = np.random.default_rng([seed, 9])
     index = gen.corpus(seed, INDEX_ROWS)
-    blobs = _postings(index, 0, INDEX_ROWS // SALTS)
+    runs = _runs(index, 0, INDEX_ROWS // SALTS)
+    blobs = [encode_postings(*r) for r in runs]
     cols = [list(c) for c in zip(*blobs)]
+    joined = [np.concatenate(c) for c in zip(*runs)]
+    run_off = np.concatenate(([0], np.cumsum([r[0].size for r in runs])))
+    pages = gen.corpus(seed, BUILD_ROWS)
+    writes = _build_kernels(*_forward(pages.texts(), pages.urls, PIDS),
+                            PIDS, 100)
+    zipf = _build_kernels(*_zipf_forward(np.random.default_rng([seed, 11])),
+                          PIDS, 256)
     texts = index.texts()[:DEDUP_ROWS]
     batch = gen.corpus(seed, DEDUP_ROWS).dedup_table()
     hasher = MinHasher()
@@ -109,6 +185,14 @@ def run(seed: int, budget_s: float) -> dict:
                            f"ms per {len(blobs)} runs"),
         "decode_joined": (lambda: decode_runs(*cols),
                           f"ms per {len(blobs)} runs"),
+        "encode_per_run": (lambda: [encode_postings(*r) for r in runs],
+                           f"ms per {len(runs)} runs"),
+        "encode_joined": (lambda: encode_runs(*joined, run_off),
+                          f"ms per {len(runs)} runs"),
+        **{name: (fn, f"ms per {unit}")
+           for name, (fn, unit) in writes.items()},
+        **{name + "_zipf": (fn, f"ms per {unit}")
+           for name, (fn, unit) in zipf.items()},
         "simple_tokenize": (lambda: [simple_tokenize(t) for t in texts],
                             f"ms per {len(texts)} pages"),
         "minhash": (lambda: hasher(batch), f"ms per {batch.num_rows} rows"),

@@ -1079,8 +1079,23 @@ def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                            batch_size=1024) \
         .map_batches(explode, batch_format="pyarrow") \
         .groupby(["band", "key"]).map_groups(bucket, batch_format="pandas")
-    return pairs.groupby(["id_a", "id_b"]).aggregate(
-        Min("hamming", alias_name="hamming"))
+    return _with_input_id_type(pairs.groupby(["id_a", "id_b"]).aggregate(
+        Min("hamming", alias_name="hamming")), ds, id_col)
+
+
+def _with_input_id_type(out, ds, id_col: str):
+    """``out`` with its ``id_a``/``id_b`` columns cast back to the type of
+    ``ds[id_col]``: Ray's groupby widens integer keys to int64."""
+    sch = ds.schema()
+    id_type = dict(zip(sch.names, sch.types)).get(id_col)
+    if not isinstance(id_type, pa.DataType) or id_type == pa.int64():
+        return out
+
+    def cast(b: pa.Table) -> pa.Table:
+        return b.cast(pa.schema([(f.name, id_type if f.name in ("id_a", "id_b")
+                                  else f.type) for f in b.schema]))
+
+    return out.map_batches(cast, batch_format="pyarrow")
 
 
 def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -1180,17 +1195,8 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     pairs = exchange(_signatures(ds, num_perm, shingle, text_col, id_col)
                      .map_batches(explode_bands, batch_format="pyarrow"),
                      blocks, partition_pairs, "pyarrow")
-    out = pairs.groupby(["id_a", "id_b"]).aggregate(
-        Count(alias_name="n_bands"))
-    # the groupby widens integer keys to int64: hand the ids back in
-    # their input type
-    sch = ds.schema()
-    id_type = dict(zip(sch.names, sch.types)).get(id_col)
-    if not isinstance(id_type, pa.DataType) or id_type == pa.int64():
-        return out
-    schema = pa.schema([("id_a", id_type), ("id_b", id_type),
-                        ("n_bands", pa.int64())])
-    return out.map_batches(lambda b: b.cast(schema), batch_format="pyarrow")
+    return _with_input_id_type(pairs.groupby(["id_a", "id_b"]).aggregate(
+        Count(alias_name="n_bands")), ds, id_col)
 
 
 def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -1295,7 +1301,8 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                          "id_b": b["id_b"].filter(pa.array(keep)),
                          "jaccard": pa.array(j[keep], pa.float64())})
 
-    return inter.map_batches(finish, batch_format="pyarrow")
+    return _with_input_id_type(
+        inter.map_batches(finish, batch_format="pyarrow"), ds, id_col)
 
 
 # ------------------------------------------------------- embedding near-dup

@@ -43,7 +43,7 @@ import pyarrow.parquet as pq
 
 from ..util import ByteLRU
 from .build import DOCMETA_DIR, FORWARD_DIR, POSTINGS_DIR, STATS_FILE, term_bucket
-from .varbyte import decode_postings
+from .varbyte import decode_postings, restart_runs
 
 # resident bytes of the process's one cache (forward shards + posting runs)
 CACHE_BYTES = 64 << 20
@@ -138,22 +138,17 @@ def decode_runs(docid_blobs: list[bytes], tf_blobs: list[bytes],
                 pos_blobs: list[bytes] | None = None) -> list[tuple]:
     """Decoded ``(docids, tfs, positions)`` of each run (positions None
     without ``pos_blobs``) from ONE ``decode_postings`` call over the
-    joined blobs. A run's first docid gap is its absolute first docid,
-    so the joined cumsum carries the previous runs' sum into it; taking
-    that sum off restarts each run (exact in wrapping 64-bit
-    arithmetic). Each blob's own value count splits docids and tfs, and
-    each run's tf sum splits positions: run boundaries are doc
-    boundaries, so the per-doc position cumsum runs across them."""
+    joined blobs (``varbyte.restart_runs`` restarts each run's docids).
+    Each blob's own value count splits docids and tfs, and each run's tf
+    sum splits positions: run boundaries are doc boundaries, so the
+    per-doc position cumsum runs across them."""
     if not docid_blobs:
         return []
     db, dc = _joined(docid_blobs)
     tb, tc = _joined(tf_blobs)
     d, tf, p = decode_postings(
         db, tb, None if pos_blobs is None else b"".join(pos_blobs))
-    if d.size:
-        carried = d[np.maximum(dc[:-1], 1) - 1]
-        carried[dc[:-1] == 0] = 0
-        d -= np.repeat(carried, np.diff(dc))
+    restart_runs(d, dc)
     out = zip(np.split(d, dc[1:-1]), np.split(tf, tc[1:-1]))
     if p is None:
         return [(a, b, None) for a, b in out]

@@ -26,15 +26,14 @@ _SEVEN = np.uint64(7)
 _THRESH = np.uint64(1) << (np.arange(1, 10, dtype=np.uint64) * _SEVEN)
 
 
-def vb_encode(values: np.ndarray) -> bytes:
-    """Encode a non-negative int array to varbyte bytes."""
+def _vb_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Varbyte bytes of a non-negative int array, and each value's byte
+    count (None when every value takes one byte)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    if int(v.max()) < 128:
+    if v.size == 0 or int(v.max()) < 128:
         # fast path: every value fits one byte (typical for position
         # gaps and tfs) — the encoded form IS the byte array
-        return v.astype(np.uint8).tobytes()
+        return v.astype(np.uint8), None
     # bytes needed per value: ceil(bitlen/7), min 1 — one searchsorted
     # pass instead of a shift loop
     nbytes = np.searchsorted(_THRESH, v, side="right") + 1
@@ -53,7 +52,12 @@ def vb_encode(values: np.ndarray) -> bytes:
         byte = np.where(is_last, byte, byte | np.uint8(0x80))
         out[idx] = byte
         shifted >>= _SEVEN
-    return out.tobytes()
+    return out, nbytes
+
+
+def vb_encode(values: np.ndarray) -> bytes:
+    """Encode a non-negative int array to varbyte bytes."""
+    return _vb_bytes(values)[0].tobytes()
 
 
 def vb_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
@@ -150,3 +154,75 @@ def decode_postings(docid_blob, tf_blob, pos_blob=None):
     else:
         positions = np.empty(0, dtype=np.int32)
     return docids, tfs, positions
+
+
+def _byte_offsets(nbytes: np.ndarray | None,
+                  value_off: np.ndarray) -> np.ndarray:
+    """Byte offsets of the values at ``value_off`` in an encoding whose
+    values take ``nbytes`` bytes each (None: one byte each)."""
+    if nbytes is None:
+        return value_off
+    ends = np.zeros(nbytes.size + 1, np.int64)
+    np.cumsum(nbytes, out=ends[1:])
+    return ends[value_off]
+
+
+def encode_runs(docids: np.ndarray, tfs: np.ndarray,
+                positions: np.ndarray | None, run_off: np.ndarray):
+    """Blobs of many runs from one pass: ``encode_postings`` of each run,
+    back to back.
+
+    ``docids``/``tfs`` hold every run's postings back to back (docids
+    ascending within a run), ``positions`` each posting's ascending
+    positions back to back (None or empty: no positions), and
+    ``run_off`` the posting offset of each run start plus the total.
+    Gaps restart at run starts (docids) and doc starts (positions), and
+    varbyte has no state across values, so the joined encoding is the
+    concatenation of the per-run encodings. Returns ``(bytes, offsets)``
+    per blob column (docid, tf, pos): run ``r``'s blob is
+    ``bytes[offsets[r]:offsets[r + 1]]``.
+    """
+    run_off = np.asarray(run_off, np.int64)
+    d = np.asarray(docids, np.uint64)
+    gaps = np.empty_like(d)
+    if d.size:
+        gaps[0] = d[0]
+        np.subtract(d[1:], d[:-1], out=gaps[1:])
+        gaps[run_off[:-1]] = d[run_off[:-1]]
+    dd, dn = _vb_bytes(gaps)
+    td, tn = _vb_bytes(tfs)
+    out = [(dd, _byte_offsets(dn, run_off)), (td, _byte_offsets(tn, run_off))]
+    if positions is None or not len(positions):
+        return out + [(np.empty(0, np.uint8), np.zeros_like(run_off))]
+    p = np.asarray(positions, np.uint64)
+    doc_off = np.zeros(d.size + 1, np.int64)
+    np.cumsum(tfs, out=doc_off[1:])
+    pgaps = np.empty_like(p)
+    pgaps[0] = p[0]
+    np.subtract(p[1:], p[:-1], out=pgaps[1:])
+    pgaps[doc_off[:-1]] = p[doc_off[:-1]]   # first position per doc is absolute
+    data, nbytes = _vb_bytes(pgaps)
+    return out + [(data, _byte_offsets(nbytes, doc_off[run_off]))]
+
+
+def restart_runs(docids: np.ndarray, run_off: np.ndarray) -> None:
+    """Per-run docids, in place, from the docid cumsum over runs joined
+    back to back (``run_off``: each run's posting offset plus the total).
+    A run's first docid gap is its absolute first docid, so the joined
+    cumsum carries the previous runs' sum into it; taking that sum off
+    restarts each run (exact in wrapping 64-bit arithmetic)."""
+    if docids.size:
+        starts = np.asarray(run_off[:-1], np.int64)
+        carried = docids[np.maximum(starts, 1) - 1]
+        carried[starts == 0] = 0
+        docids -= np.repeat(carried, np.diff(run_off))
+
+
+def decode_joined(docid_buf, tf_buf, pos_buf, run_off: np.ndarray):
+    """Inverse of ``encode_runs``: every run's docids, tfs and positions
+    (None without ``pos_buf``) back to back, from ONE ``decode_postings``
+    call over the joined blobs. Run boundaries are doc boundaries, so the
+    per-doc position cumsum runs across them."""
+    d, tf, p = decode_postings(docid_buf, tf_buf, pos_buf)
+    restart_runs(d, run_off)
+    return d, tf, p

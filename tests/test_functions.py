@@ -560,6 +560,38 @@ def test_minhash_ops_keep_the_id_type(dup_docs, id_type):
     pd.testing.assert_frame_equal(as_int64(cp.to_pandas()), as_int64(want))
 
 
+@pytest.mark.parametrize("id_type", [pa.int32(), pa.string()])
+def test_pair_ops_keep_the_id_type(dup_docs, id_type):
+    """``simhash_pairs`` and ``ngram_jaccard_pairs`` end in a Ray groupby
+    that widens integer ids to int64; both hand int32 and string ids
+    back in their input type, and the int64 results are the same pairs
+    with the ids cast."""
+    from search_engines_ray.functions import (
+        ngram_jaccard_pairs, simhash_pairs,
+    )
+    import ray.data as rd
+
+    t = pa.concat_tables(dup_docs.iter_batches(batch_format="pyarrow",
+                                               batch_size=None))
+    i = t.schema.get_field_index("doc_id")
+    ds = rd.from_arrow(t.set_column(i, "doc_id", t["doc_id"].cast(id_type)))
+
+    def as_int64(df):
+        df = df.astype({"id_a": np.int64, "id_b": np.int64})
+        return df.sort_values(list(df.columns), ignore_index=True)
+
+    for op, kw in ((simhash_pairs, {}),
+                   (ngram_jaccard_pairs, {"threshold": 0.5})):
+        got = pa.concat_tables(op(ds, **kw).iter_batches(
+            batch_format="pyarrow", batch_size=None))
+        assert got.schema.field("id_a").type == id_type, op.__name__
+        assert got.schema.field("id_b").type == id_type, op.__name__
+        want = op(dup_docs, **kw).to_pandas()
+        assert len(want) > 0, op.__name__
+        pd.testing.assert_frame_equal(as_int64(got.to_pandas()),
+                                      as_int64(want))
+
+
 def test_embedding_dedup_matches_numpy(emb_ds):
     from search_engines_ray.functions import embedding_dedup
     t = emb_ds.to_pandas()

@@ -193,3 +193,43 @@ def test_lineage_inspect_cmd(ray_session, tmp_path, toy_pages):
     assert out["n_docs"] == 7               # 8 rows, 1 duplicate url
     assert out["n_partitions"] == len(out["partitions"]) >= 1
     assert all("wall_s" in e for e in out["partitions"])
+
+
+def test_lineage_multi_fragment_postings_equal_plain(ray_session, tmp_path,
+                                                    docs_pages):
+    """With partial batches of 16 docs every frequent term has several
+    fragments per salt: the plain build's sorted-block merge and the
+    lineage build's per-cell merge write the same postings rows (two
+    fields, no positions, index-time synonyms), and the same stats."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    ds = rd.from_pandas(docs_pages)
+    kw = dict(P=8, postings_batch_size=16, store_positions=False,
+              fields={"body": "text", "url": "url"},
+              index_synonyms={"fast": ["quick"], "data": ["info"]})
+    a, b = str(tmp_path / "plain"), str(tmp_path / "lin")
+    _build(ds, a, lineage=False, token="m", **kw)
+    _build(ds, b, lineage=True, token="m", **kw)
+
+    def rows(idx):
+        t = pa.concat_tables(
+            pq.read_table(os.path.join(d, f)).append_column(
+                "bucket", pa.array([int(d.rsplit("=", 1)[1])]
+                                   * pq.read_metadata(os.path.join(d, f)).num_rows,
+                                   pa.int32()))
+            for d in (os.path.join(idx, "postings", x)
+                      for x in os.listdir(os.path.join(idx, "postings"))
+                      if x.startswith("bucket="))
+            for f in os.listdir(d) if f.endswith(".parquet"))
+        t = t.replace_schema_metadata(None)
+        return t.sort_by([(k, "ascending")
+                          for k in ("bucket", "salt", "field", "term")])
+
+    ra, rb = rows(a), rows(b)
+    assert ra.num_rows > 100 and ra.equals(rb)
+    assert max(ra["df"].to_pylist()) > 16       # runs merged many fragments
+    assert json.load(open(os.path.join(a, "stats.json"))) == \
+        json.load(open(os.path.join(b, "stats.json")))
+    assert _forward_table(a).equals(_forward_table(b))

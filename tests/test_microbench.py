@@ -17,6 +17,9 @@ def test_microbench_prints_every_kernel():
     assert len(out) == 1
     got = json.loads(out[0])
     assert set(got) == {"decode_per_run", "decode_joined",
+                        "encode_per_run", "encode_joined",
+                        "partial_postings", "merge_bucket",
+                        "partial_postings_zipf", "merge_bucket_zipf",
                         "simple_tokenize", "minhash", "minhash_affine",
                         "group_sum"}
     for v in got.values():
