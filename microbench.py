@@ -20,6 +20,9 @@ Kernels:
   seeded Zipf(1.1) sample over 200,000 words (4,096 docs of 250 tokens;
   merge input from 256-doc batches): a real vocabulary's run count,
   which the benchmark's 30 words hide;
+- ``compact_zipf``: compaction's kernels on that sample's 256-doc
+  fragments with 5 % of the docs tombstoned: ``merge._refragment``, the
+  (bucket, salt) sort and ``build._merge_bucket``;
 - ``simple_tokenize``: the tokenizer over 1,000 pages;
 - ``minhash``: ``MinHasher.__call__`` over a 1,000-row batch;
 - ``minhash_affine``: ``MinHasher.values`` alone, the (a*h + b) mod
@@ -106,21 +109,39 @@ def _zipf_forward(rng, n_docs: int = 4096, doc_len: int = 250,
     return fwd, offs
 
 
-def _build_kernels(fwd, offs, n_pids: int, merge_batch: int) -> dict:
+def _build_kernels(fwd, offs, n_pids: int, merge_batch: int):
     """``partial_postings`` over ``fwd`` as one batch and ``merge_bucket``
     over the (bucket, salt)-sorted fragments of ``merge_batch``-doc
-    batches, with the benchmark build's 16 buckets and 4 salts."""
+    batches, with the benchmark build's 16 buckets and 4 salts; also
+    returns those fragments."""
     import pyarrow as pa
     from search_engines_ray.index import build
     salt_of_pid = (np.arange(n_pids) * 4 // n_pids).astype(np.int32)
     fn = build._partial_postings_fn(["body"], 16, salt_of_pid, offs)
     parts = pa.concat_tables(fn(fwd.slice(i, merge_batch))
                              for i in range(0, fwd.num_rows, merge_batch))
-    block = parts.take(np.lexsort((parts["salt"].to_numpy(),
-                                   parts["bucket"].to_numpy())))
+    block = _sorted(parts)
     return {"partial_postings": (lambda: fn(fwd), f"{fwd.num_rows} docs"),
             "merge_bucket": (lambda: build._merge_bucket(block),
-                             f"{block.num_rows} fragments")}
+                             f"{block.num_rows} fragments")}, parts
+
+
+def _sorted(t):
+    """A table's rows sorted by (bucket, salt), as the build's sort hands
+    them to ``_merge_bucket``."""
+    return t.take(np.lexsort((t["salt"].to_numpy(), t["bucket"].to_numpy())))
+
+
+def _compact_kernel(parts, n_docs: int, rng):
+    """``compact``: ``_refragment`` over ``parts`` with 5 % of the docs
+    tombstoned, then the (bucket, salt) sort and ``_merge_bucket``."""
+    from search_engines_ray.index import build, merge
+    dels = np.sort(rng.choice(n_docs, n_docs // 20, replace=False))
+
+    def compact():
+        frags = merge._refragment(parts, dels, SALTS, n_docs - dels.size)
+        return build._merge_bucket(_sorted(frags))
+    return compact, f"{parts.num_rows} fragments"
 
 
 def _group_sum_input(corpus, rng) -> list:
@@ -168,10 +189,12 @@ def run(seed: int, budget_s: float) -> dict:
     joined = [np.concatenate(c) for c in zip(*runs)]
     run_off = np.concatenate(([0], np.cumsum([r[0].size for r in runs])))
     pages = gen.corpus(seed, BUILD_ROWS)
-    writes = _build_kernels(*_forward(pages.texts(), pages.urls, PIDS),
-                            PIDS, 100)
-    zipf = _build_kernels(*_zipf_forward(np.random.default_rng([seed, 11])),
-                          PIDS, 256)
+    writes, _ = _build_kernels(*_forward(pages.texts(), pages.urls, PIDS),
+                               PIDS, 100)
+    zipf_fwd, zipf_offs = _zipf_forward(np.random.default_rng([seed, 11]))
+    zipf, zipf_parts = _build_kernels(zipf_fwd, zipf_offs, PIDS, 256)
+    zipf["compact"] = _compact_kernel(zipf_parts, zipf_fwd.num_rows,
+                                      np.random.default_rng([seed, 13]))
     texts = index.texts()[:DEDUP_ROWS]
     batch = gen.corpus(seed, DEDUP_ROWS).dedup_table()
     hasher = MinHasher()

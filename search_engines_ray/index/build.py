@@ -565,6 +565,16 @@ def _partial_postings_fn(fields: list[str], num_buckets: int,
     return fn
 
 
+def _gather_positions(p: np.ndarray, tf: np.ndarray,
+                      idx: np.ndarray) -> np.ndarray:
+    """The position segments of the postings at ``idx``, in that order
+    (``p`` holds every posting's ``tf`` positions back to back)."""
+    seg = _cumsum0(tf)[:-1][idx]
+    new_len = tf[idx].astype(np.int64)
+    return p[np.repeat(seg - _cumsum0(new_len)[:-1], new_len)
+             + np.arange(int(new_len.sum()))]
+
+
 def _merge_bucket(t: pa.Table) -> pa.Table:
     """Merge every (bucket, salt, term, field) run of a block of partial
     fragments in one pass; runs come out in order of first appearance.
@@ -600,11 +610,7 @@ def _merge_bucket(t: pa.Table) -> pa.Table:
                            frag_df)
         o = np.lexsort((d, run_of))
         if p.size:
-            # gather each posting's position segment in the new order
-            seg = _cumsum0(tf)[:-1][o]
-            new_len = tf[o].astype(np.int64)
-            p = p[np.repeat(seg - _cumsum0(new_len)[:-1], new_len)
-                  + np.arange(int(new_len.sum()))]
+            p = _gather_positions(p, tf, o)
         merged = encode_runs(d[o], tf[o], p, _cumsum0(df[multi]))
         for chunks, b in zip(blobs, merged):
             chunks.append(_blob_array(*b))
@@ -623,6 +629,16 @@ def _merge_bucket(t: pa.Table) -> pa.Table:
         **{c: pa.chunked_array(chunks, pa.binary()).take(slot[rank])
            for c, chunks in zip(_BLOB_COLS, blobs)},
     }, schema=_POSTINGS_SCHEMA)
+
+
+def _write_runs(fragments: "ray.data.Dataset", pdir: str) -> None:
+    """Merge posting fragments into runs and write them under ``pdir``,
+    one hive directory per bucket. The sort keeps each (bucket, salt)
+    key inside one block, so every run merges in one ``_merge_bucket``
+    call."""
+    fragments.sort(["bucket", "salt"]).map_batches(
+        _merge_bucket, batch_size=None, batch_format="pyarrow"
+    ).write_parquet(pdir, partition_cols=["bucket"])
 
 
 class _PostingsGroupWriter:
@@ -785,10 +801,7 @@ def build_index(pages: "ray.data.Dataset", index_dir: str,
                 lin = _postings_lineage_merge(partial, index_dir, fp,
                                               cfg.num_buckets, S)
             else:
-                # the sort keeps each (bucket, salt) key inside one block
-                partial.sort(["bucket", "salt"]).map_batches(
-                    _merge_bucket, batch_size=None, batch_format="pyarrow"
-                ).write_parquet(pdir, partition_cols=["bucket"])
+                _write_runs(partial, pdir)
         metrics.update({f"postings_{k}": v for k, v in lin.items()})
         _mark_stage(index_dir, POSTINGS_DIR, fp, **lin)
     metrics["postings_s"] = time.time() - t2

@@ -1,13 +1,14 @@
-"""Incremental index merge: segment-style concatenation of two built
-indexes into a third, without retokenizing a single document.
+"""Incremental index merge: segment-style concatenation of built
+indexes into a new one, without retokenizing a single document.
 
 The index layout was designed for this (build.py's docstring contract):
 a term's postings are stored as SALTED RUNS over disjoint docid ranges,
 merged at read time by ``min_docid`` concatenation (``reader.py
 postings_many``), and the docid blob's first varbyte value is ABSOLUTE
-(``varbyte.delta_encode``). So merging index B after index A is pure
-metadata surgery, streamed row-by-row with no blob re-encode beyond the
-first varint of each docid blob:
+(``varbyte.delta_encode``). So merging index B after index A is
+metadata surgery plus one vectorized pass over each block's docid
+blobs, which shifts every run's leading absolute docid and leaves every
+gap byte as it is:
 
 - forward rows of B shift their ``pid`` by A's partition count; the
   global docid (= ``pid_offsets[pid] + docid_local``) then lands in
@@ -32,8 +33,10 @@ index, ``Idx.java:44-58``); here it makes the build plane incremental:
 index the day's crawl alone, then fold it into the main index at
 metadata cost, instead of re-running tokenization over 100 TB.
 
-Both inputs stream through Ray Data (two read→map→write jobs per
-plane); nothing is gathered to the driver but the two stats dicts.
+Every input streams through Ray Data (one read→map→write job per input
+and plane); nothing is gathered to the driver but the stats dicts.
+Compaction (``compact_index``) cuts the runs into fragments of the new
+salt layout and hands them to the build's own sort and merge kernel.
 
 Caveat (same as a Lucene segment merge): build-plane url dedup is per
 build — a document present in BOTH inputs stays present twice after the
@@ -50,139 +53,93 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .build import FORWARD_DIR, POSTINGS_DIR, STATS_FILE
-from .varbyte import vb_encode
+from .build import (
+    _BLOB_COLS, _POSTINGS_SCHEMA, FORWARD_DIR, POSTINGS_DIR, STATS_FILE,
+    _blob_array, _cumsum0, _gather_positions, _joined_bytes,
+)
+from .varbyte import (
+    _byte_offsets, _vb_bytes, decode_joined, encode_runs, vb_decode,
+)
 
 
-def _rebase_blob(blob: bytes, offset: int) -> bytes:
-    """Shift the leading ABSOLUTE varbyte value of a delta-coded docid
-    blob by ``offset``; the remaining bytes are gaps and stay verbatim."""
-    i = 0
-    while blob[i] & 0x80:
-        i += 1
-    first = 0
-    for k in range(i + 1):
-        first |= (blob[k] & 0x7F) << (7 * k)
-    return (vb_encode(np.array([first + offset], np.uint64)) + blob[i + 1:])
+def _rebase_docids(blobs, df: np.ndarray, base: int) -> pa.Array:
+    """Docid blobs with ``base`` added to each run's leading absolute
+    docid (run ``r`` holds ``df[r]`` values). The other gaps re-encode
+    to the bytes they came from: the codec writes one form per value."""
+    gaps = vb_decode(_joined_bytes(blobs))
+    run_off = _cumsum0(df)
+    gaps[run_off[:-1]] += np.uint64(base)
+    data, nbytes = _vb_bytes(gaps)
+    return _blob_array(data, _byte_offsets(nbytes, run_off))
 
 
 def merge_indexes(index_a: str, index_b: str, out_dir: str) -> dict:
     """Merge built index ``index_b`` into ``index_a``'s docid space,
-    writing a complete new index at ``out_dir``. Returns the merged
-    stats dict. Requires both inputs to share ``num_buckets`` (bucket
-    partition pruning hashes terms identically on both sides),
-    ``analyzer`` and field set."""
-    with open(os.path.join(index_a, STATS_FILE)) as f:
-        sa = json.load(f)
-    with open(os.path.join(index_b, STATS_FILE)) as f:
-        sb = json.load(f)
-    for key in ("num_buckets", "analyzer", "positions"):
-        if sa.get(key, True) != sb.get(key, True):
-            raise ValueError(
-                f"cannot merge: {key} differs ({sa.get(key)!r} vs "
-                f"{sb.get(key)!r}) — rebuild one side to match")
-    if sorted(sa["fields"]) != sorted(sb["fields"]):
-        raise ValueError(
-            f"cannot merge: field sets differ ({sorted(sa['fields'])} vs "
-            f"{sorted(sb['fields'])})")
+    writing a complete new index at ``out_dir``: the two-input
+    ``merge_indexes_many``. Returns the merged stats dict. Requires both
+    inputs to share ``num_buckets`` (bucket partition pruning hashes
+    terms identically on both sides), ``analyzer`` and field set."""
+    return merge_indexes_many([index_a, index_b], out_dir)
 
-    import ray.data as rd
 
-    n_a = int(sa["n_docs"])
-    pids_a = len(sa["pid_offsets"]) - 1
-    salts_a = int(sa.get("merge_salts", 4))
-    os.makedirs(out_dir, exist_ok=True)
-
-    # ---- forward plane: A verbatim, B with pid shifted
-    fwd_out = os.path.join(out_dir, FORWARD_DIR)
-    rd.read_parquet(os.path.join(index_a, FORWARD_DIR)) \
-        .write_parquet(fwd_out)
-
-    def shift_pid(b: pa.Table) -> pa.Table:
-        pid = b["pid"].to_numpy(zero_copy_only=False) + np.int32(pids_a)
-        return b.set_column(b.schema.get_field_index("pid"), "pid",
-                            pa.array(pid.astype(np.int32)))
-
-    rd.read_parquet(os.path.join(index_b, FORWARD_DIR)) \
-        .map_batches(shift_pid, batch_format="pyarrow") \
-        .write_parquet(fwd_out)
-
-    # ---- postings plane: A verbatim, B salted + docid-rebased. The
-    # hive `bucket=` partition column is re-derived from the directory
-    # scheme by the read and re-emitted by the partitioned write, so
-    # bucket pruning keeps working on the merged index.
-    post_out = os.path.join(out_dir, POSTINGS_DIR)
-
-    def with_int_bucket(b: pa.Table) -> pa.Table:
-        i = b.schema.get_field_index("bucket")
-        return b.set_column(i, "bucket", b["bucket"].cast(pa.int32()))
-
-    rd.read_parquet(os.path.join(index_a, POSTINGS_DIR)) \
-        .map_batches(with_int_bucket, batch_format="pyarrow") \
-        .write_parquet(post_out, partition_cols=["bucket"])
-
-    def rebase(b: pa.Table) -> pa.Table:
-        salt = b["salt"].to_numpy(zero_copy_only=False) + np.int32(salts_a)
-        mind = b["min_docid"].to_numpy(zero_copy_only=False) + np.int64(n_a)
-        blobs = [_rebase_blob(x, n_a) for x in b["docid_blob"].to_pylist()]
-        b = b.set_column(b.schema.get_field_index("salt"), "salt",
-                         pa.array(salt.astype(np.int32)))
-        b = b.set_column(b.schema.get_field_index("min_docid"), "min_docid",
-                         pa.array(mind))
-        b = b.set_column(b.schema.get_field_index("docid_blob"), "docid_blob",
-                         pa.array(blobs, pa.binary()))
-        return with_int_bucket(b)
-
-    rd.read_parquet(os.path.join(index_b, POSTINGS_DIR)) \
-        .map_batches(rebase, batch_format="pyarrow") \
-        .write_parquet(post_out, partition_cols=["bucket"])
-
-    # ---- stats: recompute-by-addition
-    fields = {
-        f: {"doc_count": sa["fields"][f]["doc_count"]
-            + sb["fields"][f]["doc_count"],
-            "sum_len": sa["fields"][f]["sum_len"]
-            + sb["fields"][f]["sum_len"]}
-        for f in sa["fields"]}
-    stats = {
-        "version": sa.get("version", 1),
-        "n_docs": n_a + int(sb["n_docs"]),
-        "fields": fields,
-        "num_buckets": sa["num_buckets"],
-        "merge_salts": salts_a + int(sb.get("merge_salts", 4)),
-        "docid_partitions": pids_a + (len(sb["pid_offsets"]) - 1),
-        "analyzer": sa.get("analyzer"),
-        "positions": bool(sa.get("positions", True)),
-        "pid_offsets": list(sa["pid_offsets"])
-        + [int(o) + n_a for o in sb["pid_offsets"][1:]],
-        "merged_from": [os.path.abspath(index_a), os.path.abspath(index_b)],
-    }
-    with open(os.path.join(out_dir, STATS_FILE), "w") as f:
-        json.dump(stats, f)
-    return stats
+def _refragment(t: pa.Table, dels: np.ndarray, salts: int,
+                n_live: int) -> pa.Table:
+    """A block of postings rows cut into fragments of the compacted
+    layout, in ``_POSTINGS_SCHEMA``: tombstoned docids (``dels``,
+    sorted) dropped, survivors renumbered densely (old docid − #deleted
+    below) and each run split where the new salt ``docid * salts //
+    n_live`` changes; runs left empty are dropped. Fragments of one new
+    run join in ``_merge_bucket``."""
+    df = t["df"].to_numpy()
+    d, tf, p = decode_joined(*(_joined_bytes(t[c]) for c in _BLOB_COLS),
+                             _cumsum0(df))
+    row = np.repeat(np.arange(t.num_rows), df)
+    if dels.size:
+        below = np.searchsorted(dels, d)
+        keep = np.flatnonzero(dels[np.minimum(below, dels.size - 1)] != d)
+        if p.size:
+            p = _gather_positions(p, tf, keep)
+        d, tf, row = d[keep] - below[keep], tf[keep], row[keep]
+    salt = d * salts // n_live
+    new = np.ones(d.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (salt[1:] != salt[:-1])
+    starts = np.flatnonzero(new)
+    if not starts.size:
+        return _POSTINGS_SCHEMA.empty_table()
+    run_off = np.append(starts, d.size)
+    blobs = encode_runs(d, tf, p, run_off)
+    head = t.select(["term", "field", "bucket"]).take(row[starts])
+    return pa.table({
+        "term": head["term"], "field": head["field"],
+        "bucket": head["bucket"].cast(pa.int32()),
+        "salt": salt[starts].astype(np.int32),
+        "df": np.diff(run_off),
+        "ctf": np.add.reduceat(tf, starts, dtype=np.int64),
+        "min_docid": d[starts],
+        "max_tf": np.maximum.reduceat(tf, starts).astype(np.int32),
+        **{c: _blob_array(*b) for c, b in zip(_BLOB_COLS, blobs)},
+    }, schema=_POSTINGS_SCHEMA)
 
 
 def compact_index(index_dir: str, out_dir: str,
-                  merge_salts: int | None = None,
-                  num_parts: int = 64, apply_deletes: bool = True) -> dict:
+                  merge_salts: int | None = None) -> dict:
     """Rewrite ``index_dir``'s postings into exactly ``merge_salts``
     docid-range runs per (term, field), writing a full new index at
     ``out_dir``. Returns the new stats dict.
 
-    With ``apply_deletes`` (default) and a ``deletes.json`` tombstone
-    sidecar present (``delete_docs``), compaction also PURGES the
-    tombstoned documents — Lucene's deletes-until-merge made physical:
-    deleted docids drop out of every posting run and the forward
-    table, survivors renumber densely (new docid = old − #deleted
-    below, pure arithmetic against the sorted tombstone array — no
-    mapping table ships), and every statistic (n_docs, per-field
-    doc_count / sum_len, pid_offsets) is recomputed, so post-purge
-    rankings equal a fresh build over the surviving corpus exactly.
-    The tombstone array rides along in task closures — it is the
-    DELETED set (≪ corpus by assumption); shard it like the doclens
-    if a caller ever tombstones a constant fraction of the corpus.
-    Without deletes the forward plane is copied verbatim (docids
-    unchanged).
+    With a ``deletes.json`` tombstone sidecar present (``delete_docs``),
+    compaction also PURGES the tombstoned documents — Lucene's
+    deletes-until-merge made physical: deleted docids drop out of every
+    posting run and the forward table, survivors renumber densely (new
+    docid = old − #deleted below, pure arithmetic against the sorted
+    tombstone array — no mapping table ships), and every statistic
+    (n_docs, per-field doc_count / sum_len, pid_offsets) is recomputed,
+    so post-purge rankings equal a fresh build over the surviving
+    corpus exactly. The tombstone array rides along in task arguments —
+    it is the DELETED set (≪ corpus by assumption); shard it like the
+    doclens if a caller ever tombstones a constant fraction of the
+    corpus. Without deletes the forward plane is copied verbatim
+    (docids unchanged).
 
     This is the LSM compaction that pairs with ``merge_indexes``: every
     merge ADDS the inputs' salt counts, so after k segment folds a term
@@ -192,27 +149,23 @@ def compact_index(index_dir: str, out_dir: str,
     (``merge_salts`` runs of roughly equal docid mass, boundaries at
     ``docid * S // n_docs``) without touching a single document.
 
-    Shape: ONE keyed exchange of the (vocab × salts)-row blob table —
-    rows hash-partition on (term, field) so each group holds all of a
-    term's runs; per partition the runs are decoded, concatenated in
-    ``min_docid`` order (disjoint ranges — already globally sorted),
-    re-split at the new boundaries and re-encoded. Payload bytes cross
-    the wire once; documents never do. ``merge_salts=None`` auto-sizes
-    like the build plane: ``ceil(n_docs / docs_per_salt)``, min 4.
+    Shape: the build's postings path. One map per read block
+    (``_refragment``) decodes its runs, applies the purge and cuts them
+    at the new salt boundaries; the fragments then take the build's
+    ``(bucket, salt)`` sort and ``_merge_bucket``, which joins the
+    fragments of each new run. Payload bytes cross the wire once;
+    documents never do. ``merge_salts=None`` auto-sizes like the build
+    plane: ``ceil(n_docs / docs_per_salt)``, min 4.
     """
-    import pandas as pd
-
     import ray.data as rd
 
-    from .build import IndexBuildConfig
-    from .varbyte import decode_postings, encode_postings
+    from .build import IndexBuildConfig, _write_runs
 
     with open(os.path.join(index_dir, STATS_FILE)) as f:
         stats = json.load(f)
     n_docs = int(stats["n_docs"])
     dels = np.empty(0, np.int64)
-    if apply_deletes and os.path.exists(os.path.join(index_dir,
-                                                     DELETES_FILE)):
+    if os.path.exists(os.path.join(index_dir, DELETES_FILE)):
         with open(os.path.join(index_dir, DELETES_FILE)) as f:
             dels = np.asarray(sorted(json.load(f).get("docids", [])),
                               np.int64)
@@ -248,96 +201,12 @@ def compact_index(index_dir: str, out_dir: str,
             .map_batches(purge_fwd, batch_format="pyarrow") \
             .write_parquet(fwd_out)
 
-    def key_part(b: pa.Table) -> pa.Table:
-        # deterministic across worker processes (Python's str hash is
-        # per-process salted and would split a term's runs across parts)
-        import pandas as pd
-        key = np.asarray(
-            [f"{t}\x00{f}" for t, f in zip(b["term"].to_pylist(),
-                                           b["field"].to_pylist())],
-            dtype=object)
-        part = (pd.util.hash_array(key, categorize=False)
-                % np.uint64(num_parts)).astype(np.int32)
-        return b.append_column("part", pa.array(part))
-
-    def recompact(g: pa.Table) -> pd.DataFrame:
-        df = g.to_pandas()
-        out = {k: [] for k in
-               ("term", "field", "bucket", "salt", "df", "ctf",
-                "min_docid", "max_tf", "docid_blob", "tf_blob",
-                "pos_blob")}
-        if df.empty:
-            typed = {"term": object, "field": object, "bucket": np.int32,
-                     "salt": np.int32, "df": np.int64, "ctf": np.int64,
-                     "min_docid": np.int64, "max_tf": np.int32,
-                     "docid_blob": object, "tf_blob": object,
-                     "pos_blob": object}
-            return pd.DataFrame({k: pd.Series([], dtype=t)
-                                 for k, t in typed.items()})
-        for (term, fld), rows in df.groupby(["term", "field"], sort=False):
-            rows = rows.sort_values("min_docid")
-            dparts, tparts, pparts = [], [], []
-            for db, tb, pb in zip(rows["docid_blob"], rows["tf_blob"],
-                                  rows["pos_blob"]):
-                d, tf, p = decode_postings(db, tb, pb)
-                dparts.append(d); tparts.append(tf); pparts.append(p)
-            docids = np.concatenate(dparts)
-            tfs = np.concatenate(tparts)
-            pos = np.concatenate(pparts)
-            pos_bounds = np.concatenate(
-                ([0], np.cumsum(tfs.astype(np.int64))))
-            if dels.size:
-                below = np.searchsorted(dels, docids)
-                probe = np.minimum(below, dels.size - 1)
-                keep = np.flatnonzero(dels[probe] != docids)
-                if keep.size == 0:
-                    continue
-                if pos.size:
-                    seg_len = tfs[keep].astype(np.int64)
-                    out_start = np.concatenate(
-                        ([0], np.cumsum(seg_len)[:-1]))
-                    idx = (np.repeat(pos_bounds[keep] - out_start,
-                                     seg_len)
-                           + np.arange(int(seg_len.sum())))
-                    pos = pos[idx]
-                # (empty pos = store_positions=False index: nothing to
-                # gather, re-encode emits empty blobs)
-                docids = docids[keep] - below[keep]   # dense renumber
-                tfs = tfs[keep]
-                pos_bounds = np.concatenate(
-                    ([0], np.cumsum(tfs.astype(np.int64))))
-            salt_of_doc = (docids * S // n_live).astype(np.int32)
-            bound = np.concatenate(([True],
-                                    salt_of_doc[1:] != salt_of_doc[:-1]))
-            starts = np.flatnonzero(bound)
-            ends = np.append(starts[1:], docids.size)
-            for a, z in zip(starts, ends):
-                d, tf = docids[a:z], tfs[a:z]
-                p = pos[pos_bounds[a]:pos_bounds[z]]
-                db, tb, pb = encode_postings(d, tf, p)
-                out["term"].append(term)
-                out["field"].append(fld)
-                out["bucket"].append(int(rows["bucket"].iloc[0]))
-                out["salt"].append(int(salt_of_doc[a]))
-                out["df"].append(int(d.size))
-                out["ctf"].append(int(tf.sum()))
-                out["min_docid"].append(int(d[0]))
-                out["max_tf"].append(int(tf.max()))
-                out["docid_blob"].append(db)
-                out["tf_blob"].append(tb)
-                out["pos_blob"].append(pb)
-        res = pd.DataFrame(out)
-        # match the build plane's column dtypes exactly so every output
-        # file (and the empty-partition frame above) agrees
-        return res.astype({"bucket": np.int32, "salt": np.int32,
-                           "df": np.int64, "ctf": np.int64,
-                           "min_docid": np.int64, "max_tf": np.int32})
-
-    rd.read_parquet(os.path.join(index_dir, POSTINGS_DIR)) \
-        .map_batches(key_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(recompact, batch_format="pyarrow") \
-        .write_parquet(os.path.join(out_dir, POSTINGS_DIR),
-                       partition_cols=["bucket"])
+    _write_runs(rd.read_parquet(os.path.join(index_dir, POSTINGS_DIR))
+                .map_batches(_refragment, batch_size=None,
+                             batch_format="pyarrow",
+                             fn_kwargs={"dels": dels, "salts": S,
+                                        "n_live": n_live}),
+                os.path.join(out_dir, POSTINGS_DIR))
 
     new_stats = dict(stats)
     new_stats["merge_salts"] = S
@@ -360,15 +229,16 @@ def compact_index(index_dir: str, out_dir: str,
                                            pa.int64())
             return pa.table(cols)
 
-        agg = rd.read_parquet(
+        rows = rd.read_parquet(
             fwd_out, columns=[f"len_{f2}" for f2 in flds]) \
-            .map_batches(psum, batch_format="pyarrow").to_pandas().sum()
+            .map_batches(psum, batch_format="pyarrow").take_all()
         new_stats["n_docs"] = int(n_live)
         new_stats["pid_offsets"] = [
             int(x) for x in offsets - np.searchsorted(dels, offsets)]
         new_stats["fields"] = {
-            f2: {"doc_count": int(agg[f"c_{f2}"]),
-                 "sum_len": int(agg[f"s_{f2}"])} for f2 in flds}
+            f2: {"doc_count": sum(int(r[f"c_{f2}"]) for r in rows),
+                 "sum_len": sum(int(r[f"s_{f2}"]) for r in rows)}
+            for f2 in flds}
         new_stats["purged_deletes"] = int(dels.size)
     with open(os.path.join(out_dir, STATS_FILE), "w") as f:
         json.dump(new_stats, f)
@@ -523,14 +393,15 @@ def merge_indexes_many(index_dirs: list[str], out_dir: str) -> dict:
     segment's bytes k−1 times (LSM write amplification); the N-way form
     is what a daily 100-TB crawl pipeline folds its shard builds with.
 
-    Per input i the metadata surgery generalizes the binary case:
-    ``pid += Σ_{j<i} pids_j``, ``salt += Σ_{j<i} salts_j``, docids
-    rebase by ``Σ_{j<i} n_docs_j`` (min_docid column + each docid
-    blob's leading absolute varint); df/ctf stay per-run. Stats
-    recompute by addition, so rankings equal a one-pass build over the
-    concatenated corpus — the same equivalence the binary merge tests
-    prove. Inputs must share num_buckets/analyzer/positions/fields;
-    the cross-segment url-dedup caveat of ``merge_indexes`` applies."""
+    Per input i the metadata surgery generalizes the two-input case of
+    the module docstring: ``pid += Σ_{j<i} pids_j``, ``salt += Σ_{j<i}
+    salts_j``, docids rebase by ``Σ_{j<i} n_docs_j`` (min_docid column +
+    each docid blob's leading absolute varint, ``_rebase_docids``);
+    df/ctf stay per-run. Stats recompute by addition, so rankings equal
+    a one-pass build over the concatenated corpus — the equivalence the
+    merge tests prove. Inputs must share
+    num_buckets/analyzer/positions/fields; the cross-segment url-dedup
+    caveat of the module docstring applies."""
     import ray.data as rd
 
     if len(index_dirs) < 2:
@@ -579,14 +450,14 @@ def merge_indexes_many(index_dirs: list[str], out_dir: str) -> dict:
                     + np.int32(salt_base)
                 mind = b["min_docid"].to_numpy(zero_copy_only=False) \
                     + np.int64(doc_base)
-                blobs = [_rebase_blob(x, doc_base)
-                         for x in b["docid_blob"].to_pylist()]
                 b = b.set_column(b.schema.get_field_index("salt"), "salt",
                                  pa.array(salt.astype(np.int32)))
                 b = b.set_column(b.schema.get_field_index("min_docid"),
                                  "min_docid", pa.array(mind))
-                b = b.set_column(b.schema.get_field_index("docid_blob"),
-                                 "docid_blob", pa.array(blobs, pa.binary()))
+                b = b.set_column(
+                    b.schema.get_field_index("docid_blob"), "docid_blob",
+                    _rebase_docids(b["docid_blob"], b["df"].to_numpy(),
+                                   doc_base))
             i = b.schema.get_field_index("bucket")
             return b.set_column(i, "bucket", b["bucket"].cast(pa.int32()))
 

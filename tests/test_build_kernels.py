@@ -1,7 +1,9 @@
 """The build's bulk kernels: ``varbyte.encode_runs`` against per-run
 ``encode_postings``, the ``_merge_bucket`` fan-in against a per-run
-reference merge, stats from the forward writer's per-pid rows, and the
-format bump's forward rebuild. The kernel tests run Ray-free."""
+reference merge, the merges' docid rebase and compaction's
+``_refragment`` against per-blob and per-term references, stats from the
+forward writer's per-pid rows, and the format bump's forward rebuild.
+The kernel tests run Ray-free."""
 
 import ast
 import inspect
@@ -13,11 +15,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from search_engines_ray.index import build
+from search_engines_ray.index import build, merge
 from search_engines_ray.index.varbyte import (
-    decode_joined, decode_postings, encode_postings, encode_runs,
+    decode_joined, decode_postings, encode_postings, encode_runs, vb_encode,
 )
 
 # ---------------------------------------------------------------- encode_runs
@@ -154,6 +156,122 @@ def test_merge_bucket_matches_per_run_merge(tmp_path, store_positions):
     assert build._merge_bucket(block.slice(0, 0)).num_rows == 0
 
 
+# ------------------------------------------------------------- docid rebase
+
+def _rebase_blob(blob: bytes, offset: int) -> bytes:
+    """Per-blob reference: shift the leading ABSOLUTE varbyte value of a
+    delta-coded docid blob by ``offset``; the other bytes stay verbatim."""
+    i = 0
+    while blob[i] & 0x80:
+        i += 1
+    first = 0
+    for k in range(i + 1):
+        first |= (blob[k] & 0x7F) << (7 * k)
+    return vb_encode(np.array([first + offset], np.uint64)) + blob[i + 1:]
+
+
+# first docids and offsets that carry a first value across the varint
+# length boundaries 127 -> 128 and 16,383 -> 16,384
+_first = st.one_of(st.integers(0, 2**40),
+                   st.sampled_from([0, 126, 127, 16_382, 16_383]))
+_rebase_run = st.tuples(_first, st.lists(st.integers(1, 2**20), max_size=4))
+
+
+@given(st.lists(_rebase_run, max_size=6),
+       st.one_of(st.integers(0, 2**40), st.sampled_from([1, 2, 16_257])),
+       st.integers(0, 6))
+@example([(127, [1]), (16_383, []), (5, [200, 3])], 1, 1)
+@example([(126, []), (0, [127])], 16_257, 0)
+@settings(max_examples=150, deadline=None)
+def test_rebase_docids_equals_per_blob_reference(runs, base, cut):
+    """Each rebased blob equals the per-blob reference byte for byte, on
+    a column split into two chunks."""
+    docids = [np.cumsum([first, *gaps]) for first, gaps in runs]
+    blobs = [encode_postings(d, np.ones(d.size), np.empty(0))[0]
+             for d in docids]
+    col = pa.array(blobs, pa.binary())
+    cut = min(cut, len(blobs))
+    got = merge._rebase_docids(
+        pa.chunked_array([col.slice(0, cut), col.slice(cut)]),
+        np.array([d.size for d in docids], np.int64), base)
+    assert got.to_pylist() == [_rebase_blob(b, base) for b in blobs]
+
+
+# --------------------------------------------------------------- compaction
+
+def _reference_compact(t: pa.Table, dels: np.ndarray, salts: int,
+                       n_live: int) -> pa.Table:
+    """Per-term compaction (the kernels' specification): a term's runs
+    decoded in ``min_docid`` order, tombstoned docs dropped, survivors
+    renumbered, split at ``docid * salts // n_live`` and re-encoded."""
+    terms = {}
+    for r in t.to_pylist():
+        terms.setdefault((r["term"], r["field"]), []).append(r)
+    out = []
+    for (term, fld), rows in terms.items():
+        rows.sort(key=lambda r: r["min_docid"])
+        dec = [decode_postings(r["docid_blob"], r["tf_blob"], r["pos_blob"])
+               for r in rows]
+        d = np.concatenate([x[0] for x in dec])
+        tf = np.concatenate([x[1] for x in dec])
+        segs = [s for x in dec for s in (
+            np.split(x[2], np.cumsum(x[1])[:-1]) if x[2].size
+            else [np.empty(0, np.int32)] * x[0].size)]
+        keep = np.flatnonzero(~np.isin(d, dels))
+        d = d[keep] - np.searchsorted(dels, d[keep])
+        tf = tf[keep]
+        salt = d * salts // n_live
+        for s in np.unique(salt):
+            i = np.flatnonzero(salt == s)
+            p = np.concatenate([segs[keep[j]] for j in i])
+            db, tb, pb = encode_postings(d[i], tf[i], p)
+            out.append({"term": term, "field": fld,
+                        "bucket": rows[0]["bucket"], "salt": int(s),
+                        "df": int(i.size), "ctf": int(tf[i].sum()),
+                        "min_docid": int(d[i[0]]),
+                        "max_tf": int(tf[i].max()), "docid_blob": db,
+                        "tf_blob": tb, "pos_blob": pb})
+    return pa.Table.from_pylist(out, schema=build._POSTINGS_SCHEMA)
+
+
+@pytest.mark.parametrize("store_positions", [True, False])
+@pytest.mark.parametrize("salts", [2, 5])
+@pytest.mark.parametrize("deletes", [True, False])
+def test_refragment_and_merge_equal_per_term_compaction(
+        tmp_path, store_positions, salts, deletes):
+    """Compaction's kernels (``_refragment`` per 7-row block, the build's
+    (bucket, salt) sort, ``_merge_bucket``) equal the per-term reference
+    row for row: input of 3-doc partial fragments over 3 salts (several
+    fragments per term), with and without tombstones (one fragment
+    wholly deleted), positions on and off, fewer and more new salts."""
+    cfg = build.IndexBuildConfig(
+        fields={"body": "text", "title": "title"}, num_buckets=3,
+        docid_partitions=6, store_positions=store_positions)
+    fwd, _ = _forward(tmp_path, cfg)
+    part = _partials(cfg, fwd, 3)
+    n_frag = part.group_by(["term", "field"]).aggregate([("df", "count")])
+    assert max(n_frag["df_count"].to_pylist()) >= 3
+    dels = np.empty(0, np.int64)
+    if deletes:
+        small = part.filter(pa.compute.less_equal(part["df"], 2)).slice(0, 1)
+        gone = decode_postings(small["docid_blob"][0].as_py(),
+                               small["tf_blob"][0].as_py())[0]
+        dels = np.union1d(np.arange(1, fwd.num_rows, 4), gone)
+    n_live = fwd.num_rows - dels.size
+    frags = pa.concat_tables(
+        merge._refragment(part.slice(i, 7), dels, salts, n_live)
+        for i in range(0, part.num_rows, 7))
+    got = build._merge_bucket(frags.take(np.lexsort((
+        np.arange(frags.num_rows), frags["salt"].to_numpy(),
+        frags["bucket"].to_numpy()))))
+    order = [(k, "ascending") for k in ("bucket", "term", "field", "salt")]
+    want = _reference_compact(part, dels, salts, n_live)
+    assert got.sort_by(order).equals(want.sort_by(order))
+    assert set(got["salt"].to_pylist()) == set(range(salts))
+    assert merge._refragment(part.slice(0, 0), dels, salts,
+                             n_live).num_rows == 0
+
+
 def test_forward_writer_returns_its_pid_stats(tmp_path):
     """Each pid's row (doc count, per-field length sums and non-zero
     counts) equals a scan of the forward file it wrote, written in
@@ -185,12 +303,15 @@ def _loop_iterables(fn) -> set[str]:
 
 
 def test_bulk_kernels_have_no_per_run_loop():
-    """The write-side kernels loop over the fields or the three blob
-    columns only — never over runs, terms or postings."""
+    """The write-side kernels (build, merge rebase, compaction) loop over
+    the fields or the three blob columns only — never over runs, terms
+    or postings."""
     assert _loop_iterables(encode_runs) == set()
     per_column = {"_BLOB_COLS", "zip(_BLOB_COLS, blobs)", "zip(blobs, merged)"}
     assert _loop_iterables(build._partial_postings_fn) <= {"fields"} | per_column
     assert _loop_iterables(build._merge_bucket) <= per_column
+    assert _loop_iterables(merge._refragment) <= per_column
+    assert _loop_iterables(merge._rebase_docids) == set()
 
 
 # ---------------------------------------------------------- stats + resume

@@ -131,7 +131,7 @@ def test_compact_restores_salt_budget(merged_and_full, tmp_path):
     from search_engines_ray.index.merge import compact_index
     dirs = merged_and_full["dirs"]
     out = str(tmp_path / "compacted")
-    stats = compact_index(dirs["m"], out, merge_salts=2, num_parts=4)
+    stats = compact_index(dirs["m"], out, merge_salts=2)
     assert stats["merge_salts"] == 2
     c, f = IndexReader(out), merged_and_full["full"]
     assert c.n_docs == f.n_docs
@@ -150,7 +150,7 @@ def test_compact_search_matches_full(merged_and_full, tmp_path):
     from search_engines_ray.query.models import BM25Model
     dirs = merged_and_full["dirs"]
     out = str(tmp_path / "compacted2")
-    compact_index(dirs["m"], out, merge_salts=3, num_parts=2)
+    compact_index(dirs["m"], out, merge_salts=3)
     ec = QueryEngine(IndexReader(out), BM25Model()).search("quick fox lazy", k=10)
     ef = QueryEngine(merged_and_full["full"], BM25Model()).search(
         "quick fox lazy", k=10)
@@ -164,7 +164,7 @@ def test_compact_distributed_matches_full(merged_and_full, tmp_path):
     from search_engines_ray.query.distributed import bm25_batch_search
     dirs = merged_and_full["dirs"]
     out = str(tmp_path / "compacted3")
-    compact_index(dirs["m"], out, merge_salts=2, num_parts=4)
+    compact_index(dirs["m"], out, merge_salts=2)
     qs = [("q1", "quick fox"), ("q2", "lazy cat dog")]
     tc = bm25_batch_search(out, qs, k=5).to_pandas()
     tf_ = bm25_batch_search(dirs["full"], qs, k=5).to_pandas()
@@ -222,7 +222,7 @@ def test_purge_equals_fresh_build(deletable_index, tmp_path, ray_session):
     gone = ["http://t.example.com/2", "http://t.example.com/5"]
     delete_docs(deletable_index, gone)
     out = str(tmp_path / "purged")
-    stats = compact_index(deletable_index, out, merge_salts=2, num_parts=4)
+    stats = compact_index(deletable_index, out, merge_salts=2)
     assert stats["purged_deletes"] == 2
 
     fresh = str(tmp_path / "fresh")
@@ -279,7 +279,7 @@ def test_positionless_lifecycle(tmp_path, ray_session):
     gone = ["http://t.example.com/5"]
     delete_docs(m, gone)
     out = str(tmp_path / "purged")
-    compact_index(m, out, merge_salts=2, num_parts=4)
+    compact_index(m, out, merge_salts=2)
 
     fresh = build(str(tmp_path / "fresh"),
                   pages[~pages["url"].isin(gone)], "fresh")
@@ -491,7 +491,7 @@ def test_upsert_then_compact_equals_rebuild(tmp_path, ray_session):
 
     # compact → equals a fresh build over the effective corpus
     comp = str(tmp_path / "comp")
-    compact_index(up, comp, merge_salts=2, num_parts=4)
+    compact_index(up, comp, merge_salts=2)
     eff = pd.concat([pages[pages["url"] != "http://t.example.com/2"], seg],
                     ignore_index=True)
     fresh = str(tmp_path / "fresh")
@@ -549,6 +549,43 @@ def test_update_attributes_rewrites_one_column(tmp_path, ray_session):
     for term in ("quick", "fox"):
         assert _by_ext(u, term) == _by_ext(s, term)
     assert u.n_docs == s.n_docs
+
+
+def test_merge_and_upsert_keep_attributes(tmp_path, ray_session):
+    """Doc-value attributes survive the two-input merge and an upsert:
+    the result lists them and ``attributes_for`` reads each doc's value
+    (the binary merge once wrote no ``attributes`` into stats.json)."""
+    import ray.data as rd
+    from search_engines_ray.index import (
+        IndexBuildConfig, IndexReader, build_index, merge_indexes)
+    from search_engines_ray.index.merge import upsert_docs
+
+    pages = _toy_pages().iloc[:7].copy()      # unique urls
+    pages["spam"] = np.arange(7, dtype=np.int64)
+    cfg = IndexBuildConfig(fields={"body": "text"}, num_buckets=4,
+                           docid_partitions=2, merge_salts=2,
+                           attributes={"spam": "spam"})
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    for d, df in ((a, pages.iloc[:4]), (b, pages.iloc[4:])):
+        build_index(rd.from_pandas(df.reset_index(drop=True)), d, cfg,
+                    input_token=d, resume=False)
+    # segment: doc 3 updated, doc 9 brand-new
+    seg = pd.DataFrame([("http://t.example.com/3", "updated dogs", 70),
+                        ("http://t.example.com/9", "new lazy fox", 90)],
+                       columns=["url", "text", "spam"])
+    m, up = str(tmp_path / "m"), str(tmp_path / "up")
+    merge_indexes(a, b, m)
+    upsert_docs(a, rd.from_pandas(seg), up, cfg, input_token="seg")
+
+    def pairs(df):
+        return sorted(zip(df["url"], df["spam"].astype(int)))
+
+    for out, want in ((m, pairs(pages)),
+                      (up, pairs(pd.concat([pages.iloc[:4], seg])))):
+        r = IndexReader(out)
+        assert r.attributes == ["spam"]
+        spam = r.attributes_for(np.arange(r.n_docs), ["spam"])["spam"]
+        assert sorted(zip(r.external_ids(), (int(x) for x in spam))) == want
 
 
 def test_three_way_merge_equals_full(tmp_path, ray_session):
@@ -691,7 +728,7 @@ def test_full_lifecycle_compose(tmp_path, ray_session):
     upsert_docs(main, rd.from_pandas(seg), up, IndexBuildConfig(**cfg),
                 input_token="seg")
     comp = str(tmp_path / "comp")
-    compact_index(up, comp, merge_salts=2, num_parts=4)
+    compact_index(up, comp, merge_salts=2)
     tar = str(tmp_path / "seg.tar")
     snapshot_index(comp, tar)
     restored = str(tmp_path / "restored")

@@ -20,6 +20,7 @@ def test_microbench_prints_every_kernel():
                         "encode_per_run", "encode_joined",
                         "partial_postings", "merge_bucket",
                         "partial_postings_zipf", "merge_bucket_zipf",
+                        "compact_zipf",
                         "simple_tokenize", "minhash", "minhash_affine",
                         "group_sum"}
     for v in got.values():
