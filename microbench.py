@@ -29,6 +29,10 @@ Kernels:
   (2^61-1) pass (``dedup._affine_p61``) over that batch's distinct
   shingle hashes and every permutation, so an arithmetic regression
   shows apart from tokenizing and hashing;
+- ``simhash``: ``dedup._simhash``, the SimHash fingerprints of that
+  1,000-row batch;
+- ``popcount``: ``dedup._popcount64`` over the XOR of every pair of
+  those fingerprints, the Hamming test of the SimHash ops;
 - ``group_sum``: ``distributed._group_sum_entries`` over one salt's
   entries of a 20-query BM25 batch.
 
@@ -173,7 +177,7 @@ def run(seed: int, budget_s: float) -> dict:
     from perfbench import gen
     from search_engines_ray.analysis.tokenizer import simple_tokenize
     from search_engines_ray.functions.dedup import (
-        MinHasher, _shingle_hashes,
+        MinHasher, _popcount64, _segment_pairs, _shingle_hashes, _simhash,
     )
     from search_engines_ray.index.reader import decode_runs
     from search_engines_ray.index.varbyte import (
@@ -202,6 +206,10 @@ def run(seed: int, budget_s: float) -> dict:
         [_shingle_hashes(simple_tokenize(t), hasher.shingle)
          for t in batch["text"].to_pylist()]))
     entries = _group_sum_input(index, rng)
+    dedup_texts = batch["text"].to_pylist()
+    fp = _simhash(dedup_texts)
+    i, j = _segment_pairs(np.arange(fp.size) == 0)
+    xor = fp[i] ^ fp[j]
 
     kernels = {
         "decode_per_run": (lambda: [decode_postings(*b) for b in blobs],
@@ -221,6 +229,9 @@ def run(seed: int, budget_s: float) -> dict:
         "minhash": (lambda: hasher(batch), f"ms per {batch.num_rows} rows"),
         "minhash_affine": (lambda: hasher.values(shingle_h),
                            f"ms per {shingle_h.size} distinct shingles"),
+        "simhash": (lambda: _simhash(dedup_texts),
+                    f"ms per {len(dedup_texts)} rows"),
+        "popcount": (lambda: _popcount64(xor), f"ms per {xor.size} pairs"),
         "group_sum": (lambda: _group_sum_entries(entries),
                       f"ms per {len(entries)} entries"),
     }

@@ -11,16 +11,24 @@ scale. All are Ray-Data-first:
 - **MinHash + LSH**: per-batch signatures (numpy universal hashing over
   token/shingle hashes), a GLOBAL identical-signature collapse (exact
   copies — the webtext norm — become member→rep edges and never reach
-  the banding), banding over the distinct signatures with the full
-  signature riding each band row, vectorized pairwise full-signature
-  Jaccard *estimate* + union-find within each bucket; cross-bucket
-  components resolved by driver-side union-find while the edge set is
-  small, by ``graph.connected_components`` (distributed star rounds)
-  when it is corpus-sized. True n-gram verification is available via
+  the banding), banding over the distinct signatures, then a
+  vectorized full-signature Jaccard *estimate* over every in-bucket
+  pair and min-label components per partition; cross-partition
+  components resolved on the driver while the edge set is small, by
+  ``graph.connected_components`` (distributed star rounds) when it is
+  corpus-sized. True n-gram verification is available via
   ``ngram_jaccard`` for callers holding the text.
-- **SimHash**: 64-bit weighted fingerprints; near-dup = Hamming ≤ k via
-  4-band exact-match blocking (pigeonhole: ≤3 differing bits leave one
-  16-bit band intact).
+- **SimHash**: 64-bit weighted fingerprints, per batch (md5 once per
+  distinct token); near-dup = Hamming ≤ k via 4-band exact-match
+  blocking (pigeonhole: ≤3 differing bits leave one 16-bit band
+  intact). ``simhash_dedup`` runs on MinHash's LSH core
+  (``_lsh_dedup``) with the 8-byte fingerprint as its signature and a
+  SWAR popcount as its pair test.
+- **Pair ops** (``simhash_pairs``, ``ngram_jaccard_pairs``,
+  ``minhash_candidate_pairs``): a ``partitioning.plan`` exchange keyed
+  by the blocking key, one segment all-pairs kernel
+  (``_segment_pairs``) per part, and, where a pair can meet in several
+  blocks, a second exchange keyed by id_a that counts its rows.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .partitioning import (
     ROWS_PER_PART, estimate_rows, exchange, part_of, plan,
@@ -83,15 +92,10 @@ def _stable_u64(s: str) -> int:
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
 
 
-def _token_hashes(tokens: list[str]) -> np.ndarray:
-    return np.fromiter((_stable_u64(t) for t in tokens), dtype=np.uint64,
-                       count=len(tokens))
-
-
 def _shingle_hashes(tokens: list[str], n: int) -> np.ndarray:
     if len(tokens) < n:
-        return _token_hashes([" ".join(tokens)]) if tokens else \
-            np.empty(0, dtype=np.uint64)
+        return np.array([_stable_u64(" ".join(tokens))] if tokens else [],
+                        dtype=np.uint64)
     return np.fromiter(
         (_stable_u64(" ".join(tokens[i:i + n])) for i in range(len(tokens) - n + 1)),
         dtype=np.uint64, count=len(tokens) - n + 1)
@@ -109,11 +113,17 @@ def _shingle_hashes(tokens: list[str], n: int) -> np.ndarray:
 #            remove_dup_spans at q_dup_span_stats' w=8);
 #   bands    16 band rows per distinct signature, by construction at
 #            the default bands=16 (minhash_lsh_dedup,
-#            minhash_candidate_pairs).
+#            minhash_candidate_pairs);
+#   simhash  4 band rows per doc, by construction (simhash_dedup,
+#            simhash_pairs);
+#   ngrams   52.1 distinct 3-word shingles per doc (ngram_jaccard_pairs
+#            at its default n=3).
 _DIGEST_DOCS_PER_PART = ROWS_PER_PART             # 1 digest per doc
 _LINE_DOCS_PER_PART = ROWS_PER_PART // 8          # 7.2 lines per doc
 _SHINGLE_DOCS_PER_PART = ROWS_PER_PART // 48      # 47.1 shingles per doc
 _BAND_DOCS_PER_PART = ROWS_PER_PART // 16         # 16 bands per doc
+_SIMHASH_DOCS_PER_PART = ROWS_PER_PART // 4       # 4 bands per doc
+_NGRAM_DOCS_PER_PART = ROWS_PER_PART // 53        # 52.1 shingles per doc
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -323,15 +333,147 @@ def select_canonical(clusters, scores, id_col: str = "doc_id",
                                                   batch_format="pyarrow")
 
 
-# ---------------------------------------------------------------- minhash
+# ---------------------------------------------------------------- kernels
 
-# MinHasher's chunk sizes, in rows of num_perm uint64 values: at 128
-# perms the arithmetic's temporaries (512 rows, 512 KiB) and one gather
-# (1,024 rows, 1 MiB) stay cache-sized; a 4,096-row gather ran its
-# reduceat about 3x slower (1-vCPU VM, perfbench's 1,000-row batch).
+# _per_doc's gather size, in table rows (MinHasher's are num_perm uint64
+# values wide): at 128 perms the affine pass's temporaries (512 rows,
+# 512 KiB) and one gather (1,024 rows, 1 MiB) stay cache-sized; a
+# 4,096-row gather ran its reduceat about 3x slower (1-vCPU VM,
+# perfbench's 1,000-row batch).
 _AFFINE_ROWS = 512
 _GATHER_ROWS = 1024
 
+
+def _shingle_strings(texts: list, k: int) -> tuple[list[str], np.ndarray]:
+    """Every text's word k-shingles joined by spaces, text after text,
+    and each text's shingle count. A text shorter than k tokens is one
+    shingle of its joined tokens and a text with no tokens has none
+    (``_shingle_hashes``' rule); at k = 1 the shingles are the tokens."""
+    from ..analysis.tokenizer import simple_tokenize
+    shingles: list[str] = []
+    lens = []
+    for t in texts:
+        toks = simple_tokenize(t or "")
+        if len(toks) >= k:
+            sh = list(map(" ".join, zip(*(toks[i:] for i in range(k)))))
+        else:
+            sh = [" ".join(toks)] if toks else []
+        shingles += sh
+        lens.append(len(sh))
+    return shingles, np.asarray(lens, dtype=np.int64)
+
+
+def _interned_u64(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, h): the ``pd.factorize`` codes of ``strings`` and the
+    ``_stable_u64`` of each distinct one, so md5 runs once per distinct
+    string of a batch."""
+    codes, distinct = pd.factorize(np.array(strings, dtype=object))
+    dg = b"".join([hashlib.md5(s.encode()).digest() for s in distinct])
+    return codes, np.frombuffer(dg, ">u8")[::2].astype(np.uint64)
+
+
+def _per_doc(ufunc, table: np.ndarray, codes: np.ndarray, lens: np.ndarray,
+             out: np.ndarray, dtype=None) -> np.ndarray:
+    """out[d] = ``ufunc`` folded over the rows ``table[codes[...]]`` of
+    doc d, the docs' runs of ``codes`` laid end to end with lengths
+    ``lens``; a doc with no rows keeps its ``out`` row. Each gather holds
+    about _GATHER_ROWS rows in whole docs (a longer doc gets one of its
+    own) and folds with one ``ufunc.reduceat`` at the doc starts, in
+    ``dtype`` when given."""
+    nz = np.flatnonzero(lens)
+    starts = np.concatenate(([0], np.cumsum(lens[nz])))
+    d = 0
+    while d < nz.size:
+        e = max(d + 1, int(np.searchsorted(
+            starts, starts[d] + _GATHER_ROWS, side="right")) - 1)
+        lo, hi = starts[d], starts[e]
+        out[nz[d:e]] = ufunc.reduceat(table[codes[lo:hi]], starts[d:e] - lo,
+                                      axis=0, dtype=dtype)
+        d = e
+    return out
+
+
+def _fixed_binary(buf: np.ndarray, n: int, width: int) -> pa.Array:
+    """n values of ``width`` bytes each over the C-contiguous ``buf``, as
+    one ``pa.binary()`` column (int32 offsets, no per-row bytes
+    objects); ``_sig_matrix`` reads it back."""
+    if n * width >= 1 << 31:
+        raise ValueError(f"{n} signatures overflow int32 offsets")
+    offsets = np.arange(n + 1, dtype=np.int32) * np.int32(width)
+    return pa.Array.from_buffers(
+        pa.binary(), n, [None, pa.py_buffer(offsets), pa.py_buffer(buf)])
+
+
+_M55 = np.uint64(0x5555555555555555)
+_M33 = np.uint64(0x3333333333333333)
+_M0F = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """int64 count of the set bits of each uint64 in ``x``: SWAR sums
+    over 2-, 4- and 8-bit fields, then one multiply adds the eight byte
+    counts into the top byte (numpy 1.26 has no ``bitwise_count``)."""
+    x = np.asarray(x, dtype=np.uint64)
+    x = x - ((x >> np.uint64(1)) & _M55)
+    x = (x & _M33) + ((x >> np.uint64(2)) & _M33)
+    x = (x + (x >> np.uint64(4))) & _M0F
+    with np.errstate(over="ignore"):
+        return ((x * _H01) >> np.uint64(56)).astype(np.int64)
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True at each row of the sorted key columns ``keys`` that differs
+    from the row before in any key (a 2-D key compares whole rows), and
+    at row 0."""
+    first = np.ones(len(keys[0]), dtype=bool)
+    if first.size > 1:
+        diff = [k[1:] != k[:-1] for k in keys]
+        first[1:] = np.logical_or.reduce(
+            [d.any(axis=1) if d.ndim > 1 else d for d in diff])
+    return first
+
+
+def _segment_pairs(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j): the positions of every row pair i < j inside one segment
+    of consecutive rows, ``first`` marking each segment's first row
+    (``_run_starts``). Row j pairs with the ``local[j]`` rows before it
+    in its segment, so j repeats local[j] times and i counts up from the
+    segment start: cumulative-sum index arithmetic, no per-segment
+    Python."""
+    row = np.arange(first.size)
+    local = row - np.maximum.accumulate(np.where(first, row, 0))
+    j = np.repeat(row, local)
+    return np.arange(j.size) - np.repeat(np.cumsum(local) - row, local), j
+
+
+def _min_labels(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node of each of n nodes' connected component over
+    the edges (a, b): labels propagate their minimum along every edge
+    and jump to their label's label, a few numpy passes a round, until
+    no label drops."""
+    lab = np.arange(n)
+    while True:
+        new = lab.copy()
+        m = np.minimum(lab[a], lab[b])
+        np.minimum.at(new, a, m)
+        np.minimum.at(new, b, m)
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """(node, component minimum) of every node of the edge list (a, b),
+    nodes ascending."""
+    nodes, codes = np.unique(np.concatenate((a, b)), return_inverse=True)
+    return nodes, nodes[_min_labels(codes[:a.size], codes[a.size:],
+                                    nodes.size)]
+
+
+# ---------------------------------------------------------------- minhash
 
 class MinHasher:
     """num_perm universal-hash minhash over word shingles; stateful
@@ -365,52 +507,21 @@ class MinHasher:
         a doc with no tokens gets all 2^64−1.
 
         Layout: the batch's shingle strings intern into one table of
-        distinct strings (``pd.factorize`` codes), and only those are
+        distinct strings (``_interned_u64``), and only those are
         md5-hashed and run through ``values``, into a doc-major
-        (distinct, num_perm) value table. Gather chunks of about
-        _GATHER_ROWS shingles hold whole docs (a longer doc gets a chunk
-        of its own): each takes its shingles' value rows and folds them
-        to per-doc minima with one ``np.minimum.reduceat`` at the doc
-        starts, straight into the (n, num_perm) signature buffer that
-        backs the column."""
-        from ..analysis.tokenizer import simple_tokenize
-        k, num_perm = self.shingle, self.num_perm
-        shingles: list[str] = []
-        lens = []
-        for t in batch[self.text_col].to_pylist():
-            toks = simple_tokenize(t or "")
-            if len(toks) >= k:
-                sh = list(map(" ".join, zip(*(toks[i:] for i in range(k)))))
-            else:
-                sh = [" ".join(toks)] if toks else []
-            shingles += sh
-            lens.append(len(sh))
-        n = len(lens)
-        if n * num_perm * 8 >= 1 << 31:
-            raise ValueError(f"{n} signatures overflow int32 offsets")
-        out = np.full((n, num_perm), np.iinfo(np.uint64).max, np.uint64)
+        (distinct, num_perm) value table. ``_per_doc`` folds each doc's
+        value rows to its minima straight into the (n, num_perm)
+        signature buffer that backs the column."""
+        shingles, lens = _shingle_strings(
+            batch[self.text_col].to_pylist(), self.shingle)
+        n = lens.size
+        out = np.full((n, self.num_perm), np.iinfo(np.uint64).max, np.uint64)
         if shingles:
-            inv, distinct = pd.factorize(np.array(shingles, dtype=object))
-            dg = b"".join([hashlib.md5(s.encode()).digest()
-                           for s in distinct])
-            vals = self.values(np.frombuffer(dg, ">u8")[::2])
-            lens = np.asarray(lens, dtype=np.int64)
-            nz = np.flatnonzero(lens)
-            starts = np.concatenate(([0], np.cumsum(lens[nz])))
-            d = 0
-            while d < nz.size:
-                e = max(d + 1, int(np.searchsorted(
-                    starts, starts[d] + _GATHER_ROWS, side="right")) - 1)
-                lo, hi = starts[d], starts[e]
-                out[nz[d:e]] = np.minimum.reduceat(
-                    vals[inv[lo:hi]], starts[d:e] - lo, axis=0)
-                d = e
-        offsets = np.arange(n + 1, dtype=np.int32) * np.int32(num_perm * 8)
+            codes, h = _interned_u64(shingles)
+            _per_doc(np.minimum, self.values(h), codes, lens, out)
         return pa.table({
             self.id_col: batch[self.id_col],
-            "minhash": pa.Array.from_buffers(
-                pa.binary(), n,
-                [None, pa.py_buffer(offsets), pa.py_buffer(out)]),
+            "minhash": _fixed_binary(out, n, self.num_perm * 8),
         })
 
 
@@ -436,9 +547,10 @@ def _signatures(ds, num_perm: int, shingle: int, text_col: str,
 
 def _sig_matrix(col, num_perm: int) -> np.ndarray:
     """(n, num_perm) uint64 rows of a binary column of fixed-width
-    signatures (``minhash``, or ``band_bytes`` with num_perm = rows per
-    band): a view of the value buffer from the array offset on, no
-    per-row bytes objects. Chunks are combined first (one copy)."""
+    signatures (``minhash``, ``simhash`` with num_perm = 1, or
+    ``band_bytes`` with num_perm = rows per band): a view of the value
+    buffer from the array offset on, no per-row bytes objects. Chunks
+    are combined first (one copy)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n, width = len(col), num_perm * 8
@@ -499,10 +611,11 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     signatures → GLOBAL identical-signature collapse (one shuffle keyed
     by a uint64 whole-signature fingerprint: member→rep edges out, one
     representative per distinct signature on) → band explode over the
-    DISTINCT signatures only → groupby band key → in-bucket union-find
-    over the full-signature Jaccard estimate → min-label
-    canonicalization (driver union-find when the edge set is small,
-    ``graph.connected_components`` when it is corpus-sized).
+    DISTINCT signatures only → bucket-keyed exchange → full-signature
+    Jaccard estimate over every in-bucket pair, components per partition
+    → min-label canonicalization (on the driver when the edge set is
+    small, ``graph.connected_components`` when it is corpus-sized).
+    The stages are ``_lsh_dedup``'s, which ``simhash_dedup`` shares.
 
     Why collapse first: webtext is dominated by exact copies, and every
     copy multiplies BOTH the band-shuffle payload (bands × 1 KB per
@@ -525,18 +638,39 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     # lazy: the signatures stream straight into the collapse exchange;
     # materializing them would add a barrier job and park ~1 KB/doc in
     # the object store
-    sig_ds = _signatures(ds, num_perm, shingle, text_col, id_col)
-    parts, blocks = plan(estimate_rows(ds), _BAND_DOCS_PER_PART)
+    return _lsh_dedup(
+        _signatures(ds, num_perm, shingle, text_col, id_col), "minhash",
+        num_perm,
+        lambda sig: _band_fold(sig.reshape(len(sig), bands, rows_per_band)),
+        lambda a, b: (a == b).mean(axis=1) >= jaccard_threshold,
+        id_col, *plan(estimate_rows(ds), _BAND_DOCS_PER_PART), attach_route)
+
+
+def _lsh_dedup(sig_ds, sig_col: str, width: int, band_keys, is_dup,
+               id_col: str, parts: int, blocks: int,
+               attach_route: str = "auto"):
+    """The banded near-dup core of ``minhash_lsh_dedup`` and
+    ``simhash_dedup``, set by data alone: ``sig_ds`` carries (id_col,
+    sig_col), each signature ``width`` uint64 values in one binary
+    value; ``band_keys`` maps an (n, width) uint64 signature matrix to
+    its (n, bands) uint64 bucket keys; ``is_dup(a, b)`` says which rows
+    of two (m, width) matrices are near-dups. → Dataset (id_col,
+    canonical_id), as ``minhash_lsh_dedup`` documents."""
+    import ray
+
+    from .join import _gather_small
+    if attach_route not in ("auto", "broadcast", "cogroup"):
+        raise ValueError(f"attach_route={attach_route!r}")
 
     def add_fp(b: pa.Table) -> pa.Table:
-        fp = _sig_fold(_sig_matrix(b["minhash"], num_perm))
+        fp = _sig_fold(_sig_matrix(b[sig_col], width))
         return pa.table({
             "part": pa.array(part_of(fp, parts)),
             "sigfp": pa.array(fp),
             id_col: b[id_col],
-            "minhash": b["minhash"]})
+            sig_col: b[sig_col]})
 
-    def collapse_fp(g: pa.Table) -> pd.DataFrame:
+    def collapse_fp(g: pa.Table) -> pa.Table:
         """Per hash partition of sigfp: one rep (min id) per distinct
         signature. Emits rep rows (is_rep=1, signature attached) for
         every distinct signature plus member→rep edges (is_rep=0) for
@@ -545,8 +679,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         fps = g["sigfp"].to_numpy()
         ord_id = np.argsort(ids, kind="stable")
         order = ord_id[np.argsort(fps[ord_id], kind="stable")]
-        f = fps[order]
-        bound = np.concatenate(([True], f[1:] != f[:-1]))
+        bound = _run_starts(fps[order])
         run_id = np.cumsum(bound) - 1
         first = order[np.flatnonzero(bound)]       # rep = min id per fp
         rep_of = first[run_id]
@@ -556,8 +689,8 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             id_col: g[id_col].take(np.concatenate((first, members))),
             "canonical_id": g[id_col].take(
                 np.concatenate((first, rep_for_member))),
-            "minhash": pa.chunked_array(
-                g["minhash"].take(first).chunks
+            sig_col: pa.chunked_array(
+                g[sig_col].take(first).chunks
                 + [pa.array([b""] * len(members), pa.binary())],
                 pa.binary()),
             "is_rep": pa.array(np.concatenate((
@@ -566,13 +699,14 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     collapsed = exchange(sig_ds.map_batches(add_fp, batch_format="pyarrow"),
                          blocks, collapse_fp, "pyarrow").materialize()
+    # Arrow blocks: member_edges is unioned with partition_pairs' Arrow
+    # edges, and a pandas/Arrow block mix makes Ray warn of a schema change
     member_edges = collapsed.map_batches(
-        lambda b: b[(b["is_rep"] == 0).to_numpy()][[id_col,
-                                                    "canonical_id"]],
-        batch_format="pandas")
+        lambda b: b.filter(pc.equal(b["is_rep"], 0))
+        .select([id_col, "canonical_id"]), batch_format="pyarrow")
     reps = collapsed.map_batches(
-        lambda b: b[(b["is_rep"] == 1).to_numpy()][[id_col, "minhash"]],
-        batch_format="pandas")
+        lambda b: b.filter(pc.equal(b["is_rep"], 1))
+        .select([id_col, sig_col]), batch_format="pyarrow")
 
     # ---- banding, TWO light exchanges (r5, found by the 8M-doc scale
     # rehearsal): the old single exchange shipped the FULL signature
@@ -587,16 +721,14 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     # each requested member's signature (signature bytes move once per
     # requesting bucket, for CANDIDATE docs only) and re-partitions by
     # bucket for the unchanged in-bucket verification. Same fold keys,
-    # same member sets, same Jaccard verification — bit-identical
-    # output; only the exchange volume changed: O(candidate sigs)
-    # instead of O(corpus × bands) signature bytes.
+    # same member sets, same verification — bit-identical output; only
+    # the exchange volume changed: O(candidate sigs) instead of
+    # O(corpus × bands) signature bytes.
 
     def explode_light(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        sig = _sig_matrix(b["minhash"], num_perm) \
-            .reshape(n, bands, rows_per_band)
-        hv = _band_fold(sig).reshape(-1)
-        idx = np.repeat(np.arange(n), bands)
+        hv = band_keys(_sig_matrix(b[sig_col], width))
+        idx = np.repeat(np.arange(b.num_rows), hv.shape[1])
+        hv = hv.reshape(-1)
         return pa.table({
             "part": pa.array(part_of(hv, parts)),
             "bucket": pa.array(hv),
@@ -619,11 +751,9 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         order = np.lexsort((ids, buckets))
         sb, sid = buckets[order], ids[order]
         # drop duplicate (bucket, id) rows, then keep segments ≥ 2
-        dupe = (sb[1:] == sb[:-1]) & (sid[1:] == sid[:-1])
-        keep = np.concatenate(([True], ~dupe))
+        keep = _run_starts(sb, sid)
         sb, sid = sb[keep], sid[keep]
-        bound = np.concatenate(([True], sb[1:] != sb[:-1]))
-        starts = np.flatnonzero(bound)
+        starts = np.flatnonzero(_run_starts(sb))
         lens = np.diff(np.concatenate((starts, [len(sb)])))
         big = np.repeat(lens >= 2, lens)
         if not big.any():
@@ -635,88 +765,29 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     requests = exchange(reps.map_batches(explode_light, batch_format="pyarrow"),
                         blocks, nontrivial_members, "pyarrow").materialize()
 
-    def partition_pairs(g: pa.Table) -> pd.DataFrame:
-        """One call per HASH PARTITION of the buckets, not per
-        bucket: a groupby().map_groups at bucket grain costs one Python
-        call per bucket (~bands × n_reps groups, almost all
-        singletons); here the partition's buckets are segmented
-        vectorized and only non-trivial ones (≥2 reps — rare) run the
-        O(k²)-bounded union-find with early exit. Emits (member,
-        component-min) per in-bucket component; global transitivity is
-        _compress_canonical's job."""
-        empty = pd.DataFrame({id_col: [], "canonical_id": []})
-        if g.num_rows < 2:
-            return empty
+    def partition_pairs(g: pa.Table) -> pa.Table:
+        """One call per HASH PARTITION of the buckets, not per bucket:
+        rows sort by (bucket, id), a repeated (bucket, id) drops, every
+        bucket's row pairs (``_segment_pairs``) go through ``is_dup``
+        in chunks of at most 2^22 signature values a side, and the
+        partition's passing pairs fold to (member, component-min) rows
+        (``_components``). No per-bucket or per-pair Python; global
+        transitivity is _compress_canonical's job."""
         buckets = g["bucket"].to_numpy()
-        order = np.argsort(buckets, kind="stable")
-        bs = buckets[order]
-        seg = np.flatnonzero(np.concatenate(
-            ([True], bs[1:] != bs[:-1], [True])))
-        ids_all = g[id_col].to_pylist()
-        id_dtype = g.schema.field(id_col).type.to_pandas_dtype()
-        sigs_all = _sig_matrix(g["minhash"], num_perm)
-        frames = []
-        for lo, hi in zip(seg[:-1], seg[1:]):
-            if hi - lo < 2:
-                continue
-            rows = order[lo:hi]
-            seen: dict = {}
-            for r in rows:
-                seen.setdefault(ids_all[r], r)
-            k = len(seen)
-            if k < 2:
-                continue
-            ids = sorted(seen)
-            # vectorized pairwise estimate: boilerplate-heavy corpora
-            # produce buckets with hundreds of distinct signatures, and
-            # a per-pair Python predicate (k² lambda calls) dominated
-            # the stage wall; one broadcast compare per bucket (row-
-            # chunked to bound the k×k×num_perm temporary) leaves only
-            # the passing edges to a tiny index union-find.
-            A = sigs_all[[seen[i] for i in ids]]
-            ea: list = []
-            eb: list = []
-            step = max(1, 4_000_000 // (k * num_perm))
-            for r0 in range(0, k, step):
-                est = (A[r0:r0 + step, None, :] == A[None, :, :]) \
-                    .mean(axis=2)
-                ii, jj = np.nonzero(est >= jaccard_threshold)
-                ii = ii + r0
-                keep = ii < jj
-                ea += ii[keep].tolist()
-                eb += jj[keep].tolist()
-            if not ea:
-                continue
-            parent = list(range(k))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i, j in zip(ea, eb):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    lo_, hi_ = (ri, rj) if ri < rj else (rj, ri)
-                    parent[hi_] = lo_
-            comp: dict = {}
-            for x in range(k):
-                comp.setdefault(find(x), []).append(x)
-            out_id, out_canon = [], []
-            for root, mem in comp.items():
-                if len(mem) < 2:
-                    continue
-                canon = ids[min(mem)]
-                for m in mem:
-                    out_id.append(ids[m])
-                    out_canon.append(canon)
-            if out_id:
-                frames.append(pd.DataFrame({
-                    id_col: pd.Series(out_id, dtype=id_dtype),
-                    "canonical_id": pd.Series(out_canon, dtype=id_dtype)}))
-        return pd.concat(frames).drop_duplicates(ignore_index=True) \
-            if frames else empty
+        ids = g[id_col].to_numpy()
+        order = np.lexsort((ids, buckets))
+        order = order[_run_starts(buckets[order], ids[order])]
+        i, j = _segment_pairs(_run_starts(buckets[order]))
+        i, j = order[i], order[j]
+        sig = _sig_matrix(g[sig_col], width)
+        step = max(1, (1 << 22) // width)
+        hit = np.concatenate([np.zeros(0, bool)] + [
+            is_dup(sig[i[lo:lo + step]], sig[j[lo:lo + step]])
+            for lo in range(0, i.size, step)])
+        members, canon = _components(ids[i[hit]], ids[j[hit]])
+        id_type = g.schema.field(id_col).type
+        return pa.table({id_col: pa.array(members, id_type),
+                         "canonical_id": pa.array(canon, id_type)})
 
     # ---- signature attach, TWO routes (r5, 16M-doc rehearsal round 2):
     # on a realistic corpus the request table is near-EMPTY (a 225k-rep
@@ -731,11 +802,6 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     # dup-heavy regime, where candidates ARE corpus-scale): the tagged
     # id-keyed co-group below, whose volume is then proportional to
     # genuine candidates anyway.
-    import ray
-
-    from .join import _gather_small
-    if attach_route not in ("auto", "broadcast", "cogroup"):
-        raise ValueError(f"attach_route={attach_route!r}")
     req_t = None
     if attach_route != "cogroup":
         try:
@@ -775,7 +841,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 "part": pa.array(part_of(ob, parts)),
                 "bucket": pa.array(ob),
                 id_col: b[id_col].take(rows),
-                "minhash": b["minhash"].take(rows).cast(pa.binary())})
+                sig_col: b[sig_col].take(rows).cast(pa.binary())})
 
         rep_pairs = exchange(
             reps.map_batches(attach_bcast, batch_format="pyarrow"),
@@ -784,7 +850,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     # id-keyed co-group: tagged union of sig rows and request rows,
     # partitioned by hash(id) — each partition merges its complete id
-    # slice and emits (bucket-part, bucket, id, minhash) for the
+    # slice and emits (bucket-part, bucket, id, signature) for the
     # verify stage (the shuffle_hash_join pattern, inlined because the
     # output needs a second partition key)
     def tag_sig(b: pa.Table) -> pa.Table:
@@ -793,7 +859,7 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 b[id_col].to_numpy(zero_copy_only=False), parts)),
             id_col: b[id_col],
             "bucket": pa.array(np.zeros(b.num_rows, np.uint64)),
-            "minhash": b["minhash"],
+            sig_col: b[sig_col],
             "side": pa.array(np.zeros(b.num_rows, np.int8))})
 
     def tag_req(b: pa.Table) -> pa.Table:
@@ -802,30 +868,24 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 b[id_col].to_numpy(zero_copy_only=False), parts)),
             id_col: b[id_col],
             "bucket": b["bucket"],
-            "minhash": pa.array([b""] * b.num_rows, pa.binary()),
+            sig_col: pa.array([b""] * b.num_rows, pa.binary()),
             "side": pa.array(np.ones(b.num_rows, np.int8))})
 
     def attach_sigs(g: pa.Table) -> pa.Table:
+        # each request row takes the signature of the sig row with its
+        # id: a sorted probe of the part's sig ids
         side = g["side"].to_numpy()
-        id_type = g.schema.field(id_col).type
-        empty = pa.table({
-            "part": pa.array([], pa.int32()),
-            "bucket": pa.array([], pa.uint64()),
-            id_col: pa.array([], id_type),
-            "minhash": pa.array([], pa.binary())})
+        ids = g[id_col].to_numpy()
         req = np.flatnonzero(side == 1)
-        if req.size == 0:
-            return empty
         sig_rows = np.flatnonzero(side == 0)
-        ids = np.asarray(g[id_col].to_pandas().to_numpy())
-        lut = {ids[i]: i for i in sig_rows}
-        buckets = g["bucket"].to_numpy()
+        sig_rows = sig_rows[np.argsort(ids[sig_rows], kind="stable")]
+        src = sig_rows[np.searchsorted(ids[sig_rows], ids[req])]
+        buckets = g["bucket"].to_numpy()[req]
         return pa.table({
-            "part": pa.array(part_of(buckets[req], parts)),
-            "bucket": pa.array(buckets[req]),
-            id_col: pa.array(ids[req], id_type),
-            "minhash": g["minhash"].take([lut[ids[i]] for i in req])
-            .cast(pa.binary())})
+            "part": pa.array(part_of(buckets, parts)),
+            "bucket": pa.array(buckets),
+            id_col: g[id_col].take(req),
+            sig_col: g[sig_col].take(src).cast(pa.binary())})
 
     banded = exchange(
         reps.map_batches(tag_sig, batch_format="pyarrow")
@@ -835,131 +895,10 @@ def minhash_lsh_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     return _compress_canonical(member_edges.union(rep_pairs), id_col)
 
 
-# ---------------------------------------------------------------- simhash
-
-class SimHasher:
-    def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
-        self.text_col = text_col
-        self.id_col = id_col
-
-    @staticmethod
-    def fingerprint(text: str) -> int:
-        from ..analysis.tokenizer import simple_tokenize
-        toks = simple_tokenize(text or "")
-        if not toks:
-            return 0
-        uniq, counts = np.unique(np.asarray(toks, dtype=object),
-                                 return_counts=True)
-        hs = _token_hashes(list(uniq))
-        bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)) & 1).astype(np.int64)
-        v = ((bits * 2 - 1) * counts[:, None]).sum(axis=0)
-        return int(((v > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        fps = [self.fingerprint(t) for t in b[self.text_col].to_pylist()]
-        return pa.table({
-            self.id_col: b[self.id_col],
-            "simhash": pa.array(np.array(fps, dtype=np.uint64)),
-        })
-
-
-def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-                  max_hamming: int = 3):
-    """→ Dataset (doc_id, canonical_id): near-dups at Hamming ≤ k over
-    64-bit simhash, blocked on 4 16-bit bands (pigeonhole-complete for
-    k ≤ 3)."""
-    from ..util import proc_cached
-
-    def fp_fn(b: pa.Table) -> pa.Table:
-        sh = proc_cached(("simhasher", text_col, id_col),
-                         lambda: SimHasher(text_col=text_col, id_col=id_col))
-        return sh(b)
-
-    fp_ds = ds.map_batches(fp_fn, batch_format="pyarrow",
-                           batch_size=1024)
-
-    def explode(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_pylist()
-        fps = b["simhash"].to_numpy()
-        out_band, out_key, out_id, out_fp = [], [], [], []
-        for i, f in zip(ids, fps):
-            for bi in range(4):
-                out_band.append(bi)
-                out_key.append(int((int(f) >> (16 * bi)) & 0xFFFF))
-                out_id.append(i)
-                out_fp.append(int(f))
-        return pa.table({"band": pa.array(out_band, pa.int32()),
-                         "key": pa.array(out_key, pa.int32()),
-                         id_col: pa.array(out_id),
-                         "simhash": pa.array(np.array(out_fp, dtype=np.uint64))})
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # collapse identical fingerprints (Hamming 0) before the O(k²)
-        # pass — same exact-copy hazard and connectivity argument as
-        # minhash_lsh_dedup.partition_pairs
-        by_fp: dict = {}
-        for i, f in sorted(zip(g[id_col], g["simhash"].astype(np.uint64))):
-            by_fp.setdefault(int(f), []).append(i)
-        items = sorted(by_fp.values())             # asc by rep (= min) id
-        frames = []
-        if len(items) > 1:
-            reps = [v[0] for v in items]
-            fps = [f for f, _ in sorted(by_fp.items(),
-                                        key=lambda kv: kv[1][0])]
-            frames.append(_unionfind_pairs(reps, lambda i, j: bin(
-                fps[i] ^ fps[j]).count("1") <= max_hamming, id_col))
-        mem, canon = [], []
-        for v in items:
-            if len(v) > 1:
-                mem += v
-                canon += [v[0]] * len(v)
-        if mem:
-            frames.append(pd.DataFrame({id_col: mem, "canonical_id": canon}))
-        # drop empty frames before concat: an all-default empty DataFrame
-        # is float64 and would upcast the int id columns of its siblings
-        frames = [f for f in frames if len(f)]
-        return pd.concat(frames) if frames else pd.DataFrame({
-            id_col: pd.Series([], dtype=g[id_col].dtype),
-            "canonical_id": pd.Series([], dtype=g[id_col].dtype)})
-
-    pairs = fp_ds.map_batches(explode, batch_format="pyarrow") \
-        .groupby(["band", "key"]).map_groups(bucket, batch_format="pandas")
-    return _compress_canonical(pairs, id_col)
-
-
-def _unionfind_pairs(ids: list, is_dup, id_col: str) -> pd.DataFrame:
-    """ids sorted asc; is_dup(i, j) on indices → (member, component-min)
-    rows for every member of a non-trivial connected component."""
-    n = len(ids)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in range(1, n):
-        for i in range(j):
-            if find(i) != find(j) and is_dup(i, j):
-                parent[find(j)] = find(i)
-    comp: dict[int, list[int]] = {}
-    for x in range(n):
-        comp.setdefault(find(x), []).append(x)
-    out_id, out_canon = [], []
-    for members in comp.values():
-        if len(members) < 2:
-            continue
-        canon = ids[min(members)]        # ids sorted asc -> min index = min id
-        for m in members:
-            out_id.append(ids[m])
-            out_canon.append(canon)
-    return pd.DataFrame({id_col: out_id, "canonical_id": out_canon})
-
-
 def _compress_canonical(pairs, id_col: str,
                         driver_edge_cap: int = 2_000_000):
-    """Union-find over the raw bucket EDGES, not min-reduced labels.
+    """Connected components over the raw bucket EDGES, not min-reduced
+    labels.
 
     A min-label aggregate keeps only each doc's smallest canonical and
     can split transitive components (bucket1 {A,C} → C→A; bucket2 {B,C}
@@ -968,10 +907,11 @@ def _compress_canonical(pairs, id_col: str,
     repeated across buckets collapses inside each block, no groupby
     job), then:
 
-    - edge count ≤ ``driver_edge_cap``: driver union-find with min-root
-      unioning → member → component-min map. The edge set holds ONLY
-      docs in some duplicate group, so on lightly-duplicated corpora
-      this is tiny and one round-trip beats any distributed scheme.
+    - edge count ≤ ``driver_edge_cap``: the edges gather to the driver
+      and ``_components`` labels each member with its component
+      minimum. The edge set holds ONLY docs in some duplicate group, so
+      on lightly-duplicated corpora this is tiny and one round-trip
+      beats any distributed scheme.
     - above the cap (duplicate-HEAVY corpora, where dup-group members
       are a constant fraction of the corpus and no driver can hold
       them): ``graph.connected_components`` — alternating large/small
@@ -998,104 +938,24 @@ def _compress_canonical(pairs, id_col: str,
              if len(bt)]
     if not parts:
         return rd.from_pandas(pd.DataFrame({id_col: [], "canonical_id": []}))
-    edges = pd.concat(parts).drop_duplicates([id_col, "canonical_id"])
-
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(edges[id_col], edges["canonical_id"]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # attach the larger root under the smaller: every tree root
-            # stays the component minimum by induction
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
-    members = sorted(set(edges[id_col]) | set(edges["canonical_id"]))
+    edges = pd.concat(parts)
+    members, canon = _components(edges[id_col].to_numpy(),
+                                 edges["canonical_id"].to_numpy())
     id_type = edges[id_col].dtype      # ids keep their input type
     return rd.from_pandas(pd.DataFrame({
         id_col: pd.Series(members, dtype=id_type),
-        "canonical_id": pd.Series([find(m) for m in members],
-                                  dtype=id_type)}))
+        "canonical_id": pd.Series(canon, dtype=id_type)}))
 
 
-def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                  max_hamming: int = 3):
-    """Distinct near-dup PAIRS at Hamming ≤ k over 64-bit simhash —
-    the same 4×16-bit-band pigeonhole blocking as ``simhash_dedup`` but
-    stopping at the pair level (no union-find), which keeps the whole
-    computation SQL-expressible for oracle checking.
-
-    → Dataset (id_a, id_b, hamming), id_a < id_b, one row per pair
-    (a pair colliding in several bands is reduced by the groupby)."""
-    from ray.data.aggregate import Min
-    from ..util import proc_cached
-
-    def fp_fn(b: pa.Table) -> pa.Table:
-        sh = proc_cached(("simhasher", text_col, id_col),
-                         lambda: SimHasher(text_col=text_col, id_col=id_col))
-        return sh(b)
-
-    def explode(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_pylist()
-        fps = b["simhash"].to_numpy()
-        out_band, out_key, out_id, out_fp = [], [], [], []
-        for i, f in zip(ids, fps):
-            for bi in range(4):
-                out_band.append(bi)
-                out_key.append(int((int(f) >> (16 * bi)) & 0xFFFF))
-                out_id.append(i)
-                out_fp.append(int(f))
-        return pa.table({"band": pa.array(out_band, pa.int32()),
-                         "key": pa.array(out_key, pa.int32()),
-                         id_col: pa.array(out_id),
-                         "simhash": pa.array(np.array(out_fp, dtype=np.uint64))})
-
-    def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        rows = sorted(zip(g[id_col], g["simhash"].astype(np.uint64)))
-        a_out, b_out, h_out = [], [], []
-        for j in range(1, len(rows)):
-            for i in range(j):
-                ham = bin(int(rows[i][1]) ^ int(rows[j][1])).count("1")
-                if ham <= max_hamming:
-                    a_out.append(rows[i][0])
-                    b_out.append(rows[j][0])
-                    h_out.append(ham)
-        # explicit dtypes (so empty frames concat cleanly), id dtype
-        # carried from the input column — string ids work too
-        dt = g[id_col].dtype
-        return pd.DataFrame({"id_a": pd.array(a_out, dtype=dt),
-                             "id_b": pd.array(b_out, dtype=dt),
-                             "hamming": pd.array(h_out, dtype="int64")})
-
-    pairs = ds.map_batches(fp_fn, batch_format="pyarrow",
-                           batch_size=1024) \
-        .map_batches(explode, batch_format="pyarrow") \
-        .groupby(["band", "key"]).map_groups(bucket, batch_format="pandas")
-    return _with_input_id_type(pairs.groupby(["id_a", "id_b"]).aggregate(
-        Min("hamming", alias_name="hamming")), ds, id_col)
-
-
-def _with_input_id_type(out, ds, id_col: str):
-    """``out`` with its ``id_a``/``id_b`` columns cast back to the type of
-    ``ds[id_col]``: Ray's groupby widens integer keys to int64."""
-    sch = ds.schema()
-    id_type = dict(zip(sch.names, sch.types)).get(id_col)
-    if not isinstance(id_type, pa.DataType) or id_type == pa.int64():
-        return out
-
-    def cast(b: pa.Table) -> pa.Table:
-        return b.cast(pa.schema([(f.name, id_type if f.name in ("id_a", "id_b")
-                                  else f.type) for f in b.schema]))
-
-    return out.map_batches(cast, batch_format="pyarrow")
+def _pair_runs(g: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    """The first row of each distinct (id_a, id_b) in a part of a
+    pair-keyed exchange, and how many rows each pair has."""
+    a = g["id_a"].to_numpy()
+    b = g["id_b"].to_numpy()
+    order = np.lexsort((b, a))
+    starts = np.flatnonzero(_run_starts(a[order], b[order]))
+    return (g.take(order[starts]),
+            np.diff(np.append(starts, order.size)).astype(np.int64))
 
 
 def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -1107,18 +967,16 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     bands) is exactly reproducible in SQL (min-over-shingles universal
     hashing is pure modular arithmetic).
 
-    r3→r4 (VERDICT item 4): banding reuses the vectorized uint64
-    ``_band_fold`` of ``minhash_lsh_dedup`` (was a per-row Python loop
-    emitting md5-hex strings). Unlike the dedup sibling, emitted pairs
+    Banding reuses the vectorized uint64 ``_band_fold`` of
+    ``minhash_lsh_dedup``. Unlike the dedup sibling, emitted pairs
     here are NOT similarity-verified downstream, so each band's raw
     bytes travel with its row and bucket members are grouped by EXACT
     band-value equality inside the partition — a 64-bit fold collision
     merely merges two buckets, never emits a wrong pair, keeping the
     output identical to true band equality (what the SQL oracle joins
-    on).
+    on). A second exchange, keyed by id_a, counts each pair's rows.
 
     → Dataset (id_a, id_b, n_bands), id_a < id_b."""
-    from ray.data.aggregate import Count
     rows_per_band = _check_bands(num_perm, bands)
     parts, blocks = plan(estimate_rows(ds), _BAND_DOCS_PER_PART)
 
@@ -1128,75 +986,138 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         hv = _band_fold(sig.reshape(n, bands, rows_per_band)).reshape(-1)
         # all of a doc's band slices are contiguous in the signature
         # rows, so the per-(doc, band) byte windows are one offsets
-        # array — a zero-copy Arrow binary column, no per-row slicing
-        step = rows_per_band * 8
-        offsets = (np.arange(n * bands + 1, dtype=np.int32) * step)
-        band_bytes = pa.Array.from_buffers(
-            pa.binary(), n * bands,
-            [None, pa.py_buffer(offsets), pa.py_buffer(sig)])
+        # array — a zero-copy Arrow binary column
         idx = np.repeat(np.arange(n), bands)
         return pa.table({
             "part": pa.array(part_of(hv, parts)),
             "bucket": pa.array(hv),
-            "band_bytes": band_bytes,
+            "band_bytes": _fixed_binary(sig, n * bands, rows_per_band * 8),
             id_col: b[id_col].take(pa.array(idx))})
 
     def partition_pairs(g: pa.Table) -> pa.Table:
         """One call per hash partition. Rows lexsort by (bucket, exact
         band words, id) so equal-band groups are contiguous segments —
         the fold key only pre-groups; equality is on the raw band words,
-        so a fold collision still never merges two true buckets — then
-        every segment's all-pairs are emitted with cumulative-sum index
-        arithmetic (one row per colliding band; the downstream Count
-        collapses to n_bands). No per-bucket Python loops (VERDICT r4
-        item 5): the whole partition is a handful of numpy passes."""
-        t_id = g[id_col].type
-        n = g.num_rows
-
-        def _empty() -> pa.Table:
-            return pa.table({"id_a": pa.array([], t_id),
-                             "id_b": pa.array([], t_id)})
-
-        if n < 2:
-            return _empty()
+        so a fold collision still never merges two true buckets — a
+        repeated (group, id) row drops so an id never pairs with
+        itself, and ``_segment_pairs`` emits every segment's pairs (one
+        row per colliding band, keyed by id_a for the count)."""
         buckets = g["bucket"].to_numpy()
         mat = _sig_matrix(g["band_bytes"], rows_per_band)
-        ids = np.asarray(g[id_col].to_pandas().to_numpy())
-        order = np.lexsort((ids,
-                            *(mat[:, c] for c in
-                              range(rows_per_band - 1, -1, -1)),
-                            buckets))
-        sb, sm, sid = buckets[order], mat[order], ids[order]
-        same = (sb[1:] == sb[:-1]) & (sm[1:] == sm[:-1]).all(axis=1)
-        # the old per-group set(): drop duplicate (group, id) rows so a
-        # repeated input id never pairs with itself
-        dupe = same & (sid[1:] == sid[:-1])
-        if dupe.any():
-            keep = np.concatenate(([True], ~dupe))
-            sb, sm, sid = sb[keep], sm[keep], sid[keep]
-            same = (sb[1:] == sb[:-1]) & (sm[1:] == sm[:-1]).all(axis=1)
-        m = len(sid)
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
-        lens = np.diff(np.concatenate((starts, [m])))
-        # local index j within its segment; row j contributes j pairs
-        # (against every earlier segment member i < j — ids sort asc
-        # inside a segment, so id_a < id_b by construction)
-        local = np.arange(m) - np.repeat(starts, lens)
-        tot = int(local.sum())
-        if tot == 0:
-            return _empty()
-        j_pos = np.repeat(np.arange(m), local)
-        csum = np.concatenate(([0], np.cumsum(local)))
-        i_off = np.arange(tot) - np.repeat(csum[:-1], local)
-        i_pos = j_pos - local[j_pos] + i_off
-        return pa.table({"id_a": pa.array(sid[i_pos], t_id),
-                         "id_b": pa.array(sid[j_pos], t_id)})
+        ids = g[id_col].to_numpy()
+        order = np.lexsort((ids, *mat.T[::-1], buckets))
+        order = order[_run_starts(buckets[order], mat[order], ids[order])]
+        i, j = _segment_pairs(_run_starts(buckets[order], mat[order]))
+        i, j = order[i], order[j]
+        return pa.table({"part": pa.array(part_of(ids[i], parts)),
+                         "id_a": g[id_col].take(i),
+                         "id_b": g[id_col].take(j)})
+
+    def count_bands(g: pa.Table) -> pa.Table:
+        first, n_bands = _pair_runs(g)
+        return pa.table({"id_a": first["id_a"], "id_b": first["id_b"],
+                         "n_bands": pa.array(n_bands)})
 
     pairs = exchange(_signatures(ds, num_perm, shingle, text_col, id_col)
                      .map_batches(explode_bands, batch_format="pyarrow"),
                      blocks, partition_pairs, "pyarrow")
-    return _with_input_id_type(pairs.groupby(["id_a", "id_b"]).aggregate(
-        Count(alias_name="n_bands")), ds, id_col)
+    return exchange(pairs, blocks, count_bands, "pyarrow")
+
+
+# ---------------------------------------------------------------- simhash
+
+_SIMHASH_SHIFTS = np.arange(4, dtype=np.uint64) * np.uint64(16)
+_SIMHASH_BAND_IDS = np.arange(4, dtype=np.uint64) << np.uint64(16)
+_U16 = np.uint64(0xFFFF)
+
+
+def _simhash(texts: list) -> np.ndarray:
+    """uint64 64-bit weighted SimHash of each text: bit b is set when
+    more of the text's tokens (repeats counted) have bit b set in their
+    ``_stable_u64`` than not; a text with no tokens gets 0.
+
+    Per batch, as ``MinHasher``: md5 runs once per distinct token of the
+    batch, each distinct token's 64 bits unpack into one row of 0/1
+    bytes, and ``_per_doc`` sums each doc's rows into its 64 bit counts
+    (one ``np.add.reduceat`` per gather)."""
+    toks, lens = _shingle_strings(texts, 1)
+    ones = np.zeros((lens.size, 64), np.int32)
+    if toks:
+        codes, h = _interned_u64(toks)
+        bits = np.unpackbits(h.astype("<u8").view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        _per_doc(np.add, bits, codes, lens, ones, dtype=np.int32)
+    return np.packbits(2 * ones > lens[:, None], axis=1, bitorder="little") \
+        .view("<u8")[:, 0].astype(np.uint64)
+
+
+def _simhash_bands(sig: np.ndarray) -> np.ndarray:
+    """(n, 1) uint64 fingerprints → (n, 4) exact bucket keys: band b's
+    16 bits with b above them."""
+    return ((sig >> _SIMHASH_SHIFTS) & _U16) | _SIMHASH_BAND_IDS
+
+
+def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
+                  max_hamming: int = 3):
+    """→ Dataset (doc_id, canonical_id): near-dups at Hamming ≤ k over
+    64-bit simhash, blocked on 4 16-bit bands (pigeonhole-complete for
+    k ≤ 3). Runs on ``minhash_lsh_dedup``'s core (``_lsh_dedup``): the
+    fingerprint is an 8-byte signature, the bands are exact keys and the
+    pair test is a SWAR popcount of the XOR."""
+    def sig_fn(b: pa.Table) -> pa.Table:
+        fp = _simhash(b[text_col].to_pylist())
+        return pa.table({id_col: b[id_col],
+                         "simhash": _fixed_binary(fp, fp.size, 8)})
+
+    return _lsh_dedup(
+        ds.map_batches(sig_fn, batch_format="pyarrow", batch_size=1024),
+        "simhash", 1, _simhash_bands,
+        lambda a, b: _popcount64(a[:, 0] ^ b[:, 0]) <= max_hamming,
+        id_col, *plan(estimate_rows(ds), _SIMHASH_DOCS_PER_PART))
+
+
+def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
+                  max_hamming: int = 3):
+    """Distinct near-dup PAIRS at Hamming ≤ k over 64-bit simhash —
+    the same 4×16-bit-band pigeonhole blocking as ``simhash_dedup`` but
+    stopping at the pair level (no union-find), which keeps the whole
+    computation SQL-expressible for oracle checking.
+
+    One bucket-keyed exchange: each part's bucket pairs
+    (``_segment_pairs``) keep Hamming ≤ k, and a pair is emitted only
+    from the lowest band its two fingerprints share, so no pair repeats
+    and no second exchange is needed.
+
+    → Dataset (id_a, id_b, hamming), id_a < id_b, one row per pair."""
+    parts, blocks = plan(estimate_rows(ds), _SIMHASH_DOCS_PER_PART)
+
+    def explode_bands(b: pa.Table) -> pa.Table:
+        f = _simhash(b[text_col].to_pylist())
+        keys = _simhash_bands(f[:, None]).reshape(-1)
+        idx = np.repeat(np.arange(b.num_rows), _SIMHASH_SHIFTS.size)
+        return pa.table({"part": pa.array(part_of(keys, parts)),
+                         "bucket": pa.array(keys),
+                         id_col: b[id_col].take(pa.array(idx)),
+                         "simhash": pa.array(f[idx])})
+
+    def band_pairs(g: pa.Table) -> pa.Table:
+        keys = g["bucket"].to_numpy()
+        ids = g[id_col].to_numpy()
+        f = g["simhash"].to_numpy()
+        order = np.lexsort((ids, keys))
+        i, j = _segment_pairs(_run_starts(keys[order]))
+        i, j = order[i], order[j]
+        x = f[i] ^ f[j]
+        ham = _popcount64(x)
+        shared = ((x[:, None] >> _SIMHASH_SHIFTS) & _U16) == 0
+        band = (keys[i] >> np.uint64(16)).astype(np.int64)
+        keep = (ham <= max_hamming) & (np.argmax(shared, axis=1) == band)
+        return pa.table({"id_a": g[id_col].take(i[keep]),
+                         "id_b": g[id_col].take(j[keep]),
+                         "hamming": pa.array(ham[keep])})
+
+    return exchange(ds.map_batches(explode_bands, batch_format="pyarrow"),
+                    blocks, band_pairs, "pyarrow")
 
 
 def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -1205,18 +1126,19 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     """EXACT n-gram Jaccard near-dup pairs via the inverted-shingle
     pattern (no MinHash approximation, no all-pairs scan):
 
-    distinct-shingle sets per doc → explode (shingle_hash, doc_id,
-    set_size) → groupby shingle → per-group pair emission → groupby
-    (id_a, id_b) count = |A∩B| → jaccard = c/(|A|+|B|−c) ≥ threshold.
+    distinct (shingle_hash, doc_id, set_size) rows → shingle-keyed
+    exchange → every pair of docs sharing a shingle (``_segment_pairs``)
+    → id_a-keyed exchange, count = |A∩B| → jaccard = c/(|A|+|B|−c) ≥
+    threshold.
 
-    The only shuffle key is the shingle hash; per-doc set sizes travel
-    with the exploded rows so no join is needed.
+    The only shuffle keys are the shingle hash and id_a; per-doc set
+    sizes travel with the rows so no join is needed.
 
     **Head-shingle cap** (the 100 TB guard — ON by default, r4): a
     shingle shared by m docs emits m² pair rows, so boilerplate
     shingles (navbars, footers, license headers) blow the pair stage
-    up quadratically. A cheap pre-pass aggregates per-shingle df and
-    broadcasts the tiny heavy-hitter set (shingles with
+    up quadratically. A cheap pre-pass counts per-shingle df in one
+    exchange and broadcasts the tiny heavy-hitter set (shingles with
     df > max_shingle_df); the main pass then drops those shingles from
     every doc's set BEFORE sizes are computed, so the output is the
     exact Jaccard over the boilerplate-filtered shingle space (not a
@@ -1228,81 +1150,74 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     → Dataset (id_a, id_b, jaccard)."""
     import ray
-    from ray.data.aggregate import Count
 
-    def explode(b: pa.Table, hot_ref=None) -> pa.Table:
-        from ..analysis.tokenizer import simple_tokenize
+    parts, blocks = plan(estimate_rows(ds), _NGRAM_DOCS_PER_PART)
+
+    def shingle_rows(b: pa.Table, hot_ref=None) -> pa.Table:
+        sh, lens = _shingle_strings(b[text_col].to_pylist(), n)
+        doc = np.repeat(np.arange(b.num_rows), lens)
+        codes, hs = _interned_u64(sh)
+        h = hs[codes]
+        order = np.lexsort((h, doc))
+        keep = order[_run_starts(doc[order], h[order])]
+        doc, h = doc[keep], h[keep]
         hot = ray.get(hot_ref) if hot_ref is not None else None
-        ids = b[id_col].to_pylist()
-        out_h, out_id, out_sz = [], [], []
-        for i, t in zip(ids, b[text_col].to_pylist()):
-            # bit-cast uint64 → int64 for the shuffle key: a bijection,
-            # so grouping is unchanged, and Ray Data's groupby/aggregate
-            # key paths handle int64 natively (uint64 keys > 2^63 fall
-            # back to pickled-object columns)
-            hs = np.unique(_shingle_hashes(simple_tokenize(t or ""), n)) \
-                .view(np.int64)
-            if hot is not None and hot.size and hs.size:
-                # hot is a sorted int64 array of heavy-hitter hashes
-                pos = np.minimum(np.searchsorted(hot, hs), hot.size - 1)
-                hs = hs[hot[pos] != hs]
-            for h in hs:
-                out_h.append(int(h))
-                out_id.append(i)
-                out_sz.append(len(hs))
-        return pa.table({"h": pa.array(out_h, pa.int64()),
-                         id_col: pa.array(out_id, b[id_col].type),
-                         "sz": pa.array(out_sz, pa.int64())})
+        if hot is not None and hot.size:
+            # hot is a sorted uint64 array of heavy-hitter hashes
+            cold = hot[np.minimum(np.searchsorted(hot, h), hot.size - 1)] != h
+            doc, h = doc[cold], h[cold]
+        return pa.table({
+            "part": pa.array(part_of(h, parts)),
+            "h": pa.array(h, pa.uint64()),
+            id_col: b[id_col].take(pa.array(doc, pa.int64())),
+            "sz": pa.array(np.bincount(doc, minlength=b.num_rows)[doc]
+                           .astype(np.int64))})
 
     hot_ref = None
     if max_shingle_df is not None:
         # pre-pass: per-shingle df → heavy hitters only cross to the
         # driver (df > cap ⇒ at most n_shingle_rows/cap of them)
-        df_tbl = ds.map_batches(explode, batch_format="pyarrow") \
-            .groupby("h").aggregate(Count(alias_name="df"))
+        def hot_only(g: pa.Table) -> pa.Table:
+            h = np.sort(g["h"].to_numpy())
+            starts = np.flatnonzero(_run_starts(h))
+            df = np.diff(np.append(starts, h.size))
+            return pa.table({"h": pa.array(h[starts][df > max_shingle_df],
+                                           pa.uint64())})
 
-        def hot_only(bt: pa.Table) -> pa.Table:
-            keep = pa.compute.greater(bt["df"], max_shingle_df)
-            return pa.table({"h": bt["h"].filter(keep)})
+        hot = [t["h"].to_numpy() for t in exchange(
+            ds.map_batches(shingle_rows, batch_format="pyarrow"), blocks,
+            hot_only, "pyarrow").iter_batches(batch_size=None,
+                                              batch_format="pyarrow")]
+        hot_ref = ray.put(np.sort(np.concatenate(hot)) if hot
+                          else np.empty(0, np.uint64))
 
-        parts = list(df_tbl.map_batches(hot_only, batch_format="pyarrow")
-                     .iter_batches(batch_size=None, batch_format="pyarrow"))
-        hot_arr = np.sort(np.concatenate(
-            [p["h"].to_numpy() for p in parts])) if parts \
-            else np.empty(0, np.int64)
-        hot_ref = ray.put(hot_arr.astype(np.int64))
+    def shingle_pairs(g: pa.Table) -> pa.Table:
+        """Every pair of a part's docs that share a shingle, once per
+        shared shingle, keyed by id_a for the count."""
+        h = g["h"].to_numpy()
+        ids = g[id_col].to_numpy()
+        sz = g["sz"].to_numpy()
+        order = np.lexsort((ids, h))
+        i, j = _segment_pairs(_run_starts(h[order]))
+        i, j = order[i], order[j]
+        return pa.table({"part": pa.array(part_of(ids[i], parts)),
+                         "id_a": g[id_col].take(i),
+                         "id_b": g[id_col].take(j),
+                         "sz_a": pa.array(sz[i]), "sz_b": pa.array(sz[j])})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        dt = g[id_col].dtype
-        rows = sorted(zip(g[id_col], g["sz"]))
-        a_out, b_out, sa, sb = [], [], [], []
-        for j in range(1, len(rows)):
-            for i in range(j):
-                a_out.append(rows[i][0]); sa.append(rows[i][1])
-                b_out.append(rows[j][0]); sb.append(rows[j][1])
-        return pd.DataFrame({"id_a": pd.array(a_out, dtype=dt),
-                             "id_b": pd.array(b_out, dtype=dt),
-                             "sz_a": pd.array(sa, dtype="int64"),
-                             "sz_b": pd.array(sb, dtype="int64")})
+    def jaccard(g: pa.Table) -> pa.Table:
+        first, c = _pair_runs(g)
+        c = c.astype(np.float64)
+        j = c / (first["sz_a"].to_numpy() + first["sz_b"].to_numpy() - c)
+        keep = pa.array(j >= threshold)
+        return pa.table({"id_a": first["id_a"].filter(keep),
+                         "id_b": first["id_b"].filter(keep),
+                         "jaccard": pa.array(j[j >= threshold], pa.float64())})
 
-    inter = ds.map_batches(explode, batch_format="pyarrow",
-                           fn_kwargs={"hot_ref": hot_ref}) \
-        .groupby("h").map_groups(pairs, batch_format="pandas") \
-        .groupby(["id_a", "id_b", "sz_a", "sz_b"]).aggregate(
-            Count(alias_name="c"))
-
-    def finish(b: pa.Table) -> pa.Table:
-        c = b["c"].to_numpy().astype(np.float64)
-        union = (b["sz_a"].to_numpy() + b["sz_b"].to_numpy()
-                 - b["c"].to_numpy()).astype(np.float64)
-        j = c / union
-        keep = j >= threshold
-        return pa.table({"id_a": b["id_a"].filter(pa.array(keep)),
-                         "id_b": b["id_b"].filter(pa.array(keep)),
-                         "jaccard": pa.array(j[keep], pa.float64())})
-
-    return _with_input_id_type(
-        inter.map_batches(finish, batch_format="pyarrow"), ds, id_col)
+    pairs = exchange(ds.map_batches(shingle_rows, batch_format="pyarrow",
+                                    fn_kwargs={"hot_ref": hot_ref}),
+                     blocks, shingle_pairs, "pyarrow")
+    return exchange(pairs, blocks, jaccard, "pyarrow")
 
 
 # ------------------------------------------------------- embedding near-dup

@@ -3,12 +3,14 @@
 reference merge, the merges' docid rebase and compaction's
 ``_refragment`` against per-blob and per-term references, stats from the
 forward writer's per-pid rows, and the format bump's forward rebuild.
-The kernel tests run Ray-free."""
+The kernel tests run Ray-free. Beside the build's no-per-run-loop check
+sits the same check for the dedup module's SimHash and n-gram kernels."""
 
 import ast
 import inspect
 import json
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -17,6 +19,7 @@ import pyarrow.parquet as pq
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from search_engines_ray.functions import dedup
 from search_engines_ray.index import build, merge
 from search_engines_ray.index.varbyte import (
     decode_joined, decode_postings, encode_postings, encode_runs, vb_encode,
@@ -312,6 +315,33 @@ def test_bulk_kernels_have_no_per_run_loop():
     assert _loop_iterables(build._merge_bucket) <= per_column
     assert _loop_iterables(merge._refragment) <= per_column
     assert _loop_iterables(merge._rebase_docids) == set()
+
+
+def test_dedup_pair_kernels_have_no_per_row_loop():
+    """SimHash and the n-gram pair op fingerprint, block, pair and verify
+    in numpy: the dedup module has no per-pair popcount (``bin(``,
+    ``.count("1")``), no Ray groupby on band keys or shingle hashes, and
+    their kernels loop only over texts to tokenize, distinct strings to
+    md5, doc gathers, key columns, label rounds, predicate chunks and
+    the heavy-hitter gather's output batches — never over band rows,
+    shingle rows or pairs."""
+    src = inspect.getsource(dedup)
+    for banned in (r"\bbin\(", r'\.count\("1"\)',
+                   r'groupby\(\["band", "key"\]\)', r'groupby\("h"\)',
+                   r"_unionfind_pairs", r"SimHasher"):
+        assert not re.search(banned, src), banned
+    for fn in (dedup._simhash, dedup._simhash_bands, dedup._popcount64,
+               dedup._segment_pairs, dedup._components, dedup._pair_runs,
+               dedup.simhash_dedup, dedup.simhash_pairs):
+        assert _loop_iterables(fn) == set(), fn.__name__
+    assert _loop_iterables(dedup._shingle_strings) <= {"texts", "range(k)"}
+    assert _loop_iterables(dedup._interned_u64) == {"distinct"}
+    assert _loop_iterables(dedup._per_doc) == {"d < nz.size"}
+    assert _loop_iterables(dedup._run_starts) <= {"keys", "diff"}
+    assert _loop_iterables(dedup._min_labels) == {"True"}
+    assert _loop_iterables(dedup._lsh_dedup) == {"range(0, i.size, step)"}
+    assert all("iter_batches" in it
+               for it in _loop_iterables(dedup.ngram_jaccard_pairs))
 
 
 # ---------------------------------------------------------- stats + resume

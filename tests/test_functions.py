@@ -419,6 +419,56 @@ def test_affine_p61_matches_bigint():
         assert got.tolist() == [r for r in range(5) for _ in range(8)]
 
 
+def test_popcount64_matches_bin_count():
+    """``_popcount64`` (SWAR) equals ``bin(v).count("1")`` on 0,
+    2^64-1, every single bit, every 2^k - 1 and 10,000 seeded values."""
+    from search_engines_ray.functions.dedup import _popcount64
+    v = [0, 2 ** 64 - 1] + [1 << k for k in range(64)] + \
+        [(1 << k) - 1 for k in range(1, 65)]
+    v = np.concatenate((np.array(v, dtype=np.uint64), np.random.default_rng(
+        13).integers(0, 2 ** 64 - 1, 10_000, dtype=np.uint64, endpoint=True)))
+    assert _popcount64(v).tolist() == [bin(int(x)).count("1") for x in v]
+
+
+def _reference_simhash(text: str) -> int:
+    """The per-doc SimHash fingerprint the batch kernel replaced, kept
+    verbatim as its reference (``SimHasher.fingerprint`` and its
+    ``_token_hashes``)."""
+    from search_engines_ray.analysis.tokenizer import simple_tokenize
+    from search_engines_ray.functions.dedup import _stable_u64
+
+    def _token_hashes(tokens: list[str]) -> np.ndarray:
+        return np.fromiter((_stable_u64(t) for t in tokens), dtype=np.uint64,
+                           count=len(tokens))
+
+    toks = simple_tokenize(text or "")
+    if not toks:
+        return 0
+    uniq, counts = np.unique(np.asarray(toks, dtype=object),
+                             return_counts=True)
+    hs = _token_hashes(list(uniq))
+    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)) & 1).astype(np.int64)
+    v = ((bits * 2 - 1) * counts[:, None]).sum(axis=0)
+    return int(((v > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
+
+
+def test_simhash_matches_per_doc_reference(dup_docs):
+    """The batch SimHash kernel (md5 once per distinct token, one
+    weighted bit sum per doc) is bit-identical to the per-doc reference
+    on ``dup_docs``, perfbench's seed-7 1,000-row dedup batch, None, "",
+    punctuation-only texts (all 0) and a repeated token."""
+    from perfbench import gen
+
+    from search_engines_ray.functions.dedup import _simhash
+    texts = dup_docs.to_pandas()["text"].tolist() \
+        + gen.corpus(7, 1000).dedup_table()["text"].to_pylist() \
+        + [None, "", "!!! ... ,,,", "spam spam spam spam eggs", "spam"]
+    got = _simhash(texts)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_reference_simhash(t) for t in texts]
+    assert got[-5:-2].tolist() == [0, 0, 0]
+
+
 def test_sig_matrix_reads_sliced_chunked_columns():
     """``_sig_matrix`` on a sliced multi-chunk binary column equals
     joining its rows' bytes, and refuses rows of the wrong width."""
@@ -523,10 +573,11 @@ def test_minhash_candidate_pairs(dup_docs):
 def test_minhash_ops_keep_the_id_type(dup_docs, id_type):
     """``MinHasher`` passes its id column through, so int32 and string
     ids keep their type through the signature table,
-    ``minhash_lsh_dedup`` and ``minhash_candidate_pairs``, and the
-    int64 results are the same pairs with the ids cast."""
+    ``minhash_lsh_dedup``, ``simhash_dedup`` and
+    ``minhash_candidate_pairs``, and the int64 results are the same
+    pairs with the ids cast."""
     from search_engines_ray.functions import (
-        minhash_candidate_pairs, minhash_lsh_dedup,
+        minhash_candidate_pairs, minhash_lsh_dedup, simhash_dedup,
     )
     from search_engines_ray.functions.dedup import MinHasher
     import ray.data as rd
@@ -547,11 +598,15 @@ def test_minhash_ops_keep_the_id_type(dup_docs, id_type):
         return df.astype(np.int64).sort_values(list(df.columns),
                                                ignore_index=True)
 
-    dd = arrow(minhash_lsh_dedup(ds, jaccard_threshold=0.5))
-    assert dd.schema.field("doc_id").type == id_type
-    assert dd.schema.field("canonical_id").type == id_type
-    want = minhash_lsh_dedup(dup_docs, jaccard_threshold=0.5).to_pandas()
-    pd.testing.assert_frame_equal(as_int64(dd.to_pandas()), as_int64(want))
+    for op, kw in ((minhash_lsh_dedup, {"jaccard_threshold": 0.5}),
+                   (simhash_dedup, {})):
+        dd = arrow(op(ds, **kw))
+        assert dd.schema.field("doc_id").type == id_type, op.__name__
+        assert dd.schema.field("canonical_id").type == id_type, op.__name__
+        want = op(dup_docs, **kw).to_pandas()
+        assert len(want) > 0, op.__name__
+        pd.testing.assert_frame_equal(as_int64(dd.to_pandas()),
+                                      as_int64(want))
     cp = arrow(minhash_candidate_pairs(ds, num_perm=32, bands=8))
     assert cp.schema.field("id_a").type == id_type
     assert cp.schema.field("id_b").type == id_type
@@ -838,6 +893,10 @@ def _exchange_ops():
             ds, id_col="n", jaccard_threshold=0.5)),
         ("minhash_candidate_pairs",
          lambda ds: dedup.minhash_candidate_pairs(ds, id_col="n")),
+        ("simhash_dedup", lambda ds: dedup.simhash_dedup(ds, id_col="n")),
+        ("simhash_pairs", lambda ds: dedup.simhash_pairs(ds, id_col="n")),
+        ("ngram_jaccard_pairs", lambda ds: dedup.ngram_jaccard_pairs(
+            ds, id_col="n", threshold=0.5)),
         ("hyperloglog_distinct",
          lambda ds: sketch.hyperloglog_distinct(ds, "doc_id", "lang")),
         ("value_quantiles", lambda ds: sketch.value_quantiles(ds, "val",

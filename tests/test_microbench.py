@@ -22,7 +22,7 @@ def test_microbench_prints_every_kernel():
                         "partial_postings_zipf", "merge_bucket_zipf",
                         "compact_zipf",
                         "simple_tokenize", "minhash", "minhash_affine",
-                        "group_sum"}
+                        "simhash", "popcount", "group_sum"}
     for v in got.values():
         assert set(v) == {"median", "unit"}
         assert v["median"] > 0 and v["unit"].startswith("ms per ")
