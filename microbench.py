@@ -34,7 +34,12 @@ Kernels:
 - ``popcount``: ``dedup._popcount64`` over the XOR of every pair of
   those fingerprints, the Hamming test of the SimHash ops;
 - ``group_sum``: ``distributed._group_sum_entries`` over one salt's
-  entries of a 20-query BM25 batch.
+  entries of a 20-query BM25 batch;
+- ``indri_tree``: ``kernels.indri_tree``, the Indri combination the
+  driver engine and the salt kernel share, over one salt's candidates
+  for a 10-query bag-of-words Indri batch plus one ``#wand`` SDM tree
+  (the benchmark's query shapes), with every leaf's Dirichlet scores
+  precomputed.
 
 Inputs are seeded and shaped like the declared benchmark's (its
 ``perfbench.gen`` corpus model: a 3,000-page index split into 4 salts,
@@ -161,6 +166,43 @@ def _group_sum_input(corpus, rng) -> list:
             for w in rng.choice(len(runs), 3, replace=False)]
 
 
+def _indri_input(corpus, runs, seed: int) -> list:
+    """``(tree, leaf scores by leaf id)`` of one salt's candidates for
+    10 bag-of-words queries and one ``#wand`` SDM query drawn as the
+    benchmark draws them; ``runs`` are that salt's word runs."""
+    from perfbench import gen
+    from search_engines_ray.analysis.tokenizer import analyzer_for_mode
+    from search_engines_ray.query.eval import (
+        InvList, _leaves, _union, eval_iop_tree,
+    )
+    from search_engines_ray.query.kernels import dirichlet
+    from search_engines_ray.query.parser import QueryParser
+    parser = QueryParser(analyzer_for_mode("lucene"))
+    cache = {}
+    words = np.unique(corpus.ids[:corpus.offsets[INDEX_ROWS // SALTS]])
+    for w, (d, tf, pos) in zip(words, runs):     # _runs' word order
+        for t in parser.analyzer.analyze_query_token(str(corpus.vocab[w])):
+            cache.setdefault((t, "body"), InvList(
+                d, tf.astype(np.int32), pos.astype(np.int32), int(d.size),
+                int(tf.sum()), "body"))
+    dl_all = np.diff(corpus.offsets).astype(np.float64)
+    rng = np.random.default_rng([seed, 17])
+    out = []
+    for kind in ["indri_bow"] * 10 + ["indri_wand"]:
+        tree = parser.parse(gen.query(corpus, kind, rng), "#and")
+        invs = {id(leaf): eval_iop_tree(leaf.child, cache)
+                for leaf in _leaves(tree)}
+        cand = _union([inv.docids for inv in invs.values()])
+        scores = {}
+        for key, inv in invs.items():
+            tf = np.zeros(cand.size)
+            tf[np.searchsorted(cand, inv.docids)] = inv.tfs
+            scores[key] = dirichlet(tf, dl_all[cand],
+                                    inv.ctf / corpus.ids.size, 2500.0, 0.4)
+        out.append((tree, scores))
+    return out
+
+
 def _time(fn, budget_s: float) -> float:
     """Median seconds per call: at least 3 calls, then until the
     budget runs out."""
@@ -184,6 +226,7 @@ def run(seed: int, budget_s: float) -> dict:
         decode_postings, encode_postings, encode_runs,
     )
     from search_engines_ray.query.distributed import _group_sum_entries
+    from search_engines_ray.query.kernels import indri_tree
 
     rng = np.random.default_rng([seed, 9])
     index = gen.corpus(seed, INDEX_ROWS)
@@ -210,6 +253,7 @@ def run(seed: int, budget_s: float) -> dict:
     fp = _simhash(dedup_texts)
     i, j = _segment_pairs(np.arange(fp.size) == 0)
     xor = fp[i] ^ fp[j]
+    indri = _indri_input(index, runs, seed)
 
     kernels = {
         "decode_per_run": (lambda: [decode_postings(*b) for b in blobs],
@@ -234,6 +278,9 @@ def run(seed: int, budget_s: float) -> dict:
         "popcount": (lambda: _popcount64(xor), f"ms per {xor.size} pairs"),
         "group_sum": (lambda: _group_sum_entries(entries),
                       f"ms per {len(entries)} entries"),
+        "indri_tree": (lambda: [indri_tree(t, lambda leaf, s=s: s[id(leaf)])
+                                for t, s in indri],
+                       f"ms per {len(indri)} queries"),
     }
     each = budget_s / len(kernels)
     return {name: {"median": round(_time(fn, each) * 1e3, 4), "unit": unit}

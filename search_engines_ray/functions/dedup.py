@@ -699,6 +699,8 @@ def _lsh_dedup(sig_ds, sig_col: str, width: int, band_keys, is_dup,
 
     collapsed = exchange(sig_ds.map_batches(add_fp, batch_format="pyarrow"),
                          blocks, collapse_fp, "pyarrow").materialize()
+    sch = collapsed.schema()
+    id_type = sch.base_schema.field(id_col).type if sch is not None else None
     # Arrow blocks: member_edges is unioned with partition_pairs' Arrow
     # edges, and a pandas/Arrow block mix makes Ray warn of a schema change
     member_edges = collapsed.map_batches(
@@ -815,7 +817,7 @@ def _lsh_dedup(sig_ds, sig_col: str, width: int, band_keys, is_dup,
     if req_t is not None and req_t.num_rows == 0:
         # every bucket is a singleton: no cross-signature candidates,
         # the collapse edges are the entire answer
-        return _compress_canonical(member_edges, id_col)
+        return _compress_canonical(member_edges, id_col, id_type=id_type)
 
     if req_t is not None:
         rid = np.asarray(req_t[id_col].to_pandas().to_numpy())
@@ -846,7 +848,8 @@ def _lsh_dedup(sig_ds, sig_col: str, width: int, band_keys, is_dup,
         rep_pairs = exchange(
             reps.map_batches(attach_bcast, batch_format="pyarrow"),
             blocks, partition_pairs, "pyarrow")
-        return _compress_canonical(member_edges.union(rep_pairs), id_col)
+        return _compress_canonical(member_edges.union(rep_pairs), id_col,
+                                   id_type=id_type)
 
     # id-keyed co-group: tagged union of sig rows and request rows,
     # partitioned by hash(id) — each partition merges its complete id
@@ -892,11 +895,13 @@ def _lsh_dedup(sig_ds, sig_col: str, width: int, band_keys, is_dup,
         .union(requests.map_batches(tag_req, batch_format="pyarrow")),
         blocks, attach_sigs, "pyarrow")
     rep_pairs = exchange(banded, blocks, partition_pairs, "pyarrow")
-    return _compress_canonical(member_edges.union(rep_pairs), id_col)
+    return _compress_canonical(member_edges.union(rep_pairs), id_col,
+                               id_type=id_type)
 
 
 def _compress_canonical(pairs, id_col: str,
-                        driver_edge_cap: int = 2_000_000):
+                        driver_edge_cap: int = 2_000_000,
+                        id_type: pa.DataType | None = None):
     """Connected components over the raw bucket EDGES, not min-reduced
     labels.
 
@@ -916,7 +921,9 @@ def _compress_canonical(pairs, id_col: str,
       are a constant fraction of the corpus and no driver can hold
       them): ``graph.connected_components`` — alternating large/small
       star over the distributed edge set, O(log n) shuffle rounds,
-      identical output contract."""
+      identical output contract.
+
+    ``id_type`` types the columns of an empty result (no edges)."""
     import ray.data as rd
 
     def _dedup_block(b: pd.DataFrame) -> pd.DataFrame:
@@ -937,7 +944,10 @@ def _compress_canonical(pairs, id_col: str,
                                            batch_format="pandas")
              if len(bt)]
     if not parts:
-        return rd.from_pandas(pd.DataFrame({id_col: [], "canonical_id": []}))
+        # one typed Arrow block: an empty pandas frame has no dtypes,
+        # and Ray drops its columns
+        return rd.from_arrow(pa.table({id_col: pa.array([], id_type),
+                                       "canonical_id": pa.array([], id_type)}))
     edges = pd.concat(parts)
     members, canon = _components(edges[id_col].to_numpy(),
                                  edges["canonical_id"].to_numpy())

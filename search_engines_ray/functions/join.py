@@ -201,16 +201,14 @@ def shuffle_hash_join(left, right, left_on: str, right_on: str | None = None,
     columns (key under ``left_on``) plus the right side's non-key
     columns.
 
-    ``how``: ``inner`` or ``left`` (unmatched left rows carry nulls —
-    pandas upcasts int right-columns to float for those, the usual SQL
-    NULL semantics). Non-key column names must be disjoint across
-    sides (no implicit suffixing — rename upstream). Skew note: one
-    partition holds ALL rows of the keys that hash into it, so a single
-    mega-key (a webtext boilerplate URL, say) bounds per-task memory;
-    pre-aggregate or salt such keys before a fact-fact join.
+    ``how``: ``inner`` or ``left`` (unmatched left rows carry nulls in
+    the right columns, which keep their declared types). Non-key column
+    names must be disjoint across sides (no implicit suffixing — rename
+    upstream). Skew note: one partition holds ALL rows of the keys that
+    hash into it, so a single mega-key (a webtext boilerplate URL, say)
+    bounds per-task memory; pre-aggregate or salt such keys before a
+    fact-fact join.
     """
-    import pandas as pd
-
     right_on = right_on or left_on
     if how not in ("inner", "left"):
         raise ValueError(f"how={how!r}: only 'inner' and 'left'")
@@ -260,14 +258,21 @@ def shuffle_hash_join(left, right, left_on: str, right_on: str | None = None,
         .union(right.map_batches(tag(1, right_on, rrest),
                                  batch_format="pyarrow"))
 
-    def join_part(g: pa.Table) -> "pd.DataFrame":
+    out_schema = pa.schema(
+        [(left_on, _pa_type(lschema.types[lschema.names.index(left_on)]))]
+        + list(types.items()))
+
+    def join_part(g: pa.Table) -> pa.Table:
         side = g["_side"]
         # split FIRST, then to_pandas per side: each side's own columns
         # are null-free, so integer dtypes survive the conversion
         lf = g.filter(pc.equal(side, 0)).select(["_k", *lrest]).to_pandas()
         rf = g.filter(pc.equal(side, 1)).select(["_k", *rrest]).to_pandas()
-        out = lf.merge(rf, on="_k", how=how)
-        return out.rename(columns={"_k": left_on})
+        out = lf.merge(rf, on="_k", how=how).rename(columns={"_k": left_on})
+        # Arrow in the declared types: an empty part stays typed, and a
+        # left join's unmatched rows are nulls of the right column's type
+        return pa.Table.from_pandas(out, schema=out_schema,
+                                    preserve_index=False)
 
     return exchange(tagged, blocks, join_part, "pyarrow")
 

@@ -1120,16 +1120,15 @@ _search_entry("wand_indri_top10", _simple_index, _INDRI, WAND_QUERY, 10,
 
 
 # Same #WAND query + oracle as ``wand_indri_top10`` but scored via
-# the distributed log-linear structured Indri path — the oracle match
-# proves the tree flattening is exact.
+# the distributed structured Indri path, whose salt kernel combines
+# the tree with the driver's ``kernels.indri_tree``.
 _batch_entry("wand_structured_distributed", "indri_structured_batch_search",
              [("q", WAND_QUERY)], SQL_WAND_INDRI_TOP10, model=_INDRI, k=10)
 
 
 # Same #WSUM query + oracle as ``wsum_indri_top10`` but scored via
-# the distributed structured Indri path's per-subtree factorization
-# (arithmetic mix of log-linear subtrees in the final stage) — the
-# oracle match proves the #WSUM spine decomposition is exact.
+# the distributed structured Indri path (``kernels.indri_tree`` over
+# each salt's candidates).
 _batch_entry("wsum_structured_distributed", "indri_structured_batch_search",
              [("q", WOP_QUERY)], SQL_WSUM_INDRI_TOP10, model=_INDRI, k=10)
 
@@ -1183,7 +1182,7 @@ order by raw desc, doc_id asc limit 10
 # tf (adjacency pair count, see ``near1_ranked``), and the #WAND /
 # #AND nesting is pure arithmetic over leaf scores, so the whole
 # distributed SDM chain (per-salt Iop co-group -> derived list ->
-# log-linear spine mix) hash-matches DuckDB. The full-analyzer
+# ``indri_tree`` over each salt's candidates) hash-matches DuckDB. The full-analyzer
 # #WINDOW-bearing SDM stays rows-only as ``sdm_wand_search``.
 _batch_entry("sdm_structured_distributed", "indri_structured_batch_search",
              [("sdm", SDM_QUERY)], SQL_SDM_STRUCTURED, model=_INDRI, k=10)
@@ -1976,8 +1975,7 @@ _federated_entry("bm25_federated_top10", _BM25, BM25_QUERY,
 _federated_entry("indri_federated_top10", _INDRI, INDRI_QUERY,
                  SQL_INDEX_INDRI_TOP10)
 # Same query + oracle as ``index_indri_top10`` but scored through
-# the distributed log-space Indri path (query/distributed.py) — the
-# oracle match proves the groupby-sum factorization is exact.
+# the distributed Indri path (query/distributed.py).
 _batch_entry("indri_batch_distributed", "indri_batch_search",
              [("q", INDRI_QUERY)], SQL_INDEX_INDRI_TOP10, model=_INDRI, k=10)
 

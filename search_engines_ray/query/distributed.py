@@ -30,8 +30,11 @@ per session and a batch ships no code. Three kernels score:
 - ``score_salt_bm25``: #SUM of BM25 or classic TF-IDF leaves — bag of
   words (its term-only case), grid, #MSM, champion phase B and
   structured BM25;
-- ``score_salt_indri``: #WSUM spines over log-linear #AND/#WAND
-  subtrees — a bag of words is one #AND subtree;
+- ``score_salt_indri``: any #AND/#WAND/#WSUM tree over one field. Each
+  query's candidates are the docs its leaves match in the salt; every
+  leaf scores every candidate (tf = 0 where it does not match) and
+  ``kernels.indri_tree`` combines them, the driver engine's own
+  expression, so a batch score has the driver's bits;
 - ``score_salt_bm25f``: BM25F's pooled saturation.
 
 The first two read their leaves through ``_salt_leaves``: the salt's
@@ -40,12 +43,12 @@ then its plain runs (``t:<field>:<term>``), with doc lengths gathered
 once per field. Plain runs come from ``_scan`` (the worker reader's
 lexicon picks the salt's runs; their blobs come from the process cache
 or an exact row-group read, then one varbyte decode for all of them).
-Every kernel ends in ``_cut`` (dense group-sum, exact per-salt top-k,
-packed keys); the leaf formulas come from ``kernels``, the same
-functions the driver engine scores with. Global df/ctf and every "no
-postings" guard on the driver are lexicon lookups too
-(``IndexReader.runs`` / ``term_stats``), so no path scans a postings
-dataset.
+Every kernel ends in ``_cut`` (exact per-salt top-k, packed keys); the
+BM25 kernels feed it a dense group-sum. The leaf formulas come from
+``kernels``, the same functions the driver engine scores with. Global
+df/ctf and every "no postings" guard on the driver are lexicon lookups
+too (``IndexReader.runs`` / ``term_stats``), so no path scans a
+postings dataset.
 
 Tombstones (``merge.delete_docs``) ride in the spec as a sorted docid
 array (``dels``, absent when there are none); ``_cut`` drops them after
@@ -81,7 +84,8 @@ from ..index.reader import IndexReader, decode_runs
 from ..util import pool_size
 from .eval import expand_wildcards
 from .kernels import (
-    bm25, bm25_idf, bm25_prior, bm25f_saturate, dirichlet, tfidf,
+    INDRI_OPS, bm25, bm25_idf, bm25_prior, bm25f_saturate, dirichlet,
+    indri_tree, tfidf,
 )
 from .models import BM25Model
 from .trec import drop_deleted
@@ -246,15 +250,11 @@ def _route(entries: list, targets, docids: np.ndarray, vals: np.ndarray,
                         vals if mult == 1 else vals * mult))
 
 
-def _cut(spec: dict, entries: list, need_zero_candidates: bool = False,
-         finish=None) -> pa.Table:
-    """Group-sum one salt's entries, apply ``finish(qc, docid, sums)``
-    (score transforms, filters), drop the spec's tombstoned docids, cut
-    each query to its exact top ``spec["k"]`` (ties bounded per pid) and
-    pack the keys."""
-    qc, docid, sums = _group_sum_entries(entries, need_zero_candidates)
-    if qc.size and finish is not None:
-        qc, docid, sums = finish(qc, docid, sums)
+def _cut(spec: dict, qc: np.ndarray, docid: np.ndarray,
+         sums: np.ndarray) -> pa.Table:
+    """One salt's scores, sorted by ``(qc, docid)``: drop the spec's
+    tombstoned docids, cut each query to its exact top ``spec["k"]``
+    (ties bounded per pid) and pack the keys."""
     docid, qc, sums = drop_deleted(spec.get("dels"), docid, qc, sums)
     if not qc.size:
         return _partial_empty()
@@ -355,13 +355,12 @@ def score_salt_bm25(spec: dict, salt: int) -> pa.Table:
         if nreq is not None:
             _route(counts, tq[lf], docids, np.ones(docids.size, np.float64))
 
-    def min_match(qc, docid, sums):
+    qc, docid, sums = _group_sum_entries(entries, spec["need_zero"])
+    if nreq is not None and qc.size:
         cnts = _group_sum_entries(counts, need_zero_candidates=True)[2]
         ok = cnts >= nreq[qc]
-        return qc[ok], docid[ok], sums[ok]
-
-    return _cut(spec, entries, spec["need_zero"],
-                min_match if nreq is not None else None)
+        qc, docid, sums = qc[ok], docid[ok], sums[ok]
+    return _cut(spec, qc, docid, sums)
 
 
 def champions_salt(spec: dict, salt: int) -> pa.Table:
@@ -430,77 +429,52 @@ def score_salt_bm25f(spec: dict, salt: int) -> pa.Table:
         need_zero |= idf == 0.0
         _route(entries, tq[term], docids,
                bm25f_saturate(idf, tft, spec["k1"]))
-    return _cut(spec, entries, need_zero)
+    return _cut(spec, *_group_sum_entries(entries, need_zero))
 
 
 def score_salt_indri(spec: dict, salt: int) -> pa.Table:
-    """Indri over one salt — the kernel of ``indri_batch_search`` (a bag
-    of words is one ``#AND`` subtree) and
-    ``indri_structured_batch_search``. Matched log-partials
-    ``c·(log s(tf,dl) − log s(0,dl))`` of derived and plain leaves are
-    group-summed per (query, #WSUM subtree j); each candidate then adds
-    subtree j's all-leaves default correction ``corr_j`` and scores
-    ``Σ_j W_j·exp((S_j + corr_j)/k_j)``. ``k_j`` is a bag-of-words
-    query's term count (its geometric-mean divisor) and 1.0 for a
-    structured subtree, whose coefficients already fold it. Matched
-    partials are strictly > 0 (s is monotone in tf), so the dense
-    group-sum's nonzero set is the match-min candidate set."""
+    """Indri over one salt — the kernel of ``indri_batch_search`` and
+    ``indri_structured_batch_search``. Batch map ``groups``: one
+    ``(tree, [(qcode, leaf keys)])`` per distinct tree shape, the tree's
+    leaves being positions into each query's keys. A query's candidates
+    are the docs its leaves match in the salt; each leaf scores every
+    candidate (``tf = 0`` where it does not match, ``dl`` from the
+    leaves' one gather) and ``indri_tree`` combines them. The
+    expression is elementwise, so each shape's queries go through it
+    together, on packed ``qcode << 44 | docid`` keys."""
     bt = spec["batch"]
-    lt, mles, qinfo = bt["lt"], bt["mle"], bt["qinfo"]
-    field, mu, lam, n_sub = spec["field"], spec["mu"], spec["lam"], \
-        spec["n_sub"]
-    entries = []
+    mle, mu, lam = bt["mle"], spec["mu"], spec["lam"]
     leaves, lengths = _salt_leaves(spec, salt)
+    runs = {lf: (d.astype(np.int64), tf) for lf, _, d, tf, _ in leaves}
+    gkeys, scores = [], []
+    for tree, qs in bt["groups"]:
+        packed, tfs = [], []
+        for i in range(len(qs[0][1])):
+            hit = [(qc, runs[keys[i]]) for qc, keys in qs if keys[i] in runs]
+            packed.append(np.concatenate([np.empty(0, np.int64)] + [
+                (np.int64(qc) << _DOC_BITS) | d for qc, (d, _) in hit]))
+            tfs.append(np.concatenate([np.empty(0, np.int64)] + [
+                t for _, (_, t) in hit]))
+        gk = np.unique(np.concatenate(packed))
+        if not gk.size:
+            continue
+        slot = np.searchsorted([qc for qc, _ in qs], gk >> _DOC_BITS)
+        dl = lengths(spec["field"], gk & _DOC_MASK)
 
-    def default_corr(dlq, mlv_arr, coefs):
-        corr = np.zeros(dlq.size, dtype=np.float64)
-        for mlv, cv in zip(mlv_arr, coefs):
-            corr += cv * np.log(dirichlet(0.0, dlq, mlv, mu, lam))
-        return corr
-
-    def wsum_mix(gq_a, docid, agg):
-        qc_a = gq_a // n_sub
-        j_a = gq_a % n_sub
-        out_q, out_d, out_s = [], [], []
-        for lo, hi in _query_slices(qc_a):
-            subs = qinfo[int(qc_a[lo])]
-            if len(subs) == 1 and subs[0][0] == 1.0:
-                # pure log-linear tree: rows are already unique per
-                # candidate — final = exp((S + corr)/k)
-                _, mlv_arr, coefs, kq = subs[0]
-                cand = docid[lo:hi]
-                corr = default_corr(lengths(field, cand), mlv_arr, coefs)
-                final = np.exp((agg[lo:hi] + corr) / kq)
-            else:
-                # #WSUM spine: candidates = docs with ≥1 subtree row;
-                # start from the all-defaults baseline
-                # Σ_j W_j·exp(corr_j/k_j), then swap in
-                # exp((S_j + corr_j)/k_j) for each matched row
-                cand, cidx = np.unique(docid[lo:hi], return_inverse=True)
-                dlq = lengths(field, cand)
-                final = np.zeros(cand.size, dtype=np.float64)
-                aggq, jq = agg[lo:hi], j_a[lo:hi]
-                for j, (w, mlv_arr, coefs, kq) in enumerate(subs):
-                    corr = default_corr(dlq, mlv_arr, coefs)
-                    base = w * np.exp(corr / kq)
-                    final += base
-                    rmsk = jq == j
-                    ridx = cidx[rmsk]
-                    final[ridx] += (w * np.exp((aggq[rmsk] + corr[ridx]) / kq)
-                                    - base[ridx])
-            out_q.append(np.full(cand.size, qc_a[lo], np.int64))
-            out_d.append(cand)
-            out_s.append(final)
-        return (np.concatenate(out_q), np.concatenate(out_d),
-                np.concatenate(out_s))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lf, _, d, tf, dl in leaves:
-            m = mles[lf]
-            part = (np.log(dirichlet(tf.astype(np.float64), dl, m, mu, lam))
-                    - np.log(dirichlet(0.0, dl, m, mu, lam)))
-            _route(entries, lt[lf], d, part)
-        return _cut(spec, entries, finish=wsum_mix)
+        def leaf_scores(i):
+            tf = np.zeros(gk.size, dtype=np.float64)
+            tf[np.searchsorted(gk, packed[i])] = tfs[i]
+            m = np.array([mle[keys[i]] for _, keys in qs])[slot]
+            return dirichlet(tf, dl, m, mu, lam)
+        gkeys.append(gk)
+        scores.append(indri_tree(tree, leaf_scores))
+    if not gkeys:
+        return _partial_empty()
+    gk = np.concatenate(gkeys)
+    order = np.argsort(gk)
+    gk = gk[order]
+    return _cut(spec, gk >> _DOC_BITS, gk & _DOC_MASK,
+                np.concatenate(scores)[order])
 
 
 def _plan_terms(node, terms: set) -> None:
@@ -886,27 +860,12 @@ def indri_batch_search(index_dir: str, queries: list[tuple[str, str]],
                        model=None, k: int = 100,
                        field: str = "body") -> pa.Table:
     """Distributed Indri query-likelihood (Dirichlet + Jelinek-Mercer mix,
-    ``QrySopScore.java:140-161``) for bag-of-words ``#AND`` batches: each
-    query is the one-subtree case of ``indri_structured_batch_search``'s
-    plan. Indri's geometric mean needs a default score for every query
-    term a candidate lacks (``QrySopAnd.java:97-107``); in log space that
-    factors into a group-sum plus a per-candidate correction:
-
-        log score(d) = (1/k_q) · [ Σ_matched m_t·(log s_t(tf,dl) − log s_t(0,dl))
-                                   + Σ_all-terms m_t·log s_t(0,dl) ]
-
-    so the subtree's leaves carry the multiplicities ``m_t`` and the
-    subtree carries the divisor ``k_q`` (its arg count). Candidates are
-    the match-min set (docs with ≥1 matched term), as in the reference's
-    DAAT loop."""
-    reader = _index_reader(index_dir)
-    qids, _, q_terms = _term_queries(reader, queries)
-    key = f"t:{field}:"
-    # each query is one #AND subtree: weight 1, leaf coefficient = the
-    # term's multiplicity, divisor k_q = its total arg count
-    q_subtrees = [[(1.0, {key + t: float(ts.count(t)) for t in set(ts)},
-                    float(len(ts)))] if ts else [] for ts in q_terms]
-    return _indri_search(reader, qids, q_subtrees, {}, field, model, k)
+    ``QrySopScore.java:140-161``) for bag-of-words batches. Each query
+    parses as ``QueryEngine.search`` parses it (``#and`` around the text,
+    wildcards expanded), so a bag of words is one ``#AND`` tree and runs
+    through ``indri_structured_batch_search``'s planner. Candidates are
+    the docs with ≥1 matched term, as in the reference's DAAT loop."""
+    return _indri_search(index_dir, queries, model, k, field)
 
 
 def _parser(reader: IndexReader, field: str):
@@ -917,8 +876,12 @@ def _parser(reader: IndexReader, field: str):
 
 def _check_unique_qids(queries: list[tuple]) -> list[str]:
     """Batch qids key the packed qcode space — a repeated qid would
-    silently merge two queries' term sets under one code (ADVICE r1)."""
+    silently merge two queries' term sets under one code (ADVICE r1),
+    and a qcode must fit the 19 bits above ``_DOC_BITS``."""
     from collections import Counter
+    if len(queries) >= 1 << (63 - _DOC_BITS):
+        raise ValueError("query batch overflows the packed key space — "
+                         "split the batch")
     qids = [q[0] for q in queries]
     dups = sorted(q for q, c in Counter(qids).items() if c > 1)
     if dups:
@@ -1075,162 +1038,83 @@ def indri_structured_batch_search(index_dir: str,
                                   queries: list[tuple[str, str]],
                                   model=None, k: int = 100,
                                   field: str = "body") -> pa.Table:
-    """Distributed structured Indri: trees of ``#AND`` / ``#WAND`` over
-    TERM and positional leaves — the reference's SDM query class
-    (``dm.pl``; e.g. ``#wand(0.7 #and(a b) 0.2 #and(#near/1(a b)) 0.1
-    #and(#window/8(a b)))``).
+    """Distributed structured Indri: any tree of ``#AND`` / ``#WAND`` /
+    ``#WSUM`` over TERM and positional leaves of one field — the
+    reference's SDM query class (``dm.pl``; e.g. ``#wand(0.7 #and(a b)
+    0.2 #and(#near/1(a b)) 0.1 #and(#window/8(a b)))``) and ``#WSUM``
+    at any depth.
 
-    Geometric-mean trees are log-linear: flattening the tree multiplies
-    weights along the path, so
+    Phase A (``_derive_lists``) evaluates the positional leaves per
+    salt; a derived leaf's mle uses its DERIVED ctf
+    (``QryIop.java:139-151``). Phase B is ``score_salt_indri``: a salt
+    is a disjoint docid range holding every leaf's postings for its
+    docs, so each candidate's score is complete there and is the
+    driver's own ``indri_tree`` expression over the same leaf scores.
+    Rank- and bit-identical to ``QueryEngine.search``."""
+    return _indri_search(index_dir, queries, model, k, field)
 
-        log score(d) = Σ_leaves c_l · log s_l(d)
-                     = Σ_matched c_l·(log s_l(tf,dl) − log s_l(0,dl))
-                       + Σ_all-leaves c_l·log s_l(0,dl)
 
-    where ``c_l`` is the folded coefficient (1/k per #AND level, w/Σw
-    per #WAND level). The first sum is the dense per-salt group-sum
-    over posting rows (terms + the salt's derived positional lists,
-    phase A = ``_derive_lists``); the second is the per-candidate
-    default-score correction computed from sharded doclens in the same
-    salt's kernel call, using each leaf's mle = ctf/collection_len
-    (DERIVED ctf for positional leaves — ``QryIop.java:139-151``).
-
-    ``#WSUM`` (arithmetic mean, ``QrySopWsum``) is not log-linear, but
-    it factors per SUBTREE: a #WSUM spine (nested #WSUM flattens
-    linearly: outer weights multiply) over J log-linear subtrees gives
-
-        score(d) = Σ_j W_j · exp( S_j(d) + corr_j(dl) )
-
-    with ``S_j`` the subtree's matched-leaf group-sum and ``corr_j``
-    its all-leaves default correction; a doc that matches no leaf of
-    subtree j contributes its pure default ``W_j·exp(corr_j)``. The
-    packed key carries ``(qcode·J + j)`` in the high bits, and because
-    a salt is a disjoint docid range, every subtree sum for a doc is
-    complete inside its salt's kernel call — the arithmetic mix and the
-    exact per-query cut run there too, zero shuffle. #WSUM below a
-    #AND/#WAND (log of a sum — not factorizable) still raises to the
-    driver path. Rank- and score-identical to ``QueryEngine.search``."""
-    from .plan import IopNode, ScoreNode, SopNode, TermNode
-
+def _indri_search(index_dir: str, queries: list[tuple[str, str]], model,
+                  k: int, field: str) -> pa.Table:
+    """Plan and run ``score_salt_indri``: parse each query as the driver
+    engine does, key its leaves (``_leaf_key``; positional leaves go to
+    phase A), group the queries by tree shape and give every key its
+    mle = ctf / collection length (0 for a leaf with no postings)."""
+    from .models import IndriModel
+    from .plan import ScoreNode, SopNode
+    model = model or IndriModel()
     reader = _index_reader(index_dir)
     parser = _parser(reader, field)
     qids = _check_unique_qids(queries)
     iop_plans: dict = {}
 
-    def flatten(plan, coef, acc):
-        if isinstance(plan, ScoreNode):
-            flatten(plan.child, coef, acc)
-        elif isinstance(plan, (TermNode, IopNode)):
-            fld, key = _leaf_key(plan, iop_plans)
-            if fld != field:
+    def shape(node, keys: list):
+        """``node`` with each leaf replaced by its position in ``keys``,
+        where its key goes."""
+        if isinstance(node, SopNode):
+            if node.op not in INDRI_OPS:
                 raise ValueError(
-                    f"distributed Indri scores field {field!r} only; "
-                    f"leaf uses {fld!r} — use the driver path")
-            acc[key] = acc.get(key, 0.0) + coef
-        elif isinstance(plan, SopNode) and plan.op == "and":
-            for a in plan.args:
-                flatten(a, coef / len(plan.args), acc)
-        elif isinstance(plan, SopNode) and plan.op == "wand":
-            sw = plan.sum_weight
-            for a, w in zip(plan.args, plan.weights):
-                flatten(a, coef * w / sw, acc)
-        else:
+                    "distributed Indri supports #AND/#WAND/#WSUM trees "
+                    f"over term/positional leaves; got #{node.op}")
+            return SopNode(op=node.op, weights=node.weights,
+                           args=[shape(a, keys) for a in node.args])
+        fld, key = _leaf_key(
+            node.child if isinstance(node, ScoreNode) else node, iop_plans)
+        if fld != field:
             raise ValueError(
-                "distributed Indri supports #WSUM spines over #AND/#WAND "
-                f"trees over term/positional leaves; got "
-                f"#{getattr(plan, 'op', plan)}")
+                f"distributed Indri scores field {field!r} only; "
+                f"leaf uses {fld!r} — use the driver path")
+        keys.append(key)
+        return len(keys) - 1
 
-    def spine(plan, w, out):
-        """Split the top-level #WSUM spine (nested #WSUM multiplies the
-        normalized outer weight) into (W_j, log-linear subtree) pairs."""
-        if isinstance(plan, ScoreNode):
-            spine(plan.child, w, out)
-        elif isinstance(plan, SopNode) and plan.op == "wsum":
-            sw = plan.sum_weight
-            for a, aw in zip(plan.args, plan.weights):
-                spine(a, w * aw / sw, out)
-        else:
-            out.append((w, plan))
-
-    # per qcode: [(W_j, leaf key → coefficient, divisor 1.0)]
-    q_subtrees: list[list[tuple[float, dict, float]]] = []
-    for qid, q in queries:
-        subs: list[tuple[float, dict, float]] = []
+    groups: dict[str, tuple] = {}       # repr(tree) → (tree, [(qc, keys)])
+    for qc, (_, q) in enumerate(queries):
         plan = expand_wildcards(parser.parse(q, "#and"), reader)
         if plan is not None:
-            parts: list = []
-            spine(plan, 1.0, parts)
-            for w, sub in parts:
-                acc: dict = {}
-                flatten(sub, 1.0, acc)
-                subs.append((w, acc, 1.0))
-        q_subtrees.append(subs)
-    return _indri_search(reader, qids, q_subtrees, iop_plans, field, model,
-                         k)
-
-
-def _indri_search(reader: IndexReader, qids: list[str], q_subtrees: list,
-                  iop_plans: dict, field: str, model, k: int) -> pa.Table:
-    """Plan and run ``score_salt_indri``: ``q_subtrees`` holds per qcode
-    the #WSUM spine's ``[(W_j, leaf key → coefficient, divisor k_j)]``,
-    ``iop_plans`` (field → key → node) the positional leaves phase A
-    derives."""
-    from .models import IndriModel
-    model = model or IndriModel()
-    all_leaves = sorted({lf for subs in q_subtrees
-                         for _, acc, _ in subs for lf in acc})
-    if not all_leaves:
+            keys: list = []
+            tree = shape(plan, keys)
+            groups.setdefault(repr(tree), (tree, []))[1].append((qc, keys))
+    leaves = sorted({lf for _, qs in groups.values() for _, keys in qs
+                     for lf in keys})
+    if not leaves:
         return _empty()
-    # subtree index j packs into the key's high bits next to qcode
-    n_sub = max((len(s) for s in q_subtrees), default=1) or 1
-    # gq = qc·n_sub + j must stay within the 19 bits above _DOC_BITS
-    if len(qids) * n_sub >= (1 << (63 - _DOC_BITS)):
-        raise ValueError("query batch × #WSUM subtree count overflows "
-                         "the packed key space — split the batch")
-    # leaf → [(gq, coef)] routing for the partial stage
-    leaf_targets: dict[str, list[tuple[int, float]]] = {}
-    for qc, subs in enumerate(q_subtrees):
-        for j, (_, acc, _) in enumerate(subs):
-            for lf, c in acc.items():
-                leaf_targets.setdefault(lf, []).append((qc * n_sub + j, c))
-
-    key = f"t:{field}:"
-    plain_terms = sorted({lf[len(key):] for lf in all_leaves
-                          if lf.startswith(key)})
 
     # ---- phase A: derived lists + their (df, ctf), per salt ----
-    derived_refs, dstats = (_derive_lists(reader, iop_plans) if iop_plans
-                            else ([], {}))
-    tstats = reader.term_stats(plain_terms, field)
+    derived_refs, dstats = _derive_lists(reader, iop_plans)
+    pre = f"t:{field}:"
+    tstats = reader.term_stats(
+        [lf[len(pre):] for lf in leaves if lf.startswith(pre)], field)
     if not tstats and not dstats:
         return _empty()
-
     clen = max(reader.sum_field_lengths(field), 1)
-    mle_of = {key + t: tstats.get(t, (0, 0))[1] / clen for t in plain_terms}
-    mle_of.update({lf: c / clen for lf, (_, c) in dstats.items()})
-    # leaves absent from the index entirely (no postings): mle = 0
-    for lf in all_leaves:
-        mle_of.setdefault(lf, 0.0)
+    mle = dict.fromkeys(leaves, 0.0)
+    mle.update({pre + t: c / clen for t, (_, c) in tstats.items()})
+    mle.update({lf: c / clen for lf, (_, c) in dstats.items()})
 
-    # per qcode: [(W_j, mle array, coef array, k_j)] over each subtree's
-    # leaves (the default-score correction inputs)
-    q_info = [[(w,
-                np.array([mle_of[lf] for lf in sorted(acc)], dtype=np.float64),
-                np.array([acc[lf] for lf in sorted(acc)], dtype=np.float64),
-                kq)
-               for w, acc, kq in subs]
-              for subs in q_subtrees]
-
-    # ---- phase B: one task per salt range (_run_salt_tasks), one
-    # kernel call per salt: the salt's derived rows come whole from the
-    # object store, plain-term postings for its docid range are read
-    # LOCALLY, the matched log-partials are summed by the dense
-    # group-sum, and the #WSUM default-score mix + exact per-query cut
-    # run inside the task.
     spec = _spec(reader, k, field=field, mu=model.mu, lam=model.lambda_,
-                 n_sub=n_sub, derived=derived_refs,
-                 plain={field: plain_terms} if tstats else {},
-                 batch=ray.put(dict(lt=leaf_targets, mle=mle_of,
-                                    qinfo=q_info)))
+                 derived=derived_refs,
+                 plain={field: sorted(tstats)} if tstats else {},
+                 batch=ray.put(dict(groups=list(groups.values()),
+                                    mle=mle)))
     return _emit_ranked(_run_salt_tasks(score_salt_indri, spec, reader),
                         qids, k, reader)

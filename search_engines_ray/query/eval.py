@@ -3,11 +3,13 @@
 The reference evaluates queries document-at-a-time through iterator
 protocols (``/root/reference/QryEval/Qry.java:248-348``,
 ``QryEval.java:421-445``). Here scoring is term-at-a-time and columnar:
-each leaf yields (docids, scores) numpy vectors, combinators align them
-with sorted-merge/searchsorted, and Indri's absent-arg default scores
-(``QrySopAnd.java:86-107``) become vectorized default-score closures.
-Mathematically identical per SURVEY.md §2.4 invariants; the §7.0 design
-note explains why this replaces DAAT.
+each leaf yields (docids, scores) numpy vectors and combinators align them
+with sorted-merge/searchsorted. Indri scores every candidate (the union
+of the leaves' docids) at every leaf, with tf = 0 where the leaf does not
+match (the absent-arg default score, ``QrySopAnd.java:86-107``), and
+combines the leaf vectors with ``kernels.indri_tree``, as the
+distributed salt kernel does. Mathematically identical per SURVEY.md
+§2.4 invariants; the §7.0 design note explains why this replaces DAAT.
 
 Positional operators (#NEAR/n `QryIopNear.java:80-128`, #WINDOW/n
 `QryIopWindow.java:106-143`, #SYN `QryIopSyn.java:17-71`) materialize
@@ -30,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..index.reader import IndexReader, Posting
-from .kernels import bm25, bm25_idf, bm25_tfw, dirichlet, tfidf
+from .kernels import bm25, bm25_idf, bm25_tfw, dirichlet, indri_tree, tfidf
 from .models import (
     BM25Model, IndriModel, RankedBooleanModel, RetrievalModel,
     TFIDFModel, UnrankedBooleanModel,
@@ -69,26 +71,15 @@ class InvList:
 
 
 class _Scored:
-    """(matching docids asc, scores) + a default-score closure for the
-    Indri absent-arg case."""
+    """(matching docids asc, scores)."""
 
-    def __init__(self, docids: np.ndarray, scores: np.ndarray, default_fn=None):
+    def __init__(self, docids: np.ndarray, scores: np.ndarray):
         self.docids = docids
         self.scores = scores
-        self._default_fn = default_fn
 
-    def default(self, docids: np.ndarray) -> np.ndarray:
-        if self._default_fn is None:
-            return np.zeros(docids.size, dtype=np.float64)
-        return self._default_fn(docids)
-
-    def scores_for(self, docids: np.ndarray, model) -> np.ndarray:
-        """Scores aligned to ``docids``; non-matching docs get the
-        default score (Indri) or 0."""
-        if isinstance(model, IndriModel):
-            out = self.default(docids)
-        else:
-            out = np.zeros(docids.size, dtype=np.float64)
+    def scores_for(self, docids: np.ndarray) -> np.ndarray:
+        """Scores aligned to ``docids``; non-matching docs score 0."""
+        out = np.zeros(docids.size, dtype=np.float64)
         idx, hit = _align(self.docids, docids)
         out[hit] = self.scores[idx[hit]]
         return out
@@ -393,34 +384,41 @@ class QueryEngine:
                 bm25_idf(r.n_docs, inv.df), tf,
                 self._dl(inv.field, inv.docids), m.k1, m.b,
                 r.avg_len(inv.field)))
-        if isinstance(m, IndriModel):
-            mle = inv.ctf / max(r.sum_field_lengths(inv.field), 1)
-            field = inv.field
-
-            def score(docids, tf):
-                return dirichlet(tf, self._dl(field, docids), mle, m.mu,
-                                 m.lambda_)
-
-            def default_fn(docids):
-                return score(docids, 0.0)
-
-            return _Scored(inv.docids, score(inv.docids, tf), default_fn)
         if isinstance(m, TFIDFModel):
             return _Scored(inv.docids, tfidf(r.n_docs, inv.df, tf,
                                              self._dl(inv.field, inv.docids)))
         raise TypeError(f"unsupported model {type(m).__name__}")
 
+    def _eval_indri(self, root: PlanNode, cache) -> _Scored:
+        """Indri: candidates = the union of the leaves' docids; each leaf
+        scores every candidate (tf = 0 where it does not match) and
+        ``indri_tree`` combines them."""
+        m = self.model
+        invs = {id(leaf): self._eval_iop(leaf.child, cache)
+                for leaf in _leaves(root)}
+        docids = _union([inv.docids for inv in invs.values()])
+
+        def leaf_scores(leaf):
+            inv = invs[id(leaf)]
+            tf = np.zeros(docids.size, dtype=np.float64)
+            tf[np.searchsorted(docids, inv.docids)] = inv.tfs
+            mle = inv.ctf / max(self.reader.sum_field_lengths(inv.field), 1)
+            return dirichlet(tf, self._dl(inv.field, docids), mle, m.mu,
+                             m.lambda_)
+        return _Scored(docids, indri_tree(root, leaf_scores))
+
     def _eval_sop(self, node: PlanNode, cache) -> _Scored:
         m = self.model
         if is_iop(node):                      # bare Iop root after collapse
             node = ScoreNode(child=node)
+        if isinstance(m, IndriModel):
+            return self._eval_indri(node, cache)
         if isinstance(node, ScoreNode):
             return self._score_leaf(self._eval_iop(node.child, cache))
         assert isinstance(node, SopNode)
         args = [self._eval_sop(a, cache) for a in node.args]
         op = node.op
         boolean = isinstance(m, (UnrankedBooleanModel, RankedBooleanModel))
-        indri = isinstance(m, IndriModel)
         bm25 = isinstance(m, (BM25Model, TFIDFModel))  # both are #SUM-of-
         # leaf-scores additive models; every SUM-shaped branch below holds
 
@@ -431,21 +429,7 @@ class QueryEngine:
             if isinstance(m, UnrankedBooleanModel):
                 return _Scored(docids, np.ones(docids.size))
             return _Scored(docids, np.min(
-                [a.scores_for(docids, m) for a in args], axis=0))
-
-        if op == "and" and indri:
-            docids = _union([a.docids for a in args])
-            k = len(args)
-            s = np.ones(docids.size, dtype=np.float64)
-            for a in args:
-                s *= a.scores_for(docids, m) ** (1.0 / k)
-
-            def default_fn(d, args=args, k=k):
-                out = np.ones(d.size, dtype=np.float64)
-                for a in args:
-                    out *= a.default(d) ** (1.0 / k)
-                return out
-            return _Scored(docids, s, default_fn)
+                [a.scores_for(docids) for a in args], axis=0))
 
         if op == "or":
             if not boolean:
@@ -455,7 +439,7 @@ class QueryEngine:
             if isinstance(m, UnrankedBooleanModel):
                 return _Scored(docids, np.ones(docids.size))
             return _Scored(docids, np.max(
-                [a.scores_for(docids, m) for a in args], axis=0))
+                [a.scores_for(docids) for a in args], axis=0))
 
         if op == "sum":
             if not bm25:
@@ -464,7 +448,7 @@ class QueryEngine:
             docids = _union([a.docids for a in args])
             s = np.zeros(docids.size, dtype=np.float64)
             for a in args:
-                s += a.scores_for(docids, m)
+                s += a.scores_for(docids)
             return _Scored(docids, s)
 
         if op == "dismax":
@@ -478,7 +462,7 @@ class QueryEngine:
                     f"{type(m).__name__} doesn't support #DISMAX")
             tie = node.dist / 100.0
             docids = _union([a.docids for a in args])
-            mat = np.stack([a.scores_for(docids, m) for a in args])
+            mat = np.stack([a.scores_for(docids) for a in args])
             mx = mat.max(axis=0)
             return _Scored(docids, mx + tie * (mat.sum(axis=0) - mx))
 
@@ -489,9 +473,8 @@ class QueryEngine:
             # contribute 0 via scores_for). n clamps to the surviving
             # arg count (stopword args drop in the optimizer pass, as
             # analyzer-removed clauses do in Lucene). Indri has no
-            # natural msm semantics (every doc scores) — rejected.
-            if indri:
-                raise ValueError("IndriModel doesn't support #MSM")
+            # natural msm semantics (every doc scores): indri_tree
+            # rejects it.
             n = max(1, min(node.dist, len(args)))
             docids = _union([a.docids for a in args])
             cnt = np.zeros(docids.size, dtype=np.int64)
@@ -502,41 +485,15 @@ class QueryEngine:
                 return _Scored(docids, np.ones(docids.size))
             if isinstance(m, RankedBooleanModel):
                 return _Scored(docids, np.max(
-                    [a.scores_for(docids, m) for a in args], axis=0))
+                    [a.scores_for(docids) for a in args], axis=0))
             s = np.zeros(docids.size, dtype=np.float64)
             for a in args:
-                s += a.scores_for(docids, m)
+                s += a.scores_for(docids)
             return _Scored(docids, s)
 
         if op in ("wsum", "wand"):
-            if not indri:
-                raise ValueError(
-                    f"{type(m).__name__} doesn't support the {op.upper()} operator")
-            w = np.asarray(node.weights, dtype=np.float64)
-            wn = w / w.sum()
-            docids = _union([a.docids for a in args])
-            if op == "wsum":
-                s = np.zeros(docids.size, dtype=np.float64)
-                for a, wi in zip(args, wn):
-                    s += a.scores_for(docids, m) * wi
-
-                def default_fn(d, args=args, wn=wn):
-                    out = np.zeros(d.size, dtype=np.float64)
-                    for a, wi in zip(args, wn):
-                        out += a.default(d) * wi
-                    return out
-            else:
-                s = np.ones(docids.size, dtype=np.float64)
-                for a, wi in zip(args, wn):
-                    s *= a.scores_for(docids, m) ** wi
-
-                def default_fn(d, args=args, wn=wn):
-                    out = np.ones(d.size, dtype=np.float64)
-                    for a, wi in zip(args, wn):
-                        out *= a.default(d) ** wi
-                    return out
-            return _Scored(docids, s, default_fn)
-
+            raise ValueError(
+                f"{type(m).__name__} doesn't support the {op.upper()} operator")
         raise ValueError(f"unknown Sop #{op}")
 
     # ---- shared prologue of every search path ----
@@ -794,6 +751,13 @@ def _align(docids: np.ndarray, ids: np.ndarray):
     idx = np.minimum(np.searchsorted(docids, ids), max(docids.size - 1, 0))
     return idx, (docids[idx] == ids if docids.size
                  else np.zeros(ids.size, dtype=bool))
+
+
+def _leaves(node: PlanNode) -> list:
+    """The leaves of a Sop tree (``ScoreNode``s), in argument order."""
+    if isinstance(node, SopNode):
+        return [leaf for a in node.args for leaf in _leaves(a)]
+    return [node]
 
 
 def _union(arrs: list[np.ndarray]) -> np.ndarray:

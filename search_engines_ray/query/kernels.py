@@ -25,7 +25,11 @@ salt kernels) calls these functions instead of re-deriving them:
   (``:123-138``);
 - ``tfidf``: Lucene ClassicSimilarity ``sqrt(tf)·idf²/sqrt(dl)`` with
   ``idf = 1 + ln(N/(df + 1))`` (no reference counterpart; queryNorm and
-  coord are omitted, see ``models.TFIDFModel``).
+  coord are omitted, see ``models.TFIDFModel``);
+- ``indri_tree``: Indri's combination of per-leaf scores over a tree of
+  ``#AND`` (``Π s^(1/k)``, ``QrySopAnd``), ``#WAND`` (``Π s^(w/Σw)``)
+  and ``#WSUM`` (``Σ s·w/Σw``, ``QrySopWsum``). The driver engine and
+  the distributed salt kernel both score with it.
 
 Each takes scalars or numpy arrays. The operation order inside each
 expression is fixed: every caller gets bit-identical float64 results.
@@ -34,6 +38,8 @@ expression is fixed: every caller gets bit-identical float64 results.
 from __future__ import annotations
 
 import numpy as np
+
+from .plan import SopNode
 
 
 def bm25_idf(N, df) -> float:
@@ -63,3 +69,39 @@ def dirichlet(tf, dl, mle, mu: float, lam: float):
 def tfidf(N, df, tf, dl):
     idf = 1.0 + np.log(N / (df + 1.0))
     return np.sqrt(tf) * (idf * idf) / np.sqrt(np.maximum(dl, 1.0))
+
+
+# the Sop operators Indri combines with
+INDRI_OPS = ("and", "wand", "wsum")
+
+
+def indri_tree(node, leaf_scores):
+    """Score one Indri plan tree over a candidate set: every node that
+    is not a ``SopNode`` is a leaf, and ``leaf_scores(leaf)`` returns its
+    Dirichlet score for every candidate, with ``tf = 0`` for candidates
+    the leaf does not match. Arguments combine in tree order, so every
+    caller gets the same bits for the same leaf scores."""
+    if not isinstance(node, SopNode):
+        return leaf_scores(node)
+    args = [indri_tree(a, leaf_scores) for a in node.args]
+    op = node.op
+    if op not in INDRI_OPS:
+        raise ValueError(f"IndriModel doesn't support the {op.upper()} "
+                         "operator")
+    if op == "and":
+        k = len(args)
+        s = np.ones(args[0].size, dtype=np.float64)
+        for x in args:
+            s *= x ** (1.0 / k)
+        return s
+    w = np.asarray(node.weights, dtype=np.float64)
+    wn = w / w.sum()
+    if op == "wand":
+        s = np.ones(args[0].size, dtype=np.float64)
+        for x, wi in zip(args, wn):
+            s *= x ** wi
+    else:
+        s = np.zeros(args[0].size, dtype=np.float64)
+        for x, wi in zip(args, wn):
+            s += x * wi
+    return s

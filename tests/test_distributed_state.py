@@ -252,11 +252,10 @@ def test_scoring_kernels_gather_doclens_once_per_field_and_salt(
 def test_bag_of_words_is_the_term_only_structured_case(docs_index):
     """A bag-of-words batch is the term-only case of the structured
     plans: ``bm25_batch_search`` returns ``bm25_structured_batch_search``'s
-    frame on the same texts, and ``indri_batch_search`` ranks as
-    ``indri_structured_batch_search`` does on ``#and(...)``-wrapped texts.
-    Indri scores agree to 1e-12, not bit for bit: the structured plan
-    folds 1/k_q into each leaf's coefficient, the bag-of-words plan
-    divides the subtree's sum by k_q."""
+    frame on the same texts, and ``indri_batch_search`` returns
+    ``indri_structured_batch_search``'s frame on ``#and(...)``-wrapped
+    texts, bit for bit: both parse to the same tree and score it with
+    the same ``indri_tree`` expression."""
     from search_engines_ray.query.models import IndriModel
     d = docs_index.index_dir
     bm = D.bm25_batch_search(d, BOW, BM25Model(), k=20).to_pandas()
@@ -266,9 +265,7 @@ def test_bag_of_words_is_the_term_only_structured_case(docs_index):
     st = D.indri_structured_batch_search(
         d, [(q, f"#and({x})") for q, x in BOW], IndriModel(),
         k=20).to_pandas()
-    cols = ["qid", "external_id", "rank"]
-    assert len(bow) and bow[cols].equals(st[cols])
-    np.testing.assert_allclose(bow["score"], st["score"], rtol=1e-12)
+    assert len(bow) and bow.equals(st)
 
 
 class _CountingRemote:

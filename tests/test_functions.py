@@ -66,6 +66,28 @@ def test_simhash_dedup(dup_docs):
     assert m.get(101) == 100         # identical text -> identical simhash
 
 
+@pytest.mark.parametrize("ids,id_type", [([1, 2, 3], pa.int64()),
+                                         (["a", "b", "c"], pa.string())])
+def test_lsh_dedup_without_duplicates_is_typed(ray_session, ids, id_type):
+    """Three docs with no shared shingle: ``minhash_lsh_dedup`` (both
+    signature-attach routes) and ``simhash_dedup`` return no rows but
+    keep ``doc_id`` and ``canonical_id`` typed like the input ids."""
+    import ray.data as rd
+
+    from search_engines_ray.functions import minhash_lsh_dedup, simhash_dedup
+    ds = rd.from_pandas(pd.DataFrame({
+        "doc_id": ids,
+        "text": ["apple banana cherry dates", "zebra yak xylophone walrus",
+                 "mountain river ocean forest"]}))
+    for run in (lambda: minhash_lsh_dedup(ds),
+                lambda: minhash_lsh_dedup(ds, attach_route="cogroup"),
+                lambda: simhash_dedup(ds)):
+        out = run().materialize()
+        assert out.count() == 0
+        assert out.schema().names == ["doc_id", "canonical_id"]
+        assert out.schema().types == [id_type, id_type]
+
+
 def test_ngram_jaccard():
     from search_engines_ray.functions import ngram_jaccard
     assert ngram_jaccard("a b c d", "a b c d") == 1.0

@@ -144,6 +144,26 @@ def test_shuffle_join_string_keys(rd):
                                   want[sorted(want.columns)])
 
 
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_shuffle_join_without_matches_keeps_declared_types(rd, how):
+    """No key matches: every part's join is empty (inner) or all nulls
+    on the right (left), and each column keeps its declared type
+    instead of falling back to untyped object columns."""
+    lf = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                   "v": pa.array([10, 20, 30], pa.int32())})
+    rf = pa.table({"k2": pa.array([7, 8], pa.int64()),
+                   "name": pa.array(["x", "y"]),
+                   "w": pa.array([1.5, 2.5])})
+    out = shuffle_hash_join(rd.from_arrow(lf), rd.from_arrow(rf),
+                            left_on="k", right_on="k2", how=how,
+                            num_parts=4).materialize()
+    assert out.count() == (0 if how == "inner" else 3)
+    sch = out.schema()
+    assert dict(zip(sch.names, sch.types)) == {
+        "k": pa.int64(), "v": pa.int32(), "name": pa.string(),
+        "w": pa.float64()}
+
+
 def test_shuffle_join_rejects_overlapping_columns(rd, fact):
     other = pd.DataFrame({"dk": [1], "v": [2]})  # "v" exists on left too
     with pytest.raises(ValueError, match="both sides"):

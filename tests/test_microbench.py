@@ -22,7 +22,8 @@ def test_microbench_prints_every_kernel():
                         "partial_postings_zipf", "merge_bucket_zipf",
                         "compact_zipf",
                         "simple_tokenize", "minhash", "minhash_affine",
-                        "simhash", "popcount", "group_sum"}
+                        "simhash", "popcount", "group_sum",
+                        "indri_tree"}
     for v in got.values():
         assert set(v) == {"median", "unit"}
         assert v["median"] > 0 and v["unit"].startswith("ms per ")

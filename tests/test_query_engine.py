@@ -142,22 +142,83 @@ def test_distributed_bm25_matches_driver_path(docs_index):
         np.testing.assert_allclose(sub["score"], drv["score"], rtol=1e-12)
 
 
+# Driver Indri scores of fixed queries as exact float hex. Every exponent
+# here is 1 or 1/2 (numpy's `** 0.5` is sqrt), so the pins rest on
+# correctly rounded IEEE operations only, not on a libm's pow.
+INDRI_PINS = {
+    "merge": [
+        ("00000406", "0x1.1ecc37131712cp-5"),
+        ("00000306", "0x1.1e20f2647e32cp-5"),
+        ("00000468", "0x1.1adb55b60e3eap-5"),
+        ("00000255", "0x1.1aa0879106168p-5"),
+        ("00000494", "0x1.1a2fae4c7099cp-5")],
+    "dup sort": [
+        ("00000012", "0x1.feef113153d5fp-8"),
+        ("00000082", "0x1.db5c3699e5b73p-8"),
+        ("00000360", "0x1.db2cbed98b7d1p-8"),
+        ("00000033", "0x1.b5b6189e6adddp-8"),
+        ("00000114", "0x1.b5280ac7daf41p-8")],
+    "#wsum( 0.6 dup 0.4 sort )": [
+        ("00000012", "0x1.f1a930712e4fap-7"),
+        ("00000405", "0x1.ee613b8dc7446p-7"),
+        ("00000475", "0x1.ee42fba7d0137p-7"),
+        ("00000360", "0x1.ed33cb0571010p-7"),
+        ("00000160", "0x1.ed14ec95b6f55p-7")],
+    "#wand( 0.5 #and( fast sort ) 0.5 #near/1( fast sort ) )": [
+        ("00000075", "0x1.c0cde393b577ap-8"),
+        ("00000442", "0x1.c0b8fa69ac3f2p-8"),
+        ("00000223", "0x1.c0a1b094451aap-8"),
+        ("00000085", "0x1.c0985cabdbbc4p-8"),
+        ("00000025", "0x1.c05f87c9ec715p-8")],
+    "#and( #syn(fast quick) #wsum( 0.3 dup 0.7 line ) )": [
+        ("00000223", "0x1.d9b1de23696d9p-6"),
+        ("00000085", "0x1.d811f48047302p-6"),
+        ("00000204", "0x1.d6fc50577638dp-6"),
+        ("00000443", "0x1.d4eb918b2689dp-6"),
+        ("00000036", "0x1.d4441458d005cp-6")],
+    "#wsum( 0.5 #and( hash join ) 0.5 #window/8( hash join ) )": [
+        ("00000387", "0x1.725ac3634079ap-6"),
+        ("00000406", "0x1.71e3941a4253ep-6"),
+        ("00000022", "0x1.6f293529c2ed6p-6"),
+        ("00000072", "0x1.6f293257ebdaep-6"),
+        ("00000054", "0x1.6ee1cbac9b83ep-6")],
+}
+
+
+def test_driver_indri_scores_keep_their_bits(docs_index):
+    """The driver's Indri scores, bit for bit: one leaf, a two-term
+    #AND, a #WSUM, a #WAND over a positional leaf and #WSUM nested
+    under #AND."""
+    engine = QueryEngine(docs_index, IndriModel(mu=2500, lambda_=0.4))
+    for q, want in INDRI_PINS.items():
+        t = engine.search(q, k=5)
+        got = [(x.rsplit("/", 1)[1], s.hex()) for x, s in
+               zip(t["external_id"].to_pylist(), t["score"].to_pylist())]
+        assert got == want, q
+
+
+def _assert_same_as_driver(dist, engine, queries, k):
+    """Each query's (external_id, score) rows of a batch frame equal the
+    driver engine's, bit for bit."""
+    cols = ["external_id", "score"]
+    for qid, q in queries:
+        drv = engine.search(q, k=k).to_pandas()[cols]
+        sub = dist[dist["qid"] == qid].reset_index(drop=True)[cols]
+        assert sub.equals(drv), (qid, q)
+
+
 def test_distributed_indri_matches_driver_path(docs_index):
-    """Distributed log-space Indri (groupby-sum of log s − log s0 plus a
-    per-candidate default correction) must be rank- and score-identical
-    to the driver engine, including duplicate and absent query terms."""
+    """The salt kernel scores every candidate with the driver's own
+    ``indri_tree`` expression over the same leaf scores, so batch
+    Indri equals the driver engine bit for bit, including duplicate and
+    absent query terms."""
     from search_engines_ray.query.distributed import indri_batch_search
     model = IndriModel(mu=2500, lambda_=0.4)
     engine = QueryEngine(docs_index, model)
     queries = [("1", "dup sort merge"), ("2", "dup line"),
                ("3", "dup dup line"), ("4", "nosuchterm dup")]
     dist = indri_batch_search(docs_index.index_dir, queries, model, k=50)
-    dp = dist.to_pandas()
-    for qid, q in queries:
-        drv = engine.search(q, k=50).to_pandas()
-        sub = dp[dp["qid"] == qid].reset_index(drop=True)
-        assert list(sub["external_id"]) == list(drv["external_id"]), qid
-        np.testing.assert_allclose(sub["score"], drv["score"], rtol=1e-12)
+    _assert_same_as_driver(dist.to_pandas(), engine, queries, 50)
 
 
 def test_distributed_structured_matches_driver_path(docs_index):
@@ -186,8 +247,9 @@ def test_distributed_structured_matches_driver_path(docs_index):
 
 
 def test_distributed_structured_indri_matches_driver_path(docs_index):
-    """SDM-class trees (#WAND/#AND over term + positional leaves) via the
-    log-linear flattening must match the driver engine exactly."""
+    """SDM-class trees (#WAND/#AND over term + positional leaves) equal
+    the driver engine bit for bit: each salt scores its candidates with
+    the driver's tree expression."""
     from search_engines_ray.query.distributed import (
         indri_structured_batch_search,
     )
@@ -203,19 +265,14 @@ def test_distributed_structured_indri_matches_driver_path(docs_index):
     ]
     dist = indri_structured_batch_search(docs_index.index_dir, queries,
                                          model, k=25)
-    dp = dist.to_pandas()
-    for qid, q in queries:
-        drv = engine.search(q, k=25).to_pandas()
-        sub = dp[dp["qid"] == qid].reset_index(drop=True)
-        assert list(sub["external_id"]) == list(drv["external_id"]), qid
-        np.testing.assert_allclose(sub["score"], drv["score"], rtol=1e-10)
+    _assert_same_as_driver(dist.to_pandas(), engine, queries, 25)
 
 
 def test_distributed_wsum_matches_driver_path(docs_index):
-    """#WSUM spines (arithmetic mean — NOT log-linear) factor per
-    subtree: score = Σ_j W_j·exp(S_j + corr_j). Must match the driver
-    engine exactly, including default-score fill for docs missing a
-    whole subtree and nested-#WSUM weight folding."""
+    """#WSUM (arithmetic mean) at any depth equals the driver engine bit
+    for bit, including docs that match no leaf of a whole subtree
+    (every leaf scores them with tf = 0), nested #WSUM and #WSUM below
+    #AND."""
     from search_engines_ray.query.distributed import (
         indri_structured_batch_search,
     )
@@ -229,15 +286,76 @@ def test_distributed_wsum_matches_driver_path(docs_index):
               " 0.4 sort ) )"),
         ("4", "#wsum( 0.9 nosuchterm 0.1 dup )"),
         ("5", "#wsum( 1.0 #and( dup merge ) )"),
+        ("6", "#and( #syn(fast quick) #wsum( 0.3 dup 0.7 line ) )"),
     ]
     dist = indri_structured_batch_search(docs_index.index_dir, queries,
                                          model, k=25)
-    dp = dist.to_pandas()
-    for qid, q in queries:
-        drv = engine.search(q, k=25).to_pandas()
-        sub = dp[dp["qid"] == qid].reset_index(drop=True)
-        assert list(sub["external_id"]) == list(drv["external_id"]), qid
-        np.testing.assert_allclose(sub["score"], drv["score"], rtol=1e-10)
+    _assert_same_as_driver(dist.to_pandas(), engine, queries, 25)
+
+
+@pytest.fixture(scope="module")
+def tie_index(tmp_path_factory, ray_session):
+    """Three texts, 16 copies each under distinct urls, among 40 filler
+    docs of varied lengths: every copy of a text ties mathematically
+    with the others, and the copies spread over pids and salts."""
+    import ray.data as rd
+
+    from search_engines_ray.index import (
+        IndexBuildConfig, IndexReader, build_index,
+    )
+    texts = ["alpha beta gamma delta alpha", "beta gamma zeta zeta omega",
+             "alpha delta epsilon beta gamma"]
+    rows = [(f"http://tie.example.com/{t}-{i:02d}", text)
+            for i in range(16) for t, text in enumerate(texts)]
+    filler = ["alpha beta", "gamma", "delta zeta", "filler"]
+    rows += [(f"http://tie.example.com/f{i:02d}",
+              " ".join(filler[:1 + i % 4]
+                       + [f"word{j}" for j in range(i % 7)]))
+             for i in range(40)]
+    idx = str(tmp_path_factory.mktemp("idx") / "ties")
+    build_index(rd.from_pandas(pd.DataFrame(rows, columns=["url", "text"])),
+                idx, IndexBuildConfig(num_buckets=4, docid_partitions=8,
+                                      merge_salts=4),
+                input_token="ties", resume=False)
+    return IndexReader(idx)
+
+
+def test_distributed_indri_ties_across_salts_match_driver(tie_index):
+    """Mathematically tied docs in different salts and pids get the
+    same bits on both paths, so batch and driver order them alike
+    (score desc, external id asc): bag of words, perfbench's #WAND SDM
+    shape, a #WSUM spine and a #WSUM nested under #AND, with k below
+    every tie group."""
+    from search_engines_ray.query import distributed as D
+    model = IndriModel(mu=2500, lambda_=0.4)
+    engine = QueryEngine(tie_index, model)
+    queries = [
+        ("bow", "alpha beta gamma"),
+        ("sdm", "#wand( 0.7 #and( beta gamma ) 0.2 #and( #near/1( beta "
+                "gamma ) ) 0.1 #and( #window/8( beta gamma ) ) )"),
+        ("spine", "#wsum( 0.3 alpha 0.7 #and( beta gamma ) )"),
+        ("nested", "#and( delta #wsum( 0.4 alpha 0.6 gamma ) )"),
+    ]
+    d = tie_index.index_dir
+    dist = D.indri_structured_batch_search(d, queries, model,
+                                           k=6).to_pandas()
+    _assert_same_as_driver(dist, engine, queries, 6)
+    bow = D.indri_batch_search(d, queries[:1], model, k=6).to_pandas()
+    assert bow.equals(dist[dist["qid"] == "bow"].reset_index(drop=True))
+    # each query's cut at k = 6 falls inside a tie group ...
+    for _, q in queries:
+        s = engine.search(q, k=100)["score"].to_numpy()
+        assert (s == s[5]).sum() > (s[:6] == s[5]).sum(), q
+    # ... of copies, whose 16 members sit in several pids and salts
+    ids = tie_index.internal_docids_for(
+        [f"http://tie.example.com/{t}-{i:02d}" for t in range(3)
+         for i in range(16)])
+    pid = np.searchsorted(tie_index.pid_offsets, ids, side="right") - 1
+    n_pids = tie_index.pid_offsets.size - 1
+    salt = pid * D._n_salts(tie_index) // n_pids
+    for t in range(3):
+        assert len(set(pid[16 * t:16 * t + 16])) > 2
+        assert len(set(salt[16 * t:16 * t + 16])) > 1
 
 
 def test_structured_distributed_tiny_block_size_parity(docs_index):
@@ -277,9 +395,7 @@ def test_structured_distributed_tiny_block_size_parity(docs_index):
         idist = indri_structured_batch_search(
             docs_index.index_dir, iq, imodel, k=25).to_pandas()
         assert not idist.duplicated(["qid", "external_id"]).any()
-        drv = iengine.search(iq[0][1], k=25).to_pandas()
-        assert list(idist["external_id"]) == list(drv["external_id"])
-        np.testing.assert_allclose(idist["score"], drv["score"], rtol=1e-10)
+        _assert_same_as_driver(idist, iengine, iq, 25)
     finally:
         ctx.target_max_block_size = old
 
@@ -312,13 +428,18 @@ def test_structured_distributed_rejects_other_fields_indri(docs_index):
 
 def test_batch_search_rejects_duplicate_qids(docs_index):
     """A repeated qid would silently merge two queries' term sets under
-    one packed qcode (ADVICE r1) — must raise instead."""
+    one packed qcode (ADVICE r1), and a batch past the qcode bits would
+    wrap into other queries' keys — both must raise instead."""
     from search_engines_ray.query.distributed import (
         bm25_batch_search, indri_batch_search,
     )
     for fn in (bm25_batch_search, indri_batch_search):
         with pytest.raises(ValueError, match="duplicate qids"):
             fn(docs_index.index_dir, [("1", "dup"), ("1", "line")], k=5)
+        # a qcode has the 19 bits above the packed key's 44 docid bits
+        with pytest.raises(ValueError, match="packed key space"):
+            fn(docs_index.index_dir, [(str(i), "dup")
+                                      for i in range(1 << 19)], k=5)
 
 
 # ------------------------------------------------------------ prefix terms
